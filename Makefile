@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-sarif test race check bench bench-short bench-paper fuzz mesh-test
+.PHONY: build vet lint lint-sarif test race check bench-compile bench bench-paper fuzz mesh-test
 
 build:
 	$(GO) build ./...
@@ -38,24 +38,22 @@ race:
 mesh-test:
 	DNSCACHE_MESH_PROC=1 $(GO) test -race -run TestMeshMultiProcess -v ./cmd/dnscache
 
+# bench-compile checks that benchmark/ — a nested module a root
+# `go test ./...` does not reach — still compiles against the internal
+# APIs it uses, and runs its unit tests.
+bench-compile:
+	$(GO) vet -C benchmark .
+	$(GO) test -C benchmark .
+
 # check is what CI runs: the race detector and dnslint gate every PR.
-check: build vet lint race mesh-test
+check: build vet lint race mesh-test bench-compile
 
-# bench is the perf-trajectory snapshot: wire-hot-path micro-benchmarks
-# plus a dnsperf run against a real dnsserver+dnscache pair on loopback,
-# written to BENCH_10.json (qps, p50/p99, allocs/op). Compare against the
-# baseline recorded in EXPERIMENTS.md before accepting a perf-sensitive
-# change.
+# bench runs the repository's one meter (see BENCHMARK.json and
+# benchmark/README.md): four workloads against a real dnscache child,
+# end-to-end metrics gated against the parent commit. It needs a quiet
+# multi-core host, so CI does not run it.
 bench:
-	$(GO) build -o bin/dnsserver ./cmd/dnsserver
-	$(GO) build -o bin/dnscache ./cmd/dnscache
-	$(GO) build -o bin/dnsperf ./cmd/dnsperf
-	$(GO) run ./cmd/dnsbench -out BENCH_10.json
-
-# bench-short is the CI variant: micro-benchmarks only, no sockets beyond
-# loopback exchange, no separate processes.
-bench-short:
-	$(GO) run ./cmd/dnsbench -e2e=false -out BENCH_10.json
+	bash benchmark/run.sh
 
 # bench-paper regenerates every table/figure benchmark in the root suite
 # (the paper-reproduction harness, one iteration each).

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"net/netip"
 	"os"
@@ -109,30 +110,23 @@ func run() error {
 	maxTTL := flag.Duration("max-ttl", 7*24*time.Hour, "cache TTL clamp")
 	negTTL := flag.Duration("negative-ttl", 0, "negative-answer cache TTL (0 = off)")
 	serveStale := flag.Duration("serve-stale", 0, "serve expired records for this long when servers are unreachable (0 = off)")
-	prefetch := flag.Bool("prefetch", false, "refresh hot answers in the last 10% of their TTL")
-	prefetchAsync := flag.Bool("prefetch-async", false, "run prefetch refreshes on a background worker pool instead of the client's critical path")
-	prefetchWorkers := flag.Int("prefetch-workers", 2, "background prefetch workers (with -prefetch-async)")
-	prefetchQueue := flag.Int("prefetch-queue", 64, "pending prefetch queue bound; further refreshes are dropped (with -prefetch-async)")
+	prefetch := flag.Bool("prefetch", false, "refresh hot answers in the last 10% of their TTL, on a background worker pool")
 	debugAddr := flag.String("debug-addr", "", "HTTP address for /debug/stats and /debug/queries (empty = off; enables per-query tracing)")
 	queryLog := flag.String("query-log", "", "append one JSON line per finished query trace to this file (empty = off; enables per-query tracing)")
 	port := flag.Int("upstream-port", 53, "port appended to learned name-server addresses")
 	maxInflight := flag.Int("max-inflight", transport.DefaultMaxInflight, "max queries handled concurrently per listener")
-	udpReaders := flag.Int("udp-readers", 1, "UDP socket read-loop goroutines (1 = classic single reader)")
 	statsEvery := flag.Duration("stats", time.Minute, "stats reporting interval (0 = off)")
 	minTimeout := flag.Duration("min-timeout", 200*time.Millisecond, "lower clamp on the adaptive per-attempt upstream timeout")
 	maxTimeout := flag.Duration("max-timeout", 3*time.Second, "upper clamp on the adaptive per-attempt upstream timeout")
 	quarantine := flag.Duration("quarantine", 5*time.Second, "base quarantine after an upstream failure, doubling per consecutive failure (negative = off)")
 	retryBudget := flag.Int("retry-budget", 16, "max upstream attempts one resolution may spend across all failovers (0 = unlimited)")
-	noSelection := flag.Bool("no-selection", false, "disable RTT-based upstream selection, quarantine, and retry budget (blind round-robin, for A/B runs)")
 	persistDir := flag.String("persist-dir", "", "directory for crash-safe cache persistence: snapshot + journal, replayed on startup (empty = off)")
 	snapshotEvery := flag.Duration("snapshot-every", 5*time.Minute, "interval between full cache snapshots when -persist-dir is set (0 = journal only)")
 	sweep := flag.Duration("sweep", time.Minute, "interval between background sweeps of expired cache entries (0 = lazy expiry only)")
 	clientRPS := flag.Float64("client-rps", 0, "per-client-address UDP query rate limit in queries/s (0 = off)")
-	clientBurst := flag.Float64("client-burst", 0, "per-client token-bucket burst depth (0 = 2×-client-rps)")
 	slip := flag.Int("slip", 2, "answer every Nth rate-limited UDP query with a minimal TC=1 reply instead of dropping it (0 = never; needs -client-rps)")
 	maxClients := flag.Int("max-clients", 65536, "rate-limiter client-slot bound; least recently seen clients are evicted past it")
 	overloadCacheOnly := flag.Bool("overload-cache-only", false, "answer queries arriving while all -max-inflight slots are busy from cache/stale data only, instead of dropping them")
-	glueBudget := flag.Int("glue-budget", 0, "max out-of-bailiwick name-server address resolutions one query may spend across sibling NS names (0 = default 16, negative = unlimited)")
 	meshListen := flag.String("mesh-listen", "", "UDP address for the cooperative resolver mesh (empty = mesh off)")
 	meshPeers := flag.String("mesh-peers", "", "comma-separated mesh peer addresses (host:port), with -mesh-listen")
 	meshKey := flag.String("mesh-key", "", "shared fleet HMAC key authenticating mesh frames (required with -mesh-listen)")
@@ -176,10 +170,19 @@ func run() error {
 	}
 
 	// Tracing is enabled only when something consumes it: the debug
-	// endpoint's ring buffer, the query log, or both.
+	// endpoint's ring buffer, the query log, or both. The debug listener
+	// is bound here, before anything else starts, so a bad address fails
+	// start-up outright and ":0" reports its real port.
+	var sinks []resolve.Sink
 	var ring *resolve.Ring
+	var debugLn net.Listener
 	if *debugAddr != "" {
+		if debugLn, err = net.Listen("tcp", *debugAddr); err != nil {
+			return err
+		}
+		defer debugLn.Close()
 		ring = resolve.NewRing(512)
+		sinks = append(sinks, ring)
 	}
 	var qlog *jsonLogSink
 	if *queryLog != "" {
@@ -187,14 +190,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-	}
-	var sink resolve.Sink
-	if ring != nil && qlog != nil {
-		sink = resolve.MultiSink(ring, qlog)
-	} else if ring != nil {
-		sink = ring
-	} else if qlog != nil {
-		sink = qlog
+		sinks = append(sinks, qlog)
 	}
 
 	coreCfg := core.Config{
@@ -205,23 +201,19 @@ func run() error {
 			UDP: transport.UDP{Timeout: *maxTimeout},
 			TCP: transport.TCP{Timeout: 2 * *maxTimeout},
 		},
-		RootHints:       hints,
-		RefreshTTL:      *refresh,
-		Renewal:         policy,
-		MaxTTL:          *maxTTL,
-		NegativeTTL:     *negTTL,
-		ServeStale:      *serveStale,
-		Prefetch:        *prefetch,
-		AsyncPrefetch:   *prefetchAsync,
-		PrefetchWorkers: *prefetchWorkers,
-		PrefetchQueue:   *prefetchQueue,
-		MaxGlueFetches:  *glueBudget,
-		TraceSink:       sink,
+		RootHints:     hints,
+		RefreshTTL:    *refresh,
+		Renewal:       policy,
+		MaxTTL:        *maxTTL,
+		NegativeTTL:   *negTTL,
+		ServeStale:    *serveStale,
+		Prefetch:      *prefetch,
+		AsyncPrefetch: *prefetch,
+		TraceSink:     resolve.MultiSink(sinks...),
 		AddrMapper: func(a netip.Addr) transport.Addr {
 			return transport.Addr(fmt.Sprintf("%s:%d", a, *port))
 		},
 		Upstream: core.UpstreamConfig{
-			Disable:     *noSelection,
 			MinTimeout:  *minTimeout,
 			MaxTimeout:  *maxTimeout,
 			Quarantine:  *quarantine,
@@ -346,8 +338,11 @@ func run() error {
 	// FORMERRs with the guard off.
 	guardCounters := &metrics.GuardCounters{}
 	guardOn := *clientRPS > 0 || *overloadCacheOnly
+	if *maxInflight <= 0 {
+		*maxInflight = transport.DefaultMaxInflight
+	}
 	var udpHandler transport.Handler = cs
-	udp := &transport.UDPServer{MaxInflight: *maxInflight, Readers: *udpReaders, Counters: guardCounters}
+	udp := &transport.UDPServer{MaxInflight: *maxInflight, Counters: guardCounters}
 	if guardOn {
 		// Handshake-confirmed mesh peers bypass the per-client bucket: a
 		// cooperating fleet member must never be rate-limited mid-attack.
@@ -357,7 +352,6 @@ func run() error {
 		}
 		g := guard.New(cs, guard.Config{
 			ClientRPS:           *clientRPS,
-			ClientBurst:         *clientBurst,
 			Slip:                *slip,
 			MaxClients:          *maxClients,
 			CacheOnlyOnOverload: *overloadCacheOnly,
@@ -379,11 +373,11 @@ func run() error {
 		udp.Close()
 		return err
 	}
-	fmt.Printf("caching server on %s (udp+tcp, refresh=%v renewal=%s max-inflight=%d selection=%v guard=%v)\n",
-		addr, *refresh, *renewal, *maxInflight, !*noSelection, guardOn)
+	fmt.Printf("caching server on %s (udp+tcp, refresh=%v renewal=%s max-inflight=%d guard=%v)\n",
+		addr, *refresh, *renewal, *maxInflight, guardOn)
 
 	var debugSrv *http.Server
-	if *debugAddr != "" {
+	if debugLn != nil {
 		opts := debughttp.Options{
 			Stats:      func() any { return cs.Stats() },
 			CacheStats: func() any { return cs.CacheStats() },
@@ -396,16 +390,13 @@ func run() error {
 			opts.Mesh = func() any { return meshCounters.Snapshot() }
 			opts.Peers = func() any { return node.Snapshot() }
 		}
-		debugSrv = &http.Server{
-			Addr:    *debugAddr,
-			Handler: debughttp.New(opts),
-		}
+		debugSrv = &http.Server{Handler: debughttp.New(opts)}
 		go func() {
-			if err := debugSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			if err := debugSrv.Serve(debugLn); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "dnscache: debug endpoint:", err)
 			}
 		}()
-		fmt.Printf("debug endpoint on http://%s/debug/stats\n", *debugAddr)
+		fmt.Printf("debug endpoint on http://%s/debug/stats\n", debugLn.Addr())
 	}
 
 	if *statsEvery > 0 {

@@ -76,7 +76,6 @@ func run() error {
 	abuseQPS := flag.Float64("abuse-qps", 1000, "queries/s per abuser (0 = unthrottled)")
 	abuseSource := flag.String("abuse-source", "127.0.0.99", "local IP the abusers bind, so the server sees them as one client address")
 	debugURL := flag.String("debug-url", "", "dnscache -debug-addr base URL (e.g. http://127.0.0.1:8053); prints the server-side per-stage latency breakdown after the run")
-	jsonOut := flag.String("json", "", "also write a machine-readable result summary to this file (\"-\" = stdout); what make bench consumes")
 	flag.Parse()
 
 	names, err := loadNames(*traceFile, *name)
@@ -108,54 +107,10 @@ func run() error {
 	}
 	printStageBreakdown(os.Stdout, before.latency(), after.latency())
 
-	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, stats, *concurrency); err != nil {
-			return err
-		}
-	}
 	if stats.sent == 0 {
 		return fmt.Errorf("no queries completed")
 	}
 	return nil
-}
-
-// resultJSON is the machine-readable run summary behind -json; the
-// benchmark harness (make bench → BENCH_10.json) parses it, so fields
-// are additive-only.
-type resultJSON struct {
-	Queries     uint64  `json:"queries"`
-	QPS         float64 `json:"qps"`
-	OK          uint64  `json:"ok"`
-	Failed      uint64  `json:"failed"`
-	P50MS       float64 `json:"p50_ms"`
-	P95MS       float64 `json:"p95_ms"`
-	P99MS       float64 `json:"p99_ms"`
-	DurationS   float64 `json:"duration_s"`
-	Concurrency int     `json:"concurrency"`
-}
-
-func writeJSON(path string, s *loadStats, concurrency int) error {
-	out := resultJSON{
-		Queries:     s.sent,
-		QPS:         float64(s.sent) / s.elapsed.Seconds(),
-		OK:          s.ok,
-		Failed:      s.failed,
-		P50MS:       1000 * s.latencies.Quantile(0.50),
-		P95MS:       1000 * s.latencies.Quantile(0.95),
-		P99MS:       1000 * s.latencies.Quantile(0.99),
-		DurationS:   s.elapsed.Seconds(),
-		Concurrency: concurrency,
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(b)
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
 }
 
 // runAbusers starts the abusive-client mix: n workers flooding the server

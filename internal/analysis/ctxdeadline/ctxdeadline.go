@@ -4,11 +4,11 @@
 // "Does Your DNS Recursion Really Time Out as Intended?" (Wang, 2016)
 // measured recursive resolvers that hang, retry forever, or serialize
 // behind one black-holed authoritative server because some fetch path
-// lost its deadline. This repo bounds fetches in several layers —
-// per-attempt RTT-derived timeouts, retry budgets, frontend timeouts —
-// but each of those is conditional (the upstream selection layer can be
-// disabled with -no-selection, and then Transport.Exchange runs with
-// exactly the deadline its context carries). The invariant that must
+// lost its deadline. This repo bounds fetches in several layers — a
+// per-attempt RTT-derived timeout the fetch engine applies to every
+// exchange, retry budgets, frontend timeouts — but a layer only bounds
+// the calls that pass through it: Transport.Exchange itself runs with
+// exactly the deadline its context carries. The invariant that must
 // hold is therefore a dataflow property: a context on which neither
 // context.WithTimeout nor context.WithDeadline was ever applied must
 // not reach Transport.Exchange, an engine fetch, a zone transfer, or a

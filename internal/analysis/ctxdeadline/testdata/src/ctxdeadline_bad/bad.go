@@ -27,7 +27,7 @@ func Cancellable(tr Transport) {
 }
 
 // Conditional only sometimes wraps: the unwrapped path survives the
-// union over definitions, which is exactly the -no-selection hole.
+// union over definitions.
 func Conditional(tr Transport, t time.Duration) {
 	ctx := context.TODO()
 	if t > 0 {

@@ -84,21 +84,11 @@ type Config struct {
 	// resolve.Config.AsyncPrefetch). Leave false for the deterministic
 	// inline behaviour the simulator requires.
 	AsyncPrefetch bool
-	// PrefetchWorkers sizes the background prefetch pool (default 2).
-	PrefetchWorkers int
-	// PrefetchQueue bounds the pending-prefetch queue (default 64).
-	PrefetchQueue int
 
 	// MaxReferrals bounds one resolution's downward steps (default 24).
 	MaxReferrals int
 	// MaxCNAME bounds CNAME chain chasing (default 8).
 	MaxCNAME int
-	// MaxGlueFetches caps one client query's aggregate out-of-bailiwick
-	// name-server address resolutions, across sibling NS names as well
-	// as nesting (the NXNSAttack fanout bound; see
-	// resolve.Config.MaxGlueFetches). Zero means the default (16);
-	// negative disables the cap.
-	MaxGlueFetches int
 
 	// OnGap observes IRR expiry-to-reuse gaps (Fig. 3).
 	OnGap cache.GapFunc
@@ -135,8 +125,7 @@ type Config struct {
 	// Upstream tunes the robustness layer shared by the query, renewal,
 	// and prefetch paths (RTT-aware server selection, adaptive per-attempt
 	// timeouts, failure quarantine, retry budget). The zero value enables
-	// it with defaults; set Upstream.Disable for the legacy round-robin
-	// behaviour.
+	// it with defaults.
 	Upstream UpstreamConfig
 
 	// TraceSink receives a summary of every finished per-query trace

@@ -51,37 +51,31 @@ func (cs *CachingServer) handle(q *dnswire.Message, overloadCacheOnly bool) *dns
 		return resp
 	}
 
+	var res *Result
+	var err error
 	if overloadCacheOnly || !q.Flags.RecursionDesired {
-		res, err := cs.ResolveCacheOnly(question.Name, question.Type)
-		switch {
-		case err != nil:
-			resp.RCode = dnswire.RCodeServFail
-		case res == nil && overloadCacheOnly:
-			// Degraded mode and nothing cached: shed with SERVFAIL so
-			// the client retries once capacity returns.
-			resp.RCode = dnswire.RCodeServFail
-		case res == nil:
-			// RD=0 and nothing cached: we will not recurse on the
-			// stub's behalf.
-			resp.RCode = dnswire.RCodeRefused
-		default:
-			resp.RCode = res.RCode
-			resp.Answer = append(resp.Answer, res.Answer...)
-			resp.Authority = append(resp.Authority, res.Authority...)
-		}
-		return resp
+		res, err = cs.ResolveCacheOnly(question.Name, question.Type)
+	} else {
+		ctx, cancel := context.WithTimeout(context.Background(), frontendTimeout)
+		defer cancel()
+		res, err = cs.Resolve(ctx, question.Name, question.Type)
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), frontendTimeout)
-	defer cancel()
-	res, err := cs.Resolve(ctx, question.Name, question.Type)
-	if err != nil {
+	switch {
+	case err != nil:
 		resp.RCode = dnswire.RCodeServFail
-		return resp
+	case res != nil:
+		resp.RCode = res.RCode
+		resp.Answer = append(resp.Answer, res.Answer...)
+		resp.Authority = append(resp.Authority, res.Authority...)
+	case overloadCacheOnly:
+		// Degraded mode and nothing cached: shed with SERVFAIL so the
+		// client retries once capacity returns.
+		resp.RCode = dnswire.RCodeServFail
+	default:
+		// RD=0 and nothing cached: we will not recurse on the stub's
+		// behalf.
+		resp.RCode = dnswire.RCodeRefused
 	}
-	resp.RCode = res.RCode
-	resp.Answer = append(resp.Answer, res.Answer...)
-	resp.Authority = append(resp.Authority, res.Authority...)
 	return resp
 }
 

@@ -105,11 +105,8 @@ func NewCachingServer(cfg Config) (*CachingServer, error) {
 		ServeStale:            cfg.ServeStale,
 		Prefetch:              cfg.Prefetch,
 		AsyncPrefetch:         cfg.AsyncPrefetch,
-		PrefetchWorkers:       cfg.PrefetchWorkers,
-		PrefetchQueue:         cfg.PrefetchQueue,
 		MaxReferrals:          cfg.MaxReferrals,
 		MaxCNAME:              cfg.MaxCNAME,
-		MaxGlueFetches:        cfg.MaxGlueFetches,
 		ValidateDNSSEC:        cfg.ValidateDNSSEC,
 		TrustAnchors:          cfg.TrustAnchors,
 		AdvertiseEDNS0:        cfg.AdvertiseEDNS0,

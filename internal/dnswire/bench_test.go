@@ -1,9 +1,8 @@
 package dnswire
 
-// Micro-benchmarks for the wire hot path; run via `make bench`, which
-// also records allocs/op in BENCH_10.json. The sample message is the
-// round-trip fixture: 1 question, 1 answer, 2 authority, 2 additional,
-// with heavily compressible names.
+// Micro-benchmarks for the wire hot path (`go test -bench .` in this
+// directory). The sample message is the round-trip fixture: 1 question,
+// 1 answer, 2 authority, 2 additional, with heavily compressible names.
 
 import "testing"
 

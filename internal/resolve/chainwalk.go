@@ -5,12 +5,10 @@ import (
 )
 
 // The CNAME chain walker. Three pipeline paths chase CNAME chains — the
-// cache hot path (Lookup), the full resolution (ResolveChain), and the
-// stale fallback (staleAnswer) — and before this walker existed each
-// re-implemented the loop with subtly different copy/TTL semantics. The
-// walker owns the hop bound, the answer accumulation, the FromCache
-// conjunction, and the follow/terminate decision; each mode supplies
-// only the per-name step.
+// cache lookups (lookupCached), the full resolution (ResolveChain), and
+// the stale fallback (staleAnswer). The walker owns the hop bound, the
+// answer accumulation, the FromCache conjunction, and the
+// follow/terminate decision; each mode supplies only the per-name step.
 
 // chainOutcome classifies one step of a chain walk.
 type chainOutcome int
@@ -37,7 +35,9 @@ type chainStep struct {
 	rcode     dnswire.RCode
 	outcome   chainOutcome
 	fromCache bool
-	err       error
+	// stale marks records served past their TTL (serve-stale).
+	stale bool
+	err   error
 }
 
 // chainResult is the walk's accumulated outcome.
@@ -46,9 +46,10 @@ type chainResult struct {
 	authority []dnswire.RR
 	rcode     dnswire.RCode
 	fromCache bool
-	// miss reports the walk stopped on a chainMiss; missAt names where.
-	miss   bool
-	missAt dnswire.Name
+	// stale reports that at least one step served stale records.
+	stale bool
+	// miss reports the walk stopped on a chainMiss.
+	miss bool
 	// exhausted reports the chain exceeded maxHops without terminating.
 	exhausted bool
 	err       error
@@ -69,10 +70,10 @@ func walkChain(qname dnswire.Name, qtype dnswire.Type, maxHops int, step func(cu
 		}
 		res.answer = append(res.answer, st.rrs...)
 		res.fromCache = res.fromCache && st.fromCache
+		res.stale = res.stale || st.stale
 		switch st.outcome {
 		case chainMiss:
 			res.miss = true
-			res.missAt = cur
 			return res
 		case chainDone:
 			res.rcode = st.rcode

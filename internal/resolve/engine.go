@@ -115,11 +115,8 @@ func (e *Engine) exchangeFailover(ctx context.Context, tr *Trace, servers []tran
 // the response (ID and question echo), and folds the outcome back into
 // the server's selection state and the trace.
 func (e *Engine) exchange(ctx context.Context, tr *Trace, addr transport.Addr, q *dnswire.Message) (*dnswire.Message, error) {
-	if t := e.upstream.attemptTimeout(addr); t > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(ctx, e.upstream.attemptTimeout(addr))
+	defer cancel()
 	start := e.clock.Now()
 	resp, err := e.transport.Exchange(ctx, addr, q) //dnslint:ignore onepath the fetch engine is the one sanctioned exchange path
 	if err == nil && resp.ID != q.ID {

@@ -11,51 +11,64 @@ import (
 	"resilientdns/internal/transport"
 )
 
-// Lookup is the CacheLookup stage: it attempts to answer qname/qtype
-// purely from live cached data — the lock-free hot path, which never
-// enters the slow path's coalescing or upstream machinery. It returns
-// (nil, nil) when upstream work is (or may be) needed. The lookup
-// sequence per CNAME hop mirrors resolveOne's cache section exactly, so
-// cache counters and gap tombstones behave as if the slow path had run.
-func (r *Resolver) Lookup(tr *Trace, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
-	sp := tr.StartStage(StageCacheLookup)
-	defer sp.End()
-	now := r.cfg.Clock.Now()
-	cr := walkChain(qname, qtype, r.cfg.MaxCNAME, func(cur dnswire.Name) chainStep {
+// cacheMode selects which cached data cacheStep may answer from.
+type cacheMode int
+
+const (
+	// cacheLive answers from live records and the negative cache only.
+	cacheLive cacheMode = iota
+	// cacheLiveThenStale falls back, per link, to expired records that
+	// serve-stale still retains.
+	cacheLiveThenStale
+	// cacheStaleOnly answers from retained records alone (live ones
+	// included): the last resort once live resolution has failed.
+	cacheStaleOnly
+)
+
+// cacheStep answers one CNAME hop for cur from the cache: the exact
+// RRset, then a cached CNAME, then a negative entry, then — where mode
+// allows — retained stale records. Every path that serves cached data
+// takes this one step, so cache counters and gap tombstones move the
+// same way whichever path a query takes. due reports an exact live hit
+// inside the prefetch window; what that means is the caller's decision.
+func (r *Resolver) cacheStep(cur dnswire.Name, qtype dnswire.Type, now time.Time, mode cacheMode) (st chainStep, due bool) {
+	if mode != cacheStaleOnly {
 		if e := r.cache.Get(cur, qtype); e != nil {
-			if r.prefetchDue(e, now) {
-				if r.pf == nil {
-					// Inline-prefetch mode: let the slow path issue the
-					// prefetch before serving the hit.
-					return chainStep{outcome: chainMiss}
-				}
-				// Async mode: serve the hit now, refresh in background.
-				r.pf.enqueue(cache.Key{Name: cur, Type: qtype})
-			}
-			return chainStep{rrs: e.RRsWithRemainingTTL(now), outcome: chainDone, fromCache: true}
+			return chainStep{rrs: e.RRsWithRemainingTTL(now), outcome: chainDone, fromCache: true}, r.prefetchDue(e, now)
 		}
 		if qtype != dnswire.TypeCNAME {
 			if e := r.cache.Get(cur, dnswire.TypeCNAME); e != nil {
-				return chainStep{rrs: e.RRsWithRemainingTTL(now), outcome: chainFollow, fromCache: true}
+				return chainStep{rrs: e.RRsWithRemainingTTL(now), outcome: chainFollow, fromCache: true}, false
 			}
 		}
 		if rcode, soa, ok := r.negativeLookup(cur, qtype, now); ok {
-			return chainStep{rcode: rcode, authority: soa, outcome: chainDone, fromCache: true}
+			return chainStep{rcode: rcode, authority: soa, outcome: chainDone, fromCache: true}, false
 		}
-		return chainStep{outcome: chainMiss}
-	})
-	switch {
-	case cr.err != nil:
-		return nil, cr.err
-	case cr.exhausted:
-		// A fully cached CNAME chain longer than MaxCNAME: fail exactly
-		// as the slow path would.
-		return nil, chainTooLong(qname)
-	case cr.miss:
-		return nil, nil // the slow path takes over
 	}
-	tr.MarkCacheHit()
-	return &Result{RCode: cr.rcode, Answer: cr.answer, Authority: cr.authority, FromCache: true}, nil
+	if mode != cacheLive && r.cfg.ServeStale > 0 {
+		e := r.cache.GetStale(cur, qtype)
+		if e == nil && qtype != dnswire.TypeCNAME {
+			e = r.cache.GetStale(cur, dnswire.TypeCNAME)
+		}
+		if e != nil {
+			r.counters.StaleAnswers.Add(1)
+			rrs := make([]dnswire.RR, len(e.RRs))
+			copy(rrs, e.RRs)
+			for i := range rrs {
+				rrs[i].TTL = StaleServeTTL
+			}
+			return chainStep{rrs: rrs, outcome: chainFollow, fromCache: true, stale: true}, false
+		}
+	}
+	return chainStep{outcome: chainMiss}, false
+}
+
+// Lookup is the CacheLookup stage: it attempts to answer qname/qtype
+// purely from live cached data — the lock-free hot path, which never
+// enters the slow path's coalescing or upstream machinery. It returns
+// (nil, nil) when upstream work is (or may be) needed.
+func (r *Resolver) Lookup(tr *Trace, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
+	return r.lookupCached(tr, qname, qtype, cacheLive)
 }
 
 // LookupCacheOnly answers qname/qtype without any upstream work: live
@@ -66,53 +79,38 @@ func (r *Resolver) Lookup(tr *Trace, qname dnswire.Name, qtype dnswire.Type) (*R
 // the prefetch window is always served (never deferred to the slow
 // path): the whole point of this mode is to never drop a cache hit.
 func (r *Resolver) LookupCacheOnly(tr *Trace, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
+	tr.MarkCacheOnly()
+	return r.lookupCached(tr, qname, qtype, cacheLiveThenStale)
+}
+
+// lookupCached walks qname's CNAME chain through cacheStep in mode.
+func (r *Resolver) lookupCached(tr *Trace, qname dnswire.Name, qtype dnswire.Type, mode cacheMode) (*Result, error) {
 	sp := tr.StartStage(StageCacheLookup)
 	defer sp.End()
-	tr.MarkCacheOnly()
 	now := r.cfg.Clock.Now()
-	stale := false
 	cr := walkChain(qname, qtype, r.cfg.MaxCNAME, func(cur dnswire.Name) chainStep {
-		if e := r.cache.Get(cur, qtype); e != nil {
-			if r.prefetchDue(e, now) && r.pf != nil {
-				r.pf.enqueue(cache.Key{Name: cur, Type: qtype})
-			}
-			return chainStep{rrs: e.RRsWithRemainingTTL(now), outcome: chainDone, fromCache: true}
+		st, due := r.cacheStep(cur, qtype, now, mode)
+		if due && r.pf != nil {
+			// Async mode: serve the hit now, refresh in background.
+			r.pf.enqueue(cache.Key{Name: cur, Type: qtype})
+		} else if due && mode == cacheLive {
+			// Inline-prefetch mode: let the slow path issue the
+			// prefetch before serving the hit.
+			return chainStep{outcome: chainMiss}
 		}
-		if qtype != dnswire.TypeCNAME {
-			if e := r.cache.Get(cur, dnswire.TypeCNAME); e != nil {
-				return chainStep{rrs: e.RRsWithRemainingTTL(now), outcome: chainFollow, fromCache: true}
-			}
-		}
-		if rcode, soa, ok := r.negativeLookup(cur, qtype, now); ok {
-			return chainStep{rcode: rcode, authority: soa, outcome: chainDone, fromCache: true}
-		}
-		if r.cfg.ServeStale > 0 {
-			e := r.cache.GetStale(cur, qtype)
-			if e == nil && qtype != dnswire.TypeCNAME {
-				e = r.cache.GetStale(cur, dnswire.TypeCNAME)
-			}
-			if e != nil {
-				r.counters.StaleAnswers.Add(1)
-				stale = true
-				rrs := make([]dnswire.RR, len(e.RRs))
-				copy(rrs, e.RRs)
-				for i := range rrs {
-					rrs[i].TTL = StaleServeTTL
-				}
-				return chainStep{rrs: rrs, outcome: chainFollow, fromCache: true}
-			}
-		}
-		return chainStep{outcome: chainMiss}
+		return st
 	})
 	switch {
 	case cr.err != nil:
 		return nil, cr.err
 	case cr.exhausted:
+		// A fully cached CNAME chain longer than MaxCNAME: fail exactly
+		// as the slow path would.
 		return nil, chainTooLong(qname)
 	case cr.miss:
-		return nil, nil // nothing cached; the caller refuses or sheds
+		return nil, nil // the slow path takes over, or the caller refuses
 	}
-	if stale {
+	if cr.stale {
 		tr.MarkStale()
 	} else {
 		tr.MarkCacheHit()
@@ -159,19 +157,11 @@ func (r *Resolver) ResolveChain(ctx context.Context, tr *Trace, qname dnswire.Na
 // calls: a cached or received CNAME is returned for the caller to chase.
 // depth counts nested glue resolutions.
 func (r *Resolver) resolveOne(ctx context.Context, tr *Trace, qname dnswire.Name, qtype dnswire.Type, depth int) (*Result, error) {
-	now := r.cfg.Clock.Now()
-	// Cache: exact answer, then a cached CNAME.
-	if e := r.cache.Get(qname, qtype); e != nil {
-		r.maybePrefetch(ctx, tr, e, qname, qtype, depth, now)
-		return &Result{RCode: dnswire.RCodeNoError, Answer: e.RRsWithRemainingTTL(now), FromCache: true}, nil
-	}
-	if qtype != dnswire.TypeCNAME {
-		if e := r.cache.Get(qname, dnswire.TypeCNAME); e != nil {
-			return &Result{RCode: dnswire.RCodeNoError, Answer: e.RRsWithRemainingTTL(now), FromCache: true}, nil
+	if st, due := r.cacheStep(qname, qtype, r.cfg.Clock.Now(), cacheLive); st.outcome != chainMiss {
+		if due && depth == 0 {
+			r.prefetch(ctx, tr, qname, qtype)
 		}
-	}
-	if rcode, soa, ok := r.negativeLookup(qname, qtype, now); ok {
-		return &Result{RCode: rcode, Authority: soa, FromCache: true}, nil
+		return &Result{RCode: st.rcode, Answer: st.rrs, Authority: st.authority, FromCache: true}, nil
 	}
 	validate := r.cfg.ValidateDNSSEC && depth == 0
 	res, _, err := r.iterate(ctx, tr, qname, qtype, depth, validate, false)
@@ -212,18 +202,12 @@ func (r *Resolver) resolveOne(ctx context.Context, tr *Trace, qname dnswire.Name
 	return res, err
 }
 
-// maybePrefetch refreshes a cache entry early when a query arrives in the
-// last tenth of its TTL (unbound-style prefetch). Inline mode refetches
-// before the cached data is returned, so the caller still gets the
-// (valid) cached answer even if the refetch fails; async mode hands the
-// key to the background pool and returns immediately.
-func (r *Resolver) maybePrefetch(ctx context.Context, tr *Trace, e *cache.Entry, qname dnswire.Name, qtype dnswire.Type, depth int, now time.Time) {
-	if !r.cfg.Prefetch || depth > 0 {
-		return
-	}
-	if e.Expires.Sub(now) > e.OrigTTL/10 {
-		return
-	}
+// prefetch refreshes a cache entry a client query hit in the last tenth
+// of its TTL (unbound-style prefetch). Async mode hands the key to the
+// background pool and returns immediately; inline mode refetches before
+// the caller returns the cached data, which stays valid even if the
+// refetch fails.
+func (r *Resolver) prefetch(ctx context.Context, tr *Trace, qname dnswire.Name, qtype dnswire.Type) {
 	if r.pf != nil {
 		r.pf.enqueue(cache.Key{Name: qname, Type: qtype})
 		return
@@ -232,7 +216,7 @@ func (r *Resolver) maybePrefetch(ctx context.Context, tr *Trace, e *cache.Entry,
 	// A fresh fetch restarts the entry's lifetime; failures are harmless
 	// (the cached copy is still live). The explicit Extend covers the
 	// cache's conservative replacement rules for identical data.
-	if _, _, err := r.iterate(ctx, tr, qname, qtype, depth+1, false, false); err == nil {
+	if _, _, err := r.iterate(ctx, tr, qname, qtype, 1, false, false); err == nil {
 		r.cache.Extend(qname, qtype)
 	}
 }
@@ -245,21 +229,10 @@ func (r *Resolver) maybePrefetch(ctx context.Context, tr *Trace, e *cache.Entry,
 // returned (ending in a CNAME) and ResolveChain chases the tail, trying
 // live resolution first for each remaining hop.
 func (r *Resolver) staleAnswer(tr *Trace, qname dnswire.Name, qtype dnswire.Type) *Result {
+	now := r.cfg.Clock.Now()
 	cr := walkChain(qname, qtype, r.cfg.MaxCNAME, func(cur dnswire.Name) chainStep {
-		e := r.cache.GetStale(cur, qtype)
-		if e == nil && qtype != dnswire.TypeCNAME {
-			e = r.cache.GetStale(cur, dnswire.TypeCNAME)
-		}
-		if e == nil {
-			return chainStep{outcome: chainMiss}
-		}
-		r.counters.StaleAnswers.Add(1)
-		rrs := make([]dnswire.RR, len(e.RRs))
-		copy(rrs, e.RRs)
-		for i := range rrs {
-			rrs[i].TTL = StaleServeTTL
-		}
-		return chainStep{rrs: rrs, outcome: chainFollow, fromCache: true}
+		st, _ := r.cacheStep(cur, qtype, now, cacheStaleOnly)
+		return st
 	})
 	// A miss mid-chain or an exhausted walk both yield the partial chain:
 	// the caller's ResolveChain chases whatever tail remains.
@@ -386,24 +359,7 @@ func (r *Resolver) deepestKnownZone(qname dnswire.Name, qtype dnswire.Type, stal
 				continue
 			}
 		}
-		var addrs []transport.Addr
-		for _, rr := range e.RRs {
-			host := rr.Data.(dnswire.NS).Host
-			if ae := get(host, dnswire.TypeA); ae != nil {
-				for _, arr := range ae.RRs {
-					addrs = append(addrs, r.cfg.AddrMapper(arr.Data.(dnswire.A).Addr))
-				}
-				continue
-			}
-			// No A glue for this host: fall back to cached AAAA glue, which
-			// renewal keeps alive alongside A (renewZone extends both).
-			if ae := get(host, dnswire.TypeAAAA); ae != nil {
-				for _, arr := range ae.RRs {
-					addrs = append(addrs, r.cfg.AddrMapper(arr.Data.(dnswire.AAAA).Addr))
-				}
-			}
-		}
-		if len(addrs) > 0 {
+		if addrs := r.nsAddrs(e.RRs, get); len(addrs) > 0 {
 			return anc, addrs
 		}
 	}
@@ -450,23 +406,30 @@ func (r *Resolver) Refetch(ctx context.Context, tr *Trace, zone dnswire.Name, ad
 	return r.engine.Fetch(ctx, tr, addrs, zone, dnswire.TypeNS)
 }
 
-// ZoneAddrs collects the cached addresses of the NS hosts in set. Hosts
-// with no A record fall back to cached AAAA glue (renewal extends both
-// families, so either may be the one still alive).
+// ZoneAddrs collects the cached addresses of the NS hosts in set,
+// without expiry processing (the renewal scheduler calls it about
+// records on the point of expiring).
 func (r *Resolver) ZoneAddrs(set []dnswire.RR) []transport.Addr {
+	return r.nsAddrs(set, r.cache.Peek)
+}
+
+// nsAddrs maps the NS hosts in set to transport addresses through
+// lookup. A host with no A record falls back to AAAA glue: renewal
+// extends both families, so either may be the one still held.
+func (r *Resolver) nsAddrs(set []dnswire.RR, lookup func(dnswire.Name, dnswire.Type) *cache.Entry) []transport.Addr {
 	var addrs []transport.Addr
 	for _, rr := range set {
 		ns, ok := rr.Data.(dnswire.NS)
 		if !ok {
 			continue
 		}
-		if ae := r.cache.Peek(ns.Host, dnswire.TypeA); ae != nil {
+		if ae := lookup(ns.Host, dnswire.TypeA); ae != nil {
 			for _, arr := range ae.RRs {
 				addrs = append(addrs, r.cfg.AddrMapper(arr.Data.(dnswire.A).Addr))
 			}
 			continue
 		}
-		if ae := r.cache.Peek(ns.Host, dnswire.TypeAAAA); ae != nil {
+		if ae := lookup(ns.Host, dnswire.TypeAAAA); ae != nil {
 			for _, arr := range ae.RRs {
 				addrs = append(addrs, r.cfg.AddrMapper(arr.Data.(dnswire.AAAA).Addr))
 			}

@@ -9,8 +9,12 @@ import (
 )
 
 const (
-	defaultPrefetchWorkers = 2
-	defaultPrefetchQueue   = 64
+	// prefetchWorkers and prefetchQueue size the background pool. The
+	// queue holds a few bursts of distinct hot keys entering their
+	// prefetch window at once; past it, refreshes are dropped, never
+	// blocked on.
+	prefetchWorkers = 2
+	prefetchQueue   = 64
 	// prefetchTimeout bounds one background refresh; prefetches refresh
 	// still-live entries, so abandoning a slow one costs nothing.
 	prefetchTimeout = 10 * time.Second
@@ -33,20 +37,14 @@ type prefetcher struct {
 }
 
 // newPrefetcher starts the worker pool.
-func newPrefetcher(r *Resolver, workers, queue int) *prefetcher {
-	if workers <= 0 {
-		workers = defaultPrefetchWorkers
-	}
-	if queue <= 0 {
-		queue = defaultPrefetchQueue
-	}
+func newPrefetcher(r *Resolver) *prefetcher {
 	pf := &prefetcher{
 		r:        r,
 		inflight: make(map[cache.Key]bool),
-		ch:       make(chan cache.Key, queue),
+		ch:       make(chan cache.Key, prefetchQueue),
 	}
-	pf.wg.Add(workers)
-	for i := 0; i < workers; i++ {
+	pf.wg.Add(prefetchWorkers)
+	for i := 0; i < prefetchWorkers; i++ {
 		go pf.worker()
 	}
 	return pf

@@ -39,7 +39,7 @@ func TestPrefetchDedupsInflight(t *testing.T) {
 		<-gate
 		return nil, transport.ErrTimeout
 	})
-	r := prefetchFixture(t, Config{Transport: blocking, PrefetchWorkers: 1, PrefetchQueue: 8})
+	r := prefetchFixture(t, Config{Transport: blocking})
 
 	www := dnswire.MustName("www.test.")
 	for i := 0; i < 50; i++ {
@@ -48,7 +48,7 @@ func TestPrefetchDedupsInflight(t *testing.T) {
 		}
 	}
 	close(gate)
-	r.Close() // drains the single in-flight refresh
+	r.Close() // drains the one in-flight refresh
 	if n := calls.Load(); n != 1 {
 		t.Errorf("upstream calls = %d, want 1: in-flight prefetch not deduplicated", n)
 	}
@@ -62,14 +62,14 @@ func TestPrefetchQueueDropsNeverBlock(t *testing.T) {
 		<-gate
 		return nil, transport.ErrTimeout
 	})
-	r := prefetchFixture(t, Config{Transport: blocking, PrefetchWorkers: 1, PrefetchQueue: 2})
+	r := prefetchFixture(t, Config{Transport: blocking})
 
-	// Distinct keys so the inflight dedup cannot absorb them: the worker
-	// is gated, the queue holds 2, everything further must drop.
+	// Distinct keys so the inflight dedup cannot absorb them: the workers
+	// are gated, the queue fills, everything further must drop.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 100; i++ {
+		for i := 0; i < 3*(prefetchWorkers+prefetchQueue); i++ {
 			r.pf.enqueue(cache.Key{Name: dnswire.MustName("www.test."), Type: dnswire.Type(1000 + i)})
 		}
 	}()
@@ -85,7 +85,7 @@ func TestPrefetchQueueDropsNeverBlock(t *testing.T) {
 // TestPrefetchHammer drives the worker pool from many goroutines at
 // once so the -race pass covers the enqueue/worker/close paths.
 func TestPrefetchHammer(t *testing.T) {
-	r := prefetchFixture(t, Config{PrefetchWorkers: 2, PrefetchQueue: 4})
+	r := prefetchFixture(t, Config{})
 	www := dnswire.MustName("www.test.")
 
 	var wg sync.WaitGroup
@@ -110,7 +110,7 @@ func TestPrefetchHammer(t *testing.T) {
 // goroutines are still enqueuing must neither panic (send on closed
 // channel) nor deadlock; late enqueues are simply dropped.
 func TestPrefetchCloseConcurrentWithEnqueue(t *testing.T) {
-	r := prefetchFixture(t, Config{PrefetchWorkers: 1, PrefetchQueue: 2})
+	r := prefetchFixture(t, Config{})
 
 	var wg sync.WaitGroup
 	start := make(chan struct{})

@@ -72,14 +72,10 @@ type Config struct {
 	// TTL (unbound-style).
 	Prefetch bool
 	// AsyncPrefetch moves prefetch refetches off the client's critical
-	// path onto a bounded background worker pool. Leave false for the
-	// deterministic inline behaviour the simulator requires.
+	// path onto a bounded background worker pool — what a live server
+	// wants. Leave false for the deterministic inline behaviour the
+	// simulator requires.
 	AsyncPrefetch bool
-	// PrefetchWorkers sizes the background pool (default 2).
-	PrefetchWorkers int
-	// PrefetchQueue bounds the pending-prefetch queue (default 64);
-	// enqueues beyond it are dropped, never blocked on.
-	PrefetchQueue int
 
 	// MaxReferrals bounds one resolution's downward steps (default 24).
 	MaxReferrals int
@@ -236,7 +232,7 @@ func New(cfg Config) (*Resolver, error) {
 		r.insecure = make(map[dnswire.Name]bool)
 	}
 	if cfg.AsyncPrefetch {
-		r.pf = newPrefetcher(r, cfg.PrefetchWorkers, cfg.PrefetchQueue)
+		r.pf = newPrefetcher(r)
 	}
 	return r, nil
 }

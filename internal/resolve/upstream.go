@@ -15,14 +15,9 @@ import (
 // UpstreamConfig tunes the upstream robustness layer shared by every
 // fetch path: RTT-aware server selection, per-attempt timeouts derived
 // from SRTT + 4·RTTVAR, failure quarantine with exponential backoff, and
-// a bounded retry budget per resolution. The zero value enables the
-// layer with the defaults below.
+// a bounded retry budget per resolution. The zero value selects the
+// defaults below.
 type UpstreamConfig struct {
-	// Disable reverts to the pre-layer behaviour — blind round-robin
-	// rotation with the transport's own flat timeout, no quarantine, no
-	// budget. Kept as the A/B off-switch for measurements.
-	Disable bool
-
 	// MinTimeout / MaxTimeout clamp the per-attempt timeout derived from
 	// a server's SRTT + 4·RTTVAR. Defaults: 200ms and 3s.
 	MinTimeout time.Duration
@@ -95,10 +90,6 @@ type upstream struct {
 
 	mu      sync.Mutex
 	servers map[transport.Addr]*serverState
-
-	// rotate round-robins the starting server when the layer is disabled
-	// (the pre-layer behaviour, kept for A/B runs).
-	rotate atomic.Uint64
 }
 
 // newUpstream applies defaults and builds the selection state.
@@ -136,14 +127,6 @@ func newUpstream(cfg UpstreamConfig) *upstream {
 // quarantined there is nothing healthier to prefer, so nothing counts as
 // skipped and the set is simply tried in release order.
 func (u *upstream) order(servers []transport.Addr, now time.Time) (ordered []transport.Addr, skipped int) {
-	if u.cfg.Disable {
-		out := make([]transport.Addr, len(servers))
-		start := u.rotate.Add(1) - 1
-		for i := range servers {
-			out[i] = servers[(start+uint64(i))%uint64(len(servers))]
-		}
-		return out, 0
-	}
 	type candidate struct {
 		addr  transport.Addr
 		est   time.Duration
@@ -195,11 +178,8 @@ func (u *upstream) order(servers []transport.Addr, now time.Time) (ordered []tra
 // SRTT + 4·RTTVAR clamped into [MinTimeout, MaxTimeout], or MaxTimeout
 // when no RTT history exists (first contact keeps the transport's
 // traditional patience; only proven-fast servers earn short deadlines).
-// 0 means "no per-attempt deadline" (layer disabled).
+// It is never zero: every upstream attempt carries a deadline.
 func (u *upstream) attemptTimeout(addr transport.Addr) time.Duration {
-	if u.cfg.Disable {
-		return 0
-	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	st := u.servers[addr]
@@ -219,9 +199,6 @@ func (u *upstream) attemptTimeout(addr transport.Addr) time.Duration {
 // observeSuccess folds a successful exchange's RTT into the server's
 // estimate and clears its failure state.
 func (u *upstream) observeSuccess(addr transport.Addr, rtt time.Duration) {
-	if u.cfg.Disable {
-		return
-	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	st := u.servers[addr]
@@ -241,9 +218,6 @@ func (u *upstream) observeSuccess(addr transport.Addr, rtt time.Duration) {
 // (the time the attempt burned), so selection keeps preferring servers
 // that actually answer even after the quarantine window lapses.
 func (u *upstream) observeFailure(addr transport.Addr, now time.Time) {
-	if u.cfg.Disable {
-		return
-	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	st := u.servers[addr]

@@ -124,20 +124,10 @@ func TestAttemptTimeoutFromSRTT(t *testing.T) {
 	if got := u.attemptTimeout("slow"); got != 3*time.Second {
 		t.Errorf("timeout = %v, want MaxTimeout clamp", got)
 	}
-	// Disabled layer imposes no per-attempt deadline at all.
-	d := newUpstream(UpstreamConfig{Disable: true})
-	d.observeSuccess("x", time.Millisecond)
-	if got := d.attemptTimeout("x"); got != 0 {
-		t.Errorf("disabled timeout = %v, want 0", got)
-	}
-}
-
-func TestUpstreamDisableRoundRobins(t *testing.T) {
-	u := newUpstream(UpstreamConfig{Disable: true})
-	first, _ := u.order([]transport.Addr{"a", "b", "c"}, epoch)
-	second, _ := u.order([]transport.Addr{"a", "b", "c"}, epoch)
-	if first[0] == second[0] {
-		t.Errorf("disabled selection did not rotate: %v then %v", first, second)
+	// attemptTimeout never returns 0: the zero config still bounds every
+	// attempt, at the default MaxTimeout.
+	if got := newUpstream(UpstreamConfig{}).attemptTimeout("x"); got != defaultMaxTimeout {
+		t.Errorf("zero-config timeout = %v, want %v", got, defaultMaxTimeout)
 	}
 }
 

@@ -35,10 +35,10 @@ func BenchmarkUDPExchange(b *testing.B) {
 	}
 }
 
-// BenchmarkUDPExchangeParallel drives the server's sharded read loops
-// from concurrent clients — the configuration `-udp-readers` targets.
+// BenchmarkUDPExchangeParallel drives the server's read loop from
+// concurrent clients.
 func BenchmarkUDPExchangeParallel(b *testing.B) {
-	srv := &UDPServer{Handler: echoHandler(), Readers: 4}
+	srv := &UDPServer{Handler: echoHandler()}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatalf("Listen: %v", err)

@@ -232,41 +232,3 @@ func TestTCPServerSurvivesDroppedQuery(t *testing.T) {
 		t.Errorf("resp.ID = %d, want 42 (the non-dropped query)", resp.ID)
 	}
 }
-
-// TestUDPServerSharding: the -udp-readers path — N read loops on one
-// socket — must answer every query exactly like a single reader.
-func TestUDPServerSharding(t *testing.T) {
-	srv := &UDPServer{Handler: echoHandler(), Readers: 4}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer srv.Close()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			u := &UDP{Timeout: 2 * time.Second}
-			for i := 0; i < 25; i++ {
-				q := dnswire.NewQuery(uint16(g*100+i), dnswire.MustName("www.example.com"), dnswire.TypeA)
-				resp, err := u.Exchange(context.Background(), Addr(addr), q)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if resp.ID != q.ID || len(resp.Answer) != 1 {
-					errs <- err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("sharded exchange: %v", err)
-	}
-}

@@ -114,10 +114,13 @@ type TCPServer struct {
 	// connection. Defaults to DefaultMaxInflight.
 	MaxInflight int
 
-	mu  sync.Mutex
-	ln  net.Listener
-	wg  sync.WaitGroup
-	sem chan struct{}
+	// mu guards ln and conns. ln is nil once Close has begun; conns are
+	// the live connections, tracked so Close can wake the idle ones.
+	mu    sync.Mutex
+	ln    net.Listener
+	conns map[net.Conn]struct{}
+	wg    sync.WaitGroup
+	sem   chan struct{}
 }
 
 // Listen binds and serves in background goroutines, returning the bound
@@ -136,6 +139,7 @@ func (s *TCPServer) Listen(addr string) (string, error) {
 	}
 	s.mu.Lock()
 	s.ln = ln
+	s.conns = make(map[net.Conn]struct{})
 	s.sem = make(chan struct{}, inflight)
 	s.mu.Unlock()
 	s.wg.Add(1)
@@ -145,14 +149,40 @@ func (s *TCPServer) Listen(addr string) (string, error) {
 
 func (s *TCPServer) serve(ln net.Listener) {
 	defer s.wg.Done()
+	var backoff time.Duration
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			return // closed
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			backoff = listenerBackoff(backoff)
+			continue
 		}
-		s.wg.Add(1)
+		backoff = 0
+		s.mu.Lock()
+		closing := s.ln == nil
+		if !closing {
+			s.conns[conn] = struct{}{}
+			s.wg.Add(1)
+		}
+		s.mu.Unlock()
+		if closing {
+			conn.Close()
+			return
+		}
 		go s.serveConn(conn)
 	}
+}
+
+// armRead gives conn 30 s to deliver its next query, unless the server
+// is closing. Checking and arming under mu means Close either sees this
+// deadline and expires it, or armRead sees Close and refuses — a
+// connection can never re-arm past a Close and make it wait.
+func (s *TCPServer) armRead(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ln != nil && conn.SetReadDeadline(time.Now().Add(30*time.Second)) == nil
 }
 
 // serveConn handles queries on one connection until EOF or error;
@@ -162,9 +192,14 @@ func (s *TCPServer) serve(ln net.Listener) {
 // flood of connections cannot oversubscribe the resolver.
 func (s *TCPServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	defer conn.Close()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		conn.Close()
+	}()
 	for {
-		if err := conn.SetReadDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		if !s.armRead(conn) {
 			return
 		}
 		query, err := ReadTCPMessage(conn)
@@ -175,15 +210,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			continue
 		}
 		s.sem <- struct{}{}
-		// Dispatch with the source address when the handler supports it,
-		// matching the UDP path: per-client policy (guard peer exemption,
-		// per-client tracing) must see TCP clients too.
-		var resp *dnswire.Message
-		if ah, ok := s.Handler.(AddrHandler); ok {
-			resp = ah.HandleQueryFrom(query, conn.RemoteAddr())
-		} else {
-			resp = s.Handler.HandleQuery(query)
-		}
+		resp := dispatch(s.Handler, query, conn.RemoteAddr())
 		<-s.sem
 		if resp == nil {
 			// The handler dropped this query (guard policy). Dropping one
@@ -197,11 +224,16 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}
 }
 
-// Close stops the server and waits for its goroutines.
+// Close stops the server and waits for its goroutines. Connections idle
+// between queries are woken by expiring their read deadline; one whose
+// query is being handled still gets its answer before it closes.
 func (s *TCPServer) Close() error {
 	s.mu.Lock()
 	ln := s.ln
 	s.ln = nil
+	for conn := range s.conns {
+		conn.SetReadDeadline(time.Unix(1, 0))
+	}
 	s.mu.Unlock()
 	if ln == nil {
 		return nil

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"time"
 
 	"resilientdns/internal/dnswire"
 )
@@ -71,6 +72,33 @@ func (f HandlerFunc) HandleQuery(q *dnswire.Message) *dnswire.Message { return f
 type AddrHandler interface {
 	Handler
 	HandleQueryFrom(q *dnswire.Message, from net.Addr) *dnswire.Message
+}
+
+// dispatch hands q to h, with its source address when h is an
+// AddrHandler, so per-client policy (guard peer exemption, per-client
+// tracing) sees UDP and TCP clients alike.
+func dispatch(h Handler, q *dnswire.Message, from net.Addr) *dnswire.Message {
+	if ah, ok := h.(AddrHandler); ok {
+		return ah.HandleQueryFrom(q, from)
+	}
+	return h.HandleQuery(q)
+}
+
+// listenerBackoff pauses a serve loop after a listener error that is not
+// net.ErrClosed and returns the pause taken: 5 ms, doubling from prev up
+// to 1 s (net/http's accept back-off). Such errors are transient — EMFILE
+// or ENOBUFS under the very flood this resolver exists to survive — so
+// the loop must keep serving, but without spinning while they persist.
+func listenerBackoff(prev time.Duration) time.Duration {
+	d := 2 * prev
+	if d == 0 {
+		d = 5 * time.Millisecond
+	}
+	if d > time.Second {
+		d = time.Second
+	}
+	time.Sleep(d)
+	return d
 }
 
 // Pipe is a Transport that delivers queries directly to in-process

@@ -122,13 +122,6 @@ type UDPServer struct {
 	// is set it owns the shed accounting and Counters.Shed is not bumped
 	// here (a single source for each count).
 	Counters *metrics.GuardCounters
-	// Readers is the number of goroutines reading from the socket. The
-	// default 1 preserves the classic single-read-loop behavior; under
-	// heavy client load a single reader becomes the ceiling (one
-	// unpack-and-dispatch per arriving packet), so sharding onto N
-	// readers lets packet intake scale with cores. Each reader has its
-	// own pooled buffer; they share the MaxInflight handler bound.
-	Readers int
 
 	mu   sync.Mutex
 	conn net.PacketConn
@@ -151,21 +144,13 @@ func (s *UDPServer) Listen(addr string) (string, error) {
 	if inflight <= 0 {
 		inflight = DefaultMaxInflight
 	}
-	readers := s.Readers
-	if readers <= 0 {
-		readers = 1
-	}
 	s.mu.Lock()
 	s.conn = conn
 	s.sem = make(chan struct{}, inflight)
 	s.mu.Unlock()
 
-	// net.PacketConn is safe for concurrent use, so N read loops share
-	// the one socket; the kernel hands each datagram to exactly one.
-	s.wg.Add(readers)
-	for i := 0; i < readers; i++ {
-		go s.serve(conn)
-	}
+	s.wg.Add(1)
+	go s.serve(conn)
 	return conn.LocalAddr().String(), nil
 }
 
@@ -177,11 +162,17 @@ func (s *UDPServer) serve(conn net.PacketConn) {
 	bp := getBuf()
 	defer putBuf(bp)
 	buf := (*bp)[:readBufSize]
+	var backoff time.Duration
 	for {
 		n, from, err := conn.ReadFrom(buf)
 		if err != nil {
-			return // closed
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			backoff = listenerBackoff(backoff)
+			continue
 		}
+		backoff = 0
 		// Unpack before dispatching: the Message owns all its data
 		// (dnswire.Unpack copies the wire once and never aliases the
 		// read buffer), so buf can be reused for the next packet.
@@ -249,16 +240,9 @@ func (s *UDPServer) replyFormErr(conn net.PacketConn, pkt []byte, from net.Addr)
 // respond handles one query and writes the response. PacketConn.WriteTo
 // is safe for concurrent use, so responders never coordinate.
 func (s *UDPServer) respond(conn net.PacketConn, query *dnswire.Message, from net.Addr) {
-	var resp *dnswire.Message
-	if ah, ok := s.Handler.(AddrHandler); ok {
-		resp = ah.HandleQueryFrom(query, from)
-	} else {
-		resp = s.Handler.HandleQuery(query)
+	if resp := dispatch(s.Handler, query, from); resp != nil {
+		s.writeResponse(conn, query, resp, from)
 	}
-	if resp == nil {
-		return
-	}
-	s.writeResponse(conn, query, resp, from)
 }
 
 // writeResponse packs resp (into pooled scratch, returned once the
