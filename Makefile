@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-sarif test race check bench-compile bench bench-paper fuzz mesh-test
+.PHONY: build vet lint lint-sarif test race check bench-compile bench bench-paper fuzz mesh-test loc
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,15 @@ mesh-test:
 bench-compile:
 	$(GO) vet -C benchmark .
 	$(GO) test -C benchmark .
+
+# loc prints the size every simplicity PR quotes, per package and in
+# total: Go lines that are not blank, not a // comment and not in a test,
+# outside benchmark/, third_party/ and analyzer testdata/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './third_party/*' ! -path '*/testdata/*' \
+		| xargs grep -HcvE '^[[:space:]]*(//.*)?$$' \
+		| awk -F: '{ sub(/\/[^\/]*$$/, "", $$1); n[$$1] += $$2 } END { for (d in n) printf "%6d %s\n", n[d], d }' \
+		| sort -k2 | awk '{ print; t += $$1 } END { printf "%6d total\n", t }'
 
 # check is what CI runs: the race detector and dnslint gate every PR.
 check: build vet lint race mesh-test bench-compile

@@ -68,30 +68,63 @@ func (s *jsonLogSink) Close() error {
 	return s.f.Close()
 }
 
-// buildSection returns the /debug/stats "build" payload builder: module
-// version, VCS revision, Go version, and process uptime — what an
-// operator needs to tell which binary a fleet member is actually
-// running.
-func buildSection(start time.Time) func() any {
-	return func() any {
-		out := map[string]any{
-			"go":       runtime.Version(),
-			"uptime_s": int64(time.Since(start) / time.Second),
-		}
-		if bi, ok := rtdebug.ReadBuildInfo(); ok {
-			out["path"] = bi.Main.Path
-			if bi.Main.Version != "" {
-				out["version"] = bi.Main.Version
-			}
-			for _, s := range bi.Settings {
-				switch s.Key {
-				case "vcs.revision", "vcs.time", "vcs.modified":
-					out[s.Key] = s.Value
-				}
-			}
-		}
-		return out
+// buildInfo is the /debug/stats "build" section: module version, VCS
+// revision, Go version, and process uptime — what an operator needs to
+// tell which binary a fleet member is actually running.
+func buildInfo(start time.Time) any {
+	out := map[string]any{
+		"go":       runtime.Version(),
+		"uptime_s": int64(time.Since(start) / time.Second),
 	}
+	if bi, ok := rtdebug.ReadBuildInfo(); ok {
+		out["path"] = bi.Main.Path
+		if bi.Main.Version != "" {
+			out["version"] = bi.Main.Version
+		}
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision", "vcs.time", "vcs.modified":
+				out[s.Key] = s.Value
+			}
+		}
+	}
+	return out
+}
+
+// statsSections lists what /debug/stats serves: the build identity, the
+// cache occupancy, then the counter sets. Occupancy comes from
+// Cache().Stats(), which takes shard read locks only and leaves expired
+// entries to -sweep; the sweeping CacheStats() has no place on a path an
+// operator polls.
+func statsSections(start time.Time, cs *core.CachingServer, counterSets []debughttp.Section) []debughttp.Section {
+	return append([]debughttp.Section{
+		{Name: "build", Read: func() any { return buildInfo(start) }},
+		{Name: "cache", Read: func() any { return cs.Cache().Stats() }},
+	}, counterSets...)
+}
+
+// every calls f on each tick of period d until ctx is done: the mesh
+// probe, the -sweep pass and the -stats line all run on it.
+func every(ctx context.Context, d time.Duration, f func(now time.Time)) {
+	t := time.NewTicker(d)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case now := <-t.C:
+			f(now)
+		}
+	}
+}
+
+// counterLine renders a counter-set snapshot as "name=value name=value …".
+func counterLine(snapshot any) string {
+	var fields []string
+	for _, c := range metrics.Pairs(snapshot) {
+		fields = append(fields, fmt.Sprintf("%s=%d", c.Name, c.Value))
+	}
+	return strings.Join(fields, " ")
 }
 
 func main() {
@@ -122,7 +155,7 @@ func run() error {
 	retryBudget := flag.Int("retry-budget", 16, "max upstream attempts one resolution may spend across all failovers (0 = unlimited)")
 	persistDir := flag.String("persist-dir", "", "directory for crash-safe cache persistence: snapshot + journal, replayed on startup (empty = off)")
 	snapshotEvery := flag.Duration("snapshot-every", 5*time.Minute, "interval between full cache snapshots when -persist-dir is set (0 = journal only)")
-	sweep := flag.Duration("sweep", time.Minute, "interval between background sweeps of expired cache entries (0 = lazy expiry only)")
+	sweep := flag.Duration("sweep", time.Minute, "interval between background sweeps of expired cache and negative-cache entries (0 = lazy expiry only)")
 	clientRPS := flag.Float64("client-rps", 0, "per-client-address UDP query rate limit in queries/s (0 = off)")
 	slip := flag.Int("slip", 2, "answer every Nth rate-limited UDP query with a minimal TC=1 reply instead of dropping it (0 = never; needs -client-rps)")
 	maxClients := flag.Int("max-clients", 65536, "rate-limiter client-slot bound; least recently seen clients are evicted past it")
@@ -225,7 +258,6 @@ func run() error {
 	// caching server's hooks need the node: wire the hooks as closures
 	// over a node variable assigned before any traffic is served.
 	var node *mesh.Node
-	meshCounters := &metrics.MeshCounters{}
 	if meshOn {
 		coreCfg.RenewalOwner = func(zone dnswire.Name) bool { return node.OwnsRenewal(zone) }
 		coreCfg.OnRenewed = func(zone dnswire.Name) { node.GossipZone(zone) }
@@ -272,7 +304,6 @@ func run() error {
 			Clock:        simclock.Real{},
 			Backend:      cs,
 			OwnerRenewal: *meshOwnerRenewal,
-			Counters:     meshCounters,
 		})
 		if err != nil {
 			meshConn.Close()
@@ -283,18 +314,7 @@ func run() error {
 				fmt.Fprintln(os.Stderr, "dnscache: mesh:", err)
 			}
 		}()
-		go func() {
-			t := time.NewTicker(mesh.DefaultProbeInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case now := <-t.C:
-					node.Tick(now)
-				}
-			}
-		}()
+		go every(ctx, mesh.DefaultProbeInterval, node.Tick)
 		fmt.Printf("mesh on %s (peers=%d owner-renewal=%v)\n",
 			meshConn.LocalAddr(), len(peers), *meshOwnerRenewal)
 	}
@@ -316,27 +336,17 @@ func run() error {
 
 	if *sweep > 0 {
 		// Background sweep: lazy expiry only reclaims entries that get
-		// looked up again, so an attack-inflated cache would otherwise hold
-		// dead records (and their journal weight) indefinitely.
-		go func() {
-			t := time.NewTicker(*sweep)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					cs.Cache().SweepExpired()
-				}
-			}
-		}()
+		// looked up again, so an attack-inflated cache — and a negative
+		// cache fed never-repeated names — would otherwise hold dead
+		// records (and their journal weight) indefinitely.
+		go every(ctx, *sweep, func(time.Time) { cs.SweepExpired() })
 	}
 
 	// The guard wraps the frontend only when a guard feature is on, so
 	// with the flags at their defaults the serving path is unchanged.
 	// Counters always exist: the UDP server still counts sheds and
 	// FORMERRs with the guard off.
-	guardCounters := &metrics.GuardCounters{}
+	guardCounters := metrics.NewSet[metrics.GuardCounters]()
 	guardOn := *clientRPS > 0 || *overloadCacheOnly
 	if *maxInflight <= 0 {
 		*maxInflight = transport.DefaultMaxInflight
@@ -376,18 +386,28 @@ func run() error {
 	fmt.Printf("caching server on %s (udp+tcp, refresh=%v renewal=%s max-inflight=%d guard=%v)\n",
 		addr, *refresh, *renewal, *maxInflight, guardOn)
 
+	// Every counter set the process keeps, in display order. /debug/stats
+	// and the shutdown dump both render from this list, so a new set — or
+	// a new field in one — shows up in both with no other edit.
+	counterSets := []debughttp.Section{
+		{Name: "server", Read: func() any { return cs.Stats() }},
+		{Name: "guard", Read: func() any { return metrics.Snapshot(guardCounters) }},
+	}
+	if meshOn {
+		counterSets = append(counterSets, debughttp.Section{Name: "mesh", Read: func() any { return node.Snapshot().Counters }})
+	}
+	if store != nil {
+		counterSets = append(counterSets, debughttp.Section{Name: "persist", Read: func() any { return store.Counters() }})
+	}
+
 	var debugSrv *http.Server
 	if debugLn != nil {
 		opts := debughttp.Options{
-			Stats:      func() any { return cs.Stats() },
-			CacheStats: func() any { return cs.CacheStats() },
-			Guard:      func() any { return guardCounters.Snapshot() },
-			Build:      buildSection(start),
-			Latency:    cs.Resolver().LatencySnapshots,
-			Ring:       ring,
+			Sections: statsSections(start, cs, counterSets),
+			Latency:  cs.Resolver().LatencySnapshots,
+			Ring:     ring,
 		}
 		if meshOn {
-			opts.Mesh = func() any { return meshCounters.Snapshot() }
 			opts.Peers = func() any { return node.Snapshot() }
 		}
 		debugSrv = &http.Server{Handler: debughttp.New(opts)}
@@ -400,24 +420,15 @@ func run() error {
 	}
 
 	if *statsEvery > 0 {
-		go func() {
-			t := time.NewTicker(*statsEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					st := cs.Stats()
-					cst := cs.CacheStats()
-					gs := guardCounters.Snapshot()
-					fmt.Printf("in=%d out=%d coalesced=%d failed=%d renewals=%d retries=%d quarantine-skips=%d budget-exhausted=%d cached: zones=%d records=%d guard: limited=%d slips=%d shed=%d cache-only=%d formerr=%d\n",
-						st.QueriesIn, st.QueriesOut, st.Coalesced, st.Failed, st.Renewals,
-						st.Retries, st.QuarantineSkips, st.BudgetExhausted, cst.Zones, cst.Records,
-						gs.RateLimited, gs.Slips, gs.Shed, gs.CacheOnly, gs.FormErr)
-				}
-			}
-		}()
+		go every(ctx, *statsEvery, func(time.Time) {
+			st := cs.Stats()
+			cst := cs.Cache().Stats()
+			gs := metrics.Snapshot(guardCounters)
+			fmt.Printf("in=%d out=%d coalesced=%d failed=%d renewals=%d retries=%d quarantine-skips=%d budget-exhausted=%d cached: zones=%d records=%d guard: limited=%d slips=%d shed=%d cache-only=%d formerr=%d\n",
+				st.QueriesIn, st.QueriesOut, st.Coalesced, st.Failed, st.Renewals,
+				st.Retries, st.QuarantineSkips, st.BudgetExhausted, cst.Zones, cst.Records,
+				gs.RateLimited, gs.Slips, gs.Shed, gs.CacheOnly, gs.FormErr)
+		})
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -455,27 +466,17 @@ func run() error {
 		}
 	}
 
-	st := cs.Stats()
+	// The shutdown dump: every counter of every set, under the names
+	// /debug/stats reports them by. The server's set goes first, with the
+	// cache occupancy after it, and keeps the "final:" label that scripts
+	// (benchmark/report.go among them) pick the line out by. Nothing is
+	// being served any more, so the occupancy is taken after one last
+	// sweep: stale= counts what serve-stale retains, not unswept expiries.
 	cst := cs.CacheStats()
-	fmt.Printf("final: in=%d out=%d coalesced=%d failed=%d renewals=%d retries=%d cached: zones=%d records=%d stale=%d\n",
-		st.QueriesIn, st.QueriesOut, st.Coalesced, st.Failed, st.Renewals, st.Retries,
-		cst.Zones, cst.Records, cst.StaleEntries)
-	if gs := guardCounters.Snapshot(); gs.Allowed+gs.RateLimited+gs.Shed+gs.CacheOnly+gs.FormErr+gs.PeerExempt > 0 {
-		fmt.Printf("guard: allowed=%d limited=%d slips=%d shed=%d cache-only=%d (miss=%d) formerr=%d evicted=%d peer-exempt=%d\n",
-			gs.Allowed, gs.RateLimited, gs.Slips, gs.Shed, gs.CacheOnly, gs.CacheOnlyMiss, gs.FormErr, gs.ClientsEvicted, gs.PeerExempt)
-	}
-	if meshOn {
-		ms := meshCounters.Snapshot()
-		fmt.Printf("mesh: frames-in=%d bad-mac=%d unconfirmed=%d pings=%d ping-failures=%d irr-push sent=%d recv=%d ingested=%d fetch sent=%d hits=%d served=%d renewals-deferred=%d\n",
-			ms.FramesIn, ms.FramesBadMAC, ms.FramesUnconfirmed, ms.PingsSent, ms.PingFailures,
-			ms.IRRPushesSent, ms.IRRPushesReceived, ms.IRRIngested,
-			ms.FetchesSent, ms.FetchHits, ms.FetchesServed, st.RenewalDeferred)
-	}
-	if store != nil {
-		ps := store.Counters()
-		fmt.Printf("persist: snapshots=%d (%d records, %d bytes) journal=%d records (%d bytes) recoveries=%d replayed=%d dropped=%d\n",
-			ps.Snapshots, ps.SnapshotRecords, ps.SnapshotBytes,
-			ps.JournalRecords, ps.JournalBytes, ps.Recoveries, ps.ReplayedRecords, ps.DroppedRecords)
+	fmt.Printf("final: %s cached: zones=%d records=%d stale=%d\n",
+		counterLine(counterSets[0].Read()), cst.Zones, cst.Records, cst.StaleEntries)
+	for _, set := range counterSets[1:] {
+		fmt.Printf("%s: %s\n", set.Name, counterLine(set.Read()))
 	}
 	fmt.Println("drained")
 	return nil

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"resilientdns/internal/dnswire"
+	"resilientdns/internal/metrics"
 	"resilientdns/internal/resolve"
 )
 
@@ -151,7 +152,7 @@ func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, now t
 			// renew locally: the owner is unreachable or never had
 			// the zone, and letting the entry expire would trade the
 			// dedup win for resolution failures.
-			cs.stats.renewalDeferred.Add(1)
+			metrics.Inc(&cs.stats.RenewalDeferred)
 			next := e.Expires.Add(-takeoverLead)
 			if !next.After(now) {
 				next = now.Add(ownerRecheck)
@@ -173,7 +174,7 @@ func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, now t
 	}
 	cs.credits[zone]--
 	cs.renewMu.Unlock()
-	cs.stats.renewalQueries.Add(1)
+	metrics.Inc(&cs.stats.RenewalQueries)
 	// One renewal cycle gets one retry budget, like one resolution does.
 	ctx = resolve.WithRetryBudget(ctx, cs.cfg.Upstream.RetryBudget)
 	tr := cs.resolver.NewTrace(resolve.KindRenewal, zone, dnswire.TypeNS)
@@ -184,7 +185,7 @@ func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, now t
 	addrs := cs.resolver.ZoneAddrs(e.RRs)
 	resp, err := cs.resolver.Refetch(ctx, tr, zone, addrs)
 	if err != nil {
-		cs.stats.renewalFailed.Add(1)
+		metrics.Inc(&cs.stats.RenewalFailed)
 		cs.resolver.FinishTrace(tr, nil, err)
 		return true
 	}
@@ -198,7 +199,7 @@ func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, now t
 		cs.cache.Extend(host, dnswire.TypeA)
 		cs.cache.Extend(host, dnswire.TypeAAAA)
 	}
-	cs.stats.renewals.Add(1)
+	metrics.Inc(&cs.stats.Renewals)
 	cs.resolver.FinishTrace(tr, &Result{RCode: dnswire.RCodeNoError}, nil)
 	if ne := cs.cache.Peek(zone, dnswire.TypeNS); ne != nil {
 		cs.scheduleRenewal(zone, ne.Expires)

@@ -8,6 +8,7 @@ import (
 
 	"resilientdns/internal/cache"
 	"resilientdns/internal/dnswire"
+	"resilientdns/internal/metrics"
 	"resilientdns/internal/resolve"
 	"resilientdns/internal/simclock"
 	"resilientdns/internal/transport"
@@ -50,7 +51,9 @@ type CachingServer struct {
 	flightMu sync.Mutex
 	flight   map[cache.Key]*flightCall
 
-	stats statCounters
+	// stats is the live counter set; only its frontend fields are
+	// bumped here (see Stats).
+	stats *Stats
 }
 
 // renewLead is how far before expiry a renewal refetch fires ("just
@@ -84,6 +87,7 @@ func NewCachingServer(cfg Config) (*CachingServer, error) {
 		credits:   make(map[dnswire.Name]float64),
 		scheduled: make(map[dnswire.Name]bool),
 		flight:    make(map[cache.Key]*flightCall),
+		stats:     metrics.NewSet[Stats](),
 	}
 	rootAddrs := make([]transport.Addr, 0, len(cfg.RootHints))
 	for _, h := range cfg.RootHints {
@@ -127,7 +131,17 @@ func NewCachingServer(cfg Config) (*CachingServer, error) {
 // enabled). Safe to call more than once.
 func (cs *CachingServer) Close() { cs.resolver.Close() }
 
-// CacheStats reports cache occupancy after sweeping expired entries.
+// SweepExpired reclaims every expired entry the server holds, in the
+// RRset cache and in the negative cache. Both expire lazily, on the next
+// lookup of the same key; a key never asked again is only reclaimed here.
+func (cs *CachingServer) SweepExpired() {
+	cs.cache.SweepExpired()
+	cs.resolver.SweepExpired()
+}
+
+// CacheStats reports cache occupancy after sweeping expired entries from
+// the RRset cache (the simulator's Fig. 3 / Fig. 12 sampling point). A
+// live server reads Cache().Stats() instead, which takes no write lock.
 func (cs *CachingServer) CacheStats() cache.Stats {
 	cs.cache.SweepExpired()
 	return cs.cache.Stats()
@@ -153,22 +167,13 @@ func (cs *CachingServer) SecureZone(zname dnswire.Name) (secure, known bool) {
 // coalescing outcome; the shared flight carries its own trace (it serves
 // many queries, so its timings belong to no single caller).
 func (cs *CachingServer) Resolve(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
-	cs.stats.queriesIn.Add(1)
+	metrics.Inc(&cs.stats.QueriesIn)
 	tr := cs.resolver.NewTrace(resolve.KindQuery, qname, qtype)
 	res, err := cs.resolver.Lookup(tr, qname, qtype)
 	if err == nil && res == nil {
 		res, err = cs.resolveCoalesced(ctx, tr, qname, qtype)
 	}
-	cs.resolver.FinishTrace(tr, res, err)
-	if err != nil {
-		cs.stats.failed.Add(1)
-		return nil, err
-	}
-	cs.stats.resolved.Add(1)
-	if res.FromCache {
-		cs.stats.cacheAnswered.Add(1)
-	}
-	return res, nil
+	return cs.account(tr, res, err)
 }
 
 // ResolveCacheOnly answers one stub-resolver query from cached data
@@ -177,20 +182,25 @@ func (cs *CachingServer) Resolve(ctx context.Context, qname dnswire.Name, qtype 
 // overload degraded mode. A nil result (no error) means nothing cached
 // could answer; the caller picks the refusal rcode.
 func (cs *CachingServer) ResolveCacheOnly(qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
-	cs.stats.queriesIn.Add(1)
+	metrics.Inc(&cs.stats.QueriesIn)
 	tr := cs.resolver.NewTrace(resolve.KindQuery, qname, qtype)
 	res, err := cs.resolver.LookupCacheOnly(tr, qname, qtype)
+	return cs.account(tr, res, err)
+}
+
+// account closes one stub query: it finishes the trace and counts the
+// query as failed (an error, or nothing to answer with) or as resolved,
+// and as cache-answered when no upstream query was needed.
+func (cs *CachingServer) account(tr *resolve.Trace, res *Result, err error) (*Result, error) {
 	cs.resolver.FinishTrace(tr, res, err)
-	if err != nil {
-		cs.stats.failed.Add(1)
+	if err != nil || res == nil {
+		metrics.Inc(&cs.stats.Failed)
 		return nil, err
 	}
-	if res == nil {
-		cs.stats.failed.Add(1)
-		return nil, nil
+	metrics.Inc(&cs.stats.Resolved)
+	if res.FromCache {
+		metrics.Inc(&cs.stats.CacheAnswered)
 	}
-	cs.stats.resolved.Add(1)
-	cs.stats.cacheAnswered.Add(1)
 	return res, nil
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"resilientdns/internal/cache"
 	"resilientdns/internal/dnswire"
+	"resilientdns/internal/metrics"
 	"resilientdns/internal/resolve"
 )
 
@@ -58,7 +59,7 @@ func (cs *CachingServer) resolveCoalesced(ctx context.Context, tr *resolve.Trace
 	c.waiters++
 	cs.flightMu.Unlock()
 	if joined {
-		cs.stats.coalesced.Add(1)
+		metrics.Inc(&cs.stats.Coalesced)
 		tr.MarkCoalesced()
 	}
 

@@ -1,11 +1,15 @@
 package core
 
-import "sync/atomic"
+import (
+	"resilientdns/internal/metrics"
+	"resilientdns/internal/resolve"
+)
 
-// Stats counts a caching server's activity. Counters are cumulative;
-// subtract two snapshots to measure an interval. Frontend counters
-// (queries in, coalescing, renewal cycles) are kept here; the upstream
-// counters come from the resolve pipeline and are merged in Stats().
+// Stats counts a caching server's activity, as a metrics counter set.
+// Counters are cumulative; subtract two snapshots to measure an interval.
+// The server's live set bumps only the frontend fields declared here
+// (queries in, coalescing, renewal cycles); Stats() fills the embedded
+// upstream half from the resolve pipeline.
 type Stats struct {
 	// QueriesIn counts Resolve calls (stub-resolver queries).
 	QueriesIn uint64
@@ -21,12 +25,6 @@ type Stats struct {
 	// themselves.
 	Coalesced uint64
 
-	// QueriesOut counts queries sent to authoritative servers, renewal
-	// refetches included.
-	QueriesOut uint64
-	// QueriesOutFailed counts those that timed out or were unreachable.
-	QueriesOutFailed uint64
-
 	// RenewalQueries counts refetches issued by the renewal scheduler.
 	RenewalQueries uint64
 	// RenewalFailed counts renewal refetches that failed entirely.
@@ -37,71 +35,16 @@ type Stats struct {
 	// member owns the zone's renewal duty (mesh owner-renewal dedup).
 	RenewalDeferred uint64
 
-	// Referrals counts referral responses followed.
-	Referrals uint64
-	// StaleAnswers counts expired records served under ServeStale.
-	StaleAnswers uint64
-	// PrefetchQueries counts early refreshes issued by Prefetch.
-	PrefetchQueries uint64
-
-	// Retries counts upstream failover attempts beyond the first within a
-	// single zone query or renewal refetch.
-	Retries uint64
-	// QuarantineSkips counts quarantined servers deprioritized behind a
-	// healthy one during upstream selection.
-	QuarantineSkips uint64
-	// BudgetExhausted counts failover loops cut short because the
-	// resolution spent its upstream retry budget.
-	BudgetExhausted uint64
-
-	// GlueFetches counts out-of-bailiwick name-server address
-	// resolutions charged against the per-query glue budget;
-	// GlueBudgetExhausted the resolutions skipped once a query's budget
-	// ran out (the NXNS-style fanout bound).
-	GlueFetches         uint64
-	GlueBudgetExhausted uint64
-
-	// PeerFetches counts mesh peer-fetch fallbacks attempted after
-	// local resolution failed; PeerFetchAnswered the ones a fleet
-	// peer's cache could answer.
-	PeerFetches       uint64
-	PeerFetchAnswered uint64
+	// The upstream-facing half is the resolve pipeline's own set; its
+	// counters (QueriesOut, Retries, …) read as fields of Stats and
+	// encode as flat JSON keys beside the ones above.
+	resolve.Counters
 }
 
-// statCounters is the lock-free internal form of the frontend half of
-// Stats.
-type statCounters struct {
-	queriesIn, resolved, failed, cacheAnswered, coalesced atomic.Uint64
-	renewalQueries, renewalFailed, renewals               atomic.Uint64
-	renewalDeferred                                       atomic.Uint64
-}
-
-// Stats returns a snapshot of the counters, merging the frontend half
-// with the resolve pipeline's upstream counters.
+// Stats returns a snapshot of the counters: the frontend half from the
+// server's own live set, the embedded half from the resolver's.
 func (cs *CachingServer) Stats() Stats {
-	rc := cs.resolver.Counters()
-	return Stats{
-		QueriesIn:        cs.stats.queriesIn.Load(),
-		Resolved:         cs.stats.resolved.Load(),
-		Failed:           cs.stats.failed.Load(),
-		CacheAnswered:    cs.stats.cacheAnswered.Load(),
-		Coalesced:        cs.stats.coalesced.Load(),
-		QueriesOut:       rc.QueriesOut,
-		QueriesOutFailed: rc.QueriesOutFailed,
-		RenewalQueries:   cs.stats.renewalQueries.Load(),
-		RenewalFailed:    cs.stats.renewalFailed.Load(),
-		Renewals:         cs.stats.renewals.Load(),
-		RenewalDeferred:  cs.stats.renewalDeferred.Load(),
-		Referrals:        rc.Referrals,
-		StaleAnswers:     rc.StaleAnswers,
-		PrefetchQueries:  rc.PrefetchQueries,
-		Retries:          rc.Retries,
-		QuarantineSkips:  rc.QuarantineSkips,
-		BudgetExhausted:  rc.BudgetExhausted,
-
-		GlueFetches:         rc.GlueFetches,
-		GlueBudgetExhausted: rc.GlueBudgetExhausted,
-		PeerFetches:         rc.PeerFetches,
-		PeerFetchAnswered:   rc.PeerFetchAnswered,
-	}
+	st := metrics.Snapshot(cs.stats)
+	st.Counters = cs.resolver.Counters()
+	return st
 }

@@ -1,16 +1,19 @@
 // Package debughttp serves the resolver's introspection endpoints over
 // HTTP for operators and load tools (cmd/dnsperf -debug-url):
 //
-//	GET /debug/stats    server counters, cache occupancy, and per-stage /
-//	                    per-kind latency summaries from finished traces
+//	GET /debug/stats    one JSON object per configured section — for
+//	                    cmd/dnscache: build, cache, server, guard, mesh
+//	                    (when enabled), persist (when enabled) — plus
+//	                    "latency", the per-stage / per-kind summaries
+//	                    from finished traces
 //	GET /debug/queries  the most recent trace summaries, newest first
 //	                    (?n=K limits the count)
 //	GET /debug/peers    the cooperative mesh's membership snapshot
 //	                    (registered only when the mesh is enabled)
 //
-// Everything is read-only JSON assembled from snapshots; handlers never
-// touch resolver locks beyond the snapshot calls themselves, so leaving
-// the endpoint enabled costs a query nothing.
+// Everything is read-only JSON assembled from snapshots: counter sections
+// are atomic loads, the cache section takes shard read locks only, and no
+// handler sweeps or mutates server state.
 package debughttp
 
 import (
@@ -23,28 +26,27 @@ import (
 	"resilientdns/internal/resolve"
 )
 
-// Options wires the endpoint to a running server. Any field may be nil;
-// the corresponding section is simply omitted.
+// Section is one named object of the /debug/stats payload.
+type Section struct {
+	// Name is the section's key in the payload.
+	Name string
+	// Read returns the section's current value: a counter-set snapshot,
+	// or anything else encoding/json can render.
+	Read func() any
+}
+
+// Options wires the endpoint to a running server.
 type Options struct {
-	// Stats returns the server's counter snapshot (core.Stats).
-	Stats func() any
-	// CacheStats returns the cache occupancy snapshot.
-	CacheStats func() any
+	// Sections are rendered each under its Name. A subsystem that is
+	// switched off is simply not listed.
+	Sections []Section
 	// Latency returns the per-stage / per-kind histograms
-	// (Resolver.LatencySnapshots).
+	// (Resolver.LatencySnapshots), rendered as the "latency" section.
+	// Nil omits it.
 	Latency func() map[string]metrics.HistogramSnapshot
-	// Guard returns the client-facing guard layer's decision counters
-	// (metrics.GuardStats).
-	Guard func() any
-	// Mesh returns the cooperative-mesh counters (metrics.MeshStats);
-	// also enables the /debug/peers route when Peers is set.
-	Mesh func() any
 	// Peers returns the mesh membership snapshot (mesh.Snapshot) served
 	// at /debug/peers. Nil leaves the route unregistered (404).
 	Peers func() any
-	// Build returns the process build/uptime section (version, VCS
-	// revision, uptime) shown under "build" in /debug/stats.
-	Build func() any
 	// Ring retains recent trace summaries for /debug/queries.
 	Ring *resolve.Ring
 }
@@ -60,43 +62,21 @@ type LatencySummary struct {
 	SumMS  float64 `json:"sum_ms"`
 }
 
-// statsPayload is the /debug/stats response shape.
-type statsPayload struct {
-	Build   any                       `json:"build,omitempty"`
-	Server  any                       `json:"server,omitempty"`
-	Cache   any                       `json:"cache,omitempty"`
-	Guard   any                       `json:"guard,omitempty"`
-	Mesh    any                       `json:"mesh,omitempty"`
-	Latency map[string]LatencySummary `json:"latency,omitempty"`
-}
-
 // New returns the debug mux.
 func New(o Options) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/stats", func(w http.ResponseWriter, req *http.Request) {
-		p := statsPayload{}
-		if o.Stats != nil {
-			p.Server = o.Stats()
-		}
-		if o.CacheStats != nil {
-			p.Cache = o.CacheStats()
-		}
-		if o.Guard != nil {
-			p.Guard = o.Guard()
-		}
-		if o.Mesh != nil {
-			p.Mesh = o.Mesh()
-		}
-		if o.Build != nil {
-			p.Build = o.Build()
+		payload := make(map[string]any, len(o.Sections)+1)
+		for _, sec := range o.Sections {
+			payload[sec.Name] = sec.Read()
 		}
 		if o.Latency != nil {
-			p.Latency = make(map[string]LatencySummary)
+			latency := make(map[string]LatencySummary)
 			for key, s := range o.Latency() {
 				if s.Count == 0 {
 					continue // never-exercised stages just add noise
 				}
-				p.Latency[key] = LatencySummary{
+				latency[key] = LatencySummary{
 					Count:  s.Count,
 					MeanUS: s.Mean().Microseconds(),
 					P50US:  s.Quantile(0.50).Microseconds(),
@@ -105,8 +85,9 @@ func New(o Options) http.Handler {
 					SumMS:  float64(s.Sum.Microseconds()) / 1e3,
 				}
 			}
+			payload["latency"] = latency
 		}
-		writeJSON(w, p)
+		writeJSON(w, payload)
 	})
 	if o.Peers != nil {
 		mux.HandleFunc("/debug/peers", func(w http.ResponseWriter, req *http.Request) {

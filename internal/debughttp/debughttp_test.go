@@ -6,7 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"resilientdns/internal/cache"
+	"resilientdns/internal/core"
+	"resilientdns/internal/mesh"
 	"resilientdns/internal/metrics"
+	"resilientdns/internal/persist"
 	"resilientdns/internal/resolve"
 )
 
@@ -17,7 +21,7 @@ func TestStatsEndpoint(t *testing.T) {
 	var empty metrics.Histogram
 
 	mux := New(Options{
-		Stats: func() any { return map[string]int{"queries_in": 7} },
+		Sections: []Section{{Name: "server", Read: func() any { return map[string]int{"queries_in": 7} }}},
 		Latency: func() map[string]metrics.HistogramSnapshot {
 			return map[string]metrics.HistogramSnapshot{
 				"stage/iterate":    h.Snapshot(),
@@ -86,12 +90,14 @@ func TestQueriesEndpoint(t *testing.T) {
 // exactly when a membership source is wired in.
 func TestMeshAndBuildSections(t *testing.T) {
 	mux := New(Options{
-		Stats: func() any { return map[string]int{} },
-		Mesh:  func() any { return map[string]uint64{"frames_in": 42} },
+		Sections: []Section{
+			{Name: "build", Read: func() any { return map[string]any{"go": "go1.x", "uptime_s": 3} }},
+			{Name: "server", Read: func() any { return map[string]int{} }},
+			{Name: "mesh", Read: func() any { return map[string]uint64{"frames_in": 42} }},
+		},
 		Peers: func() any {
 			return map[string]any{"self": "10.9.0.1:7946", "peers": []string{"10.9.0.2:7946"}}
 		},
-		Build: func() any { return map[string]any{"go": "go1.x", "uptime_s": 3} },
 	})
 
 	rec := httptest.NewRecorder()
@@ -130,7 +136,7 @@ func TestMeshAndBuildSections(t *testing.T) {
 // TestPeersRouteAbsentWithoutMesh: a non-mesh server must 404 the peers
 // route and omit the mesh section rather than serve empty placeholders.
 func TestPeersRouteAbsentWithoutMesh(t *testing.T) {
-	mux := New(Options{Stats: func() any { return map[string]int{} }})
+	mux := New(Options{Sections: []Section{{Name: "server", Read: func() any { return map[string]int{} }}}})
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/peers", nil))
@@ -147,4 +153,68 @@ func TestPeersRouteAbsentWithoutMesh(t *testing.T) {
 	if _, ok := raw["mesh"]; ok {
 		t.Error("meshless stats payload still carries a mesh section")
 	}
+}
+
+// TestWireCompatKeys pins the keys load tools read /debug/stats and
+// /debug/peers by — benchmark/trace.go, cmd/dnsperf -debug-url and
+// cmd/dnscache's multi-process mesh test decode them by string, so a
+// renamed counter field or JSON tag compiles everywhere and breaks them
+// silently. The sections are wired as cmd/dnscache wires them, from the
+// real counter sets.
+func TestWireCompatKeys(t *testing.T) {
+	var h metrics.Histogram
+	h.Observe(time.Millisecond)
+	mux := New(Options{
+		Sections: []Section{
+			{Name: "server", Read: func() any { return core.Stats{} }},
+			{Name: "cache", Read: func() any { return cache.Stats{} }},
+			{Name: "guard", Read: func() any { return metrics.GuardCounters{} }},
+			{Name: "mesh", Read: func() any { return mesh.Counters{} }},
+			{Name: "persist", Read: func() any { return persist.Counters{} }},
+		},
+		Latency: func() map[string]metrics.HistogramSnapshot {
+			return map[string]metrics.HistogramSnapshot{"stage/iterate": h.Snapshot()}
+		},
+		Peers: func() any { return mesh.Snapshot{} },
+	})
+	get := func(path string, into any) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), into); err != nil {
+			t.Fatalf("%s: bad JSON: %v\n%s", path, err, rec.Body.String())
+		}
+	}
+	requireKeys := func(where string, raw json.RawMessage, keys ...string) {
+		t.Helper()
+		var got map[string]float64
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatalf("%s is not an object of numbers: %v\n%s", where, err, raw)
+		}
+		for _, k := range keys {
+			if _, ok := got[k]; !ok {
+				t.Errorf("%s lost key %q (has %v)", where, k, got)
+			}
+		}
+	}
+
+	var stats map[string]json.RawMessage
+	get("/debug/stats", &stats)
+	requireKeys("server", stats["server"], "QueriesIn", "QueriesOut", "CacheAnswered", "Coalesced",
+		"RenewalQueries", "Renewals", "Retries", "BudgetExhausted", "QuarantineSkips")
+	requireKeys("guard", stats["guard"], "shed", "form_err", "rate_limited", "slips", "clients_evicted")
+	requireKeys("mesh", stats["mesh"], "frames_in", "fetch_hits")
+	requireKeys("cache", stats["cache"], "Entries")
+	requireKeys("persist", stats["persist"], "snapshots", "journal_records", "recoveries")
+	var latency map[string]json.RawMessage
+	if err := json.Unmarshal(stats["latency"], &latency); err != nil {
+		t.Fatalf("latency: %v", err)
+	}
+	requireKeys(`latency["stage/iterate"]`, latency["stage/iterate"], "count", "sum_ms")
+
+	var peers map[string]json.RawMessage
+	get("/debug/peers", &peers)
+	requireKeys("/debug/peers counters", peers["counters"], "frames_in", "frames_bad_mac", "frames_unconfirmed",
+		"challenges_sent", "pings_sent", "ping_failures", "irr_pushes_sent", "irr_pushes_received",
+		"irr_ingested", "fetches_sent", "fetch_hits", "fetches_served")
 }

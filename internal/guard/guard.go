@@ -84,7 +84,7 @@ func New(backend Backend, cfg Config) *Guard {
 		cfg.Clock = simclock.Real{}
 	}
 	if cfg.Counters == nil {
-		cfg.Counters = &metrics.GuardCounters{}
+		cfg.Counters = metrics.NewSet[metrics.GuardCounters]()
 	}
 	g := &Guard{
 		backend:    backend,
@@ -126,13 +126,13 @@ func (g *Guard) HandleOverload(q *dnswire.Message, from net.Addr) *dnswire.Messa
 		return resp
 	}
 	if !g.cacheOnly {
-		g.counters.Shed.Add(1)
+		metrics.Inc(&g.counters.Shed)
 		return nil
 	}
-	g.counters.CacheOnly.Add(1)
+	metrics.Inc(&g.counters.CacheOnly)
 	resp := g.backend.HandleQueryCacheOnly(q)
 	if resp != nil && resp.RCode == dnswire.RCodeServFail && len(resp.Answer) == 0 {
-		g.counters.CacheOnlyMiss.Add(1)
+		metrics.Inc(&g.counters.CacheOnlyMiss)
 	}
 	return resp
 }
@@ -153,19 +153,19 @@ func (g *Guard) admit(q *dnswire.Message, from net.Addr) (resp *dnswire.Message,
 	}
 	if g.peerExempt != nil && g.peerExempt(addr) {
 		// A handshake-confirmed fleet peer: no bucket charged at all.
-		g.counters.PeerExempt.Add(1)
+		metrics.Inc(&g.counters.PeerExempt)
 		return nil, false
 	}
 	switch g.limiter.admit(addr, g.clock.Now()) {
 	case decisionDrop:
-		g.counters.RateLimited.Add(1)
+		metrics.Inc(&g.counters.RateLimited)
 		return nil, true
 	case decisionSlip:
-		g.counters.RateLimited.Add(1)
-		g.counters.Slips.Add(1)
+		metrics.Inc(&g.counters.RateLimited)
+		metrics.Inc(&g.counters.Slips)
 		return slipReply(q), true
 	}
-	g.counters.Allowed.Add(1)
+	metrics.Inc(&g.counters.Allowed)
 	return nil, false
 }
 

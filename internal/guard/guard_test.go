@@ -95,7 +95,7 @@ func TestSlipRatio(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("slip=%d", tc.slip), func(t *testing.T) {
 			clk := simclock.NewVirtual(epoch)
-			counters := &metrics.GuardCounters{}
+			counters := metrics.NewSet[metrics.GuardCounters]()
 			g := New(&fakeBackend{}, Config{
 				ClientRPS: 1, ClientBurst: 1, Slip: tc.slip,
 				Clock: clk, Counters: counters,
@@ -118,7 +118,7 @@ func TestSlipRatio(t *testing.T) {
 			if slips != tc.wantSlips {
 				t.Errorf("slips = %d, want %d", slips, tc.wantSlips)
 			}
-			gs := counters.Snapshot()
+			gs := metrics.Snapshot(counters)
 			if gs.Slips != uint64(tc.wantSlips) || gs.RateLimited != limited {
 				t.Errorf("counters = %+v, want %d slips of %d limited", gs, tc.wantSlips, limited)
 			}
@@ -152,7 +152,7 @@ func TestSlipResetOnAllow(t *testing.T) {
 
 func TestLimiterEvictsLRUAtBound(t *testing.T) {
 	clk := simclock.NewVirtual(epoch)
-	counters := &metrics.GuardCounters{}
+	counters := metrics.NewSet[metrics.GuardCounters]()
 	// MaxClients 64 → one slot per shard: every shard evicts on its
 	// second distinct client.
 	g := New(&fakeBackend{}, Config{ClientRPS: 100, MaxClients: 64, Clock: clk, Counters: counters})
@@ -162,7 +162,7 @@ func TestLimiterEvictsLRUAtBound(t *testing.T) {
 	if n := g.limiter.clientCount(); n > 64 {
 		t.Errorf("limiter tracks %d clients, bound is 64", n)
 	}
-	if counters.Snapshot().ClientsEvicted == 0 {
+	if metrics.Snapshot(counters).ClientsEvicted == 0 {
 		t.Error("no evictions counted despite exceeding the bound")
 	}
 }
@@ -171,19 +171,19 @@ func TestOverloadCacheOnlyAndShed(t *testing.T) {
 	clk := simclock.NewVirtual(epoch)
 
 	// Degraded mode off: overload arrivals are shed and counted.
-	counters := &metrics.GuardCounters{}
+	counters := metrics.NewSet[metrics.GuardCounters]()
 	be := &fakeBackend{}
 	g := New(be, Config{Clock: clk, Counters: counters})
 	if resp := g.HandleOverload(testQuery(1), udpAddr("192.0.2.1")); resp != nil {
 		t.Fatalf("shed query got a response: %v", resp)
 	}
-	if gs := counters.Snapshot(); gs.Shed != 1 || be.cacheOnly != 0 {
+	if gs := metrics.Snapshot(counters); gs.Shed != 1 || be.cacheOnly != 0 {
 		t.Errorf("shed=%d cacheOnly=%d, want 1 shed and no cache-only call", gs.Shed, be.cacheOnly)
 	}
 
 	// Degraded mode on: the query reaches the cache-only entry point and
 	// the miss (SERVFAIL, no answer) is counted.
-	counters = &metrics.GuardCounters{}
+	counters = metrics.NewSet[metrics.GuardCounters]()
 	be = &fakeBackend{}
 	g = New(be, Config{CacheOnlyOnOverload: true, Clock: clk, Counters: counters})
 	resp := g.HandleOverload(testQuery(2), udpAddr("192.0.2.1"))
@@ -193,7 +193,7 @@ func TestOverloadCacheOnlyAndShed(t *testing.T) {
 	if be.cacheOnly != 1 || be.queries != 0 {
 		t.Errorf("backend calls: cacheOnly=%d queries=%d, want 1/0", be.cacheOnly, be.queries)
 	}
-	if gs := counters.Snapshot(); gs.CacheOnly != 1 || gs.CacheOnlyMiss != 1 || gs.Shed != 0 {
+	if gs := metrics.Snapshot(counters); gs.CacheOnly != 1 || gs.CacheOnlyMiss != 1 || gs.Shed != 0 {
 		t.Errorf("counters = %+v, want CacheOnly=1 CacheOnlyMiss=1 Shed=0", gs)
 	}
 }
@@ -267,7 +267,7 @@ func TestPeerExemptBypassesRateLimit(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := simclock.NewVirtual(epoch)
 			be := &fakeBackend{}
-			ctr := &metrics.GuardCounters{}
+			ctr := metrics.NewSet[metrics.GuardCounters]()
 			g := New(be, Config{ClientRPS: 2, ClientBurst: 4, Slip: 2, Clock: clk, Counters: ctr, PeerExempt: exempt})
 
 			served, limited := 0, 0
@@ -284,11 +284,11 @@ func TestPeerExemptBypassesRateLimit(t *testing.T) {
 				if limited != 0 {
 					t.Errorf("peer had %d of %d queries limited/slipped, want 0", limited, tc.queries)
 				}
-				if got := ctr.PeerExempt.Load(); got != uint64(tc.queries) {
+				if got := metrics.Load(&ctr.PeerExempt); got != uint64(tc.queries) {
 					t.Errorf("PeerExempt counter = %d, want %d", got, tc.queries)
 				}
-				if ctr.RateLimited.Load() != 0 {
-					t.Errorf("peer traffic charged the limiter: RateLimited = %d", ctr.RateLimited.Load())
+				if metrics.Load(&ctr.RateLimited) != 0 {
+					t.Errorf("peer traffic charged the limiter: RateLimited = %d", metrics.Load(&ctr.RateLimited))
 				}
 			} else {
 				if limited == 0 {
@@ -297,8 +297,8 @@ func TestPeerExemptBypassesRateLimit(t *testing.T) {
 				if served != 4 {
 					t.Errorf("stranger had %d served, want exactly the 4-token burst", served)
 				}
-				if ctr.PeerExempt.Load() != 0 {
-					t.Errorf("stranger counted as peer-exempt %d times", ctr.PeerExempt.Load())
+				if metrics.Load(&ctr.PeerExempt) != 0 {
+					t.Errorf("stranger counted as peer-exempt %d times", metrics.Load(&ctr.PeerExempt))
 				}
 			}
 		})

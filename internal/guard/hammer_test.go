@@ -38,7 +38,7 @@ func TestLimiterHammer(t *testing.T) {
 		perWorker  = 2000
 		maxClients = 512
 	)
-	counters := &metrics.GuardCounters{}
+	counters := metrics.NewSet[metrics.GuardCounters]()
 	be := &atomicBackend{}
 	// The wall clock is fine here: the test asserts bounds and
 	// accounting, not exact admit decisions.
@@ -79,7 +79,7 @@ func TestLimiterHammer(t *testing.T) {
 	if n := g.limiter.clientCount(); n > maxClients {
 		t.Errorf("limiter tracks %d clients after the flood, bound is %d", n, maxClients)
 	}
-	gs := counters.Snapshot()
+	gs := metrics.Snapshot(counters)
 	total := workers * perWorker
 	overloads := 0
 	for i := 0; i < perWorker; i++ {

@@ -99,7 +99,7 @@ func (l *limiter) admit(addr netip.Addr, now time.Time) decision {
 			victim := s.lru.prev // least recently seen
 			unlink(victim)
 			delete(s.clients, victim.addr)
-			l.counters.ClientsEvicted.Add(1)
+			metrics.Inc(&l.counters.ClientsEvicted)
 		}
 		c = &client{addr: addr, tokens: l.burst, last: now}
 		s.clients[addr] = c

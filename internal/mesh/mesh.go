@@ -81,9 +81,6 @@ type Config struct {
 	CallTimeout   time.Duration
 	SuspectAfter  int
 	DeadAfter     int
-
-	// Counters receives mesh metrics; nil means counting is skipped.
-	Counters *metrics.MeshCounters
 }
 
 // peer is one remote member as seen locally.
@@ -108,7 +105,7 @@ type peer struct {
 // use; none of them holds the internal lock across a Transport.Call.
 type Node struct {
 	cfg      Config
-	counters *metrics.MeshCounters
+	counters *Counters
 	seq      atomic.Uint32
 	selfIP   netip.Addr
 
@@ -148,13 +145,9 @@ func NewNode(cfg Config) (*Node, error) {
 			cfg.DeadAfter = cfg.SuspectAfter + 2
 		}
 	}
-	counters := cfg.Counters
-	if counters == nil {
-		counters = &metrics.MeshCounters{}
-	}
 	n := &Node{
 		cfg:      cfg,
-		counters: counters,
+		counters: metrics.NewSet[Counters](),
 		selfIP:   addrIP(cfg.Self),
 		peers:    make(map[string]*peer),
 	}
@@ -203,8 +196,6 @@ func newCookie() uint64 {
 // Self returns the node's canonical mesh address.
 func (n *Node) Self() string { return n.cfg.Self }
 
-func (n *Node) count(c *atomic.Uint64) { c.Add(1) }
-
 // --- inbound path ---
 
 // HandleFrame processes one inbound datagram and returns the reply to
@@ -214,10 +205,10 @@ func (n *Node) count(c *atomic.Uint64) { c.Add(1) }
 // replies with more bytes than it received unless the source has
 // completed the cookie handshake — the anti-reflection property.
 func (n *Node) HandleFrame(raw []byte, from string) []byte {
-	n.count(&n.counters.FramesIn)
+	metrics.Inc(&n.counters.FramesIn)
 	f, err := DecodeFrame(n.cfg.Key, raw)
 	if err != nil {
-		n.count(&n.counters.FramesBadMAC)
+		metrics.Inc(&n.counters.FramesBadMAC)
 		return nil
 	}
 	if IsResponseType(f.Type) {
@@ -245,8 +236,8 @@ func (n *Node) HandleFrame(raw []byte, from string) []byte {
 		// no amplification through this port.
 		cookie := p.cookieIn
 		n.mu.Unlock()
-		n.count(&n.counters.FramesUnconfirmed)
-		n.count(&n.counters.ChallengesSent)
+		metrics.Inc(&n.counters.FramesUnconfirmed)
+		metrics.Inc(&n.counters.ChallengesSent)
 		reply, err := EncodeFrame(n.cfg.Key, Frame{Type: TChallenge, Seq: f.Seq, Cookie: cookie})
 		if err != nil {
 			return nil
@@ -281,9 +272,9 @@ func (n *Node) HandleFrame(raw []byte, from string) []byte {
 		if err != nil {
 			return nil
 		}
-		n.count(&n.counters.IRRPushesReceived)
+		metrics.Inc(&n.counters.IRRPushesReceived)
 		if n.cfg.Backend != nil && n.cfg.Backend.IngestPeerIRRs(zone, msg) {
-			n.count(&n.counters.IRRIngested)
+			metrics.Inc(&n.counters.IRRIngested)
 		}
 		respType = TIRRAck
 	case TFetchReq:
@@ -298,7 +289,7 @@ func (n *Node) HandleFrame(raw []byte, from string) []byte {
 		if resp == nil {
 			return nil
 		}
-		n.count(&n.counters.FetchesServed)
+		metrics.Inc(&n.counters.FetchesServed)
 		respType = TFetchResp
 		if payload, err = EncodeMsg(resp); err != nil {
 			return nil
@@ -461,14 +452,14 @@ func (n *Node) Tick(now time.Time) {
 }
 
 func (n *Node) probe(addr string, now time.Time) {
-	n.count(&n.counters.PingsSent)
+	metrics.Inc(&n.counters.PingsSent)
 	payload, err := EncodePing(n.digest())
 	if err != nil {
 		return
 	}
 	resp, err := n.call(context.Background(), addr, TPing, 0, payload)
 	if err != nil {
-		n.count(&n.counters.PingFailures)
+		metrics.Inc(&n.counters.PingFailures)
 		n.mu.Lock()
 		if p, ok := n.peers[addr]; ok {
 			p.missed++
@@ -519,7 +510,7 @@ func (n *Node) GossipZone(zone dnswire.Name) {
 	}
 	for _, addr := range n.alivePeers() {
 		if _, err := n.call(context.Background(), addr, TIRRPush, 0, payload); err == nil {
-			n.count(&n.counters.IRRPushesSent)
+			metrics.Inc(&n.counters.IRRPushesSent)
 		}
 	}
 }
@@ -552,7 +543,7 @@ func (n *Node) PeerFetch(ctx context.Context, qname dnswire.Name, qtype dnswire.
 	if err != nil {
 		return nil
 	}
-	n.count(&n.counters.FetchesSent)
+	metrics.Inc(&n.counters.FetchesSent)
 	resp, err := n.call(ctx, target, TFetchReq, FlagRelayed, payload)
 	if err != nil {
 		return nil
@@ -564,7 +555,7 @@ func (n *Node) PeerFetch(ctx context.Context, qname dnswire.Name, qtype dnswire.
 	if msg.RCode == dnswire.RCodeServFail || msg.RCode == dnswire.RCodeRefused {
 		return nil // the peer had nothing cached either
 	}
-	n.count(&n.counters.FetchHits)
+	metrics.Inc(&n.counters.FetchHits)
 	return msg
 }
 
@@ -617,11 +608,11 @@ type PeerInfo struct {
 // Snapshot is the node's membership view plus counters, served at
 // /debug/peers.
 type Snapshot struct {
-	Self        string            `json:"self"`
-	Incarnation uint64            `json:"incarnation"`
-	OwnerRenew  bool              `json:"owner_renewal"`
-	Peers       []PeerInfo        `json:"peers"`
-	Counters    metrics.MeshStats `json:"counters"`
+	Self        string     `json:"self"`
+	Incarnation uint64     `json:"incarnation"`
+	OwnerRenew  bool       `json:"owner_renewal"`
+	Peers       []PeerInfo `json:"peers"`
+	Counters    Counters   `json:"counters"`
 }
 
 // Snapshot captures the current membership view.
@@ -640,6 +631,6 @@ func (n *Node) Snapshot() Snapshot {
 		})
 	}
 	n.mu.Unlock()
-	s.Counters = n.counters.Snapshot()
+	s.Counters = metrics.Snapshot(n.counters)
 	return s
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"resilientdns/internal/dnswire"
-	"resilientdns/internal/metrics"
 	"resilientdns/internal/simclock"
 	"resilientdns/internal/simnet"
 )
@@ -86,7 +85,6 @@ type testFleet struct {
 	net      *simnet.MeshNet
 	nodes    []*Node
 	backends []*fakeBackend
-	counters []*metrics.MeshCounters
 }
 
 func newTestFleet(t *testing.T, n int) *testFleet {
@@ -105,7 +103,6 @@ func newTestFleet(t *testing.T, n int) *testFleet {
 			}
 		}
 		backend := newFakeBackend()
-		counters := &metrics.MeshCounters{}
 		node, err := NewNode(Config{
 			Self:         self,
 			Key:          testKey,
@@ -114,7 +111,6 @@ func newTestFleet(t *testing.T, n int) *testFleet {
 			Clock:        clk,
 			Backend:      backend,
 			OwnerRenewal: true,
-			Counters:     counters,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +118,6 @@ func newTestFleet(t *testing.T, n int) *testFleet {
 		f.net.Register(self, node.HandleFrame)
 		f.nodes = append(f.nodes, node)
 		f.backends = append(f.backends, backend)
-		f.counters = append(f.counters, counters)
 	}
 	return f
 }
@@ -150,7 +145,7 @@ func TestHandshakeConfirmsPeers(t *testing.T) {
 			t.Errorf("node %d peer = %+v, want alive and confirmed", i, p)
 		}
 	}
-	if got := f.counters[0].Snapshot().ChallengesSent; got == 0 {
+	if got := f.nodes[0].Snapshot().Counters.ChallengesSent; got == 0 {
 		t.Error("no challenge issued on first contact; handshake not exercised")
 	}
 }
@@ -197,7 +192,7 @@ func TestUnconfirmedSourceNotActedOn(t *testing.T) {
 			t.Fatalf("cookie %#x: unconfirmed push was ingested", cookie)
 		}
 	}
-	if got := f.counters[0].Snapshot().FramesUnconfirmed; got != 2 {
+	if got := f.nodes[0].Snapshot().Counters.FramesUnconfirmed; got != 2 {
 		t.Errorf("FramesUnconfirmed = %d, want 2", got)
 	}
 
@@ -238,7 +233,7 @@ func TestUnauthenticatedFrameDropped(t *testing.T) {
 			t.Errorf("unauthenticated frame %q got a %d-byte reply, want silence", raw, len(reply))
 		}
 	}
-	if got := f.counters[0].Snapshot().FramesBadMAC; got != 3 {
+	if got := f.nodes[0].Snapshot().Counters.FramesBadMAC; got != 3 {
 		t.Errorf("FramesBadMAC = %d, want 3", got)
 	}
 	if len(f.nodes[0].Snapshot().Peers) != 0 {
@@ -379,7 +374,7 @@ func TestGossipZonePushesToPeers(t *testing.T) {
 			t.Errorf("peer %d ingested %+v", i+1, msg.Answer)
 		}
 	}
-	if got := f.counters[0].Snapshot().IRRPushesSent; got != 2 {
+	if got := f.nodes[0].Snapshot().Counters.IRRPushesSent; got != 2 {
 		t.Errorf("IRRPushesSent = %d, want 2", got)
 	}
 }
@@ -400,7 +395,7 @@ func TestPeerFetch(t *testing.T) {
 	if msg == nil || len(msg.Answer) != 1 {
 		t.Fatalf("PeerFetch = %+v, want the peer's cached answer", msg)
 	}
-	c := f.counters[0].Snapshot()
+	c := f.nodes[0].Snapshot().Counters
 	if c.FetchesSent != 1 || c.FetchHits != 1 {
 		t.Errorf("fetch counters = sent %d hits %d, want 1/1", c.FetchesSent, c.FetchHits)
 	}
@@ -409,7 +404,7 @@ func TestPeerFetch(t *testing.T) {
 	if msg := f.nodes[0].PeerFetch(context.Background(), dnswire.MustName("cold.example."), dnswire.TypeA); msg != nil {
 		t.Errorf("PeerFetch of uncached name = %+v, want nil", msg)
 	}
-	if c := f.counters[0].Snapshot(); c.FetchHits != 1 {
+	if c := f.nodes[0].Snapshot().Counters; c.FetchHits != 1 {
 		t.Errorf("miss counted as hit: FetchHits = %d", c.FetchHits)
 	}
 }

@@ -1,14 +1,15 @@
 // Package metrics provides the small statistics toolkit used by the
-// evaluation harness: empirical CDFs, counters, and time series, matching
-// the measurements reported in the paper (failed-query percentages, gap
-// CDFs, and cache-occupancy series).
+// evaluation harness and the live server: empirical CDFs and time series
+// matching the measurements reported in the paper (failed-query
+// percentages, gap CDFs, and cache-occupancy series), latency histograms,
+// and the one counter-set mechanism every layer counts with
+// (counters.go).
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 	"time"
 )
 
@@ -89,6 +90,11 @@ func (c *CDF) Max() float64 {
 	return c.samples[len(c.samples)-1]
 }
 
+// Samples returns a copy of the raw samples.
+func (c *CDF) Samples() []float64 {
+	return append([]float64(nil), c.samples...)
+}
+
 // Points returns n evenly spaced (value, cumulative-fraction) points
 // suitable for plotting the CDF, from the minimum to the maximum sample.
 func (c *CDF) Points(n int) []Point {
@@ -108,11 +114,6 @@ func (c *CDF) Points(n int) []Point {
 		pts = append(pts, Point{X: v, Y: c.At(v)})
 	}
 	return pts
-}
-
-// Samples returns a copy of the raw samples.
-func (c *CDF) Samples() []float64 {
-	return append([]float64(nil), c.samples...)
 }
 
 // Point is a 2-D plot point.
@@ -185,20 +186,6 @@ func RestoreRTTEstimator(srtt, rttvar time.Duration, samples uint64) RTTEstimato
 	}
 	return RTTEstimator{srtt: srtt, rttvar: rttvar, n: samples}
 }
-
-// Counter is a monotone event counter with a convenience rate helper.
-type Counter struct {
-	n uint64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta to the counter.
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
 
 // Ratio returns c/total as a fraction in [0, 1]; 0 when total is zero.
 func Ratio(part, total uint64) float64 {
@@ -280,193 +267,4 @@ func (s *Series) MaxValue() float64 {
 // experiment tables.
 func FormatPercent(frac float64) string {
 	return fmt.Sprintf("%6.2f%%", 100*frac)
-}
-
-// PersistCounters counts the persistence subsystem's activity: snapshots
-// written, journal growth between snapshots, and recovery outcomes. All
-// fields are atomic, so the journal hook can bump them from inside cache
-// shard locks without extra synchronisation. Use Snapshot to read a
-// consistent-enough copy for reporting.
-type PersistCounters struct {
-	// Snapshots counts completed snapshot writes; SnapshotRecords and
-	// SnapshotBytes accumulate their record counts and on-disk sizes.
-	Snapshots       atomic.Uint64
-	SnapshotRecords atomic.Uint64
-	SnapshotBytes   atomic.Uint64
-	// JournalRecords / JournalBytes accumulate appended journal deltas
-	// (across rotations; compaction does not reset them).
-	JournalRecords atomic.Uint64
-	JournalBytes   atomic.Uint64
-	// Recoveries counts startup replays; ReplayedRecords the entries a
-	// recovery restored live (or stale); DroppedRecords the records a
-	// recovery discarded (expired, corrupt, truncated, or superseded).
-	Recoveries      atomic.Uint64
-	ReplayedRecords atomic.Uint64
-	DroppedRecords  atomic.Uint64
-	// RecoveryNanos accumulates wall-clock recovery latency.
-	RecoveryNanos atomic.Uint64
-}
-
-// PersistStats is a plain-value snapshot of PersistCounters.
-type PersistStats struct {
-	Snapshots       uint64
-	SnapshotRecords uint64
-	SnapshotBytes   uint64
-	JournalRecords  uint64
-	JournalBytes    uint64
-	Recoveries      uint64
-	ReplayedRecords uint64
-	DroppedRecords  uint64
-	RecoveryLatency time.Duration
-}
-
-// Snapshot reads every counter into an exported PersistStats value.
-func (p *PersistCounters) Snapshot() PersistStats {
-	return PersistStats{
-		Snapshots:       p.Snapshots.Load(),
-		SnapshotRecords: p.SnapshotRecords.Load(),
-		SnapshotBytes:   p.SnapshotBytes.Load(),
-		JournalRecords:  p.JournalRecords.Load(),
-		JournalBytes:    p.JournalBytes.Load(),
-		Recoveries:      p.Recoveries.Load(),
-		ReplayedRecords: p.ReplayedRecords.Load(),
-		DroppedRecords:  p.DroppedRecords.Load(),
-		RecoveryLatency: time.Duration(p.RecoveryNanos.Load()),
-	}
-}
-
-// GuardCounters counts the client-facing guard layer's decisions: what
-// the per-client rate limiter and the overload admission control did with
-// incoming queries. All fields are atomic so the UDP read loop and the
-// per-query goroutines can bump them without extra synchronisation. Use
-// Snapshot to read a consistent-enough copy for reporting.
-type GuardCounters struct {
-	// Allowed counts queries the rate limiter passed through.
-	Allowed atomic.Uint64
-	// RateLimited counts queries a client's exhausted token bucket
-	// dropped (silently, apart from slips).
-	RateLimited atomic.Uint64
-	// Slips counts rate-limited queries answered with a minimal TC=1
-	// reply instead of dropped (RRL slip), steering real clients behind
-	// a hot address to TCP.
-	Slips atomic.Uint64
-	// Shed counts queries dropped because the server's inflight capacity
-	// was saturated and no degraded mode could answer them.
-	Shed atomic.Uint64
-	// CacheOnly counts saturated-inflight queries served in the cache/
-	// stale-only degraded mode instead of shed.
-	CacheOnly atomic.Uint64
-	// CacheOnlyMiss counts degraded-mode queries nothing cached could
-	// answer (refused with SERVFAIL).
-	CacheOnlyMiss atomic.Uint64
-	// FormErr counts malformed packets answered with FORMERR (header
-	// parsed, rest did not).
-	FormErr atomic.Uint64
-	// ClientsEvicted counts rate-limiter client slots recycled at the
-	// memory bound (LRU eviction).
-	ClientsEvicted atomic.Uint64
-	// PeerExempt counts queries from handshake-confirmed mesh peers
-	// passed through without charging a token bucket (a cooperating
-	// fleet member must never be rate-limited or slipped a TC=1).
-	PeerExempt atomic.Uint64
-}
-
-// GuardStats is a plain-value snapshot of GuardCounters.
-type GuardStats struct {
-	Allowed        uint64 `json:"allowed"`
-	RateLimited    uint64 `json:"rate_limited"`
-	Slips          uint64 `json:"slips"`
-	Shed           uint64 `json:"shed"`
-	CacheOnly      uint64 `json:"cache_only"`
-	CacheOnlyMiss  uint64 `json:"cache_only_miss"`
-	FormErr        uint64 `json:"form_err"`
-	ClientsEvicted uint64 `json:"clients_evicted"`
-	PeerExempt     uint64 `json:"peer_exempt"`
-}
-
-// Snapshot reads every counter into an exported GuardStats value.
-func (g *GuardCounters) Snapshot() GuardStats {
-	return GuardStats{
-		Allowed:        g.Allowed.Load(),
-		RateLimited:    g.RateLimited.Load(),
-		Slips:          g.Slips.Load(),
-		Shed:           g.Shed.Load(),
-		CacheOnly:      g.CacheOnly.Load(),
-		CacheOnlyMiss:  g.CacheOnlyMiss.Load(),
-		FormErr:        g.FormErr.Load(),
-		ClientsEvicted: g.ClientsEvicted.Load(),
-		PeerExempt:     g.PeerExempt.Load(),
-	}
-}
-
-// MeshCounters counts the cooperative-mesh subsystem's traffic: frame
-// authentication and handshake outcomes, membership probes, IRR gossip,
-// and peer-fetch fallbacks. All fields are atomic; the transport read
-// loop, the probe ticker, and per-query peer fetches bump them
-// concurrently.
-type MeshCounters struct {
-	// FramesIn counts datagrams received on the mesh port.
-	FramesIn atomic.Uint64
-	// FramesBadMAC counts datagrams dropped for failing decode or HMAC
-	// verification (noise, wrong key, or forgery attempts).
-	FramesBadMAC atomic.Uint64
-	// FramesUnconfirmed counts authenticated requests from sources that
-	// had not completed the cookie handshake (answered only with a
-	// challenge, never acted on).
-	FramesUnconfirmed atomic.Uint64
-	// ChallengesSent counts cookie challenges issued.
-	ChallengesSent atomic.Uint64
-	// PingsSent counts membership probes initiated.
-	PingsSent atomic.Uint64
-	// PingFailures counts probes that timed out or failed.
-	PingFailures atomic.Uint64
-	// IRRPushesSent counts IRR sets gossiped to peers after renewals.
-	IRRPushesSent atomic.Uint64
-	// IRRPushesReceived counts IRR pushes arriving from peers.
-	IRRPushesReceived atomic.Uint64
-	// IRRIngested counts received pushes accepted by the validated
-	// ingest path (the rest failed validation and were dropped).
-	IRRIngested atomic.Uint64
-	// FetchesSent counts peer-fetch fallbacks initiated when local
-	// resolution had failed.
-	FetchesSent atomic.Uint64
-	// FetchHits counts peer fetches that returned a usable answer.
-	FetchHits atomic.Uint64
-	// FetchesServed counts peer-fetch requests this node answered from
-	// its own cache or stale data.
-	FetchesServed atomic.Uint64
-}
-
-// MeshStats is a plain-value snapshot of MeshCounters.
-type MeshStats struct {
-	FramesIn          uint64 `json:"frames_in"`
-	FramesBadMAC      uint64 `json:"frames_bad_mac"`
-	FramesUnconfirmed uint64 `json:"frames_unconfirmed"`
-	ChallengesSent    uint64 `json:"challenges_sent"`
-	PingsSent         uint64 `json:"pings_sent"`
-	PingFailures      uint64 `json:"ping_failures"`
-	IRRPushesSent     uint64 `json:"irr_pushes_sent"`
-	IRRPushesReceived uint64 `json:"irr_pushes_received"`
-	IRRIngested       uint64 `json:"irr_ingested"`
-	FetchesSent       uint64 `json:"fetches_sent"`
-	FetchHits         uint64 `json:"fetch_hits"`
-	FetchesServed     uint64 `json:"fetches_served"`
-}
-
-// Snapshot reads every counter into an exported MeshStats value.
-func (m *MeshCounters) Snapshot() MeshStats {
-	return MeshStats{
-		FramesIn:          m.FramesIn.Load(),
-		FramesBadMAC:      m.FramesBadMAC.Load(),
-		FramesUnconfirmed: m.FramesUnconfirmed.Load(),
-		ChallengesSent:    m.ChallengesSent.Load(),
-		PingsSent:         m.PingsSent.Load(),
-		PingFailures:      m.PingFailures.Load(),
-		IRRPushesSent:     m.IRRPushesSent.Load(),
-		IRRPushesReceived: m.IRRPushesReceived.Load(),
-		IRRIngested:       m.IRRIngested.Load(),
-		FetchesSent:       m.FetchesSent.Load(),
-		FetchHits:         m.FetchHits.Load(),
-		FetchesServed:     m.FetchesServed.Load(),
-	}
 }

@@ -144,15 +144,6 @@ func TestPropertyQuantileWithinRange(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("Value = %d, want 5", c.Value())
-	}
-}
-
 func TestRatioAndPercent(t *testing.T) {
 	if got := Ratio(1, 4); got != 0.25 {
 		t.Errorf("Ratio = %v, want 0.25", got)

@@ -68,7 +68,7 @@ type Store struct {
 	dir        string
 	clock      simclock.Clock
 	flushEvery time.Duration
-	counters   metrics.PersistCounters
+	counters   *Counters
 
 	mu     sync.Mutex
 	jf     *os.File // active journal (nil while buffering only)
@@ -129,7 +129,8 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	s := &Store{dir: opts.Dir, clock: opts.Clock, flushEvery: opts.FlushEvery}
+	s := &Store{dir: opts.Dir, clock: opts.Clock, flushEvery: opts.FlushEvery,
+		counters: metrics.NewSet[Counters]()}
 	snap, err := readSnapshot(filepath.Join(opts.Dir, snapshotFile))
 	if err != nil {
 		return nil, err
@@ -145,8 +146,8 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Counters exposes the persistence metrics.
-func (s *Store) Counters() metrics.PersistStats { return s.counters.Snapshot() }
+// Counters returns a snapshot of the persistence metrics.
+func (s *Store) Counters() Counters { return metrics.Snapshot(s.counters) }
 
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
@@ -174,8 +175,8 @@ func (s *Store) Observe(op cache.ChangeOp, key cache.Key, e *cache.Entry) {
 	s.mu.Lock()
 	if !s.closed {
 		s.jbuf = append(s.jbuf, rec...)
-		s.counters.JournalRecords.Add(1)
-		s.counters.JournalBytes.Add(uint64(len(rec)))
+		metrics.Inc(&s.counters.JournalRecords)
+		metrics.Add(&s.counters.JournalBytes, uint64(len(rec)))
 		if len(s.jbuf) > maxJournalBuffer {
 			s.poisonJournalLocked()
 		}
@@ -386,10 +387,10 @@ func (s *Store) Recover(cs *core.CachingServer) (RecoveryReport, error) {
 	}
 
 	rep.Elapsed = time.Since(start)
-	s.counters.Recoveries.Add(1)
-	s.counters.ReplayedRecords.Add(uint64(rep.Replayed))
-	s.counters.DroppedRecords.Add(uint64(rep.Dropped))
-	s.counters.RecoveryNanos.Add(uint64(rep.Elapsed))
+	metrics.Inc(&s.counters.Recoveries)
+	metrics.Add(&s.counters.ReplayedRecords, uint64(rep.Replayed))
+	metrics.Add(&s.counters.DroppedRecords, uint64(rep.Dropped))
+	metrics.Add(&s.counters.RecoveryNanos, uint64(rep.Elapsed))
 
 	// Checkpoint immediately: the recovered state becomes the new
 	// generation and the old journal is compacted away.
@@ -465,9 +466,9 @@ func (s *Store) Checkpoint(cs *core.CachingServer) error {
 	if err := atomicWriteFile(filepath.Join(s.dir, snapshotFile), buf); err != nil {
 		return fmt.Errorf("persist: snapshot: %w", err)
 	}
-	s.counters.Snapshots.Add(1)
-	s.counters.SnapshotRecords.Add(uint64(records))
-	s.counters.SnapshotBytes.Add(uint64(len(buf)))
+	metrics.Inc(&s.counters.Snapshots)
+	metrics.Add(&s.counters.SnapshotRecords, uint64(records))
+	metrics.Add(&s.counters.SnapshotBytes, uint64(len(buf)))
 
 	jf, err := createJournal(filepath.Join(s.dir, journalFile), gen, now)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"resilientdns/internal/cache"
 	"resilientdns/internal/dnswire"
+	"resilientdns/internal/metrics"
 	"resilientdns/internal/simclock"
 )
 
@@ -75,7 +76,7 @@ func (r *Resolver) refLookupCacheOnly(qname dnswire.Name, qtype dnswire.Type) (*
 				e = r.cache.GetStale(cur, dnswire.TypeCNAME)
 			}
 			if e != nil {
-				r.counters.StaleAnswers.Add(1)
+				metrics.Inc(&r.counters.StaleAnswers)
 				rrs := make([]dnswire.RR, len(e.RRs))
 				copy(rrs, e.RRs)
 				for i := range rrs {
@@ -156,7 +157,7 @@ func (r *Resolver) refMaybePrefetch(ctx context.Context, e *cache.Entry, qname d
 		r.pf.enqueue(cache.Key{Name: qname, Type: qtype})
 		return
 	}
-	r.counters.PrefetchQueries.Add(1)
+	metrics.Inc(&r.counters.PrefetchQueries)
 	if _, _, err := r.iterate(ctx, nil, qname, qtype, depth+1, false, false); err == nil {
 		r.cache.Extend(qname, qtype)
 	}
@@ -171,7 +172,7 @@ func (r *Resolver) refStaleAnswer(qname dnswire.Name, qtype dnswire.Type) *Resul
 		if e == nil {
 			return chainStep{outcome: chainMiss}
 		}
-		r.counters.StaleAnswers.Add(1)
+		metrics.Inc(&r.counters.StaleAnswers)
 		rrs := make([]dnswire.RR, len(e.RRs))
 		copy(rrs, e.RRs)
 		for i := range rrs {
@@ -286,7 +287,7 @@ func TestCacheStepMatchesOldSequences(t *testing.T) {
 		HitRate   float64
 		StaleHits uint64
 		Gaps      []string
-		Counters  CounterSnapshot
+		Counters  Counters
 	}
 	for _, sc := range scenarios {
 		for _, op := range ops {

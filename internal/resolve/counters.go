@@ -1,81 +1,43 @@
 package resolve
 
-import "sync/atomic"
-
-// Counters are the pipeline's cumulative event counts. They cover the
-// upstream-facing half of the server's statistics; the owning server
-// keeps its own frontend counters (queries in, coalesced, renewals) and
-// merges the two snapshots.
+// Counters are the pipeline's cumulative event counts, a metrics counter
+// set. They cover the upstream-facing half of the server's statistics;
+// the owning server keeps its own frontend counters (queries in,
+// coalesced, renewals) and embeds this set beside them.
 type Counters struct {
 	// QueriesOut counts queries sent to authoritative servers, renewal
 	// refetches included; QueriesOutFailed the ones that timed out or
 	// were unreachable.
-	QueriesOut       atomic.Uint64
-	QueriesOutFailed atomic.Uint64
+	QueriesOut       uint64
+	QueriesOutFailed uint64
 
 	// Referrals counts referral responses followed.
-	Referrals atomic.Uint64
+	Referrals uint64
 	// StaleAnswers counts expired records served under ServeStale.
-	StaleAnswers atomic.Uint64
+	StaleAnswers uint64
 	// PrefetchQueries counts early refreshes issued by Prefetch.
-	PrefetchQueries atomic.Uint64
+	PrefetchQueries uint64
 
 	// Retries counts upstream failover attempts beyond the first within
 	// a single fetch.
-	Retries atomic.Uint64
+	Retries uint64
 	// QuarantineSkips counts quarantined servers deprioritized behind a
 	// healthy one during selection.
-	QuarantineSkips atomic.Uint64
+	QuarantineSkips uint64
 	// BudgetExhausted counts failover loops cut short by the retry
 	// budget.
-	BudgetExhausted atomic.Uint64
+	BudgetExhausted uint64
 
 	// GlueFetches counts out-of-bailiwick name-server address
 	// resolutions charged against the per-query glue budget.
-	GlueFetches atomic.Uint64
+	GlueFetches uint64
 	// GlueBudgetExhausted counts glue resolutions skipped because the
 	// query's aggregate budget ran out (the NXNS-style fanout bound).
-	GlueBudgetExhausted atomic.Uint64
+	GlueBudgetExhausted uint64
 
 	// PeerFetches counts mesh peer-fetch fallbacks attempted after
 	// local resolution failed; PeerFetchAnswered the ones a peer's
 	// cache could answer.
-	PeerFetches       atomic.Uint64
-	PeerFetchAnswered atomic.Uint64
-}
-
-// CounterSnapshot is a plain-value copy of Counters.
-type CounterSnapshot struct {
-	QueriesOut       uint64
-	QueriesOutFailed uint64
-	Referrals        uint64
-	StaleAnswers     uint64
-	PrefetchQueries  uint64
-	Retries          uint64
-	QuarantineSkips  uint64
-	BudgetExhausted  uint64
-
-	GlueFetches         uint64
-	GlueBudgetExhausted uint64
-	PeerFetches         uint64
-	PeerFetchAnswered   uint64
-}
-
-// snapshot reads every counter.
-func (c *Counters) snapshot() CounterSnapshot {
-	return CounterSnapshot{
-		QueriesOut:       c.QueriesOut.Load(),
-		QueriesOutFailed: c.QueriesOutFailed.Load(),
-		Referrals:        c.Referrals.Load(),
-		StaleAnswers:     c.StaleAnswers.Load(),
-		PrefetchQueries:  c.PrefetchQueries.Load(),
-		Retries:          c.Retries.Load(),
-		QuarantineSkips:  c.QuarantineSkips.Load(),
-		BudgetExhausted:  c.BudgetExhausted.Load(),
-
-		GlueFetches:         c.GlueFetches.Load(),
-		GlueBudgetExhausted: c.GlueBudgetExhausted.Load(),
-		PeerFetches:         c.PeerFetches.Load(),
-		PeerFetchAnswered:   c.PeerFetchAnswered.Load(),
-	}
+	PeerFetches       uint64
+	PeerFetchAnswered uint64
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"resilientdns/internal/dnswire"
+	"resilientdns/internal/metrics"
 	"resilientdns/internal/simclock"
 	"resilientdns/internal/transport"
 )
@@ -78,7 +79,7 @@ func (e *Engine) Fetch(ctx context.Context, tr *Trace, servers []transport.Addr,
 func (e *Engine) exchangeFailover(ctx context.Context, tr *Trace, servers []transport.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 	ordered, skipped := e.upstream.order(servers, e.clock.Now())
 	if skipped > 0 {
-		e.counters.QuarantineSkips.Add(uint64(skipped))
+		metrics.Add(&e.counters.QuarantineSkips, uint64(skipped))
 	}
 	var lastErr error
 	for i, addr := range ordered {
@@ -89,19 +90,19 @@ func (e *Engine) exchangeFailover(ctx context.Context, tr *Trace, servers []tran
 			return nil, lastErr
 		}
 		if !takeAttempt(ctx) {
-			e.counters.BudgetExhausted.Add(1)
+			metrics.Inc(&e.counters.BudgetExhausted)
 			if lastErr != nil {
 				return nil, fmt.Errorf("%w (last attempt: %v)", errBudgetExhausted, lastErr)
 			}
 			return nil, errBudgetExhausted
 		}
 		if i > 0 {
-			e.counters.Retries.Add(1)
+			metrics.Inc(&e.counters.Retries)
 		}
-		e.counters.QueriesOut.Add(1)
+		metrics.Inc(&e.counters.QueriesOut)
 		resp, err := e.exchange(ctx, tr, addr, q)
 		if err != nil {
-			e.counters.QueriesOutFailed.Add(1)
+			metrics.Inc(&e.counters.QueriesOutFailed)
 			lastErr = err
 			continue
 		}

@@ -70,6 +70,37 @@ func (r *Resolver) negativeLookup(qname dnswire.Name, qtype dnswire.Type, now ti
 	return e.rcode, soa, true
 }
 
+// negSweepBatch is how many negative-cache entries SweepExpired scans per
+// hold of negMu.
+const negSweepBatch = 1024
+
+// SweepExpired drops every expired negative-cache entry. negativeLookup
+// reclaims an expired key only when that same key is asked again, so
+// without a periodic sweep a flood of never-repeated names (random-
+// subdomain attacks) grows the table by one entry per query, for good.
+//
+// Every query's negativeLookup and negativeStore takes negMu, and under
+// that same flood the table holds a sweep interval's worth of names, so
+// the scan gives the lock up between batches instead of stalling the
+// query path for its whole length. Entries stored or deleted in the gaps
+// are fine: a map range tolerates both, and whatever it misses the next
+// sweep gets.
+func (r *Resolver) SweepExpired() {
+	now := r.cfg.Clock.Now()
+	r.negMu.Lock()
+	defer r.negMu.Unlock()
+	scanned := 0
+	for key, e := range r.negative {
+		if !e.expires.After(now) {
+			delete(r.negative, key)
+		}
+		if scanned++; scanned%negSweepBatch == 0 {
+			r.negMu.Unlock()
+			r.negMu.Lock()
+		}
+	}
+}
+
 // remainingSeconds mirrors cache.Entry.RemainingTTL: seconds until
 // expiry, at least 1 for a still-live entry.
 func remainingSeconds(expires, now time.Time) uint32 {

@@ -8,6 +8,7 @@ import (
 
 	"resilientdns/internal/cache"
 	"resilientdns/internal/dnswire"
+	"resilientdns/internal/metrics"
 	"resilientdns/internal/transport"
 )
 
@@ -51,7 +52,7 @@ func (r *Resolver) cacheStep(cur dnswire.Name, qtype dnswire.Type, now time.Time
 			e = r.cache.GetStale(cur, dnswire.TypeCNAME)
 		}
 		if e != nil {
-			r.counters.StaleAnswers.Add(1)
+			metrics.Inc(&r.counters.StaleAnswers)
 			rrs := make([]dnswire.RR, len(e.RRs))
 			copy(rrs, e.RRs)
 			for i := range rrs {
@@ -189,11 +190,11 @@ func (r *Resolver) resolveOne(ctx context.Context, tr *Trace, qname dnswire.Name
 		// strictly from its own cached/stale data).
 		if hook := r.cfg.Hooks.PeerFetch; hook != nil {
 			psp := tr.StartStage(StagePeerFetch)
-			r.counters.PeerFetches.Add(1)
+			metrics.Inc(&r.counters.PeerFetches)
 			pres := hook(ctx, qname, qtype)
 			psp.End()
 			if pres != nil {
-				r.counters.PeerFetchAnswered.Add(1)
+				metrics.Inc(&r.counters.PeerFetchAnswered)
 				tr.MarkPeerFetch()
 				return pres, nil
 			}
@@ -212,7 +213,7 @@ func (r *Resolver) prefetch(ctx context.Context, tr *Trace, qname dnswire.Name, 
 		r.pf.enqueue(cache.Key{Name: qname, Type: qtype})
 		return
 	}
-	r.counters.PrefetchQueries.Add(1)
+	metrics.Inc(&r.counters.PrefetchQueries)
 	// A fresh fetch restarts the entry's lifetime; failures are harmless
 	// (the cached copy is still live). The explicit Extend covers the
 	// cache's conservative replacement rules for identical data.
@@ -308,7 +309,7 @@ func (r *Resolver) iterate(ctx context.Context, tr *Trace, qname dnswire.Name, q
 			return &Result{RCode: dnswire.RCodeNoError, Answer: relevantAnswers(resp, qname, qtype)}, resp, nil
 
 		case isReferral(resp, zname):
-			r.counters.Referrals.Add(1)
+			metrics.Inc(&r.counters.Referrals)
 			r.resolveMissingGlue(ctx, tr, referralChild(resp, zname), depth)
 			continue // deepestKnownZone now finds the child's IRRs
 
@@ -526,10 +527,10 @@ func (r *Resolver) resolveMissingGlue(ctx context.Context, tr *Trace, child dnsw
 		// out-of-bailiwick servers (the NXNSAttack shape) stops
 		// multiplying upstream traffic once the query's budget is gone.
 		if !takeGlueFetch(ctx) {
-			r.counters.GlueBudgetExhausted.Add(1)
+			metrics.Inc(&r.counters.GlueBudgetExhausted)
 			return
 		}
-		r.counters.GlueFetches.Add(1)
+		metrics.Inc(&r.counters.GlueFetches)
 		if _, err := r.resolveOne(ctx, tr, host, dnswire.TypeA, depth+1); err == nil {
 			return
 		}

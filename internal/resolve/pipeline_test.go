@@ -183,7 +183,7 @@ func TestGlueDepthBounded(t *testing.T) {
 func TestGlueBudgetBoundsFanout(t *testing.T) {
 	const nsCount = 24
 
-	run := func(budget int) (attempts int, c CounterSnapshot) {
+	run := func(budget int) (attempts int, c Counters) {
 		var n int
 		counting := transport.Exchanger(func(context.Context, transport.Addr, *dnswire.Message) (*dnswire.Message, error) {
 			n++

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"resilientdns/internal/cache"
+	"resilientdns/internal/metrics"
 )
 
 const (
@@ -88,7 +89,7 @@ func (pf *prefetcher) run(k cache.Key) {
 	defer cancel()
 	ctx = WithRetryBudget(ctx, r.cfg.Upstream.RetryBudget)
 	tr := r.NewTrace(KindPrefetch, k.Name, k.Type)
-	r.counters.PrefetchQueries.Add(1)
+	metrics.Inc(&r.counters.PrefetchQueries)
 	_, _, err := r.iterate(ctx, tr, k.Name, k.Type, 1, false, false)
 	if err == nil {
 		r.cache.Extend(k.Name, k.Type)

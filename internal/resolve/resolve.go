@@ -175,7 +175,7 @@ type Resolver struct {
 	validator *dnssec.Validator
 	insecure  map[dnswire.Name]bool
 
-	counters Counters
+	counters *Counters
 
 	// Tracing state: a serial for trace IDs, the configured sink, and
 	// the histograms finished traces feed. All zero-cost when TraceSink
@@ -218,8 +218,9 @@ func New(cfg Config) (*Resolver, error) {
 		cfg:        cfg,
 		cache:      cfg.Cache,
 		parentSeen: make(map[dnswire.Name]time.Time),
+		counters:   metrics.NewSet[Counters](),
 	}
-	eng, err := newEngine(cfg, &r.counters)
+	eng, err := newEngine(cfg, r.counters)
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +250,14 @@ func (r *Resolver) Close() {
 func (r *Resolver) Engine() *Engine { return r.engine }
 
 // Counters returns a snapshot of the pipeline's counters.
-func (r *Resolver) Counters() CounterSnapshot { return r.counters.snapshot() }
+func (r *Resolver) Counters() Counters { return metrics.Snapshot(r.counters) }
+
+// UpstreamQueries reads just the queries sent upstream and the ones that
+// failed, for a caller (the simulator, twice per replayed query) that
+// polls too often for a whole reflective snapshot.
+func (r *Resolver) UpstreamQueries() (sent, failed uint64) {
+	return metrics.Load(&r.counters.QueriesOut), metrics.Load(&r.counters.QueriesOutFailed)
+}
 
 // ExportServerStates returns a copy of the per-server selection state,
 // sorted by address (checkpointing).

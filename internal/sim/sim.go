@@ -205,9 +205,7 @@ func RunPartitioned(s Scenario, parts int) (*Results, error) {
 				break
 			}
 			clk.AdvanceTo(nextDue)
-			beforeStats := next.Stats()
-			next.ProcessDueRenewals(ctx, clk.Now())
-			res.accountCS(beforeStats, next.Stats(), s.Attack, clk.Now())
+			res.accountCS(next, s.Attack, clk.Now(), func() { next.ProcessDueRenewals(ctx, clk.Now()) })
 		}
 		// Occupancy samples between events.
 		if s.SampleEvery > 0 {
@@ -221,9 +219,8 @@ func RunPartitioned(s Scenario, parts int) (*Results, error) {
 
 		cs := servers[q.Client%parts]
 		underAttack := s.Attack.Active(q.At)
-		before := cs.Stats()
-		_, err := cs.Resolve(ctx, q.Name, q.Type)
-		after := cs.Stats()
+		var err error
+		res.accountCS(cs, s.Attack, q.At, func() { _, err = cs.Resolve(ctx, q.Name, q.Type) })
 
 		res.SRQueriesTotal++
 		if err != nil {
@@ -235,7 +232,6 @@ func RunPartitioned(s Scenario, parts int) (*Results, error) {
 				res.SRFailedAttack++
 			}
 		}
-		res.accountCS(before, after, s.Attack, q.At)
 	}
 
 	for _, cs := range servers {
@@ -244,31 +240,20 @@ func RunPartitioned(s Scenario, parts int) (*Results, error) {
 		res.FinalCache.Records += st.Records
 		res.FinalCache.Zones += st.Zones
 		res.FinalCache.InfraEntries += st.InfraEntries
-		res.ServerStats = addStats(res.ServerStats, cs.Stats())
+		res.ServerStats = metrics.Sum(res.ServerStats, cs.Stats())
 	}
 	return res, nil
 }
 
-// addStats sums two counter snapshots.
-func addStats(a, b core.Stats) core.Stats {
-	a.QueriesIn += b.QueriesIn
-	a.Resolved += b.Resolved
-	a.Failed += b.Failed
-	a.CacheAnswered += b.CacheAnswered
-	a.QueriesOut += b.QueriesOut
-	a.QueriesOutFailed += b.QueriesOutFailed
-	a.RenewalQueries += b.RenewalQueries
-	a.RenewalFailed += b.RenewalFailed
-	a.Renewals += b.Renewals
-	a.Referrals += b.Referrals
-	return a
-}
-
-// accountCS attributes outgoing-query deltas to totals and, when the
-// attack is active at now, to the attack-window counters.
-func (r *Results) accountCS(before, after core.Stats, sched attack.Schedule, now time.Time) {
-	dq := after.QueriesOut - before.QueriesOut
-	df := after.QueriesOutFailed - before.QueriesOutFailed
+// accountCS runs one event on cs and attributes the upstream queries it
+// sent to totals and, when the attack is active at now, to the
+// attack-window counters. It brackets every replayed query, so it reads
+// the two counters it needs rather than a whole Stats() snapshot.
+func (r *Results) accountCS(cs *core.CachingServer, sched attack.Schedule, now time.Time, event func()) {
+	sent, failed := cs.Resolver().UpstreamQueries()
+	event()
+	sentAfter, failedAfter := cs.Resolver().UpstreamQueries()
+	dq, df := sentAfter-sent, failedAfter-failed
 	r.CSQueriesTotal += dq
 	r.CSFailedTotal += df
 	if sched.Active(now) {

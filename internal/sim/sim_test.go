@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"resilientdns/internal/attack"
 	"resilientdns/internal/core"
+	"resilientdns/internal/metrics"
 	"resilientdns/internal/topology"
 	"resilientdns/internal/workload"
 )
@@ -202,5 +204,73 @@ func TestRunPartitionedRejectsBadParts(t *testing.T) {
 	s := testScenario(t, Vanilla(), 0)
 	if _, err := RunPartitioned(s, 0); err == nil {
 		t.Error("parts=0 accepted")
+	}
+}
+
+// TestServerStatsSumCarriesEveryCounter compares the generic sum the run
+// now accumulates ServerStats with against the hand-written sum it
+// replaced, kept here as the oracle: equal on the ten fields that one
+// copied, and no longer zero on the eleven it forgot (StaleAnswers, which
+// the serve-stale experiment prints, among them).
+func TestServerStatsSumCarriesEveryCounter(t *testing.T) {
+	tenFieldSum := func(a, b core.Stats) core.Stats {
+		a.QueriesIn += b.QueriesIn
+		a.Resolved += b.Resolved
+		a.Failed += b.Failed
+		a.CacheAnswered += b.CacheAnswered
+		a.QueriesOut += b.QueriesOut
+		a.QueriesOutFailed += b.QueriesOutFailed
+		a.RenewalQueries += b.RenewalQueries
+		a.RenewalFailed += b.RenewalFailed
+		a.Renewals += b.Renewals
+		a.Referrals += b.Referrals
+		return a
+	}
+	// Every counter gets a distinct non-zero value: 1, 2, 3, … in a and
+	// 100, 200, 300, … in b.
+	fill := func(scale uint64) core.Stats {
+		var st core.Stats
+		v := reflect.ValueOf(&st).Elem()
+		n := uint64(0)
+		var set func(v reflect.Value)
+		set = func(v reflect.Value) {
+			for i := 0; i < v.NumField(); i++ {
+				if v.Field(i).Kind() == reflect.Struct {
+					set(v.Field(i))
+					continue
+				}
+				n++
+				v.Field(i).SetUint(n * scale)
+			}
+		}
+		set(v)
+		return st
+	}
+	a, b := fill(1), fill(100)
+	got, old := metrics.Sum(a, b), tenFieldSum(a, b)
+
+	gotPairs, oldPairs, aPairs, bPairs := metrics.Pairs(got), metrics.Pairs(old), metrics.Pairs(a), metrics.Pairs(b)
+	if len(gotPairs) < 21 {
+		t.Fatalf("core.Stats has %d counters, it had 21 when this was written", len(gotPairs))
+	}
+	summedByOld := 0
+	for i, g := range gotPairs {
+		want := aPairs[i].Value + bPairs[i].Value
+		if g.Value != want {
+			t.Errorf("Sum.%s = %d, want %d", g.Name, g.Value, want)
+		}
+		switch oldPairs[i].Value {
+		case want:
+			summedByOld++
+		case aPairs[i].Value: // one of the eleven the old sum dropped
+		default:
+			t.Errorf("oracle.%s = %d: neither summed nor left alone", g.Name, oldPairs[i].Value)
+		}
+	}
+	if summedByOld != 10 {
+		t.Errorf("the old sum agrees on %d fields, want exactly the 10 it copied", summedByOld)
+	}
+	if old.StaleAnswers != a.StaleAnswers {
+		t.Errorf("the oracle summed StaleAnswers (%d); it is one of the fields the old sum dropped", old.StaleAnswers)
 	}
 }

@@ -202,7 +202,7 @@ func (s *UDPServer) serve(conn net.PacketConn) {
 					s.writeResponse(conn, query, resp, from)
 				}
 			} else if s.Counters != nil {
-				s.Counters.Shed.Add(1)
+				metrics.Inc(&s.Counters.Shed)
 			}
 		}
 	}
@@ -220,7 +220,7 @@ func (s *UDPServer) replyFormErr(conn net.PacketConn, pkt []byte, from net.Addr)
 		return
 	}
 	if s.Counters != nil {
-		s.Counters.FormErr.Add(1)
+		metrics.Inc(&s.Counters.FormErr)
 	}
 	resp := &dnswire.Message{
 		ID:     h.ID,

@@ -31,7 +31,7 @@ func rawUDPSend(t *testing.T, addr string, pkt []byte) ([]byte, bool) {
 }
 
 func TestUDPServerFormErr(t *testing.T) {
-	counters := &metrics.GuardCounters{}
+	counters := metrics.NewSet[metrics.GuardCounters]()
 	srv := &UDPServer{Handler: echoHandler(), Counters: counters}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -57,7 +57,7 @@ func TestUDPServerFormErr(t *testing.T) {
 	if resp.ID != 0xBEEF || resp.RCode != dnswire.RCodeFormErr || !resp.Flags.Response {
 		t.Errorf("reply = id %#x rcode %v qr %v, want FORMERR echoing id 0xBEEF", resp.ID, resp.RCode, resp.Flags.Response)
 	}
-	if got := counters.Snapshot().FormErr; got != 1 {
+	if got := metrics.Snapshot(counters).FormErr; got != 1 {
 		t.Errorf("FormErr counter = %d, want 1", got)
 	}
 
@@ -77,7 +77,7 @@ func TestUDPServerFormErr(t *testing.T) {
 		t.Error("got a reply to a malformed response packet; want silence")
 	}
 
-	if got := counters.Snapshot().FormErr; got != 1 {
+	if got := metrics.Snapshot(counters).FormErr; got != 1 {
 		t.Errorf("FormErr counter = %d after silent drops, want still 1", got)
 	}
 
@@ -167,7 +167,7 @@ func TestUDPServerOverloadHook(t *testing.T) {
 func TestUDPServerShedsWithoutHook(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, 1)
-	counters := &metrics.GuardCounters{}
+	counters := metrics.NewSet[metrics.GuardCounters]()
 
 	srv := &UDPServer{
 		MaxInflight: 1,
@@ -212,7 +212,7 @@ func TestUDPServerShedsWithoutHook(t *testing.T) {
 	}
 	// The shed count lands synchronously on the read loop before the next
 	// datagram is read, and rawUDPSend already waited 300ms.
-	if got := counters.Snapshot().Shed; got != 1 {
+	if got := metrics.Snapshot(counters).Shed; got != 1 {
 		t.Errorf("Shed counter = %d, want 1", got)
 	}
 }
