@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-sarif test race check bench-compile bench bench-paper fuzz mesh-test loc
+.PHONY: build vet lint test race check bench-compile bench bench-paper fuzz mesh-test loc
 
 build:
 	$(GO) build ./...
@@ -11,21 +11,15 @@ vet:
 # lint runs the dnslint analyzer suite (internal/analysis/...) over the
 # repo via the vet -vettool protocol. Zero unannotated findings is the
 # bar; suppress with `//dnslint:ignore <analyzer> <reason>`. Analysis
-# scope (which packages each invariant is enforced in) lives in each
-# analyzer's -pkgs default, never here: everything, cmd/ and _test.go
-# included, is handed to the driver. Repeat runs are cheap — vet caches
+# scope (which packages each invariant is enforced in) is the one table
+# lintutil.Scope, never here and never a flag: everything, cmd/ and
+# _test.go included, is handed to the driver. Add -json to the vet
+# command for a machine-readable report. Repeat runs are cheap — vet caches
 # per-package facts (the dataflow index, taint and deadline summaries)
 # in the go build cache, so only changed packages re-analyze.
 lint:
 	$(GO) build -o bin/dnslint ./cmd/dnslint
 	$(GO) vet -vettool=$(abspath bin/dnslint) ./...
-
-# lint-sarif emits the same findings as a SARIF 2.1.0 log for CI code
-# scanning. Always exits 0 on findings: `make lint` is the gate, this
-# is the reporter.
-lint-sarif:
-	$(GO) build -o bin/dnslint ./cmd/dnslint
-	./bin/dnslint -sarif ./... > dnslint.sarif
 
 test:
 	$(GO) test ./...

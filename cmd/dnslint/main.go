@@ -5,42 +5,25 @@
 //	go build -o bin/dnslint ./cmd/dnslint
 //	go vet -vettool=$(pwd)/bin/dnslint ./...
 //
-// or via `make lint`. Findings are suppressed case-by-case with
-// `//dnslint:ignore <analyzer> <reason>` (reason mandatory) — and a
-// directive that no longer suppresses anything is itself a finding.
-// See DESIGN.md §9 for the invariant behind each analyzer.
-//
-// SARIF mode: `dnslint -sarif [packages]` re-runs the suite through
-// `go vet -vettool=<self> -json` and writes a SARIF 2.1.0 log to
-// stdout, for CI annotation and artifact upload:
-//
-//	./bin/dnslint -sarif ./... > dnslint.sarif
+// or via `make lint`; add -json to the vet command for a
+// machine-readable report. There are no flags: which invariant applies
+// in which package is lintutil.Scope. Findings are suppressed
+// case-by-case with `//dnslint:ignore <analyzer> <reason>` (reason
+// mandatory) — and a directive that no longer suppresses anything is
+// itself a finding. See DESIGN.md §9 for the invariant behind each
+// analyzer.
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
-
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/unitchecker"
 
 	"resilientdns/internal/analysis/ctxdeadline"
+	"resilientdns/internal/analysis/forbid"
 	"resilientdns/internal/analysis/goroleak"
-	"resilientdns/internal/analysis/lockexchange"
-	"resilientdns/internal/analysis/lockorder"
+	"resilientdns/internal/analysis/locks"
 	"resilientdns/internal/analysis/maporder"
-	"resilientdns/internal/analysis/onepath"
 	"resilientdns/internal/analysis/taintwire"
-	"resilientdns/internal/analysis/wallclock"
-	"resilientdns/internal/analysis/weakrand"
 	"resilientdns/internal/analysis/wireerr"
 )
 
@@ -48,186 +31,16 @@ import (
 // randomness, codec, iteration order, exchange discipline, deadlines,
 // goroutine lifetimes, lock ordering, taint.
 var analyzers = []*analysis.Analyzer{
-	wallclock.Analyzer,
-	lockexchange.Analyzer,
-	weakrand.Analyzer,
+	forbid.Wallclock,
+	locks.Lockexchange,
+	forbid.Weakrand,
 	wireerr.Analyzer,
 	maporder.Analyzer,
-	onepath.Analyzer,
+	forbid.Onepath,
 	ctxdeadline.Analyzer,
 	goroleak.Analyzer,
-	lockorder.Analyzer,
+	locks.Lockorder,
 	taintwire.Analyzer,
 }
 
-func main() {
-	if len(os.Args) > 1 && os.Args[1] == "-sarif" {
-		os.Exit(runSARIF(os.Args[2:]))
-	}
-	unitchecker.Main(analyzers...)
-}
-
-// vetDiag is one diagnostic in `go vet -json` output.
-type vetDiag struct {
-	Posn    string `json:"posn"`
-	Message string `json:"message"`
-}
-
-// runSARIF drives `go vet -vettool=<self> -json` over the requested
-// packages and converts its diagnostics to a SARIF 2.1.0 log on
-// stdout. The vet exit code is passed through on hard failures (build
-// errors); findings alone produce a log and exit 0 — the plain `make
-// lint` run is the gate, this mode is the reporter.
-func runSARIF(pkgs []string) int {
-	self, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dnslint: cannot locate own binary: %v\n", err)
-		return 2
-	}
-	if len(pkgs) == 0 {
-		pkgs = []string{"./..."}
-	}
-	args := append([]string{"vet", "-vettool=" + self, "-json"}, pkgs...)
-	cmd := exec.Command("go", args...)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	runErr := cmd.Run()
-
-	// -json diagnostics arrive on stderr as `# pkg` comment lines
-	// interleaved with concatenated JSON objects:
-	// {"pkgpath": {"analyzer": [{"posn": ..., "message": ...}]}}
-	byRule := make(map[string][]vetDiag)
-	parsed := false
-	for _, stream := range [][]byte{stderr.Bytes(), stdout.Bytes()} {
-		var jsonOnly bytes.Buffer
-		sc := bufio.NewScanner(bytes.NewReader(stream))
-		sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-		for sc.Scan() {
-			if strings.HasPrefix(strings.TrimSpace(sc.Text()), "#") {
-				continue
-			}
-			jsonOnly.WriteString(sc.Text())
-			jsonOnly.WriteByte('\n')
-		}
-		dec := json.NewDecoder(&jsonOnly)
-		for {
-			var unit map[string]map[string][]vetDiag
-			if err := dec.Decode(&unit); err != nil {
-				break
-			}
-			parsed = true
-			for _, byAnalyzer := range unit {
-				for rule, diags := range byAnalyzer {
-					byRule[rule] = append(byRule[rule], diags...)
-				}
-			}
-		}
-		if parsed {
-			break
-		}
-	}
-	if runErr != nil && !parsed {
-		// Hard failure (typecheck error, bad package pattern): no
-		// diagnostics to report, surface vet's own message.
-		os.Stderr.Write(stderr.Bytes())
-		fmt.Fprintf(os.Stderr, "dnslint: go vet failed: %v\n", runErr)
-		return 1
-	}
-
-	if err := json.NewEncoder(os.Stdout).Encode(sarifLog(byRule)); err != nil {
-		fmt.Fprintf(os.Stderr, "dnslint: encoding SARIF: %v\n", err)
-		return 2
-	}
-	return 0
-}
-
-// sarifLog builds a minimal, valid SARIF 2.1.0 document from the
-// collected diagnostics.
-func sarifLog(byRule map[string][]vetDiag) map[string]any {
-	cwd, _ := os.Getwd()
-
-	var rules []map[string]any
-	for _, a := range analyzers {
-		rules = append(rules, map[string]any{
-			"id": a.Name,
-			"shortDescription": map[string]any{
-				"text": a.Doc,
-			},
-		})
-	}
-	sort.Slice(rules, func(i, j int) bool {
-		return rules[i]["id"].(string) < rules[j]["id"].(string)
-	})
-
-	results := []map[string]any{}
-	ruleNames := make([]string, 0, len(byRule))
-	for rule := range byRule {
-		ruleNames = append(ruleNames, rule)
-	}
-	sort.Strings(ruleNames)
-	for _, rule := range ruleNames {
-		for _, d := range byRule[rule] {
-			uri, line, col := splitPosn(d.Posn, cwd)
-			results = append(results, map[string]any{
-				"ruleId": rule,
-				"level":  "error",
-				"message": map[string]any{
-					"text": d.Message,
-				},
-				"locations": []map[string]any{{
-					"physicalLocation": map[string]any{
-						"artifactLocation": map[string]any{
-							"uri": uri,
-						},
-						"region": map[string]any{
-							"startLine":   line,
-							"startColumn": col,
-						},
-					},
-				}},
-			})
-		}
-	}
-
-	return map[string]any{
-		"$schema": "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemas/sarif-schema-2.1.0.json",
-		"version": "2.1.0",
-		"runs": []map[string]any{{
-			"tool": map[string]any{
-				"driver": map[string]any{
-					"name":           "dnslint",
-					"informationUri": "https://example.invalid/resilientdns/dnslint",
-					"rules":          rules,
-				},
-			},
-			"results": results,
-		}},
-	}
-}
-
-// splitPosn decomposes a "path:line:col" position, relativizing the
-// path against cwd for stable CI artifacts.
-func splitPosn(posn, cwd string) (uri string, line, col int) {
-	uri, line, col = posn, 1, 1
-	// Split from the right: the path may contain colons on some
-	// platforms, line and column never do.
-	if i := strings.LastIndexByte(uri, ':'); i >= 0 {
-		if n, err := strconv.Atoi(uri[i+1:]); err == nil {
-			col = n
-			uri = uri[:i]
-		}
-	}
-	if i := strings.LastIndexByte(uri, ':'); i >= 0 {
-		if n, err := strconv.Atoi(uri[i+1:]); err == nil {
-			line = n
-			uri = uri[:i]
-		}
-	}
-	if cwd != "" {
-		if rel, err := filepath.Rel(cwd, uri); err == nil && !strings.HasPrefix(rel, "..") {
-			uri = rel
-		}
-	}
-	return filepath.ToSlash(uri), line, col
-}
+func main() { unitchecker.Main(analyzers...) }

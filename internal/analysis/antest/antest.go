@@ -33,6 +33,8 @@ import (
 	"testing"
 
 	"golang.org/x/tools/go/analysis"
+
+	"resilientdns/internal/analysis/lintutil"
 )
 
 // wantRE extracts the expectation regexp from a `// want "..."` or
@@ -59,6 +61,15 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 			runPackage(t, dir, a, path)
 		})
 	}
+}
+
+// Scope points the analyzer's row of lintutil.Scope at fixture packages
+// until the test ends. It is the only way to move a scope: the suite
+// has no flags.
+func Scope(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
+	prev := lintutil.Scope[a.Name]
+	lintutil.Scope[a.Name] = pkgs
+	t.Cleanup(func() { lintutil.Scope[a.Name] = prev })
 }
 
 func runPackage(t *testing.T, dir string, a *analysis.Analyzer, pkgPath string) {

@@ -9,15 +9,10 @@ import (
 )
 
 // TestCtxdeadline runs the in-scope fixtures plus the stale-directive
-// package, which is deliberately NOT in -pkgs: stale suppressions are
+// package, which is deliberately NOT in scope: stale suppressions are
 // reported regardless of scope.
 func TestCtxdeadline(t *testing.T) {
-	prev := ctxdeadline.Analyzer.Flags.Lookup("pkgs").Value.String()
-	if err := ctxdeadline.Analyzer.Flags.Set("pkgs",
-		"ctxdeadline_bad,ctxdeadline_chain,ctxdeadline_ok"); err != nil {
-		t.Fatal(err)
-	}
-	defer ctxdeadline.Analyzer.Flags.Set("pkgs", prev)
+	antest.Scope(t, ctxdeadline.Analyzer, "ctxdeadline_bad", "ctxdeadline_chain", "ctxdeadline_ok")
 
 	dir, err := filepath.Abs("testdata")
 	if err != nil {
@@ -27,14 +22,10 @@ func TestCtxdeadline(t *testing.T) {
 		"ctxdeadline_bad", "ctxdeadline_chain", "ctxdeadline_ok", "ctxdeadline_stale")
 }
 
-// TestOutOfScopePackage: a package not listed in -pkgs (the simulator,
+// TestOutOfScopePackage: a package outside the analyzer's scope (the simulator,
 // the experiments) may run unbounded; any diagnostic fails the run.
 func TestOutOfScopePackage(t *testing.T) {
-	prev := ctxdeadline.Analyzer.Flags.Lookup("pkgs").Value.String()
-	if err := ctxdeadline.Analyzer.Flags.Set("pkgs", "ctxdeadline_ok"); err != nil {
-		t.Fatal(err)
-	}
-	defer ctxdeadline.Analyzer.Flags.Set("pkgs", prev)
+	antest.Scope(t, ctxdeadline.Analyzer, "ctxdeadline_ok")
 
 	dir, err := filepath.Abs("testdata")
 	if err != nil {

@@ -1,12 +1,15 @@
 // Package dataflow is the shared dataflow substrate for the dnslint
 // suite's flow-aware analyzers (ctxdeadline, taintwire, goroleak,
-// lockorder). The toolchain vendors golang.org/x/tools/go/analysis and
-// go/cfg but not go/ssa, so this package plays the role buildssa plays
+// lockexchange, lockorder). The toolchain vendors
+// golang.org/x/tools/go/analysis and go/cfg but not go/ssa, so this
+// package plays the role buildssa plays
 // for SSA-based vet tools: a single Requires-able pass that enumerates
 // every function and closure in the package, indexes variable
 // definitions for def-use chasing, and builds control-flow graphs on
-// demand. The analyzers layer their own transfer functions (context
-// boundedness, taint, held-lock sets, loop escape) on top.
+// demand. What two analyzers would otherwise each write is here once as
+// well: the value-flow walker with its per-function summaries (Flow,
+// which ctxdeadline and taintwire parameterise with predicates) and the
+// same-package fixed-point loop (Fixpoint).
 //
 // The model is deliberately simpler than SSA: values are tracked per
 // *types.Var with a flow-insensitive union over that variable's
@@ -15,8 +18,7 @@
 // analyzers need — "may this context be unbounded", "may this value be
 // network-origin" — and it means rebinding a sanitized value to a fresh
 // variable is how code states that the old value is gone. The CFG is
-// used where statement order matters (lockorder's held-set
-// propagation).
+// used where statement order matters (the held-lock pass in locks).
 package dataflow
 
 import (
@@ -69,20 +71,6 @@ func (fi *FuncInfo) CFG() *cfg.CFG {
 	return fi.cfg
 }
 
-// Def is one definition of a variable.
-type Def struct {
-	// RHS is the defining expression: the assigned expression, the
-	// call whose result tuple is destructured, or the ranged-over
-	// operand when Range is set.
-	RHS ast.Expr
-	// Index selects the result in RHS's tuple for destructuring
-	// assignments (a, b := f()); -1 for a direct assignment.
-	Index int
-	// Range marks a definition by a range clause: the variable is
-	// bound to successive elements of RHS.
-	Range bool
-}
-
 // Info is the Builder's per-package result.
 type Info struct {
 	// Funcs enumerates every function, method, and literal with a body,
@@ -92,10 +80,12 @@ type Info struct {
 	ByObj map[*types.Func]*FuncInfo
 	// byLit maps literals to their FuncInfo.
 	byLit map[*ast.FuncLit]*FuncInfo
-	// defs maps every variable to its definitions anywhere in the
-	// package (variables are function-scoped, so lookups never cross
-	// function boundaries in practice).
-	defs map[*types.Var][]Def
+	// defs maps every variable to its defining expressions anywhere in
+	// the package (variables are function-scoped, so lookups never cross
+	// function boundaries in practice): the assigned expression, the
+	// call whose result tuple is destructured, or the ranged-over
+	// operand.
+	defs map[*types.Var][]ast.Expr
 
 	pass *analysis.Pass
 }
@@ -103,8 +93,8 @@ type Info struct {
 // LitInfo returns the FuncInfo for a function literal.
 func (in *Info) LitInfo(lit *ast.FuncLit) *FuncInfo { return in.byLit[lit] }
 
-// Defs returns every definition of v in the package.
-func (in *Info) Defs(v *types.Var) []Def { return in.defs[v] }
+// Defs returns the defining expressions of v in the package.
+func (in *Info) Defs(v *types.Var) []ast.Expr { return in.defs[v] }
 
 // Callee resolves the static callee of call, or nil for dynamic calls
 // (function values, interface methods resolve to the interface method).
@@ -113,8 +103,8 @@ func (in *Info) Callee(call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// VarOf resolves an expression to the variable it reads, unwrapping
-// parens: an identifier naming a *types.Var, or nil.
+// VarOf resolves an expression to the variable it reads or assigns,
+// unwrapping parens: an identifier naming a *types.Var, or nil.
 func (in *Info) VarOf(e ast.Expr) *types.Var {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok {
@@ -133,7 +123,7 @@ func run(pass *analysis.Pass) (any, error) {
 	in := &Info{
 		ByObj: make(map[*types.Func]*FuncInfo),
 		byLit: make(map[*ast.FuncLit]*FuncInfo),
-		defs:  make(map[*types.Var][]Def),
+		defs:  make(map[*types.Var][]ast.Expr),
 		pass:  pass,
 	}
 
@@ -183,32 +173,13 @@ func run(pass *analysis.Pass) (any, error) {
 			in.indexAssign(lhs, n.Values)
 		case *ast.RangeStmt:
 			for _, e := range []ast.Expr{n.Key, n.Value} {
-				if v := in.lhsVar(e); v != nil {
-					in.defs[v] = append(in.defs[v], Def{RHS: n.X, Range: true})
+				if v := in.VarOf(e); v != nil {
+					in.defs[v] = append(in.defs[v], n.X)
 				}
 			}
 		}
 	})
 	return in, nil
-}
-
-// lhsVar resolves an assignment target to its variable (defined or
-// reassigned).
-func (in *Info) lhsVar(e ast.Expr) *types.Var {
-	if e == nil {
-		return nil
-	}
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if obj, ok := in.pass.TypesInfo.Defs[id].(*types.Var); ok {
-		return obj
-	}
-	if obj, ok := in.pass.TypesInfo.Uses[id].(*types.Var); ok {
-		return obj
-	}
-	return nil
 }
 
 func (in *Info) indexAssign(lhs, rhs []ast.Expr) {
@@ -217,44 +188,17 @@ func (in *Info) indexAssign(lhs, rhs []ast.Expr) {
 		return
 	case len(lhs) == len(rhs):
 		for i := range lhs {
-			if v := in.lhsVar(lhs[i]); v != nil {
-				in.defs[v] = append(in.defs[v], Def{RHS: rhs[i], Index: -1})
+			if v := in.VarOf(lhs[i]); v != nil {
+				in.defs[v] = append(in.defs[v], rhs[i])
 			}
 		}
 	case len(rhs) == 1:
 		for i := range lhs {
-			if v := in.lhsVar(lhs[i]); v != nil {
-				in.defs[v] = append(in.defs[v], Def{RHS: rhs[0], Index: i})
+			if v := in.VarOf(lhs[i]); v != nil {
+				in.defs[v] = append(in.defs[v], rhs[0])
 			}
 		}
 	}
-}
-
-// FuncString renders a function object the way the analyzer flag lists
-// spell it: "pkgpath.Func" for package functions, "pkgpath.(*Type).Method"
-// and "pkgpath.Type.Method" for methods. Functions without a package
-// (builtins) render as their plain name.
-func FuncString(f *types.Func) string {
-	if f == nil {
-		return ""
-	}
-	if f.Pkg() == nil {
-		return f.Name()
-	}
-	sig, _ := f.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return f.Pkg().Path() + "." + f.Name()
-	}
-	recv := sig.Recv().Type()
-	if p, ok := recv.(*types.Pointer); ok {
-		if named, ok := p.Elem().(*types.Named); ok {
-			return f.Pkg().Path() + ".(*" + named.Obj().Name() + ")." + f.Name()
-		}
-	}
-	if named, ok := recv.(*types.Named); ok {
-		return f.Pkg().Path() + "." + named.Obj().Name() + "." + f.Name()
-	}
-	return f.Pkg().Path() + "." + f.Name()
 }
 
 // IsContextType reports whether t is context.Context.

@@ -29,8 +29,8 @@
 //     function, method, or function literal) is Leaky is reported at
 //     the spawn site, which is where the fix belongs.
 //
-// Reporting is scoped (-pkgs) to the long-lived components plus the
-// daemon mains; fact computation runs everywhere. Deliberately out of
+// Reporting is scoped (lintutil.Scope) to the long-lived components
+// plus the daemon mains; fact computation runs everywhere. Deliberately out of
 // scope, by design rather than Makefile wiring: short-lived CLIs
 // (dnsquery, dnsperf, dnssim exit when their work is done, and the OS
 // is their goroutine collector), the simulator/experiments tree (the
@@ -53,18 +53,6 @@ import (
 
 const name = "goroleak"
 
-// defaultPkgs lists the long-lived components: every package that
-// starts goroutines expected to outlive a single request.
-const defaultPkgs = "resilientdns/internal/core," +
-	"resilientdns/internal/resolve," +
-	"resilientdns/internal/guard," +
-	"resilientdns/internal/mesh," +
-	"resilientdns/internal/persist," +
-	"resilientdns/internal/xfer," +
-	"resilientdns/internal/debughttp," +
-	"resilientdns/cmd/dnscache," +
-	"resilientdns/cmd/dnsserver"
-
 // Leaky marks a function that, once entered, may run forever without
 // observing any stop signal: it must not be the body of a goroutine.
 type Leaky struct{}
@@ -82,11 +70,6 @@ var Analyzer = &analysis.Analyzer{
 	Run:       run,
 }
 
-func init() {
-	Analyzer.Flags.String("pkgs", defaultPkgs,
-		"comma-separated package paths (suffix /... for subtrees) where go statements must spawn stoppable goroutines")
-}
-
 type checker struct {
 	pass *analysis.Pass
 	df   *dataflow.Info
@@ -97,7 +80,6 @@ type checker struct {
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	pkgs := pass.Analyzer.Flags.Lookup("pkgs").Value.String()
 	c := &checker{
 		pass:  pass,
 		df:    pass.ResultOf[dataflow.Builder].(*dataflow.Info),
@@ -105,34 +87,24 @@ func run(pass *analysis.Pass) (any, error) {
 		leaky: make(map[*dataflow.FuncInfo]bool),
 	}
 
-	for changed := true; changed; {
-		changed = false
-		for _, fi := range c.df.Funcs {
-			if c.leaky[fi] {
-				continue
-			}
-			if c.isLeaky(fi) {
-				c.leaky[fi] = true
-				changed = true
-			}
+	c.df.Fixpoint(func(fi *dataflow.FuncInfo) bool {
+		if c.leaky[fi] || !c.isLeaky(fi) {
+			return false
 		}
-	}
-	for fi := range c.leaky {
+		c.leaky[fi] = true
 		if fi.Obj != nil {
-			c.pass.ExportObjectFact(fi.Obj, &Leaky{})
+			pass.ExportObjectFact(fi.Obj, &Leaky{})
 		}
-	}
+		return true
+	})
 
-	if lintutil.PkgMatches(pass.Pkg.Path(), pkgs) {
+	// Out of scope no finding can exist, so every directive is stale.
+	if lintutil.InScope(pass) {
 		for _, fi := range c.df.Funcs {
-			if fi.Parent != nil {
-				continue
+			if fi.Parent == nil {
+				c.checkSpawns(fi)
 			}
-			c.checkSpawns(fi)
 		}
-	} else {
-		lintutil.ReportStaleAll(pass, name)
-		return nil, nil
 	}
 	c.supp.ReportStale(pass, name)
 	return nil, nil
@@ -168,29 +140,30 @@ func (c *checker) isLeaky(fi *dataflow.FuncInfo) bool {
 				return false
 			}
 		case *ast.CallExpr:
-			if fn := c.df.Callee(s); fn != nil {
-				if target, ok := c.df.ByObj[fn]; ok && c.leaky[target] {
-					found = true
-					return false
-				}
-				// Cross-package propagation stops at the standard
-				// library: stdlib calls are assumed to return (its
-				// rare run-forever loops exit via panic or runtime
-				// machinery this shape analysis cannot see, and
-				// treating fmt.Sprintf as leaky would poison every
-				// caller in the repo).
-				if fn.Pkg() != nil && !stdlibPkg(fn.Pkg().Path()) {
-					var fact Leaky
-					if c.pass.ImportObjectFact(fn, &fact) {
-						found = true
-						return false
-					}
-				}
+			if c.calleeLeaky(c.df.Callee(s)) {
+				found = true
+				return false
 			}
 		}
 		return true
 	})
 	return found
+}
+
+// calleeLeaky reports whether fn is leaky: by the same-package fixpoint
+// state, or by an imported fact. Cross-package propagation stops at the
+// standard library: stdlib calls are assumed to return (its rare
+// run-forever loops exit via panic or runtime machinery this shape
+// analysis cannot see, and treating fmt.Sprintf as leaky would poison
+// every caller in the repo).
+func (c *checker) calleeLeaky(fn *types.Func) bool {
+	if fn == nil {
+		return false
+	}
+	if target, ok := c.df.ByObj[fn]; ok {
+		return c.leaky[target]
+	}
+	return fn.Pkg() != nil && !stdlibPkg(fn.Pkg().Path()) && c.pass.ImportObjectFact(fn, new(Leaky))
 }
 
 // unstoppable reports whether an infinite loop body offers no way out:
@@ -303,8 +276,8 @@ func (c *checker) timerChan(x ast.Expr) bool {
 		// bindings (tick := time.Tick(d)).
 		if v := c.df.VarOf(x); v != nil {
 			defs := c.df.Defs(v)
-			if len(defs) == 1 && defs[0].RHS != nil {
-				return c.timerChan(defs[0].RHS)
+			if len(defs) == 1 {
+				return c.timerChan(defs[0])
 			}
 		}
 	}
@@ -328,15 +301,8 @@ func (c *checker) checkSpawns(fi *dataflow.FuncInfo) {
 				what = "this goroutine"
 			}
 		default:
-			if fn := c.df.Callee(g.Call); fn != nil {
-				if target, ok := c.df.ByObj[fn]; ok && c.leaky[target] {
-					what = fn.Name()
-				} else if fn.Pkg() != nil && !stdlibPkg(fn.Pkg().Path()) {
-					var fact Leaky
-					if c.pass.ImportObjectFact(fn, &fact) {
-						what = fn.Name()
-					}
-				}
+			if fn := c.df.Callee(g.Call); c.calleeLeaky(fn) {
+				what = fn.Name()
 			}
 		}
 		if what != "" {

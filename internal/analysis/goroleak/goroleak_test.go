@@ -9,12 +9,7 @@ import (
 )
 
 func TestGoroleak(t *testing.T) {
-	prev := goroleak.Analyzer.Flags.Lookup("pkgs").Value.String()
-	if err := goroleak.Analyzer.Flags.Set("pkgs",
-		"goroleak_bad,goroleak_ok,goroleak_stale"); err != nil {
-		t.Fatal(err)
-	}
-	defer goroleak.Analyzer.Flags.Set("pkgs", prev)
+	antest.Scope(t, goroleak.Analyzer, "goroleak_bad", "goroleak_ok", "goroleak_stale")
 
 	dir, err := filepath.Abs("testdata")
 	if err != nil {

@@ -1,5 +1,6 @@
 // Package lintutil holds the shared plumbing for the dnslint analyzers:
-// the //dnslint:ignore escape hatch and package-list matching.
+// the //dnslint:ignore escape hatch and the scope table that says which
+// invariant is enforced in which packages.
 //
 // Every analyzer in internal/analysis/... supports the same suppression
 // directive:
@@ -14,7 +15,6 @@
 package lintutil
 
 import (
-	"go/ast"
 	"go/token"
 	"strings"
 
@@ -116,7 +116,8 @@ func (s *Suppressor) Report(pass *analysis.Pass, analyzer string, pos token.Pos,
 
 // ReportStale reports every directive naming analyzer that suppressed
 // nothing during the pass. Every analyzer calls it once at the end of
-// its run: a suppression that no longer suppresses is dead weight at
+// its run — also when its scope made it skip the package, where no
+// directive naming it can ever suppress anything: a suppression that no longer suppresses is dead weight at
 // best and, at worst, a fixed bug's justification still licensing a
 // future regression. Deliberately not suppressible — the cure for a
 // stale directive is deleting it.
@@ -129,13 +130,6 @@ func (s *Suppressor) ReportStale(pass *analysis.Pass, analyzer string) {
 	}
 }
 
-// ReportStaleAll is ReportStale for analyzers that skipped the package
-// entirely (scope filter): with the analyzer out of scope, no directive
-// naming it can ever suppress anything, so each one is stale.
-func ReportStaleAll(pass *analysis.Pass, analyzer string) {
-	NewSuppressor(pass).ReportStale(pass, analyzer)
-}
-
 // InTestFile reports whether pos is inside a _test.go file. The dnslint
 // rules police production code; tests may sleep, discard errors, and
 // use deterministic randomness freely.
@@ -143,15 +137,113 @@ func InTestFile(pass *analysis.Pass, pos token.Pos) bool {
 	return strings.HasSuffix(pass.Fset.Position(pos).Filename, "_test.go")
 }
 
-// PkgMatches reports whether the package path is covered by the
-// comma-separated pattern list. A pattern matches its exact path, and a
-// pattern ending in "/..." matches the prefix subtree.
-func PkgMatches(path, patterns string) bool {
-	for _, pat := range strings.Split(patterns, ",") {
-		pat = strings.TrimSpace(pat)
-		if pat == "" {
-			continue
-		}
+// Scope is the suite's one scope declaration: for every invariant that is
+// enforced in part of the tree only, the packages it is enforced in. An
+// invariant with no row (lockexchange, lockorder, taintwire, wireerr)
+// holds everywhere. A pattern is an exact package path, or a subtree
+// when it ends in "/...". `go vet` hands the driver every package,
+// cmd/ and _test.go included; which invariant applies where is decided
+// here and nowhere else (analyzer tests repoint a row at their fixture
+// packages with antest.Scope).
+var Scope = map[string][]string{
+	// The determinism-critical set: everything that runs under the
+	// virtual clock during trace-driven simulation. simclock itself is
+	// listed so the one legitimate wall-clock read (Real.Now) carries a
+	// visible //dnslint:ignore annotation.
+	"wallclock": {
+		"resilientdns/internal/sim",
+		"resilientdns/internal/simnet",
+		"resilientdns/internal/simclock",
+		"resilientdns/internal/experiments",
+		"resilientdns/internal/workload",
+		"resilientdns/internal/topology",
+		"resilientdns/internal/attack",
+		"resilientdns/internal/guard",
+		"resilientdns/internal/mesh",
+	},
+	// Security-sensitive packages, where math/rand is banned outright:
+	// query IDs, source ports and nonces come from crypto/rand. The
+	// deterministic simulation packages *want* seeded math/rand.
+	"weakrand": {
+		"resilientdns/internal/core",
+		"resilientdns/internal/resolve",
+		"resilientdns/internal/transport",
+		"resilientdns/internal/stub",
+		"resilientdns/internal/authserver",
+		"resilientdns/internal/dnssec",
+		"resilientdns/cmd/dnsquery",
+	},
+	// The resolver side: the policy shell, the pipeline, the simulator
+	// that drives them, the guard (answers from cache, never fetches)
+	// and the mesh (peer calls go through mesh.Transport.Call). The
+	// packages below the resolver (transport, stub, xfer) exchange on
+	// their own behalf.
+	"onepath": {
+		"resilientdns/internal/core",
+		"resilientdns/internal/resolve",
+		"resilientdns/internal/sim",
+		"resilientdns/internal/guard",
+		"resilientdns/internal/mesh",
+	},
+	// The production fetch chain: every package from which an upstream
+	// exchange, zone transfer or mesh peer call is reachable in a live
+	// process, daemons and probes included — losing a deadline in main()
+	// is how the Wang 2016 resolvers hung. The simulator is out: a
+	// wall-clock deadline would break its determinism.
+	"ctxdeadline": {
+		"resilientdns/internal/core",
+		"resilientdns/internal/resolve",
+		"resilientdns/internal/transport",
+		"resilientdns/internal/xfer",
+		"resilientdns/internal/mesh",
+		"resilientdns/internal/stub",
+		"resilientdns/cmd/dnscache",
+		"resilientdns/cmd/dnsserver",
+		"resilientdns/cmd/dnsquery",
+		"resilientdns/cmd/dnsperf",
+	},
+	// The long-lived components: every package that starts goroutines
+	// expected to outlive one request. Short-lived CLIs exit when their
+	// work is done and the simulator steps a virtual clock, not
+	// goroutines.
+	"goroleak": {
+		"resilientdns/internal/core",
+		"resilientdns/internal/resolve",
+		"resilientdns/internal/guard",
+		"resilientdns/internal/mesh",
+		"resilientdns/internal/persist",
+		"resilientdns/internal/xfer",
+		"resilientdns/internal/debughttp",
+		"resilientdns/cmd/dnscache",
+		"resilientdns/cmd/dnsserver",
+	},
+	// Every package whose output is diffed, frozen or replayed: the
+	// simulator and its inputs, the experiment tables behind
+	// results_full.txt, the stats/metrics lines and the persistence layer.
+	"maporder": {
+		"resilientdns/internal/sim",
+		"resilientdns/internal/simnet",
+		"resilientdns/internal/experiments",
+		"resilientdns/internal/workload",
+		"resilientdns/internal/topology",
+		"resilientdns/internal/metrics",
+		"resilientdns/internal/persist",
+		"resilientdns/internal/attack",
+	},
+}
+
+// InScope reports whether the running analyzer's invariant is enforced
+// in the package under analysis.
+func InScope(pass *analysis.Pass) bool {
+	patterns, scoped := Scope[pass.Analyzer.Name]
+	return !scoped || pkgMatches(pass.Pkg.Path(), patterns)
+}
+
+// pkgMatches reports whether the package path is covered by the pattern
+// list. A pattern matches its exact path, and a pattern ending in
+// "/..." matches the prefix subtree.
+func pkgMatches(path string, patterns []string) bool {
+	for _, pat := range patterns {
 		if sub, ok := strings.CutSuffix(pat, "/..."); ok {
 			if path == sub || strings.HasPrefix(path, sub+"/") {
 				return true
@@ -163,14 +255,4 @@ func PkgMatches(path, patterns string) bool {
 		}
 	}
 	return false
-}
-
-// FileOf returns the *ast.File in the pass containing pos, or nil.
-func FileOf(pass *analysis.Pass, pos token.Pos) *ast.File {
-	for _, f := range pass.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }

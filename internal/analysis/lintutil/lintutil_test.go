@@ -4,22 +4,22 @@ import "testing"
 
 func TestPkgMatches(t *testing.T) {
 	cases := []struct {
-		path, patterns string
-		want           bool
+		path     string
+		patterns []string
+		want     bool
 	}{
-		{"resilientdns/internal/sim", "resilientdns/internal/sim", true},
-		{"resilientdns/internal/simnet", "resilientdns/internal/sim", false},
-		{"resilientdns/internal/sim", "a,resilientdns/internal/sim,b", true},
-		{"resilientdns/internal/sim", "", false},
-		{"resilientdns/internal/sim/sub", "resilientdns/internal/sim", false},
-		{"resilientdns/internal/sim/sub", "resilientdns/internal/sim/...", true},
-		{"resilientdns/internal/sim", "resilientdns/internal/sim/...", true},
-		{"resilientdns/internal/simnet", "resilientdns/internal/sim/...", false},
-		{"x", " x , y ", true},
+		{"resilientdns/internal/sim", []string{"resilientdns/internal/sim"}, true},
+		{"resilientdns/internal/simnet", []string{"resilientdns/internal/sim"}, false},
+		{"resilientdns/internal/sim", []string{"a", "resilientdns/internal/sim", "b"}, true},
+		{"resilientdns/internal/sim", nil, false},
+		{"resilientdns/internal/sim/sub", []string{"resilientdns/internal/sim"}, false},
+		{"resilientdns/internal/sim/sub", []string{"resilientdns/internal/sim/..."}, true},
+		{"resilientdns/internal/sim", []string{"resilientdns/internal/sim/..."}, true},
+		{"resilientdns/internal/simnet", []string{"resilientdns/internal/sim/..."}, false},
 	}
 	for _, c := range cases {
-		if got := PkgMatches(c.path, c.patterns); got != c.want {
-			t.Errorf("PkgMatches(%q, %q) = %v, want %v", c.path, c.patterns, got, c.want)
+		if got := pkgMatches(c.path, c.patterns); got != c.want {
+			t.Errorf("pkgMatches(%q, %q) = %v, want %v", c.path, c.patterns, got, c.want)
 		}
 	}
 }

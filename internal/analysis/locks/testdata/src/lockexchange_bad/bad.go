@@ -53,3 +53,39 @@ func (r *Resolver) RWUnderRLock(ctx context.Context, state *sync.RWMutex) ([]byt
 	defer state.RUnlock()
 	return r.tr.Exchange(ctx, "a", nil) // want "call to Exchange \\(upstream query\\) while holding state"
 }
+
+// BranchUnlockJoin releases on one branch only: after the join the lock
+// may still be held.
+func (r *Resolver) BranchUnlockJoin(ctx context.Context, early bool) ([]byte, error) {
+	r.mu.Lock()
+	if early {
+		r.mu.Unlock()
+	}
+	return r.tr.Exchange(ctx, "a", nil) // want "call to Exchange \\(upstream query\\) while holding r.mu: no lock"
+}
+
+// shard is one lock of a sharded container: every instance's mu is the
+// same declaration, but holding one says nothing about the other.
+type shard struct {
+	mu sync.Mutex
+	tr Transport
+}
+
+// TwoShards releases a.mu and exchanges with b.mu still held.
+func TwoShards(ctx context.Context, a, b *shard) ([]byte, error) {
+	a.mu.Lock()
+	b.mu.Lock()
+	a.mu.Unlock()
+	defer b.mu.Unlock()
+	return a.tr.Exchange(ctx, "a", nil) // want "call to Exchange \\(upstream query\\) while holding b.mu: no lock"
+}
+
+// DeferredShard: a deferred unlock holds a.mu to the end, whatever
+// happens to the sibling shard in between.
+func DeferredShard(ctx context.Context, a, b *shard) ([]byte, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	b.mu.Lock()
+	b.mu.Unlock()
+	return b.tr.Exchange(ctx, "b", nil) // want "call to Exchange \\(upstream query\\) while holding a.mu: no lock"
+}

@@ -58,3 +58,41 @@ func (r *Resolver) BranchRelease(ctx context.Context, fast bool) ([]byte, error)
 	r.mu.Unlock()
 	return nil, nil
 }
+
+// fetch reaches Exchange, so it may block.
+func (r *Resolver) fetch(ctx context.Context) {
+	r.tr.Exchange(ctx, r.servers[0], nil)
+}
+
+// GoNamed spawns a may-block method under the lock: the spawner does
+// not wait for it, and the new goroutine starts with nothing held.
+func (r *Resolver) GoNamed(ctx context.Context) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	go r.fetch(ctx)
+}
+
+// LitOwnLock: a literal's critical section is its own. Its deferred
+// unlock runs when the literal returns, so nothing is held across the
+// enclosing function's exchange.
+func (r *Resolver) LitOwnLock(ctx context.Context) ([]byte, error) {
+	pick := func() string {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.servers[0]
+	}
+	return r.tr.Exchange(ctx, pick(), nil)
+}
+
+// shard is one lock of a sharded container.
+type shard struct{ mu sync.Mutex }
+
+// ShardsReleased takes two shards of one type and releases both before
+// the exchange.
+func (r *Resolver) ShardsReleased(ctx context.Context, a, b *shard) ([]byte, error) {
+	a.mu.Lock()
+	b.mu.Lock()
+	b.mu.Unlock()
+	a.mu.Unlock()
+	return r.tr.Exchange(ctx, r.servers[0], nil)
+}

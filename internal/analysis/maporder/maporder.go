@@ -10,8 +10,8 @@
 // body that only collects (appends, counts, builds another map) is
 // order-insensitive.
 //
-// The analyzer fires on a range over a map (in the configured
-// deterministic-output packages) whose body directly emits: fmt
+// The analyzer fires on a range over a map (in the
+// deterministic-output packages of lintutil.Scope) whose body directly emits: fmt
 // printing, io.Writer-style Write*/Fprint methods, or calls to
 // journal/stats sinks named Observe, Record, or Emit.
 package maporder
@@ -31,29 +31,12 @@ import (
 
 const name = "maporder"
 
-// defaultPkgs is every package whose output is diffed, frozen, or
-// replayed: the simulator and its inputs, the experiment tables behind
-// results_full.txt, the stats/metrics lines, and the persistence layer.
-const defaultPkgs = "resilientdns/internal/sim," +
-	"resilientdns/internal/simnet," +
-	"resilientdns/internal/experiments," +
-	"resilientdns/internal/workload," +
-	"resilientdns/internal/topology," +
-	"resilientdns/internal/metrics," +
-	"resilientdns/internal/persist," +
-	"resilientdns/internal/attack"
-
 var Analyzer = &analysis.Analyzer{
 	Name: name,
 	Doc: "flag range-over-map loops that print, write, or record in their body: map order is random, " +
 		"so emitted output must go through the collect-then-sort idiom",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
-}
-
-func init() {
-	Analyzer.Flags.String("pkgs", defaultPkgs,
-		"comma-separated package paths (suffix /... for subtrees) whose output must be deterministic")
 }
 
 // emitMethods are method names that send data somewhere order matters:
@@ -65,14 +48,13 @@ var emitMethods = map[string]bool{
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	pkgs := pass.Analyzer.Flags.Lookup("pkgs").Value.String()
-	if !lintutil.PkgMatches(pass.Pkg.Path(), pkgs) {
+	supp := lintutil.NewSuppressor(pass)
+	if !lintutil.InScope(pass) {
 		// Out of scope: any maporder ignore directive here is stale.
-		lintutil.ReportStaleAll(pass, name)
+		supp.ReportStale(pass, name)
 		return nil, nil
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	supp := lintutil.NewSuppressor(pass)
 
 	ins.Preorder([]ast.Node{(*ast.RangeStmt)(nil)}, func(n ast.Node) {
 		rng := n.(*ast.RangeStmt)

@@ -9,11 +9,7 @@ import (
 )
 
 func TestMapOrder(t *testing.T) {
-	prev := maporder.Analyzer.Flags.Lookup("pkgs").Value.String()
-	if err := maporder.Analyzer.Flags.Set("pkgs", "maporder_bad,maporder_ok"); err != nil {
-		t.Fatal(err)
-	}
-	defer maporder.Analyzer.Flags.Set("pkgs", prev)
+	antest.Scope(t, maporder.Analyzer, "maporder_bad", "maporder_ok")
 
 	dir, err := filepath.Abs("testdata")
 	if err != nil {

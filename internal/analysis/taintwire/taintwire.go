@@ -10,8 +10,9 @@
 // into the cache or the persistence layer without passing through the
 // validators. This analyzer makes that door impossible to add quietly.
 //
-// It is a may-tainted dataflow over the shared def-use index (see
-// internal/analysis/dataflow; the vendored toolchain has no go/ssa):
+// It is a may-tainted dataflow: the shared value-flow walker
+// (dataflow.Flow; the vendored toolchain has no go/ssa) with these
+// predicates:
 //
 // Sources (network-origin bytes):
 //   - results of Exchange-shaped methods (the transport.Transport
@@ -34,24 +35,19 @@
 // checked. A non-chokepoint function that passes its own parameter to
 // a sink exports SinkViaParam, which turns its callers into sinks
 // across package boundaries; a function returning source-derived
-// payloads exports ReturnsTainted. Each package also exports a
-// Sanitizers package fact naming the chokepoints it declares, so
-// importers recognize sanctioned destinations without re-deriving
-// them.
+// payloads exports ReturnsTainted.
 //
-// Chokepoints (-chokepoints, full names as printed by
-// dataflow.FuncString) default to the resolve ingest chain, persist
-// recovery, and cache.Put's own delegation to PutOrigin. Sink calls
-// inside a chokepoint body are the sanctioned writes and are exempt.
-// Test files are NOT exempt: a test that feeds exchanged bytes
-// straight into cache.Put is rehearsing the bug this analyzer exists
-// to prevent.
+// Chokepoints (full names as printed by types.Func.FullName) are the
+// resolve ingest chain and persist recovery: one list, the same in
+// every package. Sink calls inside a chokepoint body are the sanctioned
+// writes and are exempt. Test files are NOT exempt: a test that feeds
+// exchanged bytes straight into cache.Put is rehearsing the bug this
+// analyzer exists to prevent.
 package taintwire
 
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -62,11 +58,16 @@ import (
 
 const name = "taintwire"
 
-const defaultChokepoints = "resilientdns/internal/resolve.(*Resolver).Ingest," +
-	"resilientdns/internal/resolve.(*Resolver).IngestFrom," +
-	"resilientdns/internal/resolve.(*Resolver).putInfraAware," +
-	"resilientdns/internal/persist.(*Store).Recover," +
-	"resilientdns/internal/cache.(*Cache).Put"
+// chokepoints are the functions through which all cache/persist
+// mutation must flow.
+var chokepoints = map[string]bool{
+	"(*resilientdns/internal/resolve.Resolver).Ingest":        true,
+	"(*resilientdns/internal/resolve.Resolver).IngestFrom":    true,
+	"(*resilientdns/internal/resolve.Resolver).putInfraAware": true,
+	"(*resilientdns/internal/persist.Store).Recover":          true,
+}
+
+func isChokepoint(fn *types.Func) bool { return chokepoints[fn.FullName()] }
 
 // ReturnsTainted marks a function whose results carry network-origin
 // bytes (a wrapper around a source): its call sites are sources.
@@ -87,236 +88,99 @@ func (*SinkViaParam) AFact() {}
 
 func (f *SinkViaParam) String() string { return "SinkViaParam" }
 
-// Sanitizers is the per-package summary of declared chokepoints, so an
-// importing package can recognize sanctioned destinations from the
-// export data alone.
-type Sanitizers struct {
-	Funcs []string
-}
-
-func (*Sanitizers) AFact() {}
-
-func (f *Sanitizers) String() string { return "Sanitizers" }
-
 var Analyzer = &analysis.Analyzer{
 	Name: name,
 	Doc: "taint-track network-origin bytes (Exchange results, mesh peer responses, journal bytes) and " +
 		"flag flows into cache.Put/PutOrigin/Restore or persist mutation that bypass the validated " +
 		"ingest chokepoints",
 	Requires:  []*analysis.Analyzer{dataflow.Builder},
-	FactTypes: []analysis.Fact{(*ReturnsTainted)(nil), (*SinkViaParam)(nil), (*Sanitizers)(nil)},
+	FactTypes: []analysis.Fact{(*ReturnsTainted)(nil), (*SinkViaParam)(nil)},
 	Run:       run,
 }
 
-func init() {
-	Analyzer.Flags.String("chokepoints", defaultChokepoints,
-		"comma-separated full function names (dataflow.FuncString form) through which all cache/persist mutation must flow")
-}
-
-type taint struct {
-	kind  int
-	param int
-}
-
-const (
-	tSource = iota
-	tParam
-)
-
-type checker struct {
-	pass        *analysis.Pass
-	df          *dataflow.Info
-	supp        *lintutil.Suppressor
-	chokepoints map[string]bool
-	// returns marks same-package functions whose results are tainted;
-	// sinks maps same-package functions to parameter indices that reach
-	// a sink. Both grow to a fixpoint.
-	returns map[*types.Func]bool
-	sinks   map[*types.Func]map[int]bool
-}
-
 func run(pass *analysis.Pass) (any, error) {
-	c := &checker{
-		pass:        pass,
-		df:          pass.ResultOf[dataflow.Builder].(*dataflow.Info),
-		supp:        lintutil.NewSuppressor(pass),
-		chokepoints: make(map[string]bool),
-		returns:     make(map[*types.Func]bool),
-		sinks:       make(map[*types.Func]map[int]bool),
-	}
-	for _, s := range strings.Split(pass.Analyzer.Flags.Lookup("chokepoints").Value.String(), ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			c.chokepoints[s] = true
-		}
+	df := pass.ResultOf[dataflow.Builder].(*dataflow.Info)
+	supp := lintutil.NewSuppressor(pass)
+	// returns marks same-package functions whose results are tainted;
+	// it grows in the same fixpoint as the sink summaries.
+	returns := make(map[*types.Func]bool)
+	flow := &dataflow.Flow{
+		Info:        df,
+		Param:       func(*types.Var) bool { return true },
+		Projections: true,
+		Call: func(call *ast.CallExpr, fn *types.Func) (bool, []ast.Expr) {
+			// Type conversion: dnswire.Name(b) keeps b's taint.
+			if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
+				return false, call.Args
+			}
+			if fn != nil && (taintSource(fn, pass.Pkg) || returns[fn] || pass.ImportObjectFact(fn, new(ReturnsTainted))) {
+				return true, nil
+			}
+			// Everything else — builtins (append, copy) and dynamic
+			// calls included — passes its payload-typed arguments
+			// through: Unpack parses, it does not sanitize.
+			return false, df.ArgsOfType(call, payloadType)
+		},
+		// Every argument of a shape-recognized cache/persist mutator is
+		// a sink; a chokepoint is the sanctioned destination, not one.
+		Sink: func(fn *types.Func) []int {
+			if isChokepoint(fn) || !sinkShaped(fn) {
+				return nil
+			}
+			idx := make([]int, fn.Type().(*types.Signature).Params().Len())
+			for i := range idx {
+				idx[i] = i
+			}
+			return idx
+		},
+		Import: func(fn *types.Func) []int {
+			var fact SinkViaParam
+			pass.ImportObjectFact(fn, &fact)
+			return fact.Params
+		},
+		Export: func(fn *types.Func, params []int) {
+			pass.ExportObjectFact(fn, &SinkViaParam{Params: params})
+		},
 	}
 
-	for changed := true; changed; {
-		changed = false
-		for _, fi := range c.df.Funcs {
-			if fi.Obj == nil || fi.Parent != nil {
-				continue
-			}
-			if c.summarize(fi) {
-				changed = true
-			}
+	df.Fixpoint(func(fi *dataflow.FuncInfo) bool {
+		if fi.Obj == nil {
+			return false
 		}
-	}
-
-	// Export facts: object facts for wrappers and sink conduits, and
-	// the package's sanitizer summary.
-	var declared []string
-	for _, fi := range c.df.Funcs {
-		if fi.Obj == nil || fi.Parent != nil {
-			continue
-		}
-		if c.isChokepoint(fi.Obj) {
-			declared = append(declared, dataflow.FuncString(fi.Obj))
-		}
-	}
-	if len(declared) > 0 {
-		sort.Strings(declared)
-		c.pass.ExportPackageFact(&Sanitizers{Funcs: declared})
-	}
-	for fn := range c.returns {
-		c.pass.ExportObjectFact(fn, &ReturnsTainted{})
-	}
-	for fn, params := range c.sinks {
-		if len(params) == 0 {
-			continue
-		}
-		idx := make([]int, 0, len(params))
-		for i := range params {
-			idx = append(idx, i)
-		}
-		sort.Ints(idx)
-		c.pass.ExportObjectFact(fn, &SinkViaParam{Params: idx})
-	}
-
-	for _, fi := range c.df.Funcs {
-		if fi.Parent != nil {
-			continue
-		}
-		c.analyze(fi, true)
-	}
-	c.supp.ReportStale(pass, name)
-	return nil, nil
-}
-
-// summarize grows the fixpoint state for fi: parameter flows into
-// sinks (SinkViaParam) and source-derived returns (ReturnsTainted).
-// It reports whether anything changed.
-func (c *checker) summarize(fi *dataflow.FuncInfo) bool {
-	before := len(c.sinks[fi.Obj])
-	beforeRet := c.returns[fi.Obj]
-	c.analyze(fi, false)
-
-	// ReturnsTainted: any return statement whose results carry source
-	// taint. Nested closures' returns are their own, not fi's.
-	if !c.returns[fi.Obj] {
-		params := c.paramIndex(fi)
-		var walk func(n ast.Node) bool
-		walk = func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-			ret, ok := n.(*ast.ReturnStmt)
-			if !ok {
-				return true
-			}
-			for _, res := range ret.Results {
-				for _, t := range c.taints(res, params, make(map[*types.Var]bool)) {
-					if t.kind == tSource {
-						c.returns[fi.Obj] = true
-					}
-				}
-			}
-			return true
-		}
-		ast.Inspect(fi.Body, walk)
-	}
-	return len(c.sinks[fi.Obj]) != before || c.returns[fi.Obj] != beforeRet
-}
-
-// analyze walks fi's body (closures included). With report=false it
-// accumulates SinkViaParam state; with report=true it emits
-// diagnostics for source taint reaching a sink.
-func (c *checker) analyze(fi *dataflow.FuncInfo, report bool) {
-	if fi.Obj != nil && c.isChokepoint(fi.Obj) {
-		return // the sanctioned writes live here
-	}
-	params := c.paramIndex(fi)
-	ast.Inspect(fi.Node, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := c.df.Callee(call)
-		if callee == nil {
-			return true
-		}
-		sinkArgs := c.sinkParams(callee)
-		if len(sinkArgs) == 0 {
-			return true
-		}
-		tainted := false
-		for _, argIdx := range sinkArgs {
-			if argIdx >= len(call.Args) {
-				continue
-			}
-			for _, t := range c.taints(call.Args[argIdx], params, make(map[*types.Var]bool)) {
-				switch t.kind {
-				case tSource:
-					tainted = true
-				case tParam:
-					if !report && fi.Obj != nil {
-						set := c.sinks[fi.Obj]
-						if set == nil {
-							set = make(map[int]bool)
-							c.sinks[fi.Obj] = set
+		// The sanctioned writes live in the chokepoint bodies.
+		grew := !isChokepoint(fi.Obj) && flow.Check(fi, nil)
+		if !returns[fi.Obj] {
+			fi.Returns(func(ret *ast.ReturnStmt) {
+				for _, res := range ret.Results {
+					for _, o := range flow.Origins(res, fi) {
+						if o == dataflow.Source {
+							returns[fi.Obj] = true
 						}
-						set[t.param] = true
 					}
 				}
-			}
+			})
+			grew = grew || returns[fi.Obj]
 		}
-		if tainted && report {
-			c.supp.Report(c.pass, name, call.Pos(),
+		return grew
+	})
+	flow.ExportSummaries()
+	for fn := range returns {
+		pass.ExportObjectFact(fn, &ReturnsTainted{})
+	}
+
+	for _, fi := range df.Funcs {
+		if fi.Parent != nil || (fi.Obj != nil && isChokepoint(fi.Obj)) {
+			continue
+		}
+		flow.Check(fi, func(call *ast.CallExpr, callee *types.Func) {
+			supp.Report(pass, name, call.Pos(),
 				"network-origin bytes flow into %s outside the validated ingest chokepoints: "+
 					"route cache and persist mutation through resolve.Ingest/IngestFrom (or persist recovery)",
 				callee.Name())
-		}
-		return true
-	})
-}
-
-// sinkParams returns the argument indices to check when calling fn:
-// every argument for a shape-recognized cache/persist mutator, the
-// fact-listed parameters for a sink conduit, nil otherwise.
-func (c *checker) sinkParams(fn *types.Func) []int {
-	if c.isChokepoint(fn) {
-		return nil // sanctioned destination, not a sink
+		})
 	}
-	if sinkShaped(fn) {
-		sig := fn.Type().(*types.Signature)
-		idx := make([]int, sig.Params().Len())
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx
-	}
-	if set, ok := c.sinks[fn]; ok && len(set) > 0 {
-		idx := make([]int, 0, len(set))
-		for i := range set {
-			idx = append(idx, i)
-		}
-		sort.Ints(idx)
-		return idx
-	}
-	var fact SinkViaParam
-	if c.pass.ImportObjectFact(fn, &fact) {
-		return fact.Params
-	}
-	return nil
+	supp.ReportStale(pass, name)
+	return nil, nil
 }
 
 // sinkShaped matches the cache/persist mutation surface by shape, so
@@ -336,126 +200,6 @@ func sinkShaped(fn *types.Func) bool {
 		return inPkg("persist")
 	}
 	return false
-}
-
-// isChokepoint reports whether fn is a sanctioned mutation path: named
-// in -chokepoints, or listed in its own package's Sanitizers fact.
-func (c *checker) isChokepoint(fn *types.Func) bool {
-	full := dataflow.FuncString(fn)
-	if c.chokepoints[full] {
-		return true
-	}
-	if fn.Pkg() != nil && fn.Pkg() != c.pass.Pkg {
-		var fact Sanitizers
-		if c.pass.ImportPackageFact(fn.Pkg(), &fact) {
-			for _, f := range fact.Funcs {
-				if f == full {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// paramIndex maps fi's own parameters to their signature indices.
-func (c *checker) paramIndex(fi *dataflow.FuncInfo) map[*types.Var]int {
-	if fi.Obj == nil {
-		return nil
-	}
-	sig, ok := fi.Obj.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	out := make(map[*types.Var]int)
-	for i := 0; i < sig.Params().Len(); i++ {
-		out[sig.Params().At(i)] = i
-	}
-	return out
-}
-
-// taints computes the provenance set of an expression. params maps the
-// enclosing declaration's parameters to indices; seen breaks cycles.
-func (c *checker) taints(e ast.Expr, params map[*types.Var]int, seen map[*types.Var]bool) []taint {
-	switch e := e.(type) {
-	case *ast.ParenExpr:
-		return c.taints(e.X, params, seen)
-	case *ast.Ident:
-		v := c.df.VarOf(e)
-		if v == nil {
-			return nil
-		}
-		if i, ok := params[v]; ok {
-			return []taint{{kind: tParam, param: i}}
-		}
-		if seen[v] {
-			return nil
-		}
-		seen[v] = true
-		var out []taint
-		for _, d := range c.df.Defs(v) {
-			out = append(out, c.taints(d.RHS, params, seen)...)
-		}
-		return out
-	case *ast.CallExpr:
-		return c.callTaints(e, params, seen)
-	case *ast.SelectorExpr:
-		return c.taints(e.X, params, seen)
-	case *ast.IndexExpr:
-		return c.taints(e.X, params, seen)
-	case *ast.SliceExpr:
-		return c.taints(e.X, params, seen)
-	case *ast.StarExpr:
-		return c.taints(e.X, params, seen)
-	case *ast.UnaryExpr:
-		return c.taints(e.X, params, seen)
-	case *ast.TypeAssertExpr:
-		return c.taints(e.X, params, seen)
-	case *ast.KeyValueExpr:
-		return c.taints(e.Value, params, seen)
-	case *ast.CompositeLit:
-		var out []taint
-		for _, elt := range e.Elts {
-			out = append(out, c.taints(elt, params, seen)...)
-		}
-		return out
-	}
-	return nil
-}
-
-// callTaints resolves a call's taint: sources by shape or fact, plus
-// conservative pass-through of payload-typed arguments.
-func (c *checker) callTaints(call *ast.CallExpr, params map[*types.Var]int, seen map[*types.Var]bool) []taint {
-	// Type conversion: dnswire.Name(b) keeps b's taint.
-	if tv, ok := c.pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		return c.taints(call.Args[0], params, seen)
-	}
-	fn := c.df.Callee(call)
-	if fn == nil {
-		// Builtin (append, copy) or dynamic call: pass payload
-		// arguments through.
-		return c.argTaints(call, params, seen)
-	}
-	if taintSource(fn, c.pass.Pkg) {
-		return []taint{{kind: tSource}}
-	}
-	var fact ReturnsTainted
-	if c.returns[fn] || c.pass.ImportObjectFact(fn, &fact) {
-		return []taint{{kind: tSource}}
-	}
-	return c.argTaints(call, params, seen)
-}
-
-// argTaints unions the taint of payload-typed arguments — the generic
-// pass-through rule (Unpack parses, it does not sanitize).
-func (c *checker) argTaints(call *ast.CallExpr, params map[*types.Var]int, seen map[*types.Var]bool) []taint {
-	var out []taint
-	for _, arg := range call.Args {
-		if tv, ok := c.pass.TypesInfo.Types[arg]; ok && payloadType(tv.Type) {
-			out = append(out, c.taints(arg, params, seen)...)
-		}
-	}
-	return out
 }
 
 // taintSource matches the source shapes: upstream exchanges, mesh peer

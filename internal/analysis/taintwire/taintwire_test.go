@@ -9,12 +9,7 @@ import (
 )
 
 func TestTaintwire(t *testing.T) {
-	flag := taintwire.Analyzer.Flags.Lookup("chokepoints")
-	prev := flag.Value.String()
-	if err := flag.Value.Set("taintwire_ok.Ingest"); err != nil {
-		t.Fatal(err)
-	}
-	defer flag.Value.Set(prev)
+	taintwire.SetChokepoints(t, "taintwire_ok.Ingest")
 
 	dir, err := filepath.Abs("testdata")
 	if err != nil {

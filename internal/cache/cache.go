@@ -134,7 +134,9 @@ type Config struct {
 	// copy of a cached infrastructure RRset resets its TTL even when the
 	// credibility is not higher.
 	RefreshInfraTTL bool
-	// OnGap, when set, observes expiry-to-next-use gaps.
+	// OnGap, when set, observes expiry-to-next-use gaps. Expiry
+	// tombstones are kept only for it: a cache without a gap observer
+	// remembers nothing about an entry once it is gone.
 	OnGap GapFunc
 	// OnChange, when set, observes committed mutations (Put/Extend/Evict)
 	// for persistence journaling. Restore does not fire it: recovered
@@ -199,14 +201,14 @@ type Cache struct {
 type shard struct {
 	mu      sync.RWMutex
 	entries map[Key]*Entry
-	// tombstones remember when an expired entry died, to measure gaps.
+	// tombstones remember when an expired entry died, to measure gaps;
+	// empty unless Config.OnGap is set.
 	tombstones map[Key]tombstone
 }
 
 type tombstone struct {
 	expiredAt time.Time
 	origTTL   time.Duration
-	infra     bool
 }
 
 // New returns an empty cache.
@@ -442,8 +444,8 @@ func (c *Cache) evictSoonest(infraPass bool) bool {
 func (c *Cache) Evictions() uint64 { return c.evictions.Load() }
 
 // Get returns the live entry for (name, type), or nil. An expired entry is
-// retired (leaving a tombstone; retained for stale service under
-// KeepStale) and reported as a miss.
+// retired (leaving a tombstone when a gap observer is set; retained for
+// stale service under KeepStale) and reported as a miss.
 func (c *Cache) Get(name dnswire.Name, t dnswire.Type) *Entry {
 	key := Key{Name: name, Type: t}
 	sh := c.shardFor(key)
@@ -451,30 +453,31 @@ func (c *Cache) Get(name dnswire.Name, t dnswire.Type) *Entry {
 
 	sh.mu.RLock()
 	e, ok := sh.entries[key]
-	if ok && e.Expires.After(now) {
-		sh.mu.RUnlock()
-		c.hits.Add(1)
-		return e
-	}
 	sh.mu.RUnlock()
+	live := ok && e.Expires.After(now)
 
-	// Miss or expired: take the write lock to retire the entry and note
-	// the tombstone, re-checking under the lock (a concurrent Put may have
-	// revived the key).
-	sh.mu.Lock()
-	e, ok = sh.entries[key]
-	if ok && e.Expires.After(now) {
+	// Expired, or absent with a gap observer that may hold a tombstone
+	// for the key: take the write lock to retire the entry and note the
+	// tombstone, re-checking under the lock (a concurrent Put may have
+	// revived the key). An absent key with no gap observer has nothing
+	// to retire and no tombstone to find, and stays off the write lock.
+	if !live && (ok || c.cfg.OnGap != nil) {
+		sh.mu.Lock()
+		e, ok = sh.entries[key]
+		if live = ok && e.Expires.After(now); !live {
+			if ok {
+				c.expireEntryLocked(sh, key, e, now)
+			}
+			c.noteTombstoneHitLocked(sh, key, now)
+		}
 		sh.mu.Unlock()
-		c.hits.Add(1)
-		return e
 	}
-	if ok {
-		c.expireEntryLocked(sh, key, e, now)
+	if !live {
+		c.misses.Add(1)
+		return nil
 	}
-	c.noteTombstoneHitLocked(sh, key, now)
-	sh.mu.Unlock()
-	c.misses.Add(1)
-	return nil
+	c.hits.Add(1)
+	return e
 }
 
 // GetStale returns the expired-but-retained entry for (name, type) when
@@ -550,12 +553,15 @@ func (c *Cache) Evict(name dnswire.Name, t dnswire.Type) {
 	sh.mu.Unlock()
 }
 
-// expireEntryLocked retires a dead entry: it leaves a tombstone (once) and
-// either deletes the entry or, with KeepStale, retains it for stale
-// service until the window passes. The shard lock must be held.
+// expireEntryLocked retires a dead entry: with a gap observer it leaves a
+// tombstone (once; without one nothing would ever read it, and a
+// tombstone lives until its own key is looked up again — forever, for a
+// never-repeated name), and it either deletes the entry or, with
+// KeepStale, retains it for stale service until the window passes. The
+// shard lock must be held.
 func (c *Cache) expireEntryLocked(sh *shard, key Key, e *Entry, now time.Time) {
-	if !e.staleTombstoned {
-		sh.tombstones[key] = tombstone{expiredAt: e.Expires, origTTL: e.OrigTTL, infra: e.Infra}
+	if c.cfg.OnGap != nil && !e.staleTombstoned {
+		sh.tombstones[key] = tombstone{expiredAt: e.Expires, origTTL: e.OrigTTL}
 		ne := *e
 		ne.staleTombstoned = true
 		sh.entries[key] = &ne
@@ -572,7 +578,7 @@ func (c *Cache) expireEntryLocked(sh *shard, key Key, e *Entry, now time.Time) {
 func (c *Cache) noteTombstoneHitLocked(sh *shard, key Key, now time.Time) {
 	ts, ok := sh.tombstones[key]
 	if !ok {
-		return
+		return // always, without a gap observer: the table stays empty
 	}
 	delete(sh.tombstones, key)
 	if c.cfg.OnGap != nil && now.After(ts.expiredAt) {
@@ -581,8 +587,9 @@ func (c *Cache) noteTombstoneHitLocked(sh *shard, key Key, now time.Time) {
 }
 
 // SweepExpired removes every entry whose TTL has passed, leaving
-// tombstones. The cache expires lazily on Get; call this before reading
-// occupancy stats so that Fig. 12-style series reflect live entries only.
+// tombstones when a gap observer is set. The cache expires lazily on
+// Get; call this before reading occupancy stats so that Fig. 12-style
+// series reflect live entries only.
 func (c *Cache) SweepExpired() {
 	now := c.cfg.Clock.Now()
 	for i := range c.shards {

@@ -211,6 +211,58 @@ func TestGapObservation(t *testing.T) {
 	}
 }
 
+// TestTombstonesOnlyForGapObserver: the water-torture shape — 1000
+// never-repeated ten-second names, expired and swept. Without a gap
+// observer nothing may be left behind (a tombstone is deleted only when
+// its own key comes back, so in a live server each one was a leak);
+// with one, every expiry still reports its Fig. 3 gap exactly once.
+func TestTombstonesOnlyForGapObserver(t *testing.T) {
+	const n = 1000
+	tombstones := func(c *Cache) (total int) {
+		for i := range c.shards {
+			total += len(c.shards[i].tombstones)
+		}
+		return total
+	}
+	for _, observe := range []bool{false, true} {
+		gaps := 0
+		cfg := Config{}
+		if observe {
+			cfg.OnGap = func(_ Key, gap, _ time.Duration) {
+				if gap != 20*time.Second {
+					t.Errorf("gap = %v, want 20s", gap)
+				}
+				gaps++
+			}
+		}
+		c, clk := newTestCache(t, cfg)
+		for i := 0; i < n; i++ {
+			c.Put([]dnswire.RR{rrA(fmt.Sprintf("h%d.example.", i), 10, "192.0.2.1")}, CredAnswer, false)
+		}
+		clk.Advance(30 * time.Second)
+		c.SweepExpired()
+		want := 0
+		if observe {
+			want = n
+		}
+		if st := c.Stats(); st.Entries != 0 || st.StaleEntries != 0 || tombstones(c) != want {
+			t.Errorf("OnGap set=%v: after sweep entries=%d stale=%d tombstones=%d, want 0 0 %d",
+				observe, st.Entries, st.StaleEntries, tombstones(c), want)
+		}
+		for round := 0; round < 2; round++ {
+			for i := 0; i < n; i++ {
+				if c.Get(dnswire.MustName(fmt.Sprintf("h%d.example.", i)), dnswire.TypeA) != nil {
+					t.Fatalf("expired entry h%d still served", i)
+				}
+			}
+		}
+		if gaps != want || tombstones(c) != 0 {
+			t.Errorf("OnGap set=%v: %d gaps reported, %d tombstones left, want %d and 0",
+				observe, gaps, tombstones(c), want)
+		}
+	}
+}
+
 func TestGapObservedOnPutAfterExpiry(t *testing.T) {
 	var gaps []time.Duration
 	c, clk := newTestCache(t, Config{

@@ -85,8 +85,6 @@ type Config struct {
 	// inline behaviour the simulator requires.
 	AsyncPrefetch bool
 
-	// MaxReferrals bounds one resolution's downward steps (default 24).
-	MaxReferrals int
 	// MaxCNAME bounds CNAME chain chasing (default 8).
 	MaxCNAME int
 

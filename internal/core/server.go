@@ -109,7 +109,6 @@ func NewCachingServer(cfg Config) (*CachingServer, error) {
 		ServeStale:            cfg.ServeStale,
 		Prefetch:              cfg.Prefetch,
 		AsyncPrefetch:         cfg.AsyncPrefetch,
-		MaxReferrals:          cfg.MaxReferrals,
 		MaxCNAME:              cfg.MaxCNAME,
 		ValidateDNSSEC:        cfg.ValidateDNSSEC,
 		TrustAnchors:          cfg.TrustAnchors,

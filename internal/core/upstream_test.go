@@ -135,7 +135,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	f.resolveA(t, "www.ucla.edu.")
 
 	// Everything goes down; the cached A expires. Without a budget the
-	// resolver would bounce between ucla and edu until MaxReferrals,
+	// resolver would bounce between ucla and edu until the referral bound,
 	// burning an attempt on every server each round; with budget 3 it
 	// stops after three.
 	f.net.SetAttack(attack.Schedule{attack.NewWindow(f.clock.Now(), 24*time.Hour,

@@ -251,7 +251,7 @@ func (r *Resolver) iterate(ctx context.Context, tr *Trace, qname dnswire.Name, q
 	defer sp.End()
 	var lastErr error
 	prevZone := dnswire.Name("")
-	for step := 0; step < r.cfg.MaxReferrals; step++ {
+	for step := 0; step < maxReferrals; step++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, fmt.Errorf("%w: %s %s: %v", ErrResolutionFailed, qname, qtype, err)
 		}

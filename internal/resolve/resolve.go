@@ -77,8 +77,6 @@ type Config struct {
 	// simulator requires.
 	AsyncPrefetch bool
 
-	// MaxReferrals bounds one resolution's downward steps (default 24).
-	MaxReferrals int
 	// MaxCNAME bounds CNAME chain chasing (default 8).
 	MaxCNAME int
 	// MaxGlueFetches caps the total out-of-bailiwick name-server
@@ -144,9 +142,11 @@ const StaleServeTTL = 30
 // addresses.
 const maxGlueDepth = 4
 
+// maxReferrals bounds one resolution's downward steps.
+const maxReferrals = 24
+
 // Pipeline defaults.
 const (
-	defaultMaxReferrals   = 24
 	defaultMaxCNAME       = 8
 	defaultMaxGlueFetches = 16
 )
@@ -201,9 +201,6 @@ func New(cfg Config) (*Resolver, error) {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
-	}
-	if cfg.MaxReferrals == 0 {
-		cfg.MaxReferrals = defaultMaxReferrals
 	}
 	if cfg.MaxCNAME == 0 {
 		cfg.MaxCNAME = defaultMaxCNAME
