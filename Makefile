@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race check bench-compile bench bench-paper fuzz mesh-test loc
+.PHONY: build vet lint test race check bench-compile bench bench-paper fuzz mesh-test loc sim-check
 
 build:
 	$(GO) build ./...
@@ -48,7 +48,20 @@ loc:
 		| awk -F: '{ sub(/\/[^\/]*$$/, "", $$1); n[$$1] += $$2 } END { for (d in n) printf "%6d %s\n", n[d], d }' \
 		| sort -k2 | awk '{ print; t += $$1 } END { printf "%6d total\n", t }'
 
-# check is what CI runs: the race detector and dnslint gate every PR.
+# sim-check is the standing acceptance of every PR, made mechanical: the
+# deterministic simulation still prints results_full.txt byte for byte, and
+# the two experiments that post-date that file (restart, mesh) still print
+# testdata/results_restart_mesh.txt (captured at commit 4ea8f79; to
+# regenerate either file, redirect the same command into it and say why in
+# CHANGES.md). Single-threaded and slow — about 8 min for `all` plus 50 s
+# for `restart,mesh` on a 2-vCPU box — so it is its own CI job beside
+# `test`, not a step of `make check`.
+sim-check:
+	$(GO) run ./cmd/dnssim -exp all | cmp - results_full.txt
+	$(GO) run ./cmd/dnssim -exp restart,mesh | cmp - testdata/results_restart_mesh.txt
+
+# check is what CI's test job runs: the race detector and dnslint gate
+# every PR (sim-check runs beside it, as a job of its own).
 check: build vet lint race mesh-test bench-compile
 
 # bench runs the repository's one meter (see BENCHMARK.json and

@@ -254,43 +254,18 @@ func run() error {
 		},
 		OnCacheChange: onChange,
 	}
-	// The mesh node needs the caching server as its backend, and the
-	// caching server's hooks need the node: wire the hooks as closures
-	// over a node variable assigned before any traffic is served.
+	// The caching server's Fleet is the mesh node and the node's backend
+	// is the caching server: the node comes first, without a backend, and
+	// is bound to the server before the listeners and the renewal loop
+	// start, so neither ever sees the other half missing.
 	var node *mesh.Node
-	if meshOn {
-		coreCfg.RenewalOwner = func(zone dnswire.Name) bool { return node.OwnsRenewal(zone) }
-		coreCfg.OnRenewed = func(zone dnswire.Name) { node.GossipZone(zone) }
-		coreCfg.PeerFetch = func(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) *core.Result {
-			msg := node.PeerFetch(ctx, qname, qtype)
-			if msg == nil {
-				return nil
-			}
-			return &core.Result{
-				RCode:     msg.RCode,
-				Answer:    msg.Answer,
-				Authority: msg.Authority,
-				FromCache: true,
-			}
-		}
-	}
-	cs, err := core.NewCachingServer(coreCfg)
-	if err != nil {
-		return err
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	// Bring the mesh up before the renewal loop and listeners start, so
-	// the hook closures above never see a nil node.
 	var meshConn *mesh.Conn
+	var peers []string
 	if meshOn {
 		meshConn, err = mesh.ListenUDP(*meshListen)
 		if err != nil {
 			return err
 		}
-		var peers []string
 		for _, p := range strings.Split(*meshPeers, ",") {
 			if p = strings.TrimSpace(p); p != "" {
 				peers = append(peers, p)
@@ -302,13 +277,24 @@ func run() error {
 			Peers:        peers,
 			Transport:    meshConn,
 			Clock:        simclock.Real{},
-			Backend:      cs,
 			OwnerRenewal: *meshOwnerRenewal,
 		})
 		if err != nil {
 			meshConn.Close()
 			return err
 		}
+		coreCfg.Fleet = node
+	}
+	cs, err := core.NewCachingServer(coreCfg)
+	if err != nil {
+		return err
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	if meshOn {
+		node.SetBackend(cs)
 		go func() {
 			if err := meshConn.Serve(node); err != nil {
 				fmt.Fprintln(os.Stderr, "dnscache: mesh:", err)

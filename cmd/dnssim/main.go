@@ -22,8 +22,12 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, id := range experiments.ExperimentIDs() {
-			fmt.Println(id)
+		for _, e := range experiments.Experiments() {
+			if e.Frozen {
+				fmt.Println(e.ID)
+			} else {
+				fmt.Printf("%s\t(by id only: not part of -exp all)\n", e.ID)
+			}
 		}
 		return
 	}
@@ -42,7 +46,12 @@ func main() {
 
 	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
-		ids = experiments.ExperimentIDs()
+		ids = nil
+		for _, e := range experiments.Experiments() {
+			if e.Frozen {
+				ids = append(ids, e.ID)
+			}
+		}
 	}
 	for _, id := range ids {
 		t0 := time.Now()

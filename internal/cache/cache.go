@@ -182,6 +182,19 @@ type Stats struct {
 	ApproxBytes int
 }
 
+// Add returns the field-wise sum of s and o: the occupancy of two caches
+// taken together. It lives next to the type so that a new field is added
+// here too (TestStatsAddSumsEveryField fails otherwise).
+func (s Stats) Add(o Stats) Stats {
+	s.Entries += o.Entries
+	s.Records += o.Records
+	s.Zones += o.Zones
+	s.InfraEntries += o.InfraEntries
+	s.StaleEntries += o.StaleEntries
+	s.ApproxBytes += o.ApproxBytes
+	return s
+}
+
 // Cache is an RRset cache, safe for concurrent use (see the package
 // comment for the sharding scheme).
 type Cache struct {

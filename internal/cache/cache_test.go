@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -493,5 +494,23 @@ func TestUnboundedByDefault(t *testing.T) {
 	}
 	if c.Len() != 500 {
 		t.Errorf("Len = %d, want 500", c.Len())
+	}
+}
+
+// TestStatsAddSumsEveryField fills every field of two Stats with distinct
+// values by reflection, so a field added to the type and forgotten in Add
+// fails here.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var a, b Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetInt(int64(i + 1))
+		vb.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	sum := reflect.ValueOf(a.Add(b))
+	for i := 0; i < sum.NumField(); i++ {
+		if got, want := sum.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("Add: %s = %d, want %d", sum.Type().Field(i).Name, got, want)
+		}
 	}
 }

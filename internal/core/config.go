@@ -131,19 +131,29 @@ type Config struct {
 	// never sets it, keeping its runs deterministic and overhead-free.
 	TraceSink resolve.Sink
 
-	// RenewalOwner, when set, is consulted before the renewal scheduler
-	// spends a credit on a zone: false defers the refetch (another
-	// fleet member owns the zone's renewal duty and its gossip will
-	// keep this cache warm). The mesh's rendezvous-hash ownership hangs
-	// off this hook; nil (the default, and always in the simulator's
-	// solo runs) renews everything locally.
-	RenewalOwner func(zone dnswire.Name) bool
-	// OnRenewed fires after a successful renewal refetch has been
-	// ingested and extended, so the mesh can gossip the refreshed IRR
-	// set to peers. Called from the renewal loop's goroutine.
-	OnRenewed func(zone dnswire.Name)
-	// PeerFetch is the mesh's last-resort fallback, consulted only
-	// after a resolution has failed every live and stale path (see
-	// resolve.Hooks.PeerFetch). Nil disables it.
-	PeerFetch func(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) *Result
+	// Fleet joins the server to a cooperative resolver mesh (see Fleet).
+	// Nil, the default and always so in the simulator's solo runs, renews
+	// everything locally and never asks a peer.
+	Fleet Fleet
+}
+
+// Fleet is what a caching server asks of the mesh it is a member of;
+// *mesh.Node satisfies it as it stands, so core does not import mesh.
+// The node in turn needs the server as its Backend: build the node first
+// without one, put it here, and hand the finished server to
+// Node.SetBackend before either serves traffic.
+type Fleet interface {
+	// OwnsRenewal is consulted before the renewal scheduler spends a
+	// credit on a zone: false defers the refetch, because another fleet
+	// member owns the zone's renewal duty and its gossip will keep this
+	// cache warm.
+	OwnsRenewal(zone dnswire.Name) bool
+	// GossipZone is called after a successful renewal refetch has been
+	// ingested and extended, from the renewal loop's goroutine, so one
+	// owner refetch warms the whole fleet.
+	GossipZone(zone dnswire.Name)
+	// PeerFetch is the last-resort fallback, consulted only after a
+	// resolution has failed every live and stale path (see
+	// resolve.Hooks.PeerFetch): a peer's cached answer, or nil.
+	PeerFetch(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) *dnswire.Message
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"resilientdns/internal/cache"
 	"resilientdns/internal/dnswire"
 )
@@ -12,6 +14,18 @@ import (
 //   - ZoneIRRMessage builds the IRR set an owner gossips after renewing;
 //   - IngestPeerIRRs validates and ingests a peer's gossiped set;
 //   - PeerAnswer serves a peer-fetch request from cached data only.
+//
+// The other direction, what the server asks of the mesh, is Config.Fleet.
+
+// peerFetch is the pipeline's PeerFetch hook when the server has a Fleet:
+// the peer's message becomes a cache-sourced Result.
+func (cs *CachingServer) peerFetch(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) *Result {
+	msg := cs.cfg.Fleet.PeerFetch(ctx, qname, qtype)
+	if msg == nil {
+		return nil
+	}
+	return &Result{RCode: msg.RCode, Answer: msg.Answer, Authority: msg.Authority, FromCache: true}
+}
 
 // ZoneIRRMessage packages the zone's cached infrastructure records — the
 // NS set plus the cached address records of the servers it names — as an

@@ -53,7 +53,7 @@ func (q *renewQueue) Pop() any {
 // never delivers still has room for a last-chance local renewal.
 func (cs *CachingServer) scheduleRenewal(zone dnswire.Name, expires time.Time) {
 	lead := renewLead
-	if cs.cfg.RenewalOwner != nil {
+	if cs.cfg.Fleet != nil {
 		lead = takeoverLead
 	}
 	cs.scheduleRenewalAt(zone, expires.Add(-lead))
@@ -136,12 +136,12 @@ func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, now t
 		return false // expired or evicted; nothing to renew
 	}
 	lead := renewLead
-	if own := cs.cfg.RenewalOwner; own != nil {
+	if fleet := cs.cfg.Fleet; fleet != nil {
 		// Fleet members act inside the takeover window, not at the
 		// solo renewLead instant: the owner renews at the window's
 		// edge so gossip lands with time to spare.
 		lead = takeoverLead
-		if !own(zone) && e.Expires.Sub(now) > lastChance {
+		if !fleet.OwnsRenewal(zone) && e.Expires.Sub(now) > lastChance {
 			// Another fleet member owns this zone's renewal duty:
 			// don't spend a credit — its gossiped refresh will extend
 			// our copy. Poll through the takeover window so a dead
@@ -204,10 +204,8 @@ func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, now t
 	if ne := cs.cache.Peek(zone, dnswire.TypeNS); ne != nil {
 		cs.scheduleRenewal(zone, ne.Expires)
 	}
-	if h := cs.cfg.OnRenewed; h != nil {
-		// Let the mesh gossip the refreshed IRR set: one owner refetch
-		// warms the whole fleet.
-		h(zone)
+	if fleet := cs.cfg.Fleet; fleet != nil {
+		fleet.GossipZone(zone)
 	}
 	return true
 }

@@ -97,8 +97,8 @@ func NewCachingServer(cfg Config) (*CachingServer, error) {
 	if cfg.Renewal != nil {
 		hooks.InfraCached = cs.scheduleRenewal
 	}
-	if cfg.PeerFetch != nil {
-		hooks.PeerFetch = cfg.PeerFetch
+	if cfg.Fleet != nil {
+		hooks.PeerFetch = cs.peerFetch
 	}
 	r, err := resolve.New(resolve.Config{
 		Transport:             cfg.Transport,

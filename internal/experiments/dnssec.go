@@ -14,11 +14,7 @@ func (s *Suite) signedTree() (*topology.Tree, error) {
 	if s.signed != nil {
 		return s.signed, nil
 	}
-	tp := topology.DefaultParams(s.cfg.Seed)
-	tp.NumTLDs = s.cfg.NumTLDs
-	tp.SLDsPerTLD = s.cfg.SLDsPerTLD
-	tp.Signed = true
-	t, err := topology.Generate(tp)
+	t, err := s.tree(func(tp *topology.Params) { tp.Signed = true })
 	if err != nil {
 		return nil, err
 	}

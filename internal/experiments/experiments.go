@@ -13,7 +13,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -89,19 +88,16 @@ type Suite struct {
 
 // NewSuite generates the shared topology and traces.
 func NewSuite(cfg Config) (*Suite, error) {
-	tp := topology.DefaultParams(cfg.Seed)
-	tp.NumTLDs = cfg.NumTLDs
-	tp.SLDsPerTLD = cfg.SLDsPerTLD
-	tree, err := topology.Generate(tp)
-	if err != nil {
-		return nil, err
-	}
 	s := &Suite{
 		cfg:       cfg,
-		baseTree:  tree,
 		longTrees: make(map[time.Duration]*topology.Tree),
 		memo:      make(map[string]*sim.Results),
 	}
+	tree, err := s.tree(nil)
+	if err != nil {
+		return nil, err
+	}
+	s.baseTree = tree
 	names := tree.QueryableNames()
 	for i := 1; i <= 5; i++ {
 		gp := workload.DefaultGenParams(fmt.Sprintf("TRC%d", i), cfg.Seed+int64(i)*1000, cfg.Epoch)
@@ -130,17 +126,25 @@ func (s *Suite) Traces() []workload.Trace { return s.traces }
 // MonthTrace returns the 30-day trace (TRC6).
 func (s *Suite) MonthTrace() workload.Trace { return s.month }
 
+// tree generates the suite's hierarchy — the configured seed and size —
+// after vary (nil for the base tree) has changed what one variant changes.
+func (s *Suite) tree(vary func(*topology.Params)) (*topology.Tree, error) {
+	tp := topology.DefaultParams(s.cfg.Seed)
+	tp.NumTLDs = s.cfg.NumTLDs
+	tp.SLDsPerTLD = s.cfg.SLDsPerTLD
+	if vary != nil {
+		vary(&tp)
+	}
+	return topology.Generate(tp)
+}
+
 // longTree returns (generating on demand) the hierarchy with every zone's
 // IRR TTL forced to ttl — the long-TTL scheme as deployed by operators.
 func (s *Suite) longTree(ttl time.Duration) (*topology.Tree, error) {
 	if t, ok := s.longTrees[ttl]; ok {
 		return t, nil
 	}
-	tp := topology.DefaultParams(s.cfg.Seed)
-	tp.NumTLDs = s.cfg.NumTLDs
-	tp.SLDsPerTLD = s.cfg.SLDsPerTLD
-	tp.IRRTTLOverride = ttl
-	t, err := topology.Generate(tp)
+	t, err := s.tree(func(tp *topology.Params) { tp.IRRTTLOverride = ttl })
 	if err != nil {
 		return nil, err
 	}
@@ -157,6 +161,12 @@ func (s *Suite) attackFor(tree *topology.Tree, dur time.Duration) attack.Schedul
 	return attack.RootAndTLDs(start, dur, tree.AllZoneNames())
 }
 
+// scenario is tr replayed over tree under the day-seven blackout of
+// length dur, the setting every experiment but maxdamage varies from.
+func (s *Suite) scenario(tree *topology.Tree, tr workload.Trace, scheme sim.Scheme, dur time.Duration) sim.Scenario {
+	return sim.Scenario{Tree: tree, Trace: tr, Attack: s.attackFor(tree, dur), Scheme: scheme, Seed: s.cfg.Seed}
+}
+
 // runKey builds the memoisation key.
 func runKey(treeTag string, trace string, scheme sim.Scheme, dur, sample time.Duration, noChild bool) string {
 	return fmt.Sprintf("%s|%s|%s|%v|%v|%v", treeTag, trace, scheme.Name, dur, sample, noChild)
@@ -168,15 +178,9 @@ func (s *Suite) run(tree *topology.Tree, treeTag string, tr workload.Trace, sche
 	if r, ok := s.memo[key]; ok {
 		return r, nil
 	}
-	r, err := sim.Run(sim.Scenario{
-		Tree:        tree,
-		Trace:       tr,
-		Attack:      s.attackFor(tree, dur),
-		Scheme:      scheme,
-		SampleEvery: sample,
-		Seed:        s.cfg.Seed,
-		NoChildIRRs: noChild,
-	})
+	sc := s.scenario(tree, tr, scheme, dur)
+	sc.SampleEvery, sc.NoChildIRRs = sample, noChild
+	r, err := sim.Run(sc)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", key, err)
 	}
@@ -224,54 +228,53 @@ func (t *Table) String() string {
 // pct renders a fraction as a percentage cell.
 func pct(frac float64) string { return fmt.Sprintf("%.2f%%", 100*frac) }
 
-// Registry maps experiment ids to their runners.
-func (s *Suite) Registry() map[string]func() (*Table, error) {
-	return map[string]func() (*Table, error){
-		"table1":            s.Table1,
-		"fig3":              s.Fig3,
-		"fig4":              s.Fig4,
-		"fig5":              s.Fig5,
-		"fig6":              s.Fig6,
-		"fig7":              s.Fig7,
-		"fig8":              s.Fig8,
-		"fig9":              s.Fig9,
-		"fig10":             s.Fig10,
-		"fig11":             s.Fig11,
-		"table2":            s.Table2,
-		"fig12":             s.Fig12,
-		"ablation-childirr": s.AblationChildIRRs,
-		"ablation-refresh":  s.AblationRenewalWithoutRefresh,
-		"ablation-negcache": s.AblationNegativeCache,
-		"maxdamage":         s.MaxDamage,
-		"dnssec":            s.DNSSECExtension,
-		"partition":         s.Partition,
-		"servestale":        s.ServeStaleBaseline,
-		// "restart" and "mesh" are runnable by id but intentionally
-		// absent from ExperimentIDs(): they post-date the frozen
-		// results_full.txt.
-		"restart": s.Restart,
-		"mesh":    s.Mesh,
-	}
+// Experiment is one row of the suite's experiment table.
+type Experiment struct {
+	ID string
+	// Frozen marks the experiments whose output is results_full.txt:
+	// `dnssim -exp all` runs exactly these, in table order. The others
+	// post-date that file and run by id only.
+	Frozen bool
+	run    func(*Suite) (*Table, error)
 }
 
-// ExperimentIDs lists the registered experiments in canonical order.
-func ExperimentIDs() []string {
-	ids := []string{
-		"table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"fig10", "fig11", "table2", "fig12",
-		"ablation-childirr", "ablation-refresh", "ablation-negcache", "maxdamage",
-		"dnssec", "partition", "servestale",
-	}
-	return ids
+// experiments is the one list of experiment ids: Run, `-exp all`, `-list`
+// and the unknown-id message all read it.
+var experiments = []Experiment{
+	{"table1", true, (*Suite).Table1},
+	{"fig3", true, (*Suite).Fig3},
+	{"fig4", true, (*Suite).Fig4},
+	{"fig5", true, (*Suite).Fig5},
+	{"fig6", true, (*Suite).Fig6},
+	{"fig7", true, (*Suite).Fig7},
+	{"fig8", true, (*Suite).Fig8},
+	{"fig9", true, (*Suite).Fig9},
+	{"fig10", true, (*Suite).Fig10},
+	{"fig11", true, (*Suite).Fig11},
+	{"table2", true, (*Suite).Table2},
+	{"fig12", true, (*Suite).Fig12},
+	{"ablation-childirr", true, (*Suite).AblationChildIRRs},
+	{"ablation-refresh", true, (*Suite).AblationRenewalWithoutRefresh},
+	{"ablation-negcache", true, (*Suite).AblationNegativeCache},
+	{"maxdamage", true, (*Suite).MaxDamage},
+	{"dnssec", true, (*Suite).DNSSECExtension},
+	{"partition", true, (*Suite).Partition},
+	{"servestale", true, (*Suite).ServeStaleBaseline},
+	{"restart", false, (*Suite).Restart},
+	{"mesh", false, (*Suite).Mesh},
 }
+
+// Experiments lists every experiment in canonical order.
+func Experiments() []Experiment { return append([]Experiment(nil), experiments...) }
 
 // Run executes one experiment by id.
 func (s *Suite) Run(id string) (*Table, error) {
-	fn, ok := s.Registry()[id]
-	if !ok {
-		known := ExperimentIDs()
-		sort.Strings(known)
-		return nil, fmt.Errorf("experiments: unknown id %q (known: %s)", id, strings.Join(known, ", "))
+	known := make([]string, len(experiments))
+	for i, e := range experiments {
+		if e.ID == id {
+			return e.run(s)
+		}
+		known[i] = e.ID
 	}
-	return fn()
+	return nil, fmt.Errorf("experiments: unknown id %q (known: %s)", id, strings.Join(known, ", "))
 }

@@ -1,13 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"resilientdns/internal/core"
-	"resilientdns/internal/dnswire"
 	"resilientdns/internal/mesh"
+	"resilientdns/internal/sim"
 	"resilientdns/internal/simclock"
 	"resilientdns/internal/simnet"
 	"resilientdns/internal/workload"
@@ -27,9 +26,8 @@ import (
 // three caches warm and peer fetch recovers answers a member never
 // cached itself.
 //
-// Registered as "mesh" but deliberately absent from ExperimentIDs(): it
-// post-dates the frozen results_full.txt, so `dnssim -exp all` output
-// stays byte-identical.
+// It post-dates the frozen results_full.txt, so its row in the experiment
+// table is not marked frozen and `dnssim -exp all` leaves it out.
 func (s *Suite) Mesh() (*Table, error) {
 	const attackDur = 24 * time.Hour
 	tr := s.traces[0]
@@ -55,154 +53,81 @@ func (s *Suite) Mesh() (*Table, error) {
 		},
 	}
 	for _, v := range variants {
-		out, err := s.runMeshFleet(tr, attackDur, v.n, v.withMesh)
+		res, err := s.runMeshFleet(tr, attackDur, v.n, v.withMesh)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: mesh: %w", err)
 		}
 		t.Rows = append(t.Rows, []string{
 			v.label,
-			pct(ratio(out.attackFail, out.attackQueries)),
-			fmt.Sprintf("%d", out.renewalQueries),
-			fmt.Sprintf("%d", out.renewalDeferred),
-			fmt.Sprintf("%d", out.peerFetchAnswered),
+			pct(res.SRFailRate()),
+			fmt.Sprintf("%d", res.ServerStats.RenewalQueries),
+			fmt.Sprintf("%d", res.ServerStats.RenewalDeferred),
+			fmt.Sprintf("%d", res.ServerStats.PeerFetchAnswered),
 		})
 	}
 	return t, nil
 }
 
-// meshOutcome aggregates one fleet variant's run.
-type meshOutcome struct {
-	attackQueries, attackFail uint64
-	renewalQueries            uint64
-	renewalDeferred           uint64
-	peerFetchAnswered         uint64
-}
-
 // runMeshFleet replays tr against n caching servers (clients sharded by
 // client id), optionally joined into a cooperative mesh over the
 // deterministic MeshNet fabric sharing the trace's virtual clock.
-func (s *Suite) runMeshFleet(tr workload.Trace, attackDur time.Duration, n int, withMesh bool) (meshOutcome, error) {
-	var out meshOutcome
+func (s *Suite) runMeshFleet(tr workload.Trace, attackDur time.Duration, n int, withMesh bool) (*sim.Results, error) {
 	clk := simclock.NewVirtual(tr.Start)
-	net := simnet.New(clk, s.cfg.Seed)
-	net.RTT = 0
-	net.Timeout = 0
-	s.baseTree.InstallOpt(net, true)
-	sched := s.attackFor(s.baseTree, attackDur)
-	net.SetAttack(sched)
-
 	mnet := simnet.NewMeshNet(clk)
 	mnet.RTT = 0
 	mnet.Timeout = 0
 
-	type member struct {
-		cs   *core.CachingServer
-		node *mesh.Node
-	}
-	var addrs []string
-	for i := 0; i < n; i++ {
-		addrs = append(addrs, fmt.Sprintf("10.9.0.%d:7946", i+1))
-	}
-	members := make([]*member, n)
-	for i := 0; i < n; i++ {
-		m := &member{}
-		cfg := core.Config{
-			Transport:  net,
-			Clock:      clk,
-			RootHints:  s.baseTree.RootHints,
-			RefreshTTL: true,
-			Renewal:    core.ALFU{C: 5, MaxDays: core.DefaultLFUMax(5)},
-		}
-		if withMesh {
-			mm := m
-			cfg.RenewalOwner = func(zone dnswire.Name) bool { return mm.node.OwnsRenewal(zone) }
-			cfg.OnRenewed = func(zone dnswire.Name) { mm.node.GossipZone(zone) }
-			cfg.PeerFetch = func(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) *core.Result {
-				msg := mm.node.PeerFetch(ctx, qname, qtype)
-				if msg == nil {
-					return nil
-				}
-				return &core.Result{RCode: msg.RCode, Answer: msg.Answer, Authority: msg.Authority, FromCache: true}
+	var nodes []*mesh.Node
+	for i := 0; withMesh && i < n; i++ {
+		self := meshAddr(i)
+		var peers []string
+		for j := 0; j < n; j++ {
+			if j != i {
+				peers = append(peers, meshAddr(j))
 			}
 		}
-		cs, err := core.NewCachingServer(cfg)
+		node, err := mesh.NewNode(mesh.Config{
+			Self:         self,
+			Key:          []byte("experiment-fleet-key"),
+			Peers:        peers,
+			Transport:    mnet.Bind(self),
+			Clock:        clk,
+			OwnerRenewal: true,
+		})
 		if err != nil {
-			return out, fmt.Errorf("experiments: mesh: %w", err)
+			return nil, err
 		}
-		m.cs = cs
+		mnet.Register(self, node.HandleFrame)
+		nodes = append(nodes, node)
+	}
+
+	scheme := sim.RefreshRenew(core.ALFU{C: 5, MaxDays: core.DefaultLFUMax(5)})
+	f, err := sim.NewFleet(clk, s.scenario(s.baseTree, tr, scheme, attackDur), n, func(i int, cfg *core.Config) {
 		if withMesh {
-			var peers []string
-			for _, a := range addrs {
-				if a != addrs[i] {
-					peers = append(peers, a)
-				}
-			}
-			node, err := mesh.NewNode(mesh.Config{
-				Self:         addrs[i],
-				Key:          []byte("experiment-fleet-key"),
-				Peers:        peers,
-				Transport:    mnet.Bind(addrs[i]),
-				Clock:        clk,
-				Backend:      cs,
-				OwnerRenewal: true,
-			})
-			if err != nil {
-				return out, fmt.Errorf("experiments: mesh: %w", err)
-			}
-			m.node = node
-			mnet.Register(addrs[i], node.HandleFrame)
+			cfg.Fleet = nodes[i]
 		}
-		members[i] = m
+	})
+	if err != nil {
+		return nil, err
 	}
 	if withMesh {
-		// One synchronous probe round confirms the full mesh before any
-		// traffic flows; MeshNet RTT is zero so no virtual time passes.
-		for _, m := range members {
-			m.node.Tick(clk.Now())
+		for i, node := range nodes {
+			node.SetBackend(f.Servers[i])
+		}
+		// Probe rounds keep failure detection current at every renewal
+		// instant; one up front confirms the full mesh before any traffic
+		// flows (MeshNet RTT is zero, so no virtual time passes).
+		f.PreRenew = func(i int, now time.Time) { nodes[i].Tick(now) }
+		for i := range nodes {
+			f.PreRenew(i, clk.Now())
 		}
 	}
 
-	ctx := context.Background()
 	for _, q := range tr.Queries {
-		// Renewals due on any member before this query fire at their
-		// exact instants, fleet-wide and in global time order, with mesh
-		// probe rounds keeping failure detection current.
-		for {
-			var next time.Time
-			any := false
-			for _, m := range members {
-				if due, ok := m.cs.NextRenewalDue(); ok && !due.After(q.At) && (!any || due.Before(next)) {
-					next, any = due, true
-				}
-			}
-			if !any {
-				break
-			}
-			if next.After(clk.Now()) {
-				clk.AdvanceTo(next)
-			}
-			for _, m := range members {
-				if m.node != nil {
-					m.node.Tick(clk.Now())
-				}
-				m.cs.ProcessDueRenewals(ctx, clk.Now())
-			}
-		}
-		clk.AdvanceTo(q.At)
-		cs := members[q.Client%n].cs
-		_, err := cs.Resolve(ctx, q.Name, q.Type)
-		if sched.Active(q.At) {
-			out.attackQueries++
-			if err != nil {
-				out.attackFail++
-			}
-		}
+		f.Resolve(q)
 	}
-	for _, m := range members {
-		st := m.cs.Stats()
-		out.renewalQueries += st.RenewalQueries
-		out.renewalDeferred += st.RenewalDeferred
-		out.peerFetchAnswered += st.PeerFetchAnswered
-	}
-	return out, nil
+	return f.Finish(), nil
 }
+
+// meshAddr is fleet member i's address on the MeshNet fabric.
+func meshAddr(i int) string { return fmt.Sprintf("10.9.0.%d:7946", i+1) }

@@ -32,13 +32,7 @@ func (s *Suite) Partition() (*Table, error) {
 	for _, scheme := range []sim.Scheme{sim.Vanilla(), sim.Refresh()} {
 		row := []string{scheme.Name}
 		for _, k := range partitionCounts {
-			res, err := sim.RunPartitioned(sim.Scenario{
-				Tree:   s.baseTree,
-				Trace:  tr,
-				Attack: s.attackFor(s.baseTree, dur),
-				Scheme: scheme,
-				Seed:   s.cfg.Seed,
-			}, k)
+			res, err := sim.RunPartitioned(s.scenario(s.baseTree, tr, scheme, dur), k)
 			if err != nil {
 				return nil, err
 			}

@@ -1,16 +1,15 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"time"
 
 	"resilientdns/internal/core"
+	"resilientdns/internal/metrics"
 	"resilientdns/internal/persist"
 	"resilientdns/internal/sim"
 	"resilientdns/internal/simclock"
-	"resilientdns/internal/simnet"
 	"resilientdns/internal/workload"
 )
 
@@ -26,9 +25,8 @@ import (
 //     the restored cache (plus renewal credit and upstream state) holds
 //     the defended failure rate through the rest of the blackout.
 //
-// The experiment runs its own replay loop so the shared simulator stays
-// untouched; it is registered as "restart" but deliberately left out of
-// ExperimentIDs(), keeping `dnssim -exp all` output byte-identical.
+// It post-dates the frozen results_full.txt, so its row in the experiment
+// table is not marked frozen and `dnssim -exp all` leaves it out.
 func (s *Suite) Restart() (*Table, error) {
 	const attackDur = 24 * time.Hour
 	killAt := s.cfg.Epoch.Add(6*24*time.Hour + 6*time.Hour) // six hours into the blackout
@@ -48,8 +46,8 @@ func (s *Suite) Restart() (*Table, error) {
 	}
 
 	t := &Table{
-		ID:    "restart",
-		Title: fmt.Sprintf("Failed queries when the caching server is killed %v into a %v root+TLD blackout (%s)", 6*time.Hour, attackDur, tr.Label),
+		ID:      "restart",
+		Title:   fmt.Sprintf("Failed queries when the caching server is killed %v into a %v root+TLD blackout (%s)", 6*time.Hour, attackDur, tr.Label),
 		Columns: []string{"scheme", "attack fail % before kill", "attack fail % after restart", "replayed entries"},
 		Notes: []string{
 			"warm restart should hold the defended (near-zero) failure rate after the kill",
@@ -59,12 +57,12 @@ func (s *Suite) Restart() (*Table, error) {
 	for _, v := range variants {
 		out, err := s.runRestart(tr, v.scheme, attackDur, killAt, v.warm)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: restart: %w", err)
 		}
 		t.Rows = append(t.Rows, []string{
 			v.label,
-			pct(ratio(out.preFail, out.preQueries)),
-			pct(ratio(out.postFail, out.postQueries)),
+			pct(metrics.Ratio(out.preFail, out.preQueries)),
+			pct(metrics.Ratio(out.postFail, out.postQueries)),
 			fmt.Sprintf("%d", out.replayed),
 		})
 	}
@@ -79,25 +77,12 @@ type restartOutcome struct {
 	replayed              int
 }
 
-func ratio(num, den uint64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
-}
-
-// runRestart replays tr against one caching server until killAt, replaces
-// the server (warm restarts recover it from a persist store written on the
-// virtual clock), and finishes the trace on the replacement.
+// runRestart replays tr against a one-server fleet until killAt, crashes
+// the server (warm restarts recover the replacement from a persist store
+// written on the virtual clock), and finishes the trace on the replacement.
 func (s *Suite) runRestart(tr workload.Trace, scheme sim.Scheme, attackDur time.Duration, killAt time.Time, warm bool) (restartOutcome, error) {
 	var out restartOutcome
 	clk := simclock.NewVirtual(tr.Start)
-	net := simnet.New(clk, s.cfg.Seed)
-	net.RTT = 0
-	net.Timeout = 0
-	s.baseTree.InstallOpt(net, true)
-	sched := s.attackFor(s.baseTree, attackDur)
-	net.SetAttack(sched)
 
 	var store *persist.Store
 	var dir string
@@ -105,37 +90,23 @@ func (s *Suite) runRestart(tr workload.Trace, scheme sim.Scheme, attackDur time.
 		var err error
 		dir, err = os.MkdirTemp("", "restart-exp-")
 		if err != nil {
-			return out, fmt.Errorf("experiments: restart: %w", err)
+			return out, err
 		}
 		defer os.RemoveAll(dir)
 		store, err = persist.Open(persist.Options{Dir: dir, Clock: clk})
 		if err != nil {
-			return out, fmt.Errorf("experiments: restart: %w", err)
+			return out, err
 		}
 	}
-
-	newServer := func() (*core.CachingServer, error) {
-		cfg := core.Config{
-			Transport:   net,
-			Clock:       clk,
-			RootHints:   s.baseTree.RootHints,
-			RefreshTTL:  scheme.RefreshTTL,
-			Renewal:     scheme.Renewal,
-			MaxTTL:      scheme.MaxTTL,
-			NegativeTTL: scheme.NegativeTTL,
-			ServeStale:  scheme.ServeStale,
-		}
+	f, err := sim.NewFleet(clk, s.scenario(s.baseTree, tr, scheme, attackDur), 1, func(_ int, cfg *core.Config) {
 		if store != nil {
 			cfg.OnCacheChange = store.Observe
 		}
-		return core.NewCachingServer(cfg)
-	}
-	cs, err := newServer()
+	})
 	if err != nil {
-		return out, fmt.Errorf("experiments: restart: %w", err)
+		return out, err
 	}
 
-	ctx := context.Background()
 	killed := false
 	// checkpointAt stands in for the periodic snapshot schedule: the last
 	// full snapshot before the crash lands at the blackout's onset, so the
@@ -144,70 +115,52 @@ func (s *Suite) runRestart(tr workload.Trace, scheme sim.Scheme, attackDur time.
 	checkpointed := false
 
 	for _, q := range tr.Queries {
-		// Renewals due before this query fire at their exact instants.
-		for {
-			due, ok := cs.NextRenewalDue()
-			if !ok || due.After(q.At) {
-				break
-			}
-			clk.AdvanceTo(due)
-			cs.ProcessDueRenewals(ctx, clk.Now())
-		}
+		// Frozen order: the renewals due by the query run first, on the
+		// server that is up at the time, then the checkpoint and the
+		// crash due by it, each at its own instant or the last renewal's.
+		f.RenewTo(q.At)
 		if store != nil && !checkpointed && !q.At.Before(checkpointAt) {
 			clk.AdvanceTo(checkpointAt)
-			if err := store.Checkpoint(cs); err != nil {
-				return out, fmt.Errorf("experiments: restart: %w", err)
+			if err := store.Checkpoint(f.Servers[0]); err != nil {
+				return out, err
 			}
 			checkpointed = true
 		}
 		if !killed && !q.At.Before(killAt) {
 			clk.AdvanceTo(killAt)
 			killed = true
+			out.preQueries, out.preFail = f.Res.SRQueriesAttack, f.Res.SRFailedAttack
 			// The crash: the old process vanishes mid-journal. Deltas the
 			// flush ticker had already written survive; nothing is
 			// checkpointed cleanly.
 			if store != nil {
 				if err := store.FlushJournal(); err != nil {
-					return out, fmt.Errorf("experiments: restart: %w", err)
+					return out, err
 				}
 				if err := store.Close(); err != nil {
-					return out, fmt.Errorf("experiments: restart: %w", err)
+					return out, err
 				}
-				store, err = persist.Open(persist.Options{Dir: dir, Clock: clk})
-				if err != nil {
-					return out, fmt.Errorf("experiments: restart: %w", err)
+				if store, err = persist.Open(persist.Options{Dir: dir, Clock: clk}); err != nil {
+					return out, err
 				}
 			}
-			cs, err = newServer()
-			if err != nil {
-				return out, fmt.Errorf("experiments: restart: %w", err)
+			if err := f.Restart(0); err != nil {
+				return out, err
 			}
 			if store != nil {
-				rep, err := store.Recover(cs)
+				rep, err := store.Recover(f.Servers[0])
 				if err != nil {
-					return out, fmt.Errorf("experiments: restart: %w", err)
+					return out, err
 				}
 				out.replayed = rep.Replayed
 			}
 		}
-		clk.AdvanceTo(q.At)
-		_, err := cs.Resolve(ctx, q.Name, q.Type)
-		if sched.Active(q.At) {
-			if killed {
-				out.postQueries++
-				if err != nil {
-					out.postFail++
-				}
-			} else {
-				out.preQueries++
-				if err != nil {
-					out.preFail++
-				}
-			}
-		}
+		f.Resolve(q)
 	}
 	if store != nil {
 		store.Close()
 	}
+	out.postQueries = f.Res.SRQueriesAttack - out.preQueries
+	out.postFail = f.Res.SRFailedAttack - out.preFail
 	return out, nil
 }

@@ -16,6 +16,7 @@ import (
 	"resilientdns/internal/attack"
 	"resilientdns/internal/core"
 	"resilientdns/internal/dnswire"
+	"resilientdns/internal/sim"
 	"resilientdns/internal/simclock"
 	"resilientdns/internal/simnet"
 	"resilientdns/internal/topology"
@@ -31,6 +32,7 @@ type fleetMember struct {
 
 type fleet struct {
 	t       *testing.T
+	sim     *sim.Fleet
 	clk     *simclock.Virtual
 	dnet    *simnet.Network
 	mnet    *simnet.MeshNet
@@ -38,17 +40,13 @@ type fleet struct {
 	members []*fleetMember
 }
 
-// newFleet builds n caching servers on a shared DNS simnet and, when
+// newFleet builds n caching servers on a shared DNS simnet — a sim.Fleet,
+// the same driver the experiment suite replays traces with — and, when
 // withMesh is set, joins them into one mesh over a zero-latency MeshNet.
 // The hierarchy is small but spans every TTL bucket, so renewal cycles
 // of several lengths fall inside a short virtual horizon.
 func newFleet(t *testing.T, n int, withMesh bool) *fleet {
 	t.Helper()
-	clk := simclock.NewVirtual(fleetEpoch)
-	dnet := simnet.New(clk, 7)
-	dnet.RTT = 0
-	dnet.Timeout = 0
-
 	params := topology.DefaultParams(7)
 	params.NumTLDs = 3
 	params.SLDsPerTLD = 5
@@ -56,70 +54,63 @@ func newFleet(t *testing.T, n int, withMesh bool) *fleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree.InstallOpt(dnet, true)
 
+	clk := simclock.NewVirtual(fleetEpoch)
 	mnet := simnet.NewMeshNet(clk)
 	mnet.RTT = 0
 	mnet.Timeout = 0
 
-	var addrs []string
+	f := &fleet{t: t, clk: clk, mnet: mnet, tree: tree}
 	for i := 0; i < n; i++ {
-		addrs = append(addrs, fmt.Sprintf("10.9.0.%d:7946", i+1))
+		f.members = append(f.members, &fleetMember{addr: fmt.Sprintf("10.9.0.%d:7946", i+1)})
 	}
-
-	f := &fleet{t: t, clk: clk, dnet: dnet, mnet: mnet, tree: tree}
-	for i := 0; i < n; i++ {
-		m := &fleetMember{addr: addrs[i]}
-		cfg := core.Config{
-			Transport:  dnet,
-			Clock:      clk,
-			RootHints:  tree.RootHints,
-			RefreshTTL: true,
-			Renewal:    core.ALFU{C: 5, MaxDays: core.DefaultLFUMax(5)},
+	for i, m := range f.members {
+		if !withMesh {
+			break
 		}
-		if withMesh {
-			// Same closure-over-late-bound-node wiring as cmd/dnscache:
-			// the node is created right below, before any resolution or
-			// renewal can run.
-			mm := m
-			cfg.RenewalOwner = func(zone dnswire.Name) bool { return mm.node.OwnsRenewal(zone) }
-			cfg.OnRenewed = func(zone dnswire.Name) { mm.node.GossipZone(zone) }
-			cfg.PeerFetch = func(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) *core.Result {
-				msg := mm.node.PeerFetch(ctx, qname, qtype)
-				if msg == nil {
-					return nil
-				}
-				return &core.Result{RCode: msg.RCode, Answer: msg.Answer, Authority: msg.Authority, FromCache: true}
+		var peers []string
+		for j, o := range f.members {
+			if j != i {
+				peers = append(peers, o.addr)
 			}
 		}
-		cs, err := core.NewCachingServer(cfg)
+		// The node comes first, without a backend, as in cmd/dnscache: it
+		// is the server's Config.Fleet, and is bound to the server below.
+		m.node, err = NewNode(Config{
+			Self:         m.addr,
+			Key:          testKey,
+			Peers:        peers,
+			Transport:    mnet.Bind(m.addr),
+			Clock:        clk,
+			OwnerRenewal: true,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.cs = cs
+		mnet.Register(m.addr, m.node.HandleFrame)
+	}
+
+	f.sim, err = sim.NewFleet(clk, sim.Scenario{
+		Tree:   tree,
+		Scheme: sim.RefreshRenew(core.ALFU{C: 5, MaxDays: core.DefaultLFUMax(5)}),
+		Seed:   7,
+	}, n, func(i int, cfg *core.Config) {
 		if withMesh {
-			var peers []string
-			for _, a := range addrs {
-				if a != addrs[i] {
-					peers = append(peers, a)
-				}
-			}
-			node, err := NewNode(Config{
-				Self:         addrs[i],
-				Key:          testKey,
-				Peers:        peers,
-				Transport:    mnet.Bind(addrs[i]),
-				Clock:        clk,
-				Backend:      cs,
-				OwnerRenewal: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.node = node
-			mnet.Register(addrs[i], node.HandleFrame)
+			cfg.Fleet = f.members[i].node
 		}
-		f.members = append(f.members, m)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.dnet = f.sim.Net
+	for i, m := range f.members {
+		m.cs = f.sim.Servers[i]
+		if withMesh {
+			m.node.SetBackend(m.cs)
+		}
+	}
+	if withMesh {
+		f.sim.PreRenew = func(i int, now time.Time) { f.members[i].node.Tick(now) }
 	}
 	return f
 }
@@ -188,37 +179,10 @@ func (f *fleet) warm(targets []topology.TargetName, members ...*fleetMember) {
 	}
 }
 
-// drain fires every member's renewals at their exact virtual instants
-// until none is due before horizon, interleaving mesh probe rounds so
-// failure detection keeps pace with virtual time. This is the fleet
-// version of the experiment suite's replay loop.
-func (f *fleet) drain(horizon time.Time) {
-	ctx := context.Background()
-	for {
-		var next time.Time
-		any := false
-		for _, m := range f.members {
-			if due, ok := m.cs.NextRenewalDue(); ok && due.Before(horizon) && (!any || due.Before(next)) {
-				next, any = due, true
-			}
-		}
-		if !any {
-			break
-		}
-		if next.After(f.clk.Now()) {
-			f.clk.AdvanceTo(next)
-		}
-		for _, m := range f.members {
-			if m.node != nil {
-				m.node.Tick(f.clk.Now())
-			}
-			m.cs.ProcessDueRenewals(ctx, f.clk.Now())
-		}
-	}
-	if horizon.After(f.clk.Now()) {
-		f.clk.AdvanceTo(horizon)
-	}
-}
+// drain fires every member's renewals at their exact virtual instants up
+// to horizon, with a mesh probe round before each so failure detection
+// keeps pace with virtual time.
+func (f *fleet) drain(horizon time.Time) { f.sim.AdvanceTo(horizon) }
 
 func (f *fleet) renewalQueries() uint64 {
 	var sum uint64

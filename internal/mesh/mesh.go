@@ -71,7 +71,9 @@ type Config struct {
 	Transport Transport
 	// Clock is the time source (virtual in tests/experiments).
 	Clock simclock.Clock
-	// Backend is the caching-server integration surface.
+	// Backend is the caching-server integration surface. A node that is
+	// its server's core.Config.Fleet has to exist before the server does:
+	// leave this nil and bind the server with SetBackend.
 	Backend Backend
 	// OwnerRenewal enables renewal-ownership deduplication: when set,
 	// OwnsRenewal defers zones owned by another live peer.
@@ -195,6 +197,10 @@ func newCookie() uint64 {
 
 // Self returns the node's canonical mesh address.
 func (n *Node) Self() string { return n.cfg.Self }
+
+// SetBackend binds the caching server the node serves. Call it before the
+// node handles a frame or the server a query; it is not synchronised.
+func (n *Node) SetBackend(b Backend) { n.cfg.Backend = b }
 
 // --- inbound path ---
 
@@ -494,7 +500,7 @@ func (n *Node) probe(addr string, now time.Time) {
 }
 
 // GossipZone pushes the zone's current IRR set to every live peer.
-// Core calls it (via the OnRenewed hook) after a successful renewal
+// Core calls it (through core.Config.Fleet) after a successful renewal
 // refetch, so one owner's upstream query warms the whole fleet.
 func (n *Node) GossipZone(zone dnswire.Name) {
 	if n.cfg.Backend == nil {

@@ -64,6 +64,12 @@ type Options struct {
 //
 // Observe is safe to hand to the cache before Recover runs: deltas only
 // buffer in memory until the first checkpoint creates a journal.
+//
+// On the simulator's virtual clock the second line is sim.NewFleet's
+// per-server hook, func(_ int, cfg *core.Config) { cfg.OnCacheChange =
+// st.Observe }, with Options.Clock the fleet's clock. Fleet.Restart runs
+// the hook again for the replacement server, so reopen the store first,
+// then Restart, then Recover (the restart experiment does exactly this).
 type Store struct {
 	dir        string
 	clock      simclock.Clock

@@ -1,23 +1,23 @@
 // Package sim is the trace-driven simulation driver: it wires a generated
-// topology, a query trace, an attack schedule, and one configured caching
-// server together over a virtual clock, replays the trace, and collects
-// the measurements the paper reports — failed-query percentages at the
-// stub-resolver and caching-server levels, message counts, IRR expiry
-// gaps, and cache-occupancy series.
+// topology, a query trace, an attack schedule, and one or more configured
+// caching servers together over a virtual clock, replays the trace, and
+// collects the measurements the paper reports — failed-query percentages
+// at the stub-resolver and caching-server levels, message counts, IRR
+// expiry gaps, and cache-occupancy series.
+//
+// Fleet is the only virtual-time driver in the tree: every replay — Run,
+// the restart and mesh experiments, the mesh fleet tests — is a loop over
+// its AdvanceTo, Resolve and Restart.
 package sim
 
 import (
-	"context"
-	"fmt"
 	"time"
 
 	"resilientdns/internal/attack"
 	"resilientdns/internal/cache"
 	"resilientdns/internal/core"
-	"resilientdns/internal/dnswire"
 	"resilientdns/internal/metrics"
 	"resilientdns/internal/simclock"
-	"resilientdns/internal/simnet"
 	"resilientdns/internal/topology"
 	"resilientdns/internal/workload"
 )
@@ -40,7 +40,11 @@ type Scheme struct {
 	// ServeStale enables the Ballani & Francis stale-record baseline with
 	// the given retention window (0 = off).
 	ServeStale time.Duration
-	// Prefetch enables unbound-style early refresh of hot answers.
+	// Prefetch is meant to enable unbound-style early refresh of hot
+	// answers, but the Scheme → core.Config mapping has never copied it:
+	// the "Prefetch SR" column of results_full.txt was frozen equal to the
+	// DNS column. Copying it changes that column, so it waits for a change
+	// that may regenerate the frozen file (ROADMAP, open items).
 	Prefetch bool
 }
 
@@ -135,141 +139,33 @@ func Run(s Scenario) (*Results, error) {
 // i mod parts). The paper observes that SR-level results depend on how
 // many stub resolvers share one cache; this sweeps that factor.
 func RunPartitioned(s Scenario, parts int) (*Results, error) {
-	if s.Tree == nil {
-		return nil, fmt.Errorf("sim: Scenario.Tree is required")
+	f, err := NewFleet(simclock.NewVirtual(s.Trace.Start), s, parts, nil)
+	if err != nil {
+		return nil, err
 	}
-	if parts < 1 {
-		return nil, fmt.Errorf("sim: parts must be >= 1, got %d", parts)
-	}
-	clk := simclock.NewVirtual(s.Trace.Start)
-	net := simnet.New(clk, s.Seed)
-	// Virtual exchanges are free in time: the trace timestamps alone
-	// drive the clock, exactly as in the paper's simulator. (Timeout
-	// accounting is still exact: a blacked-out server yields an error.)
-	net.RTT = 0
-	net.Timeout = 0
-	s.Tree.InstallOpt(net, !s.NoChildIRRs)
-	net.SetAttack(s.Attack)
-
-	res := &Results{Scheme: s.Scheme.Name, Trace: s.Trace.Label}
+	res := f.Res
 	if s.SampleEvery > 0 {
 		res.ZoneSeries = metrics.NewSeries("zones", 4096)
 		res.RecordSeries = metrics.NewSeries("records", 4096)
 	}
-
-	servers := make([]*core.CachingServer, parts)
-	for i := range servers {
-		cs, err := core.NewCachingServer(core.Config{
-			Transport:      net,
-			Clock:          clk,
-			RootHints:      s.Tree.RootHints,
-			RefreshTTL:     s.Scheme.RefreshTTL,
-			Renewal:        s.Scheme.Renewal,
-			MaxTTL:         s.Scheme.MaxTTL,
-			NegativeTTL:    s.Scheme.NegativeTTL,
-			ValidateDNSSEC: s.Scheme.ValidateDNSSEC,
-			TrustAnchors:   s.Tree.TrustAnchors,
-			ServeStale:     s.Scheme.ServeStale,
-			OnGap: func(key cache.Key, gap, origTTL time.Duration) {
-				if key.Type != dnswire.TypeNS {
-					return
-				}
-				res.GapAbs.AddDuration(gap)
-				if origTTL > 0 {
-					res.GapFrac.Add(float64(gap) / float64(origTTL))
-				}
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		servers[i] = cs
-	}
-
-	ctx := context.Background()
 	nextSample := s.Trace.Start
 	for _, q := range s.Trace.Queries {
-		// Renewals due before this query fire at their exact instants,
-		// globally ordered across all caching servers.
-		for {
-			var next *core.CachingServer
-			var nextDue time.Time
-			for _, cs := range servers {
-				if due, ok := cs.NextRenewalDue(); ok && !due.After(q.At) {
-					if next == nil || due.Before(nextDue) {
-						next, nextDue = cs, due
-					}
+		// Frozen order (Fig. 12 and Table 2 depend on it): every renewal
+		// due up to the query runs first, then the occupancy samples due up
+		// to the query are taken, each stamped with its own sample time.
+		if s.SampleEvery > 0 && !nextSample.After(q.At) {
+			f.RenewTo(q.At)
+			for ; !nextSample.After(q.At); nextSample = nextSample.Add(s.SampleEvery) {
+				f.Clock.AdvanceTo(nextSample)
+				var occ cache.Stats
+				for _, cs := range f.Servers {
+					occ = occ.Add(cs.CacheStats())
 				}
-			}
-			if next == nil {
-				break
-			}
-			clk.AdvanceTo(nextDue)
-			res.accountCS(next, s.Attack, clk.Now(), func() { next.ProcessDueRenewals(ctx, clk.Now()) })
-		}
-		// Occupancy samples between events.
-		if s.SampleEvery > 0 {
-			for !nextSample.After(q.At) {
-				clk.AdvanceTo(nextSample)
-				res.sample(servers, nextSample)
-				nextSample = nextSample.Add(s.SampleEvery)
+				res.ZoneSeries.Append(nextSample, float64(occ.Zones))
+				res.RecordSeries.Append(nextSample, float64(occ.Records))
 			}
 		}
-		clk.AdvanceTo(q.At)
-
-		cs := servers[q.Client%parts]
-		underAttack := s.Attack.Active(q.At)
-		var err error
-		res.accountCS(cs, s.Attack, q.At, func() { _, err = cs.Resolve(ctx, q.Name, q.Type) })
-
-		res.SRQueriesTotal++
-		if err != nil {
-			res.SRFailedTotal++
-		}
-		if underAttack {
-			res.SRQueriesAttack++
-			if err != nil {
-				res.SRFailedAttack++
-			}
-		}
+		f.Resolve(q)
 	}
-
-	for _, cs := range servers {
-		st := cs.CacheStats()
-		res.FinalCache.Entries += st.Entries
-		res.FinalCache.Records += st.Records
-		res.FinalCache.Zones += st.Zones
-		res.FinalCache.InfraEntries += st.InfraEntries
-		res.ServerStats = metrics.Sum(res.ServerStats, cs.Stats())
-	}
-	return res, nil
-}
-
-// accountCS runs one event on cs and attributes the upstream queries it
-// sent to totals and, when the attack is active at now, to the
-// attack-window counters. It brackets every replayed query, so it reads
-// the two counters it needs rather than a whole Stats() snapshot.
-func (r *Results) accountCS(cs *core.CachingServer, sched attack.Schedule, now time.Time, event func()) {
-	sent, failed := cs.Resolver().UpstreamQueries()
-	event()
-	sentAfter, failedAfter := cs.Resolver().UpstreamQueries()
-	dq, df := sentAfter-sent, failedAfter-failed
-	r.CSQueriesTotal += dq
-	r.CSFailedTotal += df
-	if sched.Active(now) {
-		r.CSQueriesAttack += dq
-		r.CSFailedAttack += df
-	}
-}
-
-// sample appends one cache-occupancy point, summed over all servers.
-func (r *Results) sample(servers []*core.CachingServer, at time.Time) {
-	zones, records := 0, 0
-	for _, cs := range servers {
-		st := cs.CacheStats()
-		zones += st.Zones
-		records += st.Records
-	}
-	r.ZoneSeries.Append(at, float64(zones))
-	r.RecordSeries.Append(at, float64(records))
+	return f.Finish(), nil
 }

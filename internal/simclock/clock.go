@@ -4,7 +4,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 )
@@ -23,16 +22,14 @@ func (Real) Now() time.Time {
 	return time.Now() //dnslint:ignore wallclock Real is the production wall-clock implementation behind the Clock interface
 }
 
-// Virtual is a deterministic discrete-event clock. Time only moves when
-// Advance or AdvanceTo is called; scheduled events fire in timestamp order
-// (ties broken by scheduling order) as time passes them.
+// Virtual is a deterministic clock: time only moves when Advance or
+// AdvanceTo is called. It orders nothing itself — what happens at which
+// virtual instant is the business of the one replay driver, sim.Fleet.
 //
 // The zero value starts at the zero time; use NewVirtual to pick an epoch.
 type Virtual struct {
-	mu     sync.Mutex
-	now    time.Time
-	events eventQueue
-	seq    uint64
+	mu  sync.Mutex
+	now time.Time
 }
 
 // NewVirtual returns a virtual clock whose current time is epoch.
@@ -47,79 +44,16 @@ func (v *Virtual) Now() time.Time {
 	return v.now
 }
 
-// Schedule registers fn to run when the clock reaches at. Events scheduled
-// for a time not after Now fire on the next Advance call (with zero
-// duration allowed). fn runs synchronously inside Advance, without the
-// clock lock held, and may schedule further events.
-func (v *Virtual) Schedule(at time.Time, fn func(now time.Time)) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.seq++
-	heap.Push(&v.events, &event{at: at, seq: v.seq, fn: fn})
-}
-
-// Advance moves the clock forward by d, firing due events in order.
+// Advance moves the clock forward by d.
 func (v *Virtual) Advance(d time.Duration) {
 	v.AdvanceTo(v.Now().Add(d))
 }
 
-// AdvanceTo moves the clock forward to t (no-op if t is in the past),
-// firing every event whose deadline is ≤ t in timestamp order.
+// AdvanceTo moves the clock forward to t; a t in the past is a no-op.
 func (v *Virtual) AdvanceTo(t time.Time) {
-	for {
-		v.mu.Lock()
-		if len(v.events) == 0 || v.events[0].at.After(t) {
-			if t.After(v.now) {
-				v.now = t
-			}
-			v.mu.Unlock()
-			return
-		}
-		ev := heap.Pop(&v.events).(*event)
-		if ev.at.After(v.now) {
-			v.now = ev.at
-		}
-		now := v.now
-		v.mu.Unlock()
-		ev.fn(now)
-	}
-}
-
-// PendingEvents returns the number of scheduled events not yet fired.
-func (v *Virtual) PendingEvents() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return len(v.events)
-}
-
-// event is a scheduled callback.
-type event struct {
-	at  time.Time
-	seq uint64
-	fn  func(now time.Time)
-}
-
-// eventQueue is a min-heap of events ordered by (at, seq).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
+	if t.After(v.now) {
+		v.now = t
 	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
 }

@@ -31,82 +31,6 @@ func TestVirtualAdvanceToPastIsNoop(t *testing.T) {
 	}
 }
 
-func TestVirtualFiresEventsInOrder(t *testing.T) {
-	v := NewVirtual(epoch)
-	var fired []int
-	v.Schedule(epoch.Add(3*time.Second), func(time.Time) { fired = append(fired, 3) })
-	v.Schedule(epoch.Add(1*time.Second), func(time.Time) { fired = append(fired, 1) })
-	v.Schedule(epoch.Add(2*time.Second), func(time.Time) { fired = append(fired, 2) })
-	v.Advance(10 * time.Second)
-	want := []int{1, 2, 3}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Errorf("fired %v, want %v", fired, want)
-			break
-		}
-	}
-}
-
-func TestVirtualTieBreaksBySchedulingOrder(t *testing.T) {
-	v := NewVirtual(epoch)
-	at := epoch.Add(time.Second)
-	var fired []string
-	v.Schedule(at, func(time.Time) { fired = append(fired, "a") })
-	v.Schedule(at, func(time.Time) { fired = append(fired, "b") })
-	v.Advance(2 * time.Second)
-	if len(fired) != 2 || fired[0] != "a" || fired[1] != "b" {
-		t.Errorf("fired %v, want [a b]", fired)
-	}
-}
-
-func TestVirtualEventSeesEventTime(t *testing.T) {
-	v := NewVirtual(epoch)
-	at := epoch.Add(5 * time.Second)
-	var sawNow, sawClock time.Time
-	v.Schedule(at, func(now time.Time) {
-		sawNow = now
-		sawClock = v.Now()
-	})
-	v.Advance(time.Minute)
-	if !sawNow.Equal(at) {
-		t.Errorf("event saw now=%v, want %v", sawNow, at)
-	}
-	if !sawClock.Equal(at) {
-		t.Errorf("event saw clock=%v, want %v", sawClock, at)
-	}
-}
-
-func TestVirtualEventMaySchedule(t *testing.T) {
-	v := NewVirtual(epoch)
-	var chained bool
-	v.Schedule(epoch.Add(time.Second), func(now time.Time) {
-		v.Schedule(now.Add(time.Second), func(time.Time) { chained = true })
-	})
-	v.Advance(3 * time.Second)
-	if !chained {
-		t.Error("chained event did not fire")
-	}
-	if v.PendingEvents() != 0 {
-		t.Errorf("PendingEvents() = %d, want 0", v.PendingEvents())
-	}
-}
-
-func TestVirtualDoesNotFireFutureEvents(t *testing.T) {
-	v := NewVirtual(epoch)
-	var fired bool
-	v.Schedule(epoch.Add(time.Hour), func(time.Time) { fired = true })
-	v.Advance(time.Minute)
-	if fired {
-		t.Error("future event fired early")
-	}
-	if v.PendingEvents() != 1 {
-		t.Errorf("PendingEvents() = %d, want 1", v.PendingEvents())
-	}
-}
-
 func TestRealClock(t *testing.T) {
 	var c Clock = Real{}
 	before := time.Now().Add(-time.Second)
