@@ -53,9 +53,10 @@ loc:
 # the two experiments that post-date that file (restart, mesh) still print
 # testdata/results_restart_mesh.txt (captured at commit 4ea8f79; to
 # regenerate either file, redirect the same command into it and say why in
-# CHANGES.md). Single-threaded and slow — about 8 min for `all` plus 50 s
-# for `restart,mesh` on a 2-vCPU box — so it is its own CI job beside
-# `test`, not a step of `make check`.
+# CHANGES.md). The runs behind the tables execute on all cores; the whole
+# target took 4 m 09 s on a 2-vCPU box (8 m 47 s before the planner, one run
+# at a time) — still its own CI job beside `test`, not a step of `make
+# check`.
 sim-check:
 	$(GO) run ./cmd/dnssim -exp all | cmp - results_full.txt
 	$(GO) run ./cmd/dnssim -exp restart,mesh | cmp - testdata/results_restart_mesh.txt

@@ -51,7 +51,7 @@ func runExperiment(b *testing.B, id string) *experiments.Table {
 		if err != nil {
 			b.Fatalf("NewSuite: %v", err)
 		}
-		tbl, err = suite.Run(id)
+		_, err = suite.Run([]string{id}, func(t *experiments.Table) { tbl = t })
 		if err != nil {
 			b.Fatalf("Run(%s): %v", id, err)
 		}

@@ -5,26 +5,27 @@
 // combined scheme), Table 2 (message and memory overhead), and Fig. 12
 // (cache occupancy over a month), plus the ablations DESIGN.md calls out.
 //
-// Everything is deterministic given Config.Seed. Results are memoised per
-// (tree, trace, scheme, attack) so figures that share runs do not repeat
-// them.
+// An experiment is data: a plan lists the simulation runs a table needs as
+// comparable runSpec values and says how to print their results. Suite.Run
+// gathers the plans of the requested tables, executes each distinct spec
+// once on GOMAXPROCS workers, and prints in table order. Everything is
+// deterministic given Config.Seed, whatever the worker count.
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 	"text/tabwriter"
 	"time"
 
-	"resilientdns/internal/attack"
-	"resilientdns/internal/sim"
 	"resilientdns/internal/topology"
 	"resilientdns/internal/workload"
 )
 
-// Config scales the evaluation. The defaults run the full set of
-// experiments in minutes on a laptop while preserving the paper's shapes.
+// Config scales the evaluation. The defaults preserve the paper's shapes;
+// EXPERIMENTS.md records what the full set costs to run.
 type Config struct {
 	Seed int64
 	// Epoch anchors all traces.
@@ -75,31 +76,32 @@ var longTTLValues = []time.Duration{24 * time.Hour, 3 * 24 * time.Hour, 5 * 24 *
 // renewalCredits are the paper's credit values.
 var renewalCredits = []float64{1, 3, 5}
 
-// Suite holds the shared topology, traces, and memoised runs.
+// weekTraces is how many of Suite.traces are the 7-day ones.
+const weekTraces = 5
+
+// Suite holds the shared traces, the hierarchies generated so far and the
+// memoised runs. The trees and the memo are touched only by the goroutine
+// that calls Run, so a Suite serves one Run at a time.
 type Suite struct {
-	cfg       Config
-	baseTree  *topology.Tree
-	longTrees map[time.Duration]*topology.Tree
-	signed    *topology.Tree
-	traces    []workload.Trace // TRC1..TRC5, 7 days each
-	month     workload.Trace   // TRC6, 30 days
-	memo      map[string]*sim.Results
+	cfg    Config
+	traces []workload.Trace // TRC1..TRC5 (7 days each), then TRC6 (30 days)
+	trees  map[treeVariant]*topology.Tree
+	memo   map[runSpec]*run
 }
 
-// NewSuite generates the shared topology and traces.
+// NewSuite generates the base topology and the traces.
 func NewSuite(cfg Config) (*Suite, error) {
 	s := &Suite{
-		cfg:       cfg,
-		longTrees: make(map[time.Duration]*topology.Tree),
-		memo:      make(map[string]*sim.Results),
+		cfg:   cfg,
+		trees: make(map[treeVariant]*topology.Tree),
+		memo:  make(map[runSpec]*run),
 	}
-	tree, err := s.tree(nil)
+	tree, err := s.tree(treeVariant{})
 	if err != nil {
 		return nil, err
 	}
-	s.baseTree = tree
 	names := tree.QueryableNames()
-	for i := 1; i <= 5; i++ {
+	for i := 1; i <= weekTraces; i++ {
 		gp := workload.DefaultGenParams(fmt.Sprintf("TRC%d", i), cfg.Seed+int64(i)*1000, cfg.Epoch)
 		gp.Clients = cfg.TraceClients
 		gp.TotalQueries = cfg.TraceQueries
@@ -113,84 +115,36 @@ func NewSuite(cfg Config) (*Suite, error) {
 	gm.Duration = 30 * 24 * time.Hour
 	gm.Clients = cfg.MonthClients
 	gm.TotalQueries = cfg.MonthQueries
-	s.month = workload.Generate(gm, names)
+	s.traces = append(s.traces, workload.Generate(gm, names))
 	return s, nil
 }
 
-// Tree returns the shared base topology.
-func (s *Suite) Tree() *topology.Tree { return s.baseTree }
+// treeVariant names one of the hierarchies the suite simulates over: the
+// configured seed and size, and what one variant changes.
+type treeVariant struct {
+	// longTTL forces every zone's IRR TTL — the long-TTL scheme as
+	// deployed by operators (0 = as generated).
+	longTTL time.Duration
+	// signed is the DNSSEC-signed twin.
+	signed bool
+}
 
-// Traces returns the five 7-day traces.
-func (s *Suite) Traces() []workload.Trace { return s.traces }
-
-// MonthTrace returns the 30-day trace (TRC6).
-func (s *Suite) MonthTrace() workload.Trace { return s.month }
-
-// tree generates the suite's hierarchy — the configured seed and size —
-// after vary (nil for the base tree) has changed what one variant changes.
-func (s *Suite) tree(vary func(*topology.Params)) (*topology.Tree, error) {
+// tree returns (generating on first use) the hierarchy v names.
+func (s *Suite) tree(v treeVariant) (*topology.Tree, error) {
+	if t, ok := s.trees[v]; ok {
+		return t, nil
+	}
 	tp := topology.DefaultParams(s.cfg.Seed)
 	tp.NumTLDs = s.cfg.NumTLDs
 	tp.SLDsPerTLD = s.cfg.SLDsPerTLD
-	if vary != nil {
-		vary(&tp)
-	}
-	return topology.Generate(tp)
-}
-
-// longTree returns (generating on demand) the hierarchy with every zone's
-// IRR TTL forced to ttl — the long-TTL scheme as deployed by operators.
-func (s *Suite) longTree(ttl time.Duration) (*topology.Tree, error) {
-	if t, ok := s.longTrees[ttl]; ok {
-		return t, nil
-	}
-	t, err := s.tree(func(tp *topology.Params) { tp.IRRTTLOverride = ttl })
+	tp.IRRTTLOverride = v.longTTL
+	tp.Signed = v.signed
+	t, err := topology.Generate(tp)
 	if err != nil {
 		return nil, err
 	}
-	s.longTrees[ttl] = t
+	s.trees[v] = t
 	return t, nil
-}
-
-// attackFor builds the paper's root+TLD blackout starting on day seven.
-func (s *Suite) attackFor(tree *topology.Tree, dur time.Duration) attack.Schedule {
-	if dur <= 0 {
-		return nil
-	}
-	start := s.cfg.Epoch.Add(6 * 24 * time.Hour)
-	return attack.RootAndTLDs(start, dur, tree.AllZoneNames())
-}
-
-// scenario is tr replayed over tree under the day-seven blackout of
-// length dur, the setting every experiment but maxdamage varies from.
-func (s *Suite) scenario(tree *topology.Tree, tr workload.Trace, scheme sim.Scheme, dur time.Duration) sim.Scenario {
-	return sim.Scenario{Tree: tree, Trace: tr, Attack: s.attackFor(tree, dur), Scheme: scheme, Seed: s.cfg.Seed}
-}
-
-// runKey builds the memoisation key.
-func runKey(treeTag string, trace string, scheme sim.Scheme, dur, sample time.Duration, noChild bool) string {
-	return fmt.Sprintf("%s|%s|%s|%v|%v|%v", treeTag, trace, scheme.Name, dur, sample, noChild)
-}
-
-// run executes (or recalls) one simulation.
-func (s *Suite) run(tree *topology.Tree, treeTag string, tr workload.Trace, scheme sim.Scheme, dur, sample time.Duration, noChild bool) (*sim.Results, error) {
-	key := runKey(treeTag, tr.Label, scheme, dur, sample, noChild)
-	if r, ok := s.memo[key]; ok {
-		return r, nil
-	}
-	sc := s.scenario(tree, tr, scheme, dur)
-	sc.SampleEvery, sc.NoChildIRRs = sample, noChild
-	r, err := sim.Run(sc)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", key, err)
-	}
-	s.memo[key] = r
-	return r, nil
-}
-
-// runBase is run over the shared base tree.
-func (s *Suite) runBase(tr workload.Trace, scheme sim.Scheme, dur time.Duration) (*sim.Results, error) {
-	return s.run(s.baseTree, "base", tr, scheme, dur, 0, false)
 }
 
 // Table is a printable experiment result.
@@ -225,9 +179,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// pct renders a fraction as a percentage cell.
-func pct(frac float64) string { return fmt.Sprintf("%.2f%%", 100*frac) }
-
 // Experiment is one row of the suite's experiment table.
 type Experiment struct {
 	ID string
@@ -235,46 +186,59 @@ type Experiment struct {
 	// `dnssim -exp all` runs exactly these, in table order. The others
 	// post-date that file and run by id only.
 	Frozen bool
-	run    func(*Suite) (*Table, error)
+	plan   func(*Suite) plan
 }
 
 // experiments is the one list of experiment ids: Run, `-exp all`, `-list`
 // and the unknown-id message all read it.
 var experiments = []Experiment{
-	{"table1", true, (*Suite).Table1},
-	{"fig3", true, (*Suite).Fig3},
-	{"fig4", true, (*Suite).Fig4},
-	{"fig5", true, (*Suite).Fig5},
-	{"fig6", true, (*Suite).Fig6},
-	{"fig7", true, (*Suite).Fig7},
-	{"fig8", true, (*Suite).Fig8},
-	{"fig9", true, (*Suite).Fig9},
-	{"fig10", true, (*Suite).Fig10},
-	{"fig11", true, (*Suite).Fig11},
-	{"table2", true, (*Suite).Table2},
-	{"fig12", true, (*Suite).Fig12},
-	{"ablation-childirr", true, (*Suite).AblationChildIRRs},
-	{"ablation-refresh", true, (*Suite).AblationRenewalWithoutRefresh},
-	{"ablation-negcache", true, (*Suite).AblationNegativeCache},
-	{"maxdamage", true, (*Suite).MaxDamage},
-	{"dnssec", true, (*Suite).DNSSECExtension},
-	{"partition", true, (*Suite).Partition},
-	{"servestale", true, (*Suite).ServeStaleBaseline},
-	{"restart", false, (*Suite).Restart},
-	{"mesh", false, (*Suite).Mesh},
+	{"table1", true, table1},
+	{"fig3", true, fig3},
+	{"fig4", true, fig4},
+	{"fig5", true, fig5},
+	{"fig6", true, fig6},
+	{"fig7", true, fig7},
+	{"fig8", true, fig8},
+	{"fig9", true, fig9},
+	{"fig10", true, fig10},
+	{"fig11", true, fig11},
+	{"table2", true, table2},
+	{"fig12", true, fig12},
+	{"ablation-childirr", true, ablationChildIRRs},
+	{"ablation-refresh", true, ablationRenewalWithoutRefresh},
+	{"ablation-negcache", true, ablationNegativeCache},
+	{"maxdamage", true, maxDamage},
+	{"dnssec", true, dnssecExtension},
+	{"partition", true, partition},
+	{"servestale", true, serveStaleBaseline},
+	{"restart", false, restart},
+	{"mesh", false, meshFleet},
 }
 
 // Experiments lists every experiment in canonical order.
 func Experiments() []Experiment { return append([]Experiment(nil), experiments...) }
 
-// Run executes one experiment by id.
-func (s *Suite) Run(id string) (*Table, error) {
-	known := make([]string, len(experiments))
-	for i, e := range experiments {
-		if e.ID == id {
-			return e.run(s)
+// ErrUnknownID is wrapped by Run's error for an id the table does not hold.
+var ErrUnknownID = errors.New("experiments: unknown id")
+
+// lookup resolves ids against the experiment table; "all" stands for the
+// frozen rows.
+func lookup(ids []string) ([]Experiment, error) {
+	var out []Experiment
+	for _, id := range ids {
+		n := len(out)
+		for _, e := range experiments {
+			if e.ID == id || (id == "all" && e.Frozen) {
+				out = append(out, e)
+			}
 		}
-		known[i] = e.ID
+		if len(out) == n {
+			known := make([]string, len(experiments))
+			for i, e := range experiments {
+				known[i] = e.ID
+			}
+			return nil, fmt.Errorf("%w %q (known: %s)", ErrUnknownID, id, strings.Join(known, ", "))
+		}
 	}
-	return nil, fmt.Errorf("experiments: unknown id %q (known: %s)", id, strings.Join(known, ", "))
+	return out, nil
 }

@@ -1,7 +1,11 @@
 package experiments
 
 import (
+	"bytes"
+	"errors"
+	"os"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -37,6 +41,16 @@ func getSuite(t *testing.T) *Suite {
 	return sharedSuite
 }
 
+// table asks the shared suite for one table the way dnssim does.
+func table(t *testing.T, id string) *Table {
+	t.Helper()
+	var tbl *Table
+	if _, err := getSuite(t).Run([]string{id}, func(got *Table) { tbl = got }); err != nil {
+		t.Fatalf("Run(%s): %v", id, err)
+	}
+	return tbl
+}
+
 // TestFrozenExperimentSequence pins what `dnssim -exp all` runs: the
 // nineteen experiments of results_full.txt, in its order. The table may
 // grow unfrozen rows (restart and mesh are the two so far); a change to
@@ -67,8 +81,8 @@ func TestFrozenExperimentSequence(t *testing.T) {
 	if !reflect.DeepEqual(byIDOnly, []string{"restart", "mesh"}) {
 		t.Errorf("experiments outside -exp all = %v, want [restart mesh]", byIDOnly)
 	}
-	_, err := getSuite(t).Run("restrat")
-	if err == nil || !strings.Contains(err.Error(), "servestale, restart, mesh") {
+	_, err := getSuite(t).Run([]string{"fig4", "restrat"}, func(*Table) { t.Error("a table was rendered before the unknown id was reported") })
+	if !errors.Is(err, ErrUnknownID) || !strings.Contains(err.Error(), "servestale, restart, mesh") {
 		t.Errorf("unknown-id error does not name every experiment: %v", err)
 	}
 }
@@ -77,11 +91,7 @@ func TestRestartExperimentShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("restart experiment replays three full traces")
 	}
-	s := getSuite(t)
-	tbl, err := s.Restart()
-	if err != nil {
-		t.Fatalf("Restart: %v", err)
-	}
+	tbl := table(t, "restart")
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("restart rows = %d, want 3", len(tbl.Rows))
 	}
@@ -106,11 +116,7 @@ func TestMeshExperimentShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mesh experiment replays three fleet variants")
 	}
-	s := getSuite(t)
-	tbl, err := s.Mesh()
-	if err != nil {
-		t.Fatalf("Mesh: %v", err)
-	}
+	tbl := table(t, "mesh")
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("mesh rows = %d, want 3", len(tbl.Rows))
 	}
@@ -145,18 +151,13 @@ func TestMeshExperimentShape(t *testing.T) {
 }
 
 func TestRunUnknownID(t *testing.T) {
-	s := getSuite(t)
-	if _, err := s.Run("fig99"); err == nil {
+	if _, err := getSuite(t).Run([]string{"fig99"}, func(*Table) {}); err == nil {
 		t.Error("Run(fig99) succeeded")
 	}
 }
 
 func TestTable1Shape(t *testing.T) {
-	s := getSuite(t)
-	tbl, err := s.Table1()
-	if err != nil {
-		t.Fatalf("Table1: %v", err)
-	}
+	tbl := table(t, "table1")
 	if len(tbl.Rows) != 6 {
 		t.Fatalf("Table1 rows = %d, want 6 (TRC1-TRC6)", len(tbl.Rows))
 	}
@@ -170,11 +171,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFig3GapMostlyUnderFiveDays(t *testing.T) {
-	s := getSuite(t)
-	tbl, err := s.Fig3()
-	if err != nil {
-		t.Fatalf("Fig3: %v", err)
-	}
+	tbl := table(t, "fig3")
 	// Find the "gap (days) 5.00" row: the paper's headline observation is
 	// that almost all gaps are under five days.
 	for _, row := range tbl.Rows {
@@ -207,11 +204,7 @@ func sscanFloat(cell string, v *float64) (int, error) {
 }
 
 func TestFig4FailureGrowsWithDuration(t *testing.T) {
-	s := getSuite(t)
-	tbl, err := s.Fig4()
-	if err != nil {
-		t.Fatalf("Fig4: %v", err)
-	}
+	tbl := table(t, "fig4")
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("Fig4 rows = %d, want 5", len(tbl.Rows))
 	}
@@ -230,15 +223,8 @@ func TestFig4FailureGrowsWithDuration(t *testing.T) {
 }
 
 func TestFig5RefreshBeatsVanilla(t *testing.T) {
-	s := getSuite(t)
-	fig4, err := s.Fig4()
-	if err != nil {
-		t.Fatalf("Fig4: %v", err)
-	}
-	fig5, err := s.Fig5()
-	if err != nil {
-		t.Fatalf("Fig5: %v", err)
-	}
+	fig4 := table(t, "fig4")
+	fig5 := table(t, "fig5")
 	better := 0
 	for i := range fig4.Rows {
 		for col := 1; col <= 8; col++ {
@@ -256,11 +242,7 @@ func TestFig5RefreshBeatsVanilla(t *testing.T) {
 }
 
 func TestFig9OrderOfMagnitude(t *testing.T) {
-	s := getSuite(t)
-	tbl, err := s.Fig9()
-	if err != nil {
-		t.Fatalf("Fig9: %v", err)
-	}
+	tbl := table(t, "fig9")
 	for _, row := range tbl.Rows {
 		dns := parsePct(t, row[1])
 		alfu5 := parsePct(t, row[7]) // c=5 SR
@@ -271,11 +253,7 @@ func TestFig9OrderOfMagnitude(t *testing.T) {
 }
 
 func TestFig10LongTTLSaturates(t *testing.T) {
-	s := getSuite(t)
-	tbl, err := s.Fig10()
-	if err != nil {
-		t.Fatalf("Fig10: %v", err)
-	}
+	tbl := table(t, "fig10")
 	for _, row := range tbl.Rows {
 		d5 := parsePct(t, row[7]) // 5d SR
 		d7 := parsePct(t, row[9]) // 7d SR
@@ -290,11 +268,7 @@ func TestFig10LongTTLSaturates(t *testing.T) {
 }
 
 func TestTable2Shapes(t *testing.T) {
-	s := getSuite(t)
-	tbl, err := s.Table2()
-	if err != nil {
-		t.Fatalf("Table2: %v", err)
-	}
+	tbl := table(t, "table2")
 	cells := map[string][]string{}
 	for _, row := range tbl.Rows {
 		cells[row[0]] = row
@@ -325,11 +299,7 @@ func TestTable2Shapes(t *testing.T) {
 }
 
 func TestFig12OccupancyMultiplier(t *testing.T) {
-	s := getSuite(t)
-	tbl, err := s.Fig12()
-	if err != nil {
-		t.Fatalf("Fig12: %v", err)
-	}
+	tbl := table(t, "fig12")
 	var dnsZones, alfuZones float64
 	for _, row := range tbl.Rows {
 		switch row[0] {
@@ -353,11 +323,7 @@ func TestFig12OccupancyMultiplier(t *testing.T) {
 }
 
 func TestAblationChildIRR(t *testing.T) {
-	s := getSuite(t)
-	tbl, err := s.AblationChildIRRs()
-	if err != nil {
-		t.Fatalf("AblationChildIRRs: %v", err)
-	}
+	tbl := table(t, "ablation-childirr")
 	worse := 0
 	for _, row := range tbl.Rows {
 		with := parsePct(t, row[1])
@@ -373,25 +339,118 @@ func TestAblationChildIRR(t *testing.T) {
 
 func TestMemoisationReturnsSameResults(t *testing.T) {
 	s := getSuite(t)
-	a, err := s.runBase(s.traces[0], sim.Vanilla(), 6*time.Hour)
+	table(t, "fig4")
+	first := s.memo[spec(0, 6*time.Hour)]
+	if first == nil {
+		t.Fatal("fig4 left no memo entry for vanilla DNS, TRC1, 6h attack")
+	}
+	st, err := s.Run([]string{"fig4"}, func(*Table) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.runBase(s.traces[0], sim.Vanilla(), 6*time.Hour)
+	if st.Runs != 0 || st.MemoHits != 40 {
+		t.Errorf("second fig4: %d runs, %d memo hits, want 0 and 40 (5 traces x 8 columns)", st.Runs, st.MemoHits)
+	}
+	if s.memo[spec(0, 6*time.Hour)] != first {
+		t.Error("memoisation did not keep the first run's result")
+	}
+}
+
+// TestDistinctSchemesDoNotShareMemo: the memo key is the whole spec, so two
+// schemes that share a Name but differ in a field are two runs. (Keyed on
+// the name alone, the second column would print the first one's result.)
+func TestDistinctSchemesDoNotShareMemo(t *testing.T) {
+	s := getSuite(t)
+	p := grid("aliasing", "same name, different scheme", "Trace",
+		[]row{{"TRC1", spec(0, 0)}},
+		[]column{
+			{"off", scheme(sim.Scheme{Name: "X"}), messages},
+			{"on", scheme(sim.Scheme{Name: "X", NegativeTTL: time.Hour}), messages},
+		})
+	var tbl *Table
+	if _, err := s.render([]plan{p}, func(got *Table) { tbl = got }); err != nil {
+		t.Fatal(err)
+	}
+	if off, on := tbl.Rows[0][1], tbl.Rows[0][2]; off == on {
+		t.Errorf("negative caching off and on both sent %s messages: one memoised result served both", off)
+	}
+}
+
+// allIDs is every experiment, frozen or not, in table order.
+func allIDs() []string {
+	var ids []string
+	for _, e := range Experiments() {
+		ids = append(ids, e.ID)
+	}
+	return ids
+}
+
+// TestTablesMatchGolden compares all 21 tables at testConfig scale with
+// testdata/results_testscale.txt, captured at commit a4aa0ae (the parent of
+// the planner): drift shows here in seconds, not only in `make sim-check`.
+// To regenerate, write this test's output to the file and say why in
+// CHANGES.md.
+func TestTablesMatchGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders every table, restart and mesh included")
+	}
+	want, err := os.ReadFile("testdata/results_testscale.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Error("memoisation did not return the cached result pointer")
+	var got bytes.Buffer
+	if _, err := getSuite(t).Run(allIDs(), func(tbl *Table) { tbl.Fprint(&got) }); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("tables differ from testdata/results_testscale.txt:\n%s", firstDiff(got.String(), string(want)))
+	}
+}
+
+// firstDiff names the first line on which two renderings disagree.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return "line " + strconv.Itoa(i+1) + "\n got: " + g[i] + "\nwant: " + w[i]
+		}
+	}
+	return "one is a prefix of the other: " + strconv.Itoa(len(g)) + " vs " + strconv.Itoa(len(w)) + " lines"
+}
+
+// TestPlannerOrderIndependent renders the same tables on one worker and on
+// four and requires equal bytes. Under -race it is also what shows that
+// the trees, traces and zones the concurrent runs share are only read.
+// The ids cover every tree variant, a sampled run, a partitioned one, a
+// crash and a mesh; the traces are short because equality, not shape, is
+// the point.
+func TestPlannerOrderIndependent(t *testing.T) {
+	ids := []string{"fig4", "fig10", "table2", "dnssec", "partition", "restart", "mesh"}
+	cfg := testConfig()
+	cfg.TraceQueries, cfg.MonthQueries = 1000, 1000
+	render := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		s, err := NewSuite(cfg)
+		if err != nil {
+			t.Fatalf("NewSuite: %v", err)
+		}
+		var out bytes.Buffer
+		st, err := s.Run(ids, func(tbl *Table) { tbl.Fprint(&out) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Workers != procs {
+			t.Errorf("GOMAXPROCS(%d): %d workers", procs, st.Workers)
+		}
+		return out.String()
+	}
+	if one, four := render(1), render(4); one != four {
+		t.Errorf("output depends on the worker count:\n%s", firstDiff(four, one))
 	}
 }
 
 func TestDNSSECExperimentShape(t *testing.T) {
-	s := getSuite(t)
-	tbl, err := s.DNSSECExtension()
-	if err != nil {
-		t.Fatalf("DNSSECExtension: %v", err)
-	}
+	tbl := table(t, "dnssec")
 	for _, row := range tbl.Rows {
 		signedDNS := parsePct(t, row[2])
 		signedALFU := parsePct(t, row[4])
@@ -403,11 +462,7 @@ func TestDNSSECExperimentShape(t *testing.T) {
 }
 
 func TestPartitionExperimentShape(t *testing.T) {
-	s := getSuite(t)
-	tbl, err := s.Partition()
-	if err != nil {
-		t.Fatalf("Partition: %v", err)
-	}
+	tbl := table(t, "partition")
 	for _, row := range tbl.Rows {
 		var m1, m8 float64
 		if _, err := sscanFloat(row[2], &m1); err != nil {

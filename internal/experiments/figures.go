@@ -5,222 +5,177 @@ import (
 	"time"
 
 	"resilientdns/internal/core"
+	"resilientdns/internal/metrics"
 	"resilientdns/internal/sim"
 	"resilientdns/internal/workload"
 )
 
-// Table1 reproduces Table 1: per-trace statistics. Requests Out comes from
-// a vanilla no-attack replay, as in the paper's collected traces.
-func (s *Suite) Table1() (*Table, error) {
-	t := &Table{
-		ID:      "table1",
-		Title:   "DNS trace statistics (synthetic stand-ins for the university traces)",
-		Columns: []string{"Trace", "Duration", "Clients", "Requests In", "Requests Out", "Names", "Zones"},
+// noAttackRuns is every trace (TRC6 included) replayed by vanilla DNS with
+// no attack, as in the paper's collected traces: Table 1 and Fig. 3.
+func (s *Suite) noAttackRuns() []runSpec {
+	specs := make([]runSpec, len(s.traces))
+	for i := range specs {
+		specs[i] = spec(i, 0)
 	}
-	all := append(append([]workload.Trace(nil), s.traces...), s.month)
-	for _, tr := range all {
-		res, err := s.runBase(tr, sim.Vanilla(), 0)
-		if err != nil {
-			return nil, err
-		}
-		st := workload.ComputeStats(tr)
-		t.Rows = append(t.Rows, []string{
-			st.Label,
-			fmt.Sprintf("%d days", int(st.Duration.Hours()/24)),
-			fmt.Sprintf("%d", st.Clients),
-			fmt.Sprintf("%d", st.RequestsIn),
-			fmt.Sprintf("%d", res.MessagesOut()),
-			fmt.Sprintf("%d", st.Names),
-			fmt.Sprintf("%d", st.Zones),
-		})
-	}
-	t.Notes = append(t.Notes, "requests out < requests in (caching absorbs most queries)")
-	return t, nil
+	return specs
 }
 
-// Fig3 reproduces Figure 3: the CDF of the gap between a zone IRR's expiry
-// and the next query needing it, absolute and as a fraction of the TTL.
-func (s *Suite) Fig3() (*Table, error) {
-	t := &Table{
-		ID:      "fig3",
-		Title:   "Time-gap duration between IRR expiry and next query (CDF)",
-		Columns: []string{"Metric", "x", "P(gap <= x)"},
-	}
-	var abs, frac []float64
-	gather := func(tr workload.Trace) error {
-		res, err := s.runBase(tr, sim.Vanilla(), 0)
-		if err != nil {
-			return err
-		}
-		abs = append(abs, resGaps(res, false)...)
-		frac = append(frac, resGaps(res, true)...)
-		return nil
-	}
-	for _, tr := range s.traces {
-		if err := gather(tr); err != nil {
-			return nil, err
-		}
-	}
-	if err := gather(s.month); err != nil {
-		return nil, err
-	}
-	absCDF := cdfOf(abs)
-	fracCDF := cdfOf(frac)
-	for _, days := range []float64{0.25, 0.5, 1, 2, 3, 4, 5, 7} {
-		t.Rows = append(t.Rows, []string{
-			"gap (days)", fmt.Sprintf("%.2f", days), pct(absCDF.At(days * 86400)),
-		})
-	}
-	for _, f := range []float64{0.1, 0.5, 1, 2, 5, 10, 20, 50} {
-		t.Rows = append(t.Rows, []string{
-			"gap / TTL", fmt.Sprintf("%.1f", f), pct(fracCDF.At(f)),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"almost all gaps are under 5 days in absolute time",
-		"relative gaps vary far more because IRR TTLs span minutes to days")
-	return t, nil
-}
-
-// failureFigure runs scheme over TRC1–TRC5 for every attack duration and
-// tabulates the SR-level and CS-level failed-query percentages.
-func (s *Suite) failureFigure(id, title string, scheme sim.Scheme, notes ...string) (*Table, error) {
-	t := &Table{
-		ID:    id,
-		Title: title,
-		Columns: []string{"Trace",
-			"SR 3h", "SR 6h", "SR 12h", "SR 24h",
-			"CS 3h", "CS 6h", "CS 12h", "CS 24h"},
-		Notes: notes,
-	}
-	for _, tr := range s.traces {
-		row := []string{tr.Label}
-		var sr, cs []string
-		for _, dur := range attackDurations {
-			res, err := s.runBase(tr, scheme, dur)
-			if err != nil {
-				return nil, err
+// table1 reproduces Table 1: per-trace statistics; Requests Out comes from
+// the replay.
+func table1(s *Suite) plan {
+	return plan{
+		Table: Table{
+			ID:      "table1",
+			Title:   "DNS trace statistics (synthetic stand-ins for the university traces)",
+			Columns: []string{"Trace", "Duration", "Clients", "Requests In", "Requests Out", "Names", "Zones"},
+			Notes:   []string{"requests out < requests in (caching absorbs most queries)"},
+		},
+		specs: s.noAttackRuns(),
+		fill: func(t *Table, res []*outcome) {
+			for i, tr := range s.traces {
+				st := workload.ComputeStats(tr)
+				t.Rows = append(t.Rows, []string{
+					st.Label,
+					fmt.Sprintf("%d days", int(st.Duration.Hours()/24)),
+					fmt.Sprintf("%d", st.Clients),
+					fmt.Sprintf("%d", st.RequestsIn),
+					messages(res[i]),
+					fmt.Sprintf("%d", st.Names),
+					fmt.Sprintf("%d", st.Zones),
+				})
 			}
-			sr = append(sr, pct(res.SRFailRate()))
-			cs = append(cs, pct(res.CSFailRate()))
-		}
-		row = append(row, sr...)
-		row = append(row, cs...)
-		t.Rows = append(t.Rows, row)
+		},
 	}
-	return t, nil
 }
 
-// Fig4 reproduces Figure 4: vanilla DNS under the root+TLD blackout.
-func (s *Suite) Fig4() (*Table, error) {
-	return s.failureFigure("fig4", "Vanilla DNS: failed queries during root+TLD attack",
-		sim.Vanilla(),
+// fig3 reproduces Figure 3: the CDF of the gap between a zone IRR's expiry
+// and the next query needing it, absolute and as a fraction of the TTL.
+func fig3(s *Suite) plan {
+	return plan{
+		Table: Table{
+			ID:      "fig3",
+			Title:   "Time-gap duration between IRR expiry and next query (CDF)",
+			Columns: []string{"Metric", "x", "P(gap <= x)"},
+			Notes: []string{
+				"almost all gaps are under 5 days in absolute time",
+				"relative gaps vary far more because IRR TTLs span minutes to days",
+			},
+		},
+		specs: s.noAttackRuns(),
+		fill: func(t *Table, res []*outcome) {
+			var abs, frac metrics.CDF
+			for _, r := range res {
+				for _, v := range r.GapAbs.Samples() {
+					abs.Add(v)
+				}
+				for _, v := range r.GapFrac.Samples() {
+					frac.Add(v)
+				}
+			}
+			for _, days := range []float64{0.25, 0.5, 1, 2, 3, 4, 5, 7} {
+				t.Rows = append(t.Rows, []string{"gap (days)", fmt.Sprintf("%.2f", days), pct(abs.At(days * 86400))})
+			}
+			for _, f := range []float64{0.1, 0.5, 1, 2, 5, 10, 20, 50} {
+				t.Rows = append(t.Rows, []string{"gap / TTL", fmt.Sprintf("%.1f", f), pct(frac.At(f))})
+			}
+		},
+	}
+}
+
+// failureCols runs sc for every attack duration: the SR-level columns,
+// then the CS-level ones.
+func failureCols(sc sim.Scheme) []column {
+	var cols []column
+	for _, level := range []column{{header: "SR", cell: srFail}, {header: "CS", cell: csFail}} {
+		for _, dur := range attackDurations {
+			cols = append(cols, column{
+				fmt.Sprintf("%s %dh", level.header, int(dur.Hours())),
+				func(sp *runSpec) { sp.scheme, sp.attack = sc, dur },
+				level.cell,
+			})
+		}
+	}
+	return cols
+}
+
+// fig4 reproduces Figure 4: vanilla DNS under the root+TLD blackout.
+func fig4(s *Suite) plan {
+	return grid("fig4", "Vanilla DNS: failed queries during root+TLD attack", "Trace",
+		s.weekRows(0), failureCols(sim.Vanilla()),
 		"failure rate grows with attack duration",
 		"CS-level failure rate exceeds SR-level (caches shield stub resolvers)")
 }
 
-// Fig5 reproduces Figure 5: the TTL-refresh scheme.
-func (s *Suite) Fig5() (*Table, error) {
-	return s.failureFigure("fig5", "TTL Refresh: failed queries during root+TLD attack",
-		sim.Refresh(),
+// fig5 reproduces Figure 5: the TTL-refresh scheme.
+func fig5(s *Suite) plan {
+	return grid("fig5", "TTL Refresh: failed queries during root+TLD attack", "Trace",
+		s.weekRows(0), failureCols(sim.Refresh()),
 		"at least ~50% lower failure rates than vanilla in most settings")
 }
 
+// sixHours is the attack most figures fix.
+const sixHours = 6 * time.Hour
+
 // renewalFigure runs refresh+renewal for the three credit values against
 // the vanilla baseline at the 6-hour attack, as Figures 6–9 do.
-func (s *Suite) renewalFigure(id, title string, mk func(c float64) core.RenewalPolicy) (*Table, error) {
-	const dur = 6 * time.Hour
-	cols := []string{"Trace", "DNS SR", "DNS CS"}
+func renewalFigure(s *Suite, id, title string, mk func(c float64) core.RenewalPolicy) plan {
+	cols := srcs("DNS", nil)
 	for _, c := range renewalCredits {
-		cols = append(cols, fmt.Sprintf("c=%g SR", c), fmt.Sprintf("c=%g CS", c))
+		cols = append(cols, srcs(fmt.Sprintf("c=%g", c), scheme(sim.RefreshRenew(mk(c))))...)
 	}
-	t := &Table{ID: id, Title: title, Columns: cols}
-	for _, tr := range s.traces {
-		base, err := s.runBase(tr, sim.Vanilla(), dur)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{tr.Label, pct(base.SRFailRate()), pct(base.CSFailRate())}
-		for _, c := range renewalCredits {
-			res, err := s.runBase(tr, sim.RefreshRenew(mk(c)), dur)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, pct(res.SRFailRate()), pct(res.CSFailRate()))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.Notes = append(t.Notes, "higher credit → lower failure rate; order-of-magnitude better than DNS")
-	return t, nil
+	return grid(id, title, "Trace", s.weekRows(sixHours), cols,
+		"higher credit → lower failure rate; order-of-magnitude better than DNS")
 }
 
-// Fig6 reproduces Figure 6: TTL refresh + LRU renewal.
-func (s *Suite) Fig6() (*Table, error) {
-	return s.renewalFigure("fig6", "TTL Refresh + Renew (LRU), 6h attack",
+// fig6 reproduces Figure 6: TTL refresh + LRU renewal.
+func fig6(s *Suite) plan {
+	return renewalFigure(s, "fig6", "TTL Refresh + Renew (LRU), 6h attack",
 		func(c float64) core.RenewalPolicy { return core.LRU{C: c} })
 }
 
-// Fig7 reproduces Figure 7: TTL refresh + LFU renewal.
-func (s *Suite) Fig7() (*Table, error) {
-	return s.renewalFigure("fig7", "TTL Refresh + Renew (LFU), 6h attack",
+// fig7 reproduces Figure 7: TTL refresh + LFU renewal.
+func fig7(s *Suite) plan {
+	return renewalFigure(s, "fig7", "TTL Refresh + Renew (LFU), 6h attack",
 		func(c float64) core.RenewalPolicy { return core.LFU{C: c, Max: core.DefaultLFUMax(c)} })
 }
 
-// Fig8 reproduces Figure 8: TTL refresh + adaptive LRU renewal.
-func (s *Suite) Fig8() (*Table, error) {
-	return s.renewalFigure("fig8", "TTL Refresh + Renew (A-LRU), 6h attack",
+// fig8 reproduces Figure 8: TTL refresh + adaptive LRU renewal.
+func fig8(s *Suite) plan {
+	return renewalFigure(s, "fig8", "TTL Refresh + Renew (A-LRU), 6h attack",
 		func(c float64) core.RenewalPolicy { return core.ALRU{C: c} })
 }
 
-// Fig9 reproduces Figure 9: TTL refresh + adaptive LFU renewal.
-func (s *Suite) Fig9() (*Table, error) {
-	return s.renewalFigure("fig9", "TTL Refresh + Renew (A-LFU), 6h attack",
+// fig9 reproduces Figure 9: TTL refresh + adaptive LFU renewal.
+func fig9(s *Suite) plan {
+	return renewalFigure(s, "fig9", "TTL Refresh + Renew (A-LFU), 6h attack",
 		func(c float64) core.RenewalPolicy { return core.ALFU{C: c, MaxDays: core.DefaultLFUMax(c)} })
 }
 
-// longTTLFigure runs scheme over the long-TTL topologies, 6-hour attack.
-func (s *Suite) longTTLFigure(id, title string, scheme sim.Scheme, notes ...string) (*Table, error) {
-	const dur = 6 * time.Hour
-	cols := []string{"Trace", "DNS SR", "DNS CS"}
+// alfu5 is the renewal policy the combined scheme and the extensions use.
+var alfu5 = core.ALFU{C: 5, MaxDays: core.DefaultLFUMax(5)}
+
+// longTTLFigure runs sc over the long-TTL topologies, 6-hour attack,
+// against vanilla DNS on the base tree.
+func longTTLFigure(s *Suite, id, title string, sc sim.Scheme, notes ...string) plan {
+	cols := srcs("DNS", nil)
 	for _, ttl := range longTTLValues {
-		d := int(ttl.Hours() / 24)
-		cols = append(cols, fmt.Sprintf("%dd SR", d), fmt.Sprintf("%dd CS", d))
+		cols = append(cols, srcs(fmt.Sprintf("%dd", int(ttl.Hours()/24)), func(sp *runSpec) {
+			sp.tree.longTTL, sp.scheme = ttl, sc
+		})...)
 	}
-	t := &Table{ID: id, Title: title, Columns: cols, Notes: notes}
-	for _, tr := range s.traces {
-		base, err := s.runBase(tr, sim.Vanilla(), dur)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{tr.Label, pct(base.SRFailRate()), pct(base.CSFailRate())}
-		for _, ttl := range longTTLValues {
-			tree, err := s.longTree(ttl)
-			if err != nil {
-				return nil, err
-			}
-			res, err := s.run(tree, fmt.Sprintf("ttl%d", int(ttl.Hours())), tr, scheme, dur, 0, false)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, pct(res.SRFailRate()), pct(res.CSFailRate()))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	return grid(id, title, "Trace", s.weekRows(sixHours), cols, notes...)
 }
 
-// Fig10 reproduces Figure 10: TTL refresh + long-TTL (operators raise the
+// fig10 reproduces Figure 10: TTL refresh + long-TTL (operators raise the
 // IRR TTL to 1/3/5/7 days).
-func (s *Suite) Fig10() (*Table, error) {
-	return s.longTTLFigure("fig10", "TTL Refresh + Long-TTL, 6h attack", sim.Refresh(),
+func fig10(s *Suite) plan {
+	return longTTLFigure(s, "fig10", "TTL Refresh + Long-TTL, 6h attack", sim.Refresh(),
 		"5-day TTL is nearly as good as 7-day (gap CDF < 5 days, Fig 3)",
 		"matches the best renewal policy's resilience")
 }
 
-// Fig11 reproduces Figure 11: refresh + A-LFU(5) renewal + long-TTL.
-func (s *Suite) Fig11() (*Table, error) {
-	scheme := sim.RefreshRenew(core.ALFU{C: 5, MaxDays: core.DefaultLFUMax(5)})
-	scheme.Name = "Combination"
-	return s.longTTLFigure("fig11", "TTL Refresh + Renew (A-LFU 5) + Long-TTL, 6h attack", scheme,
+// fig11 reproduces Figure 11: refresh + A-LFU(5) renewal + long-TTL.
+func fig11(s *Suite) plan {
+	return longTTLFigure(s, "fig11", "TTL Refresh + Renew (A-LFU 5) + Long-TTL, 6h attack", sim.RefreshRenew(alfu5),
 		"a 3-day TTL already reaches the maximum resilience")
 }

@@ -4,284 +4,145 @@ import (
 	"fmt"
 	"time"
 
-	"resilientdns/internal/attack"
 	"resilientdns/internal/core"
-	"resilientdns/internal/metrics"
 	"resilientdns/internal/sim"
-	"resilientdns/internal/workload"
 )
 
-// resGaps extracts a run's gap samples (absolute seconds or TTL fraction).
-func resGaps(res *sim.Results, frac bool) []float64 {
-	if frac {
-		return res.GapFrac.Samples()
+// occupancyRows are the schemes Table 2 and Figure 12 tabulate, each on
+// the topology it is deployed over (the long-TTL ones on the override
+// trees), with no attack and the cache sampled every two hours. Renewal
+// policies run in combination with refresh, as in the paper's evaluation.
+// Vanilla DNS comes first: Table 2 measures the others against it.
+func occupancyRows() []row {
+	on := func(longTTL time.Duration, sc sim.Scheme) row {
+		sp := spec(0, 0)
+		sp.scheme, sp.tree.longTTL, sp.sample = sc, longTTL, 2*time.Hour
+		return row{sc.Name, sp}
 	}
-	return res.GapAbs.Samples()
-}
-
-// cdfOf builds a CDF from raw samples.
-func cdfOf(samples []float64) *metrics.CDF {
-	var c metrics.CDF
-	for _, v := range samples {
-		c.Add(v)
-	}
-	return &c
-}
-
-// overheadSchemes are Table 2's rows. Renewal policies run in combination
-// with refresh, as in the paper's evaluation.
-func overheadSchemes() []sim.Scheme {
-	combo := sim.RefreshRenew(core.ALFU{C: 5, MaxDays: core.DefaultLFUMax(5)})
+	combo := sim.RefreshRenew(alfu5)
 	combo.Name = "Combination(3d+A-LFU5)"
-	return []sim.Scheme{
-		sim.Refresh(),
-		sim.RefreshRenew(core.LRU{C: 5}),
-		sim.RefreshRenew(core.LFU{C: 5, Max: core.DefaultLFUMax(5)}),
-		sim.RefreshRenew(core.ALRU{C: 5}),
-		sim.RefreshRenew(core.ALFU{C: 5, MaxDays: core.DefaultLFUMax(5)}),
-		{Name: "Long-TTL(7d)+Refresh", RefreshTTL: true},
-		combo,
+	return []row{
+		on(0, sim.Vanilla()),
+		on(0, sim.Refresh()),
+		on(0, sim.RefreshRenew(core.LRU{C: 5})),
+		on(0, sim.RefreshRenew(core.LFU{C: 5, Max: core.DefaultLFUMax(5)})),
+		on(0, sim.RefreshRenew(core.ALRU{C: 5})),
+		on(0, sim.RefreshRenew(alfu5)),
+		on(7*24*time.Hour, sim.Scheme{Name: "Long-TTL(7d)+Refresh", RefreshTTL: true}),
+		on(3*24*time.Hour, combo),
 	}
 }
 
-// schemeTree maps a Table 2 scheme to the topology it runs on: the
-// long-TTL rows use the override trees, everything else the base tree.
-func (s *Suite) schemeTree(scheme sim.Scheme) (tag string, ttl time.Duration) {
-	switch scheme.Name {
-	case "Long-TTL(7d)+Refresh":
-		return "ttl168", 7 * 24 * time.Hour
-	case "Combination(3d+A-LFU5)":
-		return "ttl72", 3 * 24 * time.Hour
-	default:
-		return "base", 0
-	}
-}
-
-// Table2 reproduces Table 2: per-scheme message overhead versus vanilla
-// DNS (negative = fewer messages) and cache-occupancy multipliers.
-func (s *Suite) Table2() (*Table, error) {
-	const sample = 2 * time.Hour
-	t := &Table{
+// table2 reproduces Table 2: per-scheme message overhead versus vanilla
+// DNS (negative = fewer messages) and cache-occupancy multipliers, each
+// summed over the 7-day traces.
+func table2(s *Suite) plan {
+	rows := occupancyRows()
+	p := plan{Table: Table{
 		ID:      "table2",
 		Title:   "Message overhead vs vanilla DNS, and memory (cache occupancy) multipliers",
 		Columns: []string{"Scheme", "ΔMessages", "Zones ×", "Records ×"},
-	}
-
-	type agg struct{ msgs, zones, records float64 }
-	baseline := agg{}
-	for _, tr := range s.traces {
-		res, err := s.run(s.baseTree, "base", tr, sim.Vanilla(), 0, sample, false)
-		if err != nil {
-			return nil, err
+		Notes: []string{
+			"adaptive renewal policies cost the most messages (small-TTL zones refetch often)",
+			"refresh and long-TTL reduce message counts; the combination stays cheap",
+			"occupancy multipliers stay in the 1-3x range (tens of MBs in practice)",
+		},
+	}}
+	for _, r := range rows {
+		for i := 0; i < weekTraces; i++ {
+			r.spec.trace = i
+			p.specs = append(p.specs, r.spec)
 		}
-		baseline.msgs += float64(res.MessagesOut())
-		baseline.zones += res.ZoneSeries.MeanValue()
-		baseline.records += res.RecordSeries.MeanValue()
 	}
-
-	for _, scheme := range overheadSchemes() {
-		tag, ttl := s.schemeTree(scheme)
-		tree := s.baseTree
-		if ttl > 0 {
-			var err error
-			tree, err = s.longTree(ttl)
-			if err != nil {
-				return nil, err
+	p.fill = func(t *Table, res []*outcome) {
+		type agg struct{ msgs, zones, records float64 }
+		var baseline agg
+		for i, r := range rows {
+			var cur agg
+			for _, o := range res[i*weekTraces : (i+1)*weekTraces] {
+				cur.msgs += float64(o.MessagesOut())
+				cur.zones += o.ZoneSeries.MeanValue()
+				cur.records += o.RecordSeries.MeanValue()
 			}
-		}
-		cur := agg{}
-		for _, tr := range s.traces {
-			res, err := s.run(tree, tag, tr, scheme, 0, sample, false)
-			if err != nil {
-				return nil, err
+			if i == 0 {
+				baseline = cur
+				continue
 			}
-			cur.msgs += float64(res.MessagesOut())
-			cur.zones += res.ZoneSeries.MeanValue()
-			cur.records += res.RecordSeries.MeanValue()
+			t.Rows = append(t.Rows, []string{
+				r.label,
+				fmt.Sprintf("%+.1f%%", 100*(cur.msgs-baseline.msgs)/baseline.msgs),
+				fmt.Sprintf("%.2f", cur.zones/baseline.zones),
+				fmt.Sprintf("%.2f", cur.records/baseline.records),
+			})
 		}
-		t.Rows = append(t.Rows, []string{
-			scheme.Name,
-			fmt.Sprintf("%+.1f%%", 100*(cur.msgs-baseline.msgs)/baseline.msgs),
-			fmt.Sprintf("%.2f", cur.zones/baseline.zones),
-			fmt.Sprintf("%.2f", cur.records/baseline.records),
-		})
 	}
-	t.Notes = append(t.Notes,
-		"adaptive renewal policies cost the most messages (small-TTL zones refetch often)",
-		"refresh and long-TTL reduce message counts; the combination stays cheap",
-		"occupancy multipliers stay in the 1-3x range (tens of MBs in practice)")
-	return t, nil
+	return p
 }
 
-// fig12Schemes are the schemes plotted in Figure 12.
-func fig12Schemes() []sim.Scheme {
-	combo := sim.RefreshRenew(core.ALFU{C: 5, MaxDays: core.DefaultLFUMax(5)})
-	combo.Name = "Combination(3d+A-LFU5)"
-	return []sim.Scheme{
-		sim.Vanilla(),
-		sim.RefreshRenew(core.LRU{C: 5}),
-		sim.RefreshRenew(core.LFU{C: 5, Max: core.DefaultLFUMax(5)}),
-		sim.RefreshRenew(core.ALRU{C: 5}),
-		sim.RefreshRenew(core.ALFU{C: 5, MaxDays: core.DefaultLFUMax(5)}),
-		{Name: "Long-TTL(7d)+Refresh", RefreshTTL: true},
-		combo,
+// fig12 reproduces Figure 12: zones and records cached over time for the
+// month-long trace, per scheme (refresh alone is not plotted).
+func fig12(s *Suite) plan {
+	rows := occupancyRows()
+	rows = append(rows[:1], rows[2:]...)
+	for i := range rows {
+		rows[i].spec.trace = weekTraces
 	}
+	series := func(header string, f func(*outcome) float64) column {
+		return column{header, nil, func(o *outcome) string { return fmt.Sprintf("%.0f", f(o)) }}
+	}
+	return grid("fig12", "Cache occupancy over one month (TRC6)", "Scheme", rows, []column{
+		series("Zones mean", func(o *outcome) float64 { return o.ZoneSeries.MeanValue() }),
+		series("Zones max", func(o *outcome) float64 { return o.ZoneSeries.MaxValue() }),
+		series("Records mean", func(o *outcome) float64 { return o.RecordSeries.MeanValue() }),
+		series("Records max", func(o *outcome) float64 { return o.RecordSeries.MaxValue() }),
+	}, "proposed schemes cache ~2-3x more objects than vanilla DNS")
 }
 
-// Fig12 reproduces Figure 12: zones and records cached over time for the
-// month-long trace, per scheme.
-func (s *Suite) Fig12() (*Table, error) {
-	const sample = 2 * time.Hour
-	t := &Table{
-		ID:      "fig12",
-		Title:   "Cache occupancy over one month (TRC6)",
-		Columns: []string{"Scheme", "Zones mean", "Zones max", "Records mean", "Records max"},
-	}
-	for _, scheme := range fig12Schemes() {
-		tag, ttl := s.schemeTree(scheme)
-		tree := s.baseTree
-		if ttl > 0 {
-			var err error
-			tree, err = s.longTree(ttl)
-			if err != nil {
-				return nil, err
-			}
-		}
-		res, err := s.run(tree, tag, s.month, scheme, 0, sample, false)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			scheme.Name,
-			fmt.Sprintf("%.0f", res.ZoneSeries.MeanValue()),
-			fmt.Sprintf("%.0f", res.ZoneSeries.MaxValue()),
-			fmt.Sprintf("%.0f", res.RecordSeries.MeanValue()),
-			fmt.Sprintf("%.0f", res.RecordSeries.MaxValue()),
-		})
-	}
-	t.Notes = append(t.Notes, "proposed schemes cache ~2-3x more objects than vanilla DNS")
-	return t, nil
-}
-
-// AblationChildIRRs shows that TTL refresh depends on child answers
+// ablationChildIRRs shows that TTL refresh depends on child answers
 // carrying the zone IRRs: with AttachApexNS disabled at the servers,
 // refresh degrades to vanilla behaviour.
-func (s *Suite) AblationChildIRRs() (*Table, error) {
-	const dur = 6 * time.Hour
-	t := &Table{
-		ID:      "ablation-childirr",
-		Title:   "Refresh with vs without child-carried IRRs (6h attack)",
-		Columns: []string{"Trace", "Refresh SR", "Refresh(no child IRRs) SR", "DNS SR"},
-	}
-	for _, tr := range s.traces {
-		withIRR, err := s.runBase(tr, sim.Refresh(), dur)
-		if err != nil {
-			return nil, err
-		}
-		scheme := sim.Refresh()
-		scheme.Name = "Refresh-noChildIRR"
-		without, err := s.run(s.baseTree, "base", tr, scheme, dur, 0, true)
-		if err != nil {
-			return nil, err
-		}
-		base, err := s.runBase(tr, sim.Vanilla(), dur)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			tr.Label, pct(withIRR.SRFailRate()), pct(without.SRFailRate()), pct(base.SRFailRate()),
-		})
-	}
-	t.Notes = append(t.Notes, "without child-carried IRRs, refresh loses most of its benefit")
-	return t, nil
+func ablationChildIRRs(s *Suite) plan {
+	return grid("ablation-childirr", "Refresh with vs without child-carried IRRs (6h attack)", "Trace",
+		s.weekRows(sixHours), []column{
+			{"Refresh SR", scheme(sim.Refresh()), srFail},
+			{"Refresh(no child IRRs) SR", func(sp *runSpec) { sp.scheme, sp.noChildIRRs = sim.Refresh(), true }, srFail},
+			{"DNS SR", nil, srFail},
+		}, "without child-carried IRRs, refresh loses most of its benefit")
 }
 
-// AblationRenewalWithoutRefresh compares renewal alone against
+// ablationRenewalWithoutRefresh compares renewal alone against
 // refresh+renewal: the paper always pairs them, and this shows why.
-func (s *Suite) AblationRenewalWithoutRefresh() (*Table, error) {
-	const dur = 6 * time.Hour
-	t := &Table{
-		ID:      "ablation-refresh",
-		Title:   "Renewal with vs without TTL refresh (A-LFU 5, 6h attack)",
-		Columns: []string{"Trace", "Refresh+Renew SR", "Renew-only SR", "Messages Refresh+Renew", "Messages Renew-only"},
-	}
-	policy := core.ALFU{C: 5, MaxDays: core.DefaultLFUMax(5)}
-	for _, tr := range s.traces {
-		both, err := s.runBase(tr, sim.RefreshRenew(policy), dur)
-		if err != nil {
-			return nil, err
-		}
-		renewOnly, err := s.runBase(tr, sim.Scheme{Name: "RenewOnly+A-LFU(5)", Renewal: policy}, dur)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			tr.Label,
-			pct(both.SRFailRate()), pct(renewOnly.SRFailRate()),
-			fmt.Sprintf("%d", both.MessagesOut()), fmt.Sprintf("%d", renewOnly.MessagesOut()),
-		})
-	}
-	t.Notes = append(t.Notes,
+func ablationRenewalWithoutRefresh(s *Suite) plan {
+	both := scheme(sim.RefreshRenew(alfu5))
+	renewOnly := scheme(sim.Scheme{Name: "RenewOnly+A-LFU(5)", Renewal: alfu5})
+	return grid("ablation-refresh", "Renewal with vs without TTL refresh (A-LFU 5, 6h attack)", "Trace",
+		s.weekRows(sixHours), []column{
+			{"Refresh+Renew SR", both, srFail},
+			{"Renew-only SR", renewOnly, srFail},
+			{"Messages Refresh+Renew", both, messages},
+			{"Messages Renew-only", renewOnly, messages},
+		},
 		"renewal alone already provides most of the resilience but refetches more",
 		"refresh piggybacks on demand traffic, renewal pays explicit queries")
-	return t, nil
 }
 
-// AblationNegativeCache measures the message saving from negative caching,
+// ablationNegativeCache measures the message saving from negative caching,
 // which the paper's simulations leave out.
-func (s *Suite) AblationNegativeCache() (*Table, error) {
-	t := &Table{
-		ID:      "ablation-negcache",
-		Title:   "Negative caching: message counts (no attack)",
-		Columns: []string{"Trace", "Messages (no negcache)", "Messages (1h negcache)"},
-	}
-	for _, tr := range s.traces {
-		off, err := s.runBase(tr, sim.Vanilla(), 0)
-		if err != nil {
-			return nil, err
-		}
-		on, err := s.runBase(tr, sim.Scheme{Name: "DNS+negcache", NegativeTTL: time.Hour}, 0)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			tr.Label, fmt.Sprintf("%d", off.MessagesOut()), fmt.Sprintf("%d", on.MessagesOut()),
+func ablationNegativeCache(s *Suite) plan {
+	return grid("ablation-negcache", "Negative caching: message counts (no attack)", "Trace",
+		s.weekRows(0), []column{
+			{"Messages (no negcache)", nil, messages},
+			{"Messages (1h negcache)", scheme(sim.Scheme{Name: "DNS+negcache", NegativeTTL: time.Hour}), messages},
 		})
-	}
-	return t, nil
 }
 
-// MaxDamage compares the root+TLD blackout with the greedy maximum-damage
+// maxDamage compares the root+TLD blackout with the greedy maximum-damage
 // target selection of §6, at equal zone budgets.
-func (s *Suite) MaxDamage() (*Table, error) {
-	const dur = 6 * time.Hour
-	t := &Table{
-		ID:      "maxdamage",
-		Title:   "Root+TLD blackout vs greedy max-damage target set (6h, vanilla DNS)",
-		Columns: []string{"Trace", "Root+TLD SR", "MaxDamage SR", "Budget"},
-	}
-	start := s.cfg.Epoch.Add(6 * 24 * time.Hour)
-	for _, tr := range s.traces {
-		base, err := s.runBase(tr, sim.Vanilla(), dur)
-		if err != nil {
-			return nil, err
-		}
-		budget := s.cfg.NumTLDs + 1 // same zone count as root+TLDs
-		sched := attack.MaxDamage(start, dur, budget, workload.ZoneQueryCounts(tr))
-		res, err := sim.Run(sim.Scenario{
-			Tree:   s.baseTree,
-			Trace:  tr,
-			Attack: sched,
-			Scheme: sim.Vanilla(),
-			Seed:   s.cfg.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			tr.Label, pct(base.SRFailRate()), pct(res.SRFailRate()), fmt.Sprintf("%d", budget),
-		})
-	}
-	t.Notes = append(t.Notes, "the root+TLD attack is close to the greedy maximum-damage attack (§6)")
-	return t, nil
+func maxDamage(s *Suite) plan {
+	return grid("maxdamage", "Root+TLD blackout vs greedy max-damage target set (6h, vanilla DNS)", "Trace",
+		s.weekRows(sixHours), []column{
+			{"Root+TLD SR", nil, srFail},
+			{"MaxDamage SR", func(sp *runSpec) { sp.maxDamage = true }, srFail},
+			{"Budget", nil, func(*outcome) string { return fmt.Sprintf("%d", s.damageBudget()) }},
+		}, "the root+TLD attack is close to the greedy maximum-damage attack (§6)")
 }

@@ -2,46 +2,32 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"resilientdns/internal/sim"
 )
 
-// partitionCounts are the cache-sharing factors swept by the partition
-// experiment.
-var partitionCounts = []int{1, 2, 4, 8}
-
-// Partition sweeps the number of caching servers the client population is
+// partition sweeps the number of caching servers the client population is
 // split across. The paper (§5.1) attributes the cross-trace variance of
 // SR-level results partly to "the number of SRs that use the same CS";
 // this experiment isolates that factor: fewer clients per cache → colder
 // caches → more failures during the attack, for vanilla DNS and for the
 // refresh scheme alike.
-func (s *Suite) Partition() (*Table, error) {
-	const dur = 6 * time.Hour
-	cols := []string{"Scheme"}
-	for _, k := range partitionCounts {
-		cols = append(cols, fmt.Sprintf("%d CS SR", k), fmt.Sprintf("%d CS msgs", k))
+func partition(s *Suite) plan {
+	var rows []row
+	for _, sc := range []sim.Scheme{sim.Vanilla(), sim.Refresh()} {
+		sp := spec(0, sixHours)
+		sp.scheme = sc
+		rows = append(rows, row{sc.Name, sp})
 	}
-	t := &Table{
-		ID:      "partition",
-		Title:   "Client population split across k caching servers (TRC1, 6h attack)",
-		Columns: cols,
+	var cols []column
+	for _, k := range []int{1, 2, 4, 8} {
+		split := func(sp *runSpec) { sp.servers = k }
+		cols = append(cols,
+			column{fmt.Sprintf("%d CS SR", k), split, srFail},
+			column{fmt.Sprintf("%d CS msgs", k), split, messages})
 	}
-	tr := s.traces[0]
-	for _, scheme := range []sim.Scheme{sim.Vanilla(), sim.Refresh()} {
-		row := []string{scheme.Name}
-		for _, k := range partitionCounts {
-			res, err := sim.RunPartitioned(s.scenario(s.baseTree, tr, scheme, dur), k)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, pct(res.SRFailRate()), fmt.Sprintf("%d", res.MessagesOut()))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.Notes = append(t.Notes,
+	return grid("partition", "Client population split across k caching servers (TRC1, 6h attack)", "Scheme",
+		rows, cols,
 		"splitting the client population dilutes each cache: upstream traffic grows with k",
 		"larger stub populations behind one cache amplify the resilience schemes (§5.1)")
-	return t, nil
 }

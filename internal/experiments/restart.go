@@ -10,10 +10,9 @@ import (
 	"resilientdns/internal/persist"
 	"resilientdns/internal/sim"
 	"resilientdns/internal/simclock"
-	"resilientdns/internal/workload"
 )
 
-// Restart is the kill-and-restart-mid-blackout experiment: the caching
+// restart is the kill-and-restart-mid-blackout experiment: the caching
 // server is killed six hours into a 24-hour root+TLD blackout and
 // immediately restarted. Three variants replay the same trace:
 //
@@ -27,62 +26,42 @@ import (
 //
 // It post-dates the frozen results_full.txt, so its row in the experiment
 // table is not marked frozen and `dnssim -exp all` leaves it out.
-func (s *Suite) Restart() (*Table, error) {
+func restart(s *Suite) plan {
 	const attackDur = 24 * time.Hour
-	killAt := s.cfg.Epoch.Add(6*24*time.Hour + 6*time.Hour) // six hours into the blackout
-	tr := s.traces[0]
-	vanilla := sim.Vanilla()
-	combined := sim.RefreshRenew(core.ALFU{C: 5, MaxDays: core.DefaultLFUMax(5)})
-
-	type variant struct {
-		label  string
-		scheme sim.Scheme
-		warm   bool
+	variant := func(label string, sc sim.Scheme, crash crashMode) row {
+		sp := spec(0, attackDur)
+		sp.scheme, sp.crash = sc, crash
+		return row{label, sp}
 	}
-	variants := []variant{
-		{"DNS, cold restart", vanilla, false},
-		{"Refresh+A-LFU, cold restart", combined, false},
-		{"Refresh+A-LFU, warm restart (persist)", combined, true},
-	}
-
-	t := &Table{
-		ID:      "restart",
-		Title:   fmt.Sprintf("Failed queries when the caching server is killed %v into a %v root+TLD blackout (%s)", 6*time.Hour, attackDur, tr.Label),
-		Columns: []string{"scheme", "attack fail % before kill", "attack fail % after restart", "replayed entries"},
-		Notes: []string{
-			"warm restart should hold the defended (near-zero) failure rate after the kill",
-			"cold restart of the defended scheme should revert toward the vanilla rate",
+	return grid("restart",
+		fmt.Sprintf("Failed queries when the caching server is killed %v into a %v root+TLD blackout (%s)", killAfter, attackDur, s.traces[0].Label),
+		"scheme",
+		[]row{
+			variant("DNS, cold restart", sim.Vanilla(), coldRestart),
+			variant("Refresh+A-LFU, cold restart", sim.RefreshRenew(alfu5), coldRestart),
+			variant("Refresh+A-LFU, warm restart (persist)", sim.RefreshRenew(alfu5), warmRestart),
 		},
-	}
-	for _, v := range variants {
-		out, err := s.runRestart(tr, v.scheme, attackDur, killAt, v.warm)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: restart: %w", err)
-		}
-		t.Rows = append(t.Rows, []string{
-			v.label,
-			pct(metrics.Ratio(out.preFail, out.preQueries)),
-			pct(metrics.Ratio(out.postFail, out.postQueries)),
-			fmt.Sprintf("%d", out.replayed),
-		})
-	}
-	return t, nil
+		[]column{
+			{"attack fail % before kill", nil, func(o *outcome) string { return pct(metrics.Ratio(o.preFail, o.preQueries)) }},
+			{"attack fail % after restart", nil, func(o *outcome) string {
+				return pct(metrics.Ratio(o.SRFailedAttack-o.preFail, o.SRQueriesAttack-o.preQueries))
+			}},
+			{"replayed entries", nil, func(o *outcome) string { return fmt.Sprintf("%d", o.replayed) }},
+		},
+		"warm restart should hold the defended (near-zero) failure rate after the kill",
+		"cold restart of the defended scheme should revert toward the vanilla rate")
 }
 
-// restartOutcome splits the attack-window stub-resolver counts at the kill
-// instant.
-type restartOutcome struct {
-	preQueries, preFail   uint64
-	postQueries, postFail uint64
-	replayed              int
-}
+// killAfter is how far into the blackout the crash comes.
+const killAfter = 6 * time.Hour
 
-// runRestart replays tr against a one-server fleet until killAt, crashes
-// the server (warm restarts recover the replacement from a persist store
-// written on the virtual clock), and finishes the trace on the replacement.
-func (s *Suite) runRestart(tr workload.Trace, scheme sim.Scheme, attackDur time.Duration, killAt time.Time, warm bool) (restartOutcome, error) {
-	var out restartOutcome
-	clk := simclock.NewVirtual(tr.Start)
+// runRestart replays sc against a one-server fleet until killAfter into
+// its blackout, crashes the server (warm restarts recover the replacement
+// from a persist store written on the virtual clock), and finishes the
+// trace on the replacement.
+func runRestart(sc sim.Scenario, warm bool) (*outcome, error) {
+	out := &outcome{}
+	clk := simclock.NewVirtual(sc.Trace.Start)
 
 	var store *persist.Store
 	var dir string
@@ -90,31 +69,31 @@ func (s *Suite) runRestart(tr workload.Trace, scheme sim.Scheme, attackDur time.
 		var err error
 		dir, err = os.MkdirTemp("", "restart-exp-")
 		if err != nil {
-			return out, err
+			return nil, err
 		}
 		defer os.RemoveAll(dir)
 		store, err = persist.Open(persist.Options{Dir: dir, Clock: clk})
 		if err != nil {
-			return out, err
+			return nil, err
 		}
 	}
-	f, err := sim.NewFleet(clk, s.scenario(s.baseTree, tr, scheme, attackDur), 1, func(_ int, cfg *core.Config) {
+	f, err := sim.NewFleet(clk, sc, 1, func(_ int, cfg *core.Config) {
 		if store != nil {
 			cfg.OnCacheChange = store.Observe
 		}
 	})
 	if err != nil {
-		return out, err
+		return nil, err
 	}
 
-	killed := false
 	// checkpointAt stands in for the periodic snapshot schedule: the last
 	// full snapshot before the crash lands at the blackout's onset, so the
 	// journal alone carries the six attack hours before the kill.
-	checkpointAt := s.cfg.Epoch.Add(6 * 24 * time.Hour)
-	checkpointed := false
+	checkpointAt := sc.Attack[0].Start
+	killAt := checkpointAt.Add(killAfter)
+	killed, checkpointed := false, false
 
-	for _, q := range tr.Queries {
+	for _, q := range sc.Trace.Queries {
 		// Frozen order: the renewals due by the query run first, on the
 		// server that is up at the time, then the checkpoint and the
 		// crash due by it, each at its own instant or the last renewal's.
@@ -122,7 +101,7 @@ func (s *Suite) runRestart(tr workload.Trace, scheme sim.Scheme, attackDur time.
 		if store != nil && !checkpointed && !q.At.Before(checkpointAt) {
 			clk.AdvanceTo(checkpointAt)
 			if err := store.Checkpoint(f.Servers[0]); err != nil {
-				return out, err
+				return nil, err
 			}
 			checkpointed = true
 		}
@@ -135,22 +114,22 @@ func (s *Suite) runRestart(tr workload.Trace, scheme sim.Scheme, attackDur time.
 			// checkpointed cleanly.
 			if store != nil {
 				if err := store.FlushJournal(); err != nil {
-					return out, err
+					return nil, err
 				}
 				if err := store.Close(); err != nil {
-					return out, err
+					return nil, err
 				}
 				if store, err = persist.Open(persist.Options{Dir: dir, Clock: clk}); err != nil {
-					return out, err
+					return nil, err
 				}
 			}
 			if err := f.Restart(0); err != nil {
-				return out, err
+				return nil, err
 			}
 			if store != nil {
 				rep, err := store.Recover(f.Servers[0])
 				if err != nil {
-					return out, err
+					return nil, err
 				}
 				out.replayed = rep.Replayed
 			}
@@ -160,7 +139,6 @@ func (s *Suite) runRestart(tr workload.Trace, scheme sim.Scheme, attackDur time.
 	if store != nil {
 		store.Close()
 	}
-	out.postQueries = f.Res.SRQueriesAttack - out.preQueries
-	out.postFail = f.Res.SRFailedAttack - out.preFail
+	out.Results = f.Res
 	return out, nil
 }
