@@ -77,7 +77,7 @@ func (cs *CachingServer) scheduleRenewalAt(zone dnswire.Name, due time.Time) {
 // its gossip extends every non-owner's copy at the first or second poll
 // and deferral costs only a couple of checks per TTL cycle. A non-owner
 // re-polls every ownerRecheck — long enough for mesh failure detection
-// (DeadAfter×ProbeInterval, ~4 s at defaults) to re-derive ownership away
+// (DefaultDeadAfter×DefaultProbeInterval, ~4 s) to re-derive ownership away
 // from a dead owner mid-window — and if the entry is still not extended
 // lastChance before expiry, it renews locally anyway: the owner is dead,
 // partitioned, or never had the zone (its client shard never queried it),

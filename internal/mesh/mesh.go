@@ -45,7 +45,7 @@ type Backend interface {
 	PeerAnswer(q *dnswire.Message) *dnswire.Message
 }
 
-// Defaults for Config knobs left zero.
+// Probe timing and failure-detection thresholds.
 const (
 	DefaultProbeInterval = 1 * time.Second
 	DefaultCallTimeout   = 1 * time.Second
@@ -78,11 +78,6 @@ type Config struct {
 	// OwnerRenewal enables renewal-ownership deduplication: when set,
 	// OwnsRenewal defers zones owned by another live peer.
 	OwnerRenewal bool
-
-	ProbeInterval time.Duration
-	CallTimeout   time.Duration
-	SuspectAfter  int
-	DeadAfter     int
 }
 
 // peer is one remote member as seen locally.
@@ -118,7 +113,7 @@ type Node struct {
 
 // NewNode validates cfg and builds a node with the configured peers
 // seeded as alive (optimistically: probes demote unreachable ones
-// within DeadAfter intervals).
+// within DefaultDeadAfter probe intervals).
 func NewNode(cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("mesh: Config.Self required")
@@ -131,21 +126,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	if cfg.Clock == nil {
 		return nil, errors.New("mesh: Config.Clock required")
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = DefaultProbeInterval
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = DefaultCallTimeout
-	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = DefaultSuspectAfter
-	}
-	if cfg.DeadAfter <= cfg.SuspectAfter {
-		cfg.DeadAfter = DefaultDeadAfter
-		if cfg.DeadAfter <= cfg.SuspectAfter {
-			cfg.DeadAfter = cfg.SuspectAfter + 2
-		}
 	}
 	n := &Node{
 		cfg:      cfg,
@@ -418,7 +398,7 @@ func (n *Node) callOnce(ctx context.Context, addr string, typ, flags byte, cooki
 	if err != nil {
 		return Frame{}, err
 	}
-	cctx, cancel := context.WithTimeout(ctx, n.cfg.CallTimeout)
+	cctx, cancel := context.WithTimeout(ctx, DefaultCallTimeout)
 	defer cancel()
 	respRaw, err := n.cfg.Transport.Call(cctx, addr, raw)
 	if err != nil {
@@ -438,14 +418,14 @@ func (n *Node) callOnce(ctx context.Context, addr string, typ, flags byte, cooki
 // interval has elapsed (in deterministic sorted order) and applies the
 // results. Callers run it from a ticker goroutine in production or
 // interleave it with virtual-clock advancement in simulation. Probes
-// are synchronous, so a tick can block for missed×CallTimeout on dead
-// peers; run it off the query path.
+// are synchronous, so a tick can block for missed×DefaultCallTimeout on
+// dead peers; run it off the query path.
 func (n *Node) Tick(now time.Time) {
 	n.mu.Lock()
 	var due []string
 	for _, addr := range n.sortedPeerAddrsLocked() {
 		p := n.peers[addr]
-		if p.lastProbe.IsZero() || now.Sub(p.lastProbe) >= n.cfg.ProbeInterval {
+		if p.lastProbe.IsZero() || now.Sub(p.lastProbe) >= DefaultProbeInterval {
 			p.lastProbe = now
 			due = append(due, addr)
 		}
@@ -470,9 +450,9 @@ func (n *Node) probe(addr string, now time.Time) {
 		if p, ok := n.peers[addr]; ok {
 			p.missed++
 			switch {
-			case p.missed >= n.cfg.DeadAfter:
+			case p.missed >= DefaultDeadAfter:
 				p.state = StateDead
-			case p.missed >= n.cfg.SuspectAfter:
+			case p.missed >= DefaultSuspectAfter:
 				if p.state == StateAlive {
 					p.state = StateSuspect
 				}

@@ -29,7 +29,6 @@ func startUDPNode(t *testing.T, peers []string) (*Node, *Conn, *fakeBackend) {
 		Clock:        simclock.Real{},
 		Backend:      backend,
 		OwnerRenewal: true,
-		CallTimeout:  2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

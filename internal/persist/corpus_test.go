@@ -4,15 +4,31 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"resilientdns/internal/cache"
+	"resilientdns/internal/core"
 	"resilientdns/internal/dnswire"
 )
 
+// The checked-in FuzzParseStore seed corpus and the golden of how every
+// seed decodes, read as a snapshot and as a journal.
+var (
+	seedCorpusDir   = filepath.Join("testdata", "fuzz", "FuzzParseStore")
+	seedDecodesFile = filepath.Join("testdata", "seed_decodes.txt")
+)
+
+// seedFile renders seed bytes in the go fuzz corpus file encoding.
+func seedFile(b []byte) []byte {
+	return []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", b))
+}
+
 // TestWriteFuzzCorpus regenerates the checked-in FuzzParseStore seed
-// corpus under testdata/fuzz/. It is a generator, not a test: run
+// corpus under testdata/fuzz/ and the decode golden beside it. It is a
+// generator, not a test: run
 //
 //	WRITE_FUZZ_CORPUS=1 go test -run TestWriteFuzzCorpus ./internal/persist
 //
@@ -23,7 +39,91 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("set WRITE_FUZZ_CORPUS=1 to regenerate testdata/fuzz seed corpora")
 	}
+	seeds := buildSeedCorpus(t)
+	if err := os.MkdirAll(seedCorpusDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range seeds {
+		if err := os.WriteFile(filepath.Join(seedCorpusDir, "seed-"+name), seedFile(b), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(seedDecodesFile, []byte(seedDecodes(seeds)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
+// TestSeedCorpusIsCurrent holds the encoders to the committed corpus: the
+// seeds the builder produces today must equal the files under
+// testdata/fuzz/FuzzParseStore byte for byte, and no file may be there
+// that the builder does not produce. An encoder that drifts changes the
+// on-disk format; this is where it shows.
+func TestSeedCorpusIsCurrent(t *testing.T) {
+	seeds := buildSeedCorpus(t)
+	files, err := os.ReadDir(seedCorpusDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(seeds) {
+		t.Errorf("%s holds %d files, the builder makes %d seeds", seedCorpusDir, len(files), len(seeds))
+	}
+	for name, b := range seeds {
+		got, err := os.ReadFile(filepath.Join(seedCorpusDir, "seed-"+name))
+		if err != nil {
+			t.Errorf("seed %s: %v", name, err)
+			continue
+		}
+		if string(got) != string(seedFile(b)) {
+			t.Errorf("seed %s: the encoders no longer produce the committed file", name)
+		}
+	}
+}
+
+// TestSeedDecodesMatchGolden holds the decoder to testdata/seed_decodes.txt:
+// every seed, read as a snapshot and as a journal, must report the same
+// generation, flags, dropped count and records per type as when the golden
+// was captured.
+func TestSeedDecodesMatchGolden(t *testing.T) {
+	want, err := os.ReadFile(seedDecodesFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := seedDecodes(buildSeedCorpus(t)); got != string(want) {
+		t.Errorf("seed decodes differ from %s\n--- got\n%s--- want\n%s", seedDecodesFile, got, want)
+	}
+}
+
+// seedDecodes renders one line per seed and file kind, in seed-name order.
+func seedDecodes(seeds map[string][]byte) string {
+	names := make([]string, 0, len(seeds))
+	for name := range seeds {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var sb strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&sb, "%s as snapshot: %s\n", name, decodeSummary(seeds[name], kindSnapshot))
+		fmt.Fprintf(&sb, "%s as journal: %s\n", name, decodeSummary(seeds[name], kindJournal))
+	}
+	return sb.String()
+}
+
+// decodeSummary is what parsing b as a file of the given kind reports.
+func decodeSummary(b []byte, kind byte) string {
+	d := parseFile(b, kind)
+	counts := make(map[byte]int)
+	for _, rec := range d.recs {
+		counts[rec.typ]++
+	}
+	return fmt.Sprintf("gen=%d torn=%v unusable=%v dropped=%d entry=%d extend=%d evict=%d credit=%d server=%d",
+		d.gen, d.torn, d.unusable, d.dropped,
+		counts[recEntry], counts[recExtend], counts[recEvict], counts[recCredit], counts[recServer])
+}
+
+// buildSeedCorpus builds the seed corpus, name → file bytes, from today's
+// encoders.
+func buildSeedCorpus(t testing.TB) map[string][]byte {
+	t.Helper()
 	now := time.Date(2026, 8, 6, 0, 0, 0, 0, time.UTC)
 	key := cache.Key{Name: dnswire.MustName("corpus.example."), Type: dnswire.TypeA}
 	entry, err := encodeEntry(&cache.Entry{
@@ -46,7 +146,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	snap := appendHeader(nil, fileHeader{Kind: kindSnapshot, Generation: 9, CreatedAt: now})
 	snap = appendFrame(snap, recEntry, entry)
 	snap = appendFrame(snap, recCredit, encodeCredit(dnswire.MustName("corpus.example."), 3.5))
-	snap = appendFrame(snap, recServer, encodeServer(serverRecord{
+	snap = appendFrame(snap, recServer, encodeServer(core.UpstreamServerState{
 		Addr: "192.0.2.53:53", SRTT: 35 * time.Millisecond, RTTVar: 9 * time.Millisecond, Samples: 12,
 	}))
 
@@ -100,14 +200,5 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	}
 	seeds["journal-empty-payloads"] = empties
 
-	dir := filepath.Join("testdata", "fuzz", "FuzzParseStore")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for name, b := range seeds {
-		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", b)
-		if err := os.WriteFile(filepath.Join(dir, "seed-"+name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return seeds
 }

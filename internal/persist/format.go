@@ -4,7 +4,9 @@
 // is cached state: infrastructure RRs surviving a root/TLD blackout. This
 // package makes that state survive the process.
 //
-// The store is a classic snapshot + journal pair in one directory:
+// The store is a classic snapshot + journal pair in one directory, and
+// both files are the same thing — a header and a list of records, read by
+// one decoder and folded by one function:
 //
 //   - snapshot.dat — a periodic full dump of the cache (live and stale
 //     entries), renewal credit, and upstream selection state. Written to a
@@ -14,6 +16,10 @@
 //     since the snapshot, fed by the cache's OnChange hook and flushed on
 //     a short interval. A crash loses at most one flush interval of
 //     deltas.
+//
+// A snapshot is a journal whose deltas are all Put, plus the soft-state
+// records; recovery applies the snapshot's records and then the journal's
+// through the same switch.
 //
 // Both files carry a generation number. A journal is replayed only when
 // its generation matches the snapshot's: each snapshot rotates the journal
@@ -38,7 +44,9 @@ import (
 	"time"
 
 	"resilientdns/internal/cache"
+	"resilientdns/internal/core"
 	"resilientdns/internal/dnswire"
+	"resilientdns/internal/transport"
 )
 
 // File format constants. The magic's trailing byte doubles as a coarse
@@ -79,19 +87,82 @@ const (
 	recServer byte = 5
 )
 
+// carriedBy says which file kinds hold each record type, one bit per kind.
+// A record met in a file of another kind is dropped and counted, as a
+// record of unknown type is.
+var carriedBy = [...]byte{
+	recEntry:  1<<kindSnapshot | 1<<kindJournal,
+	recExtend: 1 << kindJournal,
+	recEvict:  1 << kindJournal,
+	recCredit: 1 << kindSnapshot,
+	recServer: 1 << kindSnapshot,
+}
+
 // errCorrupt reports a record that failed structural validation. Decoders
 // return it (never panic) so recovery can drop the record and carry on.
 var errCorrupt = errors.New("persist: corrupt record")
 
-// entryRecord is the decoded form of a recEntry payload.
-type entryRecord struct {
-	Cred     cache.Credibility
-	Infra    bool
-	Origin   cache.Origin
-	OrigTTL  time.Duration
-	Expires  time.Time
-	StoredAt time.Time
-	RRs      []dnswire.RR
+// record is one decoded record of a store file; typ says which fields are
+// set.
+type record struct {
+	typ     byte
+	entry   cache.RestoreEntry       // recEntry
+	key     cache.Key                // recExtend, recEvict
+	expires time.Time                // recExtend
+	zone    dnswire.Name             // recCredit
+	credit  float64                  // recCredit
+	server  core.UpstreamServerState // recServer
+}
+
+// decodeRecord decodes one intact frame; an unknown record type is
+// corrupt.
+func decodeRecord(f frame) (rec record, err error) {
+	rec.typ = f.typ
+	switch f.typ {
+	case recEntry:
+		rec.entry, err = decodeEntry(f.payload)
+	case recExtend:
+		rec.key, rec.expires, err = decodeExtend(f.payload)
+	case recEvict:
+		rec.key, err = decodeEvict(f.payload)
+	case recCredit:
+		rec.zone, rec.credit, err = decodeCredit(f.payload)
+	case recServer:
+		rec.server, err = decodeServer(f.payload)
+	default:
+		err = errCorrupt
+	}
+	return rec, err
+}
+
+// fileData is a decoded store file, snapshot or journal.
+type fileData struct {
+	gen      uint64
+	torn     bool
+	unusable bool // header unreadable or of the other kind: treat as absent
+	dropped  int  // records that failed decoding or do not belong in this kind
+	recs     []record
+}
+
+// parseFile decodes the bytes of a store file of the given kind; it never
+// fails, only degrades (unusable header, dropped records, torn tail).
+func parseFile(b []byte, kind byte) *fileData {
+	h, off, err := parseHeader(b)
+	if err != nil || h.Kind != kind {
+		return &fileData{unusable: true}
+	}
+	frames, torn := readFrames(b[off:])
+	data := &fileData{gen: h.Generation, torn: torn}
+	for _, f := range frames {
+		rec, err := decodeRecord(f)
+		// An unknown type has failed already, so f.typ indexes the table.
+		if err != nil || carriedBy[f.typ]&(1<<kind) == 0 {
+			data.dropped++ // skip, keep the rest
+			continue
+		}
+		data.recs = append(data.recs, rec)
+	}
+	return data
 }
 
 // fileHeader describes a store file.
@@ -149,30 +220,30 @@ type frame struct {
 }
 
 // readFrames parses consecutive frames from b. It returns the frames that
-// were fully intact, the offset just past the last good frame, and whether
-// the remainder was torn or corrupt (short frame, oversized length, or
-// checksum mismatch). A torn tail is expected after a crash and must never
-// abort recovery — the caller truncates there and continues.
-func readFrames(b []byte) (frames []frame, good int, torn bool) {
+// were fully intact and whether the remainder was torn or corrupt (short
+// frame, oversized length, or checksum mismatch). A torn tail is expected
+// after a crash and must never abort recovery — the caller keeps what came
+// before it and continues.
+func readFrames(b []byte) (frames []frame, torn bool) {
 	off := 0
 	for off < len(b) {
 		if len(b)-off < frameOverhead {
-			return frames, off, true
+			return frames, true
 		}
 		typ := b[off]
 		n := int(binary.BigEndian.Uint32(b[off+1 : off+5]))
 		sum := binary.BigEndian.Uint32(b[off+5 : off+9])
 		if n > maxRecordLen || len(b)-off-frameOverhead < n {
-			return frames, off, true
+			return frames, true
 		}
 		payload := b[off+frameOverhead : off+frameOverhead+n]
 		if crc32.ChecksumIEEE(payload) != sum {
-			return frames, off, true
+			return frames, true
 		}
 		frames = append(frames, frame{typ: typ, payload: payload})
 		off += frameOverhead + n
 	}
-	return frames, off, false
+	return frames, false
 }
 
 // encodeEntry serialises a cache entry: credibility, flags, the three
@@ -205,8 +276,8 @@ func encodeEntry(e *cache.Entry) ([]byte, error) {
 // decodeEntry parses a recEntry payload. It validates that the RRset is
 // non-empty and homogeneous (one owner, one type) so a corrupt record can
 // never install a malformed cache entry.
-func decodeEntry(b []byte) (entryRecord, error) {
-	var rec entryRecord
+func decodeEntry(b []byte) (cache.RestoreEntry, error) {
+	var rec cache.RestoreEntry
 	if len(b) < 2+3*8+4 {
 		return rec, errCorrupt
 	}
@@ -327,27 +398,17 @@ func decodeCredit(b []byte) (dnswire.Name, float64, error) {
 	return zone, credit, nil
 }
 
-// serverRecord is the decoded form of a recServer payload, mirroring
-// core.UpstreamServerState without importing core (the store does that).
-type serverRecord struct {
-	Addr            string
-	SRTT            time.Duration
-	RTTVar          time.Duration
-	Samples         uint64
-	Fails           uint32
-	QuarantineUntil time.Time
-}
-
-// encodeServer serialises one upstream server's selection state. A zero
-// quarantine release time is stored as 0 nanoseconds so it round-trips to
-// the "not quarantined" zero time.
-func encodeServer(s serverRecord) []byte {
+// encodeServer serialises one upstream server's selection state. A
+// negative failure count is stored as 0, and a zero quarantine release
+// time as 0 nanoseconds so it round-trips to the "not quarantined" zero
+// time.
+func encodeServer(s core.UpstreamServerState) []byte {
 	b := binary.BigEndian.AppendUint16(nil, uint16(len(s.Addr)))
 	b = append(b, s.Addr...)
 	b = binary.BigEndian.AppendUint64(b, uint64(s.SRTT))
 	b = binary.BigEndian.AppendUint64(b, uint64(s.RTTVar))
 	b = binary.BigEndian.AppendUint64(b, s.Samples)
-	b = binary.BigEndian.AppendUint32(b, s.Fails)
+	b = binary.BigEndian.AppendUint32(b, uint32(max(s.Fails, 0)))
 	var quar uint64
 	if !s.QuarantineUntil.IsZero() {
 		quar = uint64(s.QuarantineUntil.UnixNano())
@@ -356,8 +417,8 @@ func encodeServer(s serverRecord) []byte {
 }
 
 // decodeServer parses a recServer payload.
-func decodeServer(b []byte) (serverRecord, error) {
-	var s serverRecord
+func decodeServer(b []byte) (core.UpstreamServerState, error) {
+	var s core.UpstreamServerState
 	if len(b) < 2 {
 		return s, errCorrupt
 	}
@@ -365,12 +426,12 @@ func decodeServer(b []byte) (serverRecord, error) {
 	if n == 0 || len(b) != 2+n+3*8+4+8 {
 		return s, errCorrupt
 	}
-	s.Addr = string(b[2 : 2+n])
+	s.Addr = transport.Addr(b[2 : 2+n])
 	rest := b[2+n:]
 	s.SRTT = time.Duration(binary.BigEndian.Uint64(rest[0:8]))
 	s.RTTVar = time.Duration(binary.BigEndian.Uint64(rest[8:16]))
 	s.Samples = binary.BigEndian.Uint64(rest[16:24])
-	s.Fails = binary.BigEndian.Uint32(rest[24:28])
+	s.Fails = int(binary.BigEndian.Uint32(rest[24:28]))
 	if quar := binary.BigEndian.Uint64(rest[28:36]); quar != 0 {
 		s.QuarantineUntil = time.Unix(0, int64(quar))
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"resilientdns/internal/cache"
+	"resilientdns/internal/core"
 	"resilientdns/internal/dnswire"
 )
 
@@ -37,7 +38,7 @@ func FuzzParseStore(f *testing.F) {
 	snap := appendHeader(nil, fileHeader{Kind: kindSnapshot, Generation: 3, CreatedAt: now})
 	snap = appendFrame(snap, recEntry, entry)
 	snap = appendFrame(snap, recCredit, encodeCredit(dnswire.MustName("example."), 2.5))
-	snap = appendFrame(snap, recServer, encodeServer(serverRecord{
+	snap = appendFrame(snap, recServer, encodeServer(core.UpstreamServerState{
 		Addr: "10.0.0.1:53", SRTT: 20 * time.Millisecond, RTTVar: 5 * time.Millisecond, Samples: 7,
 	}))
 	journal := appendHeader(nil, fileHeader{Kind: kindJournal, Generation: 3, CreatedAt: now})
@@ -52,11 +53,11 @@ func FuzzParseStore(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if d := parseSnapshotBytes(b); d == nil {
-			t.Fatal("parseSnapshotBytes returned nil")
+		if d := parseFile(b, kindSnapshot); d == nil {
+			t.Fatal("parseFile(snapshot) returned nil")
 		}
-		if d := parseJournalBytes(b); d == nil {
-			t.Fatal("parseJournalBytes returned nil")
+		if d := parseFile(b, kindJournal); d == nil {
+			t.Fatal("parseFile(journal) returned nil")
 		}
 	})
 }
@@ -87,30 +88,31 @@ func TestFuzzSeedsRoundTrip(t *testing.T) {
 	snap = appendFrame(snap, recEntry, entry)
 	snap = appendFrame(snap, recCredit, encodeCredit(dnswire.MustName("example."), 2.5))
 
-	d := parseSnapshotBytes(snap)
-	if d.unusable || d.torn || d.dropped != 0 || len(d.entries) != 1 || d.credits[dnswire.MustName("example.")] != 2.5 {
+	d := parseFile(snap, kindSnapshot)
+	if d.unusable || d.torn || d.dropped != 0 || len(d.recs) != 2 || d.recs[0].typ != recEntry ||
+		d.recs[1].typ != recCredit || d.recs[1].zone != dnswire.MustName("example.") || d.recs[1].credit != 2.5 {
 		t.Fatalf("valid snapshot decoded as %+v", d)
 	}
 	if d.gen != 3 {
 		t.Errorf("generation = %d, want 3", d.gen)
 	}
-	got := d.entries[0]
+	got := d.recs[0].entry
 	if got.OrigTTL != time.Hour || !got.Expires.Equal(now.Add(time.Hour)) || !got.Infra || got.Cred != cache.CredAuthority {
 		t.Errorf("entry decoded as %+v", got)
 	}
 
-	torn := parseSnapshotBytes(snap[:len(snap)-3])
+	torn := parseFile(snap[:len(snap)-3], kindSnapshot)
 	if !torn.torn {
 		t.Error("truncated snapshot not flagged torn")
 	}
-	if len(torn.entries) != 1 {
-		t.Errorf("torn snapshot kept %d entries, want the 1 before the tear", len(torn.entries))
+	if len(torn.recs) != 1 || torn.recs[0].typ != recEntry {
+		t.Errorf("torn snapshot kept %d records, want the 1 entry before the tear", len(torn.recs))
 	}
 
-	if !parseSnapshotBytes(nil).unusable {
+	if !parseFile(nil, kindSnapshot).unusable {
 		t.Error("empty input not flagged unusable")
 	}
-	if !parseJournalBytes(snap).unusable {
+	if !parseFile(snap, kindJournal).unusable {
 		t.Error("snapshot bytes accepted as a journal")
 	}
 }

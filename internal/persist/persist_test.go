@@ -2,9 +2,11 @@ package persist
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -593,5 +595,107 @@ func TestPeerOriginSurvivesRecovery(t *testing.T) {
 	}
 	if !e.Infra {
 		t.Error("recovered entry lost its infra flag")
+	}
+}
+
+// TestForeignKindRecordsAreDropped pins what happens to a well-formed,
+// CRC-valid record in the wrong kind of file — a journal delta in a
+// snapshot, a soft-state record in a journal: it is counted in Dropped and
+// never applied, exactly as an unknown record type is.
+func TestForeignKindRecordsAreDropped(t *testing.T) {
+	f := newFixture(t)
+	key := cache.Key{Name: dnswire.MustName("www.example."), Type: dnswire.TypeA}
+	expires := epoch.Add(5 * time.Minute)
+	entry, err := encodeEntry(&cache.Entry{
+		Key:      key,
+		RRs:      []dnswire.RR{rrA("www.example.", 300, "10.9.9.9")},
+		Cred:     cache.CredAnswer,
+		OrigTTL:  5 * time.Minute,
+		Expires:  expires,
+		StoredAt: epoch,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zone := dnswire.MustName("example.")
+	snap := appendHeader(nil, fileHeader{Kind: kindSnapshot, Generation: 4, CreatedAt: epoch})
+	snap = appendFrame(snap, recEntry, entry)
+	snap = appendFrame(snap, recExtend, encodeExtend(key, epoch.Add(time.Hour)))
+	journal := appendHeader(nil, fileHeader{Kind: kindJournal, Generation: 4, CreatedAt: epoch})
+	journal = appendFrame(journal, recCredit, encodeCredit(zone, 5))
+	for name, b := range map[string][]byte{snapshotFile: snap, journalFile: journal} {
+		if err := os.WriteFile(filepath.Join(f.dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st := f.open()
+	defer st.Close()
+	cs := f.server(st, core.Config{Renewal: core.ALFU{C: 5, MaxDays: core.DefaultLFUMax(5)}})
+	rep, err := st.Recover(cs)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if !rep.JournalReplayed || rep.Replayed != 1 || rep.Dropped != 2 || rep.JournalOps != 0 || rep.Credits != 0 || rep.TornTail {
+		t.Fatalf("report = %+v, want the journal replayed, 1 entry, 2 dropped, no ops, no credits, no tear", rep)
+	}
+	e := cs.Cache().Peek(key.Name, key.Type)
+	if e == nil {
+		t.Fatal("the snapshot's entry was not restored")
+	}
+	if !e.Expires.Equal(expires) {
+		t.Errorf("a recExtend inside a snapshot was applied: expires %v, want %v", e.Expires, expires)
+	}
+	if c, ok := cs.RenewalCredits()[zone]; ok {
+		t.Errorf("a recCredit inside a journal was applied: credit[%s] = %v", zone, c)
+	}
+}
+
+// TestConcurrentCheckpointsSerialise runs Checkpoint against itself, as
+// Run's periodic checkpoint and a shutdown checkpoint can: every call must
+// succeed, N successful checkpoints must advance the generation by exactly
+// N, and the pair left on disk must recover whole.
+func TestConcurrentCheckpointsSerialise(t *testing.T) {
+	f := newFixture(t)
+	st := f.open()
+	cs := f.server(st, core.Config{})
+	const entries = 5000
+	for i := 0; i < entries; i++ {
+		cs.Cache().Put([]dnswire.RR{rrA(fmt.Sprintf("h%d.example.", i), 3600, "10.9.9.9")}, cache.CredAnswer, false)
+	}
+	const workers, rounds = 4, 10
+	errs := make(chan error, workers*rounds)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				errs <- st.Checkpoint(cs)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	failed := 0
+	for err := range errs {
+		if err != nil {
+			failed++
+			t.Errorf("Checkpoint: %v", err)
+		}
+	}
+	st.Close()
+
+	st2 := f.open()
+	defer st2.Close()
+	rep, err := st2.Recover(f.server(st2, core.Config{}))
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if want := uint64(workers*rounds - failed); rep.Generation != want {
+		t.Errorf("%d successful checkpoints left generation %d", want, rep.Generation)
+	}
+	if !rep.SnapshotFound || rep.Replayed != entries || rep.Dropped != 0 || rep.TornTail {
+		t.Errorf("report = %+v, want %d entries, nothing dropped, no tear", rep, entries)
 	}
 }

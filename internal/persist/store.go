@@ -16,7 +16,6 @@ import (
 	"resilientdns/internal/dnswire"
 	"resilientdns/internal/metrics"
 	"resilientdns/internal/simclock"
-	"resilientdns/internal/transport"
 )
 
 // File names inside the store directory.
@@ -33,8 +32,8 @@ const (
 // "snapshot only" is merely a wider (but honest) loss window.
 const maxJournalBuffer = 64 << 20
 
-// defaultFlushEvery is the journal flush interval when Options leaves it
-// zero: the crash-loss window for deltas.
+// defaultFlushEvery is how often Run flushes buffered journal deltas to
+// disk: the crash-loss window for deltas.
 const defaultFlushEvery = time.Second
 
 // Options parameterises a Store.
@@ -46,9 +45,6 @@ type Options struct {
 	// clock. It must be the same clock the cached entries' timestamps come
 	// from.
 	Clock simclock.Clock
-	// FlushEvery is how often Run flushes buffered journal deltas to disk
-	// (default 1s). A crash loses at most this much journal.
-	FlushEvery time.Duration
 }
 
 // Store is the on-disk persistence for one caching server: a snapshot +
@@ -71,10 +67,14 @@ type Options struct {
 // the hook again for the replacement server, so reopen the store first,
 // then Restart, then Recover (the restart experiment does exactly this).
 type Store struct {
-	dir        string
-	clock      simclock.Clock
-	flushEvery time.Duration
-	counters   *Counters
+	dir      string
+	clock    simclock.Clock
+	counters *Counters
+
+	// ckMu serialises Checkpoint against itself (Run's periodic one and a
+	// shutdown one can overlap). It is taken before mu and never by Observe
+	// or FlushJournal, so the query path does not wait on a snapshot.
+	ckMu sync.Mutex
 
 	mu     sync.Mutex
 	jf     *os.File // active journal (nil while buffering only)
@@ -85,38 +85,10 @@ type Store struct {
 	loaded *loadedState // parsed files from Open, consumed by Recover
 }
 
-// loadedState carries what Open found on disk.
+// loadedState carries what Open found on disk; a file that was absent or
+// had no usable header is nil.
 type loadedState struct {
-	snap    *snapshotData
-	journal *journalData
-}
-
-// snapshotData is a decoded snapshot file.
-type snapshotData struct {
-	gen      uint64
-	torn     bool
-	unusable bool // header unreadable: treat as no snapshot
-	entries  []entryRecord
-	credits  map[dnswire.Name]float64
-	servers  []serverRecord
-	dropped  int // records that failed decoding
-}
-
-// journalOp is one decoded journal delta.
-type journalOp struct {
-	typ     byte
-	entry   entryRecord // recEntry
-	key     cache.Key   // recExtend, recEvict
-	expires time.Time   // recExtend
-}
-
-// journalData is a decoded journal file.
-type journalData struct {
-	gen      uint64
-	torn     bool
-	unusable bool
-	ops      []journalOp
-	dropped  int
+	snap, journal *fileData
 }
 
 // Open reads (but does not yet apply) the store directory's snapshot and
@@ -129,24 +101,20 @@ func Open(opts Options) (*Store, error) {
 	if opts.Clock == nil {
 		opts.Clock = simclock.Real{}
 	}
-	if opts.FlushEvery <= 0 {
-		opts.FlushEvery = defaultFlushEvery
-	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	s := &Store{dir: opts.Dir, clock: opts.Clock, flushEvery: opts.FlushEvery,
-		counters: metrics.NewSet[Counters]()}
-	snap, err := readSnapshot(filepath.Join(opts.Dir, snapshotFile))
+	s := &Store{dir: opts.Dir, clock: opts.Clock, counters: metrics.NewSet[Counters]()}
+	snap, err := readFile(filepath.Join(opts.Dir, snapshotFile), kindSnapshot)
 	if err != nil {
 		return nil, err
 	}
-	journal, err := readJournal(filepath.Join(opts.Dir, journalFile))
+	journal, err := readFile(filepath.Join(opts.Dir, journalFile), kindJournal)
 	if err != nil {
 		return nil, err
 	}
 	s.loaded = &loadedState{snap: snap, journal: journal}
-	if snap != nil && !snap.unusable {
+	if snap != nil {
 		s.gen = snap.gen
 	}
 	return s, nil
@@ -309,84 +277,50 @@ func (s *Store) Recover(cs *core.CachingServer) (RecoveryReport, error) {
 	}
 
 	snap, journal := loaded.snap, loaded.journal
-	if snap != nil && !snap.unusable {
+	if snap != nil {
 		rep.SnapshotFound = true
 		rep.Generation = snap.gen
 		rep.TornTail = snap.torn
 		rep.Dropped += snap.dropped
 
-		// Fold the journal into the snapshot's entry map, then install the
-		// final state. Per-key journal order matches mutation order (the
-		// hook runs under the shard lock), so "last record wins" is exact.
-		state := make(map[cache.Key]entryRecord, len(snap.entries))
-		for _, rec := range snap.entries {
-			state[keyOf(rec)] = rec
+		// Fold the snapshot's records and then the journal's into one
+		// state, then install it. Per-key journal order matches mutation
+		// order (the hook runs under the shard lock), so "last record wins"
+		// is exact.
+		st := replayState{entries: make(map[cache.Key]cache.RestoreEntry, len(snap.recs)),
+			credits: make(map[dnswire.Name]float64)}
+		for _, rec := range snap.recs {
+			st.apply(rec)
 		}
-		if journal != nil && !journal.unusable {
-			if journal.gen == snap.gen {
-				rep.JournalReplayed = true
-				rep.TornTail = rep.TornTail || journal.torn
-				rep.Dropped += journal.dropped
-				for _, op := range journal.ops {
-					switch op.typ {
-					case recEntry:
-						state[keyOf(op.entry)] = op.entry
-						rep.JournalOps++
-					case recExtend:
-						if rec, ok := state[op.key]; ok {
-							rec.Expires = op.expires
-							state[op.key] = rec
-							rep.JournalOps++
-						} else {
-							rep.Dropped++
-						}
-					case recEvict:
-						delete(state, op.key)
-						rep.JournalOps++
-					}
+		if journal != nil && journal.gen == snap.gen {
+			rep.JournalReplayed = true
+			rep.TornTail = rep.TornTail || journal.torn
+			rep.Dropped += journal.dropped
+			for _, rec := range journal.recs {
+				if st.apply(rec) {
+					rep.JournalOps++
+				} else {
+					rep.Dropped++
 				}
-			} else {
-				rep.JournalSkipped = true
 			}
+		} else if journal != nil {
+			rep.JournalSkipped = true
 		}
 
 		c := cs.Cache()
-		for _, rec := range state {
-			if c.Restore(cache.RestoreEntry{
-				RRs:      rec.RRs,
-				Cred:     rec.Cred,
-				Infra:    rec.Infra,
-				Origin:   rec.Origin,
-				OrigTTL:  rec.OrigTTL,
-				Expires:  rec.Expires,
-				StoredAt: rec.StoredAt,
-			}) {
+		for _, e := range st.entries {
+			if c.Restore(e) {
 				rep.Replayed++
 			} else {
 				rep.Dropped++
 			}
 		}
-		if len(snap.credits) > 0 {
-			cs.RestoreRenewalCredits(snap.credits)
-			rep.Credits = len(snap.credits)
-		}
-		if len(snap.servers) > 0 {
-			states := make([]core.UpstreamServerState, 0, len(snap.servers))
-			for _, sr := range snap.servers {
-				states = append(states, core.UpstreamServerState{
-					Addr:            transport.Addr(sr.Addr),
-					SRTT:            sr.SRTT,
-					RTTVar:          sr.RTTVar,
-					Samples:         sr.Samples,
-					Fails:           int(sr.Fails),
-					QuarantineUntil: sr.QuarantineUntil,
-				})
-			}
-			cs.RestoreUpstreamStates(states)
-			rep.Servers = len(states)
-		}
+		cs.RestoreRenewalCredits(st.credits)
+		rep.Credits = len(st.credits)
+		cs.RestoreUpstreamStates(st.servers)
+		rep.Servers = len(st.servers)
 		cs.RearmRenewals()
-	} else if journal != nil && !journal.unusable {
+	} else if journal != nil {
 		// A journal with no snapshot (first snapshot never completed):
 		// nothing to replay it against.
 		rep.JournalSkipped = true
@@ -406,10 +340,38 @@ func (s *Store) Recover(cs *core.CachingServer) (RecoveryReport, error) {
 	return rep, nil
 }
 
-// keyOf returns the cache key of a decoded entry record (the decoder
-// guarantees a non-empty homogeneous RRset).
-func keyOf(rec entryRecord) cache.Key {
-	return cache.Key{Name: rec.RRs[0].Name, Type: rec.RRs[0].Type()}
+// replayState is what recovery folds a store's records into before
+// installing them in the server.
+type replayState struct {
+	entries map[cache.Key]cache.RestoreEntry
+	credits map[dnswire.Name]float64
+	servers []core.UpstreamServerState
+}
+
+// apply folds one record into the state, for a snapshot's records and a
+// journal's alike. It reports false for the one record that can have
+// nothing to act on: an Extend of a key the state does not hold.
+func (st *replayState) apply(rec record) bool {
+	switch rec.typ {
+	case recEntry:
+		// The decoder guarantees a non-empty RRset of one owner and type.
+		rr := rec.entry.RRs[0]
+		st.entries[cache.Key{Name: rr.Name, Type: rr.Type()}] = rec.entry
+	case recExtend:
+		e, ok := st.entries[rec.key]
+		if !ok {
+			return false
+		}
+		e.Expires = rec.expires
+		st.entries[rec.key] = e
+	case recEvict:
+		delete(st.entries, rec.key)
+	case recCredit:
+		st.credits[rec.zone] = rec.credit
+	case recServer:
+		st.servers = append(st.servers, rec.server)
+	}
+	return true
 }
 
 // Checkpoint writes a full snapshot of cs at the next generation and
@@ -420,6 +382,8 @@ func keyOf(rec entryRecord) cache.Key {
 // final state). A crash at any point leaves either the old consistent
 // pair or the new one.
 func (s *Store) Checkpoint(cs *core.CachingServer) error {
+	s.ckMu.Lock()
+	defer s.ckMu.Unlock()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -458,25 +422,24 @@ func (s *Store) Checkpoint(cs *core.CachingServer) error {
 		records++
 	}
 	for _, st := range cs.UpstreamStates() {
-		buf = appendFrame(buf, recServer, encodeServer(serverRecord{
-			Addr:            string(st.Addr),
-			SRTT:            st.SRTT,
-			RTTVar:          st.RTTVar,
-			Samples:         st.Samples,
-			Fails:           uint32(max(st.Fails, 0)),
-			QuarantineUntil: st.QuarantineUntil,
-		}))
+		buf = appendFrame(buf, recServer, encodeServer(st))
 		records++
 	}
 
-	if err := atomicWriteFile(filepath.Join(s.dir, snapshotFile), buf); err != nil {
+	sf, err := atomicWriteFile(filepath.Join(s.dir, snapshotFile), buf)
+	if err != nil {
+		return fmt.Errorf("persist: snapshot: %w", err)
+	}
+	if err := sf.Close(); err != nil {
 		return fmt.Errorf("persist: snapshot: %w", err)
 	}
 	metrics.Inc(&s.counters.Snapshots)
 	metrics.Add(&s.counters.SnapshotRecords, uint64(records))
 	metrics.Add(&s.counters.SnapshotBytes, uint64(len(buf)))
 
-	jf, err := createJournal(filepath.Join(s.dir, journalFile), gen, now)
+	// The journal handle stays open for appends.
+	jf, err := atomicWriteFile(filepath.Join(s.dir, journalFile),
+		appendHeader(nil, fileHeader{Kind: kindJournal, Generation: gen, CreatedAt: now}))
 	if err != nil {
 		// Snapshot succeeded, journal rotation failed: stay in buffer-only
 		// mode (degraded but consistent — the stale journal was renamed
@@ -497,7 +460,7 @@ func (s *Store) Checkpoint(cs *core.CachingServer) error {
 }
 
 // Run services the store until ctx is cancelled: it flushes the journal
-// every FlushEvery and checkpoints every snapshotEvery. Errors are
+// every defaultFlushEvery and checkpoints every snapshotEvery. Errors are
 // reported through onError (nil to ignore) and do not stop the loop — a
 // transient disk error should not end persistence for the process.
 func (s *Store) Run(ctx context.Context, cs *core.CachingServer, snapshotEvery time.Duration, onError func(error)) {
@@ -506,7 +469,7 @@ func (s *Store) Run(ctx context.Context, cs *core.CachingServer, snapshotEvery t
 			onError(err)
 		}
 	}
-	flush := time.NewTicker(s.flushEvery)
+	flush := time.NewTicker(defaultFlushEvery)
 	defer flush.Stop()
 	var snapC <-chan time.Time
 	if snapshotEvery > 0 {
@@ -527,10 +490,11 @@ func (s *Store) Run(ctx context.Context, cs *core.CachingServer, snapshotEvery t
 	}
 }
 
-// readSnapshot decodes a snapshot file. A missing file returns (nil, nil);
-// an unreadable header returns data flagged unusable; record-level damage
-// is dropped/truncated, never fatal. Only real I/O errors propagate.
-func readSnapshot(path string) (*snapshotData, error) {
+// readFile decodes the store file of the given kind at path. A missing
+// file and one whose header is unreadable both return (nil, nil);
+// record-level damage is dropped/truncated, never fatal. Only real I/O
+// errors propagate.
+func readFile(path string, kind byte) (*fileData, error) {
 	b, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
@@ -538,157 +502,29 @@ func readSnapshot(path string) (*snapshotData, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	return parseSnapshotBytes(b), nil
-}
-
-// parseSnapshotBytes decodes snapshot bytes; it never fails, only
-// degrades (unusable header, dropped records, torn tail).
-func parseSnapshotBytes(b []byte) *snapshotData {
-	h, off, err := parseHeader(b)
-	if err != nil || h.Kind != kindSnapshot {
-		return &snapshotData{unusable: true}
+	if data := parseFile(b, kind); !data.unusable {
+		return data, nil
 	}
-	data := &snapshotData{gen: h.Generation, credits: make(map[dnswire.Name]float64)}
-	frames, _, torn := readFrames(b[off:])
-	data.torn = torn
-	for _, f := range frames {
-		switch f.typ {
-		case recEntry:
-			rec, err := decodeEntry(f.payload)
-			if err != nil {
-				data.dropped++
-				continue
-			}
-			data.entries = append(data.entries, rec)
-		case recCredit:
-			zone, credit, err := decodeCredit(f.payload)
-			if err != nil {
-				data.dropped++
-				continue
-			}
-			data.credits[zone] = credit
-		case recServer:
-			sr, err := decodeServer(f.payload)
-			if err != nil {
-				data.dropped++
-				continue
-			}
-			data.servers = append(data.servers, sr)
-		default:
-			data.dropped++ // unknown record type: skip, keep the rest
-		}
-	}
-	return data
-}
-
-// readJournal decodes a journal file with the same tolerance rules as
-// readSnapshot.
-func readJournal(path string) (*journalData, error) {
-	b, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	return parseJournalBytes(b), nil
-}
-
-// parseJournalBytes decodes journal bytes with the same tolerance rules
-// as parseSnapshotBytes.
-func parseJournalBytes(b []byte) *journalData {
-	h, off, err := parseHeader(b)
-	if err != nil || h.Kind != kindJournal {
-		return &journalData{unusable: true}
-	}
-	data := &journalData{gen: h.Generation}
-	frames, _, torn := readFrames(b[off:])
-	data.torn = torn
-	for _, f := range frames {
-		op := journalOp{typ: f.typ}
-		switch f.typ {
-		case recEntry:
-			rec, err := decodeEntry(f.payload)
-			if err != nil {
-				data.dropped++
-				continue
-			}
-			op.entry = rec
-		case recExtend:
-			key, t, err := decodeExtend(f.payload)
-			if err != nil {
-				data.dropped++
-				continue
-			}
-			op.key, op.expires = key, t
-		case recEvict:
-			key, err := decodeEvict(f.payload)
-			if err != nil {
-				data.dropped++
-				continue
-			}
-			op.key = key
-		default:
-			data.dropped++
-			continue
-		}
-		data.ops = append(data.ops, op)
-	}
-	return data
+	return nil, nil
 }
 
 // atomicWriteFile writes data to path via a temp file, fsync, and rename,
-// then syncs the directory so the rename itself is durable.
-func atomicWriteFile(path string, data []byte) error {
+// then syncs the directory so the rename itself is durable. It returns the
+// handle, still open and positioned for appends: it names the inode, not
+// the path, so it survives the rename.
+func atomicWriteFile(path string, data []byte) (*os.File, error) {
 	tmp := path + tmpSuffix
 	f, err := os.Create(tmp)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	syncDir(filepath.Dir(path))
-	return nil
-}
-
-// createJournal writes an empty journal (header only) for gen via the
-// same tmp+rename dance and returns an open handle positioned for
-// appends. The handle survives the rename — it names the inode, not the
-// path.
-func createJournal(path string, gen uint64, now time.Time) (*os.File, error) {
-	tmp := path + tmpSuffix
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, err
-	}
-	hdr := appendHeader(nil, fileHeader{Kind: kindJournal, Generation: gen, CreatedAt: now})
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return nil, err

@@ -26,12 +26,10 @@ func (r *Resolver) IngestFrom(resp *dnswire.Message, fromZone dnswire.Name, qnam
 	// Collect the name-server host names mentioned by NS records anywhere
 	// in the message; their address records are infrastructure.
 	nsHosts := make(map[dnswire.Name]bool)
-	nsOwners := make(map[dnswire.Name]bool)
 	for _, section := range [][]dnswire.RR{resp.Answer, resp.Authority} {
 		for _, rr := range section {
 			if ns, ok := rr.Data.(dnswire.NS); ok {
 				nsHosts[ns.Host] = true
-				nsOwners[rr.Name] = true
 			}
 		}
 	}
@@ -89,16 +87,6 @@ func (r *Resolver) IngestFrom(resp *dnswire.Message, fromZone dnswire.Name, qnam
 			continue
 		}
 		r.putInfraAware(set, cred, true, origin)
-	}
-
-	// Renewal bookkeeping: any newly cached zone IRR gets a scheduler
-	// entry keyed to its expiry.
-	if h := r.cfg.Hooks.InfraCached; h != nil {
-		for owner := range nsOwners {
-			if e := r.cache.Peek(owner, dnswire.TypeNS); e != nil && e.Infra {
-				h(owner, e.Expires)
-			}
-		}
 	}
 }
 
