@@ -77,9 +77,11 @@ bench:
 bench-paper:
 	$(GO) test -bench=. -benchtime=1x .
 
-# fuzz is the CI smoke pass over the wire-format and persist-format parsers.
+# fuzz is the CI smoke pass over the wire-format, persist-format and
+# zone-file parsers.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUnpack -fuzztime=30s ./internal/dnswire
 	$(GO) test -run='^$$' -fuzz=FuzzCanonicalName -fuzztime=30s ./internal/dnswire
 	$(GO) test -run='^$$' -fuzz=FuzzParseStore -fuzztime=30s ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzMeshFrame -fuzztime=30s ./internal/mesh
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=30s ./internal/zone

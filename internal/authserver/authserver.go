@@ -8,7 +8,6 @@ package authserver
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"resilientdns/internal/dnswire"
 	"resilientdns/internal/transport"
@@ -25,11 +24,6 @@ type Server struct {
 	// caching server refresh a zone's IRRs from the child's own answers.
 	// Defaults to true in New.
 	AttachApexNS bool
-	// RotateAnswers cycles the order of multi-record answer RRsets across
-	// responses (classic round-robin load distribution). Off by default.
-	RotateAnswers bool
-
-	rotation atomic.Uint64
 }
 
 // maxCNAMEChase bounds in-zone CNAME chain following.
@@ -113,7 +107,7 @@ func (s *Server) HandleQuery(q *dnswire.Message) *dnswire.Message {
 		switch res.Type {
 		case zone.Answer:
 			resp.Flags.Authoritative = true
-			resp.Answer = append(resp.Answer, s.maybeRotate(res.Records)...)
+			resp.Answer = append(resp.Answer, res.Records...)
 			s.attachSignatures(z, resp)
 			s.attachIRRs(z, resp)
 			return resp
@@ -195,22 +189,6 @@ func (s *Server) attachSignatures(z *zone.Zone, resp *dnswire.Message) {
 		seen[k] = true
 		resp.Answer = append(resp.Answer, sigsCovering(z, rr.Name, rr.Type())...)
 	}
-}
-
-// maybeRotate returns the RRset rotated by the per-server counter when
-// RotateAnswers is on and the set has more than one record.
-func (s *Server) maybeRotate(rrs []dnswire.RR) []dnswire.RR {
-	if !s.RotateAnswers || len(rrs) < 2 {
-		return rrs
-	}
-	n := int(s.rotation.Add(1)) % len(rrs)
-	if n == 0 {
-		return rrs
-	}
-	out := make([]dnswire.RR, 0, len(rrs))
-	out = append(out, rrs[n:]...)
-	out = append(out, rrs[:n]...)
-	return out
 }
 
 // attachIRRs adds the zone's apex NS RRset to the authority section and

@@ -258,12 +258,6 @@ func (c *Cache) shardFor(key Key) *shard {
 	return &c.shards[h&(shardCount-1)]
 }
 
-// Clock returns the cache's clock.
-func (c *Cache) Clock() simclock.Clock { return c.cfg.Clock }
-
-// RefreshEnabled reports whether TTL refresh is on.
-func (c *Cache) RefreshEnabled() bool { return c.cfg.RefreshInfraTTL }
-
 // clampTTL applies the MaxTTL policy to a TTL expressed in seconds.
 func (c *Cache) clampTTL(ttl time.Duration) time.Duration {
 	if c.cfg.MaxTTL > 0 && ttl > c.cfg.MaxTTL {

@@ -169,23 +169,6 @@ func (n Name) Ancestors() []Name {
 	}
 }
 
-// CommonAncestor returns the deepest name that is an ancestor of both a
-// and b (possibly the root).
-func CommonAncestor(a, b Name) Name {
-	al, bl := a.Labels(), b.Labels()
-	n := 0
-	for n < len(al) && n < len(bl) {
-		if al[len(al)-1-n] != bl[len(bl)-1-n] {
-			break
-		}
-		n++
-	}
-	if n == 0 {
-		return Root
-	}
-	return Name(strings.Join(al[len(al)-n:], ".") + ".")
-}
-
 // appendName appends the uncompressed wire encoding of n to b.
 func appendName(b []byte, n Name) ([]byte, error) {
 	if n == "" {

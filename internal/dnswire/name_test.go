@@ -139,23 +139,6 @@ func TestNameAncestors(t *testing.T) {
 	}
 }
 
-func TestCommonAncestor(t *testing.T) {
-	tests := []struct {
-		a, b, want Name
-	}{
-		{"www.example.com.", "ftp.example.com.", "example.com."},
-		{"www.example.com.", "www.example.org.", Root},
-		{"a.b.c.", "b.c.", "b.c."},
-		{"x.", "x.", "x."},
-		{Root, "com.", Root},
-	}
-	for _, tt := range tests {
-		if got := CommonAncestor(tt.a, tt.b); got != tt.want {
-			t.Errorf("CommonAncestor(%q, %q) = %q, want %q", tt.a, tt.b, got, tt.want)
-		}
-	}
-}
-
 // randomName builds a random valid canonical name for property tests.
 func randomName(r *rand.Rand) Name {
 	depth := 1 + r.Intn(5)
@@ -194,18 +177,6 @@ func TestPropertyAncestorsChainByParent(t *testing.T) {
 			}
 		}
 		return anc[len(anc)-1] == Root
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyCommonAncestorIsAncestorOfBoth(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a, b := randomName(r), randomName(r)
-		ca := CommonAncestor(a, b)
-		return a.IsSubdomainOf(ca) && b.IsSubdomainOf(ca)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -7,7 +7,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -121,72 +120,6 @@ type Point struct {
 	X, Y float64
 }
 
-// RTTEstimator maintains a smoothed round-trip-time estimate with variance
-// per RFC 6298 (Jacobson/Karels): the first sample sets SRTT = R and
-// RTTVAR = R/2; each later sample folds in as RTTVAR = 3/4·RTTVAR +
-// 1/4·|SRTT − R|, then SRTT = 7/8·SRTT + 1/8·R. The zero value has no
-// samples. The estimator is a plain value type; callers provide their own
-// locking and clamp RTO into whatever band suits their protocol.
-type RTTEstimator struct {
-	srtt   time.Duration
-	rttvar time.Duration
-	n      uint64
-}
-
-// Observe folds one round-trip sample into the estimate.
-func (r *RTTEstimator) Observe(sample time.Duration) {
-	if sample < 0 {
-		sample = 0
-	}
-	if r.n == 0 {
-		r.srtt = sample
-		r.rttvar = sample / 2
-	} else {
-		diff := r.srtt - sample
-		if diff < 0 {
-			diff = -diff
-		}
-		r.rttvar = (3*r.rttvar + diff) / 4
-		r.srtt = (7*r.srtt + sample) / 8
-	}
-	r.n++
-}
-
-// Samples returns how many observations have been folded in.
-func (r *RTTEstimator) Samples() uint64 { return r.n }
-
-// SRTT returns the smoothed round-trip time (0 before any sample).
-func (r *RTTEstimator) SRTT() time.Duration { return r.srtt }
-
-// RTTVar returns the smoothed round-trip variance (0 before any sample).
-func (r *RTTEstimator) RTTVar() time.Duration { return r.rttvar }
-
-// RTO returns the retransmission timeout SRTT + 4·RTTVAR, or 0 when no
-// sample has been observed yet.
-func (r *RTTEstimator) RTO() time.Duration {
-	if r.n == 0 {
-		return 0
-	}
-	return r.srtt + 4*r.rttvar
-}
-
-// RestoreRTTEstimator rebuilds an estimator from persisted state, so a
-// restarted server's upstream selection resumes with the RTT history it
-// had accumulated. Negative durations clamp to zero; samples == 0 yields
-// the zero (no-history) estimator regardless of the durations.
-func RestoreRTTEstimator(srtt, rttvar time.Duration, samples uint64) RTTEstimator {
-	if samples == 0 {
-		return RTTEstimator{}
-	}
-	if srtt < 0 {
-		srtt = 0
-	}
-	if rttvar < 0 {
-		rttvar = 0
-	}
-	return RTTEstimator{srtt: srtt, rttvar: rttvar, n: samples}
-}
-
 // Ratio returns c/total as a fraction in [0, 1]; 0 when total is zero.
 func Ratio(part, total uint64) float64 {
 	if total == 0 {
@@ -194,9 +127,6 @@ func Ratio(part, total uint64) float64 {
 	}
 	return float64(part) / float64(total)
 }
-
-// Percent returns 100·part/total; 0 when total is zero.
-func Percent(part, total uint64) float64 { return 100 * Ratio(part, total) }
 
 // Series is a time series of float64 samples, used for cache-occupancy
 // plots (paper Fig 12).
@@ -261,10 +191,4 @@ func (s *Series) MaxValue() float64 {
 		}
 	}
 	return max
-}
-
-// FormatPercent renders a fraction as a fixed-width percentage string for
-// experiment tables.
-func FormatPercent(frac float64) string {
-	return fmt.Sprintf("%6.2f%%", 100*frac)
 }

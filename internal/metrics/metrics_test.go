@@ -151,9 +151,6 @@ func TestRatioAndPercent(t *testing.T) {
 	if got := Ratio(1, 0); got != 0 {
 		t.Errorf("Ratio with zero total = %v, want 0", got)
 	}
-	if got := Percent(1, 2); got != 50 {
-		t.Errorf("Percent = %v, want 50", got)
-	}
 }
 
 func TestSeriesAppendAndStats(t *testing.T) {
@@ -187,68 +184,5 @@ func TestSeriesDecimation(t *testing.T) {
 		if !s.Times[i].After(s.Times[i-1]) {
 			t.Fatalf("times not increasing at %d", i)
 		}
-	}
-}
-
-func TestFormatPercent(t *testing.T) {
-	if got := FormatPercent(0.1234); got != " 12.34%" {
-		t.Errorf("FormatPercent = %q", got)
-	}
-}
-
-func TestRTTEstimatorFirstSample(t *testing.T) {
-	var r RTTEstimator
-	if r.RTO() != 0 {
-		t.Errorf("zero-value RTO = %v, want 0", r.RTO())
-	}
-	r.Observe(100 * time.Millisecond)
-	// RFC 6298: SRTT=R, RTTVAR=R/2, RTO=SRTT+4·RTTVAR=3R.
-	if r.SRTT() != 100*time.Millisecond {
-		t.Errorf("SRTT = %v, want 100ms", r.SRTT())
-	}
-	if r.RTTVar() != 50*time.Millisecond {
-		t.Errorf("RTTVAR = %v, want 50ms", r.RTTVar())
-	}
-	if r.RTO() != 300*time.Millisecond {
-		t.Errorf("RTO = %v, want 300ms", r.RTO())
-	}
-}
-
-func TestRTTEstimatorSmoothing(t *testing.T) {
-	var r RTTEstimator
-	r.Observe(100 * time.Millisecond)
-	r.Observe(200 * time.Millisecond)
-	// RTTVAR = 3/4·50ms + 1/4·|100−200|ms = 62.5ms
-	// SRTT   = 7/8·100ms + 1/8·200ms = 112.5ms
-	if got := r.RTTVar(); got != 62500*time.Microsecond {
-		t.Errorf("RTTVAR = %v, want 62.5ms", got)
-	}
-	if got := r.SRTT(); got != 112500*time.Microsecond {
-		t.Errorf("SRTT = %v, want 112.5ms", got)
-	}
-	if r.Samples() != 2 {
-		t.Errorf("Samples = %d, want 2", r.Samples())
-	}
-}
-
-func TestRTTEstimatorConverges(t *testing.T) {
-	var r RTTEstimator
-	for i := 0; i < 100; i++ {
-		r.Observe(40 * time.Millisecond)
-	}
-	if got := r.SRTT(); got < 39*time.Millisecond || got > 41*time.Millisecond {
-		t.Errorf("SRTT = %v after steady samples, want ≈40ms", got)
-	}
-	// Variance decays toward zero on a steady signal.
-	if r.RTTVar() > 5*time.Millisecond {
-		t.Errorf("RTTVAR = %v, want near zero", r.RTTVar())
-	}
-}
-
-func TestRTTEstimatorNegativeClamped(t *testing.T) {
-	var r RTTEstimator
-	r.Observe(-time.Second)
-	if r.SRTT() != 0 || r.RTO() != 0 {
-		t.Errorf("negative sample produced SRTT=%v RTO=%v", r.SRTT(), r.RTO())
 	}
 }

@@ -89,7 +89,7 @@ func (e *Engine) exchangeFailover(ctx context.Context, tr *Trace, servers []tran
 			}
 			return nil, lastErr
 		}
-		if !takeAttempt(ctx) {
+		if !take(ctx, retryKey) {
 			metrics.Inc(&e.counters.BudgetExhausted)
 			if lastErr != nil {
 				return nil, fmt.Errorf("%w (last attempt: %v)", errBudgetExhausted, lastErr)

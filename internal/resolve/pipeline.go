@@ -507,13 +507,12 @@ func (r *Resolver) resolveMissingGlue(ctx context.Context, tr *Trace, child dnsw
 	if e == nil {
 		return
 	}
-	// Any live cached address already makes the zone usable. Get (not
-	// Peek) so that an expired glue record does not masquerade as usable.
-	for _, rr := range e.RRs {
-		host := rr.Data.(dnswire.NS).Host
-		if r.cache.Get(host, dnswire.TypeA) != nil {
-			return
-		}
+	// Any live cached address, of either family, already makes the zone
+	// usable — the test deepestKnownZone applies when it routes to it.
+	// Get (not Peek) so that an expired glue record does not masquerade
+	// as usable.
+	if len(r.nsAddrs(e.RRs, r.cache.Get)) > 0 {
+		return
 	}
 	for _, rr := range e.RRs {
 		host := rr.Data.(dnswire.NS).Host
@@ -526,7 +525,7 @@ func (r *Resolver) resolveMissingGlue(ctx context.Context, tr *Trace, child dnsw
 		// not just nesting: a delegation naming dozens of unresolvable
 		// out-of-bailiwick servers (the NXNSAttack shape) stops
 		// multiplying upstream traffic once the query's budget is gone.
-		if !takeGlueFetch(ctx) {
+		if !take(ctx, glueKey) {
 			metrics.Inc(&r.counters.GlueBudgetExhausted)
 			return
 		}
@@ -539,13 +538,5 @@ func (r *Resolver) resolveMissingGlue(ctx context.Context, tr *Trace, child dnsw
 
 // isReferral reports whether resp is a downward referral from zname.
 func isReferral(resp *dnswire.Message, zname dnswire.Name) bool {
-	if len(resp.Answer) != 0 || resp.Flags.Authoritative {
-		return false
-	}
-	for _, rr := range resp.Authority {
-		if rr.Type() == dnswire.TypeNS && rr.Name != zname && rr.Name.IsSubdomainOf(zname) {
-			return true
-		}
-	}
-	return false
+	return len(resp.Answer) == 0 && !resp.Flags.Authoritative && referralChild(resp, zname) != ""
 }

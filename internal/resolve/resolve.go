@@ -243,9 +243,6 @@ func (r *Resolver) Close() {
 	}
 }
 
-// Engine exposes the fetch engine (tests and diagnostics).
-func (r *Resolver) Engine() *Engine { return r.engine }
-
 // Counters returns a snapshot of the pipeline's counters.
 func (r *Resolver) Counters() Counters { return metrics.Snapshot(r.counters) }
 

@@ -99,6 +99,32 @@ func TestAAAAGlueFallback(t *testing.T) {
 	}
 }
 
+// TestAAAAOnlyGlueIsUsable: a delegation whose only cached glue is AAAA
+// is usable to deepestKnownZone, so resolveMissingGlue must agree and not
+// spend the query's glue budget and upstream attempts chasing A records
+// nobody needs.
+func TestAAAAOnlyGlueIsUsable(t *testing.T) {
+	var attempts int
+	counting := transport.Exchanger(func(context.Context, transport.Addr, *dnswire.Message) (*dnswire.Message, error) {
+		attempts++
+		return nil, transport.ErrTimeout
+	})
+	r := newTestResolver(t, Config{Transport: counting})
+	r.cache.Put([]dnswire.RR{
+		rrNS("child.test.", 3600, "ns1.other."),
+		rrNS("child.test.", 3600, "ns2.other."),
+	}, cache.CredAuthority, true)
+	r.cache.Put([]dnswire.RR{rrAAAA("ns1.other.", 3600, "2001:db8::53")}, cache.CredAuthority, true)
+
+	if _, addrs := r.deepestKnownZone(dnswire.MustName("www.child.test."), dnswire.TypeA, false); len(addrs) != 1 || addrs[0] != "2001:db8::53" {
+		t.Fatalf("deepestKnownZone addrs = %v, want the AAAA glue address", addrs)
+	}
+	r.resolveMissingGlue(context.Background(), nil, dnswire.MustName("child.test."), 0)
+	if got := r.Counters().GlueFetches; attempts != 0 || got != 0 {
+		t.Errorf("usable zone still chased glue: %d upstream attempts, GlueFetches = %d; want 0 and 0", attempts, got)
+	}
+}
+
 // TestAGluePreferredOverAAAA: AAAA is strictly a fallback; when both
 // families are cached only the A addresses are used (matching the
 // simulator's IPv4-only universe).

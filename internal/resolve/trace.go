@@ -27,24 +27,15 @@ const (
 	numStages
 )
 
-// String returns the stage's snake_case name, used as the histogram and
-// JSON key.
-func (s Stage) String() string {
-	switch s {
-	case StageCacheLookup:
-		return "cache_lookup"
-	case StageChainWalk:
-		return "chain_walk"
-	case StageIterate:
-		return "iterate"
-	case StageValidateIngest:
-		return "validate_ingest"
-	case StageStaleFallback:
-		return "stale_fallback"
-	case StagePeerFetch:
-		return "peer_fetch"
-	}
-	return "unknown"
+// stageNames holds each stage's snake_case name: its key in a trace's
+// stages_us and, prefixed "stage/", in LatencySnapshots.
+var stageNames = [numStages]string{
+	StageCacheLookup:    "cache_lookup",
+	StageChainWalk:      "chain_walk",
+	StageIterate:        "iterate",
+	StageValidateIngest: "validate_ingest",
+	StageStaleFallback:  "stale_fallback",
+	StagePeerFetch:      "peer_fetch",
 }
 
 // Kind labels what drove a trace's resolution work.
@@ -60,55 +51,58 @@ const (
 	numKinds
 )
 
-// String returns the kind's name.
-func (k Kind) String() string {
-	switch k {
-	case KindQuery:
-		return "query"
-	case KindResolve:
-		return "resolve"
-	case KindRenewal:
-		return "renewal"
-	case KindPrefetch:
-		return "prefetch"
-	}
-	return "unknown"
+// kindNames holds each kind's name: a trace's "kind" and, prefixed
+// "kind/", its key in LatencySnapshots.
+var kindNames = [numKinds]string{
+	KindQuery:    "query",
+	KindResolve:  "resolve",
+	KindRenewal:  "renewal",
+	KindPrefetch: "prefetch",
 }
 
-// Trace accumulates one resolution's observable events: stage timings,
-// per-attempt upstream outcomes, and cache-path decisions. A nil *Trace
-// is valid everywhere and does nothing, so the pipeline threads traces
-// unconditionally and pays nothing when tracing is off.
-//
-// A trace belongs to a single goroutine: the client trace to the caller,
-// a flight trace to the flight's goroutine. It must not be shared.
-type Trace struct {
-	id    uint64
-	kind  Kind
-	qname dnswire.Name
-	qtype dnswire.Type
-	start time.Time
-	clock simclock.Clock
-
-	coalesced bool
-	cacheHit  bool
-	stale     bool
-	cacheOnly bool
-	peerFetch bool
-
-	stageNanos [numStages]int64
-	stageDepth [numStages]int
-	attempts   []Attempt
-
-	duration time.Duration
-	outcome  string
+// TraceSummary is the exported, JSON-ready record of one resolution: what
+// a Sink receives, the ring buffer retains and the query log writes.
+type TraceSummary struct {
+	ID        uint64    `json:"id"`
+	Kind      string    `json:"kind"`
+	Name      string    `json:"name"`
+	Type      string    `json:"type"`
+	Start     time.Time `json:"start"`
+	Micros    int64     `json:"duration_us"`
+	Outcome   string    `json:"outcome"`
+	Coalesced bool      `json:"coalesced,omitempty"`
+	CacheHit  bool      `json:"cache_hit,omitempty"`
+	Stale     bool      `json:"stale,omitempty"`
+	CacheOnly bool      `json:"cache_only,omitempty"`
+	PeerFetch bool      `json:"peer_fetch,omitempty"`
+	// StageMicros maps stage name → microseconds, nonzero stages only.
+	StageMicros map[string]int64 `json:"stages_us,omitempty"`
+	Attempts    []Attempt        `json:"attempts,omitempty"`
 }
 
 // Attempt is one upstream exchange attempt recorded in a trace.
 type Attempt struct {
-	Server transport.Addr
-	RTT    time.Duration
-	Err    string
+	Server string `json:"server"`
+	Micros int64  `json:"rtt_us"`
+	Error  string `json:"error,omitempty"`
+}
+
+// Trace accumulates one resolution's observable events: stage timings,
+// per-attempt upstream outcomes, and cache-path decisions. It is the
+// TraceSummary its sink will receive, filled in as the query runs, plus
+// the open-span book-keeping. A nil *Trace is valid everywhere and does
+// nothing, so the pipeline threads traces unconditionally and pays
+// nothing when tracing is off.
+//
+// A trace belongs to a single goroutine: the client trace to the caller,
+// a flight trace to the flight's goroutine. It must not be shared.
+type Trace struct {
+	TraceSummary
+	kind  Kind
+	clock simclock.Clock
+
+	stageNanos [numStages]int64
+	stageDepth [numStages]int
 }
 
 // NewTrace starts a trace of the given kind, or returns nil when no
@@ -118,38 +112,46 @@ func (r *Resolver) NewTrace(kind Kind, qname dnswire.Name, qtype dnswire.Type) *
 		return nil
 	}
 	return &Trace{
-		id:    r.traceID.Add(1),
+		TraceSummary: TraceSummary{
+			ID:    r.traceID.Add(1),
+			Kind:  kindNames[kind],
+			Name:  string(qname),
+			Type:  qtype.String(),
+			Start: r.cfg.Clock.Now(),
+		},
 		kind:  kind,
-		qname: qname,
-		qtype: qtype,
-		start: r.cfg.Clock.Now(),
 		clock: r.cfg.Clock,
 	}
 }
 
-// FinishTrace stamps the trace's outcome, folds its timings into the
-// resolver's histograms, and hands a summary to the sink. A nil trace is
-// a no-op.
+// FinishTrace stamps the trace's duration and outcome, folds its timings
+// into the resolver's histograms and the record's stages_us, and hands
+// the record to the sink. A nil trace is a no-op.
 func (r *Resolver) FinishTrace(tr *Trace, res *Result, err error) {
 	if tr == nil {
 		return
 	}
-	tr.duration = tr.clock.Now().Sub(tr.start)
+	d := tr.clock.Now().Sub(tr.Start)
+	tr.Micros = d.Microseconds()
 	switch {
 	case err != nil:
-		tr.outcome = "error: " + err.Error()
+		tr.Outcome = "error: " + err.Error()
 	case res != nil:
-		tr.outcome = res.RCode.String()
+		tr.Outcome = res.RCode.String()
 	default:
-		tr.outcome = "ok"
+		tr.Outcome = "ok"
 	}
-	r.kindHist[tr.kind].Observe(tr.duration)
-	for s := Stage(0); s < numStages; s++ {
-		if n := tr.stageNanos[s]; n > 0 {
+	r.kindHist[tr.kind].Observe(d)
+	for s, n := range tr.stageNanos {
+		if n > 0 {
 			r.stageHist[s].Observe(time.Duration(n))
+			if tr.StageMicros == nil {
+				tr.StageMicros = make(map[string]int64)
+			}
+			tr.StageMicros[stageNames[s]] = n / 1e3
 		}
 	}
-	r.cfg.TraceSink.Observe(tr.summary())
+	r.cfg.TraceSink.Observe(tr.TraceSummary)
 }
 
 // LatencySnapshots returns the per-stage and per-kind latency histograms
@@ -157,11 +159,11 @@ func (r *Resolver) FinishTrace(tr *Trace, res *Result, err error) {
 // "kind/<kind>". Histograms only fill while a TraceSink is configured.
 func (r *Resolver) LatencySnapshots() map[string]metrics.HistogramSnapshot {
 	out := make(map[string]metrics.HistogramSnapshot, int(numStages)+int(numKinds))
-	for s := Stage(0); s < numStages; s++ {
-		out["stage/"+s.String()] = r.stageHist[s].Snapshot()
+	for s, name := range stageNames {
+		out["stage/"+name] = r.stageHist[s].Snapshot()
 	}
-	for k := Kind(0); k < numKinds; k++ {
-		out["kind/"+k.String()] = r.kindHist[k].Snapshot()
+	for k, name := range kindNames {
+		out["kind/"+name] = r.kindHist[k].Snapshot()
 	}
 	return out
 }
@@ -204,21 +206,21 @@ func (sp Span) End() {
 // MarkCoalesced records that the query joined an in-flight resolution.
 func (tr *Trace) MarkCoalesced() {
 	if tr != nil {
-		tr.coalesced = true
+		tr.Coalesced = true
 	}
 }
 
 // MarkCacheHit records that the answer came from live cache.
 func (tr *Trace) MarkCacheHit() {
 	if tr != nil {
-		tr.cacheHit = true
+		tr.CacheHit = true
 	}
 }
 
 // MarkStale records that the answer was served from expired records.
 func (tr *Trace) MarkStale() {
 	if tr != nil {
-		tr.stale = true
+		tr.Stale = true
 	}
 }
 
@@ -226,7 +228,7 @@ func (tr *Trace) MarkStale() {
 // (an RD=0 probe, or the guard's overload degraded mode).
 func (tr *Trace) MarkCacheOnly() {
 	if tr != nil {
-		tr.cacheOnly = true
+		tr.CacheOnly = true
 	}
 }
 
@@ -234,7 +236,7 @@ func (tr *Trace) MarkCacheOnly() {
 // after local resolution failed.
 func (tr *Trace) MarkPeerFetch() {
 	if tr != nil {
-		tr.peerFetch = true
+		tr.PeerFetch = true
 	}
 }
 
@@ -243,72 +245,11 @@ func (tr *Trace) RecordAttempt(server transport.Addr, rtt time.Duration, err err
 	if tr == nil {
 		return
 	}
-	a := Attempt{Server: server, RTT: rtt}
+	a := Attempt{Server: string(server), Micros: rtt.Microseconds()}
 	if err != nil {
-		a.Err = err.Error()
+		a.Error = err.Error()
 	}
-	tr.attempts = append(tr.attempts, a)
-}
-
-// TraceSummary is the exported, JSON-ready form of a finished trace:
-// what the ring buffer retains and the query log writes.
-type TraceSummary struct {
-	ID        uint64    `json:"id"`
-	Kind      string    `json:"kind"`
-	Name      string    `json:"name"`
-	Type      string    `json:"type"`
-	Start     time.Time `json:"start"`
-	Micros    int64     `json:"duration_us"`
-	Outcome   string    `json:"outcome"`
-	Coalesced bool      `json:"coalesced,omitempty"`
-	CacheHit  bool      `json:"cache_hit,omitempty"`
-	Stale     bool      `json:"stale,omitempty"`
-	CacheOnly bool      `json:"cache_only,omitempty"`
-	PeerFetch bool      `json:"peer_fetch,omitempty"`
-	// StageMicros maps stage name → microseconds, nonzero stages only.
-	StageMicros map[string]int64 `json:"stages_us,omitempty"`
-	Attempts    []AttemptSummary `json:"attempts,omitempty"`
-}
-
-// AttemptSummary is one upstream attempt in a TraceSummary.
-type AttemptSummary struct {
-	Server string `json:"server"`
-	Micros int64  `json:"rtt_us"`
-	Error  string `json:"error,omitempty"`
-}
-
-// summary converts the trace into its exported form.
-func (tr *Trace) summary() TraceSummary {
-	ts := TraceSummary{
-		ID:        tr.id,
-		Kind:      tr.kind.String(),
-		Name:      string(tr.qname),
-		Type:      tr.qtype.String(),
-		Start:     tr.start,
-		Micros:    tr.duration.Microseconds(),
-		Outcome:   tr.outcome,
-		Coalesced: tr.coalesced,
-		CacheHit:  tr.cacheHit,
-		Stale:     tr.stale,
-		CacheOnly: tr.cacheOnly,
-		PeerFetch: tr.peerFetch,
-	}
-	for s := Stage(0); s < numStages; s++ {
-		if n := tr.stageNanos[s]; n > 0 {
-			if ts.StageMicros == nil {
-				ts.StageMicros = make(map[string]int64)
-			}
-			ts.StageMicros[s.String()] = n / 1e3
-		}
-	}
-	for _, a := range tr.attempts {
-		ts.Attempts = append(ts.Attempts, AttemptSummary{
-			Server: string(a.Server),
-			Micros: a.RTT.Microseconds(),
-			Error:  a.Err,
-		})
-	}
-	return ts
+	tr.Attempts = append(tr.Attempts, a)
 }
 
 // Sink receives finished trace summaries. Observe is called from the

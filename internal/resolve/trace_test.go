@@ -1,7 +1,10 @@
 package resolve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"os"
 	"testing"
 	"time"
 
@@ -21,6 +24,8 @@ func TestNilTraceIsInert(t *testing.T) {
 	tr.MarkCoalesced()
 	tr.MarkCacheHit()
 	tr.MarkStale()
+	tr.MarkCacheOnly()
+	tr.MarkPeerFetch()
 	tr.RecordAttempt("10.0.0.1", time.Millisecond, errors.New("x"))
 
 	// A resolver without a sink never creates traces at all...
@@ -134,5 +139,56 @@ func TestMultiSink(t *testing.T) {
 	s.Observe(TraceSummary{ID: 7})
 	if a.Recent(1)[0].ID != 7 || b.Recent(1)[0].ID != 7 {
 		t.Error("fan-out did not reach every sink")
+	}
+}
+
+// TestTraceSummaryJSONGolden freezes the wire form of a finished trace —
+// what /debug/queries and -query-log emit — against a file captured
+// before Trace and TraceSummary became one record. Between them the two
+// traces set every Mark*, time two stages (one re-entered), record a
+// failed and a successful attempt, and finish once with a Result and once
+// with an error.
+func TestTraceSummaryJSONGolden(t *testing.T) {
+	clk := simclock.NewVirtual(epoch)
+	ring := NewRing(4)
+	r := newTestResolver(t, Config{Clock: clk, TraceSink: ring,
+		Cache: cache.New(cache.Config{Clock: clk})})
+
+	tr := r.NewTrace(KindResolve, dnswire.MustName("www.test."), dnswire.TypeA)
+	tr.MarkCoalesced()
+	tr.MarkStale()
+	tr.MarkPeerFetch()
+	walk := tr.StartStage(StageChainWalk)
+	clk.Advance(250 * time.Microsecond)
+	outer := tr.StartStage(StageIterate)
+	clk.Advance(3 * time.Millisecond)
+	inner := tr.StartStage(StageIterate)
+	clk.Advance(2 * time.Millisecond)
+	inner.End()
+	outer.End()
+	walk.End()
+	tr.RecordAttempt("10.0.0.1:53", 4*time.Millisecond, transport.ErrTimeout)
+	tr.RecordAttempt("10.0.0.2:53", 1500*time.Microsecond, nil)
+	r.FinishTrace(tr, &Result{RCode: dnswire.RCodeNXDomain}, nil)
+
+	clk.Advance(time.Second)
+	tr = r.NewTrace(KindQuery, dnswire.MustName("mail.test."), dnswire.TypeMX)
+	tr.MarkCacheOnly()
+	tr.MarkCacheHit()
+	sp := tr.StartStage(StageCacheLookup)
+	clk.Advance(7 * time.Microsecond)
+	sp.End()
+	r.FinishTrace(tr, nil, errors.New("boom"))
+
+	got, err := json.Marshal(ring.Recent(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/trace_summary.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, bytes.TrimSpace(want)) {
+		t.Errorf("trace JSON drifted from testdata/trace_summary.json\n got: %s\nwant: %s", got, want)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"resilientdns/internal/metrics"
 	"resilientdns/internal/transport"
 )
 
@@ -24,15 +23,13 @@ type UpstreamConfig struct {
 	MaxTimeout time.Duration
 
 	// Quarantine is the base sit-out after a failed exchange; it doubles
-	// per consecutive failure to the same server up to MaxQuarantine
+	// per consecutive failure to the same server up to one minute
 	// (exponential backoff), and one success clears it. Quarantined
 	// servers are deprioritized, not excluded: they sort after every
 	// healthy server and are still attempted when all healthier choices
 	// fail, so a set whose every member is quarantined keeps being tried.
 	// 0 means the default 5s; negative disables quarantine entirely.
 	Quarantine time.Duration
-	// MaxQuarantine caps the backoff (default 60s).
-	MaxQuarantine time.Duration
 
 	// RetryBudget bounds the total upstream attempts one resolution (or
 	// one renewal refetch cycle) may spend across its whole referral
@@ -48,7 +45,7 @@ const (
 	defaultMinTimeout    = 200 * time.Millisecond
 	defaultMaxTimeout    = 3 * time.Second
 	defaultQuarantine    = 5 * time.Second
-	defaultMaxQuarantine = time.Minute
+	defaultMaxQuarantine = time.Minute // caps the quarantine backoff
 	// maxBackoffShift caps the quarantine doubling exponent so the
 	// shifted duration cannot overflow.
 	maxBackoffShift = 10
@@ -58,10 +55,12 @@ const (
 // retry budget without completing.
 var errBudgetExhausted = errors.New("resolve: upstream retry budget exhausted")
 
-// ServerState is one authoritative server's exported selection state:
-// the RFC 6298 RTT estimate, the consecutive-failure count, and the
-// quarantine release time. The persistence subsystem checkpoints it so a
-// restarted server resumes with the upstream knowledge it had.
+// ServerState is one authoritative server's selection state: the RFC 6298
+// RTT estimate (SRTT and RTTVar over Samples observations; no history
+// while Samples is 0), the consecutive-failure count, and the quarantine
+// release time. upstream.servers holds these records themselves, and the
+// persistence subsystem checkpoints them so a restarted server resumes
+// with the upstream knowledge it had.
 type ServerState struct {
 	Addr            transport.Addr
 	SRTT            time.Duration
@@ -71,13 +70,26 @@ type ServerState struct {
 	QuarantineUntil time.Time
 }
 
-// serverState is the per-server book-keeping behind selection: a smoothed
-// RTT estimate, the consecutive-failure count, and the quarantine release
-// time. Keyed by transport.Addr in upstream.servers.
-type serverState struct {
-	rtt             metrics.RTTEstimator
-	fails           int
-	quarantineUntil time.Time
+// observe folds one round-trip sample into the estimate per RFC 6298
+// (Jacobson/Karels): the first sample sets SRTT = R and RTTVAR = R/2;
+// each later one folds in as RTTVAR = 3/4·RTTVAR + 1/4·|SRTT − R|, then
+// SRTT = 7/8·SRTT + 1/8·R. A negative sample counts as zero.
+func (s *ServerState) observe(sample time.Duration) {
+	if sample < 0 {
+		sample = 0
+	}
+	if s.Samples == 0 {
+		s.SRTT = sample
+		s.RTTVar = sample / 2
+	} else {
+		diff := s.SRTT - sample
+		if diff < 0 {
+			diff = -diff
+		}
+		s.RTTVar = (3*s.RTTVar + diff) / 4
+		s.SRTT = (7*s.SRTT + sample) / 8
+	}
+	s.Samples++
 }
 
 // upstream is the shared selection state. All methods take time as an
@@ -89,7 +101,7 @@ type upstream struct {
 	cfg UpstreamConfig
 
 	mu      sync.Mutex
-	servers map[transport.Addr]*serverState
+	servers map[transport.Addr]*ServerState
 }
 
 // newUpstream applies defaults and builds the selection state.
@@ -109,13 +121,7 @@ func newUpstream(cfg UpstreamConfig) *upstream {
 	case cfg.Quarantine < 0:
 		cfg.Quarantine = 0 // disabled
 	}
-	if cfg.MaxQuarantine <= 0 {
-		cfg.MaxQuarantine = defaultMaxQuarantine
-	}
-	if cfg.MaxQuarantine < cfg.Quarantine {
-		cfg.MaxQuarantine = cfg.Quarantine
-	}
-	return &upstream{cfg: cfg, servers: make(map[transport.Addr]*serverState)}
+	return &upstream{cfg: cfg, servers: make(map[transport.Addr]*ServerState)}
 }
 
 // order returns servers in the order they should be attempted at time
@@ -138,12 +144,12 @@ func (u *upstream) order(servers []transport.Addr, now time.Time) (ordered []tra
 	for _, addr := range servers {
 		c := candidate{addr: addr, est: u.cfg.MaxTimeout}
 		if st := u.servers[addr]; st != nil {
-			if st.rtt.Samples() > 0 {
-				c.est = st.rtt.SRTT()
+			if st.Samples > 0 {
+				c.est = st.SRTT
 			}
-			if st.quarantineUntil.After(now) {
+			if st.QuarantineUntil.After(now) {
 				c.quar = true
-				c.until = st.quarantineUntil
+				c.until = st.QuarantineUntil
 			}
 		}
 		cands = append(cands, c)
@@ -183,10 +189,10 @@ func (u *upstream) attemptTimeout(addr transport.Addr) time.Duration {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	st := u.servers[addr]
-	if st == nil || st.rtt.Samples() == 0 {
+	if st == nil || st.Samples == 0 {
 		return u.cfg.MaxTimeout
 	}
-	t := st.rtt.RTO()
+	t := st.SRTT + 4*st.RTTVar
 	if t < u.cfg.MinTimeout {
 		t = u.cfg.MinTimeout
 	}
@@ -201,44 +207,48 @@ func (u *upstream) attemptTimeout(addr transport.Addr) time.Duration {
 func (u *upstream) observeSuccess(addr transport.Addr, rtt time.Duration) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	st := u.servers[addr]
-	if st == nil {
-		st = &serverState{}
-		u.servers[addr] = st
-	}
-	st.rtt.Observe(rtt)
-	st.fails = 0
-	st.quarantineUntil = time.Time{}
+	st := u.state(addr)
+	st.observe(rtt)
+	st.Fails = 0
+	st.QuarantineUntil = time.Time{}
 }
 
 // observeFailure records a failed exchange at time now: the consecutive
 // failure count grows and, when quarantine is enabled, the server sits
-// out for Quarantine·2^(fails−1) capped at MaxQuarantine. The failure
+// out for Quarantine·2^(fails−1) capped at defaultMaxQuarantine. The failure
 // also folds into the RTT estimate as a sample at the full MaxTimeout
 // (the time the attempt burned), so selection keeps preferring servers
 // that actually answer even after the quarantine window lapses.
 func (u *upstream) observeFailure(addr transport.Addr, now time.Time) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	st := u.servers[addr]
-	if st == nil {
-		st = &serverState{}
-		u.servers[addr] = st
-	}
-	st.rtt.Observe(u.cfg.MaxTimeout)
-	st.fails++
+	st := u.state(addr)
+	st.observe(u.cfg.MaxTimeout)
+	st.Fails++
 	if u.cfg.Quarantine <= 0 {
 		return
 	}
-	shift := st.fails - 1
+	shift := st.Fails - 1
 	if shift > maxBackoffShift {
 		shift = maxBackoffShift
 	}
 	d := u.cfg.Quarantine << shift
-	if d > u.cfg.MaxQuarantine {
-		d = u.cfg.MaxQuarantine
+	if d > defaultMaxQuarantine {
+		// A base above the cap still sits out for the base.
+		d = max(defaultMaxQuarantine, u.cfg.Quarantine)
 	}
-	st.quarantineUntil = now.Add(d)
+	st.QuarantineUntil = now.Add(d)
+}
+
+// state returns addr's record, creating it on first contact. The caller
+// holds u.mu.
+func (u *upstream) state(addr transport.Addr) *ServerState {
+	st := u.servers[addr]
+	if st == nil {
+		st = &ServerState{Addr: addr}
+		u.servers[addr] = st
+	}
+	return st
 }
 
 // export returns a copy of every server's selection state, sorted by
@@ -246,15 +256,8 @@ func (u *upstream) observeFailure(addr transport.Addr, now time.Time) {
 func (u *upstream) export() []ServerState {
 	u.mu.Lock()
 	out := make([]ServerState, 0, len(u.servers))
-	for addr, st := range u.servers {
-		out = append(out, ServerState{
-			Addr:            addr,
-			SRTT:            st.rtt.SRTT(),
-			RTTVar:          st.rtt.RTTVar(),
-			Samples:         st.rtt.Samples(),
-			Fails:           st.fails,
-			QuarantineUntil: st.quarantineUntil,
-		})
+	for _, st := range u.servers {
+		out = append(out, *st)
 	}
 	u.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
@@ -262,7 +265,10 @@ func (u *upstream) export() []ServerState {
 }
 
 // restore rebuilds per-server state from a checkpoint, overwriting any
-// state already accumulated for the same addresses.
+// state already accumulated for the same addresses. A checkpoint is
+// outside input, so every record is repaired on the way in: one with no
+// address is skipped, a negative failure count or duration clamps to
+// zero, and Samples == 0 means no RTT history whatever the durations say.
 func (u *upstream) restore(states []ServerState) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -270,15 +276,16 @@ func (u *upstream) restore(states []ServerState) {
 		if s.Addr == "" {
 			continue
 		}
-		fails := s.Fails
-		if fails < 0 {
-			fails = 0
+		if s.Fails < 0 {
+			s.Fails = 0
 		}
-		u.servers[s.Addr] = &serverState{
-			rtt:             metrics.RestoreRTTEstimator(s.SRTT, s.RTTVar, s.Samples),
-			fails:           fails,
-			quarantineUntil: s.QuarantineUntil,
+		if s.Samples == 0 || s.SRTT < 0 {
+			s.SRTT = 0
 		}
+		if s.Samples == 0 || s.RTTVar < 0 {
+			s.RTTVar = 0
+		}
+		u.servers[s.Addr] = &s
 	}
 }
 
@@ -288,18 +295,46 @@ func (u *upstream) quarantined(addr transport.Addr, now time.Time) bool {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	st := u.servers[addr]
-	return st != nil && st.quarantineUntil.After(now)
+	return st != nil && st.QuarantineUntil.After(now)
 }
 
-// retryBudget is the shared attempt counter one resolution carries
-// through its context: every upstream attempt across the whole referral
-// ladder (nested glue and DNSSEC fetches included) draws from the same
-// pool.
-type retryBudget struct {
+// budget is a counter one piece of work carries through its context and
+// draws down with take. Two are in use, under two keys. retryKey: the
+// upstream attempts of one resolution (or one renewal refetch cycle) —
+// every attempt across the whole referral ladder, nested glue and DNSSEC
+// fetches included, draws from the same pool. glueKey: the aggregate
+// out-of-bailiwick glue fetches of one client query — unlike maxGlueDepth
+// (which only bounds nesting) it bounds total fanout: every sibling NS
+// name chased at every level draws from the same pool, which is what
+// stops an NXNSAttack-style delegation from multiplying upstream traffic.
+type budget struct {
 	remaining atomic.Int64
 }
 
-type retryBudgetKey struct{}
+type budgetKey int
+
+const (
+	retryKey budgetKey = iota
+	glueKey
+)
+
+// withBudget installs a fresh budget of n under key.
+func withBudget(ctx context.Context, key budgetKey, n int) context.Context {
+	b := &budget{}
+	b.remaining.Store(int64(n))
+	return context.WithValue(ctx, key, b)
+}
+
+// take consumes one unit from the context's budget under key, reporting
+// false when it is exhausted. Contexts without that budget always allow
+// the draw.
+func take(ctx context.Context, key budgetKey) bool {
+	b, ok := ctx.Value(key).(*budget)
+	if !ok {
+		return true
+	}
+	return b.remaining.Add(-1) >= 0
+}
 
 // WithRetryBudget installs a fresh budget of n attempts into ctx; n <= 0
 // leaves ctx unbounded. The owning server installs one budget per
@@ -308,32 +343,8 @@ func WithRetryBudget(ctx context.Context, n int) context.Context {
 	if n <= 0 {
 		return ctx
 	}
-	b := &retryBudget{}
-	b.remaining.Store(int64(n))
-	return context.WithValue(ctx, retryBudgetKey{}, b)
+	return withBudget(ctx, retryKey, n)
 }
-
-// takeAttempt consumes one attempt from the context's budget, reporting
-// false when the budget is exhausted. Contexts without a budget always
-// allow the attempt.
-func takeAttempt(ctx context.Context) bool {
-	b, ok := ctx.Value(retryBudgetKey{}).(*retryBudget)
-	if !ok {
-		return true
-	}
-	return b.remaining.Add(-1) >= 0
-}
-
-// glueBudget is the aggregate out-of-bailiwick glue-fetch counter one
-// client query carries through its context. Unlike maxGlueDepth (which
-// only bounds nesting), it bounds total fanout: every sibling NS name
-// chased at every level draws from the same pool, which is what stops
-// an NXNSAttack-style delegation from multiplying upstream traffic.
-type glueBudget struct {
-	remaining atomic.Int64
-}
-
-type glueBudgetKey struct{}
 
 // withGlueBudget installs a fresh budget of n glue fetches into ctx;
 // n < 0 leaves ctx unbounded.
@@ -341,18 +352,5 @@ func withGlueBudget(ctx context.Context, n int) context.Context {
 	if n < 0 {
 		return ctx
 	}
-	b := &glueBudget{}
-	b.remaining.Store(int64(n))
-	return context.WithValue(ctx, glueBudgetKey{}, b)
-}
-
-// takeGlueFetch consumes one glue resolution from the context's budget,
-// reporting false when it is exhausted. Contexts without a budget
-// always allow the fetch.
-func takeGlueFetch(ctx context.Context) bool {
-	b, ok := ctx.Value(glueBudgetKey{}).(*glueBudget)
-	if !ok {
-		return true
-	}
-	return b.remaining.Add(-1) >= 0
+	return withBudget(ctx, glueKey, n)
 }

@@ -2,6 +2,7 @@ package resolve
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -91,16 +92,16 @@ func TestUpstreamAllQuarantinedFallsBack(t *testing.T) {
 }
 
 func TestUpstreamBackoffCapped(t *testing.T) {
-	u := newUpstream(UpstreamConfig{Quarantine: 5 * time.Second, MaxQuarantine: 20 * time.Second})
+	u := newUpstream(UpstreamConfig{Quarantine: 5 * time.Second})
 	now := epoch
 	for i := 0; i < 10; i++ {
 		u.observeFailure("bad", now)
 	}
-	if u.quarantined("bad", now.Add(21*time.Second)) {
-		t.Error("quarantine exceeded MaxQuarantine")
+	if u.quarantined("bad", now.Add(defaultMaxQuarantine+time.Second)) {
+		t.Error("quarantine exceeded defaultMaxQuarantine")
 	}
-	if !u.quarantined("bad", now.Add(19*time.Second)) {
-		t.Error("quarantine shorter than MaxQuarantine after many failures")
+	if !u.quarantined("bad", now.Add(defaultMaxQuarantine-time.Second)) {
+		t.Error("quarantine shorter than defaultMaxQuarantine after many failures")
 	}
 }
 
@@ -133,14 +134,14 @@ func TestAttemptTimeoutFromSRTT(t *testing.T) {
 
 func TestRetryBudgetContext(t *testing.T) {
 	ctx := context.Background()
-	if !takeAttempt(ctx) {
+	if !take(ctx, retryKey) {
 		t.Fatal("budget-less context denied an attempt")
 	}
 	b := WithRetryBudget(ctx, 2)
-	if !takeAttempt(b) || !takeAttempt(b) {
+	if !take(b, retryKey) || !take(b, retryKey) {
 		t.Fatal("budget denied attempts within its allowance")
 	}
-	if takeAttempt(b) {
+	if take(b, retryKey) {
 		t.Fatal("budget allowed a third attempt out of 2")
 	}
 	if WithRetryBudget(ctx, 0) != ctx {
@@ -228,4 +229,101 @@ func TestUpstreamConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// rto is SRTT + 4·RTTVAR, the sum attemptTimeout clamps.
+func rto(s *ServerState) time.Duration { return s.SRTT + 4*s.RTTVar }
+
+func TestServerStateObserveFirstSample(t *testing.T) {
+	var s ServerState
+	if rto(&s) != 0 {
+		t.Errorf("zero-value RTO = %v, want 0", rto(&s))
+	}
+	s.observe(100 * time.Millisecond)
+	// RFC 6298: SRTT=R, RTTVAR=R/2, RTO=SRTT+4·RTTVAR=3R.
+	if s.SRTT != 100*time.Millisecond {
+		t.Errorf("SRTT = %v, want 100ms", s.SRTT)
+	}
+	if s.RTTVar != 50*time.Millisecond {
+		t.Errorf("RTTVAR = %v, want 50ms", s.RTTVar)
+	}
+	if rto(&s) != 300*time.Millisecond {
+		t.Errorf("RTO = %v, want 300ms", rto(&s))
+	}
+}
+
+func TestServerStateObserveSmoothing(t *testing.T) {
+	var s ServerState
+	s.observe(100 * time.Millisecond)
+	s.observe(200 * time.Millisecond)
+	// RTTVAR = 3/4·50ms + 1/4·|100−200|ms = 62.5ms
+	// SRTT   = 7/8·100ms + 1/8·200ms = 112.5ms
+	if got := s.RTTVar; got != 62500*time.Microsecond {
+		t.Errorf("RTTVAR = %v, want 62.5ms", got)
+	}
+	if got := s.SRTT; got != 112500*time.Microsecond {
+		t.Errorf("SRTT = %v, want 112.5ms", got)
+	}
+	if s.Samples != 2 {
+		t.Errorf("Samples = %d, want 2", s.Samples)
+	}
+}
+
+func TestServerStateObserveConverges(t *testing.T) {
+	var s ServerState
+	for i := 0; i < 100; i++ {
+		s.observe(40 * time.Millisecond)
+	}
+	if got := s.SRTT; got < 39*time.Millisecond || got > 41*time.Millisecond {
+		t.Errorf("SRTT = %v after steady samples, want ≈40ms", got)
+	}
+	// Variance decays toward zero on a steady signal.
+	if s.RTTVar > 5*time.Millisecond {
+		t.Errorf("RTTVAR = %v, want near zero", s.RTTVar)
+	}
+}
+
+func TestServerStateObserveNegativeClamped(t *testing.T) {
+	var s ServerState
+	s.observe(-time.Second)
+	if s.SRTT != 0 || rto(&s) != 0 {
+		t.Errorf("negative sample produced SRTT=%v RTO=%v", s.SRTT, rto(&s))
+	}
+}
+
+// TestServerStateExportRestoreRoundTrip: what export writes, restore reads
+// back unchanged; and a hostile checkpoint is repaired on the way in.
+func TestServerStateExportRestoreRoundTrip(t *testing.T) {
+	u := newUpstream(UpstreamConfig{})
+	u.observeSuccess("10.0.0.1:53", 20*time.Millisecond)
+	u.observeSuccess("10.0.0.1:53", 30*time.Millisecond)
+	u.observeFailure("10.0.0.2:53", epoch)
+	u.observeFailure("10.0.0.3:53", epoch)
+	u.observeSuccess("10.0.0.3:53", time.Millisecond)
+	states := u.export()
+
+	u2 := newUpstream(UpstreamConfig{})
+	u2.restore(states)
+	if again := u2.export(); !reflect.DeepEqual(again, states) {
+		t.Errorf("export → restore → export\n got %+v\nwant %+v", again, states)
+	}
+
+	until := epoch.Add(time.Hour)
+	h := newUpstream(UpstreamConfig{})
+	h.restore([]ServerState{
+		{Addr: "", SRTT: time.Second, Samples: 3},
+		{Addr: "neg", SRTT: -time.Second, RTTVar: -time.Millisecond, Samples: 4, Fails: -5, QuarantineUntil: until},
+		{Addr: "nohist", SRTT: 10 * time.Millisecond, RTTVar: 5 * time.Millisecond, Samples: 0, Fails: 2},
+	})
+	want := []ServerState{
+		{Addr: "neg", Samples: 4, QuarantineUntil: until},
+		{Addr: "nohist", Fails: 2},
+	}
+	if got := h.export(); !reflect.DeepEqual(got, want) {
+		t.Errorf("repaired checkpoint\n got %+v\nwant %+v", got, want)
+	}
+	// No RTT history whatever the durations said: first-contact patience.
+	if got := h.attemptTimeout("nohist"); got != defaultMaxTimeout {
+		t.Errorf("attemptTimeout with Samples == 0 = %v, want %v", got, defaultMaxTimeout)
+	}
 }

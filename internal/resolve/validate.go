@@ -192,13 +192,8 @@ func (r *Resolver) SecureZone(zname dnswire.Name) (secure, known bool) {
 	if r.validator == nil {
 		return false, false
 	}
-	r.secMu.Lock()
-	defer r.secMu.Unlock()
-	if len(r.validator.TrustedKeys(zname)) > 0 {
+	if r.zoneTrusted(zname) {
 		return true, true
 	}
-	if r.insecure[zname] {
-		return false, true
-	}
-	return false, false
+	return false, r.zoneInsecure(zname)
 }

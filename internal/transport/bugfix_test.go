@@ -45,7 +45,7 @@ func TestTCPExchangeCancelledContext(t *testing.T) {
 // response must never exceed it. A client advertising 1232 against a
 // server willing to emit 4096 must get truncation at 1232.
 func TestUDPClampsToClientEDNS0Advertisement(t *testing.T) {
-	srv := &UDPServer{Handler: bigHandler(), MaxPayload: 4096}
+	srv := &UDPServer{Handler: bigHandler()}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)

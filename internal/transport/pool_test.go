@@ -51,7 +51,7 @@ func checkEchoed(resp *dnswire.Message, wantID uint16, wantName dnswire.Name) er
 // all of them afterwards — long after their buffers have been recycled
 // through many other exchanges.
 func TestUDPPooledBuffersDoNotAliasMessages(t *testing.T) {
-	srv := &UDPServer{Handler: txtEchoHandler(), MaxPayload: 4096}
+	srv := &UDPServer{Handler: txtEchoHandler()}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)

@@ -105,9 +105,6 @@ const DefaultMaxInflight = 1024
 // source address so per-client policy (the guard layer) can apply.
 type UDPServer struct {
 	Handler Handler
-	// MaxPayload truncates responses larger than this many bytes (TC bit
-	// set, sections dropped); defaults to the classic 512.
-	MaxPayload int
 	// MaxInflight bounds the number of queries being handled at once.
 	// Defaults to DefaultMaxInflight.
 	MaxInflight int
@@ -248,13 +245,13 @@ func (s *UDPServer) respond(conn net.PacketConn, query *dnswire.Message, from ne
 // writeResponse packs resp (into pooled scratch, returned once the
 // socket write is done), applies the UDP payload limit, and sends.
 //
-// The limit is min(serverMax, max(adv, 512)) per RFC 6891 §6.2.5: a
+// A larger response is truncated (TC bit set, sections dropped). The
+// limit is the classic 512 for a plain client and min(max(adv, 512),
+// DefaultEDNS0PayloadSize) for an EDNS0 one, per RFC 6891 §6.2.5: a
 // datagram must never exceed what the client advertised — a client
-// saying 1232 gets truncation at 1232 even when the server could emit
-// 4096 — while an advertisement below 512 is raised to the classic
-// floor. serverMax is MaxPayload, defaulting for EDNS0 clients to
-// DefaultEDNS0PayloadSize (the server's own advertisement) and for
-// plain clients to the classic MaxUDPPayload.
+// saying 1232 gets truncation at 1232 even though the server could emit
+// 4096, its own advertisement — while an advertisement below 512 is
+// raised to the classic floor.
 func (s *UDPServer) writeResponse(conn net.PacketConn, query, resp *dnswire.Message, from net.Addr) {
 	bp := getBuf()
 	defer putBuf(bp)
@@ -264,20 +261,7 @@ func (s *UDPServer) writeResponse(conn net.PacketConn, query, resp *dnswire.Mess
 	}
 	limit := dnswire.MaxUDPPayload
 	if adv, ok := query.EDNS0PayloadSize(); ok {
-		client := int(adv)
-		if client < dnswire.MaxUDPPayload {
-			client = dnswire.MaxUDPPayload
-		}
-		serverMax := s.MaxPayload
-		if serverMax == 0 {
-			serverMax = dnswire.DefaultEDNS0PayloadSize
-		}
-		limit = client
-		if serverMax < limit {
-			limit = serverMax
-		}
-	} else if s.MaxPayload != 0 && s.MaxPayload < limit {
-		limit = s.MaxPayload
+		limit = min(max(int(adv), dnswire.MaxUDPPayload), dnswire.DefaultEDNS0PayloadSize)
 	}
 	if len(wire) > limit {
 		wire, err = resp.TruncatedCopy().AppendPack(wire[:0])
