@@ -4,6 +4,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -55,6 +56,62 @@ func TestScopeTable(t *testing.T) {
 			files, _ := filepath.Glob(filepath.Join(root, filepath.FromSlash(rel), "*.go"))
 			if len(files) == 0 {
 				t.Errorf("%s: %q is not a package directory of this module", name, pkg)
+			}
+		}
+	}
+}
+
+// TestInventoryMatchesTree holds DESIGN.md §3 to the tree: every directory
+// directly under cmd/ and internal/ (internal/analysis, whose packages
+// are one tool, is one row) is the first cell of exactly one table row,
+// every row names a directory holding Go files, and no cell of a row is
+// empty — a new package has to say what it is and which role, paper
+// section or north-star aim needs it before tier-1 passes.
+func TestInventoryMatchesTree(t *testing.T) {
+	const analysisRow = "internal/analysis"
+	root := filepath.Join("..", "..")
+	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(design), "\n## 3. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 3")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+
+	rows := map[string]int{}
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		dir := strings.Trim(strings.TrimSpace(cells[0]), "`")
+		rows[dir]++
+		if len(cells) != 3 {
+			t.Errorf("row %s has %d cells, want directory, contents, needed by", dir, len(cells))
+		}
+		for _, cell := range cells {
+			if strings.TrimSpace(cell) == "" {
+				t.Errorf("row %s has an empty cell", dir)
+			}
+		}
+		pattern := "*.go"
+		if dir == analysisRow {
+			pattern = filepath.Join("*", "*.go")
+		}
+		if files, _ := filepath.Glob(filepath.Join(root, filepath.FromSlash(dir), pattern)); len(files) == 0 {
+			t.Errorf("row %s names no directory holding Go files", dir)
+		}
+	}
+	for _, parent := range []string{"cmd", "internal"} {
+		entries, err := os.ReadDir(filepath.Join(root, parent))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if dir := parent + "/" + e.Name(); e.IsDir() && rows[dir] != 1 {
+				t.Errorf("%s appears in %d rows of DESIGN.md section 3, want exactly 1", dir, rows[dir])
 			}
 		}
 	}

@@ -1,15 +1,12 @@
 // Command dnsserver runs an authoritative DNS server over UDP and TCP,
-// serving RFC 1035 master files as a primary and/or zones transferred
-// from another server as a secondary (AXFR with SOA-serial polling).
+// serving RFC 1035 master files.
 //
 // Usage:
 //
 //	dnsserver -listen 127.0.0.1:5300 -zone example.com=example.com.zone
-//	    [-secondary other.org=10.0.0.1:53]
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -21,7 +18,6 @@ import (
 	"resilientdns/internal/authserver"
 	"resilientdns/internal/dnswire"
 	"resilientdns/internal/transport"
-	"resilientdns/internal/xfer"
 	"resilientdns/internal/zone"
 )
 
@@ -43,15 +39,14 @@ func main() {
 }
 
 func run() error {
-	var zones, secondaries zoneFlags
+	var zones zoneFlags
 	listen := flag.String("listen", "127.0.0.1:5300", "UDP and TCP address to serve on")
 	noIRRs := flag.Bool("no-apex-ns", false, "do not attach apex NS/glue to answers (ablation)")
 	delay := flag.Duration("delay", 0, "artificial per-query service delay (emulates WAN RTT in localhost experiments)")
 	flag.Var(&zones, "zone", "origin=masterfile, repeatable")
-	flag.Var(&secondaries, "secondary", "origin=primary-host:port, repeatable (AXFR secondary)")
 	flag.Parse()
-	if len(zones) == 0 && len(secondaries) == 0 {
-		return fmt.Errorf("at least one -zone origin=file or -secondary origin=addr is required")
+	if len(zones) == 0 {
+		return fmt.Errorf("at least one -zone origin=file is required")
 	}
 
 	var loaded []*zone.Zone
@@ -80,47 +75,9 @@ func run() error {
 		fmt.Printf("loaded zone %s (%d records)\n", name, z.RecordCount())
 	}
 
-	primary := authserver.New(loaded...)
-	primary.AttachApexNS = !*noIRRs
-
-	// Secondaries transfer their zone from a remote primary and keep it
-	// fresh by polling the SOA serial.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var secs []*xfer.Secondary
-	for _, spec := range secondaries {
-		origin, primaryAddr, ok := strings.Cut(spec, "=")
-		if !ok {
-			return fmt.Errorf("bad -secondary %q, want origin=addr", spec)
-		}
-		name, err := dnswire.CanonicalName(origin)
-		if err != nil {
-			return err
-		}
-		sec := &xfer.Secondary{Zone: name, Primary: transport.Addr(primaryAddr)}
-		secs = append(secs, sec)
-		go sec.Run(ctx)
-		fmt.Printf("secondary for %s from %s\n", name, primaryAddr)
-	}
-
-	// Route each query to the secondary owning the deepest matching zone,
-	// falling back to the primary zones.
-	handler := transport.HandlerFunc(func(q *dnswire.Message) *dnswire.Message {
-		if len(q.Question) == 1 {
-			var best *xfer.Secondary
-			for _, sec := range secs {
-				if q.Question[0].Name.IsSubdomainOf(sec.Zone) {
-					if best == nil || sec.Zone.LabelCount() > best.Zone.LabelCount() {
-						best = sec
-					}
-				}
-			}
-			if best != nil {
-				return best.HandleQuery(q)
-			}
-		}
-		return primary.HandleQuery(q)
-	})
+	srv := authserver.New(loaded...)
+	srv.AttachApexNS = !*noIRRs
+	handler := transport.HandlerFunc(srv.HandleQuery)
 	if *delay > 0 {
 		inner := handler
 		handler = func(q *dnswire.Message) *dnswire.Message {

@@ -11,8 +11,7 @@
 // exactly the deadline its context carries. The invariant that must
 // hold is therefore a dataflow property: a context on which neither
 // context.WithTimeout nor context.WithDeadline was ever applied must
-// not reach Transport.Exchange, an engine fetch, a zone transfer, or a
-// mesh peer call.
+// not reach Transport.Exchange, an engine fetch, or a mesh peer call.
 //
 // The analysis is a may-unbounded taint over context values: the shared
 // value-flow walker (dataflow.Flow; no go/ssa in the vendored
@@ -34,9 +33,8 @@
 //     context.Context (the transport.Transport shape) is a sink, and a
 //     function that lets one of its own context parameters reach a sink
 //     unbounded exports a NeedsDeadline fact, turning its callers into
-//     sinks across package boundaries — this is how engine fetches,
-//     xfer transfers, and mesh peer-fetch become sinks without being
-//     named here.
+//     sinks across package boundaries — this is how engine fetches and
+//     mesh peer-fetch become sinks without being named here.
 //
 // An unbounded origin reaching a sink is reported at the sink call.
 // Reporting is scoped to the production fetch chain (lintutil.Scope);
@@ -87,7 +85,7 @@ func (*AddsDeadline) String() string { return "AddsDeadline" }
 
 var Analyzer = &analysis.Analyzer{
 	Name: name,
-	Doc: "prove every path into Transport.Exchange (and the engine/xfer/mesh fetch chains above it) " +
+	Doc: "prove every path into Transport.Exchange (and the engine/mesh fetch chains above it) " +
 		"carries a context bounded by WithTimeout/WithDeadline; flag context.Background/TODO flows " +
 		"that arrive unbounded",
 	Requires:  []*analysis.Analyzer{dataflow.Builder},

@@ -14,8 +14,7 @@
 // attacker who can guess the next QID can race the legitimate answer.
 // In security-sensitive packages math/rand may not be used at all, and
 // anywhere in non-test code it must not be seeded from the wall clock —
-// two processes started in the same nanosecond emit identical streams,
-// exactly the bug fixed in internal/stub.
+// two processes started in the same nanosecond emit identical streams.
 //
 // onepath: inside the resolver, every upstream fetch goes through
 // resolve.Engine.Fetch, the one place that allocates query IDs,

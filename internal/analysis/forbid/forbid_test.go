@@ -39,7 +39,7 @@ func TestForbid(t *testing.T) {
 		{"onepath", forbid.Onepath,
 			[]string{"onepath_bad", "onepath_ignored", "onepath_ok"},
 			[]string{"onepath_bad", "onepath_ignored", "onepath_ok"}},
-		// The transport layer, the stub client, ... may exchange freely.
+		// The transport layer and the CLIs over it may exchange freely.
 		{"onepath out of scope", forbid.Onepath,
 			[]string{"onepath_ok"},
 			[]string{"onepath_outofscope"}},

@@ -1,6 +1,6 @@
 // Package onepath_outofscope has the forbidden shape but is not in the
-// analyzer's -pkgs scope: transport internals, the stub client, and
-// the zone-transfer code exchange on their own behalf legitimately.
+// analyzer's scope: transport internals and the CLIs over them exchange
+// on their own behalf legitimately.
 package onepath_outofscope
 
 import "context"

@@ -32,7 +32,7 @@
 // Reporting is scoped (lintutil.Scope) to the long-lived components
 // plus the daemon mains; fact computation runs everywhere. Deliberately out of
 // scope, by design rather than Makefile wiring: short-lived CLIs
-// (dnsquery, dnsperf, dnssim exit when their work is done, and the OS
+// (dnsquery and dnssim exit when their work is done, and the OS
 // is their goroutine collector), the simulator/experiments tree (the
 // virtual clock drives explicit steps, not goroutines), and _test.go
 // files (the test binary exits; goleak-style churn there would add

@@ -168,7 +168,6 @@ var Scope = map[string][]string{
 		"resilientdns/internal/core",
 		"resilientdns/internal/resolve",
 		"resilientdns/internal/transport",
-		"resilientdns/internal/stub",
 		"resilientdns/internal/authserver",
 		"resilientdns/internal/dnssec",
 		"resilientdns/cmd/dnsquery",
@@ -176,8 +175,7 @@ var Scope = map[string][]string{
 	// The resolver side: the policy shell, the pipeline, the simulator
 	// that drives them, the guard (answers from cache, never fetches)
 	// and the mesh (peer calls go through mesh.Transport.Call). The
-	// packages below the resolver (transport, stub, xfer) exchange on
-	// their own behalf.
+	// package below the resolver (transport) exchanges on its own behalf.
 	"onepath": {
 		"resilientdns/internal/core",
 		"resilientdns/internal/resolve",
@@ -186,21 +184,18 @@ var Scope = map[string][]string{
 		"resilientdns/internal/mesh",
 	},
 	// The production fetch chain: every package from which an upstream
-	// exchange, zone transfer or mesh peer call is reachable in a live
-	// process, daemons and probes included — losing a deadline in main()
-	// is how the Wang 2016 resolvers hung. The simulator is out: a
-	// wall-clock deadline would break its determinism.
+	// exchange or mesh peer call is reachable in a live process, daemons
+	// and probes included — losing a deadline in main() is how the Wang
+	// 2016 resolvers hung. The simulator is out: a wall-clock deadline
+	// would break its determinism.
 	"ctxdeadline": {
 		"resilientdns/internal/core",
 		"resilientdns/internal/resolve",
 		"resilientdns/internal/transport",
-		"resilientdns/internal/xfer",
 		"resilientdns/internal/mesh",
-		"resilientdns/internal/stub",
 		"resilientdns/cmd/dnscache",
 		"resilientdns/cmd/dnsserver",
 		"resilientdns/cmd/dnsquery",
-		"resilientdns/cmd/dnsperf",
 	},
 	// The long-lived components: every package that starts goroutines
 	// expected to outlive one request. Short-lived CLIs exit when their
@@ -212,7 +207,6 @@ var Scope = map[string][]string{
 		"resilientdns/internal/guard",
 		"resilientdns/internal/mesh",
 		"resilientdns/internal/persist",
-		"resilientdns/internal/xfer",
 		"resilientdns/internal/debughttp",
 		"resilientdns/cmd/dnscache",
 		"resilientdns/cmd/dnsserver",

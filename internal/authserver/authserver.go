@@ -44,9 +44,6 @@ func New(zones ...*zone.Zone) *Server {
 	return s
 }
 
-// Zones returns the zones served, deepest first.
-func (s *Server) Zones() []*zone.Zone { return s.zones }
-
 // zoneFor returns the deepest served zone containing qname.
 func (s *Server) zoneFor(qname dnswire.Name) *zone.Zone {
 	for _, z := range s.zones {
@@ -65,7 +62,7 @@ func (s *Server) HandleQuery(q *dnswire.Message) *dnswire.Message {
 		return resp
 	}
 	question := q.Question[0]
-	if question.Class != dnswire.ClassIN && question.Class != dnswire.ClassANY {
+	if (question.Class != dnswire.ClassIN && question.Class != dnswire.ClassANY) || question.Type.IsZoneTransfer() {
 		resp.RCode = dnswire.RCodeRefused
 		return resp
 	}
@@ -73,31 +70,6 @@ func (s *Server) HandleQuery(q *dnswire.Message) *dnswire.Message {
 	z := s.zoneFor(question.Name)
 	if z == nil {
 		resp.RCode = dnswire.RCodeRefused
-		return resp
-	}
-
-	// Whole-zone transfer (RFC 5936): the answer stream starts and ends
-	// with the zone SOA. Intended for TCP; over UDP the transport layer
-	// truncates it, signalling the client to retry via TCP.
-	if question.Type == dnswire.TypeAXFR {
-		if question.Name != z.Origin() {
-			resp.RCode = dnswire.RCodeRefused
-			return resp
-		}
-		soa, ok := z.SOA()
-		if !ok {
-			resp.RCode = dnswire.RCodeRefused
-			return resp
-		}
-		resp.Flags.Authoritative = true
-		resp.Answer = append(resp.Answer, soa)
-		for _, rr := range z.Records() {
-			if rr.Type() == dnswire.TypeSOA && rr.Name == z.Origin() {
-				continue
-			}
-			resp.Answer = append(resp.Answer, rr)
-		}
-		resp.Answer = append(resp.Answer, soa)
 		return resp
 	}
 

@@ -178,6 +178,11 @@ func TestRefusedOutsideAuthority(t *testing.T) {
 	if resp.RCode != dnswire.RCodeRefused {
 		t.Errorf("rcode = %v, want REFUSED", resp.RCode)
 	}
+	// Inside its authority it still serves no zone transfers.
+	resp = s.HandleQuery(query("edu.", dnswire.TypeAXFR))
+	if resp.RCode != dnswire.RCodeRefused || len(resp.Answer) != 0 {
+		t.Errorf("AXFR of a served zone: rcode = %v with %d answers, want REFUSED and none", resp.RCode, len(resp.Answer))
+	}
 }
 
 func TestFormErrOnBadQuestion(t *testing.T) {

@@ -46,7 +46,7 @@ func (cs *CachingServer) handle(q *dnswire.Message, overloadCacheOnly bool) *dns
 		return resp
 	}
 	question := q.Question[0]
-	if question.Class != dnswire.ClassIN {
+	if question.Class != dnswire.ClassIN || question.Type.IsZoneTransfer() {
 		resp.RCode = dnswire.RCodeRefused
 		return resp
 	}

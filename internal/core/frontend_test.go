@@ -108,6 +108,38 @@ func TestFrontendRejectsBadQueries(t *testing.T) {
 	}
 }
 
+// TestFrontendRefusesZoneTransfer: AXFR and IXFR are refused at the front
+// door whatever RD says and in degraded mode too. Relayed like a data
+// type, one small stub query would pull a whole zone from upstream and
+// cache its answer section.
+func TestFrontendRefusesZoneTransfer(t *testing.T) {
+	f := newFixture(t, Config{})
+	handlers := []struct {
+		name   string
+		handle func(*dnswire.Message) *dnswire.Message
+	}{
+		{"HandleQuery", f.cs.HandleQuery},
+		{"HandleQueryCacheOnly", f.cs.HandleQueryCacheOnly},
+	}
+	for _, qtype := range []dnswire.Type{dnswire.TypeAXFR, dnswire.TypeIXFR} {
+		for _, rd := range []bool{true, false} {
+			for _, h := range handlers {
+				q := dnswire.NewQuery(9, dnswire.Root, qtype)
+				q.Flags.RecursionDesired = rd
+				if resp := h.handle(q); resp.RCode != dnswire.RCodeRefused {
+					t.Errorf("%s %s RD=%v: rcode = %v, want REFUSED", h.name, qtype, rd, resp.RCode)
+				}
+			}
+		}
+	}
+	if out := f.cs.Stats().QueriesOut; out != 0 {
+		t.Errorf("zone-transfer queries sent %d upstream queries, want 0", out)
+	}
+	if n := f.cs.Cache().Len(); n != 0 {
+		t.Errorf("zone-transfer queries left %d records cached, want 0", n)
+	}
+}
+
 func TestFrontendDecrementsTTLOnCachedAnswers(t *testing.T) {
 	f := newFixture(t, Config{})
 	q := dnswire.NewQuery(1, dnswire.MustName("www.ucla.edu."), dnswire.TypeA)

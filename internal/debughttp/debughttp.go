@@ -1,5 +1,5 @@
 // Package debughttp serves the resolver's introspection endpoints over
-// HTTP for operators and load tools (cmd/dnsperf -debug-url):
+// HTTP for operators and load tools (benchmark/trace.go):
 //
 //	GET /debug/stats    one JSON object per configured section — for
 //	                    cmd/dnscache: build, cache, server, guard, mesh
@@ -19,7 +19,6 @@ package debughttp
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
 	"strconv"
 
 	"resilientdns/internal/metrics"
@@ -122,16 +121,4 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.SetIndent("", "  ")
 	// A write error here means the client hung up; nothing to do.
 	_ = enc.Encode(v)
-}
-
-// SortedLatencyKeys returns the latency map's keys in display order:
-// stages first (pipeline order is alphabetically scrambled, but stable
-// sorting beats arbitrary map order), then kinds.
-func SortedLatencyKeys(m map[string]LatencySummary) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -156,11 +156,10 @@ func TestPeersRouteAbsentWithoutMesh(t *testing.T) {
 }
 
 // TestWireCompatKeys pins the keys load tools read /debug/stats and
-// /debug/peers by — benchmark/trace.go, cmd/dnsperf -debug-url and
-// cmd/dnscache's multi-process mesh test decode them by string, so a
-// renamed counter field or JSON tag compiles everywhere and breaks them
-// silently. The sections are wired as cmd/dnscache wires them, from the
-// real counter sets.
+// /debug/peers by — benchmark/trace.go and cmd/dnscache's multi-process
+// mesh test decode them by string, so a renamed counter field or JSON tag
+// compiles everywhere and breaks them silently. The sections are wired as
+// cmd/dnscache wires them, from the real counter sets.
 func TestWireCompatKeys(t *testing.T) {
 	var h metrics.Histogram
 	h.Observe(time.Millisecond)

@@ -13,7 +13,7 @@ func TestTypeStrings(t *testing.T) {
 	}{
 		{TypeA, "A"}, {TypeNS, "NS"}, {TypeCNAME, "CNAME"}, {TypeSOA, "SOA"},
 		{TypePTR, "PTR"}, {TypeMX, "MX"}, {TypeTXT, "TXT"}, {TypeAAAA, "AAAA"},
-		{TypeSRV, "SRV"}, {TypeOPT, "OPT"}, {TypeANY, "ANY"}, {TypeAXFR, "AXFR"},
+		{TypeSRV, "SRV"}, {TypeOPT, "OPT"}, {TypeANY, "ANY"}, {TypeAXFR, "AXFR"}, {TypeIXFR, "IXFR"},
 		{TypeDS, "DS"}, {TypeRRSIG, "RRSIG"}, {TypeDNSKEY, "DNSKEY"},
 		{Type(9999), "TYPE9999"},
 	}

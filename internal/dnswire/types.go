@@ -18,10 +18,18 @@ const (
 	TypeAAAA  Type = 28
 	TypeSRV   Type = 33
 	TypeOPT   Type = 41
-	// TypeAXFR is the query-only whole-zone-transfer type (RFC 5936).
+	// TypeIXFR and TypeAXFR are the query-only zone-transfer types (RFC
+	// 1995, RFC 5936). Nothing here answers them; see IsZoneTransfer.
+	TypeIXFR Type = 251
 	TypeAXFR Type = 252
 	TypeANY  Type = 255
 )
+
+// IsZoneTransfer reports whether t asks for a zone transfer. No server in
+// this repository performs one, and a cache must never relay one — a
+// single small query would pull a whole zone from upstream and cache it —
+// so every front door answers these REFUSED before any other work.
+func (t Type) IsZoneTransfer() bool { return t == TypeAXFR || t == TypeIXFR }
 
 var typeNames = map[Type]string{
 	TypeNone:   "NONE",
@@ -39,6 +47,7 @@ var typeNames = map[Type]string{
 	TypeDS:     "DS",
 	TypeRRSIG:  "RRSIG",
 	TypeDNSKEY: "DNSKEY",
+	TypeIXFR:   "IXFR",
 	TypeAXFR:   "AXFR",
 }
 

@@ -7,6 +7,8 @@ package integration
 
 import (
 	"context"
+	crand "crypto/rand"
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"strings"
@@ -16,18 +18,71 @@ import (
 	"resilientdns/internal/authserver"
 	"resilientdns/internal/core"
 	"resilientdns/internal/dnswire"
-	"resilientdns/internal/stub"
 	"resilientdns/internal/transport"
 	"resilientdns/internal/zone"
 )
 
 // stack is a localhost DNS deployment: root, TLD, and leaf zone servers,
-// a caching server, and a stub client.
+// a caching server, and the address a stub client reaches it at.
 type stack struct {
 	cs     *core.CachingServer
-	csAddr string
-	stub   *stub.Client
+	csAddr transport.Addr
 	close  []func()
+}
+
+// ask plays the stub client: one recursion-desired query to the caching
+// server over UDP, repeated over TCP when the answer comes back
+// truncated. The transport checks that the response carries the query's
+// ID and echoes its question.
+func (s *stack) ask(t *testing.T, name string, qtype dnswire.Type) *dnswire.Message {
+	t.Helper()
+	var id [2]byte
+	if _, err := crand.Read(id[:]); err != nil {
+		t.Fatalf("drawing query ID: %v", err)
+	}
+	q := dnswire.NewQuery(binary.BigEndian.Uint16(id[:]), dnswire.MustName(name), qtype)
+	q.Flags.RecursionDesired = true
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	client := &transport.UDPWithTCPFallback{
+		UDP: transport.UDP{Timeout: 2 * time.Second},
+		TCP: transport.TCP{Timeout: 2 * time.Second},
+	}
+	resp, err := client.Exchange(ctx, s.csAddr, q)
+	if err != nil {
+		t.Fatalf("%s %s: %v", name, qtype, err)
+	}
+	return resp
+}
+
+// answers asks for name's records of T's type, requires NOERROR and
+// returns them from the answer section (a CNAME chain ahead of them is
+// skipped).
+func answers[T dnswire.RData](t *testing.T, s *stack, name string) []T {
+	t.Helper()
+	var zero T
+	qtype := zero.Type()
+	resp := s.ask(t, name, qtype)
+	if resp.RCode != dnswire.RCodeNoError {
+		t.Fatalf("%s %s: rcode %s, want NOERROR", name, qtype, resp.RCode)
+	}
+	var out []T
+	for _, rr := range resp.Answer {
+		if d, ok := rr.Data.(T); ok {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// txtStrings flattens the TXT answers for name.
+func txtStrings(t *testing.T, s *stack, name string) []string {
+	t.Helper()
+	var out []string
+	for _, txt := range answers[dnswire.TXT](t, s, name) {
+		out = append(out, txt.Strings...)
+	}
+	return out
 }
 
 func (s *stack) Close() {
@@ -134,11 +189,7 @@ mail	300	IN	MX	10 www.corp.test.
 		t.Fatalf("cs tcp listen: %v", err)
 	}
 	st.close = append(st.close, func() { csTCP.Close() })
-	st.csAddr = csAddr
-	st.stub = &stub.Client{
-		Servers: []transport.Addr{transport.Addr(csAddr)},
-		Timeout: 2 * time.Second,
-	}
+	st.csAddr = transport.Addr(csAddr)
 	return st
 }
 
@@ -146,11 +197,8 @@ func TestEndToEndResolution(t *testing.T) {
 	st := startStack(t, core.Config{RefreshTTL: true})
 	defer st.Close()
 
-	addrs, err := st.stub.LookupHost(context.Background(), "www.corp.test")
-	if err != nil {
-		t.Fatalf("LookupHost: %v", err)
-	}
-	if len(addrs) != 1 || addrs[0] != netip.MustParseAddr("192.0.2.80") {
+	addrs := answers[dnswire.A](t, st, "www.corp.test.")
+	if len(addrs) != 1 || addrs[0].Addr != netip.MustParseAddr("192.0.2.80") {
 		t.Errorf("addrs = %v", addrs)
 	}
 }
@@ -159,10 +207,7 @@ func TestEndToEndCNAME(t *testing.T) {
 	st := startStack(t, core.Config{})
 	defer st.Close()
 
-	addrs, err := st.stub.LookupHost(context.Background(), "alias.corp.test")
-	if err != nil {
-		t.Fatalf("LookupHost via CNAME: %v", err)
-	}
+	addrs := answers[dnswire.A](t, st, "alias.corp.test.")
 	if len(addrs) != 1 {
 		t.Errorf("addrs = %v", addrs)
 	}
@@ -172,10 +217,7 @@ func TestEndToEndMX(t *testing.T) {
 	st := startStack(t, core.Config{})
 	defer st.Close()
 
-	mx, err := st.stub.LookupMX(context.Background(), "mail.corp.test")
-	if err != nil {
-		t.Fatalf("LookupMX: %v", err)
-	}
+	mx := answers[dnswire.MX](t, st, "mail.corp.test.")
 	if len(mx) != 1 || mx[0].Host != "www.corp.test." {
 		t.Errorf("mx = %v", mx)
 	}
@@ -185,9 +227,9 @@ func TestEndToEndNXDomain(t *testing.T) {
 	st := startStack(t, core.Config{})
 	defer st.Close()
 
-	_, err := st.stub.LookupHost(context.Background(), "missing.corp.test")
-	if err == nil {
-		t.Fatal("lookup of missing name succeeded")
+	resp := st.ask(t, "missing.corp.test.", dnswire.TypeA)
+	if resp.RCode != dnswire.RCodeNXDomain {
+		t.Fatalf("lookup of missing name: rcode %s, want NXDOMAIN", resp.RCode)
 	}
 }
 
@@ -197,10 +239,7 @@ func TestEndToEndTCPFallbackOnTruncation(t *testing.T) {
 
 	// The big TXT RRset exceeds 512 bytes; the caching server must fall
 	// back to TCP toward the authoritative server and still answer.
-	txts, err := st.stub.LookupTXT(context.Background(), "big.corp.test")
-	if err != nil {
-		t.Fatalf("LookupTXT: %v", err)
-	}
+	txts := txtStrings(t, st, "big.corp.test.")
 	if len(txts) != 20 {
 		t.Errorf("got %d TXT strings, want 20", len(txts))
 	}
@@ -210,14 +249,13 @@ func TestEndToEndCachingReducesUpstreamQueries(t *testing.T) {
 	st := startStack(t, core.Config{RefreshTTL: true})
 	defer st.Close()
 
-	ctx := context.Background()
-	if _, err := st.stub.LookupHost(ctx, "www.corp.test"); err != nil {
-		t.Fatalf("first lookup: %v", err)
+	if got := answers[dnswire.A](t, st, "www.corp.test."); len(got) == 0 {
+		t.Fatal("first lookup: no addresses")
 	}
 	before := st.cs.Stats().QueriesOut
 	for i := 0; i < 5; i++ {
-		if _, err := st.stub.LookupHost(ctx, "www.corp.test"); err != nil {
-			t.Fatalf("repeat lookup: %v", err)
+		if got := answers[dnswire.A](t, st, "www.corp.test."); len(got) == 0 {
+			t.Fatal("repeat lookup: no addresses")
 		}
 	}
 	if after := st.cs.Stats().QueriesOut; after != before {
@@ -241,8 +279,8 @@ func TestEndToEndRenewalLoopLive(t *testing.T) {
 	go st.cs.RunRenewalLoop(ctx)
 
 	for i := 0; i < 3; i++ {
-		if _, err := st.stub.LookupHost(ctx, "www.corp.test"); err != nil {
-			t.Fatalf("lookup %d: %v", i, err)
+		if got := answers[dnswire.A](t, st, "www.corp.test."); len(got) == 0 {
+			t.Fatalf("lookup %d: no addresses", i)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -254,10 +292,7 @@ func TestEndToEndEDNS0AvoidsTCP(t *testing.T) {
 	st := startStack(t, core.Config{AdvertiseEDNS0: true})
 	defer st.Close()
 
-	txts, err := st.stub.LookupTXT(context.Background(), "big.corp.test")
-	if err != nil {
-		t.Fatalf("LookupTXT: %v", err)
-	}
+	txts := txtStrings(t, st, "big.corp.test.")
 	if len(txts) != 20 {
 		t.Errorf("got %d TXT strings, want 20", len(txts))
 	}

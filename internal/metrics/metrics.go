@@ -68,18 +68,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	return c.samples[rank]
 }
 
-// Mean returns the arithmetic mean, or NaN when empty.
-func (c *CDF) Mean() float64 {
-	if len(c.samples) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, v := range c.samples {
-		sum += v
-	}
-	return sum / float64(len(c.samples))
-}
-
 // Max returns the largest sample, or NaN when empty.
 func (c *CDF) Max() float64 {
 	if len(c.samples) == 0 {
@@ -92,32 +80,6 @@ func (c *CDF) Max() float64 {
 // Samples returns a copy of the raw samples.
 func (c *CDF) Samples() []float64 {
 	return append([]float64(nil), c.samples...)
-}
-
-// Points returns n evenly spaced (value, cumulative-fraction) points
-// suitable for plotting the CDF, from the minimum to the maximum sample.
-func (c *CDF) Points(n int) []Point {
-	if len(c.samples) == 0 || n <= 0 {
-		return nil
-	}
-	c.sort()
-	lo, hi := c.samples[0], c.samples[len(c.samples)-1]
-	pts := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		var v float64
-		if n == 1 {
-			v = hi
-		} else {
-			v = lo + (hi-lo)*float64(i)/float64(n-1)
-		}
-		pts = append(pts, Point{X: v, Y: c.At(v)})
-	}
-	return pts
-}
-
-// Point is a 2-D plot point.
-type Point struct {
-	X, Y float64
 }
 
 // Ratio returns c/total as a fraction in [0, 1]; 0 when total is zero.

@@ -16,12 +16,6 @@ func TestCDFEmpty(t *testing.T) {
 	if !math.IsNaN(c.Quantile(0.5)) {
 		t.Error("empty Quantile should be NaN")
 	}
-	if !math.IsNaN(c.Mean()) {
-		t.Error("empty Mean should be NaN")
-	}
-	if c.Points(5) != nil {
-		t.Error("empty Points should be nil")
-	}
 }
 
 func TestCDFAt(t *testing.T) {
@@ -66,14 +60,11 @@ func TestCDFQuantile(t *testing.T) {
 	}
 }
 
-func TestCDFMeanMax(t *testing.T) {
+func TestCDFMax(t *testing.T) {
 	var c CDF
 	c.Add(2)
 	c.Add(4)
 	c.Add(9)
-	if got := c.Mean(); got != 5 {
-		t.Errorf("Mean = %v, want 5", got)
-	}
 	if got := c.Max(); got != 9 {
 		t.Errorf("Max = %v, want 9", got)
 	}
@@ -84,29 +75,6 @@ func TestCDFAddDuration(t *testing.T) {
 	c.AddDuration(90 * time.Second)
 	if got := c.Quantile(1); got != 90 {
 		t.Errorf("Quantile(1) = %v, want 90 seconds", got)
-	}
-}
-
-func TestCDFPointsMonotone(t *testing.T) {
-	var c CDF
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 500; i++ {
-		c.Add(r.ExpFloat64() * 100)
-	}
-	pts := c.Points(50)
-	if len(pts) != 50 {
-		t.Fatalf("Points returned %d, want 50", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Y < pts[i-1].Y {
-			t.Fatalf("CDF not monotone at %d: %v < %v", i, pts[i].Y, pts[i-1].Y)
-		}
-		if pts[i].X < pts[i-1].X {
-			t.Fatalf("X not monotone at %d", i)
-		}
-	}
-	if pts[len(pts)-1].Y != 1 {
-		t.Errorf("CDF at max = %v, want 1", pts[len(pts)-1].Y)
 	}
 }
 

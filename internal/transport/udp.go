@@ -19,10 +19,6 @@ type UDP struct {
 	// Timeout caps each exchange; a context deadline tightens it further
 	// (the earlier of the two wins) but never extends it.
 	Timeout time.Duration
-	// LocalAddr binds outgoing sockets to a specific local address (e.g.
-	// "127.0.0.99:0"), letting load generators present distinct client
-	// addresses to a server under test. Empty means kernel-chosen.
-	LocalAddr string
 }
 
 // Exchange implements Transport: it sends the query over a fresh UDP
@@ -41,13 +37,6 @@ func (u *UDP) Exchange(ctx context.Context, server Addr, query *dnswire.Message)
 	}
 
 	var dialer net.Dialer
-	if u.LocalAddr != "" {
-		laddr, err := net.ResolveUDPAddr("udp", u.LocalAddr)
-		if err != nil {
-			return nil, fmt.Errorf("transport: bad LocalAddr %q: %v", u.LocalAddr, err)
-		}
-		dialer.LocalAddr = laddr
-	}
 	conn, err := dialer.DialContext(ctx, "udp", string(server))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrServerUnreachable, err)

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -146,54 +145,6 @@ func TestComputeStats(t *testing.T) {
 	}
 	if st.Names == 0 || st.Zones == 0 || st.Names < st.Zones {
 		t.Errorf("Names=%d Zones=%d", st.Names, st.Zones)
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	tr := Generate(smallParams("TRC2", 23), testNames(t))
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
-	}
-	if got.Label != tr.Label || got.Clients != tr.Clients || got.Duration != tr.Duration {
-		t.Errorf("meta mismatch: %+v", got)
-	}
-	if len(got.Queries) != len(tr.Queries) {
-		t.Fatalf("query count %d, want %d", len(got.Queries), len(tr.Queries))
-	}
-	for i := range got.Queries {
-		a, b := got.Queries[i], tr.Queries[i]
-		if a.Client != b.Client || a.Name != b.Name || a.Type != b.Type {
-			t.Fatalf("query %d mismatch: %+v vs %+v", i, a, b)
-		}
-		if d := a.At.Sub(b.At); d > time.Millisecond || d < -time.Millisecond {
-			t.Fatalf("query %d time drift %v", i, d)
-		}
-	}
-}
-
-func TestReadTraceErrors(t *testing.T) {
-	tests := []struct {
-		name string
-		text string
-	}{
-		{"bad fields", "123 4 www.example.com."},
-		{"bad offset", "abc 4 www.example.com. A"},
-		{"bad client", "1 x www.example.com. A"},
-		{"bad type", "1 2 www.example.com. BOGUS"},
-		{"bad name", "1 2 www..com. A"},
-		{"bad start", "# start notatime"},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ReadTrace(strings.NewReader(tt.text)); err == nil {
-				t.Error("ReadTrace succeeded, want error")
-			}
-		})
 	}
 }
 
