@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -39,10 +40,13 @@ import (
 )
 
 // jsonLogSink appends one JSON line per finished trace to the query
-// log. Observe is called from query, flight, renewal, and prefetch
-// goroutines concurrently.
+// log. Observe is called from the listener's read loops and from query,
+// flight, renewal, and prefetch goroutines concurrently, so it only
+// encodes into memory: the file is written when the buffer fills, on
+// Flush (once a second) and on Close.
 type jsonLogSink struct {
 	mu  sync.Mutex
+	w   *bufio.Writer
 	enc *json.Encoder
 	f   *os.File
 }
@@ -52,7 +56,8 @@ func newJSONLogSink(path string) (*jsonLogSink, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &jsonLogSink{enc: json.NewEncoder(f), f: f}, nil
+	w := bufio.NewWriterSize(f, 64<<10)
+	return &jsonLogSink{w: w, enc: json.NewEncoder(w), f: f}, nil
 }
 
 func (s *jsonLogSink) Observe(ts resolve.TraceSummary) {
@@ -62,10 +67,20 @@ func (s *jsonLogSink) Observe(ts resolve.TraceSummary) {
 	_ = s.enc.Encode(ts)
 }
 
+func (s *jsonLogSink) Flush() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_ = s.w.Flush() // as in Observe; Close reports what stays unwritten
+}
+
 func (s *jsonLogSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.f.Close()
+	err := s.w.Flush()
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // buildInfo is the /debug/stats "build" section: module version, VCS
@@ -104,7 +119,8 @@ func statsSections(start time.Time, cs *core.CachingServer, counterSets []debugh
 }
 
 // every calls f on each tick of period d until ctx is done: the mesh
-// probe, the -sweep pass and the -stats line all run on it.
+// probe, the -sweep pass, the query-log flush and the -stats line all run
+// on it.
 func every(ctx context.Context, d time.Duration, f func(now time.Time)) {
 	t := time.NewTicker(d)
 	defer t.Stop()
@@ -318,6 +334,9 @@ func run() error {
 
 	if policy != nil {
 		go cs.RunRenewalLoop(ctx)
+	}
+	if qlog != nil {
+		go every(ctx, time.Second, func(time.Time) { qlog.Flush() })
 	}
 
 	if *sweep > 0 {

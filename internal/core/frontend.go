@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"net/netip"
 	"time"
 
 	"resilientdns/internal/dnswire"
@@ -18,7 +19,18 @@ const frontendTimeout = 5 * time.Second
 // from cached data only — a stub probing the cache must not trigger
 // upstream fetches — and answered REFUSED when nothing cached applies.
 func (cs *CachingServer) HandleQuery(q *dnswire.Message) *dnswire.Message {
-	return cs.handle(q, false)
+	resp, _ := cs.handle(q, answerFully)
+	return resp
+}
+
+// HandleInline implements transport.InlineHandler: HandleQuery for every
+// query that needs no upstream work — a protocol refusal, an RD=0 probe,
+// anything the live cache answers (a record, a cached CNAME chain, a
+// negative entry) — and done=false, with nothing counted or traced, for
+// the one case that may block: a miss, which HandleQuery then resolves.
+// It touches no lock but the cache shard read locks and negMu.
+func (cs *CachingServer) HandleInline(q *dnswire.Message, _ netip.AddrPort) (*dnswire.Message, bool) {
+	return cs.handle(q, answerLive)
 }
 
 // HandleQueryCacheOnly answers q without any upstream work regardless of
@@ -28,12 +40,23 @@ func (cs *CachingServer) HandleQuery(q *dnswire.Message) *dnswire.Message {
 // gets SERVFAIL (transient — the client should retry), unlike an RD=0
 // miss's REFUSED (deliberate policy).
 func (cs *CachingServer) HandleQueryCacheOnly(q *dnswire.Message) *dnswire.Message {
-	return cs.handle(q, true)
+	resp, _ := cs.handle(q, answerCacheOnly)
+	return resp
 }
 
+// answerMode is how far the frontend goes for a query with RD=1.
+type answerMode int
+
+const (
+	answerFully     answerMode = iota // live cache, then upstream
+	answerLive                        // live cache; a miss is declined
+	answerCacheOnly                   // live, negative, then stale; a miss is SERVFAIL
+)
+
 // handle is the shared frontend: protocol validation, the
-// recursive/cache-only routing decision, and reply assembly.
-func (cs *CachingServer) handle(q *dnswire.Message, overloadCacheOnly bool) *dnswire.Message {
+// recursive/cache-only routing decision, and reply assembly. Only
+// answerLive ever declines (nil, false).
+func (cs *CachingServer) handle(q *dnswire.Message, mode answerMode) (*dnswire.Message, bool) {
 	resp := q.Reply()
 	resp.Flags.RecursionAvailable = true
 	// RFC 6891: a response to a query carrying an OPT record must carry
@@ -43,22 +66,26 @@ func (cs *CachingServer) handle(q *dnswire.Message, overloadCacheOnly bool) *dns
 	}
 	if len(q.Question) != 1 || q.Opcode != dnswire.OpcodeQuery {
 		resp.RCode = dnswire.RCodeFormErr
-		return resp
+		return resp, true
 	}
 	question := q.Question[0]
 	if question.Class != dnswire.ClassIN || question.Type.IsZoneTransfer() {
 		resp.RCode = dnswire.RCodeRefused
-		return resp
+		return resp, true
 	}
 
 	var res *Result
 	var err error
-	if overloadCacheOnly || !q.Flags.RecursionDesired {
+	switch {
+	case mode == answerCacheOnly || !q.Flags.RecursionDesired:
 		res, err = cs.ResolveCacheOnly(question.Name, question.Type)
-	} else {
-		ctx, cancel := context.WithTimeout(context.Background(), frontendTimeout)
-		defer cancel()
-		res, err = cs.Resolve(ctx, question.Name, question.Type)
+	case mode == answerLive:
+		var hit bool
+		if res, hit, err = cs.resolveLive(question.Name, question.Type); !hit {
+			return nil, false
+		}
+	default:
+		res, err = cs.resolve(context.Background(), frontendTimeout, question.Name, question.Type)
 	}
 	switch {
 	case err != nil:
@@ -67,7 +94,7 @@ func (cs *CachingServer) handle(q *dnswire.Message, overloadCacheOnly bool) *dns
 		resp.RCode = res.RCode
 		resp.Answer = append(resp.Answer, res.Answer...)
 		resp.Authority = append(resp.Authority, res.Authority...)
-	case overloadCacheOnly:
+	case mode == answerCacheOnly:
 		// Degraded mode and nothing cached: shed with SERVFAIL so the
 		// client retries once capacity returns.
 		resp.RCode = dnswire.RCodeServFail
@@ -76,7 +103,7 @@ func (cs *CachingServer) handle(q *dnswire.Message, overloadCacheOnly bool) *dns
 		// behalf.
 		resp.RCode = dnswire.RCodeRefused
 	}
-	return resp
+	return resp, true
 }
 
-var _ transport.Handler = (*CachingServer)(nil)
+var _ transport.InlineHandler = (*CachingServer)(nil)

@@ -166,13 +166,40 @@ func (cs *CachingServer) SecureZone(zname dnswire.Name) (secure, known bool) {
 // coalescing outcome; the shared flight carries its own trace (it serves
 // many queries, so its timings belong to no single caller).
 func (cs *CachingServer) Resolve(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
+	return cs.resolve(ctx, 0, qname, qtype)
+}
+
+// resolve is Resolve with the frontend's deadline built late: the live
+// cache is asked first, and only a miss cuts ctx to timeout (when
+// positive) for the upstream work, so a hit never pays for a timer it
+// cannot use.
+func (cs *CachingServer) resolve(ctx context.Context, timeout time.Duration, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
 	metrics.Inc(&cs.stats.QueriesIn)
 	tr := cs.resolver.NewTrace(resolve.KindQuery, qname, qtype)
 	res, err := cs.resolver.Lookup(tr, qname, qtype)
 	if err == nil && res == nil {
+		if timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, timeout)
+			defer cancel()
+		}
 		res, err = cs.resolveCoalesced(ctx, tr, qname, qtype)
 	}
 	return cs.account(tr, res, err)
+}
+
+// resolveLive is resolve for a query the live cache answers, and nothing
+// at all for one it does not: hit=false leaves the query uncounted and
+// its trace unfinished (no record, no stage observation), so the caller
+// can hand it to resolve as if it had just arrived.
+func (cs *CachingServer) resolveLive(qname dnswire.Name, qtype dnswire.Type) (res *Result, hit bool, err error) {
+	tr := cs.resolver.NewTrace(resolve.KindQuery, qname, qtype)
+	if res, err = cs.resolver.Lookup(tr, qname, qtype); err == nil && res == nil {
+		return nil, false, nil
+	}
+	metrics.Inc(&cs.stats.QueriesIn)
+	res, err = cs.account(tr, res, err)
+	return res, true, err
 }
 
 // ResolveCacheOnly answers one stub-resolver query from cached data

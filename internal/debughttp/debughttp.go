@@ -10,15 +10,18 @@
 //	                    (?n=K limits the count)
 //	GET /debug/peers    the cooperative mesh's membership snapshot
 //	                    (registered only when the mesh is enabled)
+//	GET /debug/pprof/   net/http/pprof's index, profile, trace, symbol and
+//	                    cmdline, for `go tool pprof http://…/debug/pprof/profile`
 //
-// Everything is read-only JSON assembled from snapshots: counter sections
-// are atomic loads, the cache section takes shard read locks only, and no
-// handler sweeps or mutates server state.
+// Everything but pprof is read-only JSON assembled from snapshots: counter
+// sections are atomic loads, the cache section takes shard read locks
+// only, and no handler sweeps or mutates server state.
 package debughttp
 
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 
 	"resilientdns/internal/metrics"
@@ -112,6 +115,13 @@ func New(o Options) http.Handler {
 		}
 		writeJSON(w, recent)
 	})
+	// Routed here by name: this mux, not http.DefaultServeMux (which
+	// no server in this process serves), is what -debug-addr exposes.
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

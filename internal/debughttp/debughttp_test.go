@@ -3,6 +3,7 @@ package debughttp
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -152,6 +153,15 @@ func TestPeersRouteAbsentWithoutMesh(t *testing.T) {
 	}
 	if _, ok := raw["mesh"]; ok {
 		t.Error("meshless stats payload still carries a mesh section")
+	}
+}
+
+// TestPprofOnOwnMux: the profiler is routed by the debug mux itself.
+func TestPprofOnOwnMux(t *testing.T) {
+	rec := httptest.NewRecorder()
+	New(Options{}).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
+	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "goroutine") {
+		t.Errorf("/debug/pprof/ = %d, want 200 with the profile index", rec.Code)
 	}
 }
 

@@ -67,11 +67,23 @@ type Config struct {
 	PeerExempt func(netip.Addr) bool
 }
 
+// inlineBackend is the optional half of a Backend: the entry that settles
+// without blocking what it can (transport.InlineHandler's). The caching
+// server has it; a backend without it settles nothing inline.
+type inlineBackend interface {
+	HandleInline(q *dnswire.Message, from netip.AddrPort) (*dnswire.Message, bool)
+}
+
 // Guard wraps a Backend with per-client rate limiting and overload
-// degradation. It implements transport.Handler and transport.AddrHandler.
+// degradation. It implements transport.Handler, transport.AddrHandler and
+// transport.InlineHandler. A query is charged to its client's bucket
+// exactly once, by whichever of HandleInline and HandleQueryFrom it
+// arrives through; HandleQuery and HandleOverload, which a UDP server
+// calls only for queries HandleInline has admitted, charge nothing.
 type Guard struct {
 	backend    Backend
-	limiter    *limiter // nil when rate limiting is off
+	inline     inlineBackend // nil when backend has no inline entry
+	limiter    *limiter      // nil when rate limiting is off
 	cacheOnly  bool
 	counters   *metrics.GuardCounters
 	clock      simclock.Clock
@@ -93,15 +105,17 @@ func New(backend Backend, cfg Config) *Guard {
 		clock:      cfg.Clock,
 		peerExempt: cfg.PeerExempt,
 	}
+	g.inline, _ = backend.(inlineBackend)
 	if cfg.ClientRPS > 0 {
 		g.limiter = newLimiter(cfg.ClientRPS, cfg.ClientBurst, cfg.Slip, cfg.MaxClients, cfg.Counters)
 	}
 	return g
 }
 
-// HandleQuery serves a query with no usable source address (TCP, or a
-// transport that does not report one): it passes straight through — TCP
-// provides its own backpressure and unspoofable sources.
+// HandleQuery serves a query that needs no admission here: one with no
+// usable source address (TCP, or a transport that does not report one) —
+// TCP provides its own backpressure and unspoofable sources — or one a
+// UDP server's read loop has already put through HandleInline.
 func (g *Guard) HandleQuery(q *dnswire.Message) *dnswire.Message {
 	return g.backend.HandleQuery(q)
 }
@@ -109,22 +123,36 @@ func (g *Guard) HandleQuery(q *dnswire.Message) *dnswire.Message {
 // HandleQueryFrom serves one UDP query, applying the per-client rate
 // limit. A nil response means drop (send nothing).
 func (g *Guard) HandleQueryFrom(q *dnswire.Message, from net.Addr) *dnswire.Message {
-	if resp, limited := g.admit(q, from); limited {
+	addr, _ := clientAddr(from) // the zero Addr when there is none
+	if resp, limited := g.admit(q, addr); limited {
 		return resp
 	}
 	return g.backend.HandleQuery(q)
 }
 
-// HandleOverload serves a query that arrived while inflight work was
-// saturated: the rate limit still applies (an abusive client gets no
-// degraded service either), then the query is answered from cache only —
-// never recursing, never dropping a cache hit — or shed when degraded
-// answering is off. Called synchronously from the UDP read loop, so it
-// must not block; the cache-only path takes no locks across I/O.
-func (g *Guard) HandleOverload(q *dnswire.Message, from net.Addr) *dnswire.Message {
-	if resp, limited := g.admit(q, from); limited {
-		return resp
+// HandleInline is the read loop's entry: admission first, so a
+// rate-limited datagram is dropped or slipped without ever costing a
+// goroutine, then the backend's inline entry. done=false means admitted
+// and not yet answered: HandleQuery — or HandleOverload, when no handler
+// slot is free — finishes the query without charging it again.
+func (g *Guard) HandleInline(q *dnswire.Message, from netip.AddrPort) (*dnswire.Message, bool) {
+	if resp, limited := g.admit(q, from.Addr().Unmap()); limited {
+		return resp, true
 	}
+	if g.inline == nil {
+		return nil, false
+	}
+	return g.inline.HandleInline(q, from)
+}
+
+// HandleOverload serves a query that HandleInline admitted but could not
+// settle, arriving while inflight work was saturated: it is answered from
+// cache only — never recursing, never dropping a cache hit — or shed when
+// degraded answering is off. An abusive client gets no degraded service
+// either: its queries ended at HandleInline. Called synchronously from
+// the UDP read loop, so it must not block; the cache-only path takes no
+// locks across I/O.
+func (g *Guard) HandleOverload(q *dnswire.Message) *dnswire.Message {
 	if !g.cacheOnly {
 		metrics.Inc(&g.counters.Shed)
 		return nil
@@ -137,18 +165,15 @@ func (g *Guard) HandleOverload(q *dnswire.Message, from net.Addr) *dnswire.Messa
 	return resp
 }
 
-// admit runs the rate limiter for one query. limited=false means the
-// query may proceed; limited=true means it must not, and resp (possibly
-// nil) is what to send instead: nil to drop, or a minimal TC=1 slip
-// reply pushing the client to TCP.
-func (g *Guard) admit(q *dnswire.Message, from net.Addr) (resp *dnswire.Message, limited bool) {
-	if g.limiter == nil {
-		return nil, false
-	}
-	addr, ok := clientAddr(from)
-	if !ok {
-		// No attributable source: fail open, the admission control
-		// behind us still bounds total work.
+// admit runs the rate limiter for one query from addr (the zero Addr: no
+// attributable source). limited=false means the query may proceed;
+// limited=true means it must not, and resp (possibly nil) is what to
+// send instead: nil to drop, or a minimal TC=1 slip reply pushing the
+// client to TCP.
+func (g *Guard) admit(q *dnswire.Message, addr netip.Addr) (resp *dnswire.Message, limited bool) {
+	if g.limiter == nil || !addr.IsValid() {
+		// No limit, or no source to charge: fail open, the admission
+		// control behind us still bounds total work.
 		return nil, false
 	}
 	if g.peerExempt != nil && g.peerExempt(addr) {

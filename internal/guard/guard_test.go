@@ -174,7 +174,7 @@ func TestOverloadCacheOnlyAndShed(t *testing.T) {
 	counters := metrics.NewSet[metrics.GuardCounters]()
 	be := &fakeBackend{}
 	g := New(be, Config{Clock: clk, Counters: counters})
-	if resp := g.HandleOverload(testQuery(1), udpAddr("192.0.2.1")); resp != nil {
+	if resp := g.HandleOverload(testQuery(1)); resp != nil {
 		t.Fatalf("shed query got a response: %v", resp)
 	}
 	if gs := metrics.Snapshot(counters); gs.Shed != 1 || be.cacheOnly != 0 {
@@ -186,7 +186,7 @@ func TestOverloadCacheOnlyAndShed(t *testing.T) {
 	counters = metrics.NewSet[metrics.GuardCounters]()
 	be = &fakeBackend{}
 	g = New(be, Config{CacheOnlyOnOverload: true, Clock: clk, Counters: counters})
-	resp := g.HandleOverload(testQuery(2), udpAddr("192.0.2.1"))
+	resp := g.HandleOverload(testQuery(2))
 	if resp == nil || resp.RCode != dnswire.RCodeServFail {
 		t.Fatalf("degraded answer = %v, want the backend's SERVFAIL", resp)
 	}
@@ -198,18 +198,91 @@ func TestOverloadCacheOnlyAndShed(t *testing.T) {
 	}
 }
 
+// inlineFake is a fakeBackend that also has the inline entry: it settles
+// "hit." names there and declines the rest.
+type inlineFake struct {
+	fakeBackend
+	inline int
+}
+
+func (b *inlineFake) HandleInline(q *dnswire.Message, _ netip.AddrPort) (*dnswire.Message, bool) {
+	if q.Question[0].Name != "hit." {
+		return nil, false
+	}
+	b.inline++
+	return q.Reply(), true
+}
+
+// arrive delivers one query the way the UDP read loop does: the inline
+// entry first, then — when that declines — the handler goroutine's
+// HandleQuery, or the overload hook when no slot is free.
+func arrive(g *Guard, q *dnswire.Message, from string, slotFree bool) *dnswire.Message {
+	resp, done := g.HandleInline(q, netip.AddrPortFrom(netip.MustParseAddr(from), 5353))
+	switch {
+	case done:
+		return resp
+	case slotFree:
+		return g.HandleQuery(q)
+	}
+	return g.HandleOverload(q)
+}
+
 // TestOverloadStillRateLimits: an abusive client gets no degraded-mode
-// service either.
+// service either — its queries end at the inline entry and never reach
+// the overload hook.
 func TestOverloadStillRateLimits(t *testing.T) {
 	clk := simclock.NewVirtual(epoch)
 	be := &fakeBackend{}
 	g := New(be, Config{ClientRPS: 1, ClientBurst: 1, CacheOnlyOnOverload: true, Clock: clk})
-	g.HandleOverload(testQuery(0), udpAddr("192.0.2.1")) // drains the bucket
-	if resp := g.HandleOverload(testQuery(1), udpAddr("192.0.2.1")); resp != nil {
+	arrive(g, testQuery(0), "192.0.2.1", false) // drains the bucket
+	if resp := arrive(g, testQuery(1), "192.0.2.1", false); resp != nil {
 		t.Fatalf("rate-limited overload query served: %v", resp)
 	}
 	if be.cacheOnly != 1 {
 		t.Errorf("cache-only calls = %d, want 1 (the limited query must not reach the backend)", be.cacheOnly)
+	}
+}
+
+// TestChargedOncePerQuery: a bucket k deep admits exactly k queries,
+// whichever mix of the three exits they take — settled inline, finished
+// on a handler goroutine, finished by the overload hook. None of the
+// exits charges the bucket a second time, and none skips the charge.
+func TestChargedOncePerQuery(t *testing.T) {
+	const k = 9
+	hit := dnswire.NewQuery(1, dnswire.MustName("hit."), dnswire.TypeA)
+	for _, tc := range []struct {
+		name string
+		exit func(i int) (q *dnswire.Message, slotFree bool)
+	}{
+		{"inline", func(int) (*dnswire.Message, bool) { return hit, true }},
+		{"handler", func(int) (*dnswire.Message, bool) { return testQuery(2), true }},
+		{"overload", func(int) (*dnswire.Message, bool) { return testQuery(3), false }},
+		{"mixed", func(i int) (*dnswire.Message, bool) {
+			return []*dnswire.Message{hit, testQuery(2), testQuery(3)}[i%3], i%3 != 2
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			counters := metrics.NewSet[metrics.GuardCounters]()
+			be := &inlineFake{}
+			g := New(be, Config{ClientRPS: 1, ClientBurst: k, CacheOnlyOnOverload: true,
+				Clock: simclock.NewVirtual(epoch), Counters: counters})
+			served := 0
+			for i := 0; i < 3*k; i++ {
+				q, slotFree := tc.exit(i)
+				if resp := arrive(g, q, "192.0.2.1", slotFree); resp != nil {
+					served++
+				}
+			}
+			gs := metrics.Snapshot(counters)
+			if served != k || gs.Allowed != k || gs.RateLimited != 2*k {
+				t.Errorf("served %d, allowed %d, limited %d of %d queries; want %d, %d, %d",
+					served, gs.Allowed, gs.RateLimited, 3*k, k, k, 2*k)
+			}
+			if reached := be.inline + be.queries + be.cacheOnly; reached != k {
+				t.Errorf("backend reached %d times (inline %d, HandleQuery %d, cache-only %d), want %d",
+					reached, be.inline, be.queries, be.cacheOnly, k)
+			}
+		})
 	}
 }
 

@@ -67,9 +67,12 @@ func TestLimiterHammer(t *testing.T) {
 						return
 					}
 				}
-				// Interleave overload arrivals on the same addresses.
+				// Interleave overload arrivals on the same addresses, the
+				// way the read loop delivers them: admitted inline first.
 				if i%7 == 0 {
-					g.HandleOverload(q, addr)
+					if _, done := g.HandleInline(q, addr.AddrPort()); !done {
+						g.HandleOverload(q)
+					}
 				}
 			}
 		}(w)

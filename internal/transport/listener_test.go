@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"net"
+	"net/netip"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -28,17 +29,18 @@ func (l *flakyListener) Accept() (net.Conn, error) {
 	return l.Listener.Accept()
 }
 
-// flakyPacketConn fails the first `failures` ReadFrom calls, then delegates.
-type flakyPacketConn struct {
-	net.PacketConn
+// flakyUDPConn fails the first `failures` ReadFromUDPAddrPort calls, then
+// delegates.
+type flakyUDPConn struct {
+	*net.UDPConn
 	failures atomic.Int32
 }
 
-func (c *flakyPacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
+func (c *flakyUDPConn) ReadFromUDPAddrPort(p []byte) (int, netip.AddrPort, error) {
 	if c.failures.Add(-1) >= 0 {
-		return 0, nil, errTransient
+		return 0, netip.AddrPort{}, errTransient
 	}
-	return c.PacketConn.ReadFrom(p)
+	return c.UDPConn.ReadFromUDPAddrPort(p)
 }
 
 // TestTCPServerSurvivesAcceptErrors: Accept failing with EMFILE must not
@@ -75,7 +77,7 @@ func TestUDPServerSurvivesReadErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := &flakyPacketConn{PacketConn: inner}
+	conn := &flakyUDPConn{UDPConn: inner.(*net.UDPConn)}
 	conn.failures.Store(3)
 	srv := &UDPServer{Handler: echoHandler(), conn: conn, sem: make(chan struct{}, 4)}
 	srv.wg.Add(1)
@@ -86,7 +88,7 @@ func TestUDPServerSurvivesReadErrors(t *testing.T) {
 	q := dnswire.NewQuery(9, dnswire.MustName("www.example.com"), dnswire.TypeA)
 	resp, err := u.Exchange(context.Background(), Addr(inner.LocalAddr().String()), q)
 	if err != nil {
-		t.Fatalf("Exchange after 3 transient ReadFrom errors: %v", err)
+		t.Fatalf("Exchange after 3 transient read errors: %v", err)
 	}
 	if resp.ID != 9 || len(resp.Answer) != 1 {
 		t.Errorf("resp = %v", resp)

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"net/netip"
 	"time"
 
 	"resilientdns/internal/dnswire"
@@ -72,6 +73,23 @@ func (f HandlerFunc) HandleQuery(q *dnswire.Message) *dnswire.Message { return f
 type AddrHandler interface {
 	Handler
 	HandleQueryFrom(q *dnswire.Message, from net.Addr) *dnswire.Message
+}
+
+// InlineHandler is a Handler that can settle some queries without
+// blocking — a cache hit, a refusal, a rate-limit verdict. The UDP server
+// offers it every query on the read loop, before a goroutine is spent:
+// done means the query is settled and resp (nil to drop) is sent from the
+// loop; !done means HandleQuery must run, on a handler goroutine, and
+// whatever the inline entry decided about the client (admission) is not
+// decided again there.
+//
+// HandleInline must not block: it runs on a read loop, and while it runs
+// that loop reads nothing. It may take a lock no holder blocks under
+// (the cache shard read locks) and finish a trace, so a trace sink under
+// an InlineHandler may buffer in memory but must not wait on I/O.
+type InlineHandler interface {
+	Handler
+	HandleInline(q *dnswire.Message, from netip.AddrPort) (resp *dnswire.Message, done bool)
 }
 
 // dispatch hands q to h, with its source address when h is an

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 
@@ -87,32 +89,43 @@ func (u *UDP) Exchange(ctx context.Context, server Addr, query *dnswire.Message)
 // MaxInflight is zero.
 const DefaultMaxInflight = 1024
 
-// UDPServer serves DNS queries over a UDP socket using a Handler. Each
-// query is handled on its own goroutine, bounded by MaxInflight, so one
-// slow recursive resolution never blocks the socket read loop. When the
-// Handler also implements AddrHandler, queries are dispatched with their
-// source address so per-client policy (the guard layer) can apply.
+// UDPServer serves DNS queries over a UDP socket using a Handler. It runs
+// one read loop per P on the one socket. Each loop offers every query to
+// the Handler's inline entry, when it is an InlineHandler, and answers
+// what that settles from the loop itself; anything else is handled on its
+// own goroutine, bounded by MaxInflight, so one slow recursive resolution
+// never blocks a read loop. A handler without the inline entry settles
+// nothing inline; it gets the source address when it is an AddrHandler.
 type UDPServer struct {
 	Handler Handler
-	// MaxInflight bounds the number of queries being handled at once.
-	// Defaults to DefaultMaxInflight.
+	// MaxInflight bounds the number of queries being handled at once on
+	// handler goroutines. Defaults to DefaultMaxInflight.
 	MaxInflight int
 	// Overload, when set, is consulted — synchronously, on the read loop
-	// — for queries arriving while all MaxInflight slots are busy,
-	// instead of blocking the read loop behind the slowest resolution
-	// (head-of-line blocking). It returns the degraded-mode response to
-	// send, or nil to drop the query. It must not block. When nil,
-	// saturated-arrival queries are dropped and counted.
-	Overload func(q *dnswire.Message, from net.Addr) *dnswire.Message
+	// — for queries the inline entry did not settle that arrive while all
+	// MaxInflight slots are busy, instead of blocking the read loop behind
+	// the slowest resolution (head-of-line blocking). It returns the
+	// degraded-mode response to send, or nil to drop the query. It must
+	// not block. When nil, saturated-arrival queries are dropped and
+	// counted.
+	Overload func(q *dnswire.Message) *dnswire.Message
 	// Counters receives drop/FORMERR accounting; optional. When Overload
 	// is set it owns the shed accounting and Counters.Shed is not bumped
 	// here (a single source for each count).
 	Counters *metrics.GuardCounters
 
 	mu   sync.Mutex
-	conn net.PacketConn
+	conn udpConn
 	wg   sync.WaitGroup
 	sem  chan struct{}
+}
+
+// udpConn is what the server uses of its *net.UDPConn: the AddrPort
+// calls, which allocate no address per datagram.
+type udpConn interface {
+	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
+	WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error)
+	Close() error
 }
 
 // Listen binds the server to addr (e.g. "127.0.0.1:5300") and starts
@@ -122,10 +135,11 @@ func (s *UDPServer) Listen(addr string) (string, error) {
 	if s.Handler == nil {
 		return "", errors.New("transport: UDPServer without Handler")
 	}
-	conn, err := net.ListenPacket("udp", addr)
+	pc, err := net.ListenPacket("udp", addr)
 	if err != nil {
 		return "", err
 	}
+	conn := pc.(*net.UDPConn)
 	inflight := s.MaxInflight
 	if inflight <= 0 {
 		inflight = DefaultMaxInflight
@@ -135,22 +149,30 @@ func (s *UDPServer) Listen(addr string) (string, error) {
 	s.sem = make(chan struct{}, inflight)
 	s.mu.Unlock()
 
-	s.wg.Add(1)
-	go s.serve(conn)
+	// One read loop per P: queries settled inline are answered on the
+	// loop that read them, so the loops are what spreads them over cores.
+	for i := runtime.GOMAXPROCS(0); i > 0; i-- {
+		s.wg.Add(1)
+		go s.serve(conn)
+	}
 	return conn.LocalAddr().String(), nil
 }
 
-func (s *UDPServer) serve(conn net.PacketConn) {
+func (s *UDPServer) serve(conn udpConn) {
 	defer s.wg.Done()
 	sem := s.sem
+	inline, _ := s.Handler.(InlineHandler)
 	// Per-read-loop buffer, leased for the loop's lifetime and reused
-	// for every packet (returned when the listener closes).
+	// for every packet (returned when the listener closes). A response
+	// sent from the loop is packed into it too: by then the query has
+	// been unpacked, and the Message owns all its data (dnswire.Unpack
+	// copies the wire once and never aliases the read buffer).
 	bp := getBuf()
 	defer putBuf(bp)
 	buf := (*bp)[:readBufSize]
 	var backoff time.Duration
 	for {
-		n, from, err := conn.ReadFrom(buf)
+		n, from, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return
@@ -159,9 +181,6 @@ func (s *UDPServer) serve(conn net.PacketConn) {
 			continue
 		}
 		backoff = 0
-		// Unpack before dispatching: the Message owns all its data
-		// (dnswire.Unpack copies the wire once and never aliases the
-		// read buffer), so buf can be reused for the next packet.
 		query, err := dnswire.Unpack(buf[:n])
 		if err != nil {
 			s.replyFormErr(conn, buf[:n], from)
@@ -170,13 +189,32 @@ func (s *UDPServer) serve(conn net.PacketConn) {
 		if query.Flags.Response {
 			continue // a response is never a query; never answer one
 		}
+		if inline != nil {
+			if resp, done := inline.HandleInline(query, from); done {
+				if resp != nil {
+					writeResponse(conn, buf, query, resp, from)
+				}
+				continue
+			}
+		}
 		select {
 		case sem <- struct{}{}:
 			s.wg.Add(1)
-			go func(query *dnswire.Message, from net.Addr) {
+			go func(query *dnswire.Message, from netip.AddrPort) {
 				defer s.wg.Done()
 				defer func() { <-sem }()
-				s.respond(conn, query, from)
+				var resp *dnswire.Message
+				if inline != nil {
+					// The inline entry has seen the source already.
+					resp = s.Handler.HandleQuery(query)
+				} else {
+					resp = dispatch(s.Handler, query, net.UDPAddrFromAddrPort(from))
+				}
+				if resp != nil {
+					bp := getBuf()
+					defer putBuf(bp)
+					writeResponse(conn, *bp, query, resp, from)
+				}
 			}(query, from)
 		default:
 			// Every inflight slot is busy. Blocking here would stall the
@@ -184,8 +222,8 @@ func (s *UDPServer) serve(conn net.PacketConn) {
 			// or hand the query to the overload hook for a degraded
 			// (cache-only) answer.
 			if s.Overload != nil {
-				if resp := s.Overload(query, from); resp != nil {
-					s.writeResponse(conn, query, resp, from)
+				if resp := s.Overload(query); resp != nil {
+					writeResponse(conn, buf, query, resp, from)
 				}
 			} else if s.Counters != nil {
 				metrics.Inc(&s.Counters.Shed)
@@ -194,13 +232,14 @@ func (s *UDPServer) serve(conn net.PacketConn) {
 	}
 }
 
-// replyFormErr answers a packet that failed to parse. If even the fixed
-// header is unreadable there is nothing to echo, and a packet claiming to
-// be a response must never be answered (a reply loop between two servers
-// otherwise ping-pongs forever) — both stay silently dropped. Otherwise
-// the client gets FORMERR so it can tell a broken query from a dead
-// server, and the counter keeps garbage floods visible.
-func (s *UDPServer) replyFormErr(conn net.PacketConn, pkt []byte, from net.Addr) {
+// replyFormErr answers a packet that failed to parse, packing the reply
+// over it (a header, which is all the reply is, fits where one was read).
+// If even the fixed header is unreadable there is nothing to echo, and a
+// packet claiming to be a response must never be answered (a reply loop
+// between two servers otherwise ping-pongs forever) — both stay silently
+// dropped. Otherwise the client gets FORMERR so it can tell a broken
+// query from a dead server, and the counter keeps garbage floods visible.
+func (s *UDPServer) replyFormErr(conn udpConn, pkt []byte, from netip.AddrPort) {
 	h, err := dnswire.UnpackHeader(pkt)
 	if err != nil || h.Flags.Response {
 		return
@@ -214,25 +253,17 @@ func (s *UDPServer) replyFormErr(conn net.PacketConn, pkt []byte, from net.Addr)
 		Flags:  dnswire.Flags{Response: true},
 		RCode:  dnswire.RCodeFormErr,
 	}
-	bp := getBuf()
-	defer putBuf(bp)
-	wire, err := resp.AppendPack((*bp)[:0])
+	wire, err := resp.AppendPack(pkt[:0])
 	if err != nil {
 		return
 	}
-	conn.WriteTo(wire, from)
+	conn.WriteToUDPAddrPort(wire, from)
 }
 
-// respond handles one query and writes the response. PacketConn.WriteTo
-// is safe for concurrent use, so responders never coordinate.
-func (s *UDPServer) respond(conn net.PacketConn, query *dnswire.Message, from net.Addr) {
-	if resp := dispatch(s.Handler, query, from); resp != nil {
-		s.writeResponse(conn, query, resp, from)
-	}
-}
-
-// writeResponse packs resp (into pooled scratch, returned once the
-// socket write is done), applies the UDP payload limit, and sends.
+// writeResponse packs resp into scratch — the read loop's own buffer, or
+// a pooled one on a handler goroutine — applies the UDP payload limit,
+// and sends. WriteToUDPAddrPort is safe for concurrent use, so responders
+// never coordinate.
 //
 // A larger response is truncated (TC bit set, sections dropped). The
 // limit is the classic 512 for a plain client and min(max(adv, 512),
@@ -241,10 +272,8 @@ func (s *UDPServer) respond(conn net.PacketConn, query *dnswire.Message, from ne
 // saying 1232 gets truncation at 1232 even though the server could emit
 // 4096, its own advertisement — while an advertisement below 512 is
 // raised to the classic floor.
-func (s *UDPServer) writeResponse(conn net.PacketConn, query, resp *dnswire.Message, from net.Addr) {
-	bp := getBuf()
-	defer putBuf(bp)
-	wire, err := resp.AppendPack((*bp)[:0])
+func writeResponse(conn udpConn, scratch []byte, query, resp *dnswire.Message, from netip.AddrPort) {
+	wire, err := resp.AppendPack(scratch[:0])
 	if err != nil {
 		return
 	}
@@ -258,7 +287,7 @@ func (s *UDPServer) writeResponse(conn net.PacketConn, query, resp *dnswire.Mess
 			return
 		}
 	}
-	conn.WriteTo(wire, from)
+	conn.WriteToUDPAddrPort(wire, from)
 }
 
 // Close stops the server and waits for its goroutines to exit.
