@@ -14,7 +14,8 @@ package core
 //
 // The in-flight table, negative cache, and parentSeen map are deliberately
 // not checkpointed: in-flight work dies with the process, negative answers
-// are short-lived by design, and an empty parentSeen only means the next
+// are short-lived by design, and parentSeen (kept only while
+// ParentRecheckInterval is on) restarting empty only means the next
 // resolution re-confirms delegations with the parent — all safe defaults.
 
 import (

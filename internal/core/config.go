@@ -85,9 +85,6 @@ type Config struct {
 	// inline behaviour the simulator requires.
 	AsyncPrefetch bool
 
-	// MaxCNAME bounds CNAME chain chasing (default 8).
-	MaxCNAME int
-
 	// OnGap observes IRR expiry-to-reuse gaps (Fig. 3).
 	OnGap cache.GapFunc
 
@@ -102,11 +99,6 @@ type Config struct {
 	ValidateDNSSEC bool
 	// TrustAnchors are trusted DNSKEY RRs (normally the root zone's).
 	TrustAnchors []dnswire.RR
-
-	// AdvertiseEDNS0 attaches an EDNS0 OPT record advertising a 4096-byte
-	// UDP payload to outgoing queries, avoiding TCP fallback for large
-	// referrals.
-	AdvertiseEDNS0 bool
 
 	// ParentRecheckInterval forces a query to a zone's parent when the
 	// cached delegation has not been confirmed by the parent for this

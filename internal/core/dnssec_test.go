@@ -154,7 +154,7 @@ func TestDNSSECValidResolution(t *testing.T) {
 	if len(res.Answer) == 0 || res.Answer[0].Data.String() != "10.9.9.9" {
 		t.Errorf("answer = %v", res.Answer)
 	}
-	if secure, known := f.cs.SecureZone(dnswire.MustName("ucla.edu.")); !secure || !known {
+	if secure, known := f.cs.Resolver().SecureZone(dnswire.MustName("ucla.edu.")); !secure || !known {
 		t.Errorf("ucla.edu. not marked secure (secure=%v known=%v)", secure, known)
 	}
 }
@@ -168,7 +168,7 @@ func TestDNSSECInsecureZonePasses(t *testing.T) {
 	if len(res.Answer) == 0 {
 		t.Errorf("answer = %v", res.Answer)
 	}
-	if secure, known := f.cs.SecureZone(dnswire.MustName("plain.com.")); secure || !known {
+	if secure, known := f.cs.Resolver().SecureZone(dnswire.MustName("plain.com.")); secure || !known {
 		t.Errorf("plain.com. should be known-insecure (secure=%v known=%v)", secure, known)
 	}
 }

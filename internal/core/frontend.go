@@ -36,15 +36,16 @@ func (cs *CachingServer) HandleInline(q *dnswire.Message, _ netip.AddrPort) (*dn
 // HandleQueryCacheOnly answers q without any upstream work regardless of
 // its RD flag: the guard layer's overload degraded mode, where the
 // paper's cache and stale-serving machinery keeps answering while
-// recursion capacity is saturated. A query nothing cached can answer
-// gets SERVFAIL (transient — the client should retry), unlike an RD=0
-// miss's REFUSED (deliberate policy).
+// recursion capacity is saturated, and a mesh peer's fetch (mesh.Backend).
+// A query nothing cached can answer gets SERVFAIL (transient — the client
+// should retry), unlike an RD=0 miss's REFUSED (deliberate policy).
 func (cs *CachingServer) HandleQueryCacheOnly(q *dnswire.Message) *dnswire.Message {
 	resp, _ := cs.handle(q, answerCacheOnly)
 	return resp
 }
 
-// answerMode is how far the frontend goes for a query with RD=1.
+// answerMode is how far a query goes past the cache; the frontend asks
+// every RD=0 query in answerCacheOnly, whatever its entry.
 type answerMode int
 
 const (
@@ -74,18 +75,13 @@ func (cs *CachingServer) handle(q *dnswire.Message, mode answerMode) (*dnswire.M
 		return resp, true
 	}
 
-	var res *Result
-	var err error
-	switch {
-	case mode == answerCacheOnly || !q.Flags.RecursionDesired:
-		res, err = cs.ResolveCacheOnly(question.Name, question.Type)
-	case mode == answerLive:
-		var hit bool
-		if res, hit, err = cs.resolveLive(question.Name, question.Type); !hit {
-			return nil, false
-		}
-	default:
-		res, err = cs.resolve(context.Background(), frontendTimeout, question.Name, question.Type)
+	lookup := mode
+	if !q.Flags.RecursionDesired {
+		lookup = answerCacheOnly
+	}
+	res, done, err := cs.resolve(context.Background(), frontendTimeout, lookup, question.Name, question.Type)
+	if !done {
+		return nil, false
 	}
 	switch {
 	case err != nil:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"net/netip"
 	"sync"
 	"testing"
@@ -41,12 +42,21 @@ func viaInline(cs *CachingServer, q *dnswire.Message) (resp *dnswire.Message, in
 	return cs.HandleQuery(q), false
 }
 
-// TestInlineMatchesHandleQuery runs one corpus through twin servers, one
-// asked "HandleInline, then HandleQuery if !done" and one HandleQuery
-// alone: the answers pack byte-identical, and on both every query moves
-// the frontend counters and the query traces by exactly one set — the
-// declined half of a miss leaves no mark.
-func TestInlineMatchesHandleQuery(t *testing.T) {
+// corpusQuery is one query of the frontend corpus.
+type corpusQuery struct {
+	name string
+	q    *dnswire.Message
+	// inline is whether the read loop settles it; counted is whether it
+	// gets past the front door, to be counted and traced.
+	inline, counted bool
+}
+
+// frontendCorpus is every kind of query the frontend tells apart, for a
+// server primed by newPrimed: hits of each cached shape, RD=0, front-door
+// refusals, EDNS0, a miss, and — last, because it moves the clock into
+// www.ucla.edu.'s final tenth, where inline prefetch hands the hit to the
+// slow path — a prefetch-window hit.
+func frontendCorpus() []corpusQuery {
 	query := func(name string, qtype dnswire.Type, edit func(*dnswire.Message)) *dnswire.Message {
 		q := dnswire.NewQuery(7, dnswire.MustName(name), qtype)
 		q.Flags.RecursionDesired = true
@@ -56,13 +66,7 @@ func TestInlineMatchesHandleQuery(t *testing.T) {
 		return q
 	}
 	noRD := func(q *dnswire.Message) { q.Flags.RecursionDesired = false }
-	corpus := []struct {
-		name string
-		q    *dnswire.Message
-		// inline is whether the read loop settles it; counted is whether
-		// it gets past the front door, to be counted and traced.
-		inline, counted bool
-	}{
+	return []corpusQuery{
 		{"hit", query("www.ucla.edu.", dnswire.TypeA, nil), true, true},
 		{"cached CNAME chain", query("alias.ucla.edu.", dnswire.TypeA, nil), true, true},
 		{"NXDOMAIN from the negative cache", query("missing.ucla.edu.", dnswire.TypeA, nil), true, true},
@@ -76,33 +80,63 @@ func TestInlineMatchesHandleQuery(t *testing.T) {
 		{"EDNS0 1232", query("www.ucla.edu.", dnswire.TypeA, func(q *dnswire.Message) { q.SetEDNS0(1232) }), true, true},
 		{"EDNS0 400", query("www.ucla.edu.", dnswire.TypeA, func(q *dnswire.Message) { q.SetEDNS0(400) }), true, true},
 		{"plain miss", query("www.oob.edu.", dnswire.TypeA, nil), false, true},
-		// Last: it moves the clock into www.ucla.edu.'s final tenth, where
-		// inline prefetch hands the hit to the slow path.
 		{"prefetch-window hit", query("www.ucla.edu.", dnswire.TypeA, nil), false, true},
 	}
+}
 
-	type twin struct {
-		f    *fixture
-		sink *kindSink
-	}
-	newTwin := func() twin {
-		sink := &kindSink{}
-		f := newFixture(t, Config{NegativeTTL: time.Hour, Prefetch: true, TraceSink: sink})
-		for _, warm := range []*dnswire.Message{corpus[0].q, corpus[1].q, corpus[2].q, corpus[3].q} {
-			f.cs.HandleQuery(warm)
-		}
-		return twin{f, sink}
-	}
-	a, b := newTwin(), newTwin()
+// primed is a fixture whose cache holds the corpus's first four answers,
+// with a sink counting its finished traces.
+type primed struct {
+	f    *fixture
+	sink *kindSink
+}
 
-	for _, tc := range corpus {
-		if tc.name == "prefetch-window hit" {
-			a.f.clock.Advance(280 * time.Second)
-			b.f.clock.Advance(280 * time.Second)
-		}
-		a0, b0, aq, bq := a.f.cs.Stats(), b.f.cs.Stats(), a.sink.queries(), b.sink.queries()
-		got, inline := viaInline(a.f.cs, tc.q)
-		want := b.f.cs.HandleQuery(tc.q)
+func newPrimed(t *testing.T) primed {
+	sink := &kindSink{}
+	f := newFixture(t, Config{NegativeTTL: time.Hour, Prefetch: true, TraceSink: sink})
+	for _, warm := range frontendCorpus()[:4] {
+		f.cs.HandleQuery(warm.q)
+	}
+	return primed{f, sink}
+}
+
+// ask runs one corpus query through do and reports, on failure, unless
+// it moved the frontend counters and the query traces by exactly one set
+// (counted) or not at all.
+func (p primed) ask(t *testing.T, label string, tc corpusQuery, do func()) {
+	t.Helper()
+	if tc.name == "prefetch-window hit" {
+		p.f.clock.Advance(280 * time.Second)
+	}
+	before, traces := p.f.cs.Stats(), p.sink.queries()
+	do()
+	after := p.f.cs.Stats()
+	one := uint64(0)
+	if tc.counted {
+		one = 1
+	}
+	in := after.QueriesIn - before.QueriesIn
+	closed := after.Resolved - before.Resolved + after.Failed - before.Failed
+	answered := after.CacheAnswered - before.CacheAnswered
+	if in != one || closed != one || answered > after.Resolved-before.Resolved || p.sink.queries()-traces != int(one) {
+		t.Errorf("%s, %s: QueriesIn +%d, Resolved+Failed +%d, CacheAnswered +%d, query traces +%d; want +%d each (CacheAnswered at most Resolved)",
+			tc.name, label, in, closed, answered, p.sink.queries()-traces, one)
+	}
+}
+
+// TestInlineMatchesHandleQuery runs one corpus through twin servers, one
+// asked "HandleInline, then HandleQuery if !done" and one HandleQuery
+// alone: the answers pack byte-identical, and on both every query moves
+// the frontend counters and the query traces by exactly one set — the
+// declined half of a miss leaves no mark.
+func TestInlineMatchesHandleQuery(t *testing.T) {
+	a, b := newPrimed(t), newPrimed(t)
+	for _, tc := range frontendCorpus() {
+		a0, b0 := a.f.cs.Stats(), b.f.cs.Stats()
+		var got, want *dnswire.Message
+		var inline bool
+		a.ask(t, "inline path", tc, func() { got, inline = viaInline(a.f.cs, tc.q) })
+		b.ask(t, "HandleQuery alone", tc, func() { want = b.f.cs.HandleQuery(tc.q) })
 
 		if inline != tc.inline {
 			t.Errorf("%s: settled inline = %v, want %v", tc.name, inline, tc.inline)
@@ -118,29 +152,38 @@ func TestInlineMatchesHandleQuery(t *testing.T) {
 		if !bytes.Equal(gotWire, wantWire) {
 			t.Errorf("%s: inline path answered\n%v\nHandleQuery alone answered\n%v", tc.name, got, want)
 		}
-
-		one := uint64(0)
-		if tc.counted {
-			one = 1
-		}
 		a1, b1 := a.f.cs.Stats(), b.f.cs.Stats()
-		for _, side := range []struct {
-			name          string
-			before, after Stats
-			traces        int
-		}{
-			{"inline path", a0, a1, a.sink.queries() - aq},
-			{"HandleQuery alone", b0, b1, b.sink.queries() - bq},
-		} {
-			in := side.after.QueriesIn - side.before.QueriesIn
-			closed := side.after.Resolved - side.before.Resolved + side.after.Failed - side.before.Failed
-			if in != one || closed != one || side.traces != int(one) {
-				t.Errorf("%s, %s: QueriesIn +%d, Resolved+Failed +%d, query traces +%d; want +%d each",
-					tc.name, side.name, in, closed, side.traces, one)
-			}
-		}
 		if ca, cb := a1.CacheAnswered-a0.CacheAnswered, b1.CacheAnswered-b0.CacheAnswered; ca != cb {
 			t.Errorf("%s: CacheAnswered +%d on the inline path, +%d by HandleQuery alone", tc.name, ca, cb)
+		}
+	}
+}
+
+// TestEveryEntryCountsOnce: each of the four query entries — Resolve (the
+// simulator's), HandleQuery, HandleInline then HandleQuery (the UDP read
+// loop's), HandleQueryCacheOnly (overload and mesh peers) — is the same
+// one accounting function underneath, so over the whole corpus every
+// query that gets past the front door is counted, closed and traced
+// exactly once, and a refused one not at all. Resolve has no front door:
+// it is asked only what gets past it.
+func TestEveryEntryCountsOnce(t *testing.T) {
+	for _, e := range []struct {
+		name string
+		ask  func(cs *CachingServer, q *dnswire.Message)
+	}{
+		{"Resolve", func(cs *CachingServer, q *dnswire.Message) {
+			cs.Resolve(context.Background(), q.Question[0].Name, q.Question[0].Type)
+		}},
+		{"HandleQuery", func(cs *CachingServer, q *dnswire.Message) { cs.HandleQuery(q) }},
+		{"HandleInline then HandleQuery", func(cs *CachingServer, q *dnswire.Message) { viaInline(cs, q) }},
+		{"HandleQueryCacheOnly", func(cs *CachingServer, q *dnswire.Message) { cs.HandleQueryCacheOnly(q) }},
+	} {
+		p := newPrimed(t)
+		for _, tc := range frontendCorpus() {
+			if e.name == "Resolve" && !tc.counted {
+				continue
+			}
+			p.ask(t, e.name, tc, func() { e.ask(p.f.cs, tc.q) })
 		}
 	}
 }

@@ -13,7 +13,9 @@ import (
 //
 //   - ZoneIRRMessage builds the IRR set an owner gossips after renewing;
 //   - IngestPeerIRRs validates and ingests a peer's gossiped set;
-//   - PeerAnswer serves a peer-fetch request from cached data only.
+//   - HandleQueryCacheOnly (frontend.go) serves a peer-fetch request from
+//     cached data only — never recursing, so relayed fetches can never
+//     cascade into further upstream or peer traffic.
 //
 // The other direction, what the server asks of the mesh, is Config.Fleet.
 
@@ -84,11 +86,4 @@ func (cs *CachingServer) IngestPeerIRRs(zone dnswire.Name, msg *dnswire.Message)
 		cs.cache.Extend(host, dnswire.TypeAAAA)
 	}
 	return true
-}
-
-// PeerAnswer serves one mesh peer-fetch request from cached data alone
-// (live, negative, then stale) — never recursing, so relayed fetches can
-// never cascade into further upstream or peer traffic.
-func (cs *CachingServer) PeerAnswer(q *dnswire.Message) *dnswire.Message {
-	return cs.HandleQueryCacheOnly(q)
 }

@@ -109,10 +109,8 @@ func NewCachingServer(cfg Config) (*CachingServer, error) {
 		ServeStale:            cfg.ServeStale,
 		Prefetch:              cfg.Prefetch,
 		AsyncPrefetch:         cfg.AsyncPrefetch,
-		MaxCNAME:              cfg.MaxCNAME,
 		ValidateDNSSEC:        cfg.ValidateDNSSEC,
 		TrustAnchors:          cfg.TrustAnchors,
-		AdvertiseEDNS0:        cfg.AdvertiseEDNS0,
 		ParentRecheckInterval: cfg.ParentRecheckInterval,
 		AddrMapper:            cfg.AddrMapper,
 		Upstream:              cfg.Upstream,
@@ -154,30 +152,38 @@ func (cs *CachingServer) Cache() *cache.Cache { return cs.cache }
 // diagnostics and tests.
 func (cs *CachingServer) Resolver() *resolve.Resolver { return cs.resolver }
 
-// SecureZone reports whether zname currently has a validated key chain
-// (true), is known insecure (false), with known=false when undetermined.
-func (cs *CachingServer) SecureZone(zname dnswire.Name) (secure, known bool) {
-	return cs.resolver.SecureZone(zname)
-}
-
-// Resolve answers one stub-resolver query. Concurrent calls for the same
-// (name, type) share a single upstream resolution. When a TraceSink is
-// configured the query gets a trace covering its cache hot path and
-// coalescing outcome; the shared flight carries its own trace (it serves
-// many queries, so its timings belong to no single caller).
+// Resolve answers one stub-resolver query — the simulator's entry, with
+// no frontend deadline. Concurrent calls for the same (name, type) share a
+// single upstream resolution.
 func (cs *CachingServer) Resolve(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
-	return cs.resolve(ctx, 0, qname, qtype)
+	res, _, err := cs.resolve(ctx, 0, answerFully, qname, qtype)
+	return res, err
 }
 
-// resolve is Resolve with the frontend's deadline built late: the live
-// cache is asked first, and only a miss cuts ctx to timeout (when
-// positive) for the upstream work, so a hit never pays for a timer it
-// cannot use.
-func (cs *CachingServer) resolve(ctx context.Context, timeout time.Duration, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
-	metrics.Inc(&cs.stats.QueriesIn)
+// resolve is every stub query's one count, one trace and one finish. The
+// cache is asked first — LookupCacheOnly (live, negative, then stale) in
+// answerCacheOnly, the live cache otherwise — and only a miss goes on:
+// answerLive declines it (done=false) with nothing counted and the trace
+// unfinished, so HandleQuery can take it from the top as if it had just
+// arrived; answerFully cuts ctx to timeout (when positive) and resolves
+// upstream, so a hit never pays for a timer it cannot use. When a
+// TraceSink is configured the trace covers the cache hot path and the
+// coalescing outcome; the shared flight carries its own trace (it serves
+// many queries, so its timings belong to no single caller). A nil result
+// with done and no error means nothing cached could answer.
+func (cs *CachingServer) resolve(ctx context.Context, timeout time.Duration, mode answerMode, qname dnswire.Name, qtype dnswire.Type) (res *Result, done bool, err error) {
 	tr := cs.resolver.NewTrace(resolve.KindQuery, qname, qtype)
-	res, err := cs.resolver.Lookup(tr, qname, qtype)
-	if err == nil && res == nil {
+	if mode == answerCacheOnly {
+		res, err = cs.resolver.LookupCacheOnly(tr, qname, qtype)
+	} else {
+		res, err = cs.resolver.Lookup(tr, qname, qtype)
+	}
+	miss := err == nil && res == nil && mode != answerCacheOnly
+	if miss && mode == answerLive {
+		return nil, false, nil
+	}
+	metrics.Inc(&cs.stats.QueriesIn)
+	if miss {
 		if timeout > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, timeout)
@@ -185,49 +191,16 @@ func (cs *CachingServer) resolve(ctx context.Context, timeout time.Duration, qna
 		}
 		res, err = cs.resolveCoalesced(ctx, tr, qname, qtype)
 	}
-	return cs.account(tr, res, err)
-}
-
-// resolveLive is resolve for a query the live cache answers, and nothing
-// at all for one it does not: hit=false leaves the query uncounted and
-// its trace unfinished (no record, no stage observation), so the caller
-// can hand it to resolve as if it had just arrived.
-func (cs *CachingServer) resolveLive(qname dnswire.Name, qtype dnswire.Type) (res *Result, hit bool, err error) {
-	tr := cs.resolver.NewTrace(resolve.KindQuery, qname, qtype)
-	if res, err = cs.resolver.Lookup(tr, qname, qtype); err == nil && res == nil {
-		return nil, false, nil
-	}
-	metrics.Inc(&cs.stats.QueriesIn)
-	res, err = cs.account(tr, res, err)
-	return res, true, err
-}
-
-// ResolveCacheOnly answers one stub-resolver query from cached data
-// alone — live cache, negative cache, then stale records when serve-stale
-// is on — never touching upstream. It serves RD=0 probes and the guard's
-// overload degraded mode. A nil result (no error) means nothing cached
-// could answer; the caller picks the refusal rcode.
-func (cs *CachingServer) ResolveCacheOnly(qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
-	metrics.Inc(&cs.stats.QueriesIn)
-	tr := cs.resolver.NewTrace(resolve.KindQuery, qname, qtype)
-	res, err := cs.resolver.LookupCacheOnly(tr, qname, qtype)
-	return cs.account(tr, res, err)
-}
-
-// account closes one stub query: it finishes the trace and counts the
-// query as failed (an error, or nothing to answer with) or as resolved,
-// and as cache-answered when no upstream query was needed.
-func (cs *CachingServer) account(tr *resolve.Trace, res *Result, err error) (*Result, error) {
 	cs.resolver.FinishTrace(tr, res, err)
 	if err != nil || res == nil {
 		metrics.Inc(&cs.stats.Failed)
-		return nil, err
+		return nil, true, err
 	}
 	metrics.Inc(&cs.stats.Resolved)
 	if res.FromCache {
 		metrics.Inc(&cs.stats.CacheAnswered)
 	}
-	return res, nil
+	return res, true, nil
 }
 
 // updateCredit applies the renewal policy on a query to zname; it is the

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -499,25 +501,55 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestCrossZoneCNAMELoopFails(t *testing.T) {
-	// alias chains that loop across zones must terminate with an error,
-	// not hang: build a loop by pointing two aliases at each other.
 	f := newFixture(t, Config{})
-	// alias.ucla.edu -> www.com exists; craft a second fixture-level loop
-	// by querying a CNAME chain longer than MaxCNAME using repeated
-	// resolution of alias -> www.com (1 hop, fine), then verify the hop
-	// bound directly with a small MaxCNAME.
-	cs, err := NewCachingServer(Config{
-		Transport: f.net,
-		Clock:     f.clock,
-		RootHints: []ServerRef{{Host: dnswire.MustName("a.root-servers.net."), Addr: "10.0.0.1"}},
-		MaxCNAME:  1,
-	})
-	if err != nil {
-		t.Fatalf("NewCachingServer: %v", err)
-	}
 	// One CNAME hop is within the bound.
-	if _, err := cs.Resolve(context.Background(), dnswire.MustName("alias.ucla.edu."), dnswire.TypeA); err != nil {
-		t.Fatalf("single hop failed under MaxCNAME=1: %v", err)
+	if _, err := f.cs.Resolve(context.Background(), dnswire.MustName("alias.ucla.edu."), dnswire.TypeA); err != nil {
+		t.Fatalf("single hop failed: %v", err)
+	}
+
+	// Chains whose every link crosses to the other server — ucla.edu. and
+	// com. — so the resolver chases each hop itself: aN ends after 8 CNAMEs,
+	// bN after 9, one past the bound, and l0 ↔ l1 loops.
+	uclaZ, comZ := zone.New(dnswire.MustName("ucla.edu.")), zone.New(dnswire.MustName("com."))
+	link := func(prefix string, i int) string {
+		if i%2 == 0 {
+			return fmt.Sprintf("%s%d.ucla.edu.", prefix, i)
+		}
+		return fmt.Sprintf("%s%d.com.", prefix, i)
+	}
+	add := func(rr dnswire.RR) {
+		if rr.Name.IsSubdomainOf(dnswire.MustName("com.")) {
+			comZ.MustAdd(rr)
+		} else {
+			uclaZ.MustAdd(rr)
+		}
+	}
+	for _, c := range []struct {
+		prefix string
+		hops   int
+	}{{"a", 8}, {"b", 9}} {
+		for i := 0; i < c.hops; i++ {
+			add(rrCNAME(link(c.prefix, i), link(c.prefix, i+1)))
+		}
+		add(rrA(link(c.prefix, c.hops), 300, "10.6.6.6"))
+	}
+	add(rrCNAME(link("l", 0), link("l", 1)))
+	add(rrCNAME(link("l", 1), link("l", 0)))
+	for _, h := range []struct {
+		addr string
+		z    *zone.Zone
+	}{{"10.0.2.1", uclaZ}, {"10.0.2.2", uclaZ}, {"10.0.3.1", comZ}} {
+		f.net.Register(&simnet.Host{Addr: transport.Addr(h.addr), Zone: h.z.Origin(), Handler: authserver.New(h.z)})
+	}
+
+	res, err := f.cs.Resolve(context.Background(), dnswire.MustName(link("a", 0)), dnswire.TypeA)
+	if err != nil || len(res.Answer) != 9 {
+		t.Fatalf("8-hop chain: %v, %d records; want the 8 CNAMEs and the A", err, len(res.Answer))
+	}
+	for _, name := range []string{link("b", 0), link("l", 0)} {
+		if _, err := f.cs.Resolve(context.Background(), dnswire.MustName(name), dnswire.TypeA); !errors.Is(err, ErrResolutionFailed) {
+			t.Errorf("%s: err = %v, want ErrResolutionFailed (chain too long)", name, err)
+		}
 	}
 }
 

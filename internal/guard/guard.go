@@ -27,6 +27,7 @@ import (
 	"resilientdns/internal/dnswire"
 	"resilientdns/internal/metrics"
 	"resilientdns/internal/simclock"
+	"resilientdns/internal/transport"
 )
 
 // Backend is the query surface the guard protects: the caching server's
@@ -39,11 +40,9 @@ type Backend interface {
 // Config parameterises a Guard.
 type Config struct {
 	// ClientRPS is each client address's sustained query budget per
-	// second; 0 or negative disables per-client rate limiting.
+	// second; 0 or negative disables per-client rate limiting. The bucket
+	// holds max(2×ClientRPS, 1) tokens: two seconds of budget as burst.
 	ClientRPS float64
-	// ClientBurst is the token-bucket depth (instantaneous burst);
-	// defaults to 2×ClientRPS.
-	ClientBurst float64
 	// Slip answers every Nth rate-limited query with a minimal TC=1
 	// reply instead of dropping it (RRL slip). 0 disables slipping; 1
 	// slips every rate-limited query.
@@ -67,23 +66,15 @@ type Config struct {
 	PeerExempt func(netip.Addr) bool
 }
 
-// inlineBackend is the optional half of a Backend: the entry that settles
-// without blocking what it can (transport.InlineHandler's). The caching
-// server has it; a backend without it settles nothing inline.
-type inlineBackend interface {
-	HandleInline(q *dnswire.Message, from netip.AddrPort) (*dnswire.Message, bool)
-}
-
 // Guard wraps a Backend with per-client rate limiting and overload
-// degradation. It implements transport.Handler, transport.AddrHandler and
-// transport.InlineHandler. A query is charged to its client's bucket
-// exactly once, by whichever of HandleInline and HandleQueryFrom it
-// arrives through; HandleQuery and HandleOverload, which a UDP server
-// calls only for queries HandleInline has admitted, charge nothing.
+// degradation. It implements transport.InlineHandler. A query is charged
+// to its client's bucket exactly once, by HandleInline, the one entry that
+// sees a source; HandleQuery and HandleOverload, which a UDP server calls
+// only for queries HandleInline has admitted, charge nothing.
 type Guard struct {
 	backend    Backend
-	inline     inlineBackend // nil when backend has no inline entry
-	limiter    *limiter      // nil when rate limiting is off
+	inline     transport.InlineHandler // nil when backend has no inline entry
+	limiter    *limiter                // nil when rate limiting is off
 	cacheOnly  bool
 	counters   *metrics.GuardCounters
 	clock      simclock.Clock
@@ -105,29 +96,33 @@ func New(backend Backend, cfg Config) *Guard {
 		clock:      cfg.Clock,
 		peerExempt: cfg.PeerExempt,
 	}
-	g.inline, _ = backend.(inlineBackend)
+	g.inline, _ = backend.(transport.InlineHandler)
 	if cfg.ClientRPS > 0 {
-		g.limiter = newLimiter(cfg.ClientRPS, cfg.ClientBurst, cfg.Slip, cfg.MaxClients, cfg.Counters)
+		g.limiter = newLimiter(cfg.ClientRPS, cfg.Slip, cfg.MaxClients, cfg.Counters)
 	}
 	return g
 }
 
-// HandleQuery serves a query that needs no admission here: one with no
-// usable source address (TCP, or a transport that does not report one) —
-// TCP provides its own backpressure and unspoofable sources — or one a
-// UDP server's read loop has already put through HandleInline.
+// HandleQuery serves a query that needs no admission here: one a UDP
+// server's read loop has already put through HandleInline.
 func (g *Guard) HandleQuery(q *dnswire.Message) *dnswire.Message {
 	return g.backend.HandleQuery(q)
 }
 
-// HandleQueryFrom serves one UDP query, applying the per-client rate
-// limit. A nil response means drop (send nothing).
+// HandleQueryFrom serves one query the way the UDP read loop does:
+// HandleInline, then HandleQuery if the query is still open. A nil
+// response means drop (send nothing). Only a *net.UDPAddr is charged to a
+// bucket; any other source fails open. The serving path never calls it —
+// the benchmark's in-process replay does.
 func (g *Guard) HandleQueryFrom(q *dnswire.Message, from net.Addr) *dnswire.Message {
-	addr, _ := clientAddr(from) // the zero Addr when there is none
-	if resp, limited := g.admit(q, addr); limited {
+	var src netip.AddrPort
+	if u, ok := from.(*net.UDPAddr); ok {
+		src = u.AddrPort()
+	}
+	if resp, done := g.HandleInline(q, src); done {
 		return resp
 	}
-	return g.backend.HandleQuery(q)
+	return g.HandleQuery(q)
 }
 
 // HandleInline is the read loop's entry: admission first, so a
@@ -136,6 +131,8 @@ func (g *Guard) HandleQueryFrom(q *dnswire.Message, from net.Addr) *dnswire.Mess
 // and not yet answered: HandleQuery — or HandleOverload, when no handler
 // slot is free — finishes the query without charging it again.
 func (g *Guard) HandleInline(q *dnswire.Message, from netip.AddrPort) (*dnswire.Message, bool) {
+	// Ports are not identity: one abuser rotating source ports must land
+	// in one bucket, and a v4-mapped source in its v4 client's.
 	if resp, limited := g.admit(q, from.Addr().Unmap()); limited {
 		return resp, true
 	}
@@ -201,27 +198,4 @@ func slipReply(q *dnswire.Message) *dnswire.Message {
 	resp.Flags.RecursionAvailable = true
 	resp.Flags.Truncated = true
 	return resp
-}
-
-// clientAddr extracts the client IP — ports are not identity: one abuser
-// rotating source ports must land in one bucket.
-func clientAddr(from net.Addr) (netip.Addr, bool) {
-	var ip net.IP
-	switch a := from.(type) {
-	case *net.UDPAddr:
-		ip = a.IP
-	case *net.TCPAddr:
-		ip = a.IP
-	default:
-		ap, err := netip.ParseAddrPort(from.String())
-		if err != nil {
-			return netip.Addr{}, false
-		}
-		return ap.Addr().Unmap(), true
-	}
-	addr, ok := netip.AddrFromSlice(ip)
-	if !ok {
-		return netip.Addr{}, false
-	}
-	return addr.Unmap(), true
 }

@@ -52,9 +52,10 @@ func udpAddr(ip string) net.Addr {
 func TestLimiterAllowsUnderBudgetAndDropsOver(t *testing.T) {
 	clk := simclock.NewVirtual(epoch)
 	be := &fakeBackend{}
-	g := New(be, Config{ClientRPS: 10, ClientBurst: 5, Clock: clk})
+	g := New(be, Config{ClientRPS: 2.5, Clock: clk})
 
-	// Burst depth 5: the first five queries pass, the sixth is limited.
+	// Burst depth 5 (2×ClientRPS): the first five queries pass, the sixth
+	// is limited.
 	for i := 0; i < 5; i++ {
 		if resp := g.HandleQueryFrom(testQuery(uint16(i)), udpAddr("192.0.2.1")); resp == nil || resp.Flags.Truncated {
 			t.Fatalf("query %d not served: %v", i, resp)
@@ -67,8 +68,8 @@ func TestLimiterAllowsUnderBudgetAndDropsOver(t *testing.T) {
 	if resp := g.HandleQueryFrom(testQuery(7), udpAddr("192.0.2.2")); resp == nil {
 		t.Fatal("second client rate-limited by the first's bucket")
 	}
-	// Refill: 10 qps × 0.5 s = 5 tokens.
-	clk.Advance(500 * time.Millisecond)
+	// Refill: 2.5 qps × 2 s = 5 tokens.
+	clk.Advance(2 * time.Second)
 	for i := 0; i < 5; i++ {
 		if resp := g.HandleQueryFrom(testQuery(uint16(10+i)), udpAddr("192.0.2.1")); resp == nil || resp.Flags.Truncated {
 			t.Fatalf("post-refill query %d not served: %v", i, resp)
@@ -97,7 +98,7 @@ func TestSlipRatio(t *testing.T) {
 			clk := simclock.NewVirtual(epoch)
 			counters := metrics.NewSet[metrics.GuardCounters]()
 			g := New(&fakeBackend{}, Config{
-				ClientRPS: 1, ClientBurst: 1, Slip: tc.slip,
+				ClientRPS: 0.5, Slip: tc.slip, // a one-token bucket
 				Clock: clk, Counters: counters,
 			})
 			g.HandleQueryFrom(testQuery(0), udpAddr("192.0.2.9")) // drain the bucket
@@ -130,14 +131,14 @@ func TestSlipRatio(t *testing.T) {
 // the limited-streak counter is per streak, not forever.
 func TestSlipResetOnAllow(t *testing.T) {
 	clk := simclock.NewVirtual(epoch)
-	g := New(&fakeBackend{}, Config{ClientRPS: 1, ClientBurst: 1, Slip: 2, Clock: clk})
+	g := New(&fakeBackend{}, Config{ClientRPS: 0.5, Slip: 2, Clock: clk}) // a one-token bucket
 	addr := udpAddr("192.0.2.9")
 
 	g.HandleQueryFrom(testQuery(0), addr) // drain
 	if resp := g.HandleQueryFrom(testQuery(1), addr); resp != nil {
 		t.Fatal("first limited query should drop (streak 1 of 2)")
 	}
-	clk.Advance(time.Second) // refill one token
+	clk.Advance(2 * time.Second) // refill one token
 	if resp := g.HandleQueryFrom(testQuery(2), addr); resp == nil || resp.Flags.Truncated {
 		t.Fatal("refilled query should be served")
 	}
@@ -233,7 +234,8 @@ func arrive(g *Guard, q *dnswire.Message, from string, slotFree bool) *dnswire.M
 func TestOverloadStillRateLimits(t *testing.T) {
 	clk := simclock.NewVirtual(epoch)
 	be := &fakeBackend{}
-	g := New(be, Config{ClientRPS: 1, ClientBurst: 1, CacheOnlyOnOverload: true, Clock: clk})
+	// ClientRPS 0.5: a one-token bucket.
+	g := New(be, Config{ClientRPS: 0.5, CacheOnlyOnOverload: true, Clock: clk})
 	arrive(g, testQuery(0), "192.0.2.1", false) // drains the bucket
 	if resp := arrive(g, testQuery(1), "192.0.2.1", false); resp != nil {
 		t.Fatalf("rate-limited overload query served: %v", resp)
@@ -264,7 +266,7 @@ func TestChargedOncePerQuery(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			counters := metrics.NewSet[metrics.GuardCounters]()
 			be := &inlineFake{}
-			g := New(be, Config{ClientRPS: 1, ClientBurst: k, CacheOnlyOnOverload: true,
+			g := New(be, Config{ClientRPS: k / 2.0, CacheOnlyOnOverload: true,
 				Clock: simclock.NewVirtual(epoch), Counters: counters})
 			served := 0
 			for i := 0; i < 3*k; i++ {
@@ -299,20 +301,92 @@ func TestGuardDisabledIsTransparent(t *testing.T) {
 	}
 }
 
+// TestClientAddrIdentity: a client is its IP. Two ports of one address
+// share a bucket, and a source that is not a *net.UDPAddr — a TCP
+// connection's, a unix socket's, none at all — is charged to no bucket.
 func TestClientAddrIdentity(t *testing.T) {
-	udp4 := &net.UDPAddr{IP: net.ParseIP("192.0.2.7"), Port: 1111}
-	udp4b := &net.UDPAddr{IP: net.ParseIP("192.0.2.7"), Port: 2222}
-	a1, ok1 := clientAddr(udp4)
-	a2, ok2 := clientAddr(udp4b)
-	if !ok1 || !ok2 || a1 != a2 {
-		t.Errorf("same IP, different ports → %v/%v vs %v/%v, want one identity", a1, ok1, a2, ok2)
+	g := New(&fakeBackend{}, Config{ClientRPS: 0.5, Clock: simclock.NewVirtual(epoch)}) // a one-token bucket
+	if resp := g.HandleQueryFrom(testQuery(1), &net.UDPAddr{IP: net.ParseIP("192.0.2.7"), Port: 1111}); resp == nil {
+		t.Fatal("first query from a fresh client dropped")
 	}
-	tcp := &net.TCPAddr{IP: net.ParseIP("192.0.2.7"), Port: 3333}
-	if a3, ok := clientAddr(tcp); !ok || a3 != a1 {
-		t.Errorf("TCP addr maps to %v, want %v", a3, a1)
+	if resp := g.HandleQueryFrom(testQuery(2), &net.UDPAddr{IP: net.ParseIP("192.0.2.7"), Port: 2222}); resp != nil {
+		t.Errorf("same IP, different port got a fresh bucket: %v", resp)
 	}
-	if _, ok := clientAddr(&net.UnixAddr{Name: "@x", Net: "unix"}); ok {
-		t.Error("unparseable source claimed an identity")
+	for _, from := range []net.Addr{
+		&net.TCPAddr{IP: net.ParseIP("192.0.2.7"), Port: 3333},
+		&net.UnixAddr{Name: "@x", Net: "unix"},
+		nil,
+	} {
+		for i := 0; i < 3; i++ {
+			if resp := g.HandleQueryFrom(testQuery(uint16(10+i)), from); resp == nil || resp.Flags.Truncated {
+				t.Errorf("source %v: query %d limited; a source that is not UDP must fail open", from, i)
+			}
+		}
+	}
+}
+
+// TestHandleQueryFromIsInlineThenQuery: HandleQueryFrom is HandleInline
+// followed, while the query is still open, by HandleQuery — the same
+// responses and the same GuardCounters, source by source and verdict by
+// verdict, on twin guards.
+func TestHandleQueryFromIsInlineThenQuery(t *testing.T) {
+	peer := netip.MustParseAddr("10.9.0.2")
+	sources := []struct {
+		name    string
+		from    net.Addr
+		ap      netip.AddrPort
+		limited uint64 // of the eight queries; every second one slips
+	}{
+		{"IPv4", &net.UDPAddr{IP: net.IPv4(192, 0, 2, 1).To4(), Port: 5353}, netip.MustParseAddrPort("192.0.2.1:5353"), 6},
+		{"IPv4-mapped IPv6", &net.UDPAddr{IP: net.ParseIP("::ffff:192.0.2.1"), Port: 5353}, netip.MustParseAddrPort("[::ffff:192.0.2.1]:5353"), 6},
+		{"IPv6", &net.UDPAddr{IP: net.ParseIP("2001:db8::1"), Port: 5353}, netip.MustParseAddrPort("[2001:db8::1]:5353"), 6},
+		{"nil", nil, netip.AddrPort{}, 0},
+		{"peer-exempt", &net.UDPAddr{IP: peer.AsSlice(), Port: 5353}, netip.AddrPortFrom(peer, 5353), 0},
+	}
+	wire := func(m *dnswire.Message) string {
+		if m == nil {
+			return "dropped"
+		}
+		b, err := m.Pack()
+		if err != nil {
+			t.Fatalf("Pack: %v", err)
+		}
+		return string(b)
+	}
+	for _, src := range sources {
+		t.Run(src.name, func(t *testing.T) {
+			newGuard := func() (*Guard, *metrics.GuardCounters) {
+				ctr := metrics.NewSet[metrics.GuardCounters]()
+				return New(&inlineFake{}, Config{ClientRPS: 1, Slip: 2, Clock: simclock.NewVirtual(epoch),
+					Counters: ctr, PeerExempt: func(a netip.Addr) bool { return a == peer }}), ctr
+			}
+			a, actr := newGuard()
+			b, bctr := newGuard()
+			// Two-token bucket: allowed, allowed, dropped, slipped, …
+			// (the nil source and the peer are allowed throughout), with
+			// queries the backend settles inline beside ones it does not.
+			for i := 0; i < 8; i++ {
+				q := testQuery(uint16(i))
+				if i%2 == 1 {
+					q = dnswire.NewQuery(uint16(i), dnswire.MustName("hit."), dnswire.TypeA)
+				}
+				got := a.HandleQueryFrom(q, src.from)
+				want, done := b.HandleInline(q, src.ap)
+				if !done {
+					want = b.HandleQuery(q)
+				}
+				if wire(got) != wire(want) {
+					t.Errorf("query %d: HandleQueryFrom answered %v, HandleInline+HandleQuery %v", i, got, want)
+				}
+			}
+			ga, gb := metrics.Snapshot(actr), metrics.Snapshot(bctr)
+			if ga != gb {
+				t.Errorf("counters diverge: HandleQueryFrom %+v, HandleInline+HandleQuery %+v", ga, gb)
+			}
+			if ga.RateLimited != src.limited || ga.Slips != src.limited/2 {
+				t.Errorf("limited %d, slipped %d; want %d and %d", ga.RateLimited, ga.Slips, src.limited, src.limited/2)
+			}
+		})
 	}
 }
 
@@ -341,7 +415,7 @@ func TestPeerExemptBypassesRateLimit(t *testing.T) {
 			clk := simclock.NewVirtual(epoch)
 			be := &fakeBackend{}
 			ctr := metrics.NewSet[metrics.GuardCounters]()
-			g := New(be, Config{ClientRPS: 2, ClientBurst: 4, Slip: 2, Clock: clk, Counters: ctr, PeerExempt: exempt})
+			g := New(be, Config{ClientRPS: 2, Slip: 2, Clock: clk, Counters: ctr, PeerExempt: exempt})
 
 			served, limited := 0, 0
 			for i := 0; i < tc.queries; i++ {
@@ -386,7 +460,7 @@ func TestPeerExemptDoesNotShareBucket(t *testing.T) {
 	peer := netip.MustParseAddr("10.9.0.2")
 	clk := simclock.NewVirtual(epoch)
 	be := &fakeBackend{}
-	g := New(be, Config{ClientRPS: 2, ClientBurst: 4, Clock: clk,
+	g := New(be, Config{ClientRPS: 2, Clock: clk,
 		PeerExempt: func(a netip.Addr) bool { return a == peer }})
 
 	for i := 0; i < 100; i++ {

@@ -63,13 +63,8 @@ type limiter struct {
 	shards   [shardCount]limShard
 }
 
-func newLimiter(rps, burst float64, slip, maxClients int, counters *metrics.GuardCounters) *limiter {
-	if burst <= 0 {
-		burst = 2 * rps
-	}
-	if burst < 1 {
-		burst = 1
-	}
+func newLimiter(rps float64, slip, maxClients int, counters *metrics.GuardCounters) *limiter {
+	burst := max(2*rps, 1)
 	if maxClients <= 0 {
 		maxClients = defaultMaxClients
 	}
@@ -154,7 +149,7 @@ func pushFront(sentinel, c *client) {
 }
 
 // shardFor maps an address to its shard by FNV-1a hash of the 16-byte
-// form (v4 addresses were unmapped by clientAddr, so the mapping is
+// form (v4 addresses were unmapped by HandleInline, so the mapping is
 // stable per client).
 func shardFor(addr netip.Addr) int {
 	h := fnv.New32a()

@@ -122,8 +122,9 @@ ns1.test.	172800	IN	A	`+tldIP+`
 corp.test.	3600	IN	NS	ns1.corp.test.
 ns1.corp.test.	3600	IN	A	`+leafIP+`
 `, dnswire.MustName("test."))
-	// The leaf zone includes a TXT RRset large enough to force UDP
-	// truncation, exercising the TCP fallback path.
+	// The leaf zone includes two large TXT RRsets: big (~1.4 KB) is
+	// truncated only to a client that advertises no EDNS0, huge (~5.5 KB)
+	// even to one that advertises 4096 — so both legs' TCP fallback runs.
 	var big strings.Builder
 	big.WriteString(`
 @	3600	IN	NS	ns1.corp.test.
@@ -134,6 +135,9 @@ mail	300	IN	MX	10 www.corp.test.
 `)
 	for i := 0; i < 20; i++ {
 		fmt.Fprintf(&big, "big\t300\tIN\tTXT\t\"%02d-%s\"\n", i, strings.Repeat("x", 60))
+	}
+	for i := 0; i < 80; i++ {
+		fmt.Fprintf(&big, "huge\t300\tIN\tTXT\t\"%02d-%s\"\n", i, strings.Repeat("x", 60))
 	}
 	leafZone := mustZone(big.String(), dnswire.MustName("corp.test."))
 
@@ -237,11 +241,16 @@ func TestEndToEndTCPFallbackOnTruncation(t *testing.T) {
 	st := startStack(t, core.Config{})
 	defer st.Close()
 
-	// The big TXT RRset exceeds 512 bytes; the caching server must fall
-	// back to TCP toward the authoritative server and still answer.
+	// The big TXT RRset exceeds 512 bytes, so the answer to the stub (no
+	// EDNS0) is truncated and its retry over TCP must still get it; huge
+	// exceeds the 4096 bytes the caching server advertises upstream, so it
+	// must fall back to TCP toward the authoritative server as well.
 	txts := txtStrings(t, st, "big.corp.test.")
 	if len(txts) != 20 {
 		t.Errorf("got %d TXT strings, want 20", len(txts))
+	}
+	if txts := txtStrings(t, st, "huge.corp.test."); len(txts) != 80 {
+		t.Errorf("got %d huge TXT strings, want 80", len(txts))
 	}
 }
 
@@ -287,9 +296,10 @@ func TestEndToEndRenewalLoopLive(t *testing.T) {
 }
 
 func TestEndToEndEDNS0AvoidsTCP(t *testing.T) {
-	// With EDNS0 advertised, the big TXT answer fits in one UDP datagram
-	// and no truncation occurs.
-	st := startStack(t, core.Config{AdvertiseEDNS0: true})
+	// Every upstream query advertises EDNS0, so the big TXT answer fits in
+	// one UDP datagram from the authoritative server and no truncation
+	// occurs on that leg.
+	st := startStack(t, core.Config{})
 	defer st.Close()
 
 	txts := txtStrings(t, st, "big.corp.test.")

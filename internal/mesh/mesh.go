@@ -40,9 +40,9 @@ type Backend interface {
 	// IngestPeerIRRs validates and ingests a pushed IRR set, reporting
 	// whether it was accepted.
 	IngestPeerIRRs(zone dnswire.Name, msg *dnswire.Message) bool
-	// PeerAnswer answers a peer's relayed query strictly from cached or
-	// stale data (never an upstream fetch).
-	PeerAnswer(q *dnswire.Message) *dnswire.Message
+	// HandleQueryCacheOnly answers a peer's relayed query strictly from
+	// cached or stale data (never an upstream fetch).
+	HandleQueryCacheOnly(q *dnswire.Message) *dnswire.Message
 }
 
 // Probe timing and failure-detection thresholds.
@@ -71,10 +71,6 @@ type Config struct {
 	Transport Transport
 	// Clock is the time source (virtual in tests/experiments).
 	Clock simclock.Clock
-	// Backend is the caching-server integration surface. A node that is
-	// its server's core.Config.Fleet has to exist before the server does:
-	// leave this nil and bind the server with SetBackend.
-	Backend Backend
 	// OwnerRenewal enables renewal-ownership deduplication: when set,
 	// OwnsRenewal defers zones owned by another live peer.
 	OwnerRenewal bool
@@ -101,7 +97,11 @@ type peer struct {
 // Node is one mesh member. All exported methods are safe for concurrent
 // use; none of them holds the internal lock across a Transport.Call.
 type Node struct {
-	cfg      Config
+	cfg Config
+	// backend is the caching-server integration surface, bound by
+	// SetBackend: a node that is its server's core.Config.Fleet has to
+	// exist before the server does.
+	backend  Backend
 	counters *Counters
 	seq      atomic.Uint32
 	selfIP   netip.Addr
@@ -180,7 +180,7 @@ func (n *Node) Self() string { return n.cfg.Self }
 
 // SetBackend binds the caching server the node serves. Call it before the
 // node handles a frame or the server a query; it is not synchronised.
-func (n *Node) SetBackend(b Backend) { n.cfg.Backend = b }
+func (n *Node) SetBackend(b Backend) { n.backend = b }
 
 // --- inbound path ---
 
@@ -259,19 +259,19 @@ func (n *Node) HandleFrame(raw []byte, from string) []byte {
 			return nil
 		}
 		metrics.Inc(&n.counters.IRRPushesReceived)
-		if n.cfg.Backend != nil && n.cfg.Backend.IngestPeerIRRs(zone, msg) {
+		if n.backend != nil && n.backend.IngestPeerIRRs(zone, msg) {
 			metrics.Inc(&n.counters.IRRIngested)
 		}
 		respType = TIRRAck
 	case TFetchReq:
 		q, err := DecodeMsg(f.Payload)
-		if err != nil || n.cfg.Backend == nil {
+		if err != nil || n.backend == nil {
 			return nil
 		}
 		// Relayed or not, a peer fetch is answered strictly from
-		// cache/stale data (PeerAnswer never fetches upstream), so a
-		// fetch can never cascade into further upstream or peer work.
-		resp := n.cfg.Backend.PeerAnswer(q)
+		// cache/stale data (HandleQueryCacheOnly never fetches upstream),
+		// so a fetch can never cascade into further upstream or peer work.
+		resp := n.backend.HandleQueryCacheOnly(q)
 		if resp == nil {
 			return nil
 		}
@@ -483,10 +483,10 @@ func (n *Node) probe(addr string, now time.Time) {
 // Core calls it (through core.Config.Fleet) after a successful renewal
 // refetch, so one owner's upstream query warms the whole fleet.
 func (n *Node) GossipZone(zone dnswire.Name) {
-	if n.cfg.Backend == nil {
+	if n.backend == nil {
 		return
 	}
-	msg := n.cfg.Backend.ZoneIRRMessage(zone)
+	msg := n.backend.ZoneIRRMessage(zone)
 	if msg == nil {
 		return
 	}

@@ -62,7 +62,7 @@ func (b *fakeBackend) IngestPeerIRRs(zone dnswire.Name, msg *dnswire.Message) bo
 	return true
 }
 
-func (b *fakeBackend) PeerAnswer(q *dnswire.Message) *dnswire.Message {
+func (b *fakeBackend) HandleQueryCacheOnly(q *dnswire.Message) *dnswire.Message {
 	b.mu.Lock()
 	a, ok := b.answers[q.Question[0].Name]
 	b.mu.Unlock()
@@ -109,12 +109,12 @@ func newTestFleet(t *testing.T, n int) *testFleet {
 			Peers:        peers,
 			Transport:    f.net.Bind(self),
 			Clock:        clk,
-			Backend:      backend,
 			OwnerRenewal: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		node.SetBackend(backend)
 		f.net.Register(self, node.HandleFrame)
 		f.nodes = append(f.nodes, node)
 		f.backends = append(f.backends, backend)

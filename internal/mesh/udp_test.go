@@ -27,12 +27,12 @@ func startUDPNode(t *testing.T, peers []string) (*Node, *Conn, *fakeBackend) {
 		Peers:        peers,
 		Transport:    conn,
 		Clock:        simclock.Real{},
-		Backend:      backend,
 		OwnerRenewal: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	node.SetBackend(backend)
 	go func() {
 		if err := conn.Serve(node); err != nil {
 			t.Errorf("serve: %v", err)

@@ -22,7 +22,7 @@ import (
 
 func (r *Resolver) refLookup(qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
 	now := r.cfg.Clock.Now()
-	cr := walkChain(qname, qtype, r.cfg.MaxCNAME, func(cur dnswire.Name) chainStep {
+	cr := walkChain(qname, qtype, maxCNAME, func(cur dnswire.Name) chainStep {
 		if e := r.cache.Get(cur, qtype); e != nil {
 			if r.prefetchDue(e, now) {
 				if r.pf == nil {
@@ -55,7 +55,7 @@ func (r *Resolver) refLookup(qname dnswire.Name, qtype dnswire.Type) (*Result, e
 
 func (r *Resolver) refLookupCacheOnly(qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
 	now := r.cfg.Clock.Now()
-	cr := walkChain(qname, qtype, r.cfg.MaxCNAME, func(cur dnswire.Name) chainStep {
+	cr := walkChain(qname, qtype, maxCNAME, func(cur dnswire.Name) chainStep {
 		if e := r.cache.Get(cur, qtype); e != nil {
 			if r.prefetchDue(e, now) && r.pf != nil {
 				r.pf.enqueue(cache.Key{Name: cur, Type: qtype})
@@ -99,8 +99,8 @@ func (r *Resolver) refLookupCacheOnly(qname dnswire.Name, qtype dnswire.Type) (*
 }
 
 func (r *Resolver) refResolveChain(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
-	ctx = withGlueBudget(ctx, r.cfg.MaxGlueFetches)
-	cr := walkChain(qname, qtype, r.cfg.MaxCNAME, func(cur dnswire.Name) chainStep {
+	ctx = withBudget(ctx, glueKey, maxGlueFetches)
+	cr := walkChain(qname, qtype, maxCNAME, func(cur dnswire.Name) chainStep {
 		res, err := r.refResolveOne(ctx, cur, qtype, 0)
 		if err != nil {
 			return chainStep{err: err}
@@ -164,7 +164,7 @@ func (r *Resolver) refMaybePrefetch(ctx context.Context, e *cache.Entry, qname d
 }
 
 func (r *Resolver) refStaleAnswer(qname dnswire.Name, qtype dnswire.Type) *Result {
-	cr := walkChain(qname, qtype, r.cfg.MaxCNAME, func(cur dnswire.Name) chainStep {
+	cr := walkChain(qname, qtype, maxCNAME, func(cur dnswire.Name) chainStep {
 		e := r.cache.GetStale(cur, qtype)
 		if e == nil && qtype != dnswire.TypeCNAME {
 			e = r.cache.GetStale(cur, dnswire.TypeCNAME)
@@ -216,9 +216,14 @@ func TestCacheStepMatchesOldSequences(t *testing.T) {
 			put(r, cname("www.test.", "a.test.", 300), cname("a.test.", "b.test.", 200), rrA("b.test.", 100, "10.1.1.2"))
 			clk.Advance(40 * time.Second)
 		}},
-		{name: "chain-longer-than-MaxCNAME", cfg: Config{MaxCNAME: 2}, setup: func(r *Resolver, _ *simclock.Virtual) {
-			put(r, cname("www.test.", "a.test.", 300), cname("a.test.", "b.test.", 300),
-				cname("b.test.", "c.test.", 300), cname("c.test.", "d.test.", 300))
+		{name: "chain-longer-than-MaxCNAME", setup: func(r *Resolver, _ *simclock.Virtual) {
+			// maxCNAME+1 links: www.test. → c1.test. → … → c9.test.
+			from := "www.test."
+			for i := 1; i <= maxCNAME+1; i++ {
+				to := fmt.Sprintf("c%d.test.", i)
+				put(r, cname(from, to, 300))
+				from = to
+			}
 		}},
 		{name: "negative-hit", cfg: Config{NegativeTTL: time.Minute}, setup: func(r *Resolver, clk *simclock.Virtual) {
 			soa := dnswire.RR{Name: dnswire.MustName("test."), Class: dnswire.ClassIN, TTL: 3600,

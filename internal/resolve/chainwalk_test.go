@@ -14,7 +14,7 @@ import (
 // The a→b→a regression: before the shared chain walker, each of the
 // three CNAME-chasing modes re-implemented its own loop and a cached
 // CNAME cycle could spin one of them past any sane bound. Every mode
-// must now terminate within MaxCNAME hops.
+// must now terminate within maxCNAME hops.
 
 // putLoop caches the two-link cycle a.test. → b.test. → a.test.
 func putLoop(c *cache.Cache) {
@@ -68,7 +68,7 @@ func TestCNAMELoopStaleAnswer(t *testing.T) {
 	if res == nil {
 		t.Fatal("staleAnswer returned nothing for a stale chain")
 	}
-	if max := r.cfg.MaxCNAME + 1; len(res.Answer) > max {
+	if max := maxCNAME + 1; len(res.Answer) > max {
 		t.Fatalf("stale answer has %d records, want at most %d (hop bound)", len(res.Answer), max)
 	}
 	for _, rr := range res.Answer {

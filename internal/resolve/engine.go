@@ -21,10 +21,9 @@ import (
 // code path (the single-exchange-path invariant, enforced by the
 // `onepath` dnslint analyzer).
 type Engine struct {
-	transport      transport.Transport
-	clock          simclock.Clock
-	advertiseEDNS0 bool
-	counters       *Counters
+	transport transport.Transport
+	clock     simclock.Clock
+	counters  *Counters
 	// upstream holds the per-server selection state (RTT estimates,
 	// quarantine); it has its own internal lock, taken only for short
 	// state reads/updates and never across an exchange.
@@ -38,11 +37,10 @@ type Engine struct {
 // newEngine builds the fetch engine, seeding the query-ID sequence.
 func newEngine(cfg Config, counters *Counters) (*Engine, error) {
 	e := &Engine{
-		transport:      cfg.Transport,
-		clock:          cfg.Clock,
-		advertiseEDNS0: cfg.AdvertiseEDNS0,
-		counters:       counters,
-		upstream:       newUpstream(cfg.Upstream),
+		transport: cfg.Transport,
+		clock:     cfg.Clock,
+		counters:  counters,
+		upstream:  newUpstream(cfg.Upstream),
 	}
 	var seed [4]byte
 	if _, err := crand.Read(seed[:]); err != nil {
@@ -58,15 +56,15 @@ func (e *Engine) nextQID() uint16 { return uint16(e.qid.Add(1)) }
 // Fetch sends (qname, qtype) to servers through the failover loop and
 // returns the first validated response. The query is built here — ID
 // allocation and EDNS0 advertisement included — so callers never touch
-// the wire layer directly.
+// the wire layer directly. Every query advertises a 4096-byte UDP payload
+// (RFC 6891), so a large referral or signed answer arrives in one
+// datagram instead of a truncation and a TCP retry.
 func (e *Engine) Fetch(ctx context.Context, tr *Trace, servers []transport.Addr, qname dnswire.Name, qtype dnswire.Type) (*dnswire.Message, error) {
 	if len(servers) == 0 {
 		return nil, transport.ErrServerUnreachable
 	}
 	q := dnswire.NewQuery(e.nextQID(), qname, qtype)
-	if e.advertiseEDNS0 {
-		q.SetEDNS0(dnswire.DefaultEDNS0PayloadSize)
-	}
+	q.SetEDNS0(dnswire.DefaultEDNS0PayloadSize)
 	return e.exchangeFailover(ctx, tr, servers, q)
 }
 

@@ -58,8 +58,10 @@ func (r *Resolver) IngestFrom(resp *dnswire.Message, fromZone dnswire.Name, qnam
 		switch set[0].Type() {
 		case dnswire.TypeNS:
 			r.putInfraAware(set, cred, true, origin)
-			if cred == cache.CredReferral {
+			if cred == cache.CredReferral && r.cfg.ParentRecheckInterval > 0 {
 				// A referral is the parent vouching for the delegation.
+				// Only the recheck reads the record: without it, keeping
+				// one would grow the map by every delegation ever seen.
 				r.parentMu.Lock()
 				r.parentSeen[set[0].Name] = r.cfg.Clock.Now()
 				r.parentMu.Unlock()

@@ -89,7 +89,7 @@ func (r *Resolver) lookupCached(tr *Trace, qname dnswire.Name, qtype dnswire.Typ
 	sp := tr.StartStage(StageCacheLookup)
 	defer sp.End()
 	now := r.cfg.Clock.Now()
-	cr := walkChain(qname, qtype, r.cfg.MaxCNAME, func(cur dnswire.Name) chainStep {
+	cr := walkChain(qname, qtype, maxCNAME, func(cur dnswire.Name) chainStep {
 		st, due := r.cacheStep(cur, qtype, now, mode)
 		if due && r.pf != nil {
 			// Async mode: serve the hit now, refresh in background.
@@ -105,7 +105,7 @@ func (r *Resolver) lookupCached(tr *Trace, qname dnswire.Name, qtype dnswire.Typ
 	case cr.err != nil:
 		return nil, cr.err
 	case cr.exhausted:
-		// A fully cached CNAME chain longer than MaxCNAME: fail exactly
+		// A fully cached CNAME chain longer than maxCNAME: fail exactly
 		// as the slow path would.
 		return nil, chainTooLong(qname)
 	case cr.miss:
@@ -133,8 +133,8 @@ func (r *Resolver) ResolveChain(ctx context.Context, tr *Trace, qname dnswire.Na
 	defer sp.End()
 	// One aggregate glue budget for the whole client query: every link
 	// of the chain and every nesting level draws from it.
-	ctx = withGlueBudget(ctx, r.cfg.MaxGlueFetches)
-	cr := walkChain(qname, qtype, r.cfg.MaxCNAME, func(cur dnswire.Name) chainStep {
+	ctx = withBudget(ctx, glueKey, maxGlueFetches)
+	cr := walkChain(qname, qtype, maxCNAME, func(cur dnswire.Name) chainStep {
 		res, err := r.resolveOne(ctx, tr, cur, qtype, 0)
 		if err != nil {
 			return chainStep{err: err}
@@ -224,14 +224,14 @@ func (r *Resolver) prefetch(ctx context.Context, tr *Trace, qname dnswire.Name, 
 
 // staleAnswer serves an expired cached answer after live resolution
 // failed, per the serve-stale baseline. A stale CNAME is not returned
-// bare: the chain is chased through the stale cache, up to MaxCNAME hops,
+// bare: the chain is chased through the stale cache, up to maxCNAME hops,
 // so the client receives the terminal records whenever they are still
 // held. When only a prefix of the chain is cached the partial chain is
 // returned (ending in a CNAME) and ResolveChain chases the tail, trying
 // live resolution first for each remaining hop.
 func (r *Resolver) staleAnswer(tr *Trace, qname dnswire.Name, qtype dnswire.Type) *Result {
 	now := r.cfg.Clock.Now()
-	cr := walkChain(qname, qtype, r.cfg.MaxCNAME, func(cur dnswire.Name) chainStep {
+	cr := walkChain(qname, qtype, maxCNAME, func(cur dnswire.Name) chainStep {
 		st, _ := r.cacheStep(cur, qtype, now, cacheStaleOnly)
 		return st
 	})

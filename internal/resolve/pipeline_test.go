@@ -183,33 +183,38 @@ func TestGlueDepthBounded(t *testing.T) {
 func TestGlueBudgetBoundsFanout(t *testing.T) {
 	const nsCount = 24
 
-	run := func(budget int) (attempts int, c Counters) {
+	// run resolves the delegation's glue under ctx: one with the query's
+	// budget, or one with none at all (what take allows for work that is
+	// no client query's).
+	run := func(ctx context.Context) (attempts int, c Counters) {
 		var n int
 		counting := transport.Exchanger(func(context.Context, transport.Addr, *dnswire.Message) (*dnswire.Message, error) {
 			n++
 			return nil, transport.ErrTimeout
 		})
-		r := newTestResolver(t, Config{Transport: counting, MaxGlueFetches: budget})
+		r := newTestResolver(t, Config{Transport: counting})
 		var set []dnswire.RR
 		for i := 0; i < nsCount; i++ {
 			set = append(set, rrNS("victim.test.", 3600, fmt.Sprintf("ns%d.elsewhere.", i)))
 		}
 		r.cache.Put(set, cache.CredAuthority, true)
 
-		ctx := withGlueBudget(context.Background(), r.cfg.MaxGlueFetches)
 		r.resolveMissingGlue(ctx, nil, dnswire.MustName("victim.test."), 0)
 		return n, r.Counters()
 	}
 
-	boundedAttempts, bounded := run(4)
+	boundedAttempts, bounded := run(withBudget(context.Background(), glueKey, 4))
 	if bounded.GlueFetches != 4 {
 		t.Errorf("GlueFetches = %d, want exactly the budget of 4", bounded.GlueFetches)
 	}
 	if bounded.GlueBudgetExhausted == 0 {
 		t.Error("budget exhaustion never counted despite 24 candidate servers")
 	}
+	if _, query := run(withBudget(context.Background(), glueKey, maxGlueFetches)); query.GlueFetches != maxGlueFetches {
+		t.Errorf("GlueFetches = %d under a client query's budget, want %d", query.GlueFetches, maxGlueFetches)
+	}
 
-	unboundedAttempts, unbounded := run(-1)
+	unboundedAttempts, unbounded := run(context.Background())
 	if unbounded.GlueFetches != nsCount {
 		t.Errorf("unbounded run fetched glue %d times, want all %d", unbounded.GlueFetches, nsCount)
 	}
@@ -224,25 +229,26 @@ func TestGlueBudgetBoundsFanout(t *testing.T) {
 // fresh pool rather than sharing one.
 func TestGlueBudgetInstalledPerQuery(t *testing.T) {
 	// The root serves the NXNS-shaped referral — glueless delegation to
-	// eight out-of-bailiwick servers; every other query times out.
+	// more out-of-bailiwick servers than one query's budget; every other
+	// query times out.
 	victim := dnswire.MustName("victim.test.")
 	referring := transport.Exchanger(func(_ context.Context, _ transport.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 		if !q.Question[0].Name.IsSubdomainOf(victim) {
 			return nil, transport.ErrTimeout
 		}
 		resp := q.Reply()
-		for i := 0; i < 8; i++ {
+		for i := 0; i < maxGlueFetches+4; i++ {
 			resp.Authority = append(resp.Authority, rrNS("victim.test.", 3600, fmt.Sprintf("ns%d.elsewhere.", i)))
 		}
 		return resp, nil
 	})
-	r := newTestResolver(t, Config{Transport: referring, MaxGlueFetches: 2})
+	r := newTestResolver(t, Config{Transport: referring})
 
 	for call := 1; call <= 2; call++ {
 		_, _ = r.ResolveChain(context.Background(), nil, dnswire.MustName("www.victim.test."), dnswire.TypeA)
-		if got := r.Counters().GlueFetches; got != uint64(2*call) {
-			t.Fatalf("after call %d GlueFetches = %d, want %d (a fresh 2-fetch budget per query)",
-				call, got, 2*call)
+		if got := r.Counters().GlueFetches; got != uint64(maxGlueFetches*call) {
+			t.Fatalf("after call %d GlueFetches = %d, want %d (a fresh %d-fetch budget per query)",
+				call, got, maxGlueFetches*call, maxGlueFetches)
 		}
 	}
 }

@@ -77,25 +77,11 @@ type Config struct {
 	// simulator requires.
 	AsyncPrefetch bool
 
-	// MaxCNAME bounds CNAME chain chasing (default 8).
-	MaxCNAME int
-	// MaxGlueFetches caps the total out-of-bailiwick name-server
-	// address resolutions one client query may trigger, across sibling
-	// NS names as well as nesting — the NXNSAttack bound (maxGlueDepth
-	// alone only limits nesting, so a delegation fanning out to dozens
-	// of unresolvable NS names could still multiply upstream traffic).
-	// Zero means the default (16); negative disables the cap.
-	MaxGlueFetches int
-
 	// ValidateDNSSEC verifies answers from signed zones against the
 	// DS→DNSKEY chain rooted at TrustAnchors.
 	ValidateDNSSEC bool
 	// TrustAnchors are trusted DNSKEY RRs (normally the root zone's).
 	TrustAnchors []dnswire.RR
-
-	// AdvertiseEDNS0 attaches an EDNS0 OPT advertising a 4096-byte UDP
-	// payload to outgoing queries.
-	AdvertiseEDNS0 bool
 
 	// ParentRecheckInterval forces a query to a zone's parent when the
 	// cached delegation has gone unconfirmed for this long.
@@ -145,11 +131,16 @@ const maxGlueDepth = 4
 // maxReferrals bounds one resolution's downward steps.
 const maxReferrals = 24
 
-// Pipeline defaults.
-const (
-	defaultMaxCNAME       = 8
-	defaultMaxGlueFetches = 16
-)
+// maxCNAME bounds CNAME chain chasing: a chain is followed for at most
+// this many hops.
+const maxCNAME = 8
+
+// maxGlueFetches caps the total out-of-bailiwick name-server address
+// resolutions one client query may trigger, across sibling NS names as
+// well as nesting — the NXNSAttack bound (maxGlueDepth alone only limits
+// nesting, so a delegation fanning out to dozens of unresolvable NS names
+// could still multiply upstream traffic). It has no off switch.
+const maxGlueFetches = 16
 
 // Resolver runs the resolution pipeline over a shared cache and one fetch
 // engine. It is safe for concurrent use: the cache is sharded internally,
@@ -165,7 +156,8 @@ type Resolver struct {
 	negative map[cache.Key]negEntry
 
 	// parentMu guards parentSeen, which records when each zone's
-	// delegation was last confirmed by a referral from the parent.
+	// delegation was last confirmed by a referral from the parent. It is
+	// written only when ParentRecheckInterval is positive.
 	parentMu   sync.Mutex
 	parentSeen map[dnswire.Name]time.Time
 
@@ -201,12 +193,6 @@ func New(cfg Config) (*Resolver, error) {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
-	}
-	if cfg.MaxCNAME == 0 {
-		cfg.MaxCNAME = defaultMaxCNAME
-	}
-	if cfg.MaxGlueFetches == 0 {
-		cfg.MaxGlueFetches = defaultMaxGlueFetches
 	}
 	if cfg.AddrMapper == nil {
 		cfg.AddrMapper = func(a netip.Addr) transport.Addr { return transport.Addr(a.String()) }
@@ -262,7 +248,7 @@ func (r *Resolver) ExportServerStates() []ServerState { return r.engine.upstream
 func (r *Resolver) RestoreServerStates(states []ServerState) { r.engine.upstream.restore(states) }
 
 // chainTooLong is the shared exhaustion error for every CNAME-chasing
-// mode that must fail when the chain exceeds MaxCNAME.
+// mode that must fail when the chain exceeds maxCNAME.
 func chainTooLong(qname dnswire.Name) error {
 	return fmt.Errorf("%w: CNAME chain too long for %s", ErrResolutionFailed, qname)
 }

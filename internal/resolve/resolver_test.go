@@ -3,9 +3,11 @@ package resolve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/netip"
 	"sync"
 	"testing"
+	"time"
 
 	"resilientdns/internal/cache"
 	"resilientdns/internal/dnswire"
@@ -177,5 +179,48 @@ func TestConcurrentQIDsUnique(t *testing.T) {
 			t.Fatalf("duplicate query ID %d within %d concurrent queries", id, n)
 		}
 		seen[id] = true
+	}
+}
+
+// TestParentSeenOnlyWithRecheck: the parent-confirmation record is only
+// ever read by the recheck, so with ParentRecheckInterval at 0 — every
+// live and simulated configuration — referrals must leave the map empty
+// instead of growing it by one entry per delegation ever seen.
+func TestParentSeenOnlyWithRecheck(t *testing.T) {
+	const n = 50
+	for _, tc := range []struct {
+		interval time.Duration
+		want     int
+	}{{0, 0}, {time.Hour, n}} {
+		r := newTestResolver(t, Config{ParentRecheckInterval: tc.interval})
+		for i := 0; i < n; i++ {
+			child := fmt.Sprintf("child%d.test.", i)
+			resp := &dnswire.Message{Flags: dnswire.Flags{Response: true}}
+			resp.Authority = []dnswire.RR{rrNS(child, 3600, "ns."+child)}
+			resp.Additional = []dnswire.RR{rrA("ns."+child, 3600, "10.2.0.1")}
+			r.Ingest(resp, dnswire.MustName("test."), dnswire.MustName("www."+child))
+		}
+		r.parentMu.Lock()
+		got := len(r.parentSeen)
+		r.parentMu.Unlock()
+		if got != tc.want {
+			t.Errorf("ParentRecheckInterval %v: %d referrals left %d parentSeen entries, want %d", tc.interval, n, got, tc.want)
+		}
+	}
+}
+
+// TestFetchAdvertisesEDNS0: every query the engine sends carries an OPT
+// record advertising the 4096-byte payload (RFC 6891).
+func TestFetchAdvertisesEDNS0(t *testing.T) {
+	var adv uint16
+	var ok bool
+	capture := transport.Exchanger(func(_ context.Context, _ transport.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		adv, ok = q.EDNS0PayloadSize()
+		return nil, transport.ErrTimeout
+	})
+	r := newTestResolver(t, Config{Transport: capture})
+	r.engine.Fetch(context.Background(), nil, []transport.Addr{"10.0.0.1"}, dnswire.MustName("x."), dnswire.TypeA)
+	if !ok || adv != dnswire.DefaultEDNS0PayloadSize {
+		t.Errorf("query advertised EDNS0 %v, payload %d; want %d", ok, adv, dnswire.DefaultEDNS0PayloadSize)
 	}
 }

@@ -345,12 +345,3 @@ func WithRetryBudget(ctx context.Context, n int) context.Context {
 	}
 	return withBudget(ctx, retryKey, n)
 }
-
-// withGlueBudget installs a fresh budget of n glue fetches into ctx;
-// n < 0 leaves ctx unbounded.
-func withGlueBudget(ctx context.Context, n int) context.Context {
-	if n < 0 {
-		return ctx
-	}
-	return withBudget(ctx, glueKey, n)
-}

@@ -1,13 +1,12 @@
 package transport
 
 // Regression tests for transport-layer bugs: context-blind TCP dialing,
-// EDNS0 payload limits that only ever grew, TCP queries losing their
-// source address, and one dropped query tearing down a whole connection.
+// EDNS0 payload limits that only ever grew, and one dropped query tearing
+// down a whole connection.
 
 import (
 	"context"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -109,84 +108,6 @@ func TestUDPTinyEDNS0AdvertisementRaisedToClassicFloor(t *testing.T) {
 	}
 	if resp.Flags.Truncated {
 		t.Fatal("small response truncated under a tiny EDNS0 advertisement; the 512 floor was not applied")
-	}
-}
-
-// addrRecorder implements AddrHandler, remembering the source address of
-// every query it answers.
-type addrRecorder struct {
-	inner Handler
-
-	mu    sync.Mutex
-	addrs []net.Addr
-}
-
-func (a *addrRecorder) HandleQuery(q *dnswire.Message) *dnswire.Message {
-	return a.HandleQueryFrom(q, nil)
-}
-
-func (a *addrRecorder) HandleQueryFrom(q *dnswire.Message, from net.Addr) *dnswire.Message {
-	a.mu.Lock()
-	a.addrs = append(a.addrs, from)
-	a.mu.Unlock()
-	return a.inner.HandleQuery(q)
-}
-
-func (a *addrRecorder) recorded() []net.Addr {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]net.Addr(nil), a.addrs...)
-}
-
-// TestTCPServerDispatchesAddrHandler: serveConn used to call HandleQuery
-// unconditionally, so TCP queries reached per-client policy (the guard
-// layer) with no source address while UDP queries carried one. Both paths
-// must now report the client's address.
-func TestTCPServerDispatchesAddrHandler(t *testing.T) {
-	rec := &addrRecorder{inner: echoHandler()}
-
-	udpSrv := &UDPServer{Handler: rec}
-	udpAddr, err := udpSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("udp Listen: %v", err)
-	}
-	defer udpSrv.Close()
-	tcpSrv := &TCPServer{Handler: rec}
-	tcpAddr, err := tcpSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("tcp Listen: %v", err)
-	}
-	defer tcpSrv.Close()
-
-	q := dnswire.NewQuery(31, dnswire.MustName("x.example."), dnswire.TypeA)
-	u := &UDP{Timeout: 2 * time.Second}
-	if _, err := u.Exchange(context.Background(), Addr(udpAddr), q); err != nil {
-		t.Fatalf("udp Exchange: %v", err)
-	}
-	c := &TCP{Timeout: 2 * time.Second}
-	if _, err := c.Exchange(context.Background(), Addr(tcpAddr), q); err != nil {
-		t.Fatalf("tcp Exchange: %v", err)
-	}
-
-	addrs := rec.recorded()
-	if len(addrs) != 2 {
-		t.Fatalf("recorded %d addresses, want 2", len(addrs))
-	}
-	for i, a := range addrs {
-		if a == nil {
-			t.Fatalf("query %d dispatched without a source address", i)
-		}
-	}
-	udpHost, _, err := net.SplitHostPort(addrs[0].String())
-	if err != nil {
-		t.Fatalf("udp client addr %q: %v", addrs[0], err)
-	}
-	tcpHost, _, err := net.SplitHostPort(addrs[1].String())
-	if err != nil {
-		t.Fatalf("tcp client addr %q: %v", addrs[1], err)
-	}
-	if udpHost != tcpHost {
-		t.Errorf("UDP saw client %s but TCP saw %s; both paths must report the same client", udpHost, tcpHost)
 	}
 }
 

@@ -210,12 +210,12 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			continue
 		}
 		s.sem <- struct{}{}
-		resp := dispatch(s.Handler, query, conn.RemoteAddr())
+		resp := s.Handler.HandleQuery(query)
 		<-s.sem
 		if resp == nil {
-			// The handler dropped this query (guard policy). Dropping one
-			// query must not tear down the connection: later pipelined
-			// queries on the same stream still deserve answers.
+			// The handler dropped this query. Dropping one query must not
+			// tear down the connection: later pipelined queries on the same
+			// stream still deserve answers.
 			continue
 		}
 		if err := WriteTCPMessage(conn, resp); err != nil {

@@ -7,7 +7,6 @@ package transport
 import (
 	"context"
 	"errors"
-	"net"
 	"net/netip"
 	"time"
 
@@ -66,22 +65,15 @@ type HandlerFunc func(q *dnswire.Message) *dnswire.Message
 // HandleQuery implements Handler.
 func (f HandlerFunc) HandleQuery(q *dnswire.Message) *dnswire.Message { return f(q) }
 
-// AddrHandler is a Handler that also wants the client's source address —
-// the hook for per-client policy such as the guard layer's rate limiter.
-// Servers that know the source (UDP) prefer HandleQueryFrom when the
-// handler implements it; a nil response means send nothing.
-type AddrHandler interface {
-	Handler
-	HandleQueryFrom(q *dnswire.Message, from net.Addr) *dnswire.Message
-}
-
 // InlineHandler is a Handler that can settle some queries without
 // blocking — a cache hit, a refusal, a rate-limit verdict. The UDP server
 // offers it every query on the read loop, before a goroutine is spent:
 // done means the query is settled and resp (nil to drop) is sent from the
 // loop; !done means HandleQuery must run, on a handler goroutine, and
 // whatever the inline entry decided about the client (admission) is not
-// decided again there.
+// decided again there. It is the only entry that sees the source address:
+// per-client policy (the guard's rate limiter) lives here, and TCP, which
+// calls HandleQuery alone, is unguarded by construction.
 //
 // HandleInline must not block: it runs on a read loop, and while it runs
 // that loop reads nothing. It may take a lock no holder blocks under
@@ -90,16 +82,6 @@ type AddrHandler interface {
 type InlineHandler interface {
 	Handler
 	HandleInline(q *dnswire.Message, from netip.AddrPort) (resp *dnswire.Message, done bool)
-}
-
-// dispatch hands q to h, with its source address when h is an
-// AddrHandler, so per-client policy (guard peer exemption, per-client
-// tracing) sees UDP and TCP clients alike.
-func dispatch(h Handler, q *dnswire.Message, from net.Addr) *dnswire.Message {
-	if ah, ok := h.(AddrHandler); ok {
-		return ah.HandleQueryFrom(q, from)
-	}
-	return h.HandleQuery(q)
 }
 
 // listenerBackoff pauses a serve loop after a listener error that is not

@@ -95,7 +95,7 @@ const DefaultMaxInflight = 1024
 // what that settles from the loop itself; anything else is handled on its
 // own goroutine, bounded by MaxInflight, so one slow recursive resolution
 // never blocks a read loop. A handler without the inline entry settles
-// nothing inline; it gets the source address when it is an AddrHandler.
+// nothing inline.
 type UDPServer struct {
 	Handler Handler
 	// MaxInflight bounds the number of queries being handled at once on
@@ -203,14 +203,7 @@ func (s *UDPServer) serve(conn udpConn) {
 			go func(query *dnswire.Message, from netip.AddrPort) {
 				defer s.wg.Done()
 				defer func() { <-sem }()
-				var resp *dnswire.Message
-				if inline != nil {
-					// The inline entry has seen the source already.
-					resp = s.Handler.HandleQuery(query)
-				} else {
-					resp = dispatch(s.Handler, query, net.UDPAddrFromAddrPort(from))
-				}
-				if resp != nil {
+				if resp := s.Handler.HandleQuery(query); resp != nil {
 					bp := getBuf()
 					defer putBuf(bp)
 					writeResponse(conn, *bp, query, resp, from)
