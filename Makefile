@@ -98,10 +98,12 @@ bench-paper:
 	$(GO) test -bench=. -benchtime=1x .
 
 # fuzz is the CI smoke pass over the wire-format, persist-format and
-# zone-file parsers.
+# zone-file parsers, and over the plain-query probe the read loop trusts
+# in place of Unpack.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUnpack -fuzztime=30s ./internal/dnswire
 	$(GO) test -run='^$$' -fuzz=FuzzCanonicalName -fuzztime=30s ./internal/dnswire
+	$(GO) test -run='^$$' -fuzz=FuzzQueryKey -fuzztime=30s ./internal/dnswire
 	$(GO) test -run='^$$' -fuzz=FuzzParseStore -fuzztime=30s ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzMeshFrame -fuzztime=30s ./internal/mesh
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=30s ./internal/zone

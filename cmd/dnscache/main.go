@@ -143,6 +143,12 @@ func counterLine(snapshot any) string {
 	return strings.Join(fields, " ")
 }
 
+// upstreamAddr maps a learned name-server address to the address the
+// transport dials: the address with port, an IPv6 one in brackets.
+func upstreamAddr(port uint16) func(netip.Addr) transport.Addr {
+	return func(a netip.Addr) transport.Addr { return transport.Addr(netip.AddrPortFrom(a, port).String()) }
+}
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "dnscache:", err)
@@ -185,6 +191,9 @@ func run() error {
 
 	if *roots == "" {
 		return fmt.Errorf("-root is required (e.g. -root 198.41.0.4:53)")
+	}
+	if *port < 1 || *port > 65535 {
+		return fmt.Errorf("-upstream-port %d: want a port in 1–65535", *port)
 	}
 	var hints []core.ServerRef
 	for i, addr := range strings.Split(*roots, ",") {
@@ -259,9 +268,7 @@ func run() error {
 		Prefetch:      *prefetch,
 		AsyncPrefetch: *prefetch,
 		TraceSink:     resolve.MultiSink(sinks...),
-		AddrMapper: func(a netip.Addr) transport.Addr {
-			return transport.Addr(fmt.Sprintf("%s:%d", a, *port))
-		},
+		AddrMapper:    upstreamAddr(uint16(*port)),
 		Upstream: core.UpstreamConfig{
 			MinTimeout:  *minTimeout,
 			MaxTimeout:  *maxTimeout,

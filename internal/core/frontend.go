@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
-	"net/netip"
 	"time"
 
+	"resilientdns/internal/cache"
 	"resilientdns/internal/dnswire"
 	"resilientdns/internal/transport"
 )
@@ -19,7 +19,7 @@ const frontendTimeout = 5 * time.Second
 // from cached data only — a stub probing the cache must not trigger
 // upstream fetches — and answered REFUSED when nothing cached applies.
 func (cs *CachingServer) HandleQuery(q *dnswire.Message) *dnswire.Message {
-	resp, _ := cs.handle(q, answerFully)
+	resp, _, _ := cs.handle(q, answerFully)
 	return resp
 }
 
@@ -28,9 +28,34 @@ func (cs *CachingServer) HandleQuery(q *dnswire.Message) *dnswire.Message {
 // anything the live cache answers (a record, a cached CNAME chain, a
 // negative entry) — and done=false, with nothing counted or traced, for
 // the one case that may block: a miss, which HandleQuery then resolves.
-// It touches no lock but the cache shard read locks and negMu.
-func (cs *CachingServer) HandleInline(q *dnswire.Message, _ netip.AddrPort) (*dnswire.Message, bool) {
-	return cs.handle(q, answerLive)
+//
+// A plain query whose reply is memoised and still right is answered from
+// those bytes, unpacked never; every other answer comes from handle, and
+// one that is exactly one live RRset is packed into buf and memoised for
+// the next such query. It touches no lock but the cache and memo shard
+// read locks, negMu, and a memo shard's write lock to fill it.
+func (cs *CachingServer) HandleInline(q *transport.Query, buf []byte) ([]byte, *dnswire.Message, bool) {
+	if q.Key != nil {
+		if p := cs.packed.get(q.Key); p != nil {
+			if _, done, _ := cs.resolve(context.Background(), 0, answerLive, p.src.Key.Name, p.src.Key.Type, p.src); done {
+				return p.reply(buf, q.ID, cs.cfg.Clock.Now()), nil, true
+			}
+		}
+	}
+	m, err := q.Message()
+	if err != nil {
+		return nil, nil, true // unreachable: a keyed query always unpacks
+	}
+	resp, src, done := cs.handle(m, answerLive)
+	if src == nil || q.Key == nil {
+		return nil, resp, done
+	}
+	wire, err := resp.AppendPack(buf[:0])
+	if err != nil || len(wire) > maxPackedLen {
+		return nil, resp, true // the read loop applies the client's limit
+	}
+	cs.packed.put(q.Key, wire, src)
+	return wire, nil, true
 }
 
 // HandleQueryCacheOnly answers q without any upstream work regardless of
@@ -40,7 +65,7 @@ func (cs *CachingServer) HandleInline(q *dnswire.Message, _ netip.AddrPort) (*dn
 // A query nothing cached can answer gets SERVFAIL (transient — the client
 // should retry), unlike an RD=0 miss's REFUSED (deliberate policy).
 func (cs *CachingServer) HandleQueryCacheOnly(q *dnswire.Message) *dnswire.Message {
-	resp, _ := cs.handle(q, answerCacheOnly)
+	resp, _, _ := cs.handle(q, answerCacheOnly)
 	return resp
 }
 
@@ -56,9 +81,11 @@ const (
 
 // handle is the shared frontend: protocol validation, the
 // recursive/cache-only routing decision, and reply assembly. Only
-// answerLive ever declines (nil, false).
-func (cs *CachingServer) handle(q *dnswire.Message, mode answerMode) (*dnswire.Message, bool) {
-	resp := q.Reply()
+// answerLive ever declines (nil, nil, false). src is the cache entry the
+// reply's answer is, when it is exactly that (resolve.Result.Entry): the
+// reply may then be memoised.
+func (cs *CachingServer) handle(q *dnswire.Message, mode answerMode) (resp *dnswire.Message, src *cache.Entry, done bool) {
+	resp = q.Reply()
 	resp.Flags.RecursionAvailable = true
 	// RFC 6891: a response to a query carrying an OPT record must carry
 	// one too, advertising our receive capability.
@@ -67,21 +94,21 @@ func (cs *CachingServer) handle(q *dnswire.Message, mode answerMode) (*dnswire.M
 	}
 	if len(q.Question) != 1 || q.Opcode != dnswire.OpcodeQuery {
 		resp.RCode = dnswire.RCodeFormErr
-		return resp, true
+		return resp, nil, true
 	}
 	question := q.Question[0]
 	if question.Class != dnswire.ClassIN || question.Type.IsZoneTransfer() {
 		resp.RCode = dnswire.RCodeRefused
-		return resp, true
+		return resp, nil, true
 	}
 
 	lookup := mode
 	if !q.Flags.RecursionDesired {
 		lookup = answerCacheOnly
 	}
-	res, done, err := cs.resolve(context.Background(), frontendTimeout, lookup, question.Name, question.Type)
+	res, done, err := cs.resolve(context.Background(), frontendTimeout, lookup, question.Name, question.Type, nil)
 	if !done {
-		return nil, false
+		return nil, nil, false
 	}
 	switch {
 	case err != nil:
@@ -90,6 +117,7 @@ func (cs *CachingServer) handle(q *dnswire.Message, mode answerMode) (*dnswire.M
 		resp.RCode = res.RCode
 		resp.Answer = append(resp.Answer, res.Answer...)
 		resp.Authority = append(resp.Authority, res.Authority...)
+		src = res.Entry
 	case mode == answerCacheOnly:
 		// Degraded mode and nothing cached: shed with SERVFAIL so the
 		// client retries once capacity returns.
@@ -99,7 +127,7 @@ func (cs *CachingServer) handle(q *dnswire.Message, mode answerMode) (*dnswire.M
 		// behalf.
 		resp.RCode = dnswire.RCodeRefused
 	}
-	return resp, true
+	return resp, src, true
 }
 
 var _ transport.InlineHandler = (*CachingServer)(nil)

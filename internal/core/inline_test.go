@@ -3,13 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
-	"net/netip"
 	"sync"
 	"testing"
 	"time"
 
 	"resilientdns/internal/dnswire"
 	"resilientdns/internal/resolve"
+	"resilientdns/internal/transport"
 )
 
 // kindSink counts finished traces by kind.
@@ -33,13 +33,56 @@ func (s *kindSink) queries() int {
 	return s.kinds["query"]
 }
 
-// viaInline answers q the way the UDP read loop does: the inline entry,
-// then HandleQuery when that declines.
-func viaInline(cs *CachingServer, q *dnswire.Message) (resp *dnswire.Message, inline bool) {
-	if resp, done := cs.HandleInline(q, netip.AddrPort{}); done {
-		return resp, true
+// sendWire answers wire the way the UDP read loop does — QueryKey's probe,
+// the inline entry, then HandleQuery when that declines — and returns the
+// bytes the loop would send, nil for a drop: the inline entry's packed
+// reply as it is, or the answer packed (none of these needs truncating).
+// It reports a failure with t.Errorf, so any goroutine may call it.
+func sendWire(t testing.TB, cs *CachingServer, wire []byte) (out []byte, inline bool) {
+	t.Helper()
+	q := transport.Query{Wire: wire}
+	var plain bool
+	if q.Key, q.ID, plain = dnswire.QueryKey(wire, nil); !plain {
+		var err error
+		if q.Msg, err = dnswire.Unpack(wire); err != nil {
+			t.Errorf("Unpack: %v", err)
+			return nil, false
+		}
 	}
-	return cs.HandleQuery(q), false
+	packed, resp, done := cs.HandleInline(&q, make([]byte, 0, 4096))
+	switch {
+	case packed != nil:
+		return packed, true
+	case !done:
+		resp, inline = cs.HandleQuery(q.Msg), false
+	default:
+		inline = true
+	}
+	if resp == nil {
+		return nil, inline
+	}
+	out, err := resp.Pack()
+	if err != nil {
+		t.Errorf("Pack: %v", err)
+	}
+	return out, inline
+}
+
+// viaInline is sendWire for a query message, with the answer unpacked.
+func viaInline(t testing.TB, cs *CachingServer, q *dnswire.Message) (resp *dnswire.Message, inline bool) {
+	t.Helper()
+	wire, err := q.Pack()
+	if err != nil {
+		t.Fatalf("Pack: %v", err)
+	}
+	out, inline := sendWire(t, cs, wire)
+	if out == nil {
+		return nil, inline
+	}
+	if resp, err = dnswire.Unpack(out); err != nil {
+		t.Fatalf("Unpack: %v", err)
+	}
+	return resp, inline
 }
 
 // corpusQuery is one query of the frontend corpus.
@@ -85,42 +128,60 @@ func frontendCorpus() []corpusQuery {
 }
 
 // primed is a fixture whose cache holds the corpus's first four answers,
-// with a sink counting its finished traces.
+// with a sink counting its finished traces unless it runs untraced.
 type primed struct {
 	f    *fixture
-	sink *kindSink
+	sink *kindSink // nil: no TraceSink
 }
 
-func newPrimed(t *testing.T) primed {
-	sink := &kindSink{}
-	f := newFixture(t, Config{NegativeTTL: time.Hour, Prefetch: true, TraceSink: sink})
+func newPrimed(t *testing.T, traced bool) primed {
+	cfg := Config{NegativeTTL: time.Hour, Prefetch: true}
+	var sink *kindSink
+	if traced {
+		sink = &kindSink{}
+		cfg.TraceSink = sink
+	}
+	f := newFixture(t, cfg)
 	for _, warm := range frontendCorpus()[:4] {
 		f.cs.HandleQuery(warm.q)
 	}
 	return primed{f, sink}
 }
 
+// traces is the number of query traces finished so far.
+func (p primed) traces() int {
+	if p.sink == nil {
+		return 0
+	}
+	return p.sink.queries()
+}
+
 // ask runs one corpus query through do and reports, on failure, unless
-// it moved the frontend counters and the query traces by exactly one set
-// (counted) or not at all.
+// it moved the frontend counters and the query traces (when traced) by
+// exactly one set (counted) or not at all.
 func (p primed) ask(t *testing.T, label string, tc corpusQuery, do func()) {
 	t.Helper()
 	if tc.name == "prefetch-window hit" {
 		p.f.clock.Advance(280 * time.Second)
 	}
-	before, traces := p.f.cs.Stats(), p.sink.queries()
+	before, traces := p.f.cs.Stats(), p.traces()
 	do()
 	after := p.f.cs.Stats()
 	one := uint64(0)
 	if tc.counted {
 		one = 1
 	}
+	wantTraces := int(one)
+	if p.sink == nil {
+		wantTraces = 0
+	}
 	in := after.QueriesIn - before.QueriesIn
 	closed := after.Resolved - before.Resolved + after.Failed - before.Failed
 	answered := after.CacheAnswered - before.CacheAnswered
-	if in != one || closed != one || answered > after.Resolved-before.Resolved || p.sink.queries()-traces != int(one) {
-		t.Errorf("%s, %s: QueriesIn +%d, Resolved+Failed +%d, CacheAnswered +%d, query traces +%d; want +%d each (CacheAnswered at most Resolved)",
-			tc.name, label, in, closed, answered, p.sink.queries()-traces, one)
+	packed := after.PackedAnswers - before.PackedAnswers
+	if in != one || closed != one || answered > after.Resolved-before.Resolved || packed > answered || p.traces()-traces != wantTraces {
+		t.Errorf("%s, %s: QueriesIn +%d, Resolved+Failed +%d, CacheAnswered +%d, PackedAnswers +%d, query traces +%d; want +%d each (traces +%d; PackedAnswers at most CacheAnswered at most Resolved)",
+			tc.name, label, in, closed, answered, packed, p.traces()-traces, one, wantTraces)
 	}
 }
 
@@ -130,12 +191,12 @@ func (p primed) ask(t *testing.T, label string, tc corpusQuery, do func()) {
 // the frontend counters and the query traces by exactly one set — the
 // declined half of a miss leaves no mark.
 func TestInlineMatchesHandleQuery(t *testing.T) {
-	a, b := newPrimed(t), newPrimed(t)
+	a, b := newPrimed(t, true), newPrimed(t, true)
 	for _, tc := range frontendCorpus() {
 		a0, b0 := a.f.cs.Stats(), b.f.cs.Stats()
 		var got, want *dnswire.Message
 		var inline bool
-		a.ask(t, "inline path", tc, func() { got, inline = viaInline(a.f.cs, tc.q) })
+		a.ask(t, "inline path", tc, func() { got, inline = viaInline(t, a.f.cs, tc.q) })
 		b.ask(t, "HandleQuery alone", tc, func() { want = b.f.cs.HandleQuery(tc.q) })
 
 		if inline != tc.inline {
@@ -159,31 +220,50 @@ func TestInlineMatchesHandleQuery(t *testing.T) {
 	}
 }
 
-// TestEveryEntryCountsOnce: each of the four query entries — Resolve (the
+// TestEveryEntryCountsOnce: each of the five query exits — Resolve (the
 // simulator's), HandleQuery, HandleInline then HandleQuery (the UDP read
-// loop's), HandleQueryCacheOnly (overload and mesh peers) — is the same
-// one accounting function underneath, so over the whole corpus every
-// query that gets past the front door is counted, closed and traced
-// exactly once, and a refused one not at all. Resolve has no front door:
-// it is asked only what gets past it.
+// loop's), the same answered from the packed-reply memo, and
+// HandleQueryCacheOnly (overload and mesh peers) — is the same one
+// accounting function underneath, so over the whole corpus, traced and
+// untraced, every query that gets past the front door is counted, closed
+// and traced exactly once, and a refused one not at all. Resolve has no
+// front door: it is asked only what gets past it. The memo exit asks each
+// query once unmeasured first, which fills the memo: the corpus's four
+// plain questions answered by one live RRset are then sent from it.
 func TestEveryEntryCountsOnce(t *testing.T) {
 	for _, e := range []struct {
-		name string
-		ask  func(cs *CachingServer, q *dnswire.Message)
+		name   string
+		ask    func(cs *CachingServer, q *dnswire.Message)
+		memo   bool
+		packed uint64 // PackedAnswers over the measured asks
 	}{
-		{"Resolve", func(cs *CachingServer, q *dnswire.Message) {
+		{name: "Resolve", ask: func(cs *CachingServer, q *dnswire.Message) {
 			cs.Resolve(context.Background(), q.Question[0].Name, q.Question[0].Type)
 		}},
-		{"HandleQuery", func(cs *CachingServer, q *dnswire.Message) { cs.HandleQuery(q) }},
-		{"HandleInline then HandleQuery", func(cs *CachingServer, q *dnswire.Message) { viaInline(cs, q) }},
-		{"HandleQueryCacheOnly", func(cs *CachingServer, q *dnswire.Message) { cs.HandleQueryCacheOnly(q) }},
+		{name: "HandleQuery", ask: func(cs *CachingServer, q *dnswire.Message) { cs.HandleQuery(q) }},
+		// EDNS0 400 finds the reply EDNS0 1232 memoised: the payload size
+		// is not part of the key.
+		{name: "HandleInline then HandleQuery", ask: func(cs *CachingServer, q *dnswire.Message) { viaInline(t, cs, q) }, packed: 1},
+		{name: "packed-reply memo", ask: func(cs *CachingServer, q *dnswire.Message) { viaInline(t, cs, q) }, memo: true, packed: 4},
+		{name: "HandleQueryCacheOnly", ask: func(cs *CachingServer, q *dnswire.Message) { cs.HandleQueryCacheOnly(q) }},
 	} {
-		p := newPrimed(t)
-		for _, tc := range frontendCorpus() {
-			if e.name == "Resolve" && !tc.counted {
-				continue
+		for _, traced := range []bool{true, false} {
+			p := newPrimed(t, traced)
+			var packed uint64
+			for _, tc := range frontendCorpus() {
+				if e.name == "Resolve" && !tc.counted {
+					continue
+				}
+				if e.memo {
+					viaInline(t, p.f.cs, tc.q)
+				}
+				before := p.f.cs.Stats().PackedAnswers
+				p.ask(t, e.name, tc, func() { e.ask(p.f.cs, tc.q) })
+				packed += p.f.cs.Stats().PackedAnswers - before
 			}
-			p.ask(t, e.name, tc, func() { e.ask(p.f.cs, tc.q) })
+			if packed != e.packed {
+				t.Errorf("%s (traced %v): %d answers sent from the memo, want %d", e.name, traced, packed, e.packed)
+			}
 		}
 	}
 }
@@ -191,7 +271,8 @@ func TestEveryEntryCountsOnce(t *testing.T) {
 // TestInlineTraceStages: under a real clock, where a stage takes time,
 // every query through the inline path adds exactly one observation to the
 // query-kind and cache_lookup histograms — the traced benchmark run
-// divides by these — whether the read loop settled it or declined it.
+// divides by these — whether the read loop settled it, sent it from the
+// memo (the first hit filled it) or declined it.
 func TestInlineTraceStages(t *testing.T) {
 	cs := newPipeHierarchy(t, Config{TraceSink: discardSink{}}, 3600, 1)
 	hit := dnswire.NewQuery(1, dnswire.MustName("www.example."), dnswire.TypeA)
@@ -204,9 +285,9 @@ func TestInlineTraceStages(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		q    *dnswire.Message
-	}{{"hit", hit}, {"miss", miss}, {"RD=0 miss", probe}} {
+	}{{"hit", hit}, {"memoised hit", hit}, {"miss", miss}, {"RD=0 miss", probe}} {
 		before := cs.Resolver().LatencySnapshots()
-		viaInline(cs, tc.q)
+		viaInline(t, cs, tc.q)
 		after := cs.Resolver().LatencySnapshots()
 		for _, key := range []string{"kind/query", "stage/cache_lookup"} {
 			if d := after[key].Count - before[key].Count; d != 1 {
@@ -216,18 +297,23 @@ func TestInlineTraceStages(t *testing.T) {
 	}
 }
 
-// TestInlineHitAllocs bounds what a cache hit allocates on the read loop:
-// the reply, its sections and Lookup's result — no context, no timer (the
-// parent's HandleQuery: 10, four of them the deadline's). HandleQuery
-// builds its deadline after the miss too, so a hit costs it the same.
+// TestInlineHitAllocs bounds what a cache hit allocates on the read loop
+// when the query arrives unpacked, as every hit before its reply is
+// memoised does: the reply, its sections and Lookup's result — no
+// context, no timer (the parent's HandleQuery: 10, four of them the
+// deadline's). HandleQuery builds its deadline after the miss too, so a
+// hit costs it the same.
 func TestInlineHitAllocs(t *testing.T) {
 	f := newFixture(t, Config{})
 	q := dnswire.NewQuery(1, dnswire.MustName("www.ucla.edu."), dnswire.TypeA)
 	q.Flags.RecursionDesired = true
 	f.cs.HandleQuery(q)
 
+	buf := make([]byte, 0, 4096)
+	var query transport.Query
 	inline := testing.AllocsPerRun(200, func() {
-		if _, done := f.cs.HandleInline(q, netip.AddrPort{}); !done {
+		query = transport.Query{Msg: q}
+		if _, _, done := f.cs.HandleInline(&query, buf); !done {
 			t.Fatal("warm A record was not settled inline")
 		}
 	})

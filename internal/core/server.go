@@ -34,7 +34,8 @@ import (
 // and never holds one across upstream I/O):
 //
 //	flightMu > renewMu > cache shard locks
-//	the resolver's negMu, parentMu, secMu are leaves taken on their own.
+//	the resolver's negMu, parentMu, secMu and the memo shard locks are
+//	leaves taken on their own.
 type CachingServer struct {
 	cfg      Config
 	cache    *cache.Cache
@@ -54,6 +55,10 @@ type CachingServer struct {
 	// stats is the live counter set; only its frontend fields are
 	// bumped here (see Stats).
 	stats *Stats
+
+	// packed memoises replies for the read loop's plain queries
+	// (HandleInline); Resolve never sees it.
+	packed *packedMemo
 }
 
 // renewLead is how far before expiry a renewal refetch fires ("just
@@ -88,6 +93,7 @@ func NewCachingServer(cfg Config) (*CachingServer, error) {
 		scheduled: make(map[dnswire.Name]bool),
 		flight:    make(map[cache.Key]*flightCall),
 		stats:     metrics.NewSet[Stats](),
+		packed:    newPackedMemo(),
 	}
 	rootAddrs := make([]transport.Addr, 0, len(cfg.RootHints))
 	for _, h := range cfg.RootHints {
@@ -156,26 +162,33 @@ func (cs *CachingServer) Resolver() *resolve.Resolver { return cs.resolver }
 // no frontend deadline. Concurrent calls for the same (name, type) share a
 // single upstream resolution.
 func (cs *CachingServer) Resolve(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
-	res, _, err := cs.resolve(ctx, 0, answerFully, qname, qtype)
+	res, _, err := cs.resolve(ctx, 0, answerFully, qname, qtype, nil)
 	return res, err
 }
 
 // resolve is every stub query's one count, one trace and one finish. The
 // cache is asked first — LookupCacheOnly (live, negative, then stale) in
-// answerCacheOnly, the live cache otherwise — and only a miss goes on:
-// answerLive declines it (done=false) with nothing counted and the trace
-// unfinished, so HandleQuery can take it from the top as if it had just
-// arrived; answerFully cuts ctx to timeout (when positive) and resolves
-// upstream, so a hit never pays for a timer it cannot use. When a
-// TraceSink is configured the trace covers the cache hot path and the
-// coalescing outcome; the shared flight carries its own trace (it serves
-// many queries, so its timings belong to no single caller). A nil result
-// with done and no error means nothing cached could answer.
-func (cs *CachingServer) resolve(ctx context.Context, timeout time.Duration, mode answerMode, qname dnswire.Name, qtype dnswire.Type) (res *Result, done bool, err error) {
+// answerCacheOnly, the live cache otherwise, and for a memoised reply
+// (packed, the entry it was built from) LookupPacked alone — and only a
+// miss goes on: answerLive declines it (done=false) with nothing counted
+// and the trace unfinished, so HandleQuery can take it from the top as if
+// it had just arrived; answerFully cuts ctx to timeout (when positive)
+// and resolves upstream, so a hit never pays for a timer it cannot use.
+// When a TraceSink is configured the trace covers the cache hot path and
+// the coalescing outcome; the shared flight carries its own trace (it
+// serves many queries, so its timings belong to no single caller). A nil
+// result with done and no error means nothing cached could answer; a
+// memoised reply's hit has no records, the caller holds them packed.
+func (cs *CachingServer) resolve(ctx context.Context, timeout time.Duration, mode answerMode, qname dnswire.Name, qtype dnswire.Type, packed *cache.Entry) (res *Result, done bool, err error) {
 	tr := cs.resolver.NewTrace(resolve.KindQuery, qname, qtype)
-	if mode == answerCacheOnly {
+	switch {
+	case packed != nil:
+		if cs.resolver.LookupPacked(tr, packed) {
+			res = &packedHit
+		}
+	case mode == answerCacheOnly:
 		res, err = cs.resolver.LookupCacheOnly(tr, qname, qtype)
-	} else {
+	default:
 		res, err = cs.resolver.Lookup(tr, qname, qtype)
 	}
 	miss := err == nil && res == nil && mode != answerCacheOnly
@@ -200,8 +213,14 @@ func (cs *CachingServer) resolve(ctx context.Context, timeout time.Duration, mod
 	if res.FromCache {
 		metrics.Inc(&cs.stats.CacheAnswered)
 	}
+	if packed != nil {
+		metrics.Inc(&cs.stats.PackedAnswers)
+	}
 	return res, true, nil
 }
+
+// packedHit is what resolve reports for a memoised reply it may serve.
+var packedHit = Result{RCode: dnswire.RCodeNoError, FromCache: true}
 
 // updateCredit applies the renewal policy on a query to zname; it is the
 // pipeline's ZoneQueried hook.

@@ -20,6 +20,9 @@ type Stats struct {
 	Failed uint64
 	// CacheAnswered counts Resolve calls served entirely from cache.
 	CacheAnswered uint64
+	// PackedAnswers counts the cache answers sent as a memoised packed
+	// reply, the query never unpacked (a subset of CacheAnswered).
+	PackedAnswers uint64
 	// Coalesced counts Resolve calls that joined another in-flight
 	// resolution of the same (name, type) instead of resolving
 	// themselves.

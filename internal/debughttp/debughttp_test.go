@@ -209,7 +209,7 @@ func TestWireCompatKeys(t *testing.T) {
 
 	var stats map[string]json.RawMessage
 	get("/debug/stats", &stats)
-	requireKeys("server", stats["server"], "QueriesIn", "QueriesOut", "CacheAnswered", "Coalesced",
+	requireKeys("server", stats["server"], "QueriesIn", "QueriesOut", "CacheAnswered", "PackedAnswers", "Coalesced",
 		"RenewalQueries", "Renewals", "Retries", "BudgetExhausted", "QuarantineSkips")
 	requireKeys("guard", stats["guard"], "shed", "form_err", "rate_limited", "slips", "clients_evicted")
 	requireKeys("mesh", stats["mesh"], "frames_in", "fetch_hits")

@@ -41,7 +41,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	})
 }
 
-func unpackSeeds(t *testing.T) map[string][]byte {
+func unpackSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
 	seeds := make(map[string][]byte)
 
@@ -130,7 +130,7 @@ func unpackSeeds(t *testing.T) map[string][]byte {
 	return seeds
 }
 
-func mustPack(t *testing.T, m *Message) []byte {
+func mustPack(t testing.TB, m *Message) []byte {
 	t.Helper()
 	b, err := m.Pack()
 	if err != nil {

@@ -113,33 +113,42 @@ func (g *Guard) HandleQuery(q *dnswire.Message) *dnswire.Message {
 // HandleInline, then HandleQuery if the query is still open. A nil
 // response means drop (send nothing). Only a *net.UDPAddr is charged to a
 // bucket; any other source fails open. The serving path never calls it —
-// the benchmark's in-process replay does.
+// the benchmark's in-process replay does. The query is offered unpacked
+// and without a key, so the inline entry answers it with a Message.
 func (g *Guard) HandleQueryFrom(q *dnswire.Message, from net.Addr) *dnswire.Message {
-	var src netip.AddrPort
+	query := transport.Query{Msg: q}
 	if u, ok := from.(*net.UDPAddr); ok {
-		src = u.AddrPort()
+		query.From = u.AddrPort()
 	}
-	if resp, done := g.HandleInline(q, src); done {
+	if _, resp, done := g.HandleInline(&query, nil); done {
 		return resp
 	}
 	return g.HandleQuery(q)
 }
 
-// HandleInline is the read loop's entry: admission first, so a
-// rate-limited datagram is dropped or slipped without ever costing a
-// goroutine, then the backend's inline entry. done=false means admitted
-// and not yet answered: HandleQuery — or HandleOverload, when no handler
-// slot is free — finishes the query without charging it again.
-func (g *Guard) HandleInline(q *dnswire.Message, from netip.AddrPort) (*dnswire.Message, bool) {
+// HandleInline is the read loop's entry: admission first, charged once, so
+// a rate-limited datagram is dropped or slipped without ever costing a
+// goroutine — and is never answered from the backend's memo — then the
+// backend's inline entry. done=false means admitted and not yet
+// answered: HandleQuery — or HandleOverload, when no handler slot is free
+// — finishes the query without charging it again.
+func (g *Guard) HandleInline(q *transport.Query, buf []byte) ([]byte, *dnswire.Message, bool) {
 	// Ports are not identity: one abuser rotating source ports must land
 	// in one bucket, and a v4-mapped source in its v4 client's.
-	if resp, limited := g.admit(q, from.Addr().Unmap()); limited {
-		return resp, true
+	switch g.admit(q.From.Addr().Unmap()) {
+	case decisionDrop:
+		return nil, nil, true
+	case decisionSlip:
+		m, err := q.Message()
+		if err != nil {
+			return nil, nil, true
+		}
+		return nil, slipReply(m), true
 	}
 	if g.inline == nil {
-		return nil, false
+		return nil, nil, false
 	}
-	return g.inline.HandleInline(q, from)
+	return g.inline.HandleInline(q, buf)
 }
 
 // HandleOverload serves a query that HandleInline admitted but could not
@@ -163,32 +172,31 @@ func (g *Guard) HandleOverload(q *dnswire.Message) *dnswire.Message {
 }
 
 // admit runs the rate limiter for one query from addr (the zero Addr: no
-// attributable source). limited=false means the query may proceed;
-// limited=true means it must not, and resp (possibly nil) is what to
-// send instead: nil to drop, or a minimal TC=1 slip reply pushing the
-// client to TCP.
-func (g *Guard) admit(q *dnswire.Message, addr netip.Addr) (resp *dnswire.Message, limited bool) {
+// attributable source) and counts the verdict: decisionAllow lets the
+// query proceed; decisionDrop and decisionSlip stop it, the latter with a
+// minimal TC=1 reply pushing the client to TCP.
+func (g *Guard) admit(addr netip.Addr) decision {
 	if g.limiter == nil || !addr.IsValid() {
 		// No limit, or no source to charge: fail open, the admission
 		// control behind us still bounds total work.
-		return nil, false
+		return decisionAllow
 	}
 	if g.peerExempt != nil && g.peerExempt(addr) {
 		// A handshake-confirmed fleet peer: no bucket charged at all.
 		metrics.Inc(&g.counters.PeerExempt)
-		return nil, false
+		return decisionAllow
 	}
-	switch g.limiter.admit(addr, g.clock.Now()) {
+	d := g.limiter.admit(addr, g.clock.Now())
+	switch d {
 	case decisionDrop:
 		metrics.Inc(&g.counters.RateLimited)
-		return nil, true
 	case decisionSlip:
 		metrics.Inc(&g.counters.RateLimited)
 		metrics.Inc(&g.counters.Slips)
-		return slipReply(q), true
+	default:
+		metrics.Inc(&g.counters.Allowed)
 	}
-	metrics.Inc(&g.counters.Allowed)
-	return nil, false
+	return d
 }
 
 // slipReply builds the minimal truncated reply for a slipped query: just

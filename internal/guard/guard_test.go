@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"net/netip"
@@ -10,6 +11,7 @@ import (
 	"resilientdns/internal/dnswire"
 	"resilientdns/internal/metrics"
 	"resilientdns/internal/simclock"
+	"resilientdns/internal/transport"
 )
 
 var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -200,25 +202,76 @@ func TestOverloadCacheOnlyAndShed(t *testing.T) {
 }
 
 // inlineFake is a fakeBackend that also has the inline entry: it settles
-// "hit." names there and declines the rest.
+// "hit." names there and declines the rest. The plain "hit." query, offered
+// with its key, it answers from packed bytes, as the caching server's memo
+// does.
 type inlineFake struct {
 	fakeBackend
-	inline int
+	inline, packed int
 }
 
-func (b *inlineFake) HandleInline(q *dnswire.Message, _ netip.AddrPort) (*dnswire.Message, bool) {
-	if q.Question[0].Name != "hit." {
-		return nil, false
+// hitQuery is the query inlineFake answers inline; hitKey is its
+// dnswire.QueryKey key and hitReply the reply it sends packed.
+var (
+	hitQuery         = dnswire.NewQuery(1, dnswire.MustName("hit."), dnswire.TypeA)
+	hitKey, hitReply = func() ([]byte, []byte) {
+		wire, err := hitQuery.Pack()
+		if err != nil {
+			panic(err)
+		}
+		key, _, _ := dnswire.QueryKey(wire, nil)
+		reply, err := hitQuery.Reply().Pack()
+		if err != nil {
+			panic(err)
+		}
+		return key, reply
+	}()
+)
+
+func (b *inlineFake) HandleInline(q *transport.Query, buf []byte) ([]byte, *dnswire.Message, bool) {
+	if q.Key != nil && bytes.Equal(q.Key, hitKey) {
+		b.packed++
+		return append(buf[:0], hitReply...), nil, true
+	}
+	m, err := q.Message()
+	if err != nil || m.Question[0].Name != "hit." {
+		return nil, nil, false
 	}
 	b.inline++
-	return q.Reply(), true
+	return nil, m.Reply(), true
+}
+
+// inlineQuery is q as the UDP read loop hands it to an inline entry once
+// it has unpacked it.
+func inlineQuery(q *dnswire.Message, from netip.AddrPort) *transport.Query {
+	return &transport.Query{Msg: q, From: from}
 }
 
 // arrive delivers one query the way the UDP read loop does: the inline
-// entry first, then — when that declines — the handler goroutine's
-// HandleQuery, or the overload hook when no slot is free.
-func arrive(g *Guard, q *dnswire.Message, from string, slotFree bool) *dnswire.Message {
-	resp, done := g.HandleInline(q, netip.AddrPortFrom(netip.MustParseAddr(from), 5353))
+// entry first — given the query unpacked, or, keyed, packed and probed —
+// then, when that declines, the handler goroutine's HandleQuery, or the
+// overload hook when no slot is free. A packed reply comes back unpacked.
+func arrive(g *Guard, q *dnswire.Message, from string, slotFree, keyed bool) *dnswire.Message {
+	query := inlineQuery(q, netip.AddrPortFrom(netip.MustParseAddr(from), 5353))
+	if keyed {
+		wire, err := q.Pack()
+		if err != nil {
+			panic(err)
+		}
+		var ok bool
+		if query.Key, query.ID, ok = dnswire.QueryKey(wire, nil); !ok {
+			panic("arrive: not a plain query")
+		}
+		query.Wire, query.Msg = wire, nil
+	}
+	packed, resp, done := g.HandleInline(query, make([]byte, 0, 512))
+	if packed != nil {
+		m, err := dnswire.Unpack(packed)
+		if err != nil {
+			panic(err)
+		}
+		return m
+	}
 	switch {
 	case done:
 		return resp
@@ -236,8 +289,8 @@ func TestOverloadStillRateLimits(t *testing.T) {
 	be := &fakeBackend{}
 	// ClientRPS 0.5: a one-token bucket.
 	g := New(be, Config{ClientRPS: 0.5, CacheOnlyOnOverload: true, Clock: clk})
-	arrive(g, testQuery(0), "192.0.2.1", false) // drains the bucket
-	if resp := arrive(g, testQuery(1), "192.0.2.1", false); resp != nil {
+	arrive(g, testQuery(0), "192.0.2.1", false, false) // drains the bucket
+	if resp := arrive(g, testQuery(1), "192.0.2.1", false, false); resp != nil {
 		t.Fatalf("rate-limited overload query served: %v", resp)
 	}
 	if be.cacheOnly != 1 {
@@ -246,22 +299,27 @@ func TestOverloadStillRateLimits(t *testing.T) {
 }
 
 // TestChargedOncePerQuery: a bucket k deep admits exactly k queries,
-// whichever mix of the three exits they take — settled inline, finished
-// on a handler goroutine, finished by the overload hook. None of the
-// exits charges the bucket a second time, and none skips the charge.
+// whichever mix of the four exits they take — settled inline, sent from
+// packed bytes, finished on a handler goroutine, finished by the overload
+// hook. None of the exits charges the bucket a second time, and none
+// skips the charge.
 func TestChargedOncePerQuery(t *testing.T) {
 	const k = 9
-	hit := dnswire.NewQuery(1, dnswire.MustName("hit."), dnswire.TypeA)
+	type exit struct {
+		q               *dnswire.Message
+		slotFree, keyed bool
+	}
+	inline, packed := exit{hitQuery, true, false}, exit{hitQuery, true, true}
+	handler, overload := exit{testQuery(2), true, false}, exit{testQuery(3), false, false}
 	for _, tc := range []struct {
 		name string
-		exit func(i int) (q *dnswire.Message, slotFree bool)
+		exit func(i int) exit
 	}{
-		{"inline", func(int) (*dnswire.Message, bool) { return hit, true }},
-		{"handler", func(int) (*dnswire.Message, bool) { return testQuery(2), true }},
-		{"overload", func(int) (*dnswire.Message, bool) { return testQuery(3), false }},
-		{"mixed", func(i int) (*dnswire.Message, bool) {
-			return []*dnswire.Message{hit, testQuery(2), testQuery(3)}[i%3], i%3 != 2
-		}},
+		{"inline", func(int) exit { return inline }},
+		{"packed", func(int) exit { return packed }},
+		{"handler", func(int) exit { return handler }},
+		{"overload", func(int) exit { return overload }},
+		{"mixed", func(i int) exit { return []exit{inline, packed, handler, overload}[i%4] }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			counters := metrics.NewSet[metrics.GuardCounters]()
@@ -270,8 +328,8 @@ func TestChargedOncePerQuery(t *testing.T) {
 				Clock: simclock.NewVirtual(epoch), Counters: counters})
 			served := 0
 			for i := 0; i < 3*k; i++ {
-				q, slotFree := tc.exit(i)
-				if resp := arrive(g, q, "192.0.2.1", slotFree); resp != nil {
+				e := tc.exit(i)
+				if resp := arrive(g, e.q, "192.0.2.1", e.slotFree, e.keyed); resp != nil {
 					served++
 				}
 			}
@@ -280,11 +338,48 @@ func TestChargedOncePerQuery(t *testing.T) {
 				t.Errorf("served %d, allowed %d, limited %d of %d queries; want %d, %d, %d",
 					served, gs.Allowed, gs.RateLimited, 3*k, k, k, 2*k)
 			}
-			if reached := be.inline + be.queries + be.cacheOnly; reached != k {
-				t.Errorf("backend reached %d times (inline %d, HandleQuery %d, cache-only %d), want %d",
-					reached, be.inline, be.queries, be.cacheOnly, k)
+			if reached := be.inline + be.packed + be.queries + be.cacheOnly; reached != k {
+				t.Errorf("backend reached %d times (inline %d, packed %d, HandleQuery %d, cache-only %d), want %d",
+					reached, be.inline, be.packed, be.queries, be.cacheOnly, k)
 			}
 		})
+	}
+}
+
+// TestLimitedClientNeverPacked: a client over its bucket asking a name
+// the backend answers from packed bytes is dropped or slipped exactly as
+// when its query arrives unpacked — the same verdicts, the same TC=1
+// reply, built from the unpacked question — and the packed bytes go only
+// to the admitted queries.
+func TestLimitedClientNeverPacked(t *testing.T) {
+	var wires [2][]string
+	var backends [2]*inlineFake
+	for i, keyed := range []bool{false, true} {
+		backends[i] = &inlineFake{}
+		g := New(backends[i], Config{ClientRPS: 0.5, Slip: 2, Clock: simclock.NewVirtual(epoch)}) // a one-token bucket
+		for range 6 {
+			resp := arrive(g, hitQuery, "192.0.2.1", true, keyed)
+			if resp == nil {
+				wires[i] = append(wires[i], "dropped")
+				continue
+			}
+			b, err := resp.Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wires[i] = append(wires[i], string(b))
+		}
+	}
+	for j := range wires[0] {
+		if wires[0][j] != wires[1][j] {
+			t.Errorf("query %d: unpacked arrival answered %q, keyed arrival %q", j, wires[0][j], wires[1][j])
+		}
+	}
+	if wires[1][1] != "dropped" || wires[1][2] == "dropped" {
+		t.Errorf("verdicts %q, want the second dropped and the third slipped", wires[1])
+	}
+	if be := backends[1]; be.packed != 1 || be.inline != 0 {
+		t.Errorf("packed bytes sent %d times, inline answers %d; want the one admitted query packed", be.packed, be.inline)
 	}
 }
 
@@ -371,7 +466,7 @@ func TestHandleQueryFromIsInlineThenQuery(t *testing.T) {
 					q = dnswire.NewQuery(uint16(i), dnswire.MustName("hit."), dnswire.TypeA)
 				}
 				got := a.HandleQueryFrom(q, src.from)
-				want, done := b.HandleInline(q, src.ap)
+				_, want, done := b.HandleInline(inlineQuery(q, src.ap), nil)
 				if !done {
 					want = b.HandleQuery(q)
 				}

@@ -70,7 +70,7 @@ func TestLimiterHammer(t *testing.T) {
 				// Interleave overload arrivals on the same addresses, the
 				// way the read loop delivers them: admitted inline first.
 				if i%7 == 0 {
-					if _, done := g.HandleInline(q, addr.AddrPort()); !done {
+					if _, _, done := g.HandleInline(inlineQuery(q, addr.AddrPort()), nil); !done {
 						g.HandleOverload(q)
 					}
 				}

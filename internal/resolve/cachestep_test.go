@@ -191,7 +191,9 @@ func (r *Resolver) refStaleAnswer(qname dnswire.Name, qtype dnswire.Type) *Resul
 // identically, and requires the same Result and error and the same side
 // effects: cache hit ratio and stale hits, gap tombstones reported, and
 // pipeline counters. The upstream is dead, so whatever a path cannot
-// serve from cache fails the same way on both sides.
+// serve from cache fails the same way on both sides. Result.Entry, which
+// the old sequences did not report, is set by the two cache lookups on a
+// live exact hit outside the prefetch window and by nothing else.
 func TestCacheStepMatchesOldSequences(t *testing.T) {
 	www := dnswire.MustName("www.test.")
 	put := func(r *Resolver, rrs ...dnswire.RR) {
@@ -288,6 +290,7 @@ func TestCacheStepMatchesOldSequences(t *testing.T) {
 	// observed is everything a cache-serving path may change or return.
 	type observed struct {
 		Res       *Result
+		Entry     bool // Res.Entry set
 		Err       string
 		HitRate   float64
 		StaleHits uint64
@@ -315,9 +318,15 @@ func TestCacheStepMatchesOldSequences(t *testing.T) {
 					r.Close() // async mode: the queued refresh has run on both sides
 					o := observed{Res: res, Err: fmt.Sprint(err), HitRate: r.cache.HitRate(),
 						StaleHits: r.cache.StaleHits(), Gaps: gaps, Counters: r.Counters()}
+					if res != nil {
+						bare := *res
+						o.Entry, bare.Entry = res.Entry != nil, nil
+						o.Res = &bare
+					}
 					return o
 				}
 				got, want := run(op.new), run(op.ref)
+				want.Entry = sc.name == "live-hit" && (op.name == "Lookup" || op.name == "LookupCacheOnly")
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("unified step diverges from the old sequence:\n got  %+v (res %+v)\n want %+v (res %+v)",
 						got, got.Res, want, want.Res)

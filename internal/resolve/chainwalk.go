@@ -1,6 +1,7 @@
 package resolve
 
 import (
+	"resilientdns/internal/cache"
 	"resilientdns/internal/dnswire"
 )
 
@@ -37,6 +38,9 @@ type chainStep struct {
 	fromCache bool
 	// stale marks records served past their TTL (serve-stale).
 	stale bool
+	// entry is the live cache entry an exact-match step answered from,
+	// when it is outside the prefetch window.
+	entry *cache.Entry
 	err   error
 }
 
@@ -52,7 +56,10 @@ type chainResult struct {
 	miss bool
 	// exhausted reports the chain exceeded maxHops without terminating.
 	exhausted bool
-	err       error
+	// entry is the first step's entry when that step ended the walk: the
+	// answer is then exactly that one RRset.
+	entry *cache.Entry
+	err   error
 }
 
 // walkChain chases a CNAME chain from qname, calling step for each name
@@ -78,6 +85,9 @@ func walkChain(qname dnswire.Name, qtype dnswire.Type, maxHops int, step func(cu
 		case chainDone:
 			res.rcode = st.rcode
 			res.authority = st.authority
+			if hop == 0 {
+				res.entry = st.entry
+			}
 			return res
 		case chainFollow:
 			if target, ok := cnameTarget(st.rrs, cur, qtype); ok {

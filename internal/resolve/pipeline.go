@@ -35,7 +35,12 @@ const (
 func (r *Resolver) cacheStep(cur dnswire.Name, qtype dnswire.Type, now time.Time, mode cacheMode) (st chainStep, due bool) {
 	if mode != cacheStaleOnly {
 		if e := r.cache.Get(cur, qtype); e != nil {
-			return chainStep{rrs: e.RRsWithRemainingTTL(now), outcome: chainDone, fromCache: true}, r.prefetchDue(e, now)
+			st := chainStep{rrs: e.RRsWithRemainingTTL(now), outcome: chainDone, fromCache: true}
+			due := r.prefetchDue(e, now)
+			if !due {
+				st.entry = e
+			}
+			return st, due
 		}
 		if qtype != dnswire.TypeCNAME {
 			if e := r.cache.Get(cur, dnswire.TypeCNAME); e != nil {
@@ -116,7 +121,24 @@ func (r *Resolver) lookupCached(tr *Trace, qname dnswire.Name, qtype dnswire.Typ
 	} else {
 		tr.MarkCacheHit()
 	}
-	return &Result{RCode: cr.rcode, Answer: cr.answer, Authority: cr.authority, FromCache: true}, nil
+	return &Result{RCode: cr.rcode, Answer: cr.answer, Authority: cr.authority, FromCache: true, Entry: cr.entry}, nil
+}
+
+// LookupPacked is the CacheLookup stage for a reply packed from the
+// answer in want (Result.Entry): it hits when the cache's live entry for
+// want's key is want itself, outside the prefetch window — so Lookup
+// would answer exactly what was packed — and misses otherwise. Entries
+// are immutable and every change to one installs a new entry, so pointer
+// identity is the whole check. The Get counts the hit or the miss.
+func (r *Resolver) LookupPacked(tr *Trace, want *cache.Entry) bool {
+	sp := tr.StartStage(StageCacheLookup)
+	defer sp.End()
+	e := r.cache.Get(want.Key.Name, want.Key.Type)
+	if e != want || r.prefetchDue(e, r.cfg.Clock.Now()) {
+		return false
+	}
+	tr.MarkCacheHit()
+	return true
 }
 
 // prefetchDue reports whether a cache hit falls in the prefetch window

@@ -114,6 +114,11 @@ type Result struct {
 	Authority []dnswire.RR
 	// FromCache reports that no authoritative query was needed.
 	FromCache bool
+	// Entry is the cache entry the answer is, when it is exactly one live
+	// RRset matching the question — no CNAME hop, no negative or stale
+	// data — outside the prefetch window; nil otherwise. A reply built
+	// from it stays right for as long as LookupPacked says so.
+	Entry *cache.Entry
 }
 
 // ErrResolutionFailed reports that every reachable path to the answer was

@@ -1,9 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"net"
-	"net/netip"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -24,15 +24,16 @@ type inlineHandler struct {
 	meet func()
 }
 
-func (h *inlineHandler) HandleInline(q *dnswire.Message, from netip.AddrPort) (*dnswire.Message, bool) {
+func (h *inlineHandler) HandleInline(q *Query, _ []byte) ([]byte, *dnswire.Message, bool) {
 	h.inlineCalls.Add(1)
 	if h.meet != nil {
 		h.meet()
 	}
-	if !from.Addr().IsLoopback() || q.Question[0].Name == h.slow {
-		return nil, false
+	m, err := q.Message()
+	if err != nil || !q.From.Addr().IsLoopback() || m.Question[0].Name == h.slow {
+		return nil, nil, false
 	}
-	return echoHandler().HandleQuery(q), true
+	return nil, echoHandler().HandleQuery(m), true
 }
 
 func (h *inlineHandler) HandleQuery(q *dnswire.Message) *dnswire.Message {
@@ -158,5 +159,68 @@ func TestUDPServerReadLoopPerP(t *testing.T) {
 	}
 	if alone.Load() {
 		t.Error("a query waited inside the inline entry and no other joined it: one read loop, not one per P")
+	}
+}
+
+// probeHandler records what the read loop hands its inline entry and
+// answers a plain query with packed bytes of its own, the rest with resp.
+type probeHandler struct {
+	keyed, unpacked atomic.Int32
+}
+
+// probeReply is what probeHandler sends for a plain query, as packed.
+var probeReply = []byte("packed reply bytes")
+
+func (h *probeHandler) HandleInline(q *Query, buf []byte) ([]byte, *dnswire.Message, bool) {
+	if q.Key != nil {
+		if q.Msg != nil {
+			return nil, nil, true // a keyed query arrives unparsed; drop to fail the test
+		}
+		h.keyed.Add(1)
+		return append(buf[:0], probeReply...), nil, true
+	}
+	h.unpacked.Add(1)
+	return nil, echoHandler().HandleQuery(q.Msg), true
+}
+
+func (h *probeHandler) HandleQuery(q *dnswire.Message) *dnswire.Message { return nil }
+
+// TestUDPServerOffersPlainQueriesUnparsed: a plain query reaches the inline
+// entry with its key and without its message, and packed bytes it returns
+// are sent as they are; a query QueryKey turns down (an EDNS0 option) is
+// unpacked first; garbage is answered FORMERR and reaches no handler.
+func TestUDPServerOffersPlainQueriesUnparsed(t *testing.T) {
+	h := &probeHandler{}
+	srv := &UDPServer{Handler: h}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer srv.Close()
+
+	plain, err := dnswire.NewQuery(1, dnswire.MustName("www.example."), dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatalf("Pack: %v", err)
+	}
+	if reply, ok := rawUDPSend(t, addr, plain); !ok || !bytes.Equal(reply, probeReply) {
+		t.Errorf("plain query answered %q, want the handler's packed bytes", reply)
+	}
+
+	withOption := dnswire.NewQuery(2, dnswire.MustName("www.example."), dnswire.TypeA)
+	withOption.Additional = []dnswire.RR{{Name: dnswire.Root, Class: 1232, Data: dnswire.OPT{Options: []byte{0, 10, 0, 0}}}}
+	wire, err := withOption.Pack()
+	if err != nil {
+		t.Fatalf("Pack: %v", err)
+	}
+	reply, ok := rawUDPSend(t, addr, wire)
+	if resp, err := dnswire.Unpack(reply); !ok || err != nil || resp.ID != 2 || len(resp.Answer) != 1 {
+		t.Errorf("query with an EDNS0 option answered %q (%v), want the echo answer", reply, err)
+	}
+
+	if reply, ok := rawUDPSend(t, addr, plain[:14]); !ok || bytes.Equal(reply, probeReply) {
+		t.Errorf("torn query answered %q, want FORMERR", reply)
+	}
+	if k, u := h.keyed.Load(), h.unpacked.Load(); k != 1 || u != 1 {
+		t.Errorf("inline entry saw %d keyed and %d unpacked queries, want 1 and 1", k, u)
 	}
 }

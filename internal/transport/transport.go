@@ -68,20 +68,56 @@ func (f HandlerFunc) HandleQuery(q *dnswire.Message) *dnswire.Message { return f
 // InlineHandler is a Handler that can settle some queries without
 // blocking — a cache hit, a refusal, a rate-limit verdict. The UDP server
 // offers it every query on the read loop, before a goroutine is spent:
-// done means the query is settled and resp (nil to drop) is sent from the
-// loop; !done means HandleQuery must run, on a handler goroutine, and
-// whatever the inline entry decided about the client (admission) is not
-// decided again there. It is the only entry that sees the source address:
-// per-client policy (the guard's rate limiter) lives here, and TCP, which
-// calls HandleQuery alone, is unguarded by construction.
+// done means the query is settled and the loop sends packed, when set,
+// as it is, or else resp (nil resp: drop); !done means HandleQuery must
+// run, on a handler goroutine, and whatever the inline entry decided
+// about the client (admission) is not decided again there. It is the
+// only entry that sees the source address: per-client policy (the
+// guard's rate limiter) lives here, and TCP, which calls HandleQuery
+// alone, is unguarded by construction.
+//
+// A plain query (dnswire.QueryKey) arrives with its Key and without its
+// Msg, so a handler that can answer it from bytes it packed before never
+// unpacks it; packed is only ever returned for such a query, and must be
+// a complete reply of at most dnswire.MaxUDPPayload bytes, which every
+// client's limit admits. buf is the read loop's buffer, which Wire
+// aliases: a handler may pack into it once it no longer reads Wire.
 //
 // HandleInline must not block: it runs on a read loop, and while it runs
 // that loop reads nothing. It may take a lock no holder blocks under
-// (the cache shard read locks) and finish a trace, so a trace sink under
-// an InlineHandler may buffer in memory but must not wait on I/O.
+// (the cache and memo shard read locks) and finish a trace, so a trace
+// sink under an InlineHandler may buffer in memory but must not wait on
+// I/O.
 type InlineHandler interface {
 	Handler
-	HandleInline(q *dnswire.Message, from netip.AddrPort) (resp *dnswire.Message, done bool)
+	HandleInline(q *Query, buf []byte) (packed []byte, resp *dnswire.Message, done bool)
+}
+
+// Query is one datagram a UDP read loop offers its InlineHandler.
+type Query struct {
+	// Wire is the datagram as read.
+	Wire []byte
+	// Key is dnswire.QueryKey's key, and ID the query's ID, when the query
+	// is plain; Key is nil otherwise.
+	Key []byte
+	ID  uint16
+	// Msg is the unpacked query: set by the read loop when Key is nil, and
+	// by Message on first use otherwise.
+	Msg  *dnswire.Message
+	From netip.AddrPort
+}
+
+// Message returns the unpacked query, unpacking Wire on first use. It
+// cannot fail for a query whose Key is set.
+func (q *Query) Message() (*dnswire.Message, error) {
+	if q.Msg == nil {
+		m, err := dnswire.Unpack(q.Wire)
+		if err != nil {
+			return nil, err
+		}
+		q.Msg = m
+	}
+	return q.Msg, nil
 }
 
 // listenerBackoff pauses a serve loop after a listener error that is not

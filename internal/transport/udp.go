@@ -95,7 +95,10 @@ const DefaultMaxInflight = 1024
 // what that settles from the loop itself; anything else is handled on its
 // own goroutine, bounded by MaxInflight, so one slow recursive resolution
 // never blocks a read loop. A handler without the inline entry settles
-// nothing inline.
+// nothing inline. With one, a plain query (dnswire.QueryKey) reaches it
+// unparsed; every other datagram is unpacked first, and one that does
+// not parse is answered FORMERR, or dropped when it claims to be a
+// response, before any handler sees it.
 type UDPServer struct {
 	Handler Handler
 	// MaxInflight bounds the number of queries being handled at once on
@@ -165,11 +168,16 @@ func (s *UDPServer) serve(conn udpConn) {
 	// Per-read-loop buffer, leased for the loop's lifetime and reused
 	// for every packet (returned when the listener closes). A response
 	// sent from the loop is packed into it too: by then the query has
-	// been unpacked, and the Message owns all its data (dnswire.Unpack
-	// copies the wire once and never aliases the read buffer).
+	// been unpacked, or answered without unpacking, and the Message owns
+	// all its data (dnswire.Unpack copies the wire once and never aliases
+	// the read buffer).
 	bp := getBuf()
 	defer putBuf(bp)
 	buf := (*bp)[:readBufSize]
+	// The probe's key space, which every key fits, and the one Query the
+	// loop hands its inline entry, both reused for every packet.
+	key := make([]byte, 0, dnswire.MaxNameWireLen+5)
+	var q Query
 	var backoff time.Duration
 	for {
 		n, from, err := conn.ReadFromUDPAddrPort(buf)
@@ -181,21 +189,39 @@ func (s *UDPServer) serve(conn udpConn) {
 			continue
 		}
 		backoff = 0
-		query, err := dnswire.Unpack(buf[:n])
-		if err != nil {
-			s.replyFormErr(conn, buf[:n], from)
-			continue
+		q = Query{Wire: buf[:n], From: from}
+		plain := false
+		if inline != nil {
+			q.Key, q.ID, plain = dnswire.QueryKey(q.Wire, key[:0])
 		}
-		if query.Flags.Response {
-			continue // a response is never a query; never answer one
+		if !plain {
+			if q.Msg, err = dnswire.Unpack(q.Wire); err != nil {
+				s.replyFormErr(conn, q.Wire, from)
+				continue
+			}
+			if q.Msg.Flags.Response {
+				continue // a response is never a query; never answer one
+			}
 		}
 		if inline != nil {
-			if resp, done := inline.HandleInline(query, from); done {
-				if resp != nil {
-					writeResponse(conn, buf, query, resp, from)
+			packed, resp, done := inline.HandleInline(&q, buf)
+			if done {
+				switch {
+				case packed != nil:
+					conn.WriteToUDPAddrPort(packed, from)
+				case resp != nil:
+					// A handler answers from the unpacked query, so this
+					// unpacks nothing; the limit is the query's.
+					if query, err := q.Message(); err == nil {
+						writeResponse(conn, buf, query, resp, from)
+					}
 				}
 				continue
 			}
+		}
+		query, err := q.Message()
+		if err != nil {
+			continue // unreachable: a plain query always unpacks
 		}
 		select {
 		case sem <- struct{}{}:
