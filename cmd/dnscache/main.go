@@ -107,14 +107,15 @@ func buildInfo(start time.Time) any {
 }
 
 // statsSections lists what /debug/stats serves: the build identity, the
-// cache occupancy, then the counter sets. Occupancy comes from
-// Cache().Stats(), which takes shard read locks only and leaves expired
-// entries to -sweep; the sweeping CacheStats() has no place on a path an
-// operator polls.
+// cache occupancy, the Go runtime's gauges, then the counter sets.
+// Occupancy comes from Cache().Stats(), which takes shard read locks only
+// and leaves expired entries to -sweep; the sweeping CacheStats() has no
+// place on a path an operator polls.
 func statsSections(start time.Time, cs *core.CachingServer, counterSets []debughttp.Section) []debughttp.Section {
 	return append([]debughttp.Section{
 		{Name: "build", Read: func() any { return buildInfo(start) }},
 		{Name: "cache", Read: func() any { return cs.Cache().Stats() }},
+		{Name: "runtime", Read: func() any { return debughttp.ReadRuntime() }},
 	}, counterSets...)
 }
 

@@ -266,11 +266,21 @@ func (c *Cache) clampTTL(ttl time.Duration) time.Duration {
 	return ttl
 }
 
+// smallSet is the largest RRset rrsetEqual matches record by record.
+const smallSet = 8
+
 // rrsetEqual reports whether two RRsets carry the same data, ignoring TTL
-// and order.
+// and order. A small set of A, AAAA or NS records, the IRRs every referral
+// and answer re-delivers, is matched record by record with no allocation;
+// any other set is compared by presentation form.
 func rrsetEqual(a, b []dnswire.RR) bool {
 	if len(a) != len(b) {
 		return false
+	}
+	if len(a) <= smallSet {
+		if equal, ok := smallSetEqual(a, b); ok {
+			return equal
+		}
 	}
 	as := make([]string, len(a))
 	bs := make([]string, len(b))
@@ -286,6 +296,48 @@ func rrsetEqual(a, b []dnswire.RR) bool {
 		}
 	}
 	return true
+}
+
+// smallSetEqual matches each record of a to a record of b not matched yet,
+// for sets of at most smallSet records; ok is false when a record is not
+// of a type rdataEqual compares.
+func smallSetEqual(a, b []dnswire.RR) (equal, ok bool) {
+	var used uint8
+next:
+	for _, x := range a {
+		for j, y := range b {
+			if used&(1<<j) != 0 {
+				continue
+			}
+			eq, ok := rdataEqual(x.Data, y.Data)
+			if !ok {
+				return false, false
+			}
+			if eq {
+				used |= 1 << j
+				continue next
+			}
+		}
+		return false, true
+	}
+	return true, true
+}
+
+// rdataEqual compares A, AAAA and NS rdata by value; ok is false when x
+// is of any other type.
+func rdataEqual(x, y dnswire.RData) (equal, ok bool) {
+	switch x := x.(type) {
+	case dnswire.A:
+		y, same := y.(dnswire.A)
+		return same && x == y, true
+	case dnswire.AAAA:
+		y, same := y.(dnswire.AAAA)
+		return same && x == y, true
+	case dnswire.NS:
+		y, same := y.(dnswire.NS)
+		return same && x == y, true
+	}
+	return false, false
 }
 
 // minTTL returns the smallest TTL in the set, as a duration.

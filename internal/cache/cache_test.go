@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -512,5 +513,62 @@ func TestStatsAddSumsEveryField(t *testing.T) {
 		if got, want := sum.Field(i).Int(), int64(101*(i+1)); got != want {
 			t.Errorf("Add: %s = %d, want %d", sum.Type().Field(i).Name, got, want)
 		}
+	}
+}
+
+// TestRRSetEqualMatchesPresentationForm: the record-by-record match of
+// small A, AAAA and NS sets agrees with comparing the sets' sorted
+// presentation forms, over random sets drawn from a few values (so
+// duplicates, reorderings and near misses are common), and allocates
+// nothing.
+func TestRRSetEqualMatchesPresentationForm(t *testing.T) {
+	byString := func(a, b []dnswire.RR) bool {
+		as, bs := make([]string, len(a)), make([]string, len(b))
+		for i := range a {
+			as[i] = a[i].Data.String()
+		}
+		for i := range b {
+			bs[i] = b[i].Data.String()
+		}
+		sort.Strings(as)
+		sort.Strings(bs)
+		return reflect.DeepEqual(as, bs)
+	}
+	rng := rand.New(rand.NewSource(1))
+	set := func(typ, n int) []dnswire.RR {
+		out := make([]dnswire.RR, n)
+		for i := range out {
+			v := rng.Intn(3)
+			switch typ {
+			case 0:
+				out[i] = rrA("x.", 60, fmt.Sprintf("192.0.2.%d", v))
+			case 1:
+				out[i] = dnswire.RR{Name: "x.", Class: dnswire.ClassIN, TTL: 60,
+					Data: dnswire.AAAA{Addr: netip.MustParseAddr(fmt.Sprintf("2001:db8::%d", v))}}
+			case 2:
+				out[i] = rrNS("x.", 60, fmt.Sprintf("ns%d.x.", v))
+			default:
+				out[i] = dnswire.RR{Name: "x.", Class: dnswire.ClassIN, TTL: 60,
+					Data: dnswire.Unknown{TypeCode: dnswire.TypeA, Raw: []byte{byte(v)}}}
+			}
+		}
+		return out
+	}
+	for i := 0; i < 5000; i++ {
+		n := 1 + rng.Intn(smallSet+2)
+		a, b := set(rng.Intn(4), n), set(rng.Intn(4), n)
+		if rng.Intn(2) == 0 {
+			b = append([]dnswire.RR(nil), a...)
+			rng.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+		}
+		if got, want := rrsetEqual(a, b), byString(a, b); got != want {
+			t.Fatalf("rrsetEqual(%v, %v) = %v, the presentation forms say %v", a, b, got, want)
+		}
+	}
+
+	ns := []dnswire.RR{rrNS("x.", 60, "a.x."), rrNS("x.", 60, "b.x."), rrNS("x.", 60, "c.x.")}
+	rev := []dnswire.RR{ns[2], ns[1], ns[0]}
+	if allocs := testing.AllocsPerRun(100, func() { rrsetEqual(ns, rev) }); allocs != 0 {
+		t.Errorf("comparing two 3-record NS sets allocates %.0f times, want 0", allocs)
 	}
 }

@@ -232,8 +232,9 @@ func TestCancelledLeaderHandsOff(t *testing.T) {
 }
 
 // TestAbandonedFlightRestarts verifies that cancelling the only waiter
-// aborts the upstream work and that the next query starts a fresh flight
-// instead of latching onto the dead one.
+// retires the flight, so the next query starts a fresh flight instead of
+// latching onto the cancelled one (which stops at its next attempt
+// boundary).
 func TestAbandonedFlightRestarts(t *testing.T) {
 	gt := &gatedTransport{inner: flatRootPipe(), gate: make(chan struct{})}
 	cs := newPipeHierarchy(t, Config{Transport: gt}, 3600, 0)
@@ -264,6 +265,71 @@ func TestAbandonedFlightRestarts(t *testing.T) {
 	}
 	if len(res.Answer) != 1 {
 		t.Errorf("fresh resolve answer = %+v", res)
+	}
+}
+
+// TestAbandonedFlightRecordsNoFailure: the last waiter leaving a flight
+// does not cancel the attempt under way. The attempt runs to its own
+// deadline, so a server that answers after the client gave up is not
+// blamed for it — a cancelled dial or connect comes back as
+// ErrServerUnreachable, which quarantined a healthy server for 5 s,
+// doubling — and its answer is cached for the next client.
+func TestAbandonedFlightRecordsNoFailure(t *testing.T) {
+	inner := flatRootPipe()
+	release := make(chan struct{})
+	var calls atomic.Int64
+	tr := transport.Exchanger(func(ctx context.Context, server transport.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		calls.Add(1)
+		select {
+		case <-release:
+			return inner.Exchange(ctx, server, q)
+		case <-ctx.Done():
+			return nil, fmt.Errorf("%w: %v", transport.ErrServerUnreachable, ctx.Err())
+		}
+	})
+	cs := newPipeHierarchy(t, Config{Transport: tr}, 3600, 0)
+	name := dnswire.MustName("www.example.")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := cs.Resolve(ctx, name, dnswire.TypeA)
+		errCh <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for calls.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("flight never reached the transport")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-errCh; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned resolve returned %v, want context.Canceled", err)
+	}
+	close(release)
+
+	// The exchange's outcome reaches the server's state, then the cache.
+	var st UpstreamServerState
+	for st.Samples == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned exchange's outcome was never recorded")
+		}
+		time.Sleep(time.Millisecond)
+		for _, s := range cs.Resolver().ExportServerStates() {
+			if s.Addr == "10.0.0.1" {
+				st = s
+			}
+		}
+	}
+	if st.Fails != 0 || !st.QuarantineUntil.IsZero() {
+		t.Errorf("server state after the client left: Fails %d, quarantined until %v; want no failure", st.Fails, st.QuarantineUntil)
+	}
+	for cs.Cache().Peek(name, dnswire.TypeA) == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("the answer the abandoned flight received was never cached")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -81,51 +81,55 @@ const (
 
 // handle is the shared frontend: protocol validation, the
 // recursive/cache-only routing decision, and reply assembly. Only
-// answerLive ever declines (nil, nil, false). src is the cache entry the
-// reply's answer is, when it is exactly that (resolve.Result.Entry): the
-// reply may then be memoised.
+// answerLive ever declines (nil, nil, false), and a declined query has
+// no reply built for it. src is the cache entry the reply's answer is,
+// when it is exactly that (resolve.Result.Entry): the reply may then be
+// memoised.
 func (cs *CachingServer) handle(q *dnswire.Message, mode answerMode) (resp *dnswire.Message, src *cache.Entry, done bool) {
+	var res *Result
+	var rcode dnswire.RCode
+	switch {
+	case len(q.Question) != 1 || q.Opcode != dnswire.OpcodeQuery:
+		rcode = dnswire.RCodeFormErr
+	case q.Question[0].Class != dnswire.ClassIN || q.Question[0].Type.IsZoneTransfer():
+		rcode = dnswire.RCodeRefused
+	default:
+		lookup := mode
+		if !q.Flags.RecursionDesired {
+			lookup = answerCacheOnly
+		}
+		var err error
+		res, done, err = cs.resolve(context.Background(), frontendTimeout, lookup, q.Question[0].Name, q.Question[0].Type, nil)
+		switch {
+		case !done:
+			return nil, nil, false
+		case err != nil:
+			rcode = dnswire.RCodeServFail
+		case res != nil:
+			rcode = res.RCode
+		case mode == answerCacheOnly:
+			// Degraded mode and nothing cached: shed with SERVFAIL so the
+			// client retries once capacity returns.
+			rcode = dnswire.RCodeServFail
+		default:
+			// RD=0 and nothing cached: we will not recurse on the stub's
+			// behalf.
+			rcode = dnswire.RCodeRefused
+		}
+	}
+
 	resp = q.Reply()
 	resp.Flags.RecursionAvailable = true
+	resp.RCode = rcode
 	// RFC 6891: a response to a query carrying an OPT record must carry
 	// one too, advertising our receive capability.
 	if _, ok := q.EDNS0PayloadSize(); ok {
 		resp.SetEDNS0(dnswire.DefaultEDNS0PayloadSize)
 	}
-	if len(q.Question) != 1 || q.Opcode != dnswire.OpcodeQuery {
-		resp.RCode = dnswire.RCodeFormErr
-		return resp, nil, true
-	}
-	question := q.Question[0]
-	if question.Class != dnswire.ClassIN || question.Type.IsZoneTransfer() {
-		resp.RCode = dnswire.RCodeRefused
-		return resp, nil, true
-	}
-
-	lookup := mode
-	if !q.Flags.RecursionDesired {
-		lookup = answerCacheOnly
-	}
-	res, done, err := cs.resolve(context.Background(), frontendTimeout, lookup, question.Name, question.Type, nil)
-	if !done {
-		return nil, nil, false
-	}
-	switch {
-	case err != nil:
-		resp.RCode = dnswire.RCodeServFail
-	case res != nil:
-		resp.RCode = res.RCode
+	if res != nil {
 		resp.Answer = append(resp.Answer, res.Answer...)
 		resp.Authority = append(resp.Authority, res.Authority...)
 		src = res.Entry
-	case mode == answerCacheOnly:
-		// Degraded mode and nothing cached: shed with SERVFAIL so the
-		// client retries once capacity returns.
-		resp.RCode = dnswire.RCodeServFail
-	default:
-		// RD=0 and nothing cached: we will not recurse on the stub's
-		// behalf.
-		resp.RCode = dnswire.RCodeRefused
 	}
 	return resp, src, true
 }

@@ -176,7 +176,7 @@ func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, now t
 	cs.renewMu.Unlock()
 	metrics.Inc(&cs.stats.RenewalQueries)
 	// One renewal cycle gets one retry budget, like one resolution does.
-	ctx = resolve.WithRetryBudget(ctx, cs.cfg.Upstream.RetryBudget)
+	ctx = resolve.WithRetryBudget(ctx, cs.cfg.Upstream.RetryBudget, time.Time{})
 	tr := cs.resolver.NewTrace(resolve.KindRenewal, zone, dnswire.TypeNS)
 
 	// Refetch the zone's own NS RRset from its servers through the shared

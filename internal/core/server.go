@@ -51,6 +51,8 @@ type CachingServer struct {
 	// flightMu guards the in-flight resolution table.
 	flightMu sync.Mutex
 	flight   map[cache.Key]*flightCall
+	// flights runs the flights on warm goroutines.
+	flights transport.Workers
 
 	// stats is the live counter set; only its frontend fields are
 	// bumped here (see Stats).
@@ -130,9 +132,13 @@ func NewCachingServer(cfg Config) (*CachingServer, error) {
 	return cs, nil
 }
 
-// Close releases background resources (the async prefetch pool, when
-// enabled). Safe to call more than once.
-func (cs *CachingServer) Close() { cs.resolver.Close() }
+// Close releases background resources: the idle flight goroutines, once
+// the flights under way finish, and the async prefetch pool, when enabled.
+// Safe to call more than once; a query after Close still resolves.
+func (cs *CachingServer) Close() {
+	cs.flights.Close()
+	cs.resolver.Close()
+}
 
 // SweepExpired reclaims every expired entry the server holds, in the
 // RRset cache and in the negative cache. Both expire lazily, on the next
@@ -172,8 +178,9 @@ func (cs *CachingServer) Resolve(ctx context.Context, qname dnswire.Name, qtype 
 // (packed, the entry it was built from) LookupPacked alone — and only a
 // miss goes on: answerLive declines it (done=false) with nothing counted
 // and the trace unfinished, so HandleQuery can take it from the top as if
-// it had just arrived; answerFully cuts ctx to timeout (when positive)
-// and resolves upstream, so a hit never pays for a timer it cannot use.
+// it had just arrived; answerFully resolves upstream and waits for
+// timeout at most (when positive), so a hit never pays for a timer it
+// cannot use.
 // When a TraceSink is configured the trace covers the cache hot path and
 // the coalescing outcome; the shared flight carries its own trace (it
 // serves many queries, so its timings belong to no single caller). A nil
@@ -197,12 +204,7 @@ func (cs *CachingServer) resolve(ctx context.Context, timeout time.Duration, mod
 	}
 	metrics.Inc(&cs.stats.QueriesIn)
 	if miss {
-		if timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, timeout)
-			defer cancel()
-		}
-		res, err = cs.resolveCoalesced(ctx, tr, qname, qtype)
+		res, err = cs.resolveCoalesced(ctx, timeout, tr, qname, qtype)
 	}
 	cs.resolver.FinishTrace(tr, res, err)
 	if err != nil || res == nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"resilientdns/internal/cache"
@@ -16,7 +17,9 @@ import (
 // its own ceiling a black-holed upstream chain would pin the flight
 // goroutine and its table slot indefinitely. Generous compared to the
 // frontend's per-query budget: the flight only needs to die eventually,
-// waiters give up on their own schedule.
+// waiters give up on their own schedule. It rides in the flight's retry
+// budget, not in a context deadline: no attempt starts at or after it,
+// and none is given a deadline past it.
 const flightTimeout = 30 * time.Second
 
 // flightCall is one in-flight resolution of a (name, type) pair shared by
@@ -40,21 +43,23 @@ type flightCall struct {
 }
 
 // resolveCoalesced resolves qname/qtype through the in-flight table: the
-// first caller for a key starts the resolution on its own goroutine, and
-// later callers for the same key wait on the existing flight. The
-// resolution runs under a context detached from any single caller, so a
-// cancelled caller only aborts the upstream work when no other caller is
-// still waiting on it.
-func (cs *CachingServer) resolveCoalesced(ctx context.Context, tr *resolve.Trace, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
+// first caller for a key starts the resolution on a warm goroutine
+// (cs.flights), and later callers for the same key wait on the existing
+// flight. The resolution runs under a context detached from any single
+// caller, so a cancelled caller only aborts the upstream work when no
+// other caller is still waiting on it. A caller waits until ctx is done
+// or, when timeout is positive, for timeout at most; either way it leaves
+// through abandonFlight.
+func (cs *CachingServer) resolveCoalesced(ctx context.Context, timeout time.Duration, tr *resolve.Trace, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
 	key := cache.Key{Name: qname, Type: qtype}
 
 	cs.flightMu.Lock()
 	c, joined := cs.flight[key]
 	if !joined {
-		fctx, fcancel := context.WithTimeout(context.Background(), flightTimeout)
+		fctx, fcancel := context.WithCancel(context.Background())
 		c = &flightCall{done: make(chan struct{}), cancel: fcancel}
 		cs.flight[key] = c
-		go cs.runFlight(fctx, key, c, qname, qtype)
+		cs.flights.Go(func() { cs.runFlight(fctx, key, c) })
 	}
 	c.waiters++
 	cs.flightMu.Unlock()
@@ -63,6 +68,13 @@ func (cs *CachingServer) resolveCoalesced(ctx context.Context, tr *resolve.Trace
 		tr.MarkCoalesced()
 	}
 
+	var expired <-chan time.Time
+	if timeout > 0 {
+		t := waitTimers.Get().(*time.Timer)
+		t.Reset(timeout)
+		defer putWaitTimer(t)
+		expired = t.C
+	}
 	select {
 	case <-c.done:
 		// The result is shared across waiters; Result and its Answer
@@ -71,7 +83,30 @@ func (cs *CachingServer) resolveCoalesced(ctx context.Context, tr *resolve.Trace
 	case <-ctx.Done():
 		cs.abandonFlight(key, c)
 		return nil, ctx.Err()
+	case <-expired:
+		cs.abandonFlight(key, c)
+		return nil, context.DeadlineExceeded
 	}
+}
+
+// waitTimers recycles the timers that bound a waiter's wait: each waiter
+// has its own, and none is allocated per miss.
+var waitTimers = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
+// putWaitTimer stops t, drains a tick it fired that nobody received, and
+// returns it to waitTimers.
+func putWaitTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	waitTimers.Put(t)
 }
 
 // runFlight performs the actual resolution for one flight and publishes
@@ -80,12 +115,16 @@ func (cs *CachingServer) resolveCoalesced(ctx context.Context, tr *resolve.Trace
 // The flight serves every coalesced waiter, so it carries its own trace
 // (KindResolve) rather than borrowing any single caller's: a trace
 // belongs to one goroutine, and the callers' traces live on theirs.
-func (cs *CachingServer) runFlight(fctx context.Context, key cache.Key, c *flightCall, qname dnswire.Name, qtype dnswire.Type) {
+func (cs *CachingServer) runFlight(fctx context.Context, key cache.Key, c *flightCall) {
 	// The whole flight — every referral step, nested glue fetch, and
-	// failover attempt — draws from one upstream retry budget.
-	fctx = resolve.WithRetryBudget(fctx, cs.cfg.Upstream.RetryBudget)
-	ftr := cs.resolver.NewTrace(resolve.KindResolve, qname, qtype)
-	res, err := cs.resolver.ResolveChain(fctx, ftr, qname, qtype)
+	// failover attempt — draws from one upstream retry budget, which also
+	// carries the flight's ceiling. Cancelling fctx (the last waiter
+	// left) stops the flight at its next attempt boundary; the attempt
+	// under way runs to its own deadline, so a server that was about to
+	// answer is neither blamed nor wasted.
+	fctx = resolve.WithRetryBudget(fctx, cs.cfg.Upstream.RetryBudget, cs.cfg.Clock.Now().Add(flightTimeout))
+	ftr := cs.resolver.NewTrace(resolve.KindResolve, key.Name, key.Type)
+	res, err := cs.resolver.ResolveChain(fctx, ftr, key.Name, key.Type)
 	cs.resolver.FinishTrace(ftr, res, err)
 
 	cs.flightMu.Lock()

@@ -2,10 +2,10 @@
 // HTTP for operators and load tools (benchmark/trace.go):
 //
 //	GET /debug/stats    one JSON object per configured section — for
-//	                    cmd/dnscache: build, cache, server, guard, mesh
-//	                    (when enabled), persist (when enabled) — plus
-//	                    "latency", the per-stage / per-kind summaries
-//	                    from finished traces
+//	                    cmd/dnscache: build, cache, runtime, server,
+//	                    guard, mesh (when enabled), persist (when
+//	                    enabled) — plus "latency", the per-stage /
+//	                    per-kind summaries from finished traces
 //	GET /debug/queries  the most recent trace summaries, newest first
 //	                    (?n=K limits the count)
 //	GET /debug/peers    the cooperative mesh's membership snapshot
@@ -15,13 +15,15 @@
 //
 // Everything but pprof is read-only JSON assembled from snapshots: counter
 // sections are atomic loads, the cache section takes shard read locks
-// only, and no handler sweeps or mutates server state.
+// only, the runtime section reads runtime/metrics, and no handler sweeps
+// or mutates server state.
 package debughttp
 
 import (
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
+	rtmetrics "runtime/metrics"
 	"strconv"
 
 	"resilientdns/internal/metrics"
@@ -123,6 +125,51 @@ func New(o Options) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// Runtime is the Go runtime's share of a live server, read from
+// runtime/metrics: what the garbage collector has cost so far, what the
+// heap holds, and how many goroutines run. HeapAllocObjects and
+// HeapAllocBytes over the server's QueriesIn are its allocation per query.
+type Runtime struct {
+	GCCycles         uint64  `json:"gc_cycles"`
+	GCCPUSeconds     float64 `json:"gc_cpu_seconds"`
+	HeapAllocBytes   uint64  `json:"heap_alloc_bytes"`
+	HeapAllocObjects uint64  `json:"heap_alloc_objects"`
+	HeapLiveBytes    uint64  `json:"heap_live_bytes"`
+	Goroutines       uint64  `json:"goroutines"`
+}
+
+// ReadRuntime samples the Go runtime. A metric the runtime does not
+// report reads as zero.
+func ReadRuntime() Runtime {
+	var r Runtime
+	fields := []struct {
+		name string
+		u    *uint64
+		f    *float64
+	}{
+		{name: "/gc/cycles/total:gc-cycles", u: &r.GCCycles},
+		{name: "/cpu/classes/gc/total:cpu-seconds", f: &r.GCCPUSeconds},
+		{name: "/gc/heap/allocs:bytes", u: &r.HeapAllocBytes},
+		{name: "/gc/heap/allocs:objects", u: &r.HeapAllocObjects},
+		{name: "/gc/heap/live:bytes", u: &r.HeapLiveBytes},
+		{name: "/sched/goroutines:goroutines", u: &r.Goroutines},
+	}
+	samples := make([]rtmetrics.Sample, len(fields))
+	for i, f := range fields {
+		samples[i].Name = f.name
+	}
+	rtmetrics.Read(samples)
+	for i, f := range fields {
+		switch v := samples[i].Value; {
+		case f.u != nil && v.Kind() == rtmetrics.KindUint64:
+			*f.u = v.Uint64()
+		case f.f != nil && v.Kind() == rtmetrics.KindFloat64:
+			*f.f = v.Float64()
+		}
+	}
+	return r
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

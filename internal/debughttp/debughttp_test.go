@@ -3,6 +3,7 @@ package debughttp
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -180,6 +181,7 @@ func TestWireCompatKeys(t *testing.T) {
 			{Name: "guard", Read: func() any { return metrics.GuardCounters{} }},
 			{Name: "mesh", Read: func() any { return mesh.Counters{} }},
 			{Name: "persist", Read: func() any { return persist.Counters{} }},
+			{Name: "runtime", Read: func() any { return ReadRuntime() }},
 		},
 		Latency: func() map[string]metrics.HistogramSnapshot {
 			return map[string]metrics.HistogramSnapshot{"stage/iterate": h.Snapshot()}
@@ -215,6 +217,8 @@ func TestWireCompatKeys(t *testing.T) {
 	requireKeys("mesh", stats["mesh"], "frames_in", "fetch_hits")
 	requireKeys("cache", stats["cache"], "Entries")
 	requireKeys("persist", stats["persist"], "snapshots", "journal_records", "recoveries")
+	requireKeys("runtime", stats["runtime"], "gc_cycles", "gc_cpu_seconds", "heap_alloc_bytes", "heap_alloc_objects",
+		"heap_live_bytes", "goroutines")
 	var latency map[string]json.RawMessage
 	if err := json.Unmarshal(stats["latency"], &latency); err != nil {
 		t.Fatalf("latency: %v", err)
@@ -226,4 +230,14 @@ func TestWireCompatKeys(t *testing.T) {
 	requireKeys("/debug/peers counters", peers["counters"], "frames_in", "frames_bad_mac", "frames_unconfirmed",
 		"challenges_sent", "pings_sent", "ping_failures", "irr_pushes_sent", "irr_pushes_received",
 		"irr_ingested", "fetches_sent", "fetch_hits", "fetches_served")
+}
+
+// TestReadRuntime: every runtime gauge is one the runtime reports, so
+// none reads as the zero a missing metric would leave.
+func TestReadRuntime(t *testing.T) {
+	runtime.GC()
+	r := ReadRuntime()
+	if r.GCCycles == 0 || r.HeapAllocBytes == 0 || r.HeapAllocObjects == 0 || r.HeapLiveBytes == 0 || r.Goroutines == 0 {
+		t.Errorf("runtime gauges %+v: a zero where the runtime has a value", r)
+	}
 }

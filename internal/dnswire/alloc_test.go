@@ -4,7 +4,10 @@ package dnswire
 // ceilings, not measurements: if a change pushes Pack or Unpack back
 // above them, the test fails and the allocation has to be justified here.
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestAppendPackSteadyStateAllocs: packing into a caller-reused buffer
 // must not allocate at all in steady state — the pooled Packer reuses its
@@ -57,9 +60,39 @@ func TestUnpackSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	// Budget: arena copy + Message + 4 section slices + 5 name strings +
-	// per-RR Data boxing. Anything above 16 means a field is no longer
-	// arena-sliced or the name cache stopped hitting.
-	if allocs > 16 {
-		t.Errorf("Unpack allocates %.1f/op, want ≤ 16", allocs)
+	// per-RR Data boxing — 15 — and never the decoder: the unpacker, with
+	// its 255-byte name scratch and name cache, lives on Unpack's stack. An
+	// unpacker that escapes is one object more (16) and ~900 bytes more,
+	// which TestUnpackSteadyStateBytes catches. Anything above 15 means a
+	// field is no longer arena-sliced, the name cache stopped hitting, or
+	// the decoder escaped.
+	if allocs > 15 {
+		t.Errorf("Unpack allocates %.1f/op, want ≤ 15", allocs)
+	}
+}
+
+// TestUnpackSteadyStateBytes caps the bytes behind those objects. The
+// sample message (117 bytes on the wire) unpacks into 640: its arena copy,
+// the Message, the sections and the names. The ceiling leaves room for
+// size-class rounding, not for the ~900-byte unpacker, which moved to the
+// heap on every call while an error path handed fmt a slice of its name
+// scratch (1 536 bytes per Unpack).
+func TestUnpackSteadyStateBytes(t *testing.T) {
+	wire, err := sampleMessage().Pack()
+	if err != nil {
+		t.Fatalf("Pack: %v", err)
+	}
+	const runs = 1000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Unpack(wire); err != nil {
+			t.Fatalf("Unpack: %v", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 768 {
+		t.Errorf("Unpack allocates %d bytes/op, want ≤ 768", got)
 	}
 }

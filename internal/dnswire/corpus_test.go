@@ -1,6 +1,8 @@
 package dnswire
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"net/netip"
 	"os"
@@ -25,19 +27,19 @@ func TestWriteFuzzCorpus(t *testing.T) {
 
 	writeCorpus(t, "FuzzUnpack", unpackSeeds(t), nil)
 	writeCorpus(t, "FuzzCanonicalName", nil, []string{
-		strings.Repeat("a", 63) + ".example.",          // maximum label
-		strings.Repeat("a", 63) + "a.example.",         // one past the label limit
-		strings.Repeat("ab1.", 63), // near the 255-octet name ceiling
-		"www.EXAMPLE.com", // case folding
-		"a..b",            // empty interior label
-		".",               // bare root
-		"..",              // root with empty label
-		"_dmarc._tcp.example.com.", // underscore service labels
-		"xn--bcher-kva.example.",   // punycode
-		"a b.example.",             // embedded space
-		"a\x00b.example.",          // embedded NUL
-		"-leading.example.",        // leading hyphen
-		"*.wildcard.example.",      // wildcard label
+		strings.Repeat("a", 63) + ".example.",  // maximum label
+		strings.Repeat("a", 63) + "a.example.", // one past the label limit
+		strings.Repeat("ab1.", 63),             // near the 255-octet name ceiling
+		"www.EXAMPLE.com",                      // case folding
+		"a..b",                                 // empty interior label
+		".",                                    // bare root
+		"..",                                   // root with empty label
+		"_dmarc._tcp.example.com.",             // underscore service labels
+		"xn--bcher-kva.example.",               // punycode
+		"a b.example.",                         // embedded space
+		"a\x00b.example.",                      // embedded NUL
+		"-leading.example.",                    // leading hyphen
+		"*.wildcard.example.",                  // wildcard label
 	})
 }
 
@@ -121,6 +123,22 @@ func unpackSeeds(t testing.TB) map[string][]byte {
 	lying[7] = 0xFF // ANCount low byte
 	seeds["lying-ancount"] = lying
 
+	// A name that outgrows 255 octets only through a compression pointer:
+	// the second question is one 63-byte label, then a pointer to the
+	// first, a 192-byte name the decoder has already cached.
+	tooLong := []byte{0x00, 0x08, 0x01, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}
+	for i := 0; i < 3; i++ {
+		tooLong = append(append(tooLong, 63), bytes.Repeat([]byte{'a'}, 63)...)
+	}
+	tooLong = append(tooLong, 0, 0x00, 0x01, 0x00, 0x01, 63)
+	tooLong = append(append(tooLong, bytes.Repeat([]byte{'b'}, 63)...), 0xC0, 0x0C, 0x00, 0x01, 0x00, 0x01)
+	seeds["name-too-long-via-pointer"] = tooLong
+
+	// A label with a character no name may hold.
+	badLabel := mustPack(t, NewQuery(0x0009, MustName("bad.example."), TypeA))
+	badLabel[headerLen+2] = '('
+	seeds["bad-label"] = badLabel
+
 	// TXT with a maximum-length character string.
 	txt := NewQuery(0x3333, MustName("txt.example."), TypeTXT).Reply()
 	txt.Answer = []RR{{Name: MustName("txt.example."), Class: ClassIN, TTL: 60,
@@ -158,5 +176,19 @@ func writeCorpus(t *testing.T, target string, byteSeeds map[string][]byte, strin
 	}
 	for i, s := range stringSeeds {
 		write(fmt.Sprintf("seed-%02d", i), fmt.Sprintf("string(%q)", s))
+	}
+}
+
+// TestUnpackSeedsReachNameErrors: the seeds built for the decoder's two
+// name errors reach them, so the fuzz smoke starts from both.
+func TestUnpackSeedsReachNameErrors(t *testing.T) {
+	seeds := unpackSeeds(t)
+	for name, want := range map[string]error{
+		"name-too-long-via-pointer": ErrNameTooLong,
+		"bad-label":                 ErrBadLabel,
+	} {
+		if _, err := Unpack(seeds[name]); !errors.Is(err, want) {
+			t.Errorf("seed %s: Unpack error %v, want %v", name, err, want)
+		}
 	}
 }

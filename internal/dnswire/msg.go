@@ -505,7 +505,9 @@ func (u *unpacker) decodeNameAt(start int) (Name, int, error) {
 			// would just re-walk bytes that produced it.
 			if tail, ok := u.cachedAt(target); ok {
 				if len(buf)+len(tail) > MaxNameWireLen-1 {
-					return "", 0, fmt.Errorf("%w: %q", ErrNameTooLong, buf)
+					// string(buf), not buf: a slice of nameBuf handed to
+					// fmt would move every unpacker to the heap.
+					return "", 0, fmt.Errorf("%w: %q", ErrNameTooLong, string(buf))
 				}
 				if len(buf) == 0 {
 					return tail, end, nil

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"resilientdns/internal/dnswire"
 	"resilientdns/internal/metrics"
@@ -63,7 +64,16 @@ func (e *Engine) Fetch(ctx context.Context, tr *Trace, servers []transport.Addr,
 	if len(servers) == 0 {
 		return nil, transport.ErrServerUnreachable
 	}
-	q := dnswire.NewQuery(e.nextQID(), qname, qtype)
+	// The query, its question and its OPT record in one allocation:
+	// NewQuery's message, with SetEDNS0 appending into opt.
+	fq := &struct {
+		msg      dnswire.Message
+		question [1]dnswire.Question
+		opt      [1]dnswire.RR
+	}{}
+	fq.question[0] = dnswire.Question{Name: qname, Type: qtype, Class: dnswire.ClassIN}
+	q := &fq.msg
+	q.ID, q.Question, q.Additional = e.nextQID(), fq.question[:], fq.opt[:0]
 	q.SetEDNS0(dnswire.DefaultEDNS0PayloadSize)
 	return e.exchangeFailover(ctx, tr, servers, q)
 }
@@ -72,22 +82,27 @@ func (e *Engine) Fetch(ctx context.Context, tr *Trace, servers []transport.Addr,
 // preferred order (healthy by ascending SRTT, then quarantined) until one
 // returns a validated response. RTT estimates, quarantine state, and the
 // retry budget are shared across every fetch path. A cancelled client
-// must not keep burning upstream attempts, so the loop re-checks ctx
-// before every attempt.
+// must not keep burning upstream attempts, so the loop re-checks ctx and
+// the retry budget's end in time before every attempt.
 func (e *Engine) exchangeFailover(ctx context.Context, tr *Trace, servers []transport.Addr, q *dnswire.Message) (*dnswire.Message, error) {
-	ordered, skipped := e.upstream.order(servers, e.clock.Now())
+	now := e.clock.Now()
+	ordered, skipped := e.upstream.order(servers, now)
 	if skipped > 0 {
 		metrics.Add(&e.counters.QuarantineSkips, uint64(skipped))
 	}
+	b := budgetOf(ctx, retryKey)
 	var lastErr error
 	for i, addr := range ordered {
-		if err := ctx.Err(); err != nil {
+		if i > 0 {
+			now = e.clock.Now()
+		}
+		if err := halted(ctx, now); err != nil {
 			if lastErr == nil {
 				lastErr = err
 			}
 			return nil, lastErr
 		}
-		if !take(ctx, retryKey) {
+		if !b.take() {
 			metrics.Inc(&e.counters.BudgetExhausted)
 			if lastErr != nil {
 				return nil, fmt.Errorf("%w (last attempt: %v)", errBudgetExhausted, lastErr)
@@ -98,7 +113,7 @@ func (e *Engine) exchangeFailover(ctx context.Context, tr *Trace, servers []tran
 			metrics.Inc(&e.counters.Retries)
 		}
 		metrics.Inc(&e.counters.QueriesOut)
-		resp, err := e.exchange(ctx, tr, addr, q)
+		resp, err := e.exchange(ctx, tr, addr, q, now, b.clip(now, e.upstream.attemptTimeout(addr)))
 		if err != nil {
 			metrics.Inc(&e.counters.QueriesOutFailed)
 			lastErr = err
@@ -109,15 +124,19 @@ func (e *Engine) exchangeFailover(ctx context.Context, tr *Trace, servers []tran
 	return nil, lastErr
 }
 
-// exchange performs one upstream attempt against addr: it applies the
-// per-attempt deadline derived from the server's RTT history, validates
-// the response (ID and question echo), and folds the outcome back into
-// the server's selection state and the trace.
-func (e *Engine) exchange(ctx context.Context, tr *Trace, addr transport.Addr, q *dnswire.Message) (*dnswire.Message, error) {
-	ctx, cancel := context.WithTimeout(ctx, e.upstream.attemptTimeout(addr))
+// exchange performs one upstream attempt against addr, starting at start:
+// it applies the per-attempt deadline, timeout from then (the server's
+// RTT history cut to the retry budget's end in time), validates the
+// response (ID and question echo), and folds the outcome back into the
+// server's selection state and the trace. The attempt's context keeps
+// ctx's values but not its cancellation: work is cancelled between
+// attempts (halted), never mid-exchange, so a flight its last waiter
+// abandons neither blames the server it was asking nor throws away an
+// answer on its way. No child context is registered with ctx either.
+func (e *Engine) exchange(ctx context.Context, tr *Trace, addr transport.Addr, q *dnswire.Message, start time.Time, timeout time.Duration) (*dnswire.Message, error) {
+	actx, cancel := context.WithTimeout(context.WithoutCancel(ctx), timeout)
 	defer cancel()
-	start := e.clock.Now()
-	resp, err := e.transport.Exchange(ctx, addr, q) //dnslint:ignore onepath the fetch engine is the one sanctioned exchange path
+	resp, err := e.transport.Exchange(actx, addr, q) //dnslint:ignore onepath the fetch engine is the one sanctioned exchange path
 	if err == nil && resp.ID != q.ID {
 		err = fmt.Errorf("resolve: mismatched response ID from %s", addr)
 	}

@@ -36,7 +36,9 @@ func (r *Resolver) IngestFrom(resp *dnswire.Message, fromZone dnswire.Name, qnam
 
 	// Answer section: full credibility. Zone NS and DNSKEY sets are
 	// infrastructure (§6 extends the IRR notion to the DNSSEC records).
-	for _, set := range groupRRSets(resp.Answer) {
+	// The three sections' sets are grouped into one scratch in turn.
+	var scratch [8][]dnswire.RR
+	for _, set := range groupRRSets(scratch[:0], resp.Answer) {
 		if set[0].Type() == dnswire.TypeRRSIG {
 			// RRSIGs for different covered types share an (owner, type)
 			// cache key; they are validated in-line from the response
@@ -54,7 +56,7 @@ func (r *Resolver) IngestFrom(resp *dnswire.Message, fromZone dnswire.Name, qnam
 	if aa {
 		cred = cache.CredAuthority
 	}
-	for _, set := range groupRRSets(resp.Authority) {
+	for _, set := range groupRRSets(scratch[:0], resp.Authority) {
 		switch set[0].Type() {
 		case dnswire.TypeNS:
 			r.putInfraAware(set, cred, true, origin)
@@ -80,7 +82,7 @@ func (r *Resolver) IngestFrom(resp *dnswire.Message, fromZone dnswire.Name, qnam
 
 	// Additional section: glue. Only address records for name servers
 	// mentioned in this message are trusted (bailiwick hygiene).
-	for _, set := range groupRRSets(resp.Additional) {
+	for _, set := range groupRRSets(scratch[:0], resp.Additional) {
 		t := set[0].Type()
 		if t != dnswire.TypeA && t != dnswire.TypeAAAA {
 			continue
@@ -103,25 +105,50 @@ func (r *Resolver) putInfraAware(set []dnswire.RR, cred cache.Credibility, infra
 	}
 }
 
-// groupRRSets splits a message section into RRsets by (owner, type),
-// preserving first-appearance order.
-func groupRRSets(rrs []dnswire.RR) [][]dnswire.RR {
+// smallSection is the largest message section groupRRSets groups without
+// a map. A larger one goes through a map, so a crafted response of
+// thousands of sets costs linear time, not quadratic.
+const smallSection = 16
+
+// groupRRSets appends to dst the RRsets of a message section, split by
+// (owner, type) in first-appearance order. The sets are read-only: a run
+// of records sharing owner and type, which is how servers write a set, is
+// a slice of rrs capped at its end, so a set is copied only when its
+// records are scattered over the section.
+func groupRRSets(dst [][]dnswire.RR, rrs []dnswire.RR) [][]dnswire.RR {
 	type key struct {
 		name dnswire.Name
 		typ  dnswire.Type
 	}
-	var order []key
-	groups := make(map[key][]dnswire.RR)
-	for _, rr := range rrs {
-		k := key{name: rr.Name, typ: rr.Type()}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+	first := len(dst)
+	var index map[key]int
+	if len(rrs) > smallSection {
+		index = make(map[key]int)
+	}
+	for i := 0; i < len(rrs); {
+		k := key{name: rrs[i].Name, typ: rrs[i].Type()}
+		j := i + 1
+		for j < len(rrs) && rrs[j].Name == k.name && rrs[j].Type() == k.typ {
+			j++
 		}
-		groups[k] = append(groups[k], rr)
+		run := rrs[i:j:j]
+		i = j
+		at, ok := -1, false
+		if index != nil {
+			at, ok = index[k]
+		} else {
+			for g := first; g < len(dst) && !ok; g++ {
+				at, ok = g, dst[g][0].Name == k.name && dst[g][0].Type() == k.typ
+			}
+		}
+		if !ok {
+			if index != nil {
+				index[k] = len(dst)
+			}
+			dst = append(dst, run)
+			continue
+		}
+		dst[at] = append(dst[at], run...) // capped, so never written into rrs
 	}
-	out := make([][]dnswire.RR, 0, len(order))
-	for _, k := range order {
-		out = append(out, groups[k])
-	}
-	return out
+	return dst
 }

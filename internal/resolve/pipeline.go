@@ -274,7 +274,7 @@ func (r *Resolver) iterate(ctx context.Context, tr *Trace, qname dnswire.Name, q
 	var lastErr error
 	prevZone := dnswire.Name("")
 	for step := 0; step < maxReferrals; step++ {
-		if err := ctx.Err(); err != nil {
+		if err := halted(ctx, r.cfg.Clock.Now()); err != nil {
 			return nil, nil, fmt.Errorf("%w: %s %s: %v", ErrResolutionFailed, qname, qtype, err)
 		}
 		zname, servers := r.deepestKnownZone(qname, qtype, stale)
@@ -352,7 +352,6 @@ func (r *Resolver) iterate(ctx context.Context, tr *Trace, qname dnswire.Name, q
 // (NS plus at least one server address) are cached, falling back to the
 // root hints.
 func (r *Resolver) deepestKnownZone(qname dnswire.Name, qtype dnswire.Type, stale bool) (dnswire.Name, []transport.Addr) {
-	now := r.cfg.Clock.Now()
 	get := func(name dnswire.Name, t dnswire.Type) *cache.Entry {
 		if e := r.cache.Get(name, t); e != nil {
 			return e
@@ -362,10 +361,7 @@ func (r *Resolver) deepestKnownZone(qname dnswire.Name, qtype dnswire.Type, stal
 		}
 		return nil
 	}
-	for _, anc := range qname.Ancestors() {
-		if anc.IsRoot() {
-			break
-		}
+	for anc := qname; !anc.IsRoot(); anc = anc.Parent() {
 		if qtype == dnswire.TypeDS && anc == qname {
 			// The parent side is authoritative for the DS RRset at a
 			// delegation; never ask the child about its own DS.
@@ -376,7 +372,7 @@ func (r *Resolver) deepestKnownZone(qname dnswire.Name, qtype dnswire.Type, stal
 			continue
 		}
 		if iv := r.cfg.ParentRecheckInterval; iv > 0 && !stale {
-			if seen, ok := r.parentLastSeen(anc); !ok || now.Sub(seen) > iv {
+			if seen, ok := r.parentLastSeen(anc); !ok || r.cfg.Clock.Now().Sub(seen) > iv {
 				// The delegation is overdue for confirmation: pretend the
 				// IRRs are unknown so resolution re-visits the parent.
 				continue

@@ -87,7 +87,7 @@ func (pf *prefetcher) run(k cache.Key) {
 	r := pf.r
 	ctx, cancel := context.WithTimeout(context.Background(), prefetchTimeout)
 	defer cancel()
-	ctx = WithRetryBudget(ctx, r.cfg.Upstream.RetryBudget)
+	ctx = WithRetryBudget(ctx, r.cfg.Upstream.RetryBudget, time.Time{})
 	tr := r.NewTrace(KindPrefetch, k.Name, k.Type)
 	metrics.Inc(&r.counters.PrefetchQueries)
 	_, _, err := r.iterate(ctx, tr, k.Name, k.Type, 1, false, false)

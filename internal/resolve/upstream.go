@@ -1,8 +1,12 @@
 package resolve
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -139,7 +143,9 @@ func (u *upstream) order(servers []transport.Addr, now time.Time) (ordered []tra
 		quar  bool
 		until time.Time
 	}
-	cands := make([]candidate, 0, len(servers))
+	// A zone's server list is short: its candidates live on the stack.
+	var small [16]candidate
+	cands := small[:0]
 	u.mu.Lock()
 	for _, addr := range servers {
 		c := candidate{addr: addr, est: u.cfg.MaxTimeout}
@@ -156,15 +162,18 @@ func (u *upstream) order(servers []transport.Addr, now time.Time) (ordered []tra
 	}
 	u.mu.Unlock()
 
-	sort.SliceStable(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.quar != b.quar {
-			return !a.quar
+	// A stable sort without reflection: ties keep the input order.
+	slices.SortStableFunc(cands, func(a, b candidate) int {
+		switch {
+		case a.quar != b.quar:
+			if a.quar {
+				return 1
+			}
+			return -1
+		case a.quar:
+			return a.until.Compare(b.until)
 		}
-		if a.quar {
-			return a.until.Before(b.until)
-		}
-		return a.est < b.est
+		return cmp.Compare(a.est, b.est)
 	})
 	ordered = make([]transport.Addr, len(cands))
 	healthy := 0
@@ -307,8 +316,27 @@ func (u *upstream) quarantined(addr transport.Addr, now time.Time) bool {
 // (which only bounds nesting) it bounds total fanout: every sibling NS
 // name chased at every level draws from the same pool, which is what
 // stops an NXNSAttack-style delegation from multiplying upstream traffic.
+//
+// A retry budget may also end in time: no attempt starts at or after
+// until, and none is given a deadline past it (the flight ceiling).
+//
+// A budget is the context it is carried by: it wraps the context it was
+// installed into and answers for its own key, so installing one is one
+// allocation.
 type budget struct {
+	context.Context
+	key       budgetKey
 	remaining atomic.Int64
+	until     time.Time // zero: no end in time
+}
+
+// Value implements context.Context: b under its key, the wrapped
+// context's values under every other.
+func (b *budget) Value(key any) any {
+	if k, ok := key.(budgetKey); ok && k == b.key {
+		return b
+	}
+	return b.Context.Value(key)
 }
 
 type budgetKey int
@@ -318,30 +346,83 @@ const (
 	glueKey
 )
 
+// errPastCeiling reports that work reached its retry budget's end in time.
+// It wraps context.DeadlineExceeded, what the same work reported when the
+// ceiling was a context deadline.
+var errPastCeiling = fmt.Errorf("resolve: retry budget's time is up: %w", context.DeadlineExceeded)
+
 // withBudget installs a fresh budget of n under key.
 func withBudget(ctx context.Context, key budgetKey, n int) context.Context {
-	b := &budget{}
-	b.remaining.Store(int64(n))
-	return context.WithValue(ctx, key, b)
+	return newBudget(ctx, key, int64(n), time.Time{})
 }
 
-// take consumes one unit from the context's budget under key, reporting
-// false when it is exhausted. Contexts without that budget always allow
-// the draw.
+// newBudget returns a budget of n under key, ending in time at until,
+// installed into ctx. The ctxdeadline analyzer reads the call as passing
+// ctx through, deadline or none, which a composite literal returned as a
+// context would hide from it.
+func newBudget(ctx context.Context, key budgetKey, n int64, until time.Time) *budget {
+	b := &budget{Context: ctx, key: key, until: until}
+	b.remaining.Store(n)
+	return b
+}
+
+// budgetOf returns the context's budget under key, nil when it has none.
+func budgetOf(ctx context.Context, key budgetKey) *budget {
+	b, _ := ctx.Value(key).(*budget)
+	return b
+}
+
+// take consumes one unit from b, reporting false when it is exhausted. A
+// nil budget always allows the draw.
+func (b *budget) take() bool {
+	return b == nil || b.remaining.Add(-1) >= 0
+}
+
+// take consumes one unit from the context's budget under key.
 func take(ctx context.Context, key budgetKey) bool {
-	b, ok := ctx.Value(key).(*budget)
-	if !ok {
-		return true
-	}
-	return b.remaining.Add(-1) >= 0
+	return budgetOf(ctx, key).take()
 }
 
-// WithRetryBudget installs a fresh budget of n attempts into ctx; n <= 0
-// leaves ctx unbounded. The owning server installs one budget per
-// coalesced flight and one per renewal refetch cycle.
-func WithRetryBudget(ctx context.Context, n int) context.Context {
-	if n <= 0 {
+// over reports whether b has ended in time at now.
+func (b *budget) over(now time.Time) bool {
+	return b != nil && !b.until.IsZero() && !now.Before(b.until)
+}
+
+// clip cuts d to what is left of b's time at now.
+func (b *budget) clip(now time.Time, d time.Duration) time.Duration {
+	if b == nil || b.until.IsZero() {
+		return d
+	}
+	return min(d, b.until.Sub(now))
+}
+
+// halted reports why work under ctx must start nothing more at now: ctx's
+// own error, or the end in time of its retry budget. Flight cancellation
+// is observed here, at attempt and referral boundaries; an attempt under
+// way runs to its own deadline.
+func halted(ctx context.Context, now time.Time) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if budgetOf(ctx, retryKey).over(now) {
+		return errPastCeiling
+	}
+	return nil
+}
+
+// WithRetryBudget installs a fresh budget of n attempts into ctx, ending in
+// time at until: no attempt starts at or after until, and none is given a
+// deadline past it. n <= 0 leaves the count unbounded and a zero until the
+// time; with both, ctx is returned as it is. The owning server installs
+// one budget per coalesced flight, which ends at the flight ceiling, and
+// one per renewal refetch cycle.
+func WithRetryBudget(ctx context.Context, n int, until time.Time) context.Context {
+	if n <= 0 && until.IsZero() {
 		return ctx
 	}
-	return withBudget(ctx, retryKey, n)
+	count := int64(math.MaxInt64)
+	if n > 0 {
+		count = int64(n)
+	}
+	return newBudget(ctx, retryKey, count, until)
 }

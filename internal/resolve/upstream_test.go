@@ -2,6 +2,7 @@ package resolve
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -137,15 +138,38 @@ func TestRetryBudgetContext(t *testing.T) {
 	if !take(ctx, retryKey) {
 		t.Fatal("budget-less context denied an attempt")
 	}
-	b := WithRetryBudget(ctx, 2)
+	b := WithRetryBudget(ctx, 2, time.Time{})
 	if !take(b, retryKey) || !take(b, retryKey) {
 		t.Fatal("budget denied attempts within its allowance")
 	}
 	if take(b, retryKey) {
 		t.Fatal("budget allowed a third attempt out of 2")
 	}
-	if WithRetryBudget(ctx, 0) != ctx {
+	if WithRetryBudget(ctx, 0, time.Time{}) != ctx {
 		t.Error("zero budget should leave the context unbounded")
+	}
+
+	// A budget that ends in time: unbounded in count, halted at its end,
+	// and every attempt timeout cut to what is left of it.
+	until := epoch.Add(30 * time.Second)
+	timed := WithRetryBudget(ctx, 0, until)
+	for i := 0; i < 100; i++ {
+		if !take(timed, retryKey) {
+			t.Fatalf("a budget with no count denied attempt %d", i+1)
+		}
+	}
+	if err := halted(timed, until.Add(-time.Nanosecond)); err != nil {
+		t.Errorf("halted just before the end: %v", err)
+	}
+	if err := halted(timed, until); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("halted at the end = %v, want context.DeadlineExceeded", err)
+	}
+	bt := budgetOf(timed, retryKey)
+	if got := bt.clip(until.Add(-time.Second), 3*time.Second); got != time.Second {
+		t.Errorf("a 3s attempt 1s before the end is given %v, want 1s", got)
+	}
+	if got := bt.clip(epoch, 3*time.Second); got != 3*time.Second {
+		t.Errorf("a 3s attempt 30s before the end is given %v, want 3s", got)
 	}
 }
 

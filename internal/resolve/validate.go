@@ -146,7 +146,7 @@ func (r *Resolver) validateAnswer(ctx context.Context, tr *Trace, zname dnswire.
 		return nil
 	}
 	now := r.cfg.Clock.Now()
-	for _, set := range groupRRSets(resp.Answer) {
+	for _, set := range groupRRSets(nil, resp.Answer) {
 		if set[0].Type() == dnswire.TypeRRSIG {
 			continue
 		}

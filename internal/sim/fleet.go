@@ -105,6 +105,9 @@ func (f *Fleet) Restart(i int) error {
 	if err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
+	if old := f.Servers[i]; old != nil {
+		old.Close()
+	}
 	f.Servers[i] = cs
 	return nil
 }
@@ -173,12 +176,13 @@ func (f *Fleet) Resolve(q workload.Query) (*core.Result, error) {
 }
 
 // Finish closes a run: it sums the current members' cache occupancy
-// (after a sweep) and counters into Res and returns it. What a member
-// counted before a Restart went with it.
+// (after a sweep) and counters into Res, closes the members, and returns
+// Res. What a member counted before a Restart went with it.
 func (f *Fleet) Finish() *Results {
 	for _, cs := range f.Servers {
 		f.Res.FinalCache = f.Res.FinalCache.Add(cs.CacheStats())
 		f.Res.ServerStats = metrics.Sum(f.Res.ServerStats, cs.Stats())
+		cs.Close()
 	}
 	return f.Res
 }

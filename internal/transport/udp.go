@@ -38,8 +38,7 @@ func (u *UDP) Exchange(ctx context.Context, server Addr, query *dnswire.Message)
 		deadline = d
 	}
 
-	var dialer net.Dialer
-	conn, err := dialer.DialContext(ctx, "udp", string(server))
+	conn, err := dialUDP(ctx, server)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrServerUnreachable, err)
 	}
@@ -85,6 +84,24 @@ func (u *UDP) Exchange(ctx context.Context, server Addr, query *dnswire.Message)
 	}
 }
 
+// dialUDP opens a fresh connected socket to server, so every exchange
+// gets its own kernel-chosen source port (RFC 5452). A literal address,
+// which is what the resolver's address mapper produces, is dialled
+// directly, with no resolver and no Dialer; a host name goes through the
+// Dialer.
+func dialUDP(ctx context.Context, server Addr) (net.Conn, error) {
+	ap, err := netip.ParseAddrPort(string(server))
+	if err != nil {
+		var dialer net.Dialer
+		return dialer.DialContext(ctx, "udp", string(server))
+	}
+	conn, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(ap))
+	if err != nil {
+		return nil, err
+	}
+	return conn, nil
+}
+
 // DefaultMaxInflight bounds concurrently handled queries when a server's
 // MaxInflight is zero.
 const DefaultMaxInflight = 1024
@@ -92,13 +109,13 @@ const DefaultMaxInflight = 1024
 // UDPServer serves DNS queries over a UDP socket using a Handler. It runs
 // one read loop per P on the one socket. Each loop offers every query to
 // the Handler's inline entry, when it is an InlineHandler, and answers
-// what that settles from the loop itself; anything else is handled on its
-// own goroutine, bounded by MaxInflight, so one slow recursive resolution
-// never blocks a read loop. A handler without the inline entry settles
-// nothing inline. With one, a plain query (dnswire.QueryKey) reaches it
-// unparsed; every other datagram is unpacked first, and one that does
-// not parse is answered FORMERR, or dropped when it claims to be a
-// response, before any handler sees it.
+// what that settles from the loop itself; anything else is handled on a
+// goroutine of its own, a warm one (Workers) when one is idle, bounded by
+// MaxInflight, so one slow recursive resolution never blocks a read loop.
+// A handler without the inline entry settles nothing inline. With one, a
+// plain query (dnswire.QueryKey) reaches it unparsed; every other datagram
+// is unpacked first, and one that does not parse is answered FORMERR, or
+// dropped when it claims to be a response, before any handler sees it.
 type UDPServer struct {
 	Handler Handler
 	// MaxInflight bounds the number of queries being handled at once on
@@ -119,8 +136,10 @@ type UDPServer struct {
 
 	mu   sync.Mutex
 	conn udpConn
-	wg   sync.WaitGroup
+	wg   sync.WaitGroup // read loops and handlers
 	sem  chan struct{}
+	// workers runs the handlers on warm goroutines.
+	workers Workers
 }
 
 // udpConn is what the server uses of its *net.UDPConn: the AddrPort
@@ -226,7 +245,7 @@ func (s *UDPServer) serve(conn udpConn) {
 		select {
 		case sem <- struct{}{}:
 			s.wg.Add(1)
-			go func(query *dnswire.Message, from netip.AddrPort) {
+			s.workers.Go(func() {
 				defer s.wg.Done()
 				defer func() { <-sem }()
 				if resp := s.Handler.HandleQuery(query); resp != nil {
@@ -234,7 +253,7 @@ func (s *UDPServer) serve(conn udpConn) {
 					defer putBuf(bp)
 					writeResponse(conn, *bp, query, resp, from)
 				}
-			}(query, from)
+			})
 		default:
 			// Every inflight slot is busy. Blocking here would stall the
 			// read loop behind the slowest resolution; instead shed —
@@ -320,5 +339,6 @@ func (s *UDPServer) Close() error {
 	}
 	err := conn.Close()
 	s.wg.Wait()
+	s.workers.Close()
 	return err
 }
