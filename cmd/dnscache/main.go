@@ -188,9 +188,8 @@ func run() error {
 	maxClients := flag.Int("max-clients", 65536, "rate-limiter client-slot bound; least recently seen clients are evicted past it")
 	overloadCacheOnly := flag.Bool("overload-cache-only", false, "answer queries arriving while all -max-inflight slots are busy from cache/stale data only, instead of dropping them")
 	meshListen := flag.String("mesh-listen", "", "UDP address for the cooperative resolver mesh (empty = mesh off)")
-	meshPeers := flag.String("mesh-peers", "", "comma-separated mesh peer addresses (host:port), with -mesh-listen")
+	meshPeers := flag.String("mesh-peers", "", "comma-separated mesh peer addresses (IP:port), the fleet's membership, with -mesh-listen")
 	meshKey := flag.String("mesh-key", "", "shared fleet HMAC key authenticating mesh frames (required with -mesh-listen)")
-	meshOwnerRenewal := flag.Bool("mesh-owner-renewal", false, "defer TTL renewals for zones a live mesh peer owns under the rendezvous hash")
 	flag.Parse()
 	start := time.Now()
 
@@ -215,8 +214,23 @@ func run() error {
 	if meshOn && *meshKey == "" {
 		return fmt.Errorf("-mesh-listen requires -mesh-key (the fleet's shared frame-authentication key)")
 	}
-	if !meshOn && (*meshPeers != "" || *meshOwnerRenewal) {
-		return fmt.Errorf("-mesh-peers and -mesh-owner-renewal need -mesh-listen")
+	if !meshOn && *meshPeers != "" {
+		return fmt.Errorf("-mesh-peers needs -mesh-listen")
+	}
+	var peers []string
+	if meshOn {
+		if _, err := mesh.ParseAddr(*meshListen); err != nil {
+			return fmt.Errorf("-mesh-listen: %w", err)
+		}
+		for _, p := range strings.Split(*meshPeers, ",") {
+			if p = strings.TrimSpace(p); p == "" {
+				continue
+			}
+			if _, err := mesh.ParseAddr(p); err != nil {
+				return fmt.Errorf("-mesh-peers: %w", err)
+			}
+			peers = append(peers, p)
+		}
 	}
 
 	// Open the persistence store before building the server so its change
@@ -288,24 +302,17 @@ func run() error {
 	// start, so neither ever sees the other half missing.
 	var node *mesh.Node
 	var meshConn *mesh.Conn
-	var peers []string
 	if meshOn {
 		meshConn, err = mesh.ListenUDP(*meshListen)
 		if err != nil {
 			return err
 		}
-		for _, p := range strings.Split(*meshPeers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peers = append(peers, p)
-			}
-		}
 		node, err = mesh.NewNode(mesh.Config{
-			Self:         meshConn.LocalAddr(),
-			Key:          []byte(*meshKey),
-			Peers:        peers,
-			Transport:    meshConn,
-			Clock:        simclock.Real{},
-			OwnerRenewal: *meshOwnerRenewal,
+			Self:      meshConn.LocalAddr(),
+			Key:       []byte(*meshKey),
+			Peers:     peers,
+			Transport: meshConn,
+			Clock:     simclock.Real{},
 		})
 		if err != nil {
 			meshConn.Close()
@@ -329,8 +336,7 @@ func run() error {
 			}
 		}()
 		go every(ctx, mesh.DefaultProbeInterval, node.Tick)
-		fmt.Printf("mesh on %s (peers=%d owner-renewal=%v)\n",
-			meshConn.LocalAddr(), len(peers), *meshOwnerRenewal)
+		fmt.Printf("mesh on %s (peers=%d)\n", meshConn.LocalAddr(), len(peers))
 	}
 
 	if store != nil {

@@ -138,7 +138,6 @@ func TestMeshMultiProcess(t *testing.T) {
 			"-mesh-listen", insts[i].meshAddr,
 			"-mesh-peers", peer,
 			"-mesh-key", "proc-test-key",
-			"-mesh-owner-renewal",
 			"-debug-addr", insts[i].debug,
 		)
 	}

@@ -51,6 +51,34 @@ func TestRunRejectsUpstreamPort(t *testing.T) {
 	}
 }
 
+// TestRunRejectsMeshAddrs: mesh addresses are IP:port literals with a
+// specified IP. A wildcard -mesh-listen would make the node hash
+// ownership under an address no peer uses, so it fails start-up as a
+// flag error, before any socket is bound; so does a host-name peer.
+func TestRunRejectsMeshAddrs(t *testing.T) {
+	defer func(args []string, fs *flag.FlagSet) { os.Args, flag.CommandLine = args, fs }(os.Args, flag.CommandLine)
+	for _, tc := range []struct{ flag, listen, peers string }{
+		{"-mesh-listen", ":0", ""},
+		{"-mesh-listen", "0.0.0.0:0", ""},
+		{"-mesh-listen", "localhost:0", ""},
+		{"-mesh-peers", "127.0.0.1:0", "127.0.0.1:7947,localhost:7948"},
+	} {
+		flag.CommandLine = flag.NewFlagSet("dnscache", flag.ContinueOnError)
+		os.Args = []string{"dnscache", "-listen", "127.0.0.1:0", "-root", "127.0.0.1:53",
+			"-mesh-key", "k", "-mesh-listen", tc.listen, "-mesh-peers", tc.peers}
+		errc := make(chan error, 1)
+		go func() { errc <- run() }()
+		select {
+		case err := <-errc:
+			if err == nil || !strings.HasPrefix(err.Error(), tc.flag) {
+				t.Errorf("-mesh-listen %q -mesh-peers %q: run() = %v, want a %s error", tc.listen, tc.peers, err, tc.flag)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("-mesh-listen %q -mesh-peers %q: run() started serving", tc.listen, tc.peers)
+		}
+	}
+}
+
 // TestResolvesThroughIPv6OnlyGlue resolves, over real sockets and through
 // dnscache's own address mapping, a name whose zone is delegated to a
 // server that has only AAAA glue, at ::1.

@@ -74,12 +74,11 @@ func runMeshFleet(sc sim.Scenario, n int) (*sim.Results, error) {
 			}
 		}
 		node, err := mesh.NewNode(mesh.Config{
-			Self:         self,
-			Key:          []byte("experiment-fleet-key"),
-			Peers:        peers,
-			Transport:    mnet.Bind(self),
-			Clock:        clk,
-			OwnerRenewal: true,
+			Self:      self,
+			Key:       []byte("experiment-fleet-key"),
+			Peers:     peers,
+			Transport: mnet.Bind(self),
+			Clock:     clk,
 		})
 		if err != nil {
 			return nil, err

@@ -9,6 +9,9 @@ type Counters struct {
 	// FramesBadMAC counts datagrams dropped for failing decode or HMAC
 	// verification (noise, wrong key, or forgery attempts).
 	FramesBadMAC uint64 `json:"frames_bad_mac"`
+	// FramesNonMember counts authenticated frames from a source that is
+	// not a configured peer (dropped in silence).
+	FramesNonMember uint64 `json:"frames_non_member"`
 	// FramesUnconfirmed counts authenticated requests from sources that
 	// had not completed the cookie handshake (answered only with a
 	// challenge, never acted on).

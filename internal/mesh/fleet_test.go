@@ -77,12 +77,11 @@ func newFleet(t *testing.T, n int, withMesh bool) *fleet {
 		// The node comes first, without a backend, as in cmd/dnscache: it
 		// is the server's Config.Fleet, and is bound to the server below.
 		m.node, err = NewNode(Config{
-			Self:         m.addr,
-			Key:          testKey,
-			Peers:        peers,
-			Transport:    mnet.Bind(m.addr),
-			Clock:        clk,
-			OwnerRenewal: true,
+			Self:      m.addr,
+			Key:       testKey,
+			Peers:     peers,
+			Transport: mnet.Bind(m.addr),
+			Clock:     clk,
 		})
 		if err != nil {
 			t.Fatal(err)

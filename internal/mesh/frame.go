@@ -1,7 +1,8 @@
 // Package mesh lets multiple caching-server instances cooperate as one
-// resilient fleet: SWIM-lite membership gossip, rendezvous-hashed
-// renewal ownership, IRR push gossip, and a peer-fetch fallback for
-// zones whose authoritative servers are unreachable mid-attack.
+// resilient fleet: a configured member list whose health each node
+// learns from its own probes, rendezvous-hashed renewal ownership, IRR
+// push gossip, and a peer-fetch fallback for zones whose authoritative
+// servers are unreachable mid-attack.
 //
 // Every frame on the mesh port is authenticated with a truncated
 // HMAC-SHA256 under the fleet's shared key and, beyond that, gated by a
@@ -27,8 +28,8 @@ import (
 // the same socket matched by sequence number. Challenge is the one
 // frame sent to unconfirmed sources.
 const (
-	TPing      = 1 // membership probe, carries a peer digest
-	TAck       = 2 // probe response, carries the responder's digest
+	TPing      = 1 // liveness probe (payload empty)
+	TAck       = 2 // probe response (payload empty)
 	TChallenge = 3 // cookie handout for an unconfirmed source
 	TIRRPush   = 4 // owner pushing a refreshed IRR set for one zone
 	TIRRAck    = 5 // push acknowledged (payload empty)
@@ -36,23 +37,14 @@ const (
 	TFetchResp = 7 // cache/stale answer (or SERVFAIL on miss)
 )
 
-// Frame flags.
-const (
-	// FlagRelayed marks a FetchReq that was itself triggered by a
-	// peer fetch. A node never forwards a relayed fetch to another
-	// peer, bounding peer-fetch to a single hop (no forwarding loops
-	// when ownership views disagree during a membership change).
-	FlagRelayed = 0x1
-)
-
 const (
 	frameMagic0 = 'R'
 	frameMagic1 = 'M'
 	// frameVersion is bumped on any wire-incompatible change; mixed
 	// fleets with different versions simply fail the decode and drop.
-	frameVersion = 1
+	frameVersion = 2
 
-	headerLen = 19 // magic(2) + ver(1) + type(1) + flags(1) + seq(4) + cookie(8) + paylen(2)
+	headerLen = 18 // magic(2) + ver(1) + type(1) + seq(4) + cookie(8) + paylen(2)
 	macLen    = 16 // HMAC-SHA256 truncated; 128-bit tags are ample for an online forgery setting
 
 	// MaxPayload bounds the payload so every frame fits comfortably in
@@ -66,7 +58,6 @@ const (
 // Frame is one decoded mesh datagram.
 type Frame struct {
 	Type    byte
-	Flags   byte
 	Seq     uint32
 	Cookie  uint64
 	Payload []byte
@@ -83,7 +74,7 @@ func EncodeFrame(key []byte, f Frame) ([]byte, error) {
 		return nil, fmt.Errorf("mesh: payload %d exceeds max %d", len(f.Payload), MaxPayload)
 	}
 	b := make([]byte, 0, headerLen+len(f.Payload)+macLen)
-	b = append(b, frameMagic0, frameMagic1, frameVersion, f.Type, f.Flags)
+	b = append(b, frameMagic0, frameMagic1, frameVersion, f.Type)
 	b = binary.BigEndian.AppendUint32(b, f.Seq)
 	b = binary.BigEndian.AppendUint64(b, f.Cookie)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(f.Payload)))
@@ -103,7 +94,7 @@ func DecodeFrame(key, b []byte) (Frame, error) {
 	if b[0] != frameMagic0 || b[1] != frameMagic1 || b[2] != frameVersion {
 		return Frame{}, ErrBadFrame
 	}
-	payLen := int(binary.BigEndian.Uint16(b[17:19]))
+	payLen := int(binary.BigEndian.Uint16(b[16:18]))
 	if payLen > MaxPayload || len(b) != headerLen+payLen+macLen {
 		return Frame{}, ErrBadFrame
 	}
@@ -115,9 +106,8 @@ func DecodeFrame(key, b []byte) (Frame, error) {
 	}
 	return Frame{
 		Type:    b[3],
-		Flags:   b[4],
-		Seq:     binary.BigEndian.Uint32(b[5:9]),
-		Cookie:  binary.BigEndian.Uint64(b[9:17]),
+		Seq:     binary.BigEndian.Uint32(b[4:8]),
+		Cookie:  binary.BigEndian.Uint64(b[8:16]),
 		Payload: b[headerLen : headerLen+payLen],
 	}, nil
 }
@@ -130,7 +120,7 @@ func PeekTypeSeq(b []byte) (typ byte, seq uint32, ok bool) {
 	if len(b) < headerLen || b[0] != frameMagic0 || b[1] != frameMagic1 {
 		return 0, 0, false
 	}
-	return b[3], binary.BigEndian.Uint32(b[5:9]), true
+	return b[3], binary.BigEndian.Uint32(b[4:8]), true
 }
 
 // IsResponseType reports whether typ is a frame type that answers a
@@ -150,43 +140,6 @@ func IsResponseType(typ byte) bool {
 // strings, fixed-width big-endian integers, and dnswire-packed messages
 // for anything DNS-shaped.
 
-// PeerState is a member's health as seen by one node.
-type PeerState uint8
-
-const (
-	StateAlive PeerState = iota
-	StateSuspect
-	StateDead
-)
-
-// String renders the state for /debug/peers.
-func (s PeerState) String() string {
-	switch s {
-	case StateAlive:
-		return "alive"
-	case StateSuspect:
-		return "suspect"
-	case StateDead:
-		return "dead"
-	}
-	return fmt.Sprintf("state(%d)", uint8(s))
-}
-
-// DigestEntry is one member's row in a gossiped membership digest.
-type DigestEntry struct {
-	Addr        string
-	State       PeerState
-	Incarnation uint64
-}
-
-// PingPayload is carried by both Ping and Ack: the sender's identity
-// plus its current view of the membership.
-type PingPayload struct {
-	From        string // sender's canonical mesh address (host:port)
-	Incarnation uint64 // sender's own incarnation
-	Digest      []DigestEntry
-}
-
 func appendString8(b []byte, s string) ([]byte, error) {
 	if len(s) > 255 {
 		return nil, fmt.Errorf("mesh: string %q too long", s)
@@ -201,65 +154,6 @@ func readString8(b []byte) (string, []byte, error) {
 	}
 	n := int(b[0])
 	return string(b[1 : 1+n]), b[1+n:], nil
-}
-
-// EncodePing serialises a PingPayload.
-func EncodePing(p PingPayload) ([]byte, error) {
-	if len(p.Digest) > 0xffff {
-		return nil, fmt.Errorf("mesh: digest too large (%d entries)", len(p.Digest))
-	}
-	b, err := appendString8(nil, p.From)
-	if err != nil {
-		return nil, err
-	}
-	b = binary.BigEndian.AppendUint64(b, p.Incarnation)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(p.Digest)))
-	for _, d := range p.Digest {
-		if b, err = appendString8(b, d.Addr); err != nil {
-			return nil, err
-		}
-		b = append(b, byte(d.State))
-		b = binary.BigEndian.AppendUint64(b, d.Incarnation)
-	}
-	if len(b) > MaxPayload {
-		return nil, fmt.Errorf("mesh: ping payload %d exceeds max %d", len(b), MaxPayload)
-	}
-	return b, nil
-}
-
-// DecodePing parses a Ping/Ack payload.
-func DecodePing(b []byte) (PingPayload, error) {
-	var p PingPayload
-	var err error
-	if p.From, b, err = readString8(b); err != nil {
-		return PingPayload{}, err
-	}
-	if len(b) < 10 {
-		return PingPayload{}, ErrBadFrame
-	}
-	p.Incarnation = binary.BigEndian.Uint64(b)
-	n := int(binary.BigEndian.Uint16(b[8:]))
-	b = b[10:]
-	for i := 0; i < n; i++ {
-		var d DigestEntry
-		if d.Addr, b, err = readString8(b); err != nil {
-			return PingPayload{}, err
-		}
-		if len(b) < 9 {
-			return PingPayload{}, ErrBadFrame
-		}
-		d.State = PeerState(b[0])
-		if d.State > StateDead {
-			return PingPayload{}, ErrBadFrame
-		}
-		d.Incarnation = binary.BigEndian.Uint64(b[1:])
-		b = b[9:]
-		p.Digest = append(p.Digest, d)
-	}
-	if len(b) != 0 {
-		return PingPayload{}, ErrBadFrame
-	}
-	return p, nil
 }
 
 // EncodeIRRPush serialises a zone name plus its dnswire-packed IRR set.

@@ -13,7 +13,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	for _, f := range []Frame{
 		{Type: TPing, Seq: 1, Cookie: 0xdeadbeef, Payload: []byte("hello")},
 		{Type: TAck, Seq: 0xffffffff, Cookie: 0},
-		{Type: TChallenge, Flags: FlagRelayed, Seq: 7, Cookie: 42},
+		{Type: TChallenge, Seq: 7, Cookie: 42},
 		{Type: TFetchResp, Seq: 9, Payload: bytes.Repeat([]byte{0xab}, MaxPayload)},
 	} {
 		wire, err := EncodeFrame(testKey, f)
@@ -24,7 +24,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode %+v: %v", f, err)
 		}
-		if got.Type != f.Type || got.Flags != f.Flags || got.Seq != f.Seq ||
+		if got.Type != f.Type || got.Seq != f.Seq ||
 			got.Cookie != f.Cookie || !bytes.Equal(got.Payload, f.Payload) {
 			t.Errorf("round trip: got %+v want %+v", got, f)
 		}
@@ -73,37 +73,6 @@ func TestPeekTypeSeq(t *testing.T) {
 	}
 	if _, _, ok := PeekTypeSeq(wire[:headerLen-1]); ok {
 		t.Error("PeekTypeSeq accepted a short buffer")
-	}
-}
-
-func TestPingPayloadRoundTrip(t *testing.T) {
-	p := PingPayload{
-		From:        "10.0.0.1:7946",
-		Incarnation: 12,
-		Digest: []DigestEntry{
-			{Addr: "10.0.0.2:7946", State: StateAlive, Incarnation: 3},
-			{Addr: "10.0.0.3:7946", State: StateSuspect, Incarnation: 0},
-			{Addr: "10.0.0.4:7946", State: StateDead, Incarnation: 9},
-		},
-	}
-	b, err := EncodePing(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodePing(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.From != p.From || got.Incarnation != p.Incarnation || len(got.Digest) != len(p.Digest) {
-		t.Fatalf("round trip: got %+v want %+v", got, p)
-	}
-	for i := range p.Digest {
-		if got.Digest[i] != p.Digest[i] {
-			t.Errorf("digest[%d] = %+v want %+v", i, got.Digest[i], p.Digest[i])
-		}
-	}
-	if _, err := DecodePing(append(b, 0)); err == nil {
-		t.Error("trailing bytes accepted")
 	}
 }
 
@@ -156,11 +125,7 @@ func TestChallengeSmallerThanRequest(t *testing.T) {
 // hostile input is rejected, never a panic — this port faces other
 // machines on the network.
 func FuzzMeshFrame(f *testing.F) {
-	ping, _ := EncodePing(PingPayload{
-		From: "10.0.0.1:7946", Incarnation: 2,
-		Digest: []DigestEntry{{Addr: "10.0.0.2:7946", State: StateAlive, Incarnation: 1}},
-	})
-	pingFrame, _ := EncodeFrame(testKey, Frame{Type: TPing, Seq: 1, Cookie: 7, Payload: ping})
+	pingFrame, _ := EncodeFrame(testKey, Frame{Type: TPing, Seq: 1, Cookie: 7})
 	zone := dnswire.MustName("seed.example.")
 	push, _ := EncodeIRRPush(zone, &dnswire.Message{
 		Answer: []dnswire.RR{{
@@ -180,13 +145,11 @@ func FuzzMeshFrame(f *testing.F) {
 		if fr, err := DecodeFrame(testKey, b); err == nil {
 			// Authenticated frames still carry attacker-influenced
 			// payloads once a key leaks: payload decoders must not panic.
-			_, _ = DecodePing(fr.Payload)
 			_, _, _ = DecodeIRRPush(fr.Payload)
 			_, _ = DecodeMsg(fr.Payload)
 		}
 		PeekTypeSeq(b)
 		// Payload decoders are also reachable via authenticated peers.
-		_, _ = DecodePing(b)
 		_, _, _ = DecodeIRRPush(b)
 		_, _ = DecodeMsg(b)
 	})

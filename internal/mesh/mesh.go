@@ -40,7 +40,7 @@ type Backend interface {
 	// IngestPeerIRRs validates and ingests a pushed IRR set, reporting
 	// whether it was accepted.
 	IngestPeerIRRs(zone dnswire.Name, msg *dnswire.Message) bool
-	// HandleQueryCacheOnly answers a peer's relayed query strictly from
+	// HandleQueryCacheOnly answers a peer's fetch strictly from
 	// cached or stale data (never an upstream fetch).
 	HandleQueryCacheOnly(q *dnswire.Message) *dnswire.Message
 }
@@ -59,32 +59,28 @@ const (
 
 // Config parameterises a Node.
 type Config struct {
-	// Self is this node's canonical mesh address (host:port) — the
-	// address peers reach it at, which must equal the address its
-	// transport sends from so that cookie confirmation works.
+	// Self is this node's mesh address, an IP:port literal: the address
+	// peers reach it at, which must equal the address its transport
+	// sends from so that cookie confirmation works.
 	Self string
 	// Key is the fleet's shared HMAC key.
 	Key []byte
-	// Peers seeds the member list (beyond what digests introduce).
+	// Peers is the membership: every other node's IP:port. Frames from
+	// any other source are dropped, and calls to one are refused.
 	Peers []string
 	// Transport sends request frames to peers.
 	Transport Transport
 	// Clock is the time source (virtual in tests/experiments).
 	Clock simclock.Clock
-	// OwnerRenewal enables renewal-ownership deduplication: when set,
-	// OwnsRenewal defers zones owned by another live peer.
-	OwnerRenewal bool
 }
 
-// peer is one remote member as seen locally.
+// peer is one configured member as seen locally.
 type peer struct {
-	addr        string
-	ip          netip.Addr // zero when addr has no parseable host IP
-	state       PeerState
-	incarnation uint64
-	missed      int       // consecutive failed probes
-	lastProbe   time.Time // when we last initiated a probe
-	lastSeen    time.Time // last authenticated, confirmed contact
+	addr      string
+	ip        netip.Addr
+	missed    int       // consecutive failed probes of ours; the state derives from it
+	lastProbe time.Time // when we last initiated a probe
+	lastSeen  time.Time // last authenticated, confirmed contact
 
 	// cookieIn is the cookie we issued to this source address; a
 	// request is trusted only when it echoes it. cookieOut is the
@@ -92,6 +88,18 @@ type peer struct {
 	cookieIn  uint64
 	cookieOut uint64
 	confirmed bool // peer has echoed cookieIn at least once
+}
+
+// state renders the peer's health for /debug/peers. Dead peers drop out
+// of ownership, gossip and peer fetch; suspect ones stay in.
+func (p *peer) state() string {
+	switch {
+	case p.missed >= DefaultDeadAfter:
+		return "dead"
+	case p.missed >= DefaultSuspectAfter:
+		return "suspect"
+	}
+	return "alive"
 }
 
 // Node is one mesh member. All exported methods are safe for concurrent
@@ -104,20 +112,31 @@ type Node struct {
 	backend  Backend
 	counters *Counters
 	seq      atomic.Uint32
-	selfIP   netip.Addr
 
-	mu          sync.Mutex
-	peers       map[string]*peer
-	incarnation uint64
+	mu    sync.Mutex
+	peers []*peer // the configured members, sorted by address; fixed after NewNode
+}
+
+// ParseAddr checks that s is an IP:port literal with a specified
+// address and returns it in canonical form (IPv4-mapped IPv6 unmapped),
+// whose String is what a datagram's source address prints as. Host
+// names are refused: a node hashes ownership and matches sources by
+// that exact string.
+func ParseAddr(s string) (netip.AddrPort, error) {
+	ap, err := netip.ParseAddrPort(s)
+	if err != nil {
+		return netip.AddrPort{}, fmt.Errorf("mesh: address %q: want an IP:port literal", s)
+	}
+	if ap.Addr().IsUnspecified() {
+		return netip.AddrPort{}, fmt.Errorf("mesh: address %q: unspecified IP, want the one peers reach", s)
+	}
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), nil
 }
 
 // NewNode validates cfg and builds a node with the configured peers
 // seeded as alive (optimistically: probes demote unreachable ones
 // within DefaultDeadAfter probe intervals).
 func NewNode(cfg Config) (*Node, error) {
-	if cfg.Self == "" {
-		return nil, errors.New("mesh: Config.Self required")
-	}
 	if len(cfg.Key) == 0 {
 		return nil, errors.New("mesh: Config.Key required")
 	}
@@ -127,39 +146,34 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Clock == nil {
 		return nil, errors.New("mesh: Config.Clock required")
 	}
-	n := &Node{
-		cfg:      cfg,
-		counters: metrics.NewSet[Counters](),
-		selfIP:   addrIP(cfg.Self),
-		peers:    make(map[string]*peer),
+	self, err := ParseAddr(cfg.Self)
+	if err != nil {
+		return nil, err
 	}
+	cfg.Self = self.String()
+	n := &Node{cfg: cfg, counters: metrics.NewSet[Counters]()}
 	now := cfg.Clock.Now()
-	for _, addr := range cfg.Peers {
-		if addr == "" || addr == cfg.Self {
-			continue
+	for _, s := range cfg.Peers {
+		ap, err := ParseAddr(s)
+		if err != nil {
+			return nil, err
 		}
-		n.peers[addr] = n.newPeer(addr, now)
+		if addr := ap.String(); addr != cfg.Self && n.peer(addr) == nil {
+			n.peers = append(n.peers, &peer{addr: addr, ip: ap.Addr(), cookieIn: newCookie(), lastSeen: now})
+		}
 	}
+	sort.Slice(n.peers, func(i, j int) bool { return n.peers[i].addr < n.peers[j].addr })
 	return n, nil
 }
 
-// addrIP extracts the host IP of a host:port mesh address.
-func addrIP(addr string) netip.Addr {
-	ap, err := netip.ParseAddrPort(addr)
-	if err != nil {
-		return netip.Addr{}
+// peer returns the configured member at addr, or nil.
+func (n *Node) peer(addr string) *peer {
+	for _, p := range n.peers {
+		if p.addr == addr {
+			return p
+		}
 	}
-	return ap.Addr().Unmap()
-}
-
-func (n *Node) newPeer(addr string, now time.Time) *peer {
-	return &peer{
-		addr:     addr,
-		ip:       addrIP(addr),
-		state:    StateAlive,
-		cookieIn: newCookie(),
-		lastSeen: now,
-	}
+	return nil
 }
 
 // newCookie draws a fresh 64-bit source-confirmation cookie.
@@ -184,12 +198,16 @@ func (n *Node) SetBackend(b Backend) { n.backend = b }
 
 // --- inbound path ---
 
+// errNotMember refuses a call to an address outside Config.Peers.
+var errNotMember = errors.New("mesh: not a configured peer")
+
 // HandleFrame processes one inbound datagram and returns the reply to
 // send back to its source, or nil to stay silent. It NEVER makes an
 // outbound transport call (transports may invoke it synchronously from
-// their read loop, and simnet calls are synchronous), and it never
-// replies with more bytes than it received unless the source has
-// completed the cookie handshake — the anti-reflection property.
+// their read loop, and simnet calls are synchronous), it answers only
+// configured members, and it never replies with more bytes than it
+// received unless the source has completed the cookie handshake — the
+// anti-reflection property.
 func (n *Node) HandleFrame(raw []byte, from string) []byte {
 	metrics.Inc(&n.counters.FramesIn)
 	f, err := DecodeFrame(n.cfg.Key, raw)
@@ -204,55 +222,34 @@ func (n *Node) HandleFrame(raw []byte, from string) []byte {
 		return nil
 	}
 
-	now := n.cfg.Clock.Now()
 	n.mu.Lock()
-	p, ok := n.peers[from]
-	if !ok {
-		// Authenticated under the fleet key but a source we have never
-		// seen: admit it to the member list, pending confirmation.
-		p = n.newPeer(from, now)
-		p.state = StateSuspect // not yet proven reachable at this address
-		n.peers[from] = p
+	p := n.peer(from)
+	if p == nil {
+		n.mu.Unlock()
+		metrics.Inc(&n.counters.FramesNonMember)
+		return nil
 	}
-	if f.Cookie == 0 || f.Cookie != p.cookieIn {
+	cookie := p.cookieIn
+	if f.Cookie == 0 || f.Cookie != cookie {
 		// Source has not echoed our cookie: do not act on the request,
 		// answer only with a challenge carrying the cookie. The
-		// challenge is header+MAC only (35 bytes) — never larger than
+		// challenge is header+MAC only (34 bytes) — never larger than
 		// the smallest possible request — so spoofed-source floods gain
 		// no amplification through this port.
-		cookie := p.cookieIn
 		n.mu.Unlock()
 		metrics.Inc(&n.counters.FramesUnconfirmed)
 		metrics.Inc(&n.counters.ChallengesSent)
-		reply, err := EncodeFrame(n.cfg.Key, Frame{Type: TChallenge, Seq: f.Seq, Cookie: cookie})
-		if err != nil {
-			return nil
-		}
-		return reply
+		return n.reply(TChallenge, f.Seq, cookie, nil)
 	}
 	// Cookie echo proves the source receives traffic at this address.
+	// Its state stays what our own probes make it.
 	p.confirmed = true
-	p.missed = 0
-	p.lastSeen = now
-	if p.state != StateAlive {
-		p.state = StateAlive
-	}
-	cookie := p.cookieIn // echoed back so the peer can pre-confirm future calls
+	p.lastSeen = n.cfg.Clock.Now()
 	n.mu.Unlock()
 
-	var respType byte
-	var payload []byte
 	switch f.Type {
 	case TPing:
-		ping, err := DecodePing(f.Payload)
-		if err != nil || ping.From != from {
-			return nil
-		}
-		n.mergeDigest(ping, now)
-		respType = TAck
-		if payload, err = EncodePing(n.digest()); err != nil {
-			return nil
-		}
+		return n.reply(TAck, f.Seq, cookie, nil)
 	case TIRRPush:
 		zone, msg, err := DecodeIRRPush(f.Payload)
 		if err != nil {
@@ -262,139 +259,78 @@ func (n *Node) HandleFrame(raw []byte, from string) []byte {
 		if n.backend != nil && n.backend.IngestPeerIRRs(zone, msg) {
 			metrics.Inc(&n.counters.IRRIngested)
 		}
-		respType = TIRRAck
+		return n.reply(TIRRAck, f.Seq, cookie, nil)
 	case TFetchReq:
 		q, err := DecodeMsg(f.Payload)
 		if err != nil || n.backend == nil {
 			return nil
 		}
-		// Relayed or not, a peer fetch is answered strictly from
-		// cache/stale data (HandleQueryCacheOnly never fetches upstream),
-		// so a fetch can never cascade into further upstream or peer work.
+		// A peer fetch is answered strictly from cache/stale data
+		// (HandleQueryCacheOnly never fetches upstream), so a fetch can
+		// never cascade into further upstream or peer work.
 		resp := n.backend.HandleQueryCacheOnly(q)
 		if resp == nil {
 			return nil
 		}
-		metrics.Inc(&n.counters.FetchesServed)
-		respType = TFetchResp
-		if payload, err = EncodeMsg(resp); err != nil {
+		payload, err := EncodeMsg(resp)
+		if err != nil {
 			return nil
 		}
-	default:
-		return nil
+		metrics.Inc(&n.counters.FetchesServed)
+		return n.reply(TFetchResp, f.Seq, cookie, payload)
 	}
-	reply, err := EncodeFrame(n.cfg.Key, Frame{Type: respType, Seq: f.Seq, Cookie: cookie, Payload: payload})
+	return nil
+}
+
+// reply encodes a response frame; the cookie echoed back lets the peer
+// pre-confirm its future calls.
+func (n *Node) reply(typ byte, seq uint32, cookie uint64, payload []byte) []byte {
+	b, err := EncodeFrame(n.cfg.Key, Frame{Type: typ, Seq: seq, Cookie: cookie, Payload: payload})
 	if err != nil {
 		return nil
 	}
-	return reply
-}
-
-// mergeDigest folds a peer's gossiped membership view into ours.
-// Higher incarnation wins; at equal incarnation the worse state wins
-// (so suspicion spreads until the subject refutes it by bumping its
-// incarnation). Entries about self with a bad state are refuted by
-// out-bumping their incarnation.
-func (n *Node) mergeDigest(p PingPayload, now time.Time) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if sender, ok := n.peers[p.From]; ok && p.Incarnation > sender.incarnation {
-		sender.incarnation = p.Incarnation
-	}
-	for _, d := range p.Digest {
-		if d.Addr == n.cfg.Self {
-			if d.State != StateAlive && d.Incarnation >= n.incarnation {
-				n.incarnation = d.Incarnation + 1
-			}
-			continue
-		}
-		q, ok := n.peers[d.Addr]
-		if !ok {
-			q = n.newPeer(d.Addr, now)
-			q.state = d.State
-			q.incarnation = d.Incarnation
-			n.peers[d.Addr] = q
-			continue
-		}
-		switch {
-		case d.Incarnation > q.incarnation:
-			q.incarnation = d.Incarnation
-			q.state = d.State
-			if d.State == StateAlive {
-				q.missed = 0
-			}
-		case d.Incarnation == q.incarnation && d.State > q.state:
-			q.state = d.State
-		}
-	}
-}
-
-// digest snapshots the local membership view for gossip.
-func (n *Node) digest() PingPayload {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	p := PingPayload{From: n.cfg.Self, Incarnation: n.incarnation}
-	p.Digest = append(p.Digest, DigestEntry{Addr: n.cfg.Self, State: StateAlive, Incarnation: n.incarnation})
-	for _, addr := range n.sortedPeerAddrsLocked() {
-		q := n.peers[addr]
-		p.Digest = append(p.Digest, DigestEntry{Addr: q.addr, State: q.state, Incarnation: q.incarnation})
-	}
-	return p
-}
-
-func (n *Node) sortedPeerAddrsLocked() []string {
-	addrs := make([]string, 0, len(n.peers))
-	for a := range n.peers {
-		addrs = append(addrs, a)
-	}
-	sort.Strings(addrs)
-	return addrs
+	return b
 }
 
 // --- outbound path ---
 
-// call sends one request frame to addr and returns the decoded,
-// sequence-matched response. On a Challenge response it adopts the
-// issued cookie and retries once — the normal first-contact flow.
-func (n *Node) call(ctx context.Context, addr string, typ, flags byte, payload []byte) (Frame, error) {
+// call sends one request frame to the configured member at addr and
+// returns the decoded, sequence-matched response. On a Challenge
+// response it adopts the issued cookie and retries once — the normal
+// first-contact flow.
+func (n *Node) call(ctx context.Context, addr string, typ byte, payload []byte) (Frame, error) {
 	n.mu.Lock()
-	p, ok := n.peers[addr]
-	if !ok {
-		now := n.cfg.Clock.Now()
-		p = n.newPeer(addr, now)
-		n.peers[addr] = p
+	p := n.peer(addr)
+	if p == nil {
+		n.mu.Unlock()
+		return Frame{}, errNotMember
 	}
 	cookie := p.cookieOut
 	n.mu.Unlock()
 
 	for attempt := 0; ; attempt++ {
-		resp, err := n.callOnce(ctx, addr, typ, flags, cookie, payload)
+		resp, err := n.callOnce(ctx, addr, typ, cookie, payload)
 		if err != nil {
 			return Frame{}, err
 		}
-		if resp.Type != TChallenge {
+		if resp.Cookie != 0 {
 			n.mu.Lock()
-			if p, ok := n.peers[addr]; ok && resp.Cookie != 0 {
-				p.cookieOut = resp.Cookie
-			}
+			p.cookieOut = resp.Cookie
 			n.mu.Unlock()
+		}
+		if resp.Type != TChallenge {
 			return resp, nil
 		}
 		if attempt >= 1 {
 			return Frame{}, errors.New("mesh: peer kept challenging")
 		}
 		cookie = resp.Cookie
-		n.mu.Lock()
-		if p, ok := n.peers[addr]; ok {
-			p.cookieOut = cookie
-		}
-		n.mu.Unlock()
 	}
 }
 
-func (n *Node) callOnce(ctx context.Context, addr string, typ, flags byte, cookie uint64, payload []byte) (Frame, error) {
+func (n *Node) callOnce(ctx context.Context, addr string, typ byte, cookie uint64, payload []byte) (Frame, error) {
 	seq := n.seq.Add(1)
-	raw, err := EncodeFrame(n.cfg.Key, Frame{Type: typ, Flags: flags, Seq: seq, Cookie: cookie, Payload: payload})
+	raw, err := EncodeFrame(n.cfg.Key, Frame{Type: typ, Seq: seq, Cookie: cookie, Payload: payload})
 	if err != nil {
 		return Frame{}, err
 	}
@@ -415,68 +351,36 @@ func (n *Node) callOnce(ctx context.Context, addr string, typ, flags byte, cooki
 }
 
 // Tick drives the failure detector: it probes every peer whose probe
-// interval has elapsed (in deterministic sorted order) and applies the
-// results. Callers run it from a ticker goroutine in production or
-// interleave it with virtual-clock advancement in simulation. Probes
-// are synchronous, so a tick can block for missed×DefaultCallTimeout on
-// dead peers; run it off the query path.
+// interval has elapsed (in sorted order) and applies the results.
+// Callers run it from a ticker goroutine in production or interleave it
+// with virtual-clock advancement in simulation. Probes are synchronous,
+// so a tick can block for one DefaultCallTimeout per unreachable peer;
+// run it off the query path.
 func (n *Node) Tick(now time.Time) {
 	n.mu.Lock()
-	var due []string
-	for _, addr := range n.sortedPeerAddrsLocked() {
-		p := n.peers[addr]
+	var due []*peer
+	for _, p := range n.peers {
 		if p.lastProbe.IsZero() || now.Sub(p.lastProbe) >= DefaultProbeInterval {
 			p.lastProbe = now
-			due = append(due, addr)
+			due = append(due, p)
 		}
 	}
 	n.mu.Unlock()
 
-	for _, addr := range due {
-		n.probe(addr, now)
-	}
-}
-
-func (n *Node) probe(addr string, now time.Time) {
-	metrics.Inc(&n.counters.PingsSent)
-	payload, err := EncodePing(n.digest())
-	if err != nil {
-		return
-	}
-	resp, err := n.call(context.Background(), addr, TPing, 0, payload)
-	if err != nil {
-		metrics.Inc(&n.counters.PingFailures)
+	for _, p := range due {
+		metrics.Inc(&n.counters.PingsSent)
+		_, err := n.call(context.Background(), p.addr, TPing, nil)
 		n.mu.Lock()
-		if p, ok := n.peers[addr]; ok {
+		if err != nil {
+			metrics.Inc(&n.counters.PingFailures)
 			p.missed++
-			switch {
-			case p.missed >= DefaultDeadAfter:
-				p.state = StateDead
-			case p.missed >= DefaultSuspectAfter:
-				if p.state == StateAlive {
-					p.state = StateSuspect
-				}
-			}
+		} else {
+			p.missed = 0
+			p.confirmed = true
+			p.lastSeen = now
 		}
 		n.mu.Unlock()
-		return
 	}
-	ack, err := DecodePing(resp.Payload)
-	if err != nil || ack.From != addr {
-		return
-	}
-	n.mu.Lock()
-	if p, ok := n.peers[addr]; ok {
-		p.missed = 0
-		p.state = StateAlive
-		p.confirmed = true
-		p.lastSeen = now
-		if ack.Incarnation > p.incarnation {
-			p.incarnation = ack.Incarnation
-		}
-	}
-	n.mu.Unlock()
-	n.mergeDigest(ack, now)
 }
 
 // GossipZone pushes the zone's current IRR set to every live peer.
@@ -494,33 +398,41 @@ func (n *Node) GossipZone(zone dnswire.Name) {
 	if err != nil {
 		return
 	}
-	for _, addr := range n.alivePeers() {
-		if _, err := n.call(context.Background(), addr, TIRRPush, 0, payload); err == nil {
+	for _, addr := range n.livePeers() {
+		if _, err := n.call(context.Background(), addr, TIRRPush, payload); err == nil {
 			metrics.Inc(&n.counters.IRRPushesSent)
 		}
 	}
 }
 
-// alivePeers lists live remote peers in sorted order.
-func (n *Node) alivePeers() []string {
+// livePeers lists the non-dead peers in sorted order.
+func (n *Node) livePeers() []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var out []string
-	for _, addr := range n.sortedPeerAddrsLocked() {
-		if n.peers[addr].state != StateDead {
-			out = append(out, addr)
+	for _, p := range n.peers {
+		if p.missed < DefaultDeadAfter {
+			out = append(out, p.addr)
 		}
 	}
 	return out
 }
 
-// PeerFetch asks the zone owner's cache for an answer when local
-// resolution has failed. It returns nil when no peer can help (no live
-// peers, transport failure, or the peer had nothing cached either).
-// The request carries FlagRelayed so the serving peer answers strictly
-// from cache and never relays onward — peer fetch is single-hop.
+// PeerFetch asks one peer's cache for an answer when local resolution
+// has failed: the live peer with the highest rendezvous weight for
+// qname (the owner keeps the zone warmest; if we are the owner, the
+// runner-up is the next-likeliest warm cache). The peer answers from
+// cache or stale data only, so a fetch is single-hop. It returns nil
+// when no peer can help (no live peers, transport failure, or the peer
+// had nothing cached either).
 func (n *Node) PeerFetch(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) *dnswire.Message {
-	target := n.fetchTarget(qname)
+	target := ""
+	var bestW uint64
+	for _, addr := range n.livePeers() {
+		if w := rendezvousWeight(addr, qname); target == "" || w > bestW {
+			target, bestW = addr, w
+		}
+	}
 	if target == "" {
 		return nil
 	}
@@ -530,7 +442,7 @@ func (n *Node) PeerFetch(ctx context.Context, qname dnswire.Name, qtype dnswire.
 		return nil
 	}
 	metrics.Inc(&n.counters.FetchesSent)
-	resp, err := n.call(ctx, target, TFetchReq, FlagRelayed, payload)
+	resp, err := n.call(ctx, target, TFetchReq, payload)
 	if err != nil {
 		return nil
 	}
@@ -545,27 +457,6 @@ func (n *Node) PeerFetch(ctx context.Context, qname dnswire.Name, qtype dnswire.
 	return msg
 }
 
-// fetchTarget picks the best peer to ask for qname: the live member
-// with the highest rendezvous weight for the enclosing zone, skipping
-// self (the owner keeps the zone warmest; if we are the owner, the
-// runner-up is the next-likeliest warm cache).
-func (n *Node) fetchTarget(qname dnswire.Name) string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	best := ""
-	var bestW uint64
-	for _, addr := range n.sortedPeerAddrsLocked() {
-		p := n.peers[addr]
-		if p.state == StateDead {
-			continue
-		}
-		if w := rendezvousWeight(addr, qname); best == "" || w > bestW {
-			best, bestW = addr, w
-		}
-	}
-	return best
-}
-
 // IsPeerIP reports whether ip belongs to a handshake-confirmed mesh
 // peer. The guard layer uses it to exempt fleet members from the
 // per-client rate limiter.
@@ -574,7 +465,7 @@ func (n *Node) IsPeerIP(ip netip.Addr) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, p := range n.peers {
-		if p.confirmed && p.ip.IsValid() && p.ip == ip {
+		if p.confirmed && p.ip == ip {
 			return true
 		}
 	}
@@ -583,37 +474,32 @@ func (n *Node) IsPeerIP(ip netip.Addr) bool {
 
 // PeerInfo is one member's row in Snapshot (and /debug/peers).
 type PeerInfo struct {
-	Addr        string    `json:"addr"`
-	State       string    `json:"state"`
-	Incarnation uint64    `json:"incarnation"`
-	Confirmed   bool      `json:"confirmed"`
-	Missed      int       `json:"missed,omitempty"`
-	LastSeen    time.Time `json:"last_seen"`
+	Addr      string    `json:"addr"`
+	State     string    `json:"state"`
+	Confirmed bool      `json:"confirmed"`
+	Missed    int       `json:"missed,omitempty"`
+	LastSeen  time.Time `json:"last_seen"`
 }
 
 // Snapshot is the node's membership view plus counters, served at
 // /debug/peers.
 type Snapshot struct {
-	Self        string     `json:"self"`
-	Incarnation uint64     `json:"incarnation"`
-	OwnerRenew  bool       `json:"owner_renewal"`
-	Peers       []PeerInfo `json:"peers"`
-	Counters    Counters   `json:"counters"`
+	Self     string     `json:"self"`
+	Peers    []PeerInfo `json:"peers"`
+	Counters Counters   `json:"counters"`
 }
 
 // Snapshot captures the current membership view.
 func (n *Node) Snapshot() Snapshot {
 	n.mu.Lock()
-	s := Snapshot{Self: n.cfg.Self, Incarnation: n.incarnation, OwnerRenew: n.cfg.OwnerRenewal}
-	for _, addr := range n.sortedPeerAddrsLocked() {
-		p := n.peers[addr]
+	s := Snapshot{Self: n.cfg.Self}
+	for _, p := range n.peers {
 		s.Peers = append(s.Peers, PeerInfo{
-			Addr:        p.addr,
-			State:       p.state.String(),
-			Incarnation: p.incarnation,
-			Confirmed:   p.confirmed,
-			Missed:      p.missed,
-			LastSeen:    p.lastSeen,
+			Addr:      p.addr,
+			State:     p.state(),
+			Confirmed: p.confirmed,
+			Missed:    p.missed,
+			LastSeen:  p.lastSeen,
 		})
 	}
 	n.mu.Unlock()

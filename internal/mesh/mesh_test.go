@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -104,12 +105,11 @@ func newTestFleet(t *testing.T, n int) *testFleet {
 		}
 		backend := newFakeBackend()
 		node, err := NewNode(Config{
-			Self:         self,
-			Key:          testKey,
-			Peers:        peers,
-			Transport:    f.net.Bind(self),
-			Clock:        clk,
-			OwnerRenewal: true,
+			Self:      self,
+			Key:       testKey,
+			Peers:     peers,
+			Transport: f.net.Bind(self),
+			Clock:     clk,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -151,12 +151,13 @@ func TestHandshakeConfirmsPeers(t *testing.T) {
 }
 
 // TestUnconfirmedSourceNotActedOn pins the anti-reflection contract: a
-// frame that authenticates under the fleet key but does not echo the
-// source's cookie must not be acted on — the only reply is a challenge
-// no larger than the request, and the backend is never invoked.
+// frame from a configured member that authenticates under the fleet key
+// but does not echo the source's cookie must not be acted on — the only
+// reply is a challenge no larger than the request, and the backend is
+// never invoked.
 func TestUnconfirmedSourceNotActedOn(t *testing.T) {
-	f := newTestFleet(t, 1)
-	node, backend := f.nodes[0], f.backends[0]
+	f := newTestFleet(t, 2)
+	node, backend, from := f.nodes[0], f.backends[0], f.nodes[1].Self()
 
 	zone := dnswire.MustName("victim.example.")
 	push, err := EncodeIRRPush(zone, &dnswire.Message{
@@ -173,7 +174,7 @@ func TestUnconfirmedSourceNotActedOn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reply := node.HandleFrame(raw, "198.51.100.7:7946")
+		reply := node.HandleFrame(raw, from)
 		if reply == nil {
 			t.Fatal("expected a challenge reply")
 		}
@@ -197,12 +198,12 @@ func TestUnconfirmedSourceNotActedOn(t *testing.T) {
 	}
 
 	// Echoing the issued cookie must then be accepted.
-	chal := node.HandleFrame(mustFrame(t, Frame{Type: TIRRPush, Seq: 6, Payload: push}), "198.51.100.7:7946")
+	chal := node.HandleFrame(mustFrame(t, Frame{Type: TIRRPush, Seq: 6, Payload: push}), from)
 	cf, err := DecodeFrame(testKey, chal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ack := node.HandleFrame(mustFrame(t, Frame{Type: TIRRPush, Seq: 7, Cookie: cf.Cookie, Payload: push}), "198.51.100.7:7946")
+	ack := node.HandleFrame(mustFrame(t, Frame{Type: TIRRPush, Seq: 7, Cookie: cf.Cookie, Payload: push}), from)
 	af, err := DecodeFrame(testKey, ack)
 	if err != nil || af.Type != TIRRAck {
 		t.Fatalf("confirmed push not acked: frame=%+v err=%v", af, err)
@@ -233,11 +234,51 @@ func TestUnauthenticatedFrameDropped(t *testing.T) {
 			t.Errorf("unauthenticated frame %q got a %d-byte reply, want silence", raw, len(reply))
 		}
 	}
-	if got := f.nodes[0].Snapshot().Counters.FramesBadMAC; got != 3 {
-		t.Errorf("FramesBadMAC = %d, want 3", got)
+	// Authenticated under the fleet key, but from a source nobody
+	// configured: no challenge, no row.
+	if reply := node.HandleFrame(mustFrame(t, Frame{Type: TPing, Seq: 2}), "203.0.113.9:7946"); reply != nil {
+		t.Errorf("non-member frame got a %d-byte reply, want silence", len(reply))
 	}
-	if len(f.nodes[0].Snapshot().Peers) != 0 {
-		t.Error("unauthenticated source was admitted to the member list")
+	snap := f.nodes[0].Snapshot()
+	if snap.Counters.FramesBadMAC != 3 || snap.Counters.FramesNonMember != 1 || snap.Counters.ChallengesSent != 0 {
+		t.Errorf("counters = %+v, want 3 bad MAC, 1 non-member, no challenge", snap.Counters)
+	}
+	if len(snap.Peers) != 0 {
+		t.Errorf("a stranger was admitted to the member list: %+v", snap.Peers)
+	}
+	if _, err := node.call(context.Background(), "203.0.113.9:7946", TPing, nil); !errors.Is(err, errNotMember) {
+		t.Errorf("call to a non-member = %v, want errNotMember", err)
+	}
+}
+
+// TestNewNodeWantsIPLiterals: Self and every peer must be an IP:port
+// literal with a specified address, stored in the form a datagram's
+// source prints as. A wildcard Self would hash ownership under an
+// address no peer uses; a host name would be admitted twice, once under
+// its name and once under the IP its frames arrive from.
+func TestNewNodeWantsIPLiterals(t *testing.T) {
+	clk := simclock.NewVirtual(time.Unix(0, 0))
+	mnet := simnet.NewMeshNet(clk)
+	build := func(self string, peers ...string) (*Node, error) {
+		return NewNode(Config{Self: self, Key: testKey, Peers: peers, Transport: mnet.Bind(self), Clock: clk})
+	}
+	for _, self := range []string{":7946", "[::]:7946", "0.0.0.0:7946", "localhost:7946", "10.0.0.1"} {
+		if _, err := build(self); err == nil {
+			t.Errorf("Self %q accepted", self)
+		}
+	}
+	for _, p := range []string{"localhost:7946", "0.0.0.0:7946", "10.0.0.2"} {
+		if _, err := build("10.0.0.1:7946", p); err == nil {
+			t.Errorf("peer %q accepted", p)
+		}
+	}
+	n, err := build("[::ffff:10.0.0.1]:7946", "[::ffff:10.0.0.2]:7946", "10.0.0.2:7946", "10.0.0.1:7946")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := n.Snapshot()
+	if snap.Self != "10.0.0.1:7946" || len(snap.Peers) != 1 || snap.Peers[0].Addr != "10.0.0.2:7946" {
+		t.Errorf("snapshot = %+v, want self 10.0.0.1:7946 and one peer 10.0.0.2:7946", snap)
 	}
 }
 
@@ -267,24 +308,6 @@ func TestOwnershipAgreesAcrossFleet(t *testing.T) {
 	// HRW should spread zones across the fleet, not pile them on one node.
 	if len(ownerCount) != 3 {
 		t.Errorf("ownership distribution %v does not use all 3 nodes", ownerCount)
-	}
-}
-
-func TestOwnerRenewalDisabledOwnsEverything(t *testing.T) {
-	clk := simclock.NewVirtual(time.Unix(0, 0))
-	net := simnet.NewMeshNet(clk)
-	n, err := NewNode(Config{
-		Self: "10.0.0.1:7946", Key: testKey, Peers: []string{"10.0.0.2:7946"},
-		Transport: net.Bind("10.0.0.1:7946"), Clock: clk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		zone := dnswire.MustName(fmt.Sprintf("z%d.example.", i))
-		if !n.OwnsRenewal(zone) {
-			t.Fatalf("OwnerRenewal off but OwnsRenewal(%s) = false", zone)
-		}
 	}
 }
 
@@ -434,26 +457,59 @@ func TestIsPeerIP(t *testing.T) {
 	}
 }
 
-// TestIncarnationRefutesStaleSuspicion: a node hearing itself rumoured
-// suspect must bump its incarnation so the refutation overrides the
-// rumour fleet-wide.
-func TestIncarnationRefutesStaleSuspicion(t *testing.T) {
-	f := newTestFleet(t, 2)
+// TestOneLinkCut: with only the A–B link cut, A's own probes take B to
+// dead and keep it there — nothing C says about B can revive it — while C,
+// whose link to B is fine, sees B alive throughout. Once B is dead to A,
+// A's gossip and peer fetches no longer wait on it.
+func TestOneLinkCut(t *testing.T) {
+	f := newTestFleet(t, 3)
 	f.tick()
-	self := f.nodes[1].Self()
-	f.nodes[1].mergeDigest(PingPayload{
-		From:   f.nodes[0].Self(),
-		Digest: []DigestEntry{{Addr: self, State: StateSuspect, Incarnation: 0}},
-	}, f.clk.Now())
-	if got := f.nodes[1].Snapshot().Incarnation; got == 0 {
-		t.Error("rumoured-suspect node did not bump its incarnation")
-	}
-	// The bumped incarnation must now win the merge on the rumour holder.
-	f.tick()
-	for _, p := range f.nodes[0].Snapshot().Peers {
-		if p.Addr == self && p.State != "alive" {
-			t.Errorf("refutation did not propagate: %s is %s on node 0", self, p.State)
+	a, b, c := f.nodes[0], f.nodes[1], f.nodes[2]
+	stateOf := func(n *Node, addr string) string {
+		for _, p := range n.Snapshot().Peers {
+			if p.Addr == addr {
+				return p.State
+			}
 		}
+		return "absent"
+	}
+	f.net.Cut(a.Self(), b.Self())
+	for round := 1; round <= DefaultDeadAfter+10; round++ {
+		f.tick()
+		if got := stateOf(c, b.Self()); got != "alive" {
+			t.Fatalf("round %d: C sees B %s, want alive", round, got)
+		}
+		if got := stateOf(a, b.Self()); round >= DefaultDeadAfter && got != "dead" {
+			t.Fatalf("round %d: A sees B %s, want dead from round %d on", round, got, DefaultDeadAfter)
+		}
+	}
+
+	// A qname B would win the rendezvous for, were it live.
+	var qname dnswire.Name
+	for i := 0; qname == ""; i++ {
+		q := dnswire.MustName(fmt.Sprintf("www%d.cut.example.", i))
+		if rendezvousWeight(b.Self(), q) > rendezvousWeight(c.Self(), q) {
+			qname = q
+		}
+	}
+	zone := dnswire.MustName("cut.example.")
+	f.backends[0].setIRR(zone, &dnswire.Message{
+		Answer: []dnswire.RR{{
+			Name: zone, Class: dnswire.ClassIN, TTL: 60,
+			Data: dnswire.NS{Host: dnswire.MustName("ns.cut.example.")},
+		}},
+	})
+	calls, dropped := f.net.Calls, f.net.Dropped
+	a.GossipZone(zone)
+	a.PeerFetch(context.Background(), qname, dnswire.TypeA)
+	if f.net.Dropped != dropped {
+		t.Errorf("A made %d calls across the cut link after B went dead", f.net.Dropped-dropped)
+	}
+	if got := f.net.Calls - calls; got != 2 {
+		t.Errorf("A made %d calls for one push and one fetch, want 2 (both to C)", got)
+	}
+	if f.backends[2].getIngested(zone) == nil {
+		t.Error("C did not get A's push")
 	}
 }
 

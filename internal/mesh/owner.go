@@ -34,23 +34,19 @@ func (n *Node) Owner(zone dnswire.Name) string {
 	defer n.mu.Unlock()
 	best := n.cfg.Self
 	bestW := rendezvousWeight(n.cfg.Self, zone)
-	for _, addr := range n.sortedPeerAddrsLocked() {
-		if n.peers[addr].state == StateDead {
+	for _, p := range n.peers {
+		if p.missed >= DefaultDeadAfter {
 			continue
 		}
-		if w := rendezvousWeight(addr, zone); w > bestW {
-			best, bestW = addr, w
+		if w := rendezvousWeight(p.addr, zone); w > bestW {
+			best, bestW = p.addr, w
 		}
 	}
 	return best
 }
 
 // OwnsRenewal reports whether this node should spend a renewal credit
-// on zone. With owner-renewal dedup disabled every node owns every
-// zone (the mesh leaves renewal behaviour untouched).
+// on zone: whether it is the zone's Owner.
 func (n *Node) OwnsRenewal(zone dnswire.Name) bool {
-	if !n.cfg.OwnerRenewal {
-		return true
-	}
 	return n.Owner(zone) == n.cfg.Self
 }

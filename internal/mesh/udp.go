@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 )
 
@@ -12,7 +13,7 @@ import (
 // for both directions. Sending requests from the same socket the node
 // listens on means a request's source address IS the node's canonical
 // mesh address, which is what the cookie handshake confirms — peers
-// must therefore be configured by the exact host:port they bind
+// must therefore be configured by the exact IP:port they bind
 // (-mesh-listen on one node matches its entry in -mesh-peers on the
 // others).
 //
@@ -29,7 +30,7 @@ type Conn struct {
 }
 
 type pendingKey struct {
-	addr string
+	addr netip.AddrPort // unmapped, as ParseAddr returns it
 	seq  uint32
 }
 
@@ -59,7 +60,7 @@ func (c *Conn) LocalAddr() string { return c.pc.LocalAddr().String() }
 func (c *Conn) Serve(node *Node) error {
 	buf := make([]byte, MaxFrame+1)
 	for {
-		n, from, err := c.pc.ReadFromUDP(buf)
+		n, from, err := c.pc.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			c.mu.Lock()
 			closed := c.closed
@@ -74,13 +75,13 @@ func (c *Conn) Serve(node *Node) error {
 		}
 		raw := make([]byte, n)
 		copy(raw, buf[:n])
-		src := from.String()
+		from = netip.AddrPortFrom(from.Addr().Unmap(), from.Port())
 
 		if typ, seq, ok := PeekTypeSeq(raw); ok && IsResponseType(typ) {
 			c.mu.Lock()
-			ch, ok := c.pending[pendingKey{src, seq}]
+			ch, ok := c.pending[pendingKey{from, seq}]
 			if ok {
-				delete(c.pending, pendingKey{src, seq})
+				delete(c.pending, pendingKey{from, seq})
 			}
 			c.mu.Unlock()
 			if ok {
@@ -88,24 +89,24 @@ func (c *Conn) Serve(node *Node) error {
 			}
 			continue
 		}
-		if reply := node.HandleFrame(raw, src); reply != nil {
-			_, _ = c.pc.WriteToUDP(reply, from)
+		if reply := node.HandleFrame(raw, from.String()); reply != nil {
+			_, _ = c.pc.WriteToUDPAddrPort(reply, from)
 		}
 	}
 }
 
-// Call implements Transport: it sends frame to peer and waits for the
-// sequence-matched response or ctx expiry.
+// Call implements Transport: it sends frame to peer, an IP:port
+// literal, and waits for the sequence-matched response or ctx expiry.
 func (c *Conn) Call(ctx context.Context, peer string, frame []byte) ([]byte, error) {
-	dst, err := net.ResolveUDPAddr("udp", peer)
+	dst, err := ParseAddr(peer)
 	if err != nil {
-		return nil, fmt.Errorf("mesh: resolve peer %s: %w", peer, err)
+		return nil, err
 	}
 	_, seq, ok := PeekTypeSeq(frame)
 	if !ok {
 		return nil, ErrBadFrame
 	}
-	key := pendingKey{dst.String(), seq}
+	key := pendingKey{dst, seq}
 	ch := make(chan []byte, 1)
 
 	c.mu.Lock()
@@ -121,7 +122,7 @@ func (c *Conn) Call(ctx context.Context, peer string, frame []byte) ([]byte, err
 		c.mu.Unlock()
 	}()
 
-	if _, err := c.pc.WriteToUDP(frame, dst); err != nil {
+	if _, err := c.pc.WriteToUDPAddrPort(frame, dst); err != nil {
 		return nil, err
 	}
 	select {
