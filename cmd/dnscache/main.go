@@ -144,6 +144,18 @@ func counterLine(snapshot any) string {
 	return strings.Join(fields, " ")
 }
 
+// counterReport renders every counter set under its /debug/stats name:
+// the server's first, under label and with the cache occupancy after it,
+// then one "name: counters" per other set, the sets joined by sep.
+func counterReport(label string, cst cache.Stats, sets []debughttp.Section, sep string) string {
+	parts := []string{fmt.Sprintf("%s: %s cached: zones=%d records=%d stale=%d",
+		label, counterLine(sets[0].Read()), cst.Zones, cst.Records, cst.StaleEntries)}
+	for _, set := range sets[1:] {
+		parts = append(parts, set.Name+": "+counterLine(set.Read()))
+	}
+	return strings.Join(parts, sep)
+}
+
 // upstreamAddr maps a learned name-server address to the address the
 // transport dials: the address with port, an IPv6 one in brackets.
 func upstreamAddr(port uint16) func(netip.Addr) transport.Addr {
@@ -362,7 +374,7 @@ func run() error {
 		// looked up again, so an attack-inflated cache — and a negative
 		// cache fed never-repeated names — would otherwise hold dead
 		// records (and their journal weight) indefinitely.
-		go every(ctx, *sweep, func(time.Time) { cs.SweepExpired() })
+		go every(ctx, *sweep, func(time.Time) { cs.Cache().SweepExpired() })
 	}
 
 	// The guard wraps the frontend only when a guard feature is on, so
@@ -409,9 +421,10 @@ func run() error {
 	fmt.Printf("caching server on %s (udp+tcp, refresh=%v renewal=%s max-inflight=%d guard=%v)\n",
 		addr, *refresh, *renewal, *maxInflight, guardOn)
 
-	// Every counter set the process keeps, in display order. /debug/stats
-	// and the shutdown dump both render from this list, so a new set — or
-	// a new field in one — shows up in both with no other edit.
+	// Every counter set the process keeps, in display order. /debug/stats,
+	// the -stats line and the shutdown dump all render from this list, so
+	// a new set — or a new field in one — shows up in each with no other
+	// edit.
 	counterSets := []debughttp.Section{
 		{Name: "server", Read: func() any { return cs.Stats() }},
 		{Name: "guard", Read: func() any { return metrics.Snapshot(guardCounters) }},
@@ -444,13 +457,7 @@ func run() error {
 
 	if *statsEvery > 0 {
 		go every(ctx, *statsEvery, func(time.Time) {
-			st := cs.Stats()
-			cst := cs.Cache().Stats()
-			gs := metrics.Snapshot(guardCounters)
-			fmt.Printf("in=%d out=%d coalesced=%d failed=%d renewals=%d retries=%d quarantine-skips=%d budget-exhausted=%d cached: zones=%d records=%d guard: limited=%d slips=%d shed=%d cache-only=%d formerr=%d\n",
-				st.QueriesIn, st.QueriesOut, st.Coalesced, st.Failed, st.Renewals,
-				st.Retries, st.QuarantineSkips, st.BudgetExhausted, cst.Zones, cst.Records,
-				gs.RateLimited, gs.Slips, gs.Shed, gs.CacheOnly, gs.FormErr)
+			fmt.Println(counterReport("stats", cs.Cache().Stats(), counterSets, " "))
 		})
 	}
 
@@ -489,18 +496,12 @@ func run() error {
 		}
 	}
 
-	// The shutdown dump: every counter of every set, under the names
-	// /debug/stats reports them by. The server's set goes first, with the
-	// cache occupancy after it, and keeps the "final:" label that scripts
-	// (benchmark/report.go among them) pick the line out by. Nothing is
-	// being served any more, so the occupancy is taken after one last
-	// sweep: stale= counts what serve-stale retains, not unswept expiries.
-	cst := cs.CacheStats()
-	fmt.Printf("final: %s cached: zones=%d records=%d stale=%d\n",
-		counterLine(counterSets[0].Read()), cst.Zones, cst.Records, cst.StaleEntries)
-	for _, set := range counterSets[1:] {
-		fmt.Printf("%s: %s\n", set.Name, counterLine(set.Read()))
-	}
+	// The shutdown dump: the -stats line's report, one set per line. The
+	// server's keeps the "final:" label that scripts (benchmark/report.go
+	// among them) pick the line out by. Nothing is being served any more,
+	// so the occupancy is taken after one last sweep: stale= counts what
+	// serve-stale retains, not unswept expiries.
+	fmt.Println(counterReport("final", cs.CacheStats(), counterSets, "\n"))
 	fmt.Println("drained")
 	atExit(cs.Stats().QueriesIn)
 	return nil

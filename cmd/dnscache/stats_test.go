@@ -56,3 +56,25 @@ func TestStatsSectionsAreReadOnly(t *testing.T) {
 		t.Errorf("the GET swept the cache: %d entries left, want 2", cs.Cache().Len())
 	}
 }
+
+// TestCounterReport pins the shape both the -stats line and the shutdown
+// dump print, the dump's "final:" and "guard:" lines being what
+// benchmark/report.go picks out: every counter of every set, the server's
+// first with the cache occupancy after it.
+func TestCounterReport(t *testing.T) {
+	type server struct{ QueriesIn, Failed uint64 }
+	type guard struct{ Shed uint64 }
+	sets := []debughttp.Section{
+		{Name: "server", Read: func() any { return server{QueriesIn: 3, Failed: 1} }},
+		{Name: "guard", Read: func() any { return guard{Shed: 2} }},
+	}
+	cst := cache.Stats{Zones: 4, Records: 5, StaleEntries: 6}
+	if got, want := counterReport("final", cst, sets, "\n"),
+		"final: QueriesIn=3 Failed=1 cached: zones=4 records=5 stale=6\nguard: Shed=2"; got != want {
+		t.Errorf("shutdown dump:\n%s\nwant\n%s", got, want)
+	}
+	if got, want := counterReport("stats", cst, sets, " "),
+		"stats: QueriesIn=3 Failed=1 cached: zones=4 records=5 stale=6 guard: Shed=2"; got != want {
+		t.Errorf("-stats line: %q, want %q", got, want)
+	}
+}

@@ -8,7 +8,9 @@
 //   - a maximum-TTL clamp (7 days, §6 "Deployment Issues");
 //   - expiry tombstones used to measure the paper's Fig. 3 time gap
 //     between an IRR's expiry and the next query needing it;
-//   - occupancy accounting (cached zones and records, Fig. 12 and Table 2).
+//   - occupancy accounting (cached zones and records, Fig. 12 and Table 2);
+//   - negative answers (RFC 2308): NXDOMAIN and NODATA outcomes with the
+//     SOA they arrived with, in the same shards and sweep as the RRsets.
 //
 // The cache is safe for concurrent use: entries are spread over a fixed
 // number of shards by key hash, each guarded by its own RWMutex, so
@@ -109,10 +111,10 @@ const (
 	// ChangeExtend: an existing entry's expiry was reset (TTL refresh or
 	// renewal Extend); the data is unchanged.
 	ChangeExtend
-	// ChangeEvict: an entry was removed explicitly (Evict) or by capacity
-	// pressure. Lazy TTL expiry is NOT reported: it is derivable from the
-	// entry's own Expires, so replaying a journal re-drops expired entries
-	// without needing expiry records.
+	// ChangeEvict: an entry was removed explicitly (Evict). Lazy TTL
+	// expiry is NOT reported: it is derivable from the entry's own
+	// Expires, so replaying a journal re-drops expired entries without
+	// needing expiry records.
 	ChangeEvict
 )
 
@@ -142,17 +144,15 @@ type Config struct {
 	// for persistence journaling. Restore does not fire it: recovered
 	// entries are already covered by the snapshot being replayed.
 	OnChange ChangeFunc
-	// MaxEntries bounds the number of live RRset entries (0 = unbounded).
-	// When full, the soonest-to-expire non-infrastructure entries are
-	// evicted first; infrastructure records — the paper's prized asset —
-	// go last.
-	MaxEntries int
 	// KeepStale retains expired entries for this long so they can be
 	// served as a last resort when authoritative servers are unreachable
 	// — the Ballani & Francis HotNets'06 scheme the paper's related work
 	// (§7) compares against, and the ancestor of RFC 8767 serve-stale.
 	// Zero disables stale retention.
 	KeepStale time.Duration
+	// NegativeTTL keeps NXDOMAIN/NODATA outcomes for this long; zero
+	// disables negative caching.
+	NegativeTTL time.Duration
 }
 
 // DefaultMaxTTL is the clamp applied when Config.MaxTTL is zero.
@@ -177,6 +177,9 @@ type Stats struct {
 	InfraEntries int
 	// StaleEntries counts retained expired entries (KeepStale only).
 	StaleEntries int
+	// NegativeEntries counts cached negative answers, expired ones the
+	// next sweep drops included: the table a random-subdomain flood grows.
+	NegativeEntries int
 	// ApproxBytes estimates the wire-format size of the cached data,
 	// grounding the paper's "tens of MBytes" memory claim (§5.2.2).
 	ApproxBytes int
@@ -191,6 +194,7 @@ func (s Stats) Add(o Stats) Stats {
 	s.Zones += o.Zones
 	s.InfraEntries += o.InfraEntries
 	s.StaleEntries += o.StaleEntries
+	s.NegativeEntries += o.NegativeEntries
 	s.ApproxBytes += o.ApproxBytes
 	return s
 }
@@ -200,13 +204,11 @@ func (s Stats) Add(o Stats) Stats {
 type Cache struct {
 	cfg    Config
 	shards [shardCount]shard
-	// capMu serialises global capacity enforcement across shards.
-	capMu sync.Mutex
 	// hits/misses count Get outcomes for reporting.
 	hits, misses atomic.Uint64
 	// staleHits counts stale entries served after expiry.
 	staleHits atomic.Uint64
-	// evictions counts capacity-pressure removals.
+	// evictions counts Evict's removals.
 	evictions atomic.Uint64
 }
 
@@ -217,6 +219,19 @@ type shard struct {
 	// tombstones remember when an expired entry died, to measure gaps;
 	// empty unless Config.OnGap is set.
 	tombstones map[Key]tombstone
+	// negatives holds negative answers; empty unless Config.NegativeTTL
+	// is set.
+	negatives map[Key]negative
+}
+
+// negative is one cached NXDOMAIN (rcode) or NODATA (NOERROR) outcome.
+type negative struct {
+	rcode dnswire.RCode
+	// soa is the negative answer's SOA RRset (RFC 2308); replies served
+	// from the negative cache carry it in their authority section so
+	// downstream stubs can negative-cache the outcome themselves.
+	soa     []dnswire.RR
+	expires time.Time
 }
 
 type tombstone struct {
@@ -236,6 +251,7 @@ func New(cfg Config) *Cache {
 	for i := range c.shards {
 		c.shards[i].entries = make(map[Key]*Entry)
 		c.shards[i].tombstones = make(map[Key]tombstone)
+		c.shards[i].negatives = make(map[Key]negative)
 	}
 	return c
 }
@@ -424,7 +440,6 @@ func (c *Cache) PutOrigin(rrs []dnswire.RR, cred Credibility, infra bool, origin
 	delete(sh.tombstones, key)
 	c.noteChangeLocked(ChangePut, key, e)
 	sh.mu.Unlock()
-	c.enforceCapacity(now)
 	return e
 }
 
@@ -437,70 +452,14 @@ func (c *Cache) noteChangeLocked(op ChangeOp, key Key, e *Entry) {
 	}
 }
 
-// enforceCapacity evicts entries until the cache fits MaxEntries: expired
-// entries first, then the soonest-to-expire data entries, then (only if
-// unavoidable) the soonest-to-expire infrastructure entries. It is called
-// without any shard lock held; capMu serialises concurrent enforcement.
-func (c *Cache) enforceCapacity(now time.Time) {
-	if c.cfg.MaxEntries <= 0 || c.Len() <= c.cfg.MaxEntries {
-		return
-	}
-	c.capMu.Lock()
-	defer c.capMu.Unlock()
-	if c.Len() <= c.cfg.MaxEntries {
-		return
-	}
-	c.SweepExpired()
-	for _, infraPass := range []bool{false, true} {
-		for c.Len() > c.cfg.MaxEntries {
-			if !c.evictSoonest(infraPass) {
-				break
-			}
-		}
-		if c.Len() <= c.cfg.MaxEntries {
-			return
-		}
-	}
-}
-
-// evictSoonest removes the soonest-to-expire entry whose Infra flag equals
-// infraPass, reporting whether a victim was found.
-func (c *Cache) evictSoonest(infraPass bool) bool {
-	var victim Key
-	var victimShard *shard
-	var victimExpires time.Time
-	found := false
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for key, e := range sh.entries {
-			if e.Infra != infraPass {
-				continue
-			}
-			if !found || e.Expires.Before(victimExpires) {
-				victim, victimShard, victimExpires, found = key, sh, e.Expires, true
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	if !found {
-		return false
-	}
-	victimShard.mu.Lock()
-	_, still := victimShard.entries[victim]
-	if still {
-		delete(victimShard.entries, victim)
-		c.noteChangeLocked(ChangeEvict, victim, nil)
-	}
-	victimShard.mu.Unlock()
-	if still {
-		c.evictions.Add(1)
-	}
-	return true
-}
-
-// Evictions returns how many entries capacity pressure has removed.
+// Evictions returns how many entries Evict has removed.
 func (c *Cache) Evictions() uint64 { return c.evictions.Load() }
+
+// KeepStale is how long expired entries are retained (Config.KeepStale).
+func (c *Cache) KeepStale() time.Duration { return c.cfg.KeepStale }
+
+// NegativeTTL is how long negative answers are kept (Config.NegativeTTL).
+func (c *Cache) NegativeTTL() time.Duration { return c.cfg.NegativeTTL }
 
 // Get returns the live entry for (name, type), or nil. An expired entry is
 // retired (leaving a tombstone when a gap observer is set; retained for
@@ -608,8 +567,59 @@ func (c *Cache) Evict(name dnswire.Name, t dnswire.Type) {
 	if _, ok := sh.entries[key]; ok {
 		delete(sh.entries, key)
 		c.noteChangeLocked(ChangeEvict, key, nil)
+		c.evictions.Add(1)
 	}
 	sh.mu.Unlock()
+}
+
+// PutNegative remembers that (name, t) does not exist (rcode NXDOMAIN) or
+// has no data of that type (NOERROR), for NegativeTTL. An outcome without
+// an SOA is not stored: RFC 2308 §5 says it SHOULD NOT be cached.
+func (c *Cache) PutNegative(name dnswire.Name, t dnswire.Type, rcode dnswire.RCode, soa []dnswire.RR) {
+	if c.cfg.NegativeTTL <= 0 || len(soa) == 0 {
+		return
+	}
+	key := Key{Name: name, Type: t}
+	sh := c.shardFor(key)
+	sh.mu.Lock()
+	sh.negatives[key] = negative{rcode: rcode, soa: soa, expires: c.cfg.Clock.Now().Add(c.cfg.NegativeTTL)}
+	sh.mu.Unlock()
+}
+
+// GetNegative returns the live negative outcome for (name, t) and its SOA,
+// whose TTL is clamped to the outcome's remaining lifetime (RemainingTTL's
+// rule) so a downstream negative cache expires no later than this one. An
+// expired outcome is retired and reported absent. With negative caching
+// off it returns at once, hashing and locking nothing.
+func (c *Cache) GetNegative(name dnswire.Name, t dnswire.Type) (dnswire.RCode, []dnswire.RR, bool) {
+	if c.cfg.NegativeTTL <= 0 {
+		return 0, nil, false
+	}
+	key := Key{Name: name, Type: t}
+	sh := c.shardFor(key)
+	now := c.cfg.Clock.Now()
+
+	sh.mu.RLock()
+	n, ok := sh.negatives[key]
+	sh.mu.RUnlock()
+	if !ok {
+		return 0, nil, false
+	}
+	if !n.expires.After(now) {
+		sh.mu.Lock()
+		if n, ok := sh.negatives[key]; ok && !n.expires.After(now) {
+			delete(sh.negatives, key)
+		}
+		sh.mu.Unlock()
+		return 0, nil, false
+	}
+	rem := remainingTTL(n.expires, now)
+	soa := make([]dnswire.RR, len(n.soa))
+	for i, rr := range n.soa {
+		rr.TTL = min(rr.TTL, rem)
+		soa[i] = rr
+	}
+	return n.rcode, soa, true
 }
 
 // expireEntryLocked retires a dead entry: with a gap observer it leaves a
@@ -645,10 +655,12 @@ func (c *Cache) noteTombstoneHitLocked(sh *shard, key Key, now time.Time) {
 	}
 }
 
-// SweepExpired removes every entry whose TTL has passed, leaving
-// tombstones when a gap observer is set. The cache expires lazily on
-// Get; call this before reading occupancy stats so that Fig. 12-style
-// series reflect live entries only.
+// SweepExpired removes every entry and negative answer whose TTL has
+// passed, leaving tombstones when a gap observer is set. The cache expires
+// lazily, on the next lookup of the same key, so a key never asked again
+// (a random-subdomain flood's names) is reclaimed only here; call it
+// before reading occupancy stats so that Fig. 12-style series reflect
+// live entries only.
 func (c *Cache) SweepExpired() {
 	now := c.cfg.Clock.Now()
 	for i := range c.shards {
@@ -657,6 +669,11 @@ func (c *Cache) SweepExpired() {
 		for key, e := range sh.entries {
 			if !e.Expires.After(now) {
 				c.expireEntryLocked(sh, key, e, now)
+			}
+		}
+		for key, n := range sh.negatives {
+			if !n.expires.After(now) {
+				delete(sh.negatives, key)
 			}
 		}
 		sh.mu.Unlock()
@@ -671,6 +688,7 @@ func (c *Cache) Stats() Stats {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.RLock()
+		s.NegativeEntries += len(sh.negatives)
 		for key, e := range sh.entries {
 			if !e.Expires.After(now) {
 				s.StaleEntries++
@@ -833,8 +851,12 @@ func (c *Cache) Restore(re RestoreEntry) bool {
 
 // RemainingTTL returns the seconds left for an entry at time now, for
 // serving decremented TTLs to stub resolvers.
-func (e *Entry) RemainingTTL(now time.Time) uint32 {
-	d := e.Expires.Sub(now)
+func (e *Entry) RemainingTTL(now time.Time) uint32 { return remainingTTL(e.Expires, now) }
+
+// remainingTTL is the whole seconds from now until expires, at least 1
+// while expires is still ahead.
+func remainingTTL(expires, now time.Time) uint32 {
+	d := expires.Sub(now)
 	if d <= 0 {
 		return 0
 	}

@@ -437,57 +437,6 @@ func TestPropertyCredibilityMonotone(t *testing.T) {
 	}
 }
 
-func TestCapacityEvictsDataBeforeInfra(t *testing.T) {
-	c, _ := newTestCache(t, Config{MaxEntries: 3})
-	c.Put([]dnswire.RR{rrNS("zone1.edu.", 7200, "ns.zone1.edu.")}, CredAuthority, true)
-	c.Put([]dnswire.RR{rrA("ns.zone1.edu.", 7200, "192.0.2.1")}, CredAuthority, true)
-	c.Put([]dnswire.RR{rrA("www.a.edu.", 60, "192.0.2.2")}, CredAnswer, false)
-	c.Put([]dnswire.RR{rrA("www.b.edu.", 3600, "192.0.2.3")}, CredAnswer, false)
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", c.Len())
-	}
-	// The soonest-to-expire data record was evicted; infra survived.
-	if c.Peek(dnswire.MustName("www.a.edu."), dnswire.TypeA) != nil {
-		t.Error("soonest-to-expire data entry not evicted")
-	}
-	if c.Peek(dnswire.MustName("zone1.edu."), dnswire.TypeNS) == nil {
-		t.Error("infrastructure entry evicted while data remained")
-	}
-	if c.Evictions() != 1 {
-		t.Errorf("Evictions = %d, want 1", c.Evictions())
-	}
-}
-
-func TestCapacityEvictsInfraOnlyWhenFull(t *testing.T) {
-	c, _ := newTestCache(t, Config{MaxEntries: 2})
-	c.Put([]dnswire.RR{rrNS("a.edu.", 60, "ns.a.edu.")}, CredAuthority, true)
-	c.Put([]dnswire.RR{rrNS("b.edu.", 3600, "ns.b.edu.")}, CredAuthority, true)
-	c.Put([]dnswire.RR{rrNS("c.edu.", 7200, "ns.c.edu.")}, CredAuthority, true)
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	// All entries are infra, so the soonest-to-expire infra entry went.
-	if c.Peek(dnswire.MustName("a.edu."), dnswire.TypeNS) != nil {
-		t.Error("soonest-to-expire infra entry not evicted")
-	}
-}
-
-func TestCapacityPrefersSweepingExpired(t *testing.T) {
-	c, clk := newTestCache(t, Config{MaxEntries: 2})
-	c.Put([]dnswire.RR{rrA("old.edu.", 60, "192.0.2.1")}, CredAnswer, false)
-	clk.Advance(2 * time.Minute) // old.edu. is dead
-	c.Put([]dnswire.RR{rrA("x.edu.", 3600, "192.0.2.2")}, CredAnswer, false)
-	c.Put([]dnswire.RR{rrA("y.edu.", 3600, "192.0.2.3")}, CredAnswer, false)
-	// The expired entry satisfied the capacity; both live entries remain.
-	if c.Peek(dnswire.MustName("x.edu."), dnswire.TypeA) == nil ||
-		c.Peek(dnswire.MustName("y.edu."), dnswire.TypeA) == nil {
-		t.Error("live entry evicted while an expired one lingered")
-	}
-	if c.Evictions() != 0 {
-		t.Errorf("Evictions = %d, want 0 (sweep should have sufficed)", c.Evictions())
-	}
-}
-
 func TestUnboundedByDefault(t *testing.T) {
 	c, _ := newTestCache(t, Config{})
 	for i := 0; i < 500; i++ {

@@ -33,7 +33,8 @@ func (cs *CachingServer) HandleQuery(q *dnswire.Message) *dnswire.Message {
 // those bytes, unpacked never; every other answer comes from handle, and
 // one that is exactly one live RRset is packed into buf and memoised for
 // the next such query. It touches no lock but the cache and memo shard
-// read locks, negMu, and a memo shard's write lock to fill it.
+// read locks, and a memo shard's write lock to fill it (or a cache
+// shard's, to retire an expired entry).
 func (cs *CachingServer) HandleInline(q *transport.Query, buf []byte) ([]byte, *dnswire.Message, bool) {
 	if q.Key != nil {
 		if p := cs.packed.get(q.Key); p != nil {

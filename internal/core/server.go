@@ -34,7 +34,7 @@ import (
 // and never holds one across upstream I/O):
 //
 //	flightMu > renewMu > cache shard locks
-//	the resolver's negMu, parentMu, secMu and the memo shard locks are
+//	the resolver's parentMu and secMu and the memo shard locks are
 //	leaves taken on their own.
 type CachingServer struct {
 	cfg      Config
@@ -90,6 +90,7 @@ func NewCachingServer(cfg Config) (*CachingServer, error) {
 			OnGap:           cfg.OnGap,
 			OnChange:        cfg.OnCacheChange,
 			KeepStale:       cfg.ServeStale,
+			NegativeTTL:     cfg.NegativeTTL,
 		}),
 		credits:   make(map[dnswire.Name]float64),
 		scheduled: make(map[dnswire.Name]bool),
@@ -113,8 +114,6 @@ func NewCachingServer(cfg Config) (*CachingServer, error) {
 		Clock:                 cfg.Clock,
 		Cache:                 cs.cache,
 		RootAddrs:             rootAddrs,
-		NegativeTTL:           cfg.NegativeTTL,
-		ServeStale:            cfg.ServeStale,
 		Prefetch:              cfg.Prefetch,
 		AsyncPrefetch:         cfg.AsyncPrefetch,
 		ValidateDNSSEC:        cfg.ValidateDNSSEC,
@@ -140,17 +139,9 @@ func (cs *CachingServer) Close() {
 	cs.resolver.Close()
 }
 
-// SweepExpired reclaims every expired entry the server holds, in the
-// RRset cache and in the negative cache. Both expire lazily, on the next
-// lookup of the same key; a key never asked again is only reclaimed here.
-func (cs *CachingServer) SweepExpired() {
-	cs.cache.SweepExpired()
-	cs.resolver.SweepExpired()
-}
-
-// CacheStats reports cache occupancy after sweeping expired entries from
-// the RRset cache (the simulator's Fig. 3 / Fig. 12 sampling point). A
-// live server reads Cache().Stats() instead, which takes no write lock.
+// CacheStats reports cache occupancy after sweeping expired entries (the
+// simulator's Fig. 3 / Fig. 12 sampling point). A live server reads
+// Cache().Stats() instead, which takes no write lock.
 func (cs *CachingServer) CacheStats() cache.Stats {
 	cs.cache.SweepExpired()
 	return cs.cache.Stats()

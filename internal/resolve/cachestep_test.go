@@ -37,7 +37,7 @@ func (r *Resolver) refLookup(qname dnswire.Name, qtype dnswire.Type) (*Result, e
 				return chainStep{rrs: e.RRsWithRemainingTTL(now), outcome: chainFollow, fromCache: true}
 			}
 		}
-		if rcode, soa, ok := r.negativeLookup(cur, qtype, now); ok {
+		if rcode, soa, ok := r.cache.GetNegative(cur, qtype); ok {
 			return chainStep{rcode: rcode, authority: soa, outcome: chainDone, fromCache: true}
 		}
 		return chainStep{outcome: chainMiss}
@@ -67,10 +67,10 @@ func (r *Resolver) refLookupCacheOnly(qname dnswire.Name, qtype dnswire.Type) (*
 				return chainStep{rrs: e.RRsWithRemainingTTL(now), outcome: chainFollow, fromCache: true}
 			}
 		}
-		if rcode, soa, ok := r.negativeLookup(cur, qtype, now); ok {
+		if rcode, soa, ok := r.cache.GetNegative(cur, qtype); ok {
 			return chainStep{rcode: rcode, authority: soa, outcome: chainDone, fromCache: true}
 		}
-		if r.cfg.ServeStale > 0 {
+		if r.cache.KeepStale() > 0 {
 			e := r.cache.GetStale(cur, qtype)
 			if e == nil && qtype != dnswire.TypeCNAME {
 				e = r.cache.GetStale(cur, dnswire.TypeCNAME)
@@ -131,11 +131,11 @@ func (r *Resolver) refResolveOne(ctx context.Context, qname dnswire.Name, qtype 
 			return &Result{RCode: dnswire.RCodeNoError, Answer: e.RRsWithRemainingTTL(now), FromCache: true}, nil
 		}
 	}
-	if rcode, soa, ok := r.negativeLookup(qname, qtype, now); ok {
+	if rcode, soa, ok := r.cache.GetNegative(qname, qtype); ok {
 		return &Result{RCode: rcode, Authority: soa, FromCache: true}, nil
 	}
 	res, _, err := r.iterate(ctx, nil, qname, qtype, depth, false, false)
-	if err != nil && r.cfg.ServeStale > 0 {
+	if err != nil && r.cache.KeepStale() > 0 {
 		if res2, _, err2 := r.iterate(ctx, nil, qname, qtype, depth, false, true); err2 == nil {
 			return res2, nil
 		}
@@ -206,9 +206,12 @@ func TestCacheStepMatchesOldSequences(t *testing.T) {
 		rr.TTL = ttl
 		return rr
 	}
+	soa := dnswire.RR{Name: dnswire.MustName("test."), Class: dnswire.ClassIN, TTL: 3600,
+		Data: dnswire.SOA{MName: dnswire.MustName("ns.test."), RName: dnswire.MustName("admin.test."), Minimum: 3600}}
 	scenarios := []struct {
 		name  string
 		cfg   Config
+		cc    cache.Config // Clock and OnGap filled by the harness
 		setup func(r *Resolver, clk *simclock.Virtual)
 	}{
 		{name: "live-hit", setup: func(r *Resolver, _ *simclock.Virtual) {
@@ -227,15 +230,13 @@ func TestCacheStepMatchesOldSequences(t *testing.T) {
 				from = to
 			}
 		}},
-		{name: "negative-hit", cfg: Config{NegativeTTL: time.Minute}, setup: func(r *Resolver, clk *simclock.Virtual) {
-			soa := dnswire.RR{Name: dnswire.MustName("test."), Class: dnswire.ClassIN, TTL: 3600,
-				Data: dnswire.SOA{MName: dnswire.MustName("ns.test."), RName: dnswire.MustName("admin.test."), Minimum: 3600}}
-			r.negativeStore(www, dnswire.TypeA, dnswire.RCodeNXDomain, []dnswire.RR{soa})
+		{name: "negative-hit", cc: cache.Config{NegativeTTL: time.Minute}, setup: func(r *Resolver, clk *simclock.Virtual) {
+			r.cache.PutNegative(www, dnswire.TypeA, dnswire.RCodeNXDomain, []dnswire.RR{soa})
 			clk.Advance(20 * time.Second)
 		}},
-		{name: "negative-behind-cname", cfg: Config{NegativeTTL: time.Minute}, setup: func(r *Resolver, _ *simclock.Virtual) {
+		{name: "negative-behind-cname", cc: cache.Config{NegativeTTL: time.Minute}, setup: func(r *Resolver, _ *simclock.Virtual) {
 			put(r, cname("www.test.", "gone.test.", 300))
-			r.negativeStore(dnswire.MustName("gone.test."), dnswire.TypeA, dnswire.RCodeNoError, nil)
+			r.cache.PutNegative(dnswire.MustName("gone.test."), dnswire.TypeA, dnswire.RCodeNoError, []dnswire.RR{soa})
 		}},
 		{name: "prefetch-window-inline", cfg: Config{Prefetch: true}, setup: func(r *Resolver, clk *simclock.Virtual) {
 			put(r, rrA("www.test.", 300, "10.1.1.1"))
@@ -249,15 +250,15 @@ func TestCacheStepMatchesOldSequences(t *testing.T) {
 			put(r, rrA("www.test.", 60, "10.1.1.1"))
 			clk.Advance(2 * time.Minute) // the Get retires it and reports the gap
 		}},
-		{name: "stale-only", cfg: Config{ServeStale: time.Hour}, setup: func(r *Resolver, clk *simclock.Virtual) {
+		{name: "stale-only", cc: cache.Config{KeepStale: time.Hour}, setup: func(r *Resolver, clk *simclock.Virtual) {
 			put(r, cname("www.test.", "a.test.", 60), rrA("a.test.", 60, "10.1.1.3"))
 			clk.Advance(10 * time.Minute)
 		}},
-		{name: "live-prefix-stale-tail", cfg: Config{ServeStale: time.Hour}, setup: func(r *Resolver, clk *simclock.Virtual) {
+		{name: "live-prefix-stale-tail", cc: cache.Config{KeepStale: time.Hour}, setup: func(r *Resolver, clk *simclock.Virtual) {
 			put(r, cname("www.test.", "a.test.", 3600), rrA("a.test.", 60, "10.1.1.3"))
 			clk.Advance(10 * time.Minute)
 		}},
-		{name: "stale-prefix-only", cfg: Config{ServeStale: time.Hour}, setup: func(r *Resolver, clk *simclock.Virtual) {
+		{name: "stale-prefix-only", cc: cache.Config{KeepStale: time.Hour}, setup: func(r *Resolver, clk *simclock.Virtual) {
 			put(r, cname("www.test.", "a.test.", 60))
 			clk.Advance(10 * time.Minute)
 		}},
@@ -304,14 +305,14 @@ func TestCacheStepMatchesOldSequences(t *testing.T) {
 					clk := simclock.NewVirtual(epoch)
 					var mu sync.Mutex
 					var gaps []string
-					cfg := sc.cfg
-					cfg.Clock = clk
-					cfg.Cache = cache.New(cache.Config{Clock: clk, KeepStale: cfg.ServeStale,
-						OnGap: func(k cache.Key, gap, ttl time.Duration) {
-							mu.Lock()
-							gaps = append(gaps, fmt.Sprintf("%s/%s gap=%v ttl=%v", k.Name, k.Type, gap, ttl))
-							mu.Unlock()
-						}})
+					cfg, cc := sc.cfg, sc.cc
+					cfg.Clock, cc.Clock = clk, clk
+					cc.OnGap = func(k cache.Key, gap, ttl time.Duration) {
+						mu.Lock()
+						gaps = append(gaps, fmt.Sprintf("%s/%s gap=%v ttl=%v", k.Name, k.Type, gap, ttl))
+						mu.Unlock()
+					}
+					cfg.Cache = cache.New(cc)
 					r := newTestResolver(t, cfg)
 					sc.setup(r, clk)
 					res, err := f(r)

@@ -60,7 +60,7 @@ func TestCNAMELoopResolveChain(t *testing.T) {
 func TestCNAMELoopStaleAnswer(t *testing.T) {
 	clk := simclock.NewVirtual(epoch)
 	c := cache.New(cache.Config{Clock: clk, KeepStale: 24 * time.Hour})
-	r := newTestResolver(t, Config{Clock: clk, Cache: c, ServeStale: 24 * time.Hour})
+	r := newTestResolver(t, Config{Clock: clk, Cache: c})
 	putLoop(c)
 	clk.Advance(10 * time.Minute) // both CNAMEs (TTL 300) are now stale
 

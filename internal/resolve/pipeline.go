@@ -47,11 +47,11 @@ func (r *Resolver) cacheStep(cur dnswire.Name, qtype dnswire.Type, now time.Time
 				return chainStep{rrs: e.RRsWithRemainingTTL(now), outcome: chainFollow, fromCache: true}, false
 			}
 		}
-		if rcode, soa, ok := r.negativeLookup(cur, qtype, now); ok {
+		if rcode, soa, ok := r.cache.GetNegative(cur, qtype); ok {
 			return chainStep{rcode: rcode, authority: soa, outcome: chainDone, fromCache: true}, false
 		}
 	}
-	if mode != cacheLive && r.cfg.ServeStale > 0 {
+	if mode != cacheLive && r.cache.KeepStale() > 0 {
 		e := r.cache.GetStale(cur, qtype)
 		if e == nil && qtype != dnswire.TypeCNAME {
 			e = r.cache.GetStale(cur, dnswire.TypeCNAME)
@@ -188,7 +188,7 @@ func (r *Resolver) resolveOne(ctx context.Context, tr *Trace, qname dnswire.Name
 	}
 	validate := r.cfg.ValidateDNSSEC && depth == 0
 	res, _, err := r.iterate(ctx, tr, qname, qtype, depth, validate, false)
-	if err != nil && r.cfg.ServeStale > 0 {
+	if err != nil && r.cache.KeepStale() > 0 {
 		// StaleFallback stage. Retry using stale IRRs first: expired
 		// NS/glue still point at child servers that may be alive even
 		// though the upper hierarchy is not (the serve-stale baseline's
@@ -307,7 +307,7 @@ func (r *Resolver) iterate(ctx context.Context, tr *Trace, qname dnswire.Name, q
 		switch {
 		case resp.RCode == dnswire.RCodeNXDomain:
 			soa := r.negativeSOA(resp)
-			r.negativeStore(qname, qtype, dnswire.RCodeNXDomain, soa)
+			r.cache.PutNegative(qname, qtype, dnswire.RCodeNXDomain, soa)
 			return &Result{RCode: dnswire.RCodeNXDomain, Authority: soa}, resp, nil
 
 		case resp.RCode != dnswire.RCodeNoError:
@@ -338,7 +338,7 @@ func (r *Resolver) iterate(ctx context.Context, tr *Trace, qname dnswire.Name, q
 		default:
 			// Authoritative empty answer: NODATA.
 			soa := r.negativeSOA(resp)
-			r.negativeStore(qname, qtype, dnswire.RCodeNoError, soa)
+			r.cache.PutNegative(qname, qtype, dnswire.RCodeNoError, soa)
 			return &Result{RCode: dnswire.RCodeNoError, Authority: soa}, resp, nil
 		}
 	}
@@ -346,6 +346,30 @@ func (r *Resolver) iterate(ctx context.Context, tr *Trace, qname dnswire.Name, q
 		lastErr = errors.New("referral limit exceeded")
 	}
 	return nil, nil, fmt.Errorf("%w: %s %s: %v", ErrResolutionFailed, qname, qtype, lastErr)
+}
+
+// negativeSOA extracts the SOA RRset a negative response carries in its
+// authority section, with the TTL clamped per RFC 2308 to
+// min(TTL, SOA.Minimum) — the duration the outcome may be negative-cached
+// — and additionally to the cache's own NegativeTTL when set.
+func (r *Resolver) negativeSOA(resp *dnswire.Message) []dnswire.RR {
+	var out []dnswire.RR
+	for _, rr := range resp.Authority {
+		soa, ok := rr.Data.(dnswire.SOA)
+		if !ok {
+			continue
+		}
+		if rr.TTL > soa.Minimum {
+			rr.TTL = soa.Minimum
+		}
+		if ttl := r.cache.NegativeTTL(); ttl > 0 {
+			if clamp := uint32(ttl / time.Second); rr.TTL > clamp {
+				rr.TTL = clamp
+			}
+		}
+		out = append(out, rr)
+	}
+	return out
 }
 
 // deepestKnownZone returns the deepest ancestor zone of qname whose IRRs

@@ -21,8 +21,9 @@ func TestStageBoundaries(t *testing.T) {
 	www := dnswire.MustName("www.test.")
 	cases := []struct {
 		name string
-		cfg  Config // Clock/Cache/Transport filled by the harness
-		// setup primes the cache/negative store and may advance time.
+		cfg  Config       // Clock/Cache/Transport filled by the harness
+		cc   cache.Config // Clock filled by the harness
+		// setup primes the cache and may advance time.
 		setup func(r *Resolver, clk *simclock.Virtual)
 		// wantHot: the hot path answers by itself (no slow path needed).
 		wantHot bool
@@ -47,9 +48,11 @@ func TestStageBoundaries(t *testing.T) {
 		},
 		{
 			name: "negative-hit",
-			cfg:  Config{NegativeTTL: time.Minute},
+			cc:   cache.Config{NegativeTTL: time.Minute},
 			setup: func(r *Resolver, clk *simclock.Virtual) {
-				r.negativeStore(www, dnswire.TypeA, dnswire.RCodeNXDomain, nil)
+				soa := dnswire.RR{Name: dnswire.MustName("test."), Class: dnswire.ClassIN, TTL: 60,
+					Data: dnswire.SOA{MName: dnswire.MustName("ns.test."), RName: dnswire.MustName("admin.test."), Minimum: 60}}
+				r.cache.PutNegative(www, dnswire.TypeA, dnswire.RCodeNXDomain, []dnswire.RR{soa})
 			},
 			wantHot: true,
 			check: func(t *testing.T, r *Resolver, res *Result, err error) {
@@ -60,7 +63,7 @@ func TestStageBoundaries(t *testing.T) {
 		},
 		{
 			name: "stale-fallback",
-			cfg:  Config{ServeStale: 24 * time.Hour},
+			cc:   cache.Config{KeepStale: 24 * time.Hour},
 			setup: func(r *Resolver, clk *simclock.Virtual) {
 				r.cache.Put([]dnswire.RR{rrA("www.test.", 300, "10.1.1.1")}, cache.CredAuthority, false)
 				clk.Advance(10 * time.Minute) // expired; upstream is dead
@@ -129,8 +132,8 @@ func TestStageBoundaries(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := simclock.NewVirtual(epoch)
-			tc.cfg.Clock = clk
-			tc.cfg.Cache = cache.New(cache.Config{Clock: clk, KeepStale: tc.cfg.ServeStale})
+			tc.cfg.Clock, tc.cc.Clock = clk, clk
+			tc.cfg.Cache = cache.New(tc.cc)
 			r := newTestResolver(t, tc.cfg)
 			defer r.Close()
 			tc.setup(r, clk)
@@ -249,6 +252,38 @@ func TestGlueBudgetInstalledPerQuery(t *testing.T) {
 		if got := r.Counters().GlueFetches; got != uint64(maxGlueFetches*call) {
 			t.Fatalf("after call %d GlueFetches = %d, want %d (a fresh %d-fetch budget per query)",
 				call, got, maxGlueFetches*call, maxGlueFetches)
+		}
+	}
+}
+
+// TestSOALessNegativeNotCached: RFC 2308 §5 says a negative answer without
+// an SOA SHOULD NOT be cached, so the second query for a name the server
+// denied without one goes upstream again; with an SOA it does not.
+func TestSOALessNegativeNotCached(t *testing.T) {
+	for _, withSOA := range []bool{false, true} {
+		sent := 0
+		nxdomain := transport.Exchanger(func(_ context.Context, _ transport.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+			sent++
+			resp := q.Reply()
+			resp.Flags.Authoritative = true
+			resp.RCode = dnswire.RCodeNXDomain
+			if withSOA {
+				resp.Authority = []dnswire.RR{{Name: dnswire.Root, Class: dnswire.ClassIN, TTL: 300,
+					Data: dnswire.SOA{MName: dnswire.MustName("a.root."), RName: dnswire.MustName("admin."), Minimum: 300}}}
+			}
+			return resp, nil
+		})
+		clk := simclock.NewVirtual(epoch)
+		r := newTestResolver(t, Config{Clock: clk, Transport: nxdomain,
+			Cache: cache.New(cache.Config{Clock: clk, NegativeTTL: time.Minute})})
+		for i := 0; i < 2; i++ {
+			res, err := r.ResolveChain(context.Background(), nil, dnswire.MustName("gone.test."), dnswire.TypeA)
+			if err != nil || res.RCode != dnswire.RCodeNXDomain {
+				t.Fatalf("withSOA=%v: %+v, %v; want NXDOMAIN", withSOA, res, err)
+			}
+		}
+		if want := map[bool]int{false: 2, true: 1}[withSOA]; sent != want {
+			t.Errorf("withSOA=%v: %d upstream queries for two asks, want %d", withSOA, sent, want)
 		}
 	}
 }

@@ -59,15 +59,13 @@ type Config struct {
 	Transport transport.Transport
 	// Clock supplies time; defaults to the wall clock.
 	Clock simclock.Clock
-	// Cache is the shared RRset cache, owned by the caller. Required.
+	// Cache is the shared cache, owned by the caller. Required. Its
+	// KeepStale turns on serve-stale and its NegativeTTL negative
+	// caching.
 	Cache *cache.Cache
 	// RootAddrs are the hard-coded root server addresses. Required.
 	RootAddrs []transport.Addr
 
-	// NegativeTTL caches NXDOMAIN/NODATA outcomes; zero disables.
-	NegativeTTL time.Duration
-	// ServeStale retains expired records as a last resort; zero disables.
-	ServeStale time.Duration
 	// Prefetch re-fetches a cached answer hit in the last tenth of its
 	// TTL (unbound-style).
 	Prefetch bool
@@ -155,10 +153,6 @@ type Resolver struct {
 	cfg    Config
 	cache  *cache.Cache
 	engine *Engine
-
-	// negMu guards the negative-answer cache.
-	negMu    sync.Mutex
-	negative map[cache.Key]negEntry
 
 	// parentMu guards parentSeen, which records when each zone's
 	// delegation was last confirmed by a referral from the parent. It is
