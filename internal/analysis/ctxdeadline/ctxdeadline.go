@@ -23,6 +23,19 @@
 //     context) pass their context argument's origins through, unless
 //     the callee is known to add a deadline on every return path (the
 //     AddsDeadline fact);
+//   - a composite literal of a context type of our own (a struct that
+//     embeds or wraps a context) is bounded in one of two cases only:
+//     its type's own Deadline method returns ok == true on every path
+//     (the HasDeadline fact), or the type has no Deadline of its own and
+//     every context field of the struct — embedded or named — is set in
+//     the literal and bounded itself. A literal whose own Deadline may
+//     return ok == false, that leaves a context field nil, or whose type
+//     has no context field to forward, is an unbounded origin, and so is
+//     new(T) of such a type unless its own Deadline always reports one.
+//     Not seen: a zero-value `var w T` later used as &w, context fields
+//     assigned after the literal is built, and a constructor of such a
+//     type that takes no context argument (its result has no origin);
+//     keep context types of our own to literals and new;
 //   - a variable's origins are the union over all of its definitions
 //     (flow-insensitive: after `ctx, cancel = context.WithTimeout(ctx, t)`
 //     inside an `if`, the variable is both bounded and whatever it was
@@ -51,6 +64,7 @@ package ctxdeadline
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/types"
 
 	"golang.org/x/tools/go/analysis"
@@ -83,13 +97,22 @@ func (*AddsDeadline) AFact() {}
 
 func (*AddsDeadline) String() string { return "AddsDeadline" }
 
+// HasDeadline is exported for a Deadline method whose ok result is the
+// constant true on every return path: a literal of its type is bounded
+// whatever it wraps.
+type HasDeadline struct{}
+
+func (*HasDeadline) AFact() {}
+
+func (*HasDeadline) String() string { return "HasDeadline" }
+
 var Analyzer = &analysis.Analyzer{
 	Name: name,
 	Doc: "prove every path into Transport.Exchange (and the engine/mesh fetch chains above it) " +
 		"carries a context bounded by WithTimeout/WithDeadline; flag context.Background/TODO flows " +
 		"that arrive unbounded",
 	Requires:  []*analysis.Analyzer{dataflow.Builder},
-	FactTypes: []analysis.Fact{(*NeedsDeadline)(nil), (*AddsDeadline)(nil)},
+	FactTypes: []analysis.Fact{(*NeedsDeadline)(nil), (*AddsDeadline)(nil), (*HasDeadline)(nil)},
 	Run:       run,
 }
 
@@ -99,12 +122,23 @@ func run(pass *analysis.Pass) (any, error) {
 	// adds marks same-package functions that bound their returned
 	// context on every path.
 	adds := make(map[*types.Func]bool)
+	// has marks same-package Deadline methods that report a deadline on
+	// every path.
+	has := make(map[*types.Func]bool)
+	for _, fi := range df.Funcs {
+		if hasDeadline(pass, fi) {
+			has[fi.Obj] = true
+			pass.ExportObjectFact(fi.Obj, &HasDeadline{})
+		}
+	}
 	flow := &dataflow.Flow{
 		Info:  df,
 		Param: func(v *types.Var) bool { return dataflow.IsContextType(v.Type()) },
 		// An origin is an unbounded provenance; a bounded context has none.
 		Call: func(call *ast.CallExpr, fn *types.Func) (bool, []ast.Expr) {
 			switch {
+			case isNew(pass, call):
+				return literal(pass, has, pass.TypesInfo.TypeOf(call.Args[0]), nil)
 			case fn == nil:
 				return false, nil
 			case fn.Pkg() != nil && fn.Pkg().Path() == "context":
@@ -124,6 +158,11 @@ func run(pass *analysis.Pass) (any, error) {
 			// Unknown context-returning function: assume it passes its
 			// context arguments through (the WithRetryBudget shape).
 			return false, df.ArgsOfType(call, dataflow.IsContextType)
+		},
+		// A literal of our own context type is bounded by its own
+		// Deadline, or else by the contexts it forwards.
+		Lit: func(lit *ast.CompositeLit) (bool, []ast.Expr) {
+			return literal(pass, has, pass.TypesInfo.TypeOf(lit), lit)
 		},
 		// A context reaching Exchange must be bounded; so must one
 		// handed to a function that lets it reach Exchange.
@@ -171,6 +210,91 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 	supp.ReportStale(pass, name)
 	return nil, nil
+}
+
+// hasDeadline reports whether fi is a Deadline method whose second result
+// is the constant true on every return path.
+func hasDeadline(pass *analysis.Pass, fi *dataflow.FuncInfo) bool {
+	if fi.Obj == nil || fi.Obj.Name() != "Deadline" || fi.Obj.Type().(*types.Signature).Recv() == nil {
+		return false
+	}
+	hasReturn, always := false, true
+	fi.Returns(func(ret *ast.ReturnStmt) {
+		hasReturn = true
+		if len(ret.Results) != 2 {
+			always = false
+			return
+		}
+		v := pass.TypesInfo.Types[ret.Results[1]].Value
+		if v == nil || v.Kind() != constant.Bool || !constant.BoolVal(v) {
+			always = false
+		}
+	})
+	return hasReturn && always
+}
+
+// literal classifies a value of type t built by lit, or by new(t) when
+// lit is nil: no origin unless t is a context type of our own, bounded by
+// its own Deadline if it has one (has, or the imported HasDeadline fact),
+// and otherwise by the contexts the literal sets. A zero value forwards a
+// nil context, an unbounded origin.
+func literal(pass *analysis.Pass, has map[*types.Func]bool, t types.Type, lit *ast.CompositeLit) (bool, []ast.Expr) {
+	obj, index, _ := types.LookupFieldOrMethod(t, true, pass.Pkg, "Deadline")
+	fn, _ := obj.(*types.Func)
+	switch {
+	case fn == nil:
+		return false, nil // not a context
+	case len(index) == 1: // the type's own method, not a promoted one
+		return !has[fn] && !pass.ImportObjectFact(fn, new(HasDeadline)), nil
+	case lit == nil:
+		return true, nil
+	}
+	return forwardedContexts(pass, lit)
+}
+
+// isNew reports whether call is the builtin new.
+func isNew(pass *analysis.Pass, call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
+	return ok && b.Name() == "new"
+}
+
+// forwardedContexts is the origin of a literal of a context type that
+// forwards: the values it gives the struct's context fields, or a source
+// when the type has no such field or the literal leaves one nil.
+func forwardedContexts(pass *analysis.Pass, lit *ast.CompositeLit) (bool, []ast.Expr) {
+	st, ok := pass.TypesInfo.TypeOf(lit).Underlying().(*types.Struct)
+	if !ok {
+		return true, nil
+	}
+	vals := make(map[int]ast.Expr)
+	for i, elt := range lit.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
+			vals[i] = elt
+			continue
+		}
+		for j := 0; j < st.NumFields(); j++ {
+			if key, ok := kv.Key.(*ast.Ident); ok && st.Field(j).Name() == key.Name {
+				vals[j] = kv.Value
+			}
+		}
+	}
+	var through []ast.Expr
+	for j := 0; j < st.NumFields(); j++ {
+		if !dataflow.IsContextType(st.Field(j).Type()) {
+			continue
+		}
+		v, ok := vals[j]
+		if !ok {
+			return true, nil
+		}
+		through = append(through, v)
+	}
+	return len(through) == 0, through
 }
 
 // addsDeadline reports whether fi returns a context that is bounded on

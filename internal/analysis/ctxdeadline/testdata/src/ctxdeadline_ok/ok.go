@@ -1,6 +1,7 @@
 // Package ctxdeadline_ok is a passing fixture: bounded flows, wrapper
-// functions, stored contexts, closure parameters, and the sanctioned
-// escape hatch. Any diagnostic here is a false positive.
+// functions, stored contexts, closure parameters, context types of our
+// own that forward a deadline or carry one, and the sanctioned escape
+// hatch. Any diagnostic here is a false positive.
 package ctxdeadline_ok
 
 import (
@@ -57,6 +58,41 @@ func (c *client) ping() {
 // needs a justification to count.
 func Gossip(tr Transport) {
 	tr.Exchange(context.Background(), "10.0.0.1", nil) //dnslint:ignore ctxdeadline gossip sends are bounded by the connection write deadline
+}
+
+// wrapped is a context type of our own that forwards everything to the
+// context it embeds.
+type wrapped struct {
+	context.Context
+	tag int
+}
+
+// WrappedBounded wraps a bounded context: the literal forwards its
+// deadline.
+func WrappedBounded(tr Transport) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	tr.Exchange(&wrapped{ctx, 1}, "10.0.0.1", nil)
+}
+
+// fixed has a Deadline of its own that reports one on every path, so
+// what it wraps does not matter.
+type fixed struct {
+	context.Context
+	at time.Time
+}
+
+func (f fixed) Deadline() (time.Time, bool) { return f.at, true }
+
+// OwnDeadline sends with a literal that carries its own deadline.
+func OwnDeadline(tr Transport, at time.Time) {
+	tr.Exchange(fixed{Context: context.Background(), at: at}, "10.0.0.1", nil)
+}
+
+// NewOwnDeadline sends a new literal of the same type: its Deadline
+// reports one whatever the fields hold.
+func NewOwnDeadline(tr Transport) {
+	tr.Exchange(new(fixed), "10.0.0.1", nil)
 }
 
 var _ = (&client{}).ping

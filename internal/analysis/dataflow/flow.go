@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 )
@@ -32,6 +33,10 @@ type Flow struct {
 	// a tainted message is tainted) or is lost there (a context stored
 	// in a struct is checked where it is stored).
 	Projections bool
+	// Lit, when set, classifies a composite literal (or its address) the
+	// way Call classifies a call, in place of Projections: produced by a
+	// source, and/or carrying the origins of the listed expressions.
+	Lit func(lit *ast.CompositeLit) (source bool, through []ast.Expr)
 	// Sink returns the argument positions of fn that are sinks by
 	// shape, nil when fn is not one.
 	Sink func(fn *types.Func) []int
@@ -75,7 +80,8 @@ func (f *Flow) origins(e ast.Expr, params map[*types.Var]int, seen map[*types.Va
 		}
 		return out
 	}
-	switch e := ast.Unparen(e).(type) {
+	e = ast.Unparen(e)
+	switch e := e.(type) {
 	case *ast.Ident:
 		v := f.Info.VarOf(e)
 		if v == nil {
@@ -97,6 +103,19 @@ func (f *Flow) origins(e ast.Expr, params map[*types.Var]int, seen map[*types.Va
 			return []int{Source}
 		}
 		return union(through...)
+	}
+	if f.Lit != nil {
+		lit, _ := e.(*ast.CompositeLit)
+		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+			lit, _ = ast.Unparen(u.X).(*ast.CompositeLit)
+		}
+		if lit != nil {
+			source, through := f.Lit(lit)
+			if source {
+				return []int{Source}
+			}
+			return union(through...)
+		}
 	}
 	if !f.Projections {
 		return nil

@@ -19,6 +19,11 @@
 // Extend, stale tombstoning) replaces the stored *Entry with a fresh copy
 // — so callers may keep returned pointers without further locking.
 //
+// A cached record pays for its data, not its bookkeeping: an Entry is the
+// set's slice header plus 24 bytes (two stamps — see stamp — and one word
+// of credibility and flags), and its key is derived from the set's first
+// record.
+//
 // TTL renewal policies (LRU/LFU and their adaptive variants) are layered
 // on top by package core, which owns the renewal scheduler. Crash-safe
 // persistence is layered on by package persist, through the Config.OnChange
@@ -37,7 +42,7 @@ import (
 
 // Credibility ranks how trustworthy a cached RRset is, following the
 // RFC 2181 §5.4.1 ranking (higher replaces lower).
-type Credibility int
+type Credibility uint8
 
 // Credibility levels, lowest first.
 const (
@@ -57,30 +62,88 @@ type Key struct {
 }
 
 // Entry is one cached RRset. Entries are immutable after publication;
-// updates replace the stored entry with a copy.
+// updates replace the stored entry with a copy. The rest is read through
+// methods: Key, Expires, OrigTTL, Cred, Infra and Origin.
 type Entry struct {
-	Key  Key
-	RRs  []dnswire.RR
-	Cred Credibility
-	// staleTombstoned marks that the expiry gap for this entry was
-	// already observed, so repeated stale accesses do not re-record it.
-	staleTombstoned bool
-	// Infra marks infrastructure RRsets: a zone's NS set and the address
-	// records of its name servers. Only these are eligible for the
-	// paper's refresh and renewal treatment.
-	Infra bool
-	// Origin records where the set was learned from: an authoritative
-	// upstream response, or a fleet peer's gossip/fetch. Peer-learned
-	// entries persist and restore with the tag so a restarted node
-	// still knows which records it never confirmed upstream itself.
-	Origin Origin
-	// OrigTTL is the (possibly clamped) TTL the set arrived with.
-	OrigTTL time.Duration
-	// Expires is when the entry leaves the cache.
-	Expires time.Time
-	// StoredAt is when the entry was first inserted or last replaced.
-	StoredAt time.Time
+	// RRs is the set; every record shares one owner and type, the
+	// entry's Key.
+	RRs []dnswire.RR
+	// expires is the stamp of when the entry leaves the cache.
+	expires int64
+	// origTTL is the (possibly clamped) TTL the set arrived with.
+	origTTL time.Duration
+	// cred and flags share the last word.
+	cred  Credibility
+	flags entryFlags
 }
+
+// entryFlags are an Entry's flag bits.
+type entryFlags uint8
+
+const (
+	// flagInfra marks infrastructure RRsets: a zone's NS set and the
+	// address records of its name servers. Only these are eligible for
+	// the paper's refresh and renewal treatment.
+	flagInfra entryFlags = 1 << iota
+	// flagPeer marks data learned from a fleet peer's gossip/fetch rather
+	// than an authoritative upstream response. Peer-learned entries
+	// persist and restore with the tag so a restarted node still knows
+	// which records it never confirmed upstream itself.
+	flagPeer
+	// flagTombstoned marks that the expiry gap for this entry was already
+	// observed, so repeated stale accesses do not re-record it.
+	flagTombstoned
+)
+
+// newEntry returns an entry for rrs, which the caller hands over.
+func newEntry(rrs []dnswire.RR, cred Credibility, infra bool, origin Origin, ttl time.Duration, expires int64) *Entry {
+	e := &Entry{RRs: rrs, expires: expires, origTTL: ttl, cred: cred}
+	if infra {
+		e.flags |= flagInfra
+	}
+	if origin == OriginPeer {
+		e.flags |= flagPeer
+	}
+	return e
+}
+
+// Key is the entry's (name, type): that of its first record.
+func (e *Entry) Key() Key { return Key{Name: e.RRs[0].Name, Type: e.RRs[0].Type()} }
+
+// Expires is when the entry leaves the cache.
+func (e *Entry) Expires() time.Time { return unstamp(e.expires) }
+
+// OrigTTL is the (possibly clamped) TTL the set arrived with.
+func (e *Entry) OrigTTL() time.Duration { return e.origTTL }
+
+// Cred is the set's credibility.
+func (e *Entry) Cred() Credibility { return e.cred }
+
+// Infra reports an infrastructure RRset: a zone's NS set or an address
+// set of one of its name servers.
+func (e *Entry) Infra() bool { return e.flags&flagInfra != 0 }
+
+// Origin is where the set was learned from.
+func (e *Entry) Origin() Origin {
+	if e.flags&flagPeer != 0 {
+		return OriginPeer
+	}
+	return OriginUpstream
+}
+
+// base is the instant every stamp counts from. It is read once from the
+// real clock, so it carries a monotonic reading: a stamp of a real-clock
+// time is a monotonic interval, unmoved by wall-clock steps, and a stamp
+// of a virtual-clock time (which has no monotonic reading) is its exact
+// wall-clock distance from base, so the simulator's time stays exact.
+var base = simclock.Real{}.Now()
+
+// stamp is t as int64 nanoseconds since base: the cache's time
+// representation, 8 bytes where a time.Time takes 24.
+func stamp(t time.Time) int64 { return int64(t.Sub(base)) }
+
+// unstamp is the time a stamp stands for.
+func unstamp(s int64) time.Time { return base.Add(time.Duration(s)) }
 
 // Origin labels where a cache entry's data was learned from.
 type Origin uint8
@@ -226,16 +289,16 @@ type shard struct {
 
 // negative is one cached NXDOMAIN (rcode) or NODATA (NOERROR) outcome.
 type negative struct {
-	rcode dnswire.RCode
 	// soa is the negative answer's SOA RRset (RFC 2308); replies served
 	// from the negative cache carry it in their authority section so
 	// downstream stubs can negative-cache the outcome themselves.
 	soa     []dnswire.RR
-	expires time.Time
+	expires int64 // stamp
+	rcode   dnswire.RCode
 }
 
 type tombstone struct {
-	expiredAt time.Time
+	expiredAt int64 // stamp
 	origTTL   time.Duration
 }
 
@@ -388,28 +451,28 @@ func (c *Cache) PutOrigin(rrs []dnswire.RR, cred Credibility, infra bool, origin
 	if len(rrs) == 0 {
 		return nil
 	}
-	now := c.cfg.Clock.Now()
+	now := stamp(c.cfg.Clock.Now())
 	key := Key{Name: rrs[0].Name, Type: rrs[0].Type()}
 	ttl := c.clampTTL(minTTL(rrs))
 	sh := c.shardFor(key)
 
 	sh.mu.Lock()
 	if e, ok := sh.entries[key]; ok {
-		if e.Expires.After(now) {
+		if e.expires > now {
 			same := rrsetEqual(e.RRs, rrs)
 			switch {
-			case cred > e.Cred:
+			case cred > e.cred:
 				// Higher credibility: replace outright.
-			case !same && cred == e.Cred:
+			case !same && cred == e.cred:
 				// Equal credibility, different data: the fresher copy
 				// wins (RFC 2181 §5.4.1 replacement).
-			case same && c.cfg.RefreshInfraTTL && e.Infra && infra && cred >= e.Cred:
+			case same && c.cfg.RefreshInfraTTL && e.Infra() && infra && cred >= e.cred:
 				// TTL refresh: reset the clock on the existing entry.
 				// Keep the cached (higher-credibility) data; only the
 				// timer is reset, per §4 "TTL Refresh". Entries are
 				// immutable, so the refresh installs a copy.
 				ne := *e
-				ne.Expires = now.Add(e.OrigTTL)
+				ne.expires = now + int64(e.origTTL)
 				sh.entries[key] = &ne
 				c.noteChangeLocked(ChangeExtend, key, &ne)
 				sh.mu.Unlock()
@@ -426,16 +489,7 @@ func (c *Cache) PutOrigin(rrs []dnswire.RR, cred Credibility, infra bool, origin
 		c.noteTombstoneHitLocked(sh, key, now)
 	}
 
-	e := &Entry{
-		Key:      key,
-		RRs:      append([]dnswire.RR(nil), rrs...),
-		Cred:     cred,
-		Infra:    infra,
-		Origin:   origin,
-		OrigTTL:  ttl,
-		Expires:  now.Add(ttl),
-		StoredAt: now,
-	}
+	e := newEntry(append([]dnswire.RR(nil), rrs...), cred, infra, origin, ttl, now+int64(ttl))
 	sh.entries[key] = e
 	delete(sh.tombstones, key)
 	c.noteChangeLocked(ChangePut, key, e)
@@ -467,12 +521,12 @@ func (c *Cache) NegativeTTL() time.Duration { return c.cfg.NegativeTTL }
 func (c *Cache) Get(name dnswire.Name, t dnswire.Type) *Entry {
 	key := Key{Name: name, Type: t}
 	sh := c.shardFor(key)
-	now := c.cfg.Clock.Now()
+	now := stamp(c.cfg.Clock.Now())
 
 	sh.mu.RLock()
 	e, ok := sh.entries[key]
 	sh.mu.RUnlock()
-	live := ok && e.Expires.After(now)
+	live := ok && e.expires > now
 
 	// Expired, or absent with a gap observer that may hold a tombstone
 	// for the key: take the write lock to retire the entry and note the
@@ -482,7 +536,7 @@ func (c *Cache) Get(name dnswire.Name, t dnswire.Type) *Entry {
 	if !live && (ok || c.cfg.OnGap != nil) {
 		sh.mu.Lock()
 		e, ok = sh.entries[key]
-		if live = ok && e.Expires.After(now); !live {
+		if live = ok && e.expires > now; !live {
 			if ok {
 				c.expireEntryLocked(sh, key, e, now)
 			}
@@ -507,7 +561,7 @@ func (c *Cache) GetStale(name dnswire.Name, t dnswire.Type) *Entry {
 	}
 	key := Key{Name: name, Type: t}
 	sh := c.shardFor(key)
-	now := c.cfg.Clock.Now()
+	now := stamp(c.cfg.Clock.Now())
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -515,10 +569,10 @@ func (c *Cache) GetStale(name dnswire.Name, t dnswire.Type) *Entry {
 	if !ok {
 		return nil
 	}
-	if e.Expires.After(now) {
+	if e.expires > now {
 		return e
 	}
-	if now.Sub(e.Expires) > c.cfg.KeepStale {
+	if now-e.expires > int64(c.cfg.KeepStale) {
 		c.expireEntryLocked(sh, key, e, now)
 		return nil
 	}
@@ -552,7 +606,7 @@ func (c *Cache) Extend(name dnswire.Name, t dnswire.Type) bool {
 		return false
 	}
 	ne := *e
-	ne.Expires = c.cfg.Clock.Now().Add(e.OrigTTL)
+	ne.expires = stamp(c.cfg.Clock.Now()) + int64(e.origTTL)
 	sh.entries[key] = &ne
 	c.noteChangeLocked(ChangeExtend, key, &ne)
 	return true
@@ -581,8 +635,9 @@ func (c *Cache) PutNegative(name dnswire.Name, t dnswire.Type, rcode dnswire.RCo
 	}
 	key := Key{Name: name, Type: t}
 	sh := c.shardFor(key)
+	expires := stamp(c.cfg.Clock.Now()) + int64(c.cfg.NegativeTTL)
 	sh.mu.Lock()
-	sh.negatives[key] = negative{rcode: rcode, soa: soa, expires: c.cfg.Clock.Now().Add(c.cfg.NegativeTTL)}
+	sh.negatives[key] = negative{soa: soa, expires: expires, rcode: rcode}
 	sh.mu.Unlock()
 }
 
@@ -597,7 +652,7 @@ func (c *Cache) GetNegative(name dnswire.Name, t dnswire.Type) (dnswire.RCode, [
 	}
 	key := Key{Name: name, Type: t}
 	sh := c.shardFor(key)
-	now := c.cfg.Clock.Now()
+	now := stamp(c.cfg.Clock.Now())
 
 	sh.mu.RLock()
 	n, ok := sh.negatives[key]
@@ -605,9 +660,9 @@ func (c *Cache) GetNegative(name dnswire.Name, t dnswire.Type) (dnswire.RCode, [
 	if !ok {
 		return 0, nil, false
 	}
-	if !n.expires.After(now) {
+	if n.expires <= now {
 		sh.mu.Lock()
-		if n, ok := sh.negatives[key]; ok && !n.expires.After(now) {
+		if n, ok := sh.negatives[key]; ok && n.expires <= now {
 			delete(sh.negatives, key)
 		}
 		sh.mu.Unlock()
@@ -628,14 +683,14 @@ func (c *Cache) GetNegative(name dnswire.Name, t dnswire.Type) (dnswire.RCode, [
 // never-repeated name), and it either deletes the entry or, with
 // KeepStale, retains it for stale service until the window passes. The
 // shard lock must be held.
-func (c *Cache) expireEntryLocked(sh *shard, key Key, e *Entry, now time.Time) {
-	if c.cfg.OnGap != nil && !e.staleTombstoned {
-		sh.tombstones[key] = tombstone{expiredAt: e.Expires, origTTL: e.OrigTTL}
+func (c *Cache) expireEntryLocked(sh *shard, key Key, e *Entry, now int64) {
+	if c.cfg.OnGap != nil && e.flags&flagTombstoned == 0 {
+		sh.tombstones[key] = tombstone{expiredAt: e.expires, origTTL: e.origTTL}
 		ne := *e
-		ne.staleTombstoned = true
+		ne.flags |= flagTombstoned
 		sh.entries[key] = &ne
 	}
-	if c.cfg.KeepStale > 0 && now.Sub(e.Expires) <= c.cfg.KeepStale {
+	if c.cfg.KeepStale > 0 && now-e.expires <= int64(c.cfg.KeepStale) {
 		return // retained as stale
 	}
 	delete(sh.entries, key)
@@ -644,14 +699,14 @@ func (c *Cache) expireEntryLocked(sh *shard, key Key, e *Entry, now time.Time) {
 // noteTombstoneHitLocked reports the gap between an entry's expiry and
 // this renewed interest in it, then clears the tombstone. The shard lock
 // must be held.
-func (c *Cache) noteTombstoneHitLocked(sh *shard, key Key, now time.Time) {
+func (c *Cache) noteTombstoneHitLocked(sh *shard, key Key, now int64) {
 	ts, ok := sh.tombstones[key]
 	if !ok {
 		return // always, without a gap observer: the table stays empty
 	}
 	delete(sh.tombstones, key)
-	if c.cfg.OnGap != nil && now.After(ts.expiredAt) {
-		c.cfg.OnGap(key, now.Sub(ts.expiredAt), ts.origTTL)
+	if c.cfg.OnGap != nil && now > ts.expiredAt {
+		c.cfg.OnGap(key, time.Duration(now-ts.expiredAt), ts.origTTL)
 	}
 }
 
@@ -662,17 +717,17 @@ func (c *Cache) noteTombstoneHitLocked(sh *shard, key Key, now time.Time) {
 // before reading occupancy stats so that Fig. 12-style series reflect
 // live entries only.
 func (c *Cache) SweepExpired() {
-	now := c.cfg.Clock.Now()
+	now := stamp(c.cfg.Clock.Now())
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		for key, e := range sh.entries {
-			if !e.Expires.After(now) {
+			if e.expires <= now {
 				c.expireEntryLocked(sh, key, e, now)
 			}
 		}
 		for key, n := range sh.negatives {
-			if !n.expires.After(now) {
+			if n.expires <= now {
 				delete(sh.negatives, key)
 			}
 		}
@@ -684,33 +739,43 @@ func (c *Cache) SweepExpired() {
 // Live and stale entries are counted separately.
 func (c *Cache) Stats() Stats {
 	var s Stats
-	now := c.cfg.Clock.Now()
+	now := stamp(c.cfg.Clock.Now())
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.RLock()
 		s.NegativeEntries += len(sh.negatives)
+		for key, n := range sh.negatives {
+			s.ApproxBytes += len(key.Name) + wireBytes(n.soa)
+		}
 		for key, e := range sh.entries {
-			if !e.Expires.After(now) {
+			if e.expires <= now {
 				s.StaleEntries++
 				continue
 			}
 			s.Entries++
 			s.Records += len(e.RRs)
-			if e.Infra {
+			if e.Infra() {
 				s.InfraEntries++
 			}
 			if key.Type == dnswire.TypeNS {
 				s.Zones++
 			}
-			for _, rr := range e.RRs {
-				// Owner + fixed RR header (type/class/TTL/rdlength) +
-				// uncompressed RDATA, without formatting the record.
-				s.ApproxBytes += len(rr.Name) + 10 + dnswire.RDataLen(rr.Data)
-			}
+			s.ApproxBytes += wireBytes(e.RRs)
 		}
 		sh.mu.RUnlock()
 	}
 	return s
+}
+
+// wireBytes is the uncompressed wire size of rrs: per record its owner,
+// the fixed header (type/class/TTL/rdlength) and its RDATA, counted
+// without formatting the record.
+func wireBytes(rrs []dnswire.RR) int {
+	n := 0
+	for _, rr := range rrs {
+		n += len(rr.Name) + 10 + dnswire.RDataLen(rr.Data)
+	}
+	return n
 }
 
 // HitRate returns hits/(hits+misses), or 0 before any Get.
@@ -745,8 +810,8 @@ func (c *Cache) InfraExpiries() []ExpiryInfo {
 		sh := &c.shards[i]
 		sh.mu.RLock()
 		for key, e := range sh.entries {
-			if key.Type == dnswire.TypeNS && e.Infra {
-				out = append(out, ExpiryInfo{Zone: key.Name, Expires: e.Expires, OrigTTL: e.OrigTTL})
+			if key.Type == dnswire.TypeNS && e.Infra() {
+				out = append(out, ExpiryInfo{Zone: key.Name, Expires: e.Expires(), OrigTTL: e.origTTL})
 			}
 		}
 		sh.mu.RUnlock()
@@ -789,13 +854,12 @@ func (c *Cache) Range(fn func(e *Entry) bool) {
 
 // RestoreEntry is one recovered record offered to Restore.
 type RestoreEntry struct {
-	RRs      []dnswire.RR
-	Cred     Credibility
-	Infra    bool
-	Origin   Origin
-	OrigTTL  time.Duration
-	Expires  time.Time
-	StoredAt time.Time
+	RRs     []dnswire.RR
+	Cred    Credibility
+	Infra   bool
+	Origin  Origin
+	OrigTTL time.Duration
+	Expires time.Time
 }
 
 // Restore installs a recovered entry, re-applying this cache's own TTL
@@ -822,26 +886,17 @@ func (c *Cache) Restore(re RestoreEntry) bool {
 	if ttl <= 0 {
 		return false
 	}
-	now := c.cfg.Clock.Now()
-	expires := re.Expires
-	if c.cfg.MaxTTL > 0 && expires.After(now.Add(c.cfg.MaxTTL)) {
-		expires = now.Add(c.cfg.MaxTTL)
+	now := stamp(c.cfg.Clock.Now())
+	expires := stamp(re.Expires)
+	if c.cfg.MaxTTL > 0 && expires > now+int64(c.cfg.MaxTTL) {
+		expires = now + int64(c.cfg.MaxTTL)
 	}
-	if !expires.After(now) {
-		if c.cfg.KeepStale <= 0 || now.Sub(expires) > c.cfg.KeepStale {
+	if expires <= now {
+		if c.cfg.KeepStale <= 0 || now-expires > int64(c.cfg.KeepStale) {
 			return false // dead on arrival and not retainable as stale
 		}
 	}
-	e := &Entry{
-		Key:      key,
-		RRs:      append([]dnswire.RR(nil), re.RRs...),
-		Cred:     re.Cred,
-		Infra:    re.Infra,
-		Origin:   re.Origin,
-		OrigTTL:  ttl,
-		Expires:  expires,
-		StoredAt: re.StoredAt,
-	}
+	e := newEntry(append([]dnswire.RR(nil), re.RRs...), re.Cred, re.Infra, re.Origin, ttl, expires)
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	sh.entries[key] = e
@@ -851,12 +906,12 @@ func (c *Cache) Restore(re RestoreEntry) bool {
 
 // RemainingTTL returns the seconds left for an entry at time now, for
 // serving decremented TTLs to stub resolvers.
-func (e *Entry) RemainingTTL(now time.Time) uint32 { return remainingTTL(e.Expires, now) }
+func (e *Entry) RemainingTTL(now time.Time) uint32 { return remainingTTL(e.expires, stamp(now)) }
 
-// remainingTTL is the whole seconds from now until expires, at least 1
-// while expires is still ahead.
-func remainingTTL(expires, now time.Time) uint32 {
-	d := expires.Sub(now)
+// remainingTTL is the whole seconds from stamp now until stamp expires,
+// at least 1 while expires is still ahead.
+func remainingTTL(expires, now int64) uint32 {
+	d := time.Duration(expires - now)
 	if d <= 0 {
 		return 0
 	}

@@ -49,8 +49,8 @@ func TestPutGet(t *testing.T) {
 	if e == nil {
 		t.Fatal("Get returned nil after Put")
 	}
-	if e.OrigTTL != time.Hour {
-		t.Errorf("OrigTTL = %v, want 1h", e.OrigTTL)
+	if e.OrigTTL() != time.Hour {
+		t.Errorf("OrigTTL = %v, want 1h", e.OrigTTL())
 	}
 }
 
@@ -118,8 +118,8 @@ func TestCredibilityUpgradeReplaces(t *testing.T) {
 	if e == nil {
 		t.Fatal("entry missing")
 	}
-	if e.Cred != CredAuthority {
-		t.Errorf("Cred = %v, want CredAuthority", e.Cred)
+	if e.Cred() != CredAuthority {
+		t.Errorf("Cred = %v, want CredAuthority", e.Cred())
 	}
 	if e.RRs[0].Data.(dnswire.NS).Host != "ns-new.ucla.edu." {
 		t.Errorf("child data did not replace parent glue: %v", e.RRs)
@@ -152,7 +152,7 @@ func TestLowerCredibilityDoesNotRefresh(t *testing.T) {
 	if e == nil {
 		t.Fatal("entry missing")
 	}
-	if got, want := e.Expires, epoch.Add(time.Hour); !got.Equal(want) {
+	if got, want := e.Expires(), epoch.Add(time.Hour); !got.Equal(want) {
 		// Refresh from a referral is acceptable per the paper's model
 		// (any response carrying the IRR refreshes it), but our stricter
 		// rule keeps the child-credibility expiry. Assert the stricter
@@ -395,7 +395,7 @@ func TestPropertyCacheNeverServesExpired(t *testing.T) {
 			case 1:
 				name := names[r.Intn(len(names))]
 				e := c.Get(dnswire.MustName(name), dnswire.TypeNS)
-				if e != nil && !e.Expires.After(clk.Now()) {
+				if e != nil && !e.Expires().After(clk.Now()) {
 					return false
 				}
 			default:
@@ -425,10 +425,10 @@ func TestPropertyCredibilityMonotone(t *testing.T) {
 			if e == nil {
 				return false
 			}
-			if e.Cred < last {
+			if e.Cred() < last {
 				return false
 			}
-			last = e.Cred
+			last = e.Cred()
 		}
 		return true
 	}

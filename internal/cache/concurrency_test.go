@@ -36,7 +36,7 @@ func TestConcurrentMixedOperations(t *testing.T) {
 						// lock must be safe even while writers replace
 						// the entry.
 						_ = e.RRs[0].Name
-						_ = e.Expires
+						_ = e.Expires()
 					}
 				case 3:
 					c.Extend(dnswire.MustName(name), dnswire.TypeA)

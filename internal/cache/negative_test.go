@@ -118,3 +118,24 @@ func TestEvictCountsEvictions(t *testing.T) {
 		t.Errorf("Evictions = %d, want 1", got)
 	}
 }
+
+// TestStatsCountsNegativeBytes: ApproxBytes counts each negative answer as
+// its owner name plus its SOA set's wire size, beside the RRsets' bytes.
+func TestStatsCountsNegativeBytes(t *testing.T) {
+	c, _ := newTestCache(t, Config{NegativeTTL: time.Minute})
+	c.Put([]dnswire.RR{rrA("www.victim.test.", 300, "192.0.2.1")}, CredAnswer, false)
+	positive := c.Stats().ApproxBytes
+	if positive == 0 {
+		t.Fatal("an RRset counts no bytes")
+	}
+	want := positive
+	for _, n := range []string{"a.victim.test.", "bb.victim.test.", "ccc.other.test."} {
+		name := dnswire.MustName(n)
+		soa := soaRR(name.Parent().String(), 300)
+		c.PutNegative(name, dnswire.TypeA, dnswire.RCodeNXDomain, soa)
+		want += len(name) + len(soa[0].Name) + 10 + dnswire.RDataLen(soa[0].Data)
+	}
+	if s := c.Stats(); s.NegativeEntries != 3 || s.ApproxBytes != want {
+		t.Errorf("NegativeEntries = %d, ApproxBytes = %d; want 3 and %d", s.NegativeEntries, s.ApproxBytes, want)
+	}
+}

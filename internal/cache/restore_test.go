@@ -14,12 +14,11 @@ func snapshotEntries(c *Cache) []RestoreEntry {
 	var out []RestoreEntry
 	c.Range(func(e *Entry) bool {
 		out = append(out, RestoreEntry{
-			RRs:      e.RRs,
-			Cred:     e.Cred,
-			Infra:    e.Infra,
-			OrigTTL:  e.OrigTTL,
-			Expires:  e.Expires,
-			StoredAt: e.StoredAt,
+			RRs:     e.RRs,
+			Cred:    e.Cred(),
+			Infra:   e.Infra(),
+			OrigTTL: e.OrigTTL(),
+			Expires: e.Expires(),
 		})
 		return true
 	})
@@ -64,22 +63,21 @@ func TestRestoreReclampsTTL(t *testing.T) {
 	if e == nil {
 		t.Fatal("entry not restored")
 	}
-	if e.OrigTTL != time.Hour {
-		t.Errorf("OrigTTL = %v, want re-clamped 1h", e.OrigTTL)
+	if e.OrigTTL() != time.Hour {
+		t.Errorf("OrigTTL = %v, want re-clamped 1h", e.OrigTTL())
 	}
-	if want := clk.Now().Add(time.Hour); e.Expires.After(want) {
-		t.Errorf("Expires = %v, beyond the clamp %v", e.Expires, want)
+	if want := clk.Now().Add(time.Hour); e.Expires().After(want) {
+		t.Errorf("Expires = %v, beyond the clamp %v", e.Expires(), want)
 	}
 }
 
 func TestRestoreDropsExpired(t *testing.T) {
 	c, clk := newTestCache(t, Config{})
 	re := RestoreEntry{
-		RRs:      []dnswire.RR{rrA("www.edu.", 300, "192.0.2.1")},
-		Cred:     CredAnswer,
-		OrigTTL:  5 * time.Minute,
-		Expires:  clk.Now().Add(-time.Minute),
-		StoredAt: clk.Now().Add(-6 * time.Minute),
+		RRs:     []dnswire.RR{rrA("www.edu.", 300, "192.0.2.1")},
+		Cred:    CredAnswer,
+		OrigTTL: 5 * time.Minute,
+		Expires: clk.Now().Add(-time.Minute),
 	}
 	if c.Restore(re) {
 		t.Error("Restore kept an expired entry with no stale retention")
@@ -93,11 +91,10 @@ func TestRestoreKeepsStaleWithinWindow(t *testing.T) {
 	c, clk := newTestCache(t, Config{KeepStale: time.Hour})
 	name := dnswire.MustName("www.edu.")
 	re := RestoreEntry{
-		RRs:      []dnswire.RR{rrA("www.edu.", 300, "192.0.2.1")},
-		Cred:     CredAnswer,
-		OrigTTL:  5 * time.Minute,
-		Expires:  clk.Now().Add(-30 * time.Minute), // inside the window
-		StoredAt: clk.Now().Add(-35 * time.Minute),
+		RRs:     []dnswire.RR{rrA("www.edu.", 300, "192.0.2.1")},
+		Cred:    CredAnswer,
+		OrigTTL: 5 * time.Minute,
+		Expires: clk.Now().Add(-30 * time.Minute), // inside the window
 	}
 	if !c.Restore(re) {
 		t.Fatal("Restore dropped an entry inside the stale window")

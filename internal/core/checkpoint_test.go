@@ -67,8 +67,8 @@ func TestRearmRenewalsSchedulesRestoredIRRs(t *testing.T) {
 	g := newFixture(t, Config{RefreshTTL: true, Renewal: ALFU{C: 5, MaxDays: DefaultLFUMax(5)}})
 	f.cs.Cache().Range(func(e *cache.Entry) bool {
 		g.cs.Cache().Restore(cache.RestoreEntry{
-			RRs: e.RRs, Cred: e.Cred, Infra: e.Infra,
-			OrigTTL: e.OrigTTL, Expires: e.Expires, StoredAt: e.StoredAt,
+			RRs: e.RRs, Cred: e.Cred(), Infra: e.Infra(),
+			OrigTTL: e.OrigTTL(), Expires: e.Expires(),
 		})
 		return true
 	})

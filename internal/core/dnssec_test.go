@@ -230,11 +230,11 @@ func TestDNSSECInfraRecordsMarked(t *testing.T) {
 		t.Fatalf("Resolve: %v", err)
 	}
 	ds := f.cs.Cache().Peek(dnswire.MustName("ucla.edu."), dnswire.TypeDS)
-	if ds == nil || !ds.Infra {
+	if ds == nil || !ds.Infra() {
 		t.Errorf("DS entry = %+v, want cached infrastructure", ds)
 	}
 	key := f.cs.Cache().Peek(dnswire.MustName("ucla.edu."), dnswire.TypeDNSKEY)
-	if key == nil || !key.Infra {
+	if key == nil || !key.Infra() {
 		t.Errorf("DNSKEY entry = %+v, want cached infrastructure", key)
 	}
 }

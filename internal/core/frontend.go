@@ -38,7 +38,8 @@ func (cs *CachingServer) HandleQuery(q *dnswire.Message) *dnswire.Message {
 func (cs *CachingServer) HandleInline(q *transport.Query, buf []byte) ([]byte, *dnswire.Message, bool) {
 	if q.Key != nil {
 		if p := cs.packed.get(q.Key); p != nil {
-			if _, done, _ := cs.resolve(context.Background(), 0, answerLive, p.src.Key.Name, p.src.Key.Type, p.src); done {
+			key := p.src.Key()
+			if _, done, _ := cs.resolve(context.Background(), 0, answerLive, key.Name, key.Type, p.src); done {
 				return p.reply(buf, q.ID, cs.cfg.Clock.Now()), nil, true
 			}
 		}

@@ -37,7 +37,7 @@ func (cs *CachingServer) peerFetch(ctx context.Context, qname dnswire.Name, qtyp
 func (cs *CachingServer) ZoneIRRMessage(zone dnswire.Name) *dnswire.Message {
 	now := cs.cfg.Clock.Now()
 	e := cs.cache.Get(zone, dnswire.TypeNS)
-	if e == nil || !e.Infra {
+	if e == nil || !e.Infra() {
 		return nil
 	}
 	msg := &dnswire.Message{

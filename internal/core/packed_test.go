@@ -69,15 +69,15 @@ func TestPackedReplyMatchesHandleQuery(t *testing.T) {
 		fromMemo bool
 	}{
 		{"clock step", func(f *fixture, _ *cache.Entry) { f.clock.Advance(10 * time.Second) }, true},
-		{"TTL refresh", func(f *fixture, e *cache.Entry) { f.cs.Cache().Put(e.RRs, e.Cred, true) }, false},
+		{"TTL refresh", func(f *fixture, e *cache.Entry) { f.cs.Cache().Put(e.RRs, e.Cred(), true) }, false},
 		{"Extend", func(f *fixture, _ *cache.Entry) { f.cs.Cache().Extend(zone, dnswire.TypeNS) }, false},
 		{"replacing Put", func(f *fixture, e *cache.Entry) {
-			f.cs.Cache().Put([]dnswire.RR{rrNS("ucla.edu.", 3600, "ns3.ucla.edu.")}, e.Cred, true)
+			f.cs.Cache().Put([]dnswire.RR{rrNS("ucla.edu.", 3600, "ns3.ucla.edu.")}, e.Cred(), true)
 		}, false},
 		{"Evict", func(f *fixture, _ *cache.Entry) { f.cs.Cache().Evict(zone, dnswire.TypeNS) }, false},
-		{"expiry", func(f *fixture, e *cache.Entry) { f.clock.AdvanceTo(e.Expires.Add(time.Second)) }, false},
-		{"outside the prefetch window", func(f *fixture, e *cache.Entry) { f.clock.AdvanceTo(e.Expires.Add(-e.OrigTTL / 9)) }, true},
-		{"inside the prefetch window", func(f *fixture, e *cache.Entry) { f.clock.AdvanceTo(e.Expires.Add(-e.OrigTTL / 11)) }, false},
+		{"expiry", func(f *fixture, e *cache.Entry) { f.clock.AdvanceTo(e.Expires().Add(time.Second)) }, false},
+		{"outside the prefetch window", func(f *fixture, e *cache.Entry) { f.clock.AdvanceTo(e.Expires().Add(-e.OrigTTL() / 9)) }, true},
+		{"inside the prefetch window", func(f *fixture, e *cache.Entry) { f.clock.AdvanceTo(e.Expires().Add(-e.OrigTTL() / 11)) }, false},
 	}
 	for _, sp := range spellings {
 		t.Run(sp.name, func(t *testing.T) {

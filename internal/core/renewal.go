@@ -132,7 +132,7 @@ func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, now t
 		return false
 	}
 	e := cs.cache.Peek(zone, dnswire.TypeNS)
-	if e == nil || !e.Infra {
+	if e == nil || !e.Infra() {
 		return false // expired or evicted; nothing to renew
 	}
 	lead := renewLead
@@ -141,7 +141,7 @@ func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, now t
 		// solo renewLead instant: the owner renews at the window's
 		// edge so gossip lands with time to spare.
 		lead = takeoverLead
-		if !fleet.OwnsRenewal(zone) && e.Expires.Sub(now) > lastChance {
+		if !fleet.OwnsRenewal(zone) && e.Expires().Sub(now) > lastChance {
 			// Another fleet member owns this zone's renewal duty:
 			// don't spend a credit — its gossiped refresh will extend
 			// our copy. Poll through the takeover window so a dead
@@ -153,7 +153,7 @@ func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, now t
 			// the zone, and letting the entry expire would trade the
 			// dedup win for resolution failures.
 			metrics.Inc(&cs.stats.RenewalDeferred)
-			next := e.Expires.Add(-takeoverLead)
+			next := e.Expires().Add(-takeoverLead)
 			if !next.After(now) {
 				next = now.Add(ownerRecheck)
 			}
@@ -161,10 +161,10 @@ func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, now t
 			return false
 		}
 	}
-	if e.Expires.Add(-lead).After(now) {
+	if e.Expires().Add(-lead).After(now) {
 		// The entry was refreshed since this check was scheduled;
 		// requeue for the real due time.
-		cs.scheduleRenewal(zone, e.Expires)
+		cs.scheduleRenewal(zone, e.Expires())
 		return false
 	}
 	cs.renewMu.Lock()
@@ -202,7 +202,7 @@ func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, now t
 	metrics.Inc(&cs.stats.Renewals)
 	cs.resolver.FinishTrace(tr, &Result{RCode: dnswire.RCodeNoError}, nil)
 	if ne := cs.cache.Peek(zone, dnswire.TypeNS); ne != nil {
-		cs.scheduleRenewal(zone, ne.Expires)
+		cs.scheduleRenewal(zone, ne.Expires())
 	}
 	if fleet := cs.cfg.Fleet; fleet != nil {
 		fleet.GossipZone(zone)

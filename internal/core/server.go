@@ -223,7 +223,7 @@ func (cs *CachingServer) updateCredit(zname dnswire.Name) {
 	}
 	ttl := cache.DefaultMaxTTL
 	if e := cs.cache.Peek(zname, dnswire.TypeNS); e != nil {
-		ttl = e.OrigTTL
+		ttl = e.OrigTTL()
 	}
 	cs.renewMu.Lock()
 	cs.credits[zname] = cs.cfg.Renewal.Update(cs.credits[zname], ttl)

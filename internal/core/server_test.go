@@ -213,10 +213,10 @@ func TestChildIRRReplacesParentGlue(t *testing.T) {
 	if e == nil {
 		t.Fatal("ucla.edu. NS not cached")
 	}
-	if e.Cred != cache.CredAuthority {
-		t.Errorf("NS credibility = %v, want CredAuthority (child copy)", e.Cred)
+	if e.Cred() != cache.CredAuthority {
+		t.Errorf("NS credibility = %v, want CredAuthority (child copy)", e.Cred())
 	}
-	if !e.Infra {
+	if !e.Infra() {
 		t.Error("NS entry not marked infrastructure")
 	}
 }
@@ -246,24 +246,31 @@ func TestRefreshKeepsIRRAlive(t *testing.T) {
 	if e == nil {
 		t.Fatal("IRR expired despite refresh")
 	}
-	if e.Expires.Before(f.clock.Now()) {
+	if e.Expires().Before(f.clock.Now()) {
 		t.Error("IRR stale despite refresh")
 	}
 }
 
 func TestNoRefreshWithoutFlag(t *testing.T) {
-	f := newFixture(t, Config{})
+	irr := cache.Key{Name: dnswire.MustName("ucla.edu."), Type: dnswire.TypeNS}
+	var f *fixture
+	var putAt time.Time // when the IRR was last put; an extension is not a put
+	f = newFixture(t, Config{OnCacheChange: func(op cache.ChangeOp, key cache.Key, _ *cache.Entry) {
+		if op == cache.ChangePut && key == irr {
+			putAt = f.clock.Now()
+		}
+	}})
 	f.resolveA(t, "www.ucla.edu.")
 	for i := 0; i < 6; i++ {
 		f.clock.Advance(30 * time.Minute)
 		f.resolveA(t, "www.ucla.edu.")
 	}
 	f.cs.Cache().SweepExpired()
-	e := f.cs.Cache().Peek(dnswire.MustName("ucla.edu."), dnswire.TypeNS)
+	e := f.cs.Cache().Peek(irr.Name, irr.Type)
 	// The entry was re-learned each time it expired, but the expiry must
-	// never exceed StoredAt + 1h, proving no refresh happened.
-	if e != nil && e.Expires.Sub(e.StoredAt) > time.Hour {
-		t.Errorf("vanilla entry lifetime %v exceeds TTL", e.Expires.Sub(e.StoredAt))
+	// never exceed its last put + 1h, proving no refresh happened.
+	if e != nil && e.Expires().Sub(putAt) > time.Hour {
+		t.Errorf("vanilla entry lifetime %v exceeds TTL", e.Expires().Sub(putAt))
 	}
 }
 
@@ -366,7 +373,7 @@ func TestRenewalKeepsIRRAcrossGap(t *testing.T) {
 	}
 	f.clock.AdvanceTo(epoch.Add(3 * time.Hour))
 	e := f.cs.Cache().Peek(dnswire.MustName("ucla.edu."), dnswire.TypeNS)
-	if e == nil || e.Expires.Before(f.clock.Now()) {
+	if e == nil || e.Expires().Before(f.clock.Now()) {
 		t.Fatal("renewal did not keep the IRR alive")
 	}
 	st := f.cs.Stats()
@@ -466,8 +473,8 @@ func TestMaxTTLClampAppliesToIRRs(t *testing.T) {
 	if e == nil {
 		t.Fatal("edu. NS not cached")
 	}
-	if e.OrigTTL > 30*time.Minute {
-		t.Errorf("IRR TTL %v exceeds clamp", e.OrigTTL)
+	if e.OrigTTL() > 30*time.Minute {
+		t.Errorf("IRR TTL %v exceeds clamp", e.OrigTTL())
 	}
 }
 

@@ -247,11 +247,11 @@ func TestFleetRenewalDedupAndGossipWarm(t *testing.T) {
 		short, allWarm := false, true
 		for _, m := range mf.members {
 			e := m.cs.Cache().Peek(tn.Zone, dnswire.TypeNS)
-			if e == nil || !e.Expires.After(now) {
+			if e == nil || !e.Expires().After(now) {
 				allWarm = false
 				break
 			}
-			if e.OrigTTL < 6*time.Hour {
+			if e.OrigTTL() < 6*time.Hour {
 				short = true
 			}
 		}

@@ -126,19 +126,17 @@ func buildSeedCorpus(t testing.TB) map[string][]byte {
 	t.Helper()
 	now := time.Date(2026, 8, 6, 0, 0, 0, 0, time.UTC)
 	key := cache.Key{Name: dnswire.MustName("corpus.example."), Type: dnswire.TypeA}
-	entry, err := encodeEntry(&cache.Entry{
-		Key: key,
+	entry, err := encodeEntry(entryOf(t, cache.RestoreEntry{
 		RRs: []dnswire.RR{{
 			Name:  dnswire.MustName("corpus.example."),
 			Class: dnswire.ClassIN,
 			TTL:   300,
 			Data:  dnswire.NS{Host: dnswire.MustName("ns.corpus.example.")},
 		}},
-		Cred:     cache.CredAuthority,
-		OrigTTL:  5 * time.Minute,
-		Expires:  now.Add(5 * time.Minute),
-		StoredAt: now,
-	})
+		Cred:    cache.CredAuthority,
+		OrigTTL: 5 * time.Minute,
+		Expires: now.Add(5 * time.Minute),
+	}, now), now)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -246,29 +246,34 @@ func readFrames(b []byte) (frames []frame, torn bool) {
 	return frames, false
 }
 
-// encodeEntry serialises a cache entry: credibility, flags, the three
-// timestamps, and the RRset packed as a dnswire message (answer section
-// only), so every RR type the resolver can cache round-trips through the
-// same wire encoder the network path uses.
-func encodeEntry(e *cache.Entry) ([]byte, error) {
+// encodeEntry serialises a cache entry: credibility, flags, the original
+// TTL, the expiry, the put time, and the RRset packed as a dnswire
+// message (answer section only), so every RR type the resolver can cache
+// round-trips through the same wire encoder the network path uses. The
+// cache keeps no put time; its slot holds Expires − OrigTTL, when the
+// entry was stored or last extended, and recovery ignores it, so store
+// files keep one layout across versions. Times are written on now's wall
+// clock (see wallExpiry).
+func encodeEntry(e *cache.Entry, now time.Time) ([]byte, error) {
 	msg := &dnswire.Message{Answer: e.RRs}
 	wire, err := msg.Pack()
 	if err != nil {
 		return nil, err
 	}
 	b := make([]byte, 0, 2+3*8+4+len(wire))
-	b = append(b, byte(e.Cred))
+	b = append(b, byte(e.Cred()))
 	var flags byte
-	if e.Infra {
+	if e.Infra() {
 		flags |= 1
 	}
-	if e.Origin == cache.OriginPeer {
+	if e.Origin() == cache.OriginPeer {
 		flags |= 2
 	}
 	b = append(b, flags)
-	b = binary.BigEndian.AppendUint64(b, uint64(e.OrigTTL))
-	b = binary.BigEndian.AppendUint64(b, uint64(e.Expires.UnixNano()))
-	b = binary.BigEndian.AppendUint64(b, uint64(e.StoredAt.UnixNano()))
+	expires := wallExpiry(e, now)
+	b = binary.BigEndian.AppendUint64(b, uint64(e.OrigTTL()))
+	b = binary.BigEndian.AppendUint64(b, uint64(expires.UnixNano()))
+	b = binary.BigEndian.AppendUint64(b, uint64(expires.Add(-e.OrigTTL()).UnixNano()))
 	b = binary.BigEndian.AppendUint32(b, uint32(len(wire)))
 	return append(b, wire...), nil
 }
@@ -293,7 +298,7 @@ func decodeEntry(b []byte) (cache.RestoreEntry, error) {
 	}
 	rec.OrigTTL = time.Duration(binary.BigEndian.Uint64(b[2:10]))
 	rec.Expires = time.Unix(0, int64(binary.BigEndian.Uint64(b[10:18])))
-	rec.StoredAt = time.Unix(0, int64(binary.BigEndian.Uint64(b[18:26])))
+	// b[18:26] is the put time, which nothing restores.
 	n := int(binary.BigEndian.Uint32(b[26:30]))
 	if n < 0 || len(b)-30 != n {
 		return rec, errCorrupt
@@ -338,6 +343,15 @@ func decodeKey(b []byte) (cache.Key, []byte, error) {
 	}
 	typ := dnswire.Type(binary.BigEndian.Uint16(b[2+n : 4+n]))
 	return cache.Key{Name: name, Type: typ}, b[4+n:], nil
+}
+
+// wallExpiry is e's expiry on now's wall clock: now plus the time e has
+// left. Entry.Expires counts from the instant the cache package first
+// read the clock, so once the wall clock steps (NTP correcting a stale
+// RTC) its wall reading is off by the step; the time left, a monotonic
+// interval for real-clock times and exact for virtual ones, is not.
+func wallExpiry(e *cache.Entry, now time.Time) time.Time {
+	return now.Add(e.Expires().Sub(now))
 }
 
 // encodeExtend serialises a journal Extend delta.

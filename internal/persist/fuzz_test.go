@@ -18,20 +18,18 @@ func FuzzParseStore(f *testing.F) {
 	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	// Seed with a well-formed snapshot and journal so mutation explores
 	// near-valid inputs, plus their truncations (torn tails).
-	entry, err := encodeEntry(&cache.Entry{
-		Key: cache.Key{Name: dnswire.MustName("example."), Type: dnswire.TypeNS},
+	entry, err := encodeEntry(entryOf(f, cache.RestoreEntry{
 		RRs: []dnswire.RR{{
 			Name:  dnswire.MustName("example."),
 			Class: dnswire.ClassIN,
 			TTL:   3600,
 			Data:  dnswire.NS{Host: dnswire.MustName("ns1.example.")},
 		}},
-		Cred:     cache.CredAuthority,
-		Infra:    true,
-		OrigTTL:  time.Hour,
-		Expires:  now.Add(time.Hour),
-		StoredAt: now,
-	})
+		Cred:    cache.CredAuthority,
+		Infra:   true,
+		OrigTTL: time.Hour,
+		Expires: now.Add(time.Hour),
+	}, now), now)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -66,21 +64,18 @@ func FuzzParseStore(f *testing.F) {
 // must decode fully, and the torn variants must flag the tear.
 func TestFuzzSeedsRoundTrip(t *testing.T) {
 	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	key := cache.Key{Name: dnswire.MustName("example."), Type: dnswire.TypeNS}
-	entry, err := encodeEntry(&cache.Entry{
-		Key: key,
+	entry, err := encodeEntry(entryOf(t, cache.RestoreEntry{
 		RRs: []dnswire.RR{{
 			Name:  dnswire.MustName("example."),
 			Class: dnswire.ClassIN,
 			TTL:   3600,
 			Data:  dnswire.NS{Host: dnswire.MustName("ns1.example.")},
 		}},
-		Cred:     cache.CredAuthority,
-		Infra:    true,
-		OrigTTL:  time.Hour,
-		Expires:  now.Add(time.Hour),
-		StoredAt: now,
-	})
+		Cred:    cache.CredAuthority,
+		Infra:   true,
+		OrigTTL: time.Hour,
+		Expires: now.Add(time.Hour),
+	}, now), now)
 	if err != nil {
 		t.Fatal(err)
 	}

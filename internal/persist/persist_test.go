@@ -30,6 +30,17 @@ func rrA(name string, ttl uint32, ip string) dnswire.RR {
 	}
 }
 
+// entryOf is the cache entry re describes, as a cache whose clock reads
+// at restores it: how a test comes by a *cache.Entry to encode.
+func entryOf(t testing.TB, re cache.RestoreEntry, at time.Time) *cache.Entry {
+	t.Helper()
+	c := cache.New(cache.Config{Clock: simclock.NewVirtual(at), MaxTTL: -1})
+	if !c.Restore(re) {
+		t.Fatalf("Restore kept nothing of %+v", re)
+	}
+	return c.Peek(re.RRs[0].Name, re.RRs[0].Type())
+}
+
 func rrNS(name string, ttl uint32, host string) dnswire.RR {
 	return dnswire.RR{
 		Name:  dnswire.MustName(name),
@@ -110,7 +121,7 @@ func (f *fixture) resolve(cs *core.CachingServer, name string) {
 func entriesOf(c *cache.Cache) map[cache.Key]*cache.Entry {
 	out := make(map[cache.Key]*cache.Entry)
 	c.Range(func(e *cache.Entry) bool {
-		out[e.Key] = e
+		out[e.Key()] = e
 		return true
 	})
 	return out
@@ -136,12 +147,12 @@ func requireSameEntries(t *testing.T, want, got map[cache.Key]*cache.Entry) {
 				t.Errorf("%v RR[%d] = %s, want %s", key, i, g.RRs[i], w.RRs[i])
 			}
 		}
-		if g.OrigTTL != w.OrigTTL || !g.Expires.Equal(w.Expires) || !g.StoredAt.Equal(w.StoredAt) {
-			t.Errorf("%v: ttl/expiry = (%v, %v, %v), want (%v, %v, %v)",
-				key, g.OrigTTL, g.Expires, g.StoredAt, w.OrigTTL, w.Expires, w.StoredAt)
+		if g.OrigTTL() != w.OrigTTL() || !g.Expires().Equal(w.Expires()) {
+			t.Errorf("%v: ttl/expiry = (%v, %v), want (%v, %v)",
+				key, g.OrigTTL(), g.Expires(), w.OrigTTL(), w.Expires())
 		}
-		if g.Cred != w.Cred || g.Infra != w.Infra {
-			t.Errorf("%v: cred/infra = (%v, %v), want (%v, %v)", key, g.Cred, g.Infra, w.Cred, w.Infra)
+		if g.Cred() != w.Cred() || g.Infra() != w.Infra() {
+			t.Errorf("%v: cred/infra = (%v, %v), want (%v, %v)", key, g.Cred(), g.Infra(), w.Cred(), w.Infra())
 		}
 	}
 }
@@ -518,19 +529,17 @@ func TestRecoverTwiceFails(t *testing.T) {
 // peer-learned entries keep their provenance across encode/decode, and a
 // pre-mesh record (flag bit absent) decodes as upstream-learned.
 func TestEntryOriginRoundTrip(t *testing.T) {
-	base := &cache.Entry{
-		Key:      cache.Key{Name: dnswire.MustName("peer.example."), Type: dnswire.TypeNS},
-		RRs:      []dnswire.RR{rrNS("peer.example.", 3600, "ns1.peer.example.")},
-		Cred:     cache.CredAnswer,
-		Infra:    true,
-		OrigTTL:  time.Hour,
-		Expires:  epoch.Add(time.Hour),
-		StoredAt: epoch,
+	base := cache.RestoreEntry{
+		RRs:     []dnswire.RR{rrNS("peer.example.", 3600, "ns1.peer.example.")},
+		Cred:    cache.CredAnswer,
+		Infra:   true,
+		OrigTTL: time.Hour,
+		Expires: epoch.Add(time.Hour),
 	}
 	for _, origin := range []cache.Origin{cache.OriginUpstream, cache.OriginPeer} {
-		e := *base
-		e.Origin = origin
-		b, err := encodeEntry(&e)
+		re := base
+		re.Origin = origin
+		b, err := encodeEntry(entryOf(t, re, epoch), epoch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -548,9 +557,9 @@ func TestEntryOriginRoundTrip(t *testing.T) {
 
 	// A record written before the mesh existed never has flag bit 2;
 	// clearing it must yield OriginUpstream, not garbage.
-	e := *base
-	e.Origin = cache.OriginPeer
-	b, err := encodeEntry(&e)
+	re := base
+	re.Origin = cache.OriginPeer
+	b, err := encodeEntry(entryOf(t, re, epoch), epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,10 +599,10 @@ func TestPeerOriginSurvivesRecovery(t *testing.T) {
 	if e == nil {
 		t.Fatal("peer-learned entry did not survive recovery")
 	}
-	if e.Origin != cache.OriginPeer {
-		t.Errorf("recovered entry origin = %v, want OriginPeer", e.Origin)
+	if e.Origin() != cache.OriginPeer {
+		t.Errorf("recovered entry origin = %v, want OriginPeer", e.Origin())
 	}
-	if !e.Infra {
+	if !e.Infra() {
 		t.Error("recovered entry lost its infra flag")
 	}
 }
@@ -606,14 +615,12 @@ func TestForeignKindRecordsAreDropped(t *testing.T) {
 	f := newFixture(t)
 	key := cache.Key{Name: dnswire.MustName("www.example."), Type: dnswire.TypeA}
 	expires := epoch.Add(5 * time.Minute)
-	entry, err := encodeEntry(&cache.Entry{
-		Key:      key,
-		RRs:      []dnswire.RR{rrA("www.example.", 300, "10.9.9.9")},
-		Cred:     cache.CredAnswer,
-		OrigTTL:  5 * time.Minute,
-		Expires:  expires,
-		StoredAt: epoch,
-	})
+	entry, err := encodeEntry(entryOf(t, cache.RestoreEntry{
+		RRs:     []dnswire.RR{rrA("www.example.", 300, "10.9.9.9")},
+		Cred:    cache.CredAnswer,
+		OrigTTL: 5 * time.Minute,
+		Expires: expires,
+	}, epoch), epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,8 +650,8 @@ func TestForeignKindRecordsAreDropped(t *testing.T) {
 	if e == nil {
 		t.Fatal("the snapshot's entry was not restored")
 	}
-	if !e.Expires.Equal(expires) {
-		t.Errorf("a recExtend inside a snapshot was applied: expires %v, want %v", e.Expires, expires)
+	if !e.Expires().Equal(expires) {
+		t.Errorf("a recExtend inside a snapshot was applied: expires %v, want %v", e.Expires(), expires)
 	}
 	if c, ok := cs.RenewalCredits()[zone]; ok {
 		t.Errorf("a recCredit inside a journal was applied: credit[%s] = %v", zone, c)

@@ -134,13 +134,13 @@ func (s *Store) Observe(op cache.ChangeOp, key cache.Key, e *cache.Entry) {
 	var rec []byte
 	switch op {
 	case cache.ChangePut:
-		payload, err := encodeEntry(e)
+		payload, err := encodeEntry(e, s.clock.Now())
 		if err != nil {
 			return // unencodable entry: the next snapshot may still catch it
 		}
 		rec = appendFrame(nil, recEntry, payload)
 	case cache.ChangeExtend:
-		rec = appendFrame(nil, recExtend, encodeExtend(key, e.Expires))
+		rec = appendFrame(nil, recExtend, encodeExtend(key, wallExpiry(e, s.clock.Now())))
 	case cache.ChangeEvict:
 		rec = appendFrame(nil, recEvict, appendKey(nil, key))
 	default:
@@ -403,7 +403,7 @@ func (s *Store) Checkpoint(cs *core.CachingServer) error {
 	buf := appendHeader(nil, fileHeader{Kind: kindSnapshot, Generation: gen, CreatedAt: now})
 	records := 0
 	cs.Cache().Range(func(e *cache.Entry) bool {
-		payload, err := encodeEntry(e)
+		payload, err := encodeEntry(e, now)
 		if err != nil {
 			return true // skip unencodable entries, keep the rest
 		}

@@ -150,7 +150,7 @@ func (r *Resolver) refMaybePrefetch(ctx context.Context, e *cache.Entry, qname d
 	if !r.cfg.Prefetch || depth > 0 {
 		return
 	}
-	if e.Expires.Sub(now) > e.OrigTTL/10 {
+	if e.Expires().Sub(now) > e.OrigTTL()/10 {
 		return
 	}
 	if r.pf != nil {

@@ -98,9 +98,9 @@ func (r *Resolver) IngestFrom(resp *dnswire.Message, fromZone dnswire.Name, qnam
 // InfraCached hook so the renewal scheduler stays in sync.
 func (r *Resolver) putInfraAware(set []dnswire.RR, cred cache.Credibility, infra bool, origin cache.Origin) {
 	e := r.cache.PutOrigin(set, cred, infra, origin)
-	if e != nil && infra && e.Key.Type == dnswire.TypeNS {
+	if e != nil && infra && set[0].Type() == dnswire.TypeNS {
 		if h := r.cfg.Hooks.InfraCached; h != nil {
-			h(e.Key.Name, e.Expires)
+			h(set[0].Name, e.Expires())
 		}
 	}
 }

@@ -133,7 +133,8 @@ func (r *Resolver) lookupCached(tr *Trace, qname dnswire.Name, qtype dnswire.Typ
 func (r *Resolver) LookupPacked(tr *Trace, want *cache.Entry) bool {
 	sp := tr.StartStage(StageCacheLookup)
 	defer sp.End()
-	e := r.cache.Get(want.Key.Name, want.Key.Type)
+	key := want.Key()
+	e := r.cache.Get(key.Name, key.Type)
 	if e != want || r.prefetchDue(e, r.cfg.Clock.Now()) {
 		return false
 	}
@@ -144,7 +145,7 @@ func (r *Resolver) LookupPacked(tr *Trace, want *cache.Entry) bool {
 // prefetchDue reports whether a cache hit falls in the prefetch window
 // (the last tenth of the entry's TTL).
 func (r *Resolver) prefetchDue(e *cache.Entry, now time.Time) bool {
-	return r.cfg.Prefetch && e.Expires.Sub(now) <= e.OrigTTL/10
+	return r.cfg.Prefetch && e.Expires().Sub(now) <= e.OrigTTL()/10
 }
 
 // ResolveChain is the ChainWalk stage: it resolves qname/qtype fully,
