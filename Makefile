@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race check bench-compile bench-smoke bench bench-paper fuzz mesh-test loc sim-check
+.PHONY: build vet lint test race check bench-compile bench-smoke bench bench-paper fuzz mesh-test loc size sim-check
 
 build:
 	$(GO) build ./...
@@ -50,6 +50,14 @@ loc:
 		| xargs grep -HcvE '^[[:space:]]*(//.*)?$$' \
 		| awk -F: '{ sub(/\/[^\/]*$$/, "", $$1); n[$$1] += $$2 } END { for (d in n) printf "%6d %s\n", n[d], d }' \
 		| sort -k2 | awk '{ print; t += $$1 } END { printf "%6d total\n", t }'
+
+# size prints the byte size of the dnscache binary, beside make loc's line
+# counts, so a dependency that a change pulls in shows up in its number
+# (the debug endpoint's own HTTP responder keeps net/http and crypto/tls
+# out; cmd/dnscache's TestNoHTTPStack fences them).
+size:
+	@d=$$(mktemp -d) && $(GO) build -o $$d/dnscache ./cmd/dnscache && \
+		printf '%d bytes ./cmd/dnscache\n' $$(wc -c < $$d/dnscache); rc=$$?; rm -rf $$d; exit $$rc
 
 # sim-check is the standing acceptance of every PR, made mechanical: the
 # deterministic simulation still prints results_full.txt byte for byte, and

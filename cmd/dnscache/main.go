@@ -12,10 +12,10 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"net/netip"
 	"os"
 	"os/signal"
@@ -183,7 +183,7 @@ func run() error {
 	negTTL := flag.Duration("negative-ttl", 0, "negative-answer cache TTL (0 = off)")
 	serveStale := flag.Duration("serve-stale", 0, "serve expired records for this long when servers are unreachable (0 = off)")
 	prefetch := flag.Bool("prefetch", false, "refresh hot answers in the last 10% of their TTL, on a background worker pool")
-	debugAddr := flag.String("debug-addr", "", "HTTP address for /debug/stats and /debug/queries (empty = off; enables per-query tracing)")
+	debugAddr := flag.String("debug-addr", "", "HTTP address for /debug/stats, /debug/queries, /debug/peers (with -mesh-listen) and /debug/pprof/ (empty = off; enables per-query tracing)")
 	queryLog := flag.String("query-log", "", "append one JSON line per finished query trace to this file (empty = off; enables per-query tracing)")
 	port := flag.Int("upstream-port", 53, "port appended to learned name-server addresses")
 	maxInflight := flag.Int("max-inflight", transport.DefaultMaxInflight, "max queries handled concurrently per listener")
@@ -436,7 +436,6 @@ func run() error {
 		counterSets = append(counterSets, debughttp.Section{Name: "persist", Read: func() any { return store.Counters() }})
 	}
 
-	var debugSrv *http.Server
 	if debugLn != nil {
 		opts := debughttp.Options{
 			Sections: statsSections(start, cs, counterSets),
@@ -446,9 +445,8 @@ func run() error {
 		if meshOn {
 			opts.Peers = func() any { return node.Snapshot() }
 		}
-		debugSrv = &http.Server{Handler: debughttp.New(opts)}
 		go func() {
-			if err := debugSrv.Serve(debugLn); err != nil && err != http.ErrServerClosed {
+			if err := debughttp.Serve(debugLn, opts); !errors.Is(err, net.ErrClosed) {
 				fmt.Fprintln(os.Stderr, "dnscache: debug endpoint:", err)
 			}
 		}()
@@ -473,8 +471,8 @@ func run() error {
 	}
 	udp.Close()
 	tcp.Close()
-	if debugSrv != nil {
-		_ = debugSrv.Close()
+	if debugLn != nil {
+		_ = debugLn.Close() // stops Serve; the deferred Close covers the early returns
 	}
 	// Stop the background prefetch workers (drains queued refreshes) so
 	// the final stats and query log include their last traces.

@@ -2,8 +2,12 @@ package main
 
 import (
 	"encoding/json"
-	"net/http/httptest"
+	"io"
+	"net"
+	"net/http"
 	"net/netip"
+	"os/exec"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,14 +44,26 @@ func TestStatsSectionsAreReadOnly(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want 2 (one of them expired)", cs.Cache().Len())
 	}
 
-	mux := debughttp.New(debughttp.Options{Sections: statsSections(time.Now(), cs, nil)})
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/stats", nil))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go debughttp.Serve(ln, debughttp.Options{Sections: statsSections(time.Now(), cs, nil)})
+	resp, err := http.Get("http://" + ln.Addr().String() + "/debug/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var p struct {
 		Cache cache.Stats `json:"cache"`
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, rec.Body.String())
+	if err := json.Unmarshal(body, &p); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, body)
 	}
 	if p.Cache.Entries != 1 {
 		t.Errorf(`"cache".Entries = %d, want 1: the expired entry is not live`, p.Cache.Entries)
@@ -76,5 +92,21 @@ func TestCounterReport(t *testing.T) {
 	if got, want := counterReport("stats", cst, sets, " "),
 		"stats: QueriesIn=3 Failed=1 cached: zones=4 records=5 stale=6 guard: Shed=2"; got != want {
 		t.Errorf("-stats line: %q, want %q", got, want)
+	}
+}
+
+// TestNoHTTPStack fences the binary's dependencies: the debug endpoint is
+// served without net/http, so nothing may bring it, or the TLS and x509
+// code it links, back in.
+func TestNoHTTPStack(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", ".").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		switch pkg {
+		case "net/http", "crypto/tls", "crypto/x509", "net/textproto":
+			t.Errorf("dnscache depends on %s", pkg)
+		}
 	}
 }

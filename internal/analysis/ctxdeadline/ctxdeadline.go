@@ -31,11 +31,15 @@
 //     the literal and bounded itself. A literal whose own Deadline may
 //     return ok == false, that leaves a context field nil, or whose type
 //     has no context field to forward, is an unbounded origin, and so is
-//     new(T) of such a type unless its own Deadline always reports one.
-//     Not seen: a zero-value `var w T` later used as &w, context fields
-//     assigned after the literal is built, and a constructor of such a
-//     type that takes no context argument (its result has no origin);
-//     keep context types of our own to literals and new;
+//     new(T) of such a type unless its own Deadline always reports one;
+//   - a zero-value `var w T` of such a type, used as w or &w, is read as
+//     new(T) is: bounded only by T's own always-reporting Deadline. The
+//     zero value is one of w's definitions, so assigning a bounded
+//     literal to w later does not clear it (rebind instead);
+//   - still not seen: context fields assigned after a literal is built,
+//     and a constructor of such a type that takes no context argument
+//     (its result has no origin); keep context types of our own to
+//     literals, new and zero-value variables;
 //   - a variable's origins are the union over all of its definitions
 //     (flow-insensitive: after `ctx, cancel = context.WithTimeout(ctx, t)`
 //     inside an `if`, the variable is both bounded and whatever it was
@@ -163,6 +167,13 @@ func run(pass *analysis.Pass) (any, error) {
 		// Deadline, or else by the contexts it forwards.
 		Lit: func(lit *ast.CompositeLit) (bool, []ast.Expr) {
 			return literal(pass, has, pass.TypesInfo.TypeOf(lit), lit)
+		},
+		// A zero-value variable is new(T) by another name. A
+		// context.Context variable is not a type of our own: its zero
+		// value is nil, and whatever it is assigned answers for it.
+		Zero: func(t types.Type) bool {
+			source, _ := literal(pass, has, t, nil)
+			return source && !types.IsInterface(t)
 		},
 		// A context reaching Exchange must be bounded; so must one
 		// handed to a function that lets it reach Exchange.

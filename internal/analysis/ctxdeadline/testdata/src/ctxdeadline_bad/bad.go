@@ -79,3 +79,10 @@ func Parenthesised(tr Transport) {
 func Zero(tr Transport) {
 	tr.Exchange(new(wrapped), "10.0.0.1", nil) // want "context without a deadline"
 }
+
+// ZeroVar sends the address of a zero-value wrapper: its embedded
+// context is as nil as new's.
+func ZeroVar(tr Transport) {
+	var w wrapped
+	tr.Exchange(&w, "10.0.0.1", nil) // want "context without a deadline"
+}

@@ -95,4 +95,11 @@ func NewOwnDeadline(tr Transport) {
 	tr.Exchange(new(fixed), "10.0.0.1", nil)
 }
 
+// ZeroOwnDeadline sends a zero-value variable of the same type, by
+// address: as with new, its own Deadline answers for it.
+func ZeroOwnDeadline(tr Transport) {
+	var f fixed
+	tr.Exchange(&f, "10.0.0.1", nil)
+}
+
 var _ = (&client{}).ping

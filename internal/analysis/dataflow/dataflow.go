@@ -86,6 +86,10 @@ type Info struct {
 	// call whose result tuple is destructured, or the ranged-over
 	// operand.
 	defs map[*types.Var][]ast.Expr
+	// zero marks every variable declared without an initializer
+	// (`var v T`): it starts as its type's zero value, a definition with
+	// no expression.
+	zero map[*types.Var]bool
 
 	pass *analysis.Pass
 }
@@ -95,6 +99,10 @@ func (in *Info) LitInfo(lit *ast.FuncLit) *FuncInfo { return in.byLit[lit] }
 
 // Defs returns the defining expressions of v in the package.
 func (in *Info) Defs(v *types.Var) []ast.Expr { return in.defs[v] }
+
+// ZeroValued reports whether v is declared without an initializer, so
+// that one of its values is its type's zero value.
+func (in *Info) ZeroValued(v *types.Var) bool { return in.zero[v] }
 
 // Callee resolves the static callee of call, or nil for dynamic calls
 // (function values, interface methods resolve to the interface method).
@@ -124,6 +132,7 @@ func run(pass *analysis.Pass) (any, error) {
 		ByObj: make(map[*types.Func]*FuncInfo),
 		byLit: make(map[*ast.FuncLit]*FuncInfo),
 		defs:  make(map[*types.Var][]ast.Expr),
+		zero:  make(map[*types.Var]bool),
 		pass:  pass,
 	}
 
@@ -169,6 +178,9 @@ func run(pass *analysis.Pass) (any, error) {
 			lhs := make([]ast.Expr, len(n.Names))
 			for i, id := range n.Names {
 				lhs[i] = id
+				if v := in.VarOf(id); v != nil && len(n.Values) == 0 {
+					in.zero[v] = true
+				}
 			}
 			in.indexAssign(lhs, n.Values)
 		case *ast.RangeStmt:

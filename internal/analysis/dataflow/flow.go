@@ -37,6 +37,10 @@ type Flow struct {
 	// way Call classifies a call, in place of Projections: produced by a
 	// source, and/or carrying the origins of the listed expressions.
 	Lit func(lit *ast.CompositeLit) (source bool, through []ast.Expr)
+	// Zero, when set, says whether the zero value of a type is produced
+	// by a source: what a variable declared without an initializer
+	// (`var v T`) holds until something is assigned.
+	Zero func(types.Type) bool
 	// Sink returns the argument positions of fn that are sinks by
 	// shape, nil when fn is not one.
 	Sink func(fn *types.Func) []int
@@ -96,7 +100,11 @@ func (f *Flow) origins(e ast.Expr, params map[*types.Var]int, seen map[*types.Va
 		seen[v] = true
 		// No visible definition means another function's parameter or
 		// a captured variable: whoever provided it answers for it.
-		return union(f.Info.Defs(v)...)
+		out := union(f.Info.Defs(v)...)
+		if f.Zero != nil && f.Info.ZeroValued(v) && f.Zero(v.Type()) {
+			out = append(out, Source)
+		}
+		return out
 	case *ast.CallExpr:
 		source, through := f.Call(e, f.Info.Callee(e))
 		if source {
@@ -107,7 +115,12 @@ func (f *Flow) origins(e ast.Expr, params map[*types.Var]int, seen map[*types.Va
 	if f.Lit != nil {
 		lit, _ := e.(*ast.CompositeLit)
 		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-			lit, _ = ast.Unparen(u.X).(*ast.CompositeLit)
+			switch x := ast.Unparen(u.X).(type) {
+			case *ast.CompositeLit:
+				lit = x
+			case *ast.Ident:
+				return union(x) // &v carries what v does
+			}
 		}
 		if lit != nil {
 			source, through := f.Lit(lit)

@@ -1,8 +1,17 @@
 package debughttp
 
 import (
+	"bufio"
+	"bytes"
+	"compress/gzip"
 	"encoding/json"
-	"net/http/httptest"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -22,7 +31,7 @@ func TestStatsEndpoint(t *testing.T) {
 	h.Observe(2 * time.Millisecond)
 	var empty metrics.Histogram
 
-	mux := New(Options{
+	srv := start(t, Options{
 		Sections: []Section{{Name: "server", Read: func() any { return map[string]int{"queries_in": 7} }}},
 		Latency: func() map[string]metrics.HistogramSnapshot {
 			return map[string]metrics.HistogramSnapshot{
@@ -32,8 +41,7 @@ func TestStatsEndpoint(t *testing.T) {
 		},
 	})
 
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/stats", nil))
+	rec := srv.get(t, "/debug/stats")
 	if rec.Code != 200 {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -61,10 +69,9 @@ func TestQueriesEndpoint(t *testing.T) {
 	for i := uint64(1); i <= 5; i++ {
 		ring.Observe(resolve.TraceSummary{ID: i, Kind: "query"})
 	}
-	mux := New(Options{Ring: ring})
+	srv := start(t, Options{Ring: ring})
 
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/queries?n=2", nil))
+	rec := srv.get(t, "/debug/queries?n=2")
 	var got []resolve.TraceSummary
 	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 		t.Fatalf("bad JSON: %v", err)
@@ -73,15 +80,13 @@ func TestQueriesEndpoint(t *testing.T) {
 		t.Fatalf("queries = %+v, want the 2 newest (5, 4)", got)
 	}
 
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/queries?n=bogus", nil))
+	rec = srv.get(t, "/debug/queries?n=bogus")
 	if rec.Code != 400 {
 		t.Errorf("bad n: status = %d, want 400", rec.Code)
 	}
 
 	// No ring configured: an empty list, not a null or a panic.
-	rec = httptest.NewRecorder()
-	New(Options{}).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/queries", nil))
+	rec = start(t, Options{}).get(t, "/debug/queries")
 	if body := rec.Body.String(); body != "[]\n" {
 		t.Errorf("no-ring body = %q, want []", body)
 	}
@@ -91,7 +96,7 @@ func TestQueriesEndpoint(t *testing.T) {
 // and build section when configured, and the /debug/peers route exists
 // exactly when a membership source is wired in.
 func TestMeshAndBuildSections(t *testing.T) {
-	mux := New(Options{
+	srv := start(t, Options{
 		Sections: []Section{
 			{Name: "build", Read: func() any { return map[string]any{"go": "go1.x", "uptime_s": 3} }},
 			{Name: "server", Read: func() any { return map[string]int{} }},
@@ -102,8 +107,7 @@ func TestMeshAndBuildSections(t *testing.T) {
 		},
 	})
 
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/stats", nil))
+	rec := srv.get(t, "/debug/stats")
 	var p struct {
 		Build map[string]any    `json:"build"`
 		Mesh  map[string]uint64 `json:"mesh"`
@@ -118,8 +122,7 @@ func TestMeshAndBuildSections(t *testing.T) {
 		t.Errorf("build section = %v", p.Build)
 	}
 
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/peers", nil))
+	rec = srv.get(t, "/debug/peers")
 	if rec.Code != 200 {
 		t.Fatalf("/debug/peers status = %d", rec.Code)
 	}
@@ -138,16 +141,14 @@ func TestMeshAndBuildSections(t *testing.T) {
 // TestPeersRouteAbsentWithoutMesh: a non-mesh server must 404 the peers
 // route and omit the mesh section rather than serve empty placeholders.
 func TestPeersRouteAbsentWithoutMesh(t *testing.T) {
-	mux := New(Options{Sections: []Section{{Name: "server", Read: func() any { return map[string]int{} }}}})
+	srv := start(t, Options{Sections: []Section{{Name: "server", Read: func() any { return map[string]int{} }}}})
 
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/peers", nil))
+	rec := srv.get(t, "/debug/peers")
 	if rec.Code != 404 {
 		t.Errorf("/debug/peers on a meshless server = %d, want 404", rec.Code)
 	}
 
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/stats", nil))
+	rec = srv.get(t, "/debug/stats")
 	var raw map[string]json.RawMessage
 	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
 		t.Fatal(err)
@@ -157,12 +158,141 @@ func TestPeersRouteAbsentWithoutMesh(t *testing.T) {
 	}
 }
 
-// TestPprofOnOwnMux: the profiler is routed by the debug mux itself.
-func TestPprofOnOwnMux(t *testing.T) {
-	rec := httptest.NewRecorder()
-	New(Options{}).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "goroutine") {
+// TestPprofRoutes: the profiler's routes answer what go tool pprof and
+// curl expect — gzipped protobuf profiles, the symbol handshake, the
+// NUL-joined command line — and an unknown path is a 404.
+func TestPprofRoutes(t *testing.T) {
+	srv := start(t, Options{})
+	if rec := srv.get(t, "/debug/pprof/"); rec.Code != 200 || !strings.Contains(rec.Body.String(), "goroutine") {
 		t.Errorf("/debug/pprof/ = %d, want 200 with the profile index", rec.Code)
+	}
+	for _, path := range []string{"/debug/pprof/profile?seconds=1", "/debug/pprof/heap"} {
+		rec := srv.get(t, path)
+		zr, err := gzip.NewReader(rec.Body)
+		if rec.Code != 200 || err != nil {
+			t.Errorf("%s = %d, %v: want a gzipped profile (magic 1f 8b)", path, rec.Code, err)
+			continue
+		}
+		if _, err := io.Copy(io.Discard, zr); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+	if rec := srv.get(t, "/debug/pprof/symbol"); rec.Body.String() != "num_symbols: 1\n" {
+		t.Errorf("symbol = %q, want num_symbols: 1", rec.Body)
+	}
+	pc := reflect.ValueOf(ReadRuntime).Pointer()
+	resp, err := http.Post("http://"+srv.addr+"/debug/pprof/symbol", "text/plain", strings.NewReader(fmt.Sprintf("%#x", pc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(body), "debughttp.ReadRuntime") {
+		t.Errorf("symbol POST %#x = %q, want ReadRuntime", pc, body)
+	}
+	if rec := srv.get(t, "/debug/pprof/cmdline"); rec.Body.String() != strings.Join(os.Args, "\x00") {
+		t.Errorf("cmdline = %q, want os.Args joined by NUL", rec.Body)
+	}
+	for path, want := range map[string]int{
+		"/debug/nope":                 404,
+		"/debug/pprof/nope":           404,
+		"/debug/pprof/heap?seconds=5": 400, // a delta profile
+	} {
+		if rec := srv.get(t, path); rec.Code != want {
+			t.Errorf("%s = %d, want %d", path, rec.Code, want)
+		}
+	}
+}
+
+// TestSecondsBounds: a profile or trace runs 1 to 60 seconds; anything
+// else is refused before it starts.
+func TestSecondsBounds(t *testing.T) {
+	srv := start(t, Options{})
+	for _, path := range []string{"profile?seconds=0", "profile?seconds=61", "trace?seconds=0", "trace?seconds=61", "trace?seconds=x"} {
+		if rec := srv.get(t, "/debug/pprof/"+path); rec.Code != 400 {
+			t.Errorf("%s = %d, want 400", path, rec.Code)
+		}
+	}
+}
+
+// TestIdleConnectionClosed: a client that connects and says nothing gets
+// a 400 at the read deadline, and the connection closes.
+func TestIdleConnectionClosed(t *testing.T) {
+	srv := startTimeout(t, Options{}, 200*time.Millisecond)
+	begin := time.Now() // before the server can accept, so before its deadline starts
+	c := srv.dial(t)
+	_ = c.SetReadDeadline(begin.Add(5 * time.Second))
+	reply, err := io.ReadAll(c)
+	if took := time.Since(begin); err != nil || took < 200*time.Millisecond || took > 4*time.Second {
+		t.Errorf("idle connection: %v after %v; want it closed at the 200ms deadline", err, took)
+	}
+	if !bytes.HasPrefix(reply, []byte("HTTP/1.1 400 ")) {
+		t.Errorf("idle connection got %q, want a 400", reply)
+	}
+}
+
+// TestOversizedHead: a request head past maxHead is answered 400 once the
+// bound is reached, although its end never arrives.
+func TestOversizedHead(t *testing.T) {
+	srv := start(t, Options{})
+	c := srv.dial(t)
+	head := "GET /debug/stats HTTP/1.1\r\nX-Pad: " + strings.Repeat("a", 9<<10)
+	if _, err := c.Write([]byte(head)); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(c), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 400 {
+		t.Errorf("9 KiB head: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestConnectionBound: with maxConns connections open, one more is
+// served only once one of them ends.
+func TestConnectionBound(t *testing.T) {
+	srv := start(t, Options{})
+	var idle []net.Conn
+	for range maxConns {
+		idle = append(idle, srv.dial(t))
+	}
+	extra := srv.dial(t)
+	if _, err := extra.Write([]byte("GET /debug/stats HTTP/1.1\r\nHost: x\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	_ = extra.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+	if n, err := extra.Read(make([]byte, 1)); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("connection %d was answered (%d bytes, %v) while %d were open", maxConns+1, n, err, maxConns)
+	}
+	idle[0].Close()
+	_ = extra.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(extra), nil)
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("once a slot freed: %v, %v; want a 200", resp, err)
+	}
+}
+
+// TestMethods: only GET and HEAD are served, POST only by symbol; HEAD
+// announces the body it leaves out.
+func TestMethods(t *testing.T) {
+	srv := start(t, Options{})
+	resp, err := http.Head("http://" + srv.addr + "/debug/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 || resp.ContentLength != int64(srv.get(t, "/debug/stats").Body.Len()) {
+		t.Errorf("HEAD = %d with Content-Length %d, want 200 and GET's length", resp.StatusCode, resp.ContentLength)
+	}
+	resp, err = http.Post("http://"+srv.addr+"/debug/stats", "text/plain", strings.NewReader("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 405 {
+		t.Errorf("POST /debug/stats = %d, want 405", resp.StatusCode)
 	}
 }
 
@@ -174,7 +304,7 @@ func TestPprofOnOwnMux(t *testing.T) {
 func TestWireCompatKeys(t *testing.T) {
 	var h metrics.Histogram
 	h.Observe(time.Millisecond)
-	mux := New(Options{
+	srv := start(t, Options{
 		Sections: []Section{
 			{Name: "server", Read: func() any { return core.Stats{} }},
 			{Name: "cache", Read: func() any { return cache.Stats{} }},
@@ -190,8 +320,7 @@ func TestWireCompatKeys(t *testing.T) {
 	})
 	get := func(path string, into any) {
 		t.Helper()
-		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		rec := srv.get(t, path)
 		if err := json.Unmarshal(rec.Body.Bytes(), into); err != nil {
 			t.Fatalf("%s: bad JSON: %v\n%s", path, err, rec.Body.String())
 		}
@@ -240,4 +369,59 @@ func TestReadRuntime(t *testing.T) {
 	if r.GCCycles == 0 || r.HeapAllocBytes == 0 || r.HeapAllocObjects == 0 || r.HeapLiveBytes == 0 || r.Goroutines == 0 {
 		t.Errorf("runtime gauges %+v: a zero where the runtime has a value", r)
 	}
+}
+
+// server is a debug endpoint on a loopback listener, served until the
+// test ends; the cleanup also checks that Serve returns.
+type server struct{ addr string }
+
+func start(t *testing.T, o Options) server { return startTimeout(t, o, ioTimeout) }
+
+func startTimeout(t *testing.T, o Options, timeout time.Duration) server {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- serve(ln, o, timeout) }()
+	t.Cleanup(func() {
+		ln.Close()
+		if err := <-done; !errors.Is(err, net.ErrClosed) {
+			t.Errorf("serve returned %v, want net.ErrClosed", err)
+		}
+	})
+	return server{ln.Addr().String()}
+}
+
+// response is what the tests read of a reply.
+type response struct {
+	Code int
+	Body *bytes.Buffer
+}
+
+func (s server) get(t *testing.T, path string) response {
+	t.Helper()
+	resp, err := http.Get("http://" + s.addr + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return response{resp.StatusCode, &body}
+}
+
+// dial opens a raw connection, closed when the test ends (before the
+// server's cleanup, which waits for it).
+func (s server) dial(t *testing.T) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", s.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
 }
