@@ -36,10 +36,13 @@
 //     new(T) is: bounded only by T's own always-reporting Deadline. The
 //     zero value is one of w's definitions, so assigning a bounded
 //     literal to w later does not clear it (rebind instead);
-//   - still not seen: context fields assigned after a literal is built,
-//     and a constructor of such a type that takes no context argument
-//     (its result has no origin); keep context types of our own to
-//     literals, new and zero-value variables;
+//   - so is the result of a call that returns such a type and takes no
+//     context argument (a constructor), unless the callee bounds it on
+//     every path (AddsDeadline): what it forwards came from nowhere the
+//     caller can see;
+//   - still not seen: context fields assigned after a literal is built;
+//     keep context types of our own to literals, new, zero-value
+//     variables and constructors;
 //   - a variable's origins are the union over all of its definitions
 //     (flow-insensitive: after `ctx, cancel = context.WithTimeout(ctx, t)`
 //     inside an `if`, the variable is both bounded and whatever it was
@@ -160,8 +163,13 @@ func run(pass *analysis.Pass) (any, error) {
 				return false, nil
 			}
 			// Unknown context-returning function: assume it passes its
-			// context arguments through (the WithRetryBudget shape).
-			return false, df.ArgsOfType(call, dataflow.IsContextType)
+			// context arguments through (the WithRetryBudget shape). One
+			// that takes none and returns a type of our own is new(T).
+			args := df.ArgsOfType(call, dataflow.IsContextType)
+			if t := pass.TypesInfo.TypeOf(call); len(args) == 0 && !types.IsInterface(t) {
+				return literal(pass, has, t, nil)
+			}
+			return false, args
 		},
 		// A literal of our own context type is bounded by its own
 		// Deadline, or else by the contexts it forwards.

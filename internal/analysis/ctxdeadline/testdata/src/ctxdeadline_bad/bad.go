@@ -86,3 +86,16 @@ func ZeroVar(tr Transport) {
 	var w wrapped
 	tr.Exchange(&w, "10.0.0.1", nil) // want "context without a deadline"
 }
+
+// newWrapped is a constructor of a forwarding wrapper that takes no
+// context: what its result forwards is nothing the caller can see.
+func newWrapped(tag int) *wrapped {
+	w := new(wrapped)
+	w.tag = tag
+	return w
+}
+
+// Constructed sends what the constructor built, as new(wrapped) would.
+func Constructed(tr Transport) {
+	tr.Exchange(newWrapped(3), "10.0.0.1", nil) // want "context without a deadline"
+}

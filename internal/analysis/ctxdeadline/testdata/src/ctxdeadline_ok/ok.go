@@ -102,4 +102,18 @@ func ZeroOwnDeadline(tr Transport) {
 	tr.Exchange(&f, "10.0.0.1", nil)
 }
 
+// newFixed is a constructor of a type whose own Deadline always
+// reports one; its naked return keeps it from proving AddsDeadline.
+func newFixed(at time.Time) (f *fixed) {
+	f = new(fixed)
+	f.at = at
+	return
+}
+
+// ConstructedOwnDeadline sends what the constructor built: as with new,
+// its type's own Deadline answers for it.
+func ConstructedOwnDeadline(tr Transport, at time.Time) {
+	tr.Exchange(newFixed(at), "10.0.0.1", nil)
+}
+
 var _ = (&client{}).ping

@@ -16,13 +16,16 @@
 // number of shards by key hash, each guarded by its own RWMutex, so
 // concurrent resolutions only contend when they touch the same shard.
 // Entries are immutable once published — every update (TTL refresh,
-// Extend, stale tombstoning) replaces the stored *Entry with a fresh copy
-// — so callers may keep returned pointers without further locking.
+// Extend, stale tombstoning) replaces the stored *Entry with a fresh one
+// — so callers may keep returned pointers without further locking. The
+// one thing added to a published entry is a reply packed from it alone
+// (Entry.SetReply): it stays right for as long as the entry does, and
+// dies with it.
 //
 // A cached record pays for its data, not its bookkeeping: an Entry is the
-// set's slice header plus 24 bytes (two stamps — see stamp — and one word
-// of credibility and flags), and its key is derived from the set's first
-// record.
+// set's slice header plus 24 bytes (a stamp — see stamp —, the replies'
+// pointer, and one word of credibility, flags and original TTL), and its
+// key is derived from the set's first record.
 //
 // TTL renewal policies (LRU/LFU and their adaptive variants) are layered
 // on top by package core, which owns the renewal scheduler. Crash-safe
@@ -31,10 +34,12 @@
 package cache
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"resilientdns/internal/dnswire"
 	"resilientdns/internal/simclock"
@@ -62,20 +67,35 @@ type Key struct {
 }
 
 // Entry is one cached RRset. Entries are immutable after publication;
-// updates replace the stored entry with a copy. The rest is read through
-// methods: Key, Expires, OrigTTL, Cred, Infra and Origin.
+// updates replace the stored entry with a new one. The rest is read
+// through methods: Key, Expires, OrigTTL, Cred, Infra, Origin and Reply.
 type Entry struct {
 	// RRs is the set; every record shares one owner and type, the
 	// entry's Key.
 	RRs []dnswire.RR
 	// expires is the stamp of when the entry leaves the cache.
 	expires int64
-	// origTTL is the (possibly clamped) TTL the set arrived with.
-	origTTL time.Duration
-	// cred and flags share the last word.
-	cred  Credibility
-	flags entryFlags
+	// replies holds the replies packed from the entry, nil until one is.
+	replies atomic.Pointer[replies]
+	// cred, flags and origTTL, the (possibly clamped) TTL the set arrived
+	// with in whole seconds, share the last word.
+	cred    Credibility
+	flags   entryFlags
+	origTTL uint32
 }
+
+// Reply is a response packed from an entry's set alone: Wire as packed,
+// and TTLs the offsets in Wire of its answer records' TTL fields, to be
+// rewritten with the entry's remaining TTL when it is sent again. It is
+// immutable once stored.
+type Reply struct {
+	Wire []byte
+	TTLs []int
+}
+
+// replies are an entry's packed replies by query variant: the RD bit (1)
+// and an OPT record (2), the last byte of dnswire.QueryKey's key.
+type replies [4]*Reply
 
 // entryFlags are an Entry's flag bits.
 type entryFlags uint8
@@ -97,7 +117,7 @@ const (
 
 // newEntry returns an entry for rrs, which the caller hands over.
 func newEntry(rrs []dnswire.RR, cred Credibility, infra bool, origin Origin, ttl time.Duration, expires int64) *Entry {
-	e := &Entry{RRs: rrs, expires: expires, origTTL: ttl, cred: cred}
+	e := &Entry{RRs: rrs, expires: expires, origTTL: uint32(ttl / time.Second), cred: cred}
 	if infra {
 		e.flags |= flagInfra
 	}
@@ -107,6 +127,45 @@ func newEntry(rrs []dnswire.RR, cred Credibility, infra bool, origin Origin, ttl
 	return e
 }
 
+// reissue returns a new entry for e's data and flags that expires at
+// expires. It starts with no replies: one packed from e carries e's TTLs.
+func (e *Entry) reissue(expires int64) *Entry {
+	return &Entry{RRs: e.RRs, expires: expires, cred: e.cred, flags: e.flags, origTTL: e.origTTL}
+}
+
+// Reply is the reply stored for variant v (dnswire.QueryKey's last byte),
+// or nil.
+func (e *Entry) Reply(v byte) *Reply {
+	if rs := e.replies.Load(); rs != nil {
+		return rs[v&3]
+	}
+	return nil
+}
+
+// SetReply stores r for variant v. A concurrent store for another variant
+// may be lost; the next query of that variant stores its reply again.
+func (e *Entry) SetReply(v byte, r *Reply) {
+	var rs replies
+	if old := e.replies.Load(); old != nil {
+		rs = *old
+	}
+	rs[v&3] = r
+	e.replies.Store(&rs)
+}
+
+// replyBytes is the length of the replies packed from e.
+func (e *Entry) replyBytes() int {
+	n := 0
+	if rs := e.replies.Load(); rs != nil {
+		for _, r := range rs {
+			if r != nil {
+				n += len(r.Wire)
+			}
+		}
+	}
+	return n
+}
+
 // Key is the entry's (name, type): that of its first record.
 func (e *Entry) Key() Key { return Key{Name: e.RRs[0].Name, Type: e.RRs[0].Type()} }
 
@@ -114,7 +173,7 @@ func (e *Entry) Key() Key { return Key{Name: e.RRs[0].Name, Type: e.RRs[0].Type(
 func (e *Entry) Expires() time.Time { return unstamp(e.expires) }
 
 // OrigTTL is the (possibly clamped) TTL the set arrived with.
-func (e *Entry) OrigTTL() time.Duration { return e.origTTL }
+func (e *Entry) OrigTTL() time.Duration { return time.Duration(e.origTTL) * time.Second }
 
 // Cred is the set's credibility.
 func (e *Entry) Cred() Credibility { return e.cred }
@@ -267,10 +326,6 @@ func (s Stats) Add(o Stats) Stats {
 type Cache struct {
 	cfg    Config
 	shards [shardCount]shard
-	// hits/misses count Get outcomes for reporting.
-	hits, misses atomic.Uint64
-	// staleHits counts stale entries served after expiry.
-	staleHits atomic.Uint64
 	// evictions counts Evict's removals.
 	evictions atomic.Uint64
 }
@@ -337,12 +392,13 @@ func (c *Cache) shardFor(key Key) *shard {
 	return &c.shards[h&(shardCount-1)]
 }
 
-// clampTTL applies the MaxTTL policy to a TTL expressed in seconds.
+// clampTTL applies the MaxTTL policy to a TTL, in the whole seconds an
+// Entry keeps.
 func (c *Cache) clampTTL(ttl time.Duration) time.Duration {
 	if c.cfg.MaxTTL > 0 && ttl > c.cfg.MaxTTL {
-		return c.cfg.MaxTTL
+		ttl = c.cfg.MaxTTL
 	}
-	return ttl
+	return min(ttl, math.MaxUint32*time.Second).Truncate(time.Second)
 }
 
 // smallSet is the largest RRset rrsetEqual matches record by record.
@@ -470,13 +526,12 @@ func (c *Cache) PutOrigin(rrs []dnswire.RR, cred Credibility, infra bool, origin
 				// TTL refresh: reset the clock on the existing entry.
 				// Keep the cached (higher-credibility) data; only the
 				// timer is reset, per §4 "TTL Refresh". Entries are
-				// immutable, so the refresh installs a copy.
-				ne := *e
-				ne.expires = now + int64(e.origTTL)
-				sh.entries[key] = &ne
-				c.noteChangeLocked(ChangeExtend, key, &ne)
+				// immutable, so the refresh installs a new one.
+				ne := e.reissue(now + int64(e.OrigTTL()))
+				sh.entries[key] = ne
+				c.noteChangeLocked(ChangeExtend, key, ne)
 				sh.mu.Unlock()
-				return &ne
+				return ne
 			default:
 				sh.mu.Unlock()
 				return e // vanilla: ignore the new copy
@@ -545,10 +600,25 @@ func (c *Cache) Get(name dnswire.Name, t dnswire.Type) *Entry {
 		sh.mu.Unlock()
 	}
 	if !live {
-		c.misses.Add(1)
 		return nil
 	}
-	c.hits.Add(1)
+	return e
+}
+
+// Probe returns the live entry for the name whose presentation form is
+// name and type t, or nil: the read loop's lookup by the bytes of
+// dnswire.QueryKey's key, which allocates nothing. The key views name in
+// place, so Probe only reads: it retires, tombstones and keeps nothing,
+// and a caller that misses asks Get.
+func (c *Cache) Probe(name []byte, t dnswire.Type) *Entry {
+	key := Key{Name: dnswire.Name(unsafe.String(unsafe.SliceData(name), len(name))), Type: t}
+	sh := c.shardFor(key)
+	sh.mu.RLock()
+	e := sh.entries[key]
+	sh.mu.RUnlock()
+	if e == nil || e.expires <= stamp(c.cfg.Clock.Now()) {
+		return nil
+	}
 	return e
 }
 
@@ -576,14 +646,10 @@ func (c *Cache) GetStale(name dnswire.Name, t dnswire.Type) *Entry {
 		c.expireEntryLocked(sh, key, e, now)
 		return nil
 	}
-	c.staleHits.Add(1)
 	return e
 }
 
-// StaleHits counts GetStale successes on expired entries.
-func (c *Cache) StaleHits() uint64 { return c.staleHits.Load() }
-
-// Peek returns the entry without expiry processing or stats; nil if absent.
+// Peek returns the entry without expiry processing; nil if absent.
 func (c *Cache) Peek(name dnswire.Name, t dnswire.Type) *Entry {
 	key := Key{Name: name, Type: t}
 	sh := c.shardFor(key)
@@ -605,10 +671,9 @@ func (c *Cache) Extend(name dnswire.Name, t dnswire.Type) bool {
 	if !ok {
 		return false
 	}
-	ne := *e
-	ne.expires = stamp(c.cfg.Clock.Now()) + int64(e.origTTL)
-	sh.entries[key] = &ne
-	c.noteChangeLocked(ChangeExtend, key, &ne)
+	ne := e.reissue(stamp(c.cfg.Clock.Now()) + int64(e.OrigTTL()))
+	sh.entries[key] = ne
+	c.noteChangeLocked(ChangeExtend, key, ne)
 	return true
 }
 
@@ -685,10 +750,10 @@ func (c *Cache) GetNegative(name dnswire.Name, t dnswire.Type) (dnswire.RCode, [
 // shard lock must be held.
 func (c *Cache) expireEntryLocked(sh *shard, key Key, e *Entry, now int64) {
 	if c.cfg.OnGap != nil && e.flags&flagTombstoned == 0 {
-		sh.tombstones[key] = tombstone{expiredAt: e.expires, origTTL: e.origTTL}
-		ne := *e
+		sh.tombstones[key] = tombstone{expiredAt: e.expires, origTTL: e.OrigTTL()}
+		ne := e.reissue(e.expires)
 		ne.flags |= flagTombstoned
-		sh.entries[key] = &ne
+		sh.entries[key] = ne
 	}
 	if c.cfg.KeepStale > 0 && now-e.expires <= int64(c.cfg.KeepStale) {
 		return // retained as stale
@@ -760,7 +825,7 @@ func (c *Cache) Stats() Stats {
 			if key.Type == dnswire.TypeNS {
 				s.Zones++
 			}
-			s.ApproxBytes += wireBytes(e.RRs)
+			s.ApproxBytes += wireBytes(e.RRs) + e.replyBytes()
 		}
 		sh.mu.RUnlock()
 	}
@@ -776,16 +841,6 @@ func wireBytes(rrs []dnswire.RR) int {
 		n += len(rr.Name) + 10 + dnswire.RDataLen(rr.Data)
 	}
 	return n
-}
-
-// HitRate returns hits/(hits+misses), or 0 before any Get.
-func (c *Cache) HitRate() float64 {
-	hits := c.hits.Load()
-	total := hits + c.misses.Load()
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
 }
 
 // Len returns the number of live entries (without sweeping).
@@ -811,7 +866,7 @@ func (c *Cache) InfraExpiries() []ExpiryInfo {
 		sh.mu.RLock()
 		for key, e := range sh.entries {
 			if key.Type == dnswire.TypeNS && e.Infra() {
-				out = append(out, ExpiryInfo{Zone: key.Name, Expires: e.Expires(), OrigTTL: e.origTTL})
+				out = append(out, ExpiryInfo{Zone: key.Name, Expires: e.Expires(), OrigTTL: e.OrigTTL()})
 			}
 		}
 		sh.mu.RUnlock()

@@ -279,6 +279,51 @@ func TestGapObservedOnPutAfterExpiry(t *testing.T) {
 	}
 }
 
+// TestProbeKeepsNoKey: Probe views its key's bytes in place, so it must
+// leave nothing keyed by them. An expired entry probed by a buffer that is
+// then overwritten is still found, retired and reported by a Get of the
+// real name, the gap exactly once; no entry or tombstone was keyed by the
+// buffer.
+func TestProbeKeepsNoKey(t *testing.T) {
+	var gaps []time.Duration
+	c, clk := newTestCache(t, Config{
+		KeepStale: time.Hour,
+		OnGap:     func(_ Key, gap, _ time.Duration) { gaps = append(gaps, gap) },
+	})
+	name := dnswire.MustName("www.ucla.edu.")
+	c.Put([]dnswire.RR{rrA("www.ucla.edu.", 60, "192.0.2.1")}, CredAnswer, false)
+	buf := []byte(name)
+	if c.Probe(buf, dnswire.TypeA) == nil {
+		t.Fatal("Probe misses a live entry")
+	}
+	clk.Advance(2 * time.Minute)
+	if c.Probe(buf, dnswire.TypeA) != nil {
+		t.Fatal("Probe returns an expired entry")
+	}
+	copy(buf, "xxx.xxxx.xxx.")
+	for i := range c.shards {
+		sh := &c.shards[i]
+		for key := range sh.entries {
+			if key.Name != name {
+				t.Errorf("an entry is keyed %q", key.Name)
+			}
+		}
+		for key := range sh.tombstones {
+			t.Errorf("a tombstone is keyed %q before any Get", key.Name)
+		}
+	}
+	if c.Get(name, dnswire.TypeA) != nil {
+		t.Error("Get returns the expired entry")
+	}
+	c.Get(name, dnswire.TypeA)
+	if len(gaps) != 1 || gaps[0] != time.Minute {
+		t.Errorf("gaps = %v, want [1m0s]", gaps)
+	}
+	if e := c.GetStale(name, dnswire.TypeA); e == nil || e.Key().Name != name {
+		t.Errorf("the retired entry is not retained as stale under its name: %v", e)
+	}
+}
+
 func TestEvictLeavesNoTombstone(t *testing.T) {
 	var gaps int
 	c, clk := newTestCache(t, Config{
@@ -360,19 +405,6 @@ func TestRemainingTTL(t *testing.T) {
 	// The cached copy keeps its original TTL.
 	if e.RRs[0].TTL != 300 {
 		t.Errorf("cached TTL mutated to %d", e.RRs[0].TTL)
-	}
-}
-
-func TestHitRate(t *testing.T) {
-	c, _ := newTestCache(t, Config{})
-	if c.HitRate() != 0 {
-		t.Error("HitRate != 0 before any Get")
-	}
-	c.Put([]dnswire.RR{rrA("www.edu.", 300, "192.0.2.1")}, CredAnswer, false)
-	c.Get(dnswire.MustName("www.edu."), dnswire.TypeA)
-	c.Get(dnswire.MustName("missing."), dnswire.TypeA)
-	if got := c.HitRate(); got != 0.5 {
-		t.Errorf("HitRate = %v, want 0.5", got)
 	}
 }
 

@@ -55,7 +55,10 @@ func TestConcurrentMixedOperations(t *testing.T) {
 					case 2:
 						c.SweepExpired()
 					case 3:
-						c.HitRate()
+						// A reply stored beside Stats summing reply bytes.
+						if e := c.Probe([]byte(name), dnswire.TypeA); e != nil {
+							e.SetReply(byte(i), &Reply{Wire: make([]byte, i%7)})
+						}
 					}
 				}
 			}

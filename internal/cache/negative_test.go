@@ -139,3 +139,22 @@ func TestStatsCountsNegativeBytes(t *testing.T) {
 		t.Errorf("NegativeEntries = %d, ApproxBytes = %d; want 3 and %d", s.NegativeEntries, s.ApproxBytes, want)
 	}
 }
+
+// TestStatsCountsReplyBytes: a reply kept on an entry counts in
+// ApproxBytes by its length, and replacing the entry drops those bytes
+// with it.
+func TestStatsCountsReplyBytes(t *testing.T) {
+	c, _ := newTestCache(t, Config{})
+	name := dnswire.MustName("www.victim.test.")
+	c.Put([]dnswire.RR{rrA("www.victim.test.", 300, "192.0.2.1")}, CredAnswer, false)
+	bare := c.Stats().ApproxBytes
+	c.Peek(name, dnswire.TypeA).SetReply(1, &Reply{Wire: make([]byte, 77)})
+	c.Peek(name, dnswire.TypeA).SetReply(3, &Reply{Wire: make([]byte, 88)})
+	if got := c.Stats().ApproxBytes; got != bare+77+88 {
+		t.Errorf("ApproxBytes with two replies kept = %d, want %d", got, bare+77+88)
+	}
+	c.Put([]dnswire.RR{rrA("www.victim.test.", 300, "192.0.2.2")}, CredAnswer, false)
+	if got := c.Stats().ApproxBytes; got != bare {
+		t.Errorf("ApproxBytes after the entry was replaced = %d, want %d", got, bare)
+	}
+}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"time"
 
 	"resilientdns/internal/cache"
@@ -29,19 +31,17 @@ func (cs *CachingServer) HandleQuery(q *dnswire.Message) *dnswire.Message {
 // negative entry) — and done=false, with nothing counted or traced, for
 // the one case that may block: a miss, which HandleQuery then resolves.
 //
-// A plain query whose reply is memoised and still right is answered from
-// those bytes, unpacked never; every other answer comes from handle, and
-// one that is exactly one live RRset is packed into buf and memoised for
-// the next such query. It touches no lock but the cache and memo shard
-// read locks, and a memo shard's write lock to fill it (or a cache
-// shard's, to retire an expired entry).
+// A plain query (q.Key) whose live entry holds a reply for the query's
+// variant is answered from those bytes, unpacked never; every other
+// answer comes from handle, and one that is exactly one live RRset is
+// packed into buf and kept on that entry for the next such query. It
+// touches no lock but the cache shard read locks (or a cache shard's
+// write lock, to retire an expired entry).
 func (cs *CachingServer) HandleInline(q *transport.Query, buf []byte) ([]byte, *dnswire.Message, bool) {
-	if q.Key != nil {
-		if p := cs.packed.get(q.Key); p != nil {
-			key := p.src.Key()
-			if _, done, _ := cs.resolve(context.Background(), 0, answerLive, key.Name, key.Type, p.src); done {
-				return p.reply(buf, q.ID, cs.cfg.Clock.Now()), nil, true
-			}
+	if e, r := cs.storedReply(q.Key); r != nil {
+		key := e.Key()
+		if _, done, _ := cs.resolve(context.Background(), 0, answerLive, key.Name, key.Type, e); done {
+			return patchReply(buf, r, q.ID, e.RemainingTTL(cs.cfg.Clock.Now())), nil, true
 		}
 	}
 	m, err := q.Message()
@@ -56,8 +56,25 @@ func (cs *CachingServer) HandleInline(q *transport.Query, buf []byte) ([]byte, *
 	if err != nil || len(wire) > maxPackedLen {
 		return nil, resp, true // the read loop applies the client's limit
 	}
-	cs.packed.put(q.Key, wire, src)
+	if ttls, err := dnswire.AnswerTTLs(wire, nil); err == nil {
+		src.SetReply(q.Key[len(q.Key)-1], &cache.Reply{Wire: bytes.Clone(wire), TTLs: ttls})
+	}
 	return wire, nil, true
+}
+
+// storedReply is the live entry a plain query's key names and the reply
+// kept on it for the key's variant, r nil when there is none. The key is
+// the question name in presentation form, the type, the class and the
+// variant byte (dnswire.QueryKey); only class IN is ever cached.
+func (cs *CachingServer) storedReply(key []byte) (e *cache.Entry, r *cache.Reply) {
+	n := len(key) - 5
+	if n < 0 || dnswire.Class(binary.BigEndian.Uint16(key[n+2:])) != dnswire.ClassIN {
+		return nil, nil
+	}
+	if e = cs.cache.Probe(key[:n], dnswire.Type(binary.BigEndian.Uint16(key[n:]))); e == nil {
+		return nil, nil
+	}
+	return e, e.Reply(key[n+4])
 }
 
 // HandleQueryCacheOnly answers q without any upstream work regardless of
@@ -86,7 +103,7 @@ const (
 // answerLive ever declines (nil, nil, false), and a declined query has
 // no reply built for it. src is the cache entry the reply's answer is,
 // when it is exactly that (resolve.Result.Entry): the reply may then be
-// memoised.
+// kept on it.
 func (cs *CachingServer) handle(q *dnswire.Message, mode answerMode) (resp *dnswire.Message, src *cache.Entry, done bool) {
 	var res *Result
 	var rcode dnswire.RCode

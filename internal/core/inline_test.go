@@ -122,6 +122,12 @@ func frontendCorpus() []corpusQuery {
 		{"AXFR", query("ucla.edu.", dnswire.TypeAXFR, nil), true, false},
 		{"EDNS0 1232", query("www.ucla.edu.", dnswire.TypeA, func(q *dnswire.Message) { q.SetEDNS0(1232) }), true, true},
 		{"EDNS0 400", query("www.ucla.edu.", dnswire.TypeA, func(q *dnswire.Message) { q.SetEDNS0(400) }), true, true},
+		// Like non-IN, a question whose IN reply the entry keeps, for
+		// its variant: the read loop's probe must test the class.
+		{"non-IN with EDNS0", query("www.ucla.edu.", dnswire.TypeA, func(q *dnswire.Message) {
+			q.Question[0].Class = dnswire.ClassCH
+			q.SetEDNS0(1232)
+		}), true, false},
 		{"plain miss", query("www.oob.edu.", dnswire.TypeA, nil), false, true},
 		{"prefetch-window hit", query("www.ucla.edu.", dnswire.TypeA, nil), false, true},
 	}
@@ -222,13 +228,13 @@ func TestInlineMatchesHandleQuery(t *testing.T) {
 
 // TestEveryEntryCountsOnce: each of the five query exits — Resolve (the
 // simulator's), HandleQuery, HandleInline then HandleQuery (the UDP read
-// loop's), the same answered from the packed-reply memo, and
+// loop's), the same answered from a reply kept on its entry, and
 // HandleQueryCacheOnly (overload and mesh peers) — is the same one
 // accounting function underneath, so over the whole corpus, traced and
 // untraced, every query that gets past the front door is counted, closed
 // and traced exactly once, and a refused one not at all. Resolve has no
-// front door: it is asked only what gets past it. The memo exit asks each
-// query once unmeasured first, which fills the memo: the corpus's four
+// front door: it is asked only what gets past it. The packed exit asks
+// each query once unmeasured first, which keeps the reply: the corpus's four
 // plain questions answered by one live RRset are then sent from it.
 func TestEveryEntryCountsOnce(t *testing.T) {
 	for _, e := range []struct {
@@ -241,7 +247,7 @@ func TestEveryEntryCountsOnce(t *testing.T) {
 			cs.Resolve(context.Background(), q.Question[0].Name, q.Question[0].Type)
 		}},
 		{name: "HandleQuery", ask: func(cs *CachingServer, q *dnswire.Message) { cs.HandleQuery(q) }},
-		// EDNS0 400 finds the reply EDNS0 1232 memoised: the payload size
+		// EDNS0 400 finds the reply EDNS0 1232 kept: the payload size
 		// is not part of the key.
 		{name: "HandleInline then HandleQuery", ask: func(cs *CachingServer, q *dnswire.Message) { viaInline(t, cs, q) }, packed: 1},
 		{name: "packed-reply memo", ask: func(cs *CachingServer, q *dnswire.Message) { viaInline(t, cs, q) }, memo: true, packed: 4},
@@ -272,7 +278,7 @@ func TestEveryEntryCountsOnce(t *testing.T) {
 // every query through the inline path adds exactly one observation to the
 // query-kind and cache_lookup histograms — the traced benchmark run
 // divides by these — whether the read loop settled it, sent it from the
-// memo (the first hit filled it) or declined it.
+// entry's kept reply (the first hit stored it) or declined it.
 func TestInlineTraceStages(t *testing.T) {
 	cs := newPipeHierarchy(t, Config{TraceSink: discardSink{}}, 3600, 1)
 	hit := dnswire.NewQuery(1, dnswire.MustName("www.example."), dnswire.TypeA)
@@ -299,7 +305,7 @@ func TestInlineTraceStages(t *testing.T) {
 
 // TestInlineHitAllocs bounds what a cache hit allocates on the read loop
 // when the query arrives unpacked, as every hit before its reply is
-// memoised does: the reply, its sections and Lookup's result — no
+// kept on its entry does: the reply, its sections and Lookup's result — no
 // context, no timer (the parent's HandleQuery: 10, four of them the
 // deadline's). HandleQuery builds its deadline after the miss too, so a
 // hit costs it the same.

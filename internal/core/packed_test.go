@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,13 +30,13 @@ func upperName(wire []byte) []byte {
 
 // TestPackedReplyMatchesHandleQuery runs twin servers through the same
 // cache events, one asked the way the read loop asks (sendWire: probe,
-// memo, inline entry) and one asked HandleQuery alone, and requires the
+// inline entry) and one asked HandleQuery alone, and requires the
 // bytes sent to be the same at every step, for each spelling of one
-// question the memo keys: RD=1, RD=0, EDNS0 1232 and 400, and upper case.
-// A clock step is served from the memo with the TTL counted down; a TTL
+// question: RD=1, RD=0, EDNS0 1232 and 400, and upper case. A clock step
+// is served from the kept reply with the TTL counted down; a TTL
 // refresh, Extend, a replacing Put, Evict, expiry and the prefetch window
 // each install another entry or none, so the next query falls through —
-// and the reply is memoised again once the cache holds the name again.
+// and the reply is kept again once the cache holds the name again.
 func TestPackedReplyMatchesHandleQuery(t *testing.T) {
 	zone := dnswire.MustName("ucla.edu.")
 	query := func(edit func(*dnswire.Message)) []byte {
@@ -93,8 +95,8 @@ func TestPackedReplyMatchesHandleQuery(t *testing.T) {
 				}
 			}
 			// ask sends the query, with an ID of its own, to both twins,
-			// compares the bytes and reports whether a's went out from the
-			// memo.
+			// compares the bytes and reports whether a's went out from a
+			// kept reply.
 			asked := uint16(0)
 			ask := func(when string) bool {
 				t.Helper()
@@ -116,7 +118,7 @@ func TestPackedReplyMatchesHandleQuery(t *testing.T) {
 				return a.cs.Stats().PackedAnswers > before
 			}
 			// refill warms both twins and asks until a reply goes out from
-			// the memo: the next ask after a fill.
+			// the entry: the next ask after one is kept.
 			refill := func(when string) {
 				t.Helper()
 				warm()
@@ -141,79 +143,113 @@ func TestPackedReplyMatchesHandleQuery(t *testing.T) {
 	}
 }
 
-// TestPackedHitAllocs: a memoised reply costs nothing to allocate on the
-// read loop — no Message for the query, none for the reply, no Result —
-// with the guard off and with the guard admitting the client.
+// TestPackedHitAllocs: a kept reply costs nothing to allocate on the
+// read loop — no Message for the query, none for the reply, no Result, no
+// string for the probe's key — with the guard off and with the guard
+// admitting the client, for a short name and for one of over 180 bytes,
+// past the 32 a string kept on the stack holds.
 func TestPackedHitAllocs(t *testing.T) {
 	f := newFixture(t, Config{})
-	q := dnswire.NewQuery(1, dnswire.MustName("www.ucla.edu."), dnswire.TypeA)
+	long := strings.Repeat(strings.Repeat("l", 59)+".", 3) + "ucla.edu."
+	f.cs.Cache().Put([]dnswire.RR{rrA(long, 300, "10.9.9.7")}, cache.CredAnswer, false)
+	g := guard.New(f.cs, guard.Config{ClientRPS: 1e9, Clock: f.clock})
+	client := netip.MustParseAddrPort("192.0.2.1:5353")
+	buf := make([]byte, 0, 4096)
+	for _, name := range []string{"www.ucla.edu.", long} {
+		q := dnswire.NewQuery(1, dnswire.MustName(name), dnswire.TypeA)
+		q.Flags.RecursionDesired = true
+		f.cs.HandleQuery(q)
+		wire, err := q.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, id, ok := dnswire.QueryKey(wire, nil)
+		if !ok {
+			t.Fatalf("%s: a plain query has no key", name)
+		}
+		for _, tc := range []struct {
+			name   string
+			inline transport.InlineHandler
+		}{{"guard off", f.cs}, {"guard admitting", g}} {
+			var query transport.Query
+			ask := func() {
+				query = transport.Query{Wire: wire, Key: key, ID: id, From: client}
+				if packed, _, _ := tc.inline.HandleInline(&query, buf); packed == nil {
+					t.Fatalf("%s, %d-byte name: no packed reply", tc.name, len(name))
+				}
+			}
+			ask() // keeps the reply on the entry, unless the first case did
+			before := f.cs.Stats().PackedAnswers
+			if allocs := testing.AllocsPerRun(200, ask); allocs != 0 {
+				t.Errorf("%s, %d-byte name: %.0f allocations per kept reply, want 0", tc.name, len(name), allocs)
+			}
+			if f.cs.Stats().PackedAnswers == before {
+				t.Errorf("%s, %d-byte name: the replies were not the kept ones", tc.name, len(name))
+			}
+		}
+	}
+}
+
+// TestReplacedEntryUnreachable: a reply kept on an entry does not keep
+// the entry alive. After a replacing Put, an Evict, and an expiry swept by
+// SweepExpired, the entry the last reply was packed from is collected:
+// its finalizer runs after a GC. (A finalizer, not weak.Make: go.mod
+// says go 1.22.)
+func TestReplacedEntryUnreachable(t *testing.T) {
+	f := newFixture(t, Config{})
+	name := dnswire.MustName("www.ucla.edu.")
+	q := dnswire.NewQuery(5, name, dnswire.TypeA)
 	q.Flags.RecursionDesired = true
-	f.cs.HandleQuery(q)
 	wire, err := q.Pack()
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, id, ok := dnswire.QueryKey(wire, nil)
-	if !ok {
-		t.Fatal("a plain query has no key")
-	}
-	g := guard.New(f.cs, guard.Config{ClientRPS: 1e9, Clock: f.clock})
-	client := netip.MustParseAddrPort("192.0.2.1:5353")
-	buf := make([]byte, 0, 4096)
-	for _, tc := range []struct {
-		name   string
-		inline transport.InlineHandler
-	}{{"guard off", f.cs}, {"guard admitting", g}} {
-		var query transport.Query
-		ask := func() {
-			query = transport.Query{Wire: wire, Key: key, ID: id, From: client}
-			if packed, _, _ := tc.inline.HandleInline(&query, buf); packed == nil {
-				t.Fatalf("%s: no packed reply", tc.name)
-			}
-		}
-		ask() // fills the memo, unless the first case did
+	// kept resolves the name, sends it through the read loop until the
+	// reply goes out from its entry, and returns a channel the entry's
+	// finalizer closes.
+	kept := func(when string) <-chan struct{} {
+		t.Helper()
+		f.cs.HandleQuery(q)
 		before := f.cs.Stats().PackedAnswers
-		if allocs := testing.AllocsPerRun(200, ask); allocs != 0 {
-			t.Errorf("%s: %.0f allocations per memoised reply, want 0", tc.name, allocs)
-		}
+		sendWire(t, f.cs, wire)
+		sendWire(t, f.cs, wire)
 		if f.cs.Stats().PackedAnswers == before {
-			t.Errorf("%s: the replies did not come from the memo", tc.name)
+			t.Fatalf("%s: no reply went out from the entry", when)
+		}
+		collected := make(chan struct{})
+		runtime.SetFinalizer(f.cs.Cache().Peek(name, dnswire.TypeA), func(*cache.Entry) { close(collected) })
+		return collected
+	}
+	for _, ev := range []struct {
+		name  string
+		apply func()
+	}{
+		{"replacing Put", func() {
+			f.cs.Cache().Put([]dnswire.RR{rrA("www.ucla.edu.", 300, "10.9.9.6")}, cache.CredAnswer, false)
+		}},
+		{"Evict", func() { f.cs.Cache().Evict(name, dnswire.TypeA) }},
+		{"expiry and sweep", func() {
+			f.clock.Advance(time.Hour)
+			f.cs.Cache().SweepExpired()
+		}},
+	} {
+		collected := kept(ev.name)
+		ev.apply()
+		runtime.GC()
+		select {
+		case <-collected:
+		case <-time.After(time.Second):
+			t.Errorf("%s: the entry the reply was packed from is still reachable", ev.name)
 		}
 	}
 }
 
-// TestPackedMemoBounded: more distinct keys than the cap leave the memo
-// at most at its cap, each shard at its share, the newest key held.
-func TestPackedMemoBounded(t *testing.T) {
-	m := newPackedMemo()
-	header := make([]byte, 12) // a reply with no records
-	var last []byte
-	for i := 0; i < packedCap+1000; i++ {
-		last = fmt.Appendf(last[:0], "\x0bname%07d\x00\x00\x01\x00\x01\x01", i)
-		m.put(last, header, nil)
-	}
-	total := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		if n := len(sh.replies); n > packedCap/packedShards || n != len(sh.order) {
-			t.Errorf("shard %d holds %d replies in a ring of %d, cap %d", i, n, len(sh.order), packedCap/packedShards)
-		}
-		total += len(sh.replies)
-	}
-	if total > packedCap {
-		t.Errorf("memo holds %d replies, cap %d", total, packedCap)
-	}
-	if m.get(last) == nil {
-		t.Error("the newest key was evicted")
-	}
-}
-
-// TestPackedRaceWithPuts: replies sent from the memo while another
+// TestPackedRaceWithPuts: replies sent from their entry while another
 // goroutine replaces the RRset never carry data other than the entry live
 // when they are sent. Checkers hold the writer off while they ask, so
 // their answers must be exactly the live data; free readers, under the
 // race detector, must always see one of the two. The writer asks twice
-// after each Put, so the memo is filled and served from between Puts.
+// after each Put, so a reply is kept and served from between Puts.
 func TestPackedRaceWithPuts(t *testing.T) {
 	f := newFixture(t, Config{})
 	q := dnswire.NewQuery(9, dnswire.MustName("www.ucla.edu."), dnswire.TypeA)
@@ -244,7 +280,7 @@ func TestPackedRaceWithPuts(t *testing.T) {
 			live = addrs[i%2]
 			f.cs.Cache().Put([]dnswire.RR{rrA("www.ucla.edu.", 300, live)}, cache.CredAnswer, false)
 			mu.Unlock()
-			// Fill the memo and send from it, whatever the readers got to.
+			// Keep a reply and send from it, whatever the readers got to.
 			sendWire(t, f.cs, wire)
 			sendWire(t, f.cs, wire)
 		}

@@ -34,8 +34,7 @@ import (
 // and never holds one across upstream I/O):
 //
 //	flightMu > renewMu > cache shard locks
-//	the resolver's parentMu and secMu and the memo shard locks are
-//	leaves taken on their own.
+//	the resolver's parentMu and secMu are leaves taken on their own.
 type CachingServer struct {
 	cfg      Config
 	cache    *cache.Cache
@@ -57,10 +56,6 @@ type CachingServer struct {
 	// stats is the live counter set; only its frontend fields are
 	// bumped here (see Stats).
 	stats *Stats
-
-	// packed memoises replies for the read loop's plain queries
-	// (HandleInline); Resolve never sees it.
-	packed *packedMemo
 }
 
 // renewLead is how far before expiry a renewal refetch fires ("just
@@ -96,7 +91,6 @@ func NewCachingServer(cfg Config) (*CachingServer, error) {
 		scheduled: make(map[dnswire.Name]bool),
 		flight:    make(map[cache.Key]*flightCall),
 		stats:     metrics.NewSet[Stats](),
-		packed:    newPackedMemo(),
 	}
 	rootAddrs := make([]transport.Addr, 0, len(cfg.RootHints))
 	for _, h := range cfg.RootHints {
@@ -165,8 +159,8 @@ func (cs *CachingServer) Resolve(ctx context.Context, qname dnswire.Name, qtype 
 
 // resolve is every stub query's one count, one trace and one finish. The
 // cache is asked first — LookupCacheOnly (live, negative, then stale) in
-// answerCacheOnly, the live cache otherwise, and for a memoised reply
-// (packed, the entry it was built from) LookupPacked alone — and only a
+// answerCacheOnly, the live cache otherwise, and for a reply kept on an
+// entry (packed, that entry) LookupPacked alone — and only a
 // miss goes on: answerLive declines it (done=false) with nothing counted
 // and the trace unfinished, so HandleQuery can take it from the top as if
 // it had just arrived; answerFully resolves upstream and waits for
@@ -176,7 +170,7 @@ func (cs *CachingServer) Resolve(ctx context.Context, qname dnswire.Name, qtype 
 // the coalescing outcome; the shared flight carries its own trace (it
 // serves many queries, so its timings belong to no single caller). A nil
 // result with done and no error means nothing cached could answer; a
-// memoised reply's hit has no records, the caller holds them packed.
+// kept reply's hit has no records, the caller holds them packed.
 func (cs *CachingServer) resolve(ctx context.Context, timeout time.Duration, mode answerMode, qname dnswire.Name, qtype dnswire.Type, packed *cache.Entry) (res *Result, done bool, err error) {
 	tr := cs.resolver.NewTrace(resolve.KindQuery, qname, qtype)
 	switch {
@@ -212,7 +206,7 @@ func (cs *CachingServer) resolve(ctx context.Context, timeout time.Duration, mod
 	return res, true, nil
 }
 
-// packedHit is what resolve reports for a memoised reply it may serve.
+// packedHit is what resolve reports for a kept reply it may serve.
 var packedHit = Result{RCode: dnswire.RCodeNoError, FromCache: true}
 
 // updateCredit applies the renewal policy on a query to zname; it is the

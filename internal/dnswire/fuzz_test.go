@@ -75,12 +75,9 @@ func FuzzCanonicalName(f *testing.F) {
 
 // messageKey is the key QueryKey gives a plain query, built from the
 // unpacked message instead of the wire.
-func messageKey(t *testing.T, m *Message) []byte {
+func messageKey(m *Message) []byte {
 	q := m.Question[0]
-	key, err := appendName(nil, q.Name)
-	if err != nil {
-		t.Fatalf("question name %q does not encode: %v", q.Name, err)
-	}
+	key := []byte(q.Name)
 	var bits byte
 	if m.Flags.RecursionDesired {
 		bits |= 1
@@ -158,7 +155,7 @@ func FuzzQueryKey(f *testing.F) {
 		if len(m.Question) != 1 || m.ID != id {
 			t.Fatalf("QueryKey keyed %x with ID %d; Unpack reads ID %d and %d questions", wire, id, m.ID, len(m.Question))
 		}
-		if want := messageKey(t, m); !bytes.Equal(key, want) {
+		if want := messageKey(m); !bytes.Equal(key, want) {
 			t.Fatalf("QueryKey built %x, the unpacked message says %x", key, want)
 		}
 		if other, _, ok := QueryKey(swapNameCase(wire), nil); !ok || !bytes.Equal(other, key) {

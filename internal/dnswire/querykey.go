@@ -12,7 +12,9 @@ import (
 // record or a single empty root OPT; its name is uncompressed and valid
 // under Unpack's label rules, and nothing follows the last record.
 //
-// The key is the name in lower-case wire form, the type, the class, and
+// The key is the name in presentation form — the bytes of the Name that
+// Unpack decodes, lower case with a trailing dot; '.' is not a label
+// character, so the form is unambiguous — then the type, the class, and
 // one byte holding the RD bit (1) and whether an OPT was present (2):
 // spellings of one question that differ only in case share a key. The
 // advertised payload size is not part of it. ok implies that Unpack(wire)
@@ -46,7 +48,6 @@ func QueryKey(wire, dst []byte) (key []byte, id uint16, ok bool) {
 		if l > MaxLabelLen || off+1+l > len(wire) || len(key)-len(dst)+l+1 > MaxNameWireLen-1 {
 			return nil, 0, false
 		}
-		key = append(key, byte(l))
 		for _, c := range wire[off+1 : off+1+l] {
 			if c >= 'A' && c <= 'Z' {
 				c += 'a' - 'A'
@@ -56,13 +57,17 @@ func QueryKey(wire, dst []byte) (key []byte, id uint16, ok bool) {
 			}
 			key = append(key, c)
 		}
+		key = append(key, '.')
 		off += 1 + l
+	}
+	if len(key) == len(dst) {
+		key = append(key, '.') // the root
 	}
 	off++
 	if off+4 > len(wire) {
 		return nil, 0, false
 	}
-	key = append(append(key, 0), wire[off:off+4]...)
+	key = append(key, wire[off:off+4]...)
 	off += 4
 	var bits byte
 	if flags&(1<<8) != 0 {

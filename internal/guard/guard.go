@@ -128,7 +128,7 @@ func (g *Guard) HandleQueryFrom(q *dnswire.Message, from net.Addr) *dnswire.Mess
 
 // HandleInline is the read loop's entry: admission first, charged once, so
 // a rate-limited datagram is dropped or slipped without ever costing a
-// goroutine — and is never answered from the backend's memo — then the
+// goroutine — and is never answered from a packed reply — then the
 // backend's inline entry. done=false means admitted and not yet
 // answered: HandleQuery — or HandleOverload, when no handler slot is free
 // — finishes the query without charging it again.

@@ -203,8 +203,8 @@ func TestOverloadCacheOnlyAndShed(t *testing.T) {
 
 // inlineFake is a fakeBackend that also has the inline entry: it settles
 // "hit." names there and declines the rest. The plain "hit." query, offered
-// with its key, it answers from packed bytes, as the caching server's memo
-// does.
+// with its key, it answers from packed bytes, as the caching server does
+// from a reply kept on a cache entry.
 type inlineFake struct {
 	fakeBackend
 	inline, packed int

@@ -290,13 +290,11 @@ func TestCacheStepMatchesOldSequences(t *testing.T) {
 
 	// observed is everything a cache-serving path may change or return.
 	type observed struct {
-		Res       *Result
-		Entry     bool // Res.Entry set
-		Err       string
-		HitRate   float64
-		StaleHits uint64
-		Gaps      []string
-		Counters  Counters
+		Res      *Result
+		Entry    bool // Res.Entry set
+		Err      string
+		Gaps     []string
+		Counters Counters
 	}
 	for _, sc := range scenarios {
 		for _, op := range ops {
@@ -317,8 +315,7 @@ func TestCacheStepMatchesOldSequences(t *testing.T) {
 					sc.setup(r, clk)
 					res, err := f(r)
 					r.Close() // async mode: the queued refresh has run on both sides
-					o := observed{Res: res, Err: fmt.Sprint(err), HitRate: r.cache.HitRate(),
-						StaleHits: r.cache.StaleHits(), Gaps: gaps, Counters: r.Counters()}
+					o := observed{Res: res, Err: fmt.Sprint(err), Gaps: gaps, Counters: r.Counters()}
 					if res != nil {
 						bare := *res
 						o.Entry, bare.Entry = res.Entry != nil, nil

@@ -124,18 +124,14 @@ func (r *Resolver) lookupCached(tr *Trace, qname dnswire.Name, qtype dnswire.Typ
 	return &Result{RCode: cr.rcode, Answer: cr.answer, Authority: cr.authority, FromCache: true, Entry: cr.entry}, nil
 }
 
-// LookupPacked is the CacheLookup stage for a reply packed from the
-// answer in want (Result.Entry): it hits when the cache's live entry for
-// want's key is want itself, outside the prefetch window — so Lookup
-// would answer exactly what was packed — and misses otherwise. Entries
-// are immutable and every change to one installs a new entry, so pointer
-// identity is the whole check. The Get counts the hit or the miss.
-func (r *Resolver) LookupPacked(tr *Trace, want *cache.Entry) bool {
+// LookupPacked is the CacheLookup stage for a reply kept on e, the
+// cache's live entry for the question (cache.Cache.Probe): it hits outside
+// the prefetch window — where Lookup would answer exactly what was packed
+// — and misses inside it. The reply dies with e, so it is never stale.
+func (r *Resolver) LookupPacked(tr *Trace, e *cache.Entry) bool {
 	sp := tr.StartStage(StageCacheLookup)
 	defer sp.End()
-	key := want.Key()
-	e := r.cache.Get(key.Name, key.Type)
-	if e != want || r.prefetchDue(e, r.cfg.Clock.Now()) {
+	if r.prefetchDue(e, r.cfg.Clock.Now()) {
 		return false
 	}
 	tr.MarkCacheHit()

@@ -115,7 +115,7 @@ type Result struct {
 	// Entry is the cache entry the answer is, when it is exactly one live
 	// RRset matching the question — no CNAME hop, no negative or stale
 	// data — outside the prefetch window; nil otherwise. A reply built
-	// from it stays right for as long as LookupPacked says so.
+	// from it may be kept on it (cache.Entry.SetReply).
 	Entry *cache.Entry
 }
 

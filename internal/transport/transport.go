@@ -85,7 +85,7 @@ func (f HandlerFunc) HandleQuery(q *dnswire.Message) *dnswire.Message { return f
 //
 // HandleInline must not block: it runs on a read loop, and while it runs
 // that loop reads nothing. It may take a lock no holder blocks under
-// (the cache and memo shard read locks) and finish a trace, so a trace
+// (the cache shard read locks) and finish a trace, so a trace
 // sink under an InlineHandler may buffer in memory but must not wait on
 // I/O.
 type InlineHandler interface {
