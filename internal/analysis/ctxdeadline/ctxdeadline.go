@@ -36,13 +36,15 @@
 //     new(T) is: bounded only by T's own always-reporting Deadline. The
 //     zero value is one of w's definitions, so assigning a bounded
 //     literal to w later does not clear it (rebind instead);
+//   - a store into a context field of a variable of a forwarding type
+//     of our own (`w.Context = x`, w a T or a *T whose Deadline is
+//     promoted from a field) is one more definition of w: w carries x's
+//     origins beside those of its literal, so a later store can unbound
+//     a bounded literal but never bound an unbounded one;
 //   - so is the result of a call that returns such a type and takes no
 //     context argument (a constructor), unless the callee bounds it on
 //     every path (AddsDeadline): what it forwards came from nowhere the
 //     caller can see;
-//   - still not seen: context fields assigned after a literal is built;
-//     keep context types of our own to literals, new, zero-value
-//     variables and constructors;
 //   - a variable's origins are the union over all of its definitions
 //     (flow-insensitive: after `ctx, cancel = context.WithTimeout(ctx, t)`
 //     inside an `if`, the variable is both bounded and whatever it was
@@ -183,6 +185,11 @@ func run(pass *analysis.Pass) (any, error) {
 			source, _ := literal(pass, has, t, nil)
 			return source && !types.IsInterface(t)
 		},
+		// A store into a forwarding type's context field is what the
+		// type forwards from then on.
+		Store: func(v, field *types.Var) bool {
+			return dataflow.IsContextType(field.Type()) && forwards(pass, v.Type())
+		},
 		// A context reaching Exchange must be bounded; so must one
 		// handed to a function that lets it reach Exchange.
 		Sink: func(fn *types.Func) []int {
@@ -269,6 +276,14 @@ func literal(pass *analysis.Pass, has map[*types.Func]bool, t types.Type, lit *a
 		return true, nil
 	}
 	return forwardedContexts(pass, lit)
+}
+
+// forwards reports whether t, or what t points to, is a context type of
+// our own whose Deadline is promoted from a field rather than its own.
+func forwards(pass *analysis.Pass, t types.Type) bool {
+	obj, index, _ := types.LookupFieldOrMethod(t, true, pass.Pkg, "Deadline")
+	_, ok := obj.(*types.Func)
+	return ok && len(index) > 1
 }
 
 // isNew reports whether call is the builtin new.

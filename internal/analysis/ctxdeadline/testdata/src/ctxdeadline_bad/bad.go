@@ -58,6 +58,16 @@ func Unset(tr Transport) {
 	tr.Exchange(ctx, "10.0.0.1", nil) // want "context without a deadline"
 }
 
+// StoredBackground builds a bounded wrapper, then stores Background into
+// its context field: what it forwards from then on has no deadline.
+func StoredBackground(tr Transport, t time.Duration) {
+	ctx, cancel := context.WithTimeout(context.Background(), t)
+	defer cancel()
+	w := &wrapped{Context: ctx, tag: 4}
+	w.Context = context.Background()
+	tr.Exchange(w, "10.0.0.1", nil) // want "context without a deadline"
+}
+
 // forever has a Deadline of its own that reports none, whatever it wraps.
 type forever struct{ context.Context }
 

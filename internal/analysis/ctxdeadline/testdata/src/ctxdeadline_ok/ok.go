@@ -75,6 +75,18 @@ func WrappedBounded(tr Transport) {
 	tr.Exchange(&wrapped{ctx, 1}, "10.0.0.1", nil)
 }
 
+// StoredBounded stores a bounded context into a bounded wrapper's field:
+// the store forwards a deadline too.
+func StoredBounded(tr Transport) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	w := wrapped{Context: ctx, tag: 2}
+	short, cancelShort := context.WithTimeout(ctx, time.Millisecond)
+	defer cancelShort()
+	w.Context = short
+	tr.Exchange(&w, "10.0.0.1", nil)
+}
+
 // fixed has a Deadline of its own that reports one on every path, so
 // what it wraps does not matter.
 type fixed struct {
@@ -87,6 +99,14 @@ func (f fixed) Deadline() (time.Time, bool) { return f.at, true }
 // OwnDeadline sends with a literal that carries its own deadline.
 func OwnDeadline(tr Transport, at time.Time) {
 	tr.Exchange(fixed{Context: context.Background(), at: at}, "10.0.0.1", nil)
+}
+
+// StoredOwnDeadline stores Background into a type whose own Deadline
+// reports one on every path: the store cannot take that deadline away.
+func StoredOwnDeadline(tr Transport, at time.Time) {
+	f := fixed{at: at}
+	f.Context = context.Background()
+	tr.Exchange(f, "10.0.0.1", nil)
 }
 
 // NewOwnDeadline sends a new literal of the same type: its Deadline

@@ -90,8 +90,17 @@ type Info struct {
 	// (`var v T`): it starts as its type's zero value, a definition with
 	// no expression.
 	zero map[*types.Var]bool
+	// stores maps every variable to the assignments into its own fields
+	// (`v.f = x`, v a struct or a pointer to one).
+	stores map[*types.Var][]fieldStore
 
 	pass *analysis.Pass
+}
+
+// fieldStore is one assignment into a field of a variable: v.field = value.
+type fieldStore struct {
+	field *types.Var
+	value ast.Expr
 }
 
 // LitInfo returns the FuncInfo for a function literal.
@@ -129,11 +138,12 @@ func (in *Info) VarOf(e ast.Expr) *types.Var {
 func run(pass *analysis.Pass) (any, error) {
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	in := &Info{
-		ByObj: make(map[*types.Func]*FuncInfo),
-		byLit: make(map[*ast.FuncLit]*FuncInfo),
-		defs:  make(map[*types.Var][]ast.Expr),
-		zero:  make(map[*types.Var]bool),
-		pass:  pass,
+		ByObj:  make(map[*types.Func]*FuncInfo),
+		byLit:  make(map[*ast.FuncLit]*FuncInfo),
+		defs:   make(map[*types.Var][]ast.Expr),
+		zero:   make(map[*types.Var]bool),
+		stores: make(map[*types.Var][]fieldStore),
+		pass:   pass,
 	}
 
 	// Enumerate functions with the inspector's stack walk so literals
@@ -200,15 +210,29 @@ func (in *Info) indexAssign(lhs, rhs []ast.Expr) {
 		return
 	case len(lhs) == len(rhs):
 		for i := range lhs {
-			if v := in.VarOf(lhs[i]); v != nil {
-				in.defs[v] = append(in.defs[v], rhs[i])
-			}
+			in.indexDef(lhs[i], rhs[i])
 		}
 	case len(rhs) == 1:
 		for i := range lhs {
-			if v := in.VarOf(lhs[i]); v != nil {
-				in.defs[v] = append(in.defs[v], rhs[0])
-			}
+			in.indexDef(lhs[i], rhs[0])
+		}
+	}
+}
+
+// indexDef records rhs as a definition of the variable lhs names, or as
+// a store into a field of the variable when lhs is v.f.
+func (in *Info) indexDef(lhs, rhs ast.Expr) {
+	if v := in.VarOf(lhs); v != nil {
+		in.defs[v] = append(in.defs[v], rhs)
+		return
+	}
+	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	if s := in.pass.TypesInfo.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+		if v := in.VarOf(sel.X); v != nil {
+			in.stores[v] = append(in.stores[v], fieldStore{field: s.Obj().(*types.Var), value: rhs})
 		}
 	}
 }

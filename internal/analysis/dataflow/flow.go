@@ -41,6 +41,10 @@ type Flow struct {
 	// by a source: what a variable declared without an initializer
 	// (`var v T`) holds until something is assigned.
 	Zero func(types.Type) bool
+	// Store, when set, says whether an assignment into field of v
+	// (`v.field = x`) is one of v's definitions: v then carries x's
+	// origins, in the same flow-insensitive union.
+	Store func(v, field *types.Var) bool
 	// Sink returns the argument positions of fn that are sinks by
 	// shape, nil when fn is not one.
 	Sink func(fn *types.Func) []int
@@ -103,6 +107,13 @@ func (f *Flow) origins(e ast.Expr, params map[*types.Var]int, seen map[*types.Va
 		out := union(f.Info.Defs(v)...)
 		if f.Zero != nil && f.Info.ZeroValued(v) && f.Zero(v.Type()) {
 			out = append(out, Source)
+		}
+		if f.Store != nil {
+			for _, st := range f.Info.stores[v] {
+				if f.Store(v, st.field) {
+					out = append(out, union(st.value)...)
+				}
+			}
 		}
 		return out
 	case *ast.CallExpr:

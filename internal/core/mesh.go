@@ -75,15 +75,7 @@ func (cs *CachingServer) IngestPeerIRRs(zone dnswire.Name, msg *dnswire.Message)
 			return false
 		}
 	}
-	hosts := make([]dnswire.Name, 0, len(msg.Answer))
-	for _, rr := range msg.Answer {
-		hosts = append(hosts, rr.Data.(dnswire.NS).Host)
-	}
 	cs.resolver.IngestFrom(msg, zone, zone, cache.OriginPeer)
-	cs.cache.Extend(zone, dnswire.TypeNS)
-	for _, host := range hosts {
-		cs.cache.Extend(host, dnswire.TypeA)
-		cs.cache.Extend(host, dnswire.TypeAAAA)
-	}
+	cs.extendIRRs(zone, msg.Answer)
 	return true
 }

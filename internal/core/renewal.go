@@ -175,6 +175,12 @@ func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, now t
 	cs.credits[zone]--
 	cs.renewMu.Unlock()
 	metrics.Inc(&cs.stats.RenewalQueries)
+	// Late is judged by the clock as the refetch starts, not by the
+	// sweep's now: refetches earlier in the same sweep may have run it
+	// past the entry's expiry.
+	if !cs.cfg.Clock.Now().Before(e.Expires()) {
+		metrics.Inc(&cs.stats.RenewalLate)
+	}
 	// One renewal cycle gets one retry budget, like one resolution does.
 	ctx = resolve.WithRetryBudget(ctx, cs.cfg.Upstream.RetryBudget, time.Time{})
 	tr := cs.resolver.NewTrace(resolve.KindRenewal, zone, dnswire.TypeNS)
@@ -191,14 +197,8 @@ func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, now t
 	}
 	cs.resolver.Ingest(resp, zone, zone)
 	// Guarantee the renewal outcome even if credibility rules would have
-	// ignored the copies: renewal explicitly extends the zone's IRRs (NS
-	// and server addresses).
-	cs.cache.Extend(zone, dnswire.TypeNS)
-	for _, rr := range e.RRs {
-		host := rr.Data.(dnswire.NS).Host
-		cs.cache.Extend(host, dnswire.TypeA)
-		cs.cache.Extend(host, dnswire.TypeAAAA)
-	}
+	// ignored the copies.
+	cs.extendIRRs(zone, e.RRs)
 	metrics.Inc(&cs.stats.Renewals)
 	cs.resolver.FinishTrace(tr, &Result{RCode: dnswire.RCodeNoError}, nil)
 	if ne := cs.cache.Peek(zone, dnswire.TypeNS); ne != nil {
@@ -208,6 +208,18 @@ func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, now t
 		fleet.GossipZone(zone)
 	}
 	return true
+}
+
+// extendIRRs restarts the lifetime of zone's IRRs: its NS set and the A
+// and AAAA records of every host the NS records in set name. A renewal
+// and an accepted peer push both end here.
+func (cs *CachingServer) extendIRRs(zone dnswire.Name, set []dnswire.RR) {
+	cs.cache.Extend(zone, dnswire.TypeNS)
+	for _, rr := range set {
+		host := rr.Data.(dnswire.NS).Host
+		cs.cache.Extend(host, dnswire.TypeA)
+		cs.cache.Extend(host, dnswire.TypeAAAA)
+	}
 }
 
 // renewalCycleTimeout bounds one live renewal sweep. A sweep refetches

@@ -432,6 +432,53 @@ func TestRenewalDoesNotSelfSustain(t *testing.T) {
 	}
 }
 
+// TestRenewalLateByRefetchClock: two zones fall due at one instant, and
+// each refetch takes two seconds of virtual time, so the first one runs
+// the clock past the second zone's expiry. The second refetch is late —
+// judged by the clock as it starts, not by the sweep's now — yet both
+// renewals still succeed.
+func TestRenewalLateByRefetchClock(t *testing.T) {
+	clk := simclock.NewVirtual(epoch)
+	slow := transport.Exchanger(func(_ context.Context, _ transport.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		clk.Advance(2 * time.Second)
+		zone := string(q.Question[0].Name)
+		resp := q.Reply()
+		resp.Flags.Authoritative = true
+		resp.Answer = []dnswire.RR{rrNS(zone, 100, "ns."+zone)}
+		return resp, nil
+	})
+	cs, err := NewCachingServer(Config{
+		Transport: slow,
+		Clock:     clk,
+		RootHints: []ServerRef{{Host: dnswire.MustName("a.root-servers.net."), Addr: "10.0.0.1"}},
+		Renewal:   LRU{C: 3},
+	})
+	if err != nil {
+		t.Fatalf("NewCachingServer: %v", err)
+	}
+	defer cs.Close()
+	credits := map[dnswire.Name]float64{}
+	for i, zone := range []string{"a.test.", "b.test."} {
+		cs.cache.Put([]dnswire.RR{rrNS(zone, 100, "ns."+zone)}, cache.CredAnswer, true)
+		cs.cache.Put([]dnswire.RR{rrA("ns."+zone, 3600, fmt.Sprintf("10.0.9.%d", i+1))}, cache.CredAnswer, true)
+		credits[dnswire.MustName(zone)] = 1
+	}
+	cs.RestoreRenewalCredits(credits)
+	cs.RearmRenewals()
+
+	due, ok := cs.NextRenewalDue()
+	if want := epoch.Add(100*time.Second - renewLead); !ok || !due.Equal(want) {
+		t.Fatalf("first renewal due %v, %v; want %v", due, ok, want)
+	}
+	clk.AdvanceTo(due)
+	if n := cs.ProcessDueRenewals(context.Background(), due); n != 2 {
+		t.Fatalf("ProcessDueRenewals issued %d refetches, want both zones", n)
+	}
+	if st := cs.Stats(); st.RenewalLate != 1 || st.Renewals != 2 {
+		t.Errorf("RenewalLate = %d, Renewals = %d; want 1 late of 2 renewals", st.RenewalLate, st.Renewals)
+	}
+}
+
 func TestNegativeCaching(t *testing.T) {
 	f := newFixture(t, Config{NegativeTTL: time.Hour})
 	f.resolveA(t, "missing.ucla.edu.")

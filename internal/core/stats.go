@@ -38,6 +38,10 @@ type Stats struct {
 	// RenewalDeferred counts due renewals skipped because another fleet
 	// member owns the zone's renewal duty (mesh owner-renewal dedup).
 	RenewalDeferred uint64
+	// RenewalLate counts renewal refetches issued at or after the zone's
+	// NS entry had expired, by the clock when the refetch started: the
+	// sweep ran too late for renewal to keep the IRRs alive.
+	RenewalLate uint64
 
 	// The upstream-facing half is the resolve pipeline's own set; its
 	// counters (QueriesOut, Retries, …) read as fields of Stats and

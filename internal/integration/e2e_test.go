@@ -9,9 +9,11 @@ import (
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/netip"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -141,25 +143,9 @@ mail	300	IN	MX	10 www.corp.test.
 	}
 	leafZone := mustZone(big.String(), dnswire.MustName("corp.test."))
 
-	serveBoth := func(z *zone.Zone) string {
-		srv := authserver.New(z)
-		udp := &transport.UDPServer{Handler: srv}
-		addr, err := udp.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("udp listen: %v", err)
-		}
-		st.close = append(st.close, func() { udp.Close() })
-		tcp := &transport.TCPServer{Handler: srv}
-		if _, err := tcp.Listen(addr); err != nil {
-			t.Fatalf("tcp listen on %s: %v", addr, err)
-		}
-		st.close = append(st.close, func() { tcp.Close() })
-		return addr
-	}
-
-	rootAddr := serveBoth(rootZone)
-	tldAddr := serveBoth(tldZone)
-	leafAddr := serveBoth(leafZone)
+	rootAddr := st.listenPair(t, authserver.New(rootZone))
+	tldAddr := st.listenPair(t, authserver.New(tldZone))
+	leafAddr := st.listenPair(t, authserver.New(leafZone))
 	portOf := map[string]string{rootIP: rootAddr, tldIP: tldAddr, leafIP: leafAddr}
 
 	csConfig.Transport = &transport.UDPWithTCPFallback{
@@ -182,19 +168,32 @@ mail	300	IN	MX	10 www.corp.test.
 	}
 	st.cs = cs
 
-	csSrv := &transport.UDPServer{Handler: cs}
-	csAddr, err := csSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("cs listen: %v", err)
-	}
-	st.close = append(st.close, func() { csSrv.Close() })
-	csTCP := &transport.TCPServer{Handler: cs}
-	if _, err := csTCP.Listen(csAddr); err != nil {
-		t.Fatalf("cs tcp listen: %v", err)
-	}
-	st.close = append(st.close, func() { csTCP.Close() })
-	st.csAddr = transport.Addr(csAddr)
+	st.csAddr = transport.Addr(st.listenPair(t, cs))
 	return st
+}
+
+// listenPair serves h on one localhost port over both UDP and TCP. The
+// kernel picks a free UDP port, but its TCP twin may already be bound by
+// another socket on the machine; then the pair moves to a fresh port.
+func (s *stack) listenPair(t *testing.T, h transport.Handler) string {
+	t.Helper()
+	for attempt := 1; ; attempt++ {
+		udp := &transport.UDPServer{Handler: h}
+		addr, err := udp.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("udp listen: %v", err)
+		}
+		tcp := &transport.TCPServer{Handler: h}
+		if _, err := tcp.Listen(addr); err != nil {
+			udp.Close()
+			if errors.Is(err, syscall.EADDRINUSE) && attempt < 10 {
+				continue
+			}
+			t.Fatalf("tcp listen on %s: %v", addr, err)
+		}
+		s.close = append(s.close, func() { udp.Close() }, func() { tcp.Close() })
+		return addr
+	}
 }
 
 func TestEndToEndResolution(t *testing.T) {
