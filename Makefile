@@ -54,7 +54,9 @@ loc:
 # size prints the byte size of the dnscache binary, beside make loc's line
 # counts, so a dependency that a change pulls in shows up in its number
 # (the debug endpoint's own HTTP responder keeps net/http and crypto/tls
-# out; cmd/dnscache's TestNoHTTPStack fences them).
+# out). On Linux the binary is static, cgo on or off: transport's own
+# sockets keep net, and with it runtime/cgo and libc, out. cmd/dnscache's
+# TestNoHTTPStack fences all of them.
 size:
 	@d=$$(mktemp -d) && $(GO) build -o $$d/dnscache ./cmd/dnscache && \
 		printf '%d bytes ./cmd/dnscache\n' $$(wc -c < $$d/dnscache); rc=$$?; rm -rf $$d; exit $$rc

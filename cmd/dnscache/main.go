@@ -15,7 +15,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"net/netip"
 	"os"
 	"os/signal"
@@ -174,8 +173,8 @@ func main() {
 }
 
 func run() error {
-	listen := flag.String("listen", "127.0.0.1:5301", "UDP address to serve stub resolvers on")
-	roots := flag.String("root", "", "comma-separated root server addresses (host:port), required")
+	listen := flag.String("listen", "127.0.0.1:5301", "IP:port to serve stub resolvers on, over UDP and TCP (:port = every address)")
+	roots := flag.String("root", "", "comma-separated root server IP:port literals, required")
 	refresh := flag.Bool("refresh", false, "enable TTL refresh of infrastructure records")
 	renewal := flag.String("renewal", "", "TTL renewal policy: lru, lfu, a-lru, a-lfu (empty = off)")
 	credit := flag.Float64("credit", 3, "renewal credit c")
@@ -183,7 +182,7 @@ func run() error {
 	negTTL := flag.Duration("negative-ttl", 0, "negative-answer cache TTL (0 = off)")
 	serveStale := flag.Duration("serve-stale", 0, "serve expired records for this long when servers are unreachable (0 = off)")
 	prefetch := flag.Bool("prefetch", false, "refresh hot answers in the last 10% of their TTL, on a background worker pool")
-	debugAddr := flag.String("debug-addr", "", "HTTP address for /debug/stats, /debug/queries, /debug/peers (with -mesh-listen) and /debug/pprof/ (empty = off; enables per-query tracing)")
+	debugAddr := flag.String("debug-addr", "", "IP:port serving HTTP /debug/stats, /debug/queries, /debug/peers (with -mesh-listen) and /debug/pprof/ (empty = off; enables per-query tracing)")
 	queryLog := flag.String("query-log", "", "append one JSON line per finished query trace to this file (empty = off; enables per-query tracing)")
 	port := flag.Int("upstream-port", 53, "port appended to learned name-server addresses")
 	maxInflight := flag.Int("max-inflight", transport.DefaultMaxInflight, "max queries handled concurrently per listener")
@@ -211,11 +210,28 @@ func run() error {
 	if *port < 1 || *port > 65535 {
 		return fmt.Errorf("-upstream-port %d: want a port in 1–65535", *port)
 	}
+	// Every address dnscache binds or dials is an IP literal, parsed here:
+	// nothing resolves a name, so a -root name is never looked up through
+	// a system resolver that may be this very dnscache.
+	listenAddr, err := transport.ParseAddr(*listen)
+	if err != nil {
+		return fmt.Errorf("-listen: %w", err)
+	}
+	var debugAP netip.AddrPort
+	if *debugAddr != "" {
+		if debugAP, err = transport.ParseAddr(*debugAddr); err != nil {
+			return fmt.Errorf("-debug-addr: %w", err)
+		}
+	}
 	var hints []core.ServerRef
 	for i, addr := range strings.Split(*roots, ",") {
+		ap, err := transport.ParseAddr(strings.TrimSpace(addr))
+		if err != nil {
+			return fmt.Errorf("-root: %w", err)
+		}
 		hints = append(hints, core.ServerRef{
 			Host: dnswire.MustName(fmt.Sprintf("root%d.hint.", i)),
-			Addr: transport.Addr(strings.TrimSpace(addr)),
+			Addr: transport.Addr(ap.String()),
 		})
 	}
 	policy, err := core.ParsePolicy(*renewal, *credit)
@@ -264,9 +280,9 @@ func run() error {
 	// start-up outright and ":0" reports its real port.
 	var sinks []resolve.Sink
 	var ring *resolve.Ring
-	var debugLn net.Listener
+	var debugLn *transport.TCPListener
 	if *debugAddr != "" {
-		if debugLn, err = net.Listen("tcp", *debugAddr); err != nil {
+		if debugLn, err = transport.ListenTCP(debugAP); err != nil {
 			return err
 		}
 		defer debugLn.Close()
@@ -407,15 +423,11 @@ func run() error {
 		udp.Overload = g.HandleOverload
 	}
 	udp.Handler = udpHandler
-	addr, err := udp.Listen(*listen)
-	if err != nil {
-		return err
-	}
 	// TCP is deliberately unguarded: slip pushes clients there, the
 	// connection itself provides backpressure, and sources are real.
 	tcp := &transport.TCPServer{Handler: cs, MaxInflight: *maxInflight}
-	if _, err := tcp.Listen(addr); err != nil {
-		udp.Close()
+	addr, err := transport.ListenPair(udp, tcp, listenAddr)
+	if err != nil {
 		return err
 	}
 	fmt.Printf("caching server on %s (udp+tcp, refresh=%v renewal=%s max-inflight=%d guard=%v)\n",
@@ -446,7 +458,7 @@ func run() error {
 			opts.Peers = func() any { return node.Snapshot() }
 		}
 		go func() {
-			if err := debughttp.Serve(debugLn, opts); !errors.Is(err, net.ErrClosed) {
+			if err := debughttp.Serve(debugLn, opts); !errors.Is(err, transport.ErrClosed) {
 				fmt.Fprintln(os.Stderr, "dnscache: debug endpoint:", err)
 			}
 		}()

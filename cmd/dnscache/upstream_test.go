@@ -61,6 +61,7 @@ func TestRunRejectsMeshAddrs(t *testing.T) {
 		{"-mesh-listen", ":0", ""},
 		{"-mesh-listen", "0.0.0.0:0", ""},
 		{"-mesh-listen", "localhost:0", ""},
+		{"-mesh-listen", "[fe80::1%lo]:7946", ""},
 		{"-mesh-peers", "127.0.0.1:0", "127.0.0.1:7947,localhost:7948"},
 	} {
 		flag.CommandLine = flag.NewFlagSet("dnscache", flag.ContinueOnError)
@@ -75,6 +76,34 @@ func TestRunRejectsMeshAddrs(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("-mesh-listen %q -mesh-peers %q: run() started serving", tc.listen, tc.peers)
+		}
+	}
+}
+
+// TestRunRejectsHostAddrs: -listen, -root and -debug-addr take IP:port
+// literals (":port" for every address) and nothing resolves a name, so a
+// host name or a zoned IPv6 address fails start-up as a flag error,
+// before any socket is bound.
+func TestRunRejectsHostAddrs(t *testing.T) {
+	defer func(args []string, fs *flag.FlagSet) { os.Args, flag.CommandLine = args, fs }(os.Args, flag.CommandLine)
+	for _, tc := range []struct{ flag, listen, root, debug string }{
+		{"-listen", "localhost:0", "127.0.0.1:53", ""},
+		{"-listen", "[fe80::1%lo]:0", "127.0.0.1:53", ""},
+		{"-root", "127.0.0.1:0", "127.0.0.1:53,a.root-servers.net:53", ""},
+		{"-root", "127.0.0.1:0", "[fe80::1%lo]:53", ""},
+		{"-debug-addr", "127.0.0.1:0", "127.0.0.1:53", "localhost:0"},
+	} {
+		flag.CommandLine = flag.NewFlagSet("dnscache", flag.ContinueOnError)
+		os.Args = []string{"dnscache", "-listen", tc.listen, "-root", tc.root, "-debug-addr", tc.debug}
+		errc := make(chan error, 1)
+		go func() { errc <- run() }()
+		select {
+		case err := <-errc:
+			if err == nil || !strings.HasPrefix(err.Error(), tc.flag) {
+				t.Errorf("-listen %q -root %q -debug-addr %q: run() = %v, want a %s error", tc.listen, tc.root, tc.debug, err, tc.flag)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("-listen %q -root %q -debug-addr %q: run() started serving", tc.listen, tc.root, tc.debug)
 		}
 	}
 }

@@ -27,12 +27,12 @@ func main() {
 }
 
 func run() error {
-	server := flag.String("server", "127.0.0.1:5301", "DNS server address (host:port)")
+	server := flag.String("server", "127.0.0.1:5301", "DNS server IP:port")
 	timeout := flag.Duration("timeout", 3*time.Second, "query timeout")
 	rd := flag.Bool("rd", true, "set the recursion-desired flag")
 	flag.Parse()
 	if flag.NArg() < 1 {
-		return fmt.Errorf("usage: dnsquery [-server host:port] <name> [type]")
+		return fmt.Errorf("usage: dnsquery [-server IP:port] <name> [type]")
 	}
 	name, err := dnswire.CanonicalName(flag.Arg(0))
 	if err != nil {

@@ -40,13 +40,17 @@ func main() {
 
 func run() error {
 	var zones zoneFlags
-	listen := flag.String("listen", "127.0.0.1:5300", "UDP and TCP address to serve on")
+	listen := flag.String("listen", "127.0.0.1:5300", "IP:port to serve on over UDP and TCP (:port = every address)")
 	noIRRs := flag.Bool("no-apex-ns", false, "do not attach apex NS/glue to answers (ablation)")
 	delay := flag.Duration("delay", 0, "artificial per-query service delay (emulates WAN RTT in localhost experiments)")
 	flag.Var(&zones, "zone", "origin=masterfile, repeatable")
 	flag.Parse()
 	if len(zones) == 0 {
 		return fmt.Errorf("at least one -zone origin=file is required")
+	}
+	listenAddr, err := transport.ParseAddr(*listen)
+	if err != nil {
+		return fmt.Errorf("-listen: %w", err)
 	}
 
 	var loaded []*zone.Zone
@@ -89,15 +93,12 @@ func run() error {
 	// Delayed handlers hold their worker slot for the full delay, so give
 	// the experiment servers plenty of parallel headroom.
 	udp := &transport.UDPServer{Handler: handler, MaxInflight: 4096}
-	addr, err := udp.Listen(*listen)
+	tcp := &transport.TCPServer{Handler: handler}
+	addr, err := transport.ListenPair(udp, tcp, listenAddr)
 	if err != nil {
 		return err
 	}
 	defer udp.Close()
-	tcp := &transport.TCPServer{Handler: handler}
-	if _, err := tcp.Listen(addr); err != nil {
-		return err
-	}
 	defer tcp.Close()
 	fmt.Printf("serving on %s (udp+tcp)\n", addr)
 

@@ -35,7 +35,9 @@
 //   - a zero-value `var w T` of such a type, used as w or &w, is read as
 //     new(T) is: bounded only by T's own always-reporting Deadline. The
 //     zero value is one of w's definitions, so assigning a bounded
-//     literal to w later does not clear it (rebind instead);
+//     literal to w later does not clear it (rebind instead); so is the
+//     address of a field of such a type (&x.f), whose definitions the
+//     walker does not follow;
 //   - a store into a context field of a variable of a forwarding type
 //     of our own (`w.Context = x`, w a T or a *T whose Deadline is
 //     promoted from a field) is one more definition of w: w carries x's
@@ -56,7 +58,10 @@
 //     function that lets one of its own context parameters reach a sink
 //     unbounded exports a NeedsDeadline fact, turning its callers into
 //     sinks across package boundaries — this is how engine fetches and
-//     mesh peer-fetch become sinks without being named here.
+//     mesh peer-fetch become sinks without being named here. A
+//     parameter of a context type of our own (a concrete type with
+//     context.Context's four methods) counts as a context parameter, so
+//     the engine's attempt context is checked where it is made.
 //
 // An unbounded origin reaching a sink is reported at the sink call.
 // Reporting is scoped to the production fetch chain (lintutil.Scope);
@@ -142,7 +147,7 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 	flow := &dataflow.Flow{
 		Info:  df,
-		Param: func(v *types.Var) bool { return dataflow.IsContextType(v.Type()) },
+		Param: func(v *types.Var) bool { return dataflow.IsContextType(v.Type()) || ownContext(pass, v.Type()) },
 		// An origin is an unbounded provenance; a bounded context has none.
 		Call: func(call *ast.CallExpr, fn *types.Func) (bool, []ast.Expr) {
 			switch {
@@ -284,6 +289,21 @@ func forwards(pass *analysis.Pass, t types.Type) bool {
 	obj, index, _ := types.LookupFieldOrMethod(t, true, pass.Pkg, "Deadline")
 	_, ok := obj.(*types.Func)
 	return ok && len(index) > 1
+}
+
+// ownContext reports whether t, or what t points to, is a context type of
+// our own: a concrete type with context.Context's four methods.
+func ownContext(pass *analysis.Pass, t types.Type) bool {
+	if types.IsInterface(t) {
+		return false
+	}
+	for _, m := range []string{"Deadline", "Done", "Err", "Value"} {
+		obj, _, _ := types.LookupFieldOrMethod(t, true, pass.Pkg, m)
+		if _, ok := obj.(*types.Func); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // isNew reports whether call is the builtin new.

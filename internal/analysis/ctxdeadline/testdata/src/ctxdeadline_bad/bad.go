@@ -97,6 +97,27 @@ func ZeroVar(tr Transport) {
 	tr.Exchange(&w, "10.0.0.1", nil) // want "context without a deadline"
 }
 
+// FieldZero sends the address of a wrapper that is a field of another
+// struct: no literal of its own set its context, so it is read as new's.
+func FieldZero(tr Transport) {
+	q := &struct {
+		id  int
+		ctx wrapped
+	}{id: 1}
+	tr.Exchange(&q.ctx, "10.0.0.1", nil) // want "context without a deadline"
+}
+
+// sendWrapped hands Exchange a context type of our own it was given: its
+// callers answer for what it forwards.
+func sendWrapped(tr Transport, w *wrapped) {
+	tr.Exchange(w, "10.0.0.1", nil)
+}
+
+// ViaParam passes sendWrapped a wrapper that forwards nothing.
+func ViaParam(tr Transport) {
+	sendWrapped(tr, new(wrapped)) // want "context without a deadline"
+}
+
 // newWrapped is a constructor of a forwarding wrapper that takes no
 // context: what its result forwards is nothing the caller can see.
 func newWrapped(tag int) *wrapped {

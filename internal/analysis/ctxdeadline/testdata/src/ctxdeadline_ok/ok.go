@@ -122,6 +122,31 @@ func ZeroOwnDeadline(tr Transport) {
 	tr.Exchange(&f, "10.0.0.1", nil)
 }
 
+// FieldOwnDeadline sends the address of a field of the same type: its
+// own Deadline answers for it, as for a zero-value variable.
+func FieldOwnDeadline(tr Transport) {
+	q := &struct {
+		id  int
+		ctx fixed
+	}{id: 1}
+	tr.Exchange(&q.ctx, "10.0.0.1", nil)
+}
+
+// sendFixed hands Exchange a context type of our own it was given.
+func sendFixed(tr Transport, f *fixed) {
+	tr.Exchange(f, "10.0.0.1", nil)
+}
+
+// ViaParamOwnDeadline passes sendFixed a field of the type, whose own
+// Deadline answers for it.
+func ViaParamOwnDeadline(tr Transport) {
+	q := &struct {
+		id  int
+		ctx fixed
+	}{id: 1}
+	sendFixed(tr, &q.ctx)
+}
+
 // newFixed is a constructor of a type whose own Deadline always
 // reports one; its naked return keeps it from proving AddsDeadline.
 func newFixed(at time.Time) (f *fixed) {

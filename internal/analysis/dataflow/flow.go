@@ -131,6 +131,12 @@ func (f *Flow) origins(e ast.Expr, params map[*types.Var]int, seen map[*types.Va
 				lit = x
 			case *ast.Ident:
 				return union(x) // &v carries what v does
+			case *ast.SelectorExpr:
+				// &x.f: the walker follows no definition of a field, so
+				// its zero value answers for it, as for a `var v T`.
+				if t := f.Info.pass.TypesInfo.TypeOf(x); f.Zero != nil && t != nil && f.Zero(t) {
+					return []int{Source}
+				}
 			}
 		}
 		if lit != nil {

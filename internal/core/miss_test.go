@@ -45,27 +45,29 @@ func missCost(t *testing.T, cs *CachingServer, qs []*dnswire.Message) (objects, 
 // TestMissAllocs bounds what a cache miss allocates end to end through
 // HandleQuery, with its one upstream exchange over a Pipe, and holds the
 // flight goroutines warm: over a second run of misses, no goroutine is
-// started. The ceilings are the measured cost (42.2 objects and 2 348
-// bytes; 42.9 and ~2 445 under -race, where sync.Pool drops some timers)
+// started. The ceilings are the measured cost (37.2 objects and 2 061
+// bytes; 38.0 and ~2 160 under -race, where sync.Pool drops some timers)
 // with room for the race detector's drops only. Per miss, in objects:
 //
 //	frontend   8  the reply and its question (2), its answer (1), the
 //	              flight and its done channel (2), the closure handed to
 //	              the warm goroutine (1), the flight's cancel context and
 //	              its cancel func (2)
-//	flight    17  the retry and glue budgets (2), ResolveChain's and
+//	flight    12  the retry and glue budgets (2), ResolveChain's and
 //	              iterate's results and the chain's answer (3), the server
 //	              list and its mapped address (2), the ordered list (1),
-//	              the query with its question and OPT record (1), the
-//	              attempt's detached context, deadline and timer (4), the
-//	              relevant answers (1), the cached entry and its records
-//	              (2)
+//	              the query with its question, OPT record and the context
+//	              its attempts run under (1), the relevant answers (1), the
+//	              cached entry and its records (2)
 //	Pipe      15  authserver's reply, zone lookup and IRR attachment,
 //	              which a UDP transport replaces with Unpack's ~9
 //	runtime    2  map growth, amortised
 //
 // The frontend's wait timer comes from a pool; the budgets are their own
-// context values; the query is one object, not three. The tree before
+// context values; the query is one object, not three, and an attempt
+// arms no timer (context.WithoutCancel and WithTimeout's two contexts,
+// timer, timer callback and cancel func were 5 more objects and ~210
+// bytes). The tree before
 // this test paid 71.2 objects and 3 732 bytes here (the live server: 93
 // and 6.7 KB per query, against 55 and 2.9 KB after): a 5 s context
 // deadline for the frontend, a 30 s one for the flight, two value
@@ -91,8 +93,8 @@ func TestMissAllocs(t *testing.T) {
 
 // missObjects and missBytes are TestMissAllocs' ceilings.
 const (
-	missObjects = 44
-	missBytes   = 2560
+	missObjects = 39
+	missBytes   = 2304
 )
 
 // TestFlightCeiling: a flight's 30 s ceiling is its retry budget's end in

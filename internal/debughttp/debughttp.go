@@ -38,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/url"
 	"os"
 	"runtime"
@@ -51,6 +50,7 @@ import (
 
 	"resilientdns/internal/metrics"
 	"resilientdns/internal/resolve"
+	"resilientdns/internal/transport"
 )
 
 // Section is one named object of the /debug/stats payload.
@@ -99,10 +99,10 @@ const (
 
 // Serve answers debug requests on ln until Accept fails, then waits for
 // the connections still being served and returns Accept's error:
-// net.ErrClosed once ln is closed.
-func Serve(ln net.Listener, o Options) error { return serve(ln, o, ioTimeout) }
+// transport.ErrClosed once ln is closed.
+func Serve(ln transport.Listener, o Options) error { return serve(ln, o, ioTimeout) }
 
-func serve(ln net.Listener, o Options, timeout time.Duration) error {
+func serve(ln transport.Listener, o Options, timeout time.Duration) error {
 	// A slot is taken before each Accept and given back when its
 	// connection is done, so taking every slot waits for all of them.
 	slots := make(chan struct{}, maxConns)
@@ -122,7 +122,7 @@ func serve(ln net.Listener, o Options, timeout time.Duration) error {
 	}
 }
 
-func (o Options) serveConn(conn net.Conn, timeout time.Duration) {
+func (o Options) serveConn(conn transport.Conn, timeout time.Duration) {
 	defer conn.Close()
 	_ = conn.SetReadDeadline(time.Now().Add(timeout)) // fails only once conn is closed
 	method, u, body, err := readRequest(conn)
@@ -138,10 +138,10 @@ func (o Options) serveConn(conn net.Conn, timeout time.Duration) {
 	_ = conn.SetWriteDeadline(time.Now().Add(timeout))
 	head := fmt.Appendf(nil, "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n",
 		status, statusText[status], ctype, len(out))
-	if method == "HEAD" {
-		out = nil // announced in Content-Length all the same, as GET would send it
+	if method != "HEAD" { // HEAD's body is announced in Content-Length all the same
+		head = append(head, out...)
 	}
-	_, _ = (&net.Buffers{head, out}).WriteTo(conn) // a failed write means the client is gone
+	_, _ = conn.Write(head) // a failed write means the client is gone
 }
 
 var statusText = map[int]string{200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
@@ -149,7 +149,7 @@ var statusText = map[int]string{200: "OK", 400: "Bad Request", 404: "Not Found",
 
 // readRequest reads one request: a head of at most maxHead bytes, then the
 // body of at most maxBody bytes its Content-Length announces.
-func readRequest(conn net.Conn) (method string, u *url.URL, body []byte, err error) {
+func readRequest(conn io.Reader) (method string, u *url.URL, body []byte, err error) {
 	lr := &io.LimitedReader{R: conn, N: maxHead}
 	br := bufio.NewReader(lr)
 	var head []string

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/netip"
 	"os"
 	"reflect"
 	"runtime"
@@ -23,6 +24,7 @@ import (
 	"resilientdns/internal/metrics"
 	"resilientdns/internal/persist"
 	"resilientdns/internal/resolve"
+	"resilientdns/internal/transport"
 )
 
 func TestStatsEndpoint(t *testing.T) {
@@ -379,7 +381,7 @@ func start(t *testing.T, o Options) server { return startTimeout(t, o, ioTimeout
 
 func startTimeout(t *testing.T, o Options, timeout time.Duration) server {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := transport.ListenTCP(netip.MustParseAddrPort("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,8 +389,8 @@ func startTimeout(t *testing.T, o Options, timeout time.Duration) server {
 	go func() { done <- serve(ln, o, timeout) }()
 	t.Cleanup(func() {
 		ln.Close()
-		if err := <-done; !errors.Is(err, net.ErrClosed) {
-			t.Errorf("serve returned %v, want net.ErrClosed", err)
+		if err := <-done; !errors.Is(err, transport.ErrClosed) {
+			t.Errorf("serve returned %v, want transport.ErrClosed", err)
 		}
 	})
 	return server{ln.Addr().String()}

@@ -21,7 +21,6 @@
 package guard
 
 import (
-	"net"
 	"net/netip"
 
 	"resilientdns/internal/dnswire"
@@ -109,15 +108,23 @@ func (g *Guard) HandleQuery(q *dnswire.Message) *dnswire.Message {
 	return g.backend.HandleQuery(q)
 }
 
+// Source is where a query came from, as net.Addr describes an address;
+// a *net.UDPAddr is one.
+type Source interface {
+	Network() string
+	String() string
+}
+
 // HandleQueryFrom serves one query the way the UDP read loop does:
 // HandleInline, then HandleQuery if the query is still open. A nil
-// response means drop (send nothing). Only a *net.UDPAddr is charged to a
-// bucket; any other source fails open. The serving path never calls it —
-// the benchmark's in-process replay does. The query is offered unpacked
-// and without a key, so the inline entry answers it with a Message.
-func (g *Guard) HandleQueryFrom(q *dnswire.Message, from net.Addr) *dnswire.Message {
+// response means drop (send nothing). Only a UDP source with an AddrPort
+// (a *net.UDPAddr) is charged to a bucket; any other source fails open.
+// The serving path never calls it — the benchmark's in-process replay
+// does. The query is offered unpacked and without a key, so the inline
+// entry answers it with a Message.
+func (g *Guard) HandleQueryFrom(q *dnswire.Message, from Source) *dnswire.Message {
 	query := transport.Query{Msg: q}
-	if u, ok := from.(*net.UDPAddr); ok {
+	if u, ok := from.(interface{ AddrPort() netip.AddrPort }); ok && from.Network() == "udp" {
 		query.From = u.AddrPort()
 	}
 	if _, resp, done := g.HandleInline(&query, nil); done {

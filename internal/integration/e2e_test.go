@@ -9,11 +9,9 @@ import (
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net/netip"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -172,28 +170,17 @@ mail	300	IN	MX	10 www.corp.test.
 	return st
 }
 
-// listenPair serves h on one localhost port over both UDP and TCP. The
-// kernel picks a free UDP port, but its TCP twin may already be bound by
-// another socket on the machine; then the pair moves to a fresh port.
+// listenPair serves h on one localhost port over both UDP and TCP
+// (transport.ListenPair).
 func (s *stack) listenPair(t *testing.T, h transport.Handler) string {
 	t.Helper()
-	for attempt := 1; ; attempt++ {
-		udp := &transport.UDPServer{Handler: h}
-		addr, err := udp.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("udp listen: %v", err)
-		}
-		tcp := &transport.TCPServer{Handler: h}
-		if _, err := tcp.Listen(addr); err != nil {
-			udp.Close()
-			if errors.Is(err, syscall.EADDRINUSE) && attempt < 10 {
-				continue
-			}
-			t.Fatalf("tcp listen on %s: %v", addr, err)
-		}
-		s.close = append(s.close, func() { udp.Close() }, func() { tcp.Close() })
-		return addr
+	udp, tcp := &transport.UDPServer{Handler: h}, &transport.TCPServer{Handler: h}
+	addr, err := transport.ListenPair(udp, tcp, netip.MustParseAddrPort("127.0.0.1:0"))
+	if err != nil {
+		t.Fatalf("listen: %v", err)
 	}
+	s.close = append(s.close, func() { udp.Close() }, func() { tcp.Close() })
+	return addr
 }
 
 func TestEndToEndResolution(t *testing.T) {

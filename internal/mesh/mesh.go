@@ -121,11 +121,11 @@ type Node struct {
 // address and returns it in canonical form (IPv4-mapped IPv6 unmapped),
 // whose String is what a datagram's source address prints as. Host
 // names are refused: a node hashes ownership and matches sources by
-// that exact string.
+// that exact string. So are zones, which the socket layer cannot bind.
 func ParseAddr(s string) (netip.AddrPort, error) {
 	ap, err := netip.ParseAddrPort(s)
-	if err != nil {
-		return netip.AddrPort{}, fmt.Errorf("mesh: address %q: want an IP:port literal", s)
+	if err != nil || ap.Addr().Zone() != "" {
+		return netip.AddrPort{}, fmt.Errorf("mesh: address %q: want an IP:port literal without a zone", s)
 	}
 	if ap.Addr().IsUnspecified() {
 		return netip.AddrPort{}, fmt.Errorf("mesh: address %q: unspecified IP, want the one peers reach", s)

@@ -4,9 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/netip"
 	"sync"
+
+	"resilientdns/internal/transport"
 )
 
 // Conn is the production mesh transport: one UDP socket per node, used
@@ -21,7 +22,7 @@ import (
 // number); everything else is dispatched to the node's request handler
 // on the read-loop goroutine.
 type Conn struct {
-	pc *net.UDPConn
+	pc *transport.UDPConn
 
 	mu      sync.Mutex
 	pending map[pendingKey]chan []byte
@@ -34,13 +35,13 @@ type pendingKey struct {
 	seq  uint32
 }
 
-// ListenUDP binds the mesh socket.
+// ListenUDP binds the mesh socket to listen, an IP:port literal.
 func ListenUDP(listen string) (*Conn, error) {
-	addr, err := net.ResolveUDPAddr("udp", listen)
+	addr, err := transport.ParseAddr(listen)
 	if err != nil {
-		return nil, fmt.Errorf("mesh: resolve %s: %w", listen, err)
+		return nil, fmt.Errorf("mesh: %w", err)
 	}
-	pc, err := net.ListenUDP("udp", addr)
+	pc, err := transport.ListenUDP(addr)
 	if err != nil {
 		return nil, fmt.Errorf("mesh: listen %s: %w", listen, err)
 	}

@@ -2,7 +2,7 @@ package mesh
 
 import (
 	"context"
-	"net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -111,7 +111,7 @@ func TestUDPOversizedDatagramIgnored(t *testing.T) {
 	b := nodes[1]
 
 	huge := make([]byte, MaxFrame+100)
-	if _, err := conns[1].pc.WriteToUDP(huge, mustUDPAddr(t, conns[0].LocalAddr())); err != nil {
+	if _, err := conns[1].pc.WriteToUDPAddrPort(huge, netip.MustParseAddrPort(conns[0].LocalAddr())); err != nil {
 		t.Fatal(err)
 	}
 	// The loop must still serve valid traffic afterwards.
@@ -124,13 +124,4 @@ func TestUDPOversizedDatagramIgnored(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatal("read loop did not survive an oversized datagram")
-}
-
-func mustUDPAddr(t *testing.T, s string) *net.UDPAddr {
-	t.Helper()
-	addr, err := net.ResolveUDPAddr("udp", s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return addr
 }

@@ -5,6 +5,7 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -64,18 +65,20 @@ func (e *Engine) Fetch(ctx context.Context, tr *Trace, servers []transport.Addr,
 	if len(servers) == 0 {
 		return nil, transport.ErrServerUnreachable
 	}
-	// The query, its question and its OPT record in one allocation:
-	// NewQuery's message, with SetEDNS0 appending into opt.
+	// The query, its question, its OPT record and the context each
+	// attempt runs under in one allocation: NewQuery's message, with
+	// SetEDNS0 appending into opt.
 	fq := &struct {
 		msg      dnswire.Message
 		question [1]dnswire.Question
 		opt      [1]dnswire.RR
+		attempt  attemptCtx
 	}{}
 	fq.question[0] = dnswire.Question{Name: qname, Type: qtype, Class: dnswire.ClassIN}
 	q := &fq.msg
 	q.ID, q.Question, q.Additional = e.nextQID(), fq.question[:], fq.opt[:0]
 	q.SetEDNS0(dnswire.DefaultEDNS0PayloadSize)
-	return e.exchangeFailover(ctx, tr, servers, q)
+	return e.exchangeFailover(ctx, &fq.attempt, tr, servers, q)
 }
 
 // exchangeFailover tries each of servers in the upstream layer's
@@ -84,7 +87,7 @@ func (e *Engine) Fetch(ctx context.Context, tr *Trace, servers []transport.Addr,
 // retry budget are shared across every fetch path. A cancelled client
 // must not keep burning upstream attempts, so the loop re-checks ctx and
 // the retry budget's end in time before every attempt.
-func (e *Engine) exchangeFailover(ctx context.Context, tr *Trace, servers []transport.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+func (e *Engine) exchangeFailover(ctx context.Context, actx *attemptCtx, tr *Trace, servers []transport.Addr, q *dnswire.Message) (*dnswire.Message, error) {
 	now := e.clock.Now()
 	ordered, skipped := e.upstream.order(servers, now)
 	if skipped > 0 {
@@ -113,7 +116,7 @@ func (e *Engine) exchangeFailover(ctx context.Context, tr *Trace, servers []tran
 			metrics.Inc(&e.counters.Retries)
 		}
 		metrics.Inc(&e.counters.QueriesOut)
-		resp, err := e.exchange(ctx, tr, addr, q, now, b.clip(now, e.upstream.attemptTimeout(addr)))
+		resp, err := e.exchange(ctx, actx, tr, addr, q, now, b.clip(now, e.upstream.attemptTimeout(addr)))
 		if err != nil {
 			metrics.Inc(&e.counters.QueriesOutFailed)
 			lastErr = err
@@ -128,14 +131,14 @@ func (e *Engine) exchangeFailover(ctx context.Context, tr *Trace, servers []tran
 // it applies the per-attempt deadline, timeout from then (the server's
 // RTT history cut to the retry budget's end in time), validates the
 // response (ID and question echo), and folds the outcome back into the
-// server's selection state and the trace. The attempt's context keeps
-// ctx's values but not its cancellation: work is cancelled between
-// attempts (halted), never mid-exchange, so a flight its last waiter
-// abandons neither blames the server it was asking nor throws away an
-// answer on its way. No child context is registered with ctx either.
-func (e *Engine) exchange(ctx context.Context, tr *Trace, addr transport.Addr, q *dnswire.Message, start time.Time, timeout time.Duration) (*dnswire.Message, error) {
-	actx, cancel := context.WithTimeout(context.WithoutCancel(ctx), timeout)
-	defer cancel()
+// server's selection state and the trace. The attempt runs under actx,
+// which keeps ctx's values but not its cancellation: work is cancelled
+// between attempts (halted), never mid-exchange, so a flight its last
+// waiter abandons neither blames the server it was asking nor throws away
+// an answer on its way. No child context is registered with ctx either.
+func (e *Engine) exchange(ctx context.Context, actx *attemptCtx, tr *Trace, addr transport.Addr, q *dnswire.Message, start time.Time, timeout time.Duration) (*dnswire.Message, error) {
+	actx.begin(ctx, time.Now().Add(timeout))
+	defer actx.end()
 	resp, err := e.transport.Exchange(actx, addr, q) //dnslint:ignore onepath the fetch engine is the one sanctioned exchange path
 	if err == nil && resp.ID != q.ID {
 		err = fmt.Errorf("resolve: mismatched response ID from %s", addr)
@@ -151,4 +154,84 @@ func (e *Engine) exchange(ctx context.Context, tr *Trace, addr transport.Addr, q
 	}
 	e.upstream.observeSuccess(addr, end.Sub(start))
 	return resp, nil
+}
+
+// attemptCtx is the context one upstream attempt runs under: the flight's
+// values and the attempt's deadline, without the flight's cancellation.
+// Unlike context.WithTimeout it arms no timer of its own beside the
+// socket's deadline, which is all an exchange reads: Done makes its
+// channel and timer only for a transport that asks for one. It lives
+// with the fetch's query and serves each of its attempts in turn, so a
+// transport must not keep it, as it must not keep the query, past
+// Exchange's return.
+type attemptCtx struct {
+	values   context.Context
+	deadline time.Time
+
+	mu    sync.Mutex
+	done  chan struct{}
+	timer *time.Timer
+	err   error
+}
+
+// begin readies c for an attempt under parent's values until deadline.
+func (c *attemptCtx) begin(parent context.Context, deadline time.Time) {
+	c.mu.Lock()
+	c.values, c.deadline, c.done, c.timer, c.err = parent, deadline, nil, nil, nil
+	c.mu.Unlock()
+}
+
+// end finishes the attempt as cancel finishes a WithTimeout context.
+func (c *attemptCtx) end() {
+	c.mu.Lock()
+	if c.timer != nil {
+		c.timer.Stop()
+	}
+	c.expire(context.Canceled)
+	c.mu.Unlock()
+}
+
+// expire records err as the reason, first one wins, and closes Done's
+// channel if it was made. Called with mu held.
+func (c *attemptCtx) expire(err error) {
+	if c.err == nil {
+		c.err = err
+		if c.done != nil {
+			close(c.done)
+		}
+	}
+}
+
+func (c *attemptCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+func (c *attemptCtx) Value(key any) any { return c.values.Value(key) }
+
+func (c *attemptCtx) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done == nil {
+		c.done = make(chan struct{})
+		if c.err != nil {
+			close(c.done)
+		} else {
+			done := c.done
+			c.timer = time.AfterFunc(time.Until(c.deadline), func() {
+				c.mu.Lock()
+				if c.done == done { // not a later attempt's
+					c.expire(context.DeadlineExceeded)
+				}
+				c.mu.Unlock()
+			})
+		}
+	}
+	return c.done
+}
+
+func (c *attemptCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil && !time.Now().Before(c.deadline) {
+		c.expire(context.DeadlineExceeded)
+	}
+	return c.err
 }

@@ -18,21 +18,21 @@ var errTransient = &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}
 
 // flakyListener fails the first `failures` Accept calls, then delegates.
 type flakyListener struct {
-	net.Listener
+	*TCPListener
 	failures atomic.Int32
 }
 
-func (l *flakyListener) Accept() (net.Conn, error) {
+func (l *flakyListener) Accept() (Conn, error) {
 	if l.failures.Add(-1) >= 0 {
 		return nil, errTransient
 	}
-	return l.Listener.Accept()
+	return l.TCPListener.Accept()
 }
 
 // flakyUDPConn fails the first `failures` ReadFromUDPAddrPort calls, then
 // delegates.
 type flakyUDPConn struct {
-	*net.UDPConn
+	*UDPConn
 	failures atomic.Int32
 }
 
@@ -46,13 +46,13 @@ func (c *flakyUDPConn) ReadFromUDPAddrPort(p []byte) (int, netip.AddrPort, error
 // TestTCPServerSurvivesAcceptErrors: Accept failing with EMFILE must not
 // end the accept loop; the server backs off and serves the next client.
 func TestTCPServerSurvivesAcceptErrors(t *testing.T) {
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	inner, err := ListenTCP(netip.MustParseAddrPort("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln := &flakyListener{Listener: inner}
+	ln := &flakyListener{TCPListener: inner}
 	ln.failures.Store(3)
-	srv := &TCPServer{Handler: echoHandler(), ln: ln, conns: map[net.Conn]struct{}{}, sem: make(chan struct{}, 4)}
+	srv := &TCPServer{Handler: echoHandler(), ln: ln, conns: map[Conn]struct{}{}, sem: make(chan struct{}, 4)}
 	srv.wg.Add(1)
 	go srv.serve(ln)
 	defer srv.Close()
@@ -73,11 +73,11 @@ func TestTCPServerSurvivesAcceptErrors(t *testing.T) {
 
 // TestUDPServerSurvivesReadErrors: the same for the UDP read loop.
 func TestUDPServerSurvivesReadErrors(t *testing.T) {
-	inner, err := net.ListenPacket("udp", "127.0.0.1:0")
+	inner, err := ListenUDP(netip.MustParseAddrPort("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := &flakyUDPConn{UDPConn: inner.(*net.UDPConn)}
+	conn := &flakyUDPConn{UDPConn: inner}
 	conn.failures.Store(3)
 	srv := &UDPServer{Handler: echoHandler(), conn: conn, sem: make(chan struct{}, 4)}
 	srv.wg.Add(1)

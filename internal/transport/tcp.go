@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"sync"
 	"time"
@@ -33,20 +32,22 @@ func (t *TCP) Exchange(ctx context.Context, server Addr, query *dnswire.Message)
 		deadline = d
 	}
 
-	// DialContext, not Dial: connect must respect the caller's context.
-	// A black-holed server (SYN dropped) would otherwise hold the dial
-	// for the kernel's own timeout, long past the engine's per-attempt
-	// deadline.
-	var dialer net.Dialer
-	dialer.Deadline = deadline
-	conn, err := dialer.DialContext(ctx, "tcp", string(server))
+	// The connect is bounded by the attempt's deadline: a black-holed
+	// server (SYN dropped) would otherwise hold it for the kernel's own
+	// timeout, long past the engine's per-attempt deadline. A context
+	// already done dials nothing.
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrServerUnreachable, err)
+	}
+	ap, err := ParseAddr(string(server))
+	var conn Conn
+	if err == nil {
+		conn, err = connectTCP(ap, deadline)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrServerUnreachable, err)
 	}
 	defer conn.Close()
-	if err := conn.SetDeadline(deadline); err != nil {
-		return nil, err
-	}
 
 	if err := WriteTCPMessage(conn, query); err != nil {
 		return nil, err
@@ -118,43 +119,52 @@ type TCPServer struct {
 	// mu guards ln and conns. ln is nil once Close has begun; conns are
 	// the live connections, tracked so Close can wake the idle ones.
 	mu    sync.Mutex
-	ln    net.Listener
-	conns map[net.Conn]struct{}
+	ln    Listener
+	conns map[Conn]struct{}
 	wg    sync.WaitGroup
 	sem   chan struct{}
 }
 
-// Listen binds and serves in background goroutines, returning the bound
-// address.
+// Listen binds addr (an IP:port literal, or ":port" for every address)
+// and serves in background goroutines, returning the bound address.
 func (s *TCPServer) Listen(addr string) (string, error) {
 	if s.Handler == nil {
 		return "", errors.New("transport: TCPServer without Handler")
 	}
-	ln, err := net.Listen("tcp", addr)
+	ap, err := ParseAddr(addr)
 	if err != nil {
 		return "", err
 	}
+	ln, err := ListenTCP(ap)
+	if err != nil {
+		return "", err
+	}
+	s.start(ln)
+	return ln.Addr().String(), nil
+}
+
+// start serves ln on an accept loop.
+func (s *TCPServer) start(ln Listener) {
 	inflight := s.MaxInflight
 	if inflight <= 0 {
 		inflight = DefaultMaxInflight
 	}
 	s.mu.Lock()
 	s.ln = ln
-	s.conns = make(map[net.Conn]struct{})
+	s.conns = make(map[Conn]struct{})
 	s.sem = make(chan struct{}, inflight)
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.serve(ln)
-	return ln.Addr().String(), nil
 }
 
-func (s *TCPServer) serve(ln net.Listener) {
+func (s *TCPServer) serve(ln Listener) {
 	defer s.wg.Done()
 	var backoff time.Duration
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
+			if errors.Is(err, ErrClosed) {
 				return
 			}
 			backoff = listenerBackoff(backoff)
@@ -180,7 +190,7 @@ func (s *TCPServer) serve(ln net.Listener) {
 // is closing. Checking and arming under mu means Close either sees this
 // deadline and expires it, or armRead sees Close and refuses — a
 // connection can never re-arm past a Close and make it wait.
-func (s *TCPServer) armRead(conn net.Conn) bool {
+func (s *TCPServer) armRead(conn Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ln != nil && conn.SetReadDeadline(time.Now().Add(30*time.Second)) == nil
@@ -191,7 +201,7 @@ func (s *TCPServer) armRead(conn net.Conn) bool {
 // connection are processed in order (responses must not interleave on the
 // stream), but each occupies a slot in the shared in-flight pool so a
 // flood of connections cannot oversubscribe the resolver.
-func (s *TCPServer) serveConn(conn net.Conn) {
+func (s *TCPServer) serveConn(conn Conn) {
 	defer s.wg.Done()
 	defer func() {
 		s.mu.Lock()

@@ -130,17 +130,13 @@ func TestUDPTruncatesOversizedResponses(t *testing.T) {
 
 func TestUDPWithTCPFallback(t *testing.T) {
 	handler := bigHandler()
-	udpSrv := &UDPServer{Handler: handler}
-	udpAddr, err := udpSrv.Listen("127.0.0.1:0")
+	// Serve TCP on the same port number so one Addr reaches both.
+	udpSrv, tcpSrv := &UDPServer{Handler: handler}, &TCPServer{Handler: handler}
+	udpAddr, err := ListenPair(udpSrv, tcpSrv, netip.MustParseAddrPort("127.0.0.1:0"))
 	if err != nil {
-		t.Fatalf("udp Listen: %v", err)
+		t.Fatalf("ListenPair: %v", err)
 	}
 	defer udpSrv.Close()
-	// Serve TCP on the same port number so one Addr reaches both.
-	tcpSrv := &TCPServer{Handler: handler}
-	if _, err := tcpSrv.Listen(udpAddr); err != nil {
-		t.Fatalf("tcp Listen on %s: %v", udpAddr, err)
-	}
 	defer tcpSrv.Close()
 
 	c := &UDPWithTCPFallback{

@@ -13,7 +13,7 @@ import (
 	"resilientdns/internal/dnswire"
 )
 
-// Addr identifies a DNS server endpoint. Over UDP it is "host:port"; in
+// Addr identifies a DNS server endpoint. Over UDP it is an IP:port literal; in
 // the simulated network it is the server's synthetic IP address.
 type Addr string
 
@@ -121,7 +121,7 @@ func (q *Query) Message() (*dnswire.Message, error) {
 }
 
 // listenerBackoff pauses a serve loop after a listener error that is not
-// net.ErrClosed and returns the pause taken: 5 ms, doubling from prev up
+// ErrClosed and returns the pause taken: 5 ms, doubling from prev up
 // to 1 s (net/http's accept back-off). Such errors are transient — EMFILE
 // or ENOBUFS under the very flood this resolver exists to survive — so
 // the loop must keep serving, but without spinning while they persist.

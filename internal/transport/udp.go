@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/netip"
 	"os"
 	"runtime"
@@ -45,7 +44,7 @@ func (u *UDP) Exchange(ctx context.Context, server Addr, query *dnswire.Message)
 		deadline = d
 	}
 
-	sock, err := dialUDP(ctx, server)
+	sock, err := dialUDP(server)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrServerUnreachable, err)
 	}
@@ -100,31 +99,16 @@ func answers(query *dnswire.Message, datagram []byte) (*dnswire.Message, bool) {
 	return m, true
 }
 
-// dialUDP opens a fresh connected socket to server, so every exchange
-// gets its own kernel-chosen source port (RFC 5452). A literal address,
-// which is what the resolver's address mapper produces, is opened
-// directly (openUDP), with no resolver and no Dialer; a host name goes
-// through the Dialer.
-func dialUDP(ctx context.Context, server Addr) (udpSocket, error) {
-	ap, err := netip.ParseAddrPort(string(server))
-	if err != nil {
-		var dialer net.Dialer
-		conn, err := dialer.DialContext(ctx, "udp", string(server))
-		if err != nil {
-			return nil, err
-		}
-		return conn.(*net.UDPConn), nil
-	}
-	return openUDP(ap)
-}
-
-// dialConn opens the socket to a literal address through net.DialUDP.
-func dialConn(ap netip.AddrPort) (udpSocket, error) {
-	conn, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(ap))
+// dialUDP opens a fresh connected socket to server, an IP:port literal
+// (what the resolver's address mapper produces), so every exchange gets
+// its own kernel-chosen source port (RFC 5452). Nothing resolves a name
+// here.
+func dialUDP(server Addr) (udpSocket, error) {
+	ap, err := ParseAddr(string(server))
 	if err != nil {
 		return nil, err
 	}
-	return conn, nil
+	return openUDP(ap)
 }
 
 // DefaultMaxInflight bounds concurrently handled queries when a server's
@@ -167,7 +151,7 @@ type UDPServer struct {
 	workers Workers
 }
 
-// udpConn is what the server uses of its *net.UDPConn: the AddrPort
+// udpConn is what the server uses of its socket (*UDPConn): the AddrPort
 // calls, which allocate no address per datagram.
 type udpConn interface {
 	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
@@ -175,18 +159,30 @@ type udpConn interface {
 	Close() error
 }
 
-// Listen binds the server to addr (e.g. "127.0.0.1:5300") and starts
-// serving in background goroutines. It returns the bound address, which is
-// useful when addr requests an ephemeral port.
+// Listen binds the server to addr (an IP:port literal, e.g.
+// "127.0.0.1:5300", or ":port" for every address) and starts serving in
+// background goroutines. It returns the bound address, which is useful
+// when addr requests an ephemeral port.
 func (s *UDPServer) Listen(addr string) (string, error) {
 	if s.Handler == nil {
 		return "", errors.New("transport: UDPServer without Handler")
 	}
-	pc, err := net.ListenPacket("udp", addr)
+	ap, err := ParseAddr(addr)
 	if err != nil {
 		return "", err
 	}
-	conn := pc.(*net.UDPConn)
+	conn, err := ListenUDP(ap)
+	if err != nil {
+		return "", err
+	}
+	s.start(conn)
+	return conn.LocalAddr().String(), nil
+}
+
+// start serves conn: one read loop per P. Queries settled inline are
+// answered on the loop that read them, so the loops are what spreads them
+// over cores.
+func (s *UDPServer) start(conn udpConn) {
 	inflight := s.MaxInflight
 	if inflight <= 0 {
 		inflight = DefaultMaxInflight
@@ -195,14 +191,10 @@ func (s *UDPServer) Listen(addr string) (string, error) {
 	s.conn = conn
 	s.sem = make(chan struct{}, inflight)
 	s.mu.Unlock()
-
-	// One read loop per P: queries settled inline are answered on the
-	// loop that read them, so the loops are what spreads them over cores.
 	for i := runtime.GOMAXPROCS(0); i > 0; i-- {
 		s.wg.Add(1)
 		go s.serve(conn)
 	}
-	return conn.LocalAddr().String(), nil
 }
 
 func (s *UDPServer) serve(conn udpConn) {
@@ -226,7 +218,7 @@ func (s *UDPServer) serve(conn udpConn) {
 	for {
 		n, from, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
+			if errors.Is(err, ErrClosed) {
 				return
 			}
 			backoff = listenerBackoff(backoff)

@@ -57,20 +57,16 @@ func readReply(sock udpSocket, query *dnswire.Message, deadline time.Time) (*dns
 // openUDP opens the fresh connected socket itself, nonblocking from the
 // start, and hands it to the runtime poller as a file: net.DialUDP's
 // SO_BROADCAST, getsockname and getpeername calls and its address objects
-// are not needed for one exchange. A zoned IPv6 address needs its
-// interface index and goes through net.DialUDP.
+// are not needed for one exchange. ap has no zone (ParseAddr).
 func openUDP(ap netip.AddrPort) (udpSocket, error) {
 	ip := ap.Addr().Unmap()
 	var sa syscall.Sockaddr
 	family := syscall.AF_INET
-	switch {
-	case ip.Is4():
+	if ip.Is4() {
 		sa = &syscall.SockaddrInet4{Port: int(ap.Port()), Addr: ip.As4()}
-	case ip.Zone() == "":
+	} else {
 		family = syscall.AF_INET6
 		sa = &syscall.SockaddrInet6{Port: int(ap.Port()), Addr: ip.As16()}
-	default:
-		return dialConn(ap)
 	}
 	fd, err := syscall.Socket(family, syscall.SOCK_DGRAM|syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC, 0)
 	if err != nil {

@@ -3,6 +3,7 @@
 package transport
 
 import (
+	"net"
 	"net/netip"
 	"time"
 
@@ -29,4 +30,10 @@ func readReply(sock udpSocket, query *dnswire.Message, _ time.Time) (*dnswire.Me
 }
 
 // openUDP opens the socket through net.DialUDP.
-func openUDP(ap netip.AddrPort) (udpSocket, error) { return dialConn(ap) }
+func openUDP(ap netip.AddrPort) (udpSocket, error) {
+	conn, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(ap))
+	if err != nil {
+		return nil, err
+	}
+	return conn, nil
+}
