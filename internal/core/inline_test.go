@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"resilientdns/internal/dnswire"
+	"resilientdns/internal/race"
 	"resilientdns/internal/resolve"
 	"resilientdns/internal/transport"
 )
@@ -324,7 +325,7 @@ func TestInlineHitAllocs(t *testing.T) {
 		}
 	})
 	full := testing.AllocsPerRun(200, func() { f.cs.HandleQuery(q) })
-	if inline > 6 || full > 6 {
+	if (inline > 6 || full > 6) && !race.Enabled {
 		t.Errorf("allocations per hit: HandleInline %.0f, HandleQuery %.0f; want at most 6 each", inline, full)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"resilientdns/internal/dnswire"
+	"resilientdns/internal/race"
 	"resilientdns/internal/simclock"
 	"resilientdns/internal/transport"
 )
@@ -45,34 +46,37 @@ func missCost(t *testing.T, cs *CachingServer, qs []*dnswire.Message) (objects, 
 // TestMissAllocs bounds what a cache miss allocates end to end through
 // HandleQuery, with its one upstream exchange over a Pipe, and holds the
 // flight goroutines warm: over a second run of misses, no goroutine is
-// started. The ceilings are the measured cost (37.2 objects and 2 061
-// bytes; 38.0 and ~2 160 under -race, where sync.Pool drops some timers)
-// with room for the race detector's drops only. Per miss, in objects:
+// started. The ceilings are the measured cost (28.2 objects and 1 629
+// bytes) with a little room; under -race, where sync.Pool drops items
+// at random, the body runs and the count is not asserted. Per miss, in
+// objects:
 //
-//	frontend   8  the reply and its question (2), its answer (1), the
-//	              flight and its done channel (2), the closure handed to
-//	              the warm goroutine (1), the flight's cancel context and
-//	              its cancel func (2)
-//	flight    12  the retry and glue budgets (2), ResolveChain's and
-//	              iterate's results and the chain's answer (3), the server
-//	              list and its mapped address (2), the ordered list (1),
-//	              the query with its question, OPT record and the context
-//	              its attempts run under (1), the relevant answers (1), the
-//	              cached entry and its records (2)
-//	Pipe      15  authserver's reply, zone lookup and IRR attachment,
-//	              which a UDP transport replaces with Unpack's ~9
+//	frontend   4  the reply with its question (1), its answer (1), the
+//	              flight, which is also the task its warm goroutine
+//	              runs, and its done channel (2)
+//	flight     8  ResolveChain's and iterate's results and the chain's
+//	              answer (3), the server list and its mapped address (2),
+//	              the relevant answers (1), the cached entry and its
+//	              records (2)
+//	Pipe      14  authserver's reply, zone lookup and IRR attachment,
+//	              which a UDP transport replaces with Unpack's ~8
 //	runtime    2  map growth, amortised
 //
-// The frontend's wait timer comes from a pool; the budgets are their own
-// context values; the query is one object, not three, and an attempt
+// The frontend's wait timer and the fetch's query, with the context its
+// attempts run under and the order it tries the servers in, come from
+// pools; a reply of one question is one object with it; the flight is
+// its own context, so its cancellation is a flag and its retry and glue
+// budgets are one Work inside it (context.WithCancel's context and cancel
+// func, the two budget contexts and the closure that started the flight
+// were 5 more objects and ~180 bytes, the query object, the ordered list
+// and the replies' question slices 4 more and ~270 bytes); an attempt
 // arms no timer (context.WithoutCancel and WithTimeout's two contexts,
 // timer, timer callback and cancel func were 5 more objects and ~210
-// bytes). The tree before
-// this test paid 71.2 objects and 3 732 bytes here (the live server: 93
-// and 6.7 KB per query, against 55 and 2.9 KB after): a 5 s context
-// deadline for the frontend, a 30 s one for the flight, two value
-// contexts, sort.SliceStable's reflection, the grouping map and every
-// String() rrsetEqual compared.
+// bytes). The tree before this test paid 71.2 objects and 3 732 bytes
+// here (the live server: 93 and 6.7 KB per query, against 55 and 2.9 KB
+// after): a 5 s context deadline for the frontend, a 30 s one for the
+// flight, two value contexts, sort.SliceStable's reflection, the grouping
+// map and every String() rrsetEqual compared.
 func TestMissAllocs(t *testing.T) {
 	const n = 1000
 	cs := newPipeHierarchy(t, Config{}, 3600, 2*n+1)
@@ -83,7 +87,7 @@ func TestMissAllocs(t *testing.T) {
 	started := cs.flights.Started()
 	objects, bytes := missCost(t, cs, missQueries(n, n))
 	t.Logf("per miss: %.1f objects, %.0f bytes", objects, bytes)
-	if objects > missObjects || bytes > missBytes {
+	if (objects > missObjects || bytes > missBytes) && !race.Enabled {
 		t.Errorf("per miss: %.1f objects and %.0f bytes, want at most %d and %d", objects, bytes, missObjects, missBytes)
 	}
 	if more := cs.flights.Started() - started; more > 0 {
@@ -93,8 +97,8 @@ func TestMissAllocs(t *testing.T) {
 
 // missObjects and missBytes are TestMissAllocs' ceilings.
 const (
-	missObjects = 39
-	missBytes   = 2304
+	missObjects = 30
+	missBytes   = 1700
 )
 
 // TestFlightCeiling: a flight's 30 s ceiling is its retry budget's end in

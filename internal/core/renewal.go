@@ -118,22 +118,31 @@ func (cs *CachingServer) ProcessDueRenewals(ctx context.Context, now time.Time) 
 		it := heap.Pop(&cs.renew).(*renewItem)
 		delete(cs.scheduled, it.zone)
 		cs.renewMu.Unlock()
-		if cs.renewZone(ctx, it.zone, now) {
+		if cs.renewZone(ctx, it.zone, it.due, now) {
 			issued++
 		}
 	}
 }
 
-// renewZone decides whether the zone's IRRs should be refetched and, if
-// so, spends one credit doing it. Reports whether a refetch was issued.
-// Called without renewMu held.
-func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, now time.Time) bool {
+// renewZone decides whether the zone's IRRs, due for renewal at due,
+// should be refetched and, if so, spends one credit doing it. Reports
+// whether a refetch was issued. Called without renewMu held.
+func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, due, now time.Time) bool {
 	if cs.cfg.Renewal == nil {
 		return false
 	}
 	e := cs.cache.Peek(zone, dnswire.TypeNS)
-	if e == nil || !e.Infra() {
-		return false // expired or evicted; nothing to renew
+	if e == nil {
+		cs.renewMu.Lock()
+		lost := cs.credits[zone] >= 1
+		cs.renewMu.Unlock()
+		if lost {
+			metrics.Inc(&cs.stats.RenewalLostCredit)
+		}
+		return false // retired or evicted; nothing to renew
+	}
+	if !e.Infra() {
+		return false
 	}
 	lead := renewLead
 	if fleet := cs.cfg.Fleet; fleet != nil {
@@ -175,21 +184,24 @@ func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, now t
 	cs.credits[zone]--
 	cs.renewMu.Unlock()
 	metrics.Inc(&cs.stats.RenewalQueries)
-	// Late is judged by the clock as the refetch starts, not by the
-	// sweep's now: refetches earlier in the same sweep may have run it
-	// past the entry's expiry.
-	if !cs.cfg.Clock.Now().Before(e.Expires()) {
+	// Late and the delay are judged by the clock as the refetch starts,
+	// not by the sweep's now: refetches earlier in the same sweep may
+	// have run it past the entry's expiry.
+	issued := cs.cfg.Clock.Now()
+	if !issued.Before(e.Expires()) {
 		metrics.Inc(&cs.stats.RenewalLate)
 	}
-	// One renewal cycle gets one retry budget, like one resolution does.
-	ctx = resolve.WithRetryBudget(ctx, cs.cfg.Upstream.RetryBudget, time.Time{})
+	delay := max(issued.Sub(due), 0)
+	cs.renewDelay.Observe(delay)
+	metrics.Add(&cs.stats.RenewalDelayUS, uint64(delay.Microseconds()))
 	tr := cs.resolver.NewTrace(resolve.KindRenewal, zone, dnswire.TypeNS)
 
 	// Refetch the zone's own NS RRset from its servers through the shared
-	// fetch engine. The response's answer carries the NS set and its glue,
-	// which ingest re-caches with answer credibility, resetting the TTL.
+	// fetch engine, under one Work of retry budget, as one resolution
+	// gets. The response's answer carries the NS set and its glue, which
+	// ingest re-caches with answer credibility, resetting the TTL.
 	addrs := cs.resolver.ZoneAddrs(e.RRs)
-	resp, err := cs.resolver.Refetch(ctx, tr, zone, addrs)
+	resp, err := cs.resolver.Refetch(resolve.NewWork(ctx, cs.cfg.Upstream.RetryBudget), tr, zone, addrs)
 	if err != nil {
 		metrics.Inc(&cs.stats.RenewalFailed)
 		cs.resolver.FinishTrace(tr, nil, err)

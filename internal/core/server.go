@@ -46,6 +46,9 @@ type CachingServer struct {
 	credits   map[dnswire.Name]float64
 	renew     renewQueue
 	scheduled map[dnswire.Name]bool
+	// renewDelay holds how long after its due instant each renewal
+	// refetch started (Stats' RenewalDelay fields).
+	renewDelay metrics.Histogram
 
 	// flightMu guards the in-flight resolution table.
 	flightMu sync.Mutex

@@ -641,3 +641,62 @@ func TestCacheStatsApproxBytes(t *testing.T) {
 		t.Errorf("ApproxBytes = %d implausibly small for %d records", st.ApproxBytes, st.Records)
 	}
 }
+
+// TestRenewalMeasures drives the renewal scheduler's three measures on a
+// virtual clock: three zones fall due at one instant, one of which has
+// lost its NS entry, and each refetch takes two seconds. The lost one
+// counts as a lost credit, the second refetch starts two seconds after
+// its due instant, and the queue holds the three zones before the sweep
+// and the two renewed ones after it.
+func TestRenewalMeasures(t *testing.T) {
+	clk := simclock.NewVirtual(epoch)
+	slow := transport.Exchanger(func(_ context.Context, _ transport.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+		clk.Advance(2 * time.Second)
+		zone := string(q.Question[0].Name)
+		resp := q.Reply()
+		resp.Flags.Authoritative = true
+		resp.Answer = []dnswire.RR{rrNS(zone, 100, "ns."+zone)}
+		return resp, nil
+	})
+	cs, err := NewCachingServer(Config{
+		Transport: slow,
+		Clock:     clk,
+		RootHints: []ServerRef{{Host: dnswire.MustName("a.root-servers.net."), Addr: "10.0.0.1"}},
+		Renewal:   LRU{C: 3},
+	})
+	if err != nil {
+		t.Fatalf("NewCachingServer: %v", err)
+	}
+	defer cs.Close()
+	credits := map[dnswire.Name]float64{}
+	for i, zone := range []string{"a.test.", "b.test.", "gone.test."} {
+		cs.cache.Put([]dnswire.RR{rrNS(zone, 100, "ns."+zone)}, cache.CredAnswer, true)
+		cs.cache.Put([]dnswire.RR{rrA("ns."+zone, 3600, fmt.Sprintf("10.0.9.%d", i+1))}, cache.CredAnswer, true)
+		credits[dnswire.MustName(zone)] = 1
+	}
+	cs.RestoreRenewalCredits(credits)
+	cs.RearmRenewals()
+	if st := cs.Stats(); st.RenewalQueue != 3 {
+		t.Fatalf("RenewalQueue = %d before the sweep, want 3", st.RenewalQueue)
+	}
+	cs.cache.Evict(dnswire.MustName("gone.test."), dnswire.TypeNS)
+
+	due, _ := cs.NextRenewalDue()
+	clk.AdvanceTo(due)
+	if n := cs.ProcessDueRenewals(context.Background(), due); n != 2 {
+		t.Fatalf("ProcessDueRenewals issued %d refetches, want 2", n)
+	}
+	st := cs.Stats()
+	if st.RenewalLostCredit != 1 {
+		t.Errorf("RenewalLostCredit = %d, want 1 (gone.test.)", st.RenewalLostCredit)
+	}
+	if st.RenewalDelayUS != 2e6 {
+		t.Errorf("RenewalDelayUS = %d, want 2 000 000 (0 s, then 2 s after due)", st.RenewalDelayUS)
+	}
+	if st.RenewalDelayMaxUS != 1<<21 {
+		t.Errorf("RenewalDelayMaxUS = %d, want %d, the bound of the 2 s bucket", st.RenewalDelayMaxUS, 1<<21)
+	}
+	if st.RenewalQueue != 2 {
+		t.Errorf("RenewalQueue = %d after the sweep, want the 2 renewed zones", st.RenewalQueue)
+	}
+}

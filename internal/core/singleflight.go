@@ -17,22 +17,27 @@ import (
 // its own ceiling a black-holed upstream chain would pin the flight
 // goroutine and its table slot indefinitely. Generous compared to the
 // frontend's per-query budget: the flight only needs to die eventually,
-// waiters give up on their own schedule. It rides in the flight's retry
-// budget, not in a context deadline: no attempt starts at or after it,
-// and none is given a deadline past it.
+// waiters give up on their own schedule. It is the flight's Work's end in
+// time, not a context deadline: no attempt starts at or after it, and
+// none is given a deadline past it.
 const flightTimeout = 30 * time.Second
 
 // flightCall is one in-flight resolution of a (name, type) pair shared by
-// every concurrent Resolve call asking the same question.
+// every concurrent Resolve call asking the same question. It is also the
+// context the flight resolves under: its Work (the retry budget, the glue
+// budget and the ceiling) answers Value, and its cancellation is a flag,
+// set when the last waiter leaves. Like the fetch's attempt context, it
+// makes a Done channel only for a caller that asks for one. It is the task
+// its warm goroutine runs, too, so a flight is this object and its done
+// channel.
 type flightCall struct {
+	resolve.Work
+	cs  *CachingServer
+	key cache.Key
+
 	// done closes when res/err are final; they are written before the
 	// close and only read after it.
 	done chan struct{}
-	// cancel aborts the flight's resolution context. Called only when
-	// the last waiter leaves (see abandonFlight): a cancelled leader
-	// hands the flight off to the remaining waiters rather than failing
-	// them.
-	cancel context.CancelFunc
 	// waiters counts callers blocked on done; guarded by cs.flightMu so
 	// joining and abandoning serialize (a joiner can never slip in after
 	// the "last" waiter left and latch onto a cancelled flight).
@@ -40,14 +45,59 @@ type flightCall struct {
 
 	res *Result
 	err error
+
+	// mu guards the cancellation: cancelled is set once, by cancel, and
+	// abort is Done's channel, made on first use.
+	mu        sync.Mutex
+	cancelled bool
+	abort     chan struct{}
+}
+
+// cancel aborts the flight's resolution. Called only when the last waiter
+// leaves (see abandonFlight): a cancelled leader hands the flight off to
+// the remaining waiters rather than failing them.
+func (c *flightCall) cancel() {
+	c.mu.Lock()
+	if !c.cancelled {
+		c.cancelled = true
+		if c.abort != nil {
+			close(c.abort)
+		}
+	}
+	c.mu.Unlock()
+}
+
+// Deadline implements context.Context: a flight has none; its ceiling is
+// its Work's end in time.
+func (c *flightCall) Deadline() (time.Time, bool) { return time.Time{}, false }
+
+func (c *flightCall) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.abort == nil {
+		c.abort = make(chan struct{})
+		if c.cancelled {
+			close(c.abort)
+		}
+	}
+	return c.abort
+}
+
+func (c *flightCall) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cancelled {
+		return context.Canceled
+	}
+	return nil
 }
 
 // resolveCoalesced resolves qname/qtype through the in-flight table: the
 // first caller for a key starts the resolution on a warm goroutine
 // (cs.flights), and later callers for the same key wait on the existing
-// flight. The resolution runs under a context detached from any single
-// caller, so a cancelled caller only aborts the upstream work when no
-// other caller is still waiting on it. A caller waits until ctx is done
+// flight. The resolution runs under the flight itself, detached from any
+// single caller, so a cancelled caller only aborts the upstream work when
+// no other caller is still waiting on it. A caller waits until ctx is done
 // or, when timeout is positive, for timeout at most; either way it leaves
 // through abandonFlight.
 func (cs *CachingServer) resolveCoalesced(ctx context.Context, timeout time.Duration, tr *resolve.Trace, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
@@ -56,10 +106,16 @@ func (cs *CachingServer) resolveCoalesced(ctx context.Context, timeout time.Dura
 	cs.flightMu.Lock()
 	c, joined := cs.flight[key]
 	if !joined {
-		fctx, fcancel := context.WithCancel(context.Background())
-		c = &flightCall{done: make(chan struct{}), cancel: fcancel}
+		c = &flightCall{cs: cs, key: key, done: make(chan struct{})}
+		// The whole flight — every referral step, nested glue fetch, and
+		// failover attempt — draws from one Work, which also carries the
+		// flight's ceiling. Cancelling the flight (the last waiter left)
+		// stops it at its next attempt boundary; the attempt under way
+		// runs to its own deadline, so a server that was about to answer
+		// is neither blamed nor wasted.
+		c.StartQuery(nil, cs.cfg.Upstream.RetryBudget, cs.cfg.Clock.Now().Add(flightTimeout))
 		cs.flight[key] = c
-		cs.flights.Go(func() { cs.runFlight(fctx, key, c) })
+		cs.flights.Go(c)
 	}
 	c.waiters++
 	cs.flightMu.Unlock()
@@ -109,22 +165,17 @@ func putWaitTimer(t *time.Timer) {
 	waitTimers.Put(t)
 }
 
-// runFlight performs the actual resolution for one flight and publishes
-// the outcome. It always detaches the flight from the table before
-// closing done, so no waiter can observe a completed flight in the map.
-// The flight serves every coalesced waiter, so it carries its own trace
-// (KindResolve) rather than borrowing any single caller's: a trace
-// belongs to one goroutine, and the callers' traces live on theirs.
-func (cs *CachingServer) runFlight(fctx context.Context, key cache.Key, c *flightCall) {
-	// The whole flight — every referral step, nested glue fetch, and
-	// failover attempt — draws from one upstream retry budget, which also
-	// carries the flight's ceiling. Cancelling fctx (the last waiter
-	// left) stops the flight at its next attempt boundary; the attempt
-	// under way runs to its own deadline, so a server that was about to
-	// answer is neither blamed nor wasted.
-	fctx = resolve.WithRetryBudget(fctx, cs.cfg.Upstream.RetryBudget, cs.cfg.Clock.Now().Add(flightTimeout))
+// Run performs the actual resolution for one flight, under the flight
+// itself, and publishes the outcome. It always detaches the flight from
+// the table before closing done, so no waiter can observe a completed
+// flight in the map. The flight serves every coalesced waiter, so it
+// carries its own trace (KindResolve) rather than borrowing any single
+// caller's: a trace belongs to one goroutine, and the callers' traces
+// live on theirs.
+func (c *flightCall) Run() {
+	cs, key := c.cs, c.key
 	ftr := cs.resolver.NewTrace(resolve.KindResolve, key.Name, key.Type)
-	res, err := cs.resolver.ResolveChain(fctx, ftr, key.Name, key.Type)
+	res, err := cs.resolver.ResolveChain(c, ftr, key.Name, key.Type)
 	cs.resolver.FinishTrace(ftr, res, err)
 
 	cs.flightMu.Lock()
@@ -135,7 +186,6 @@ func (cs *CachingServer) runFlight(fctx context.Context, key cache.Key, c *fligh
 
 	c.res, c.err = res, err
 	close(c.done)
-	c.cancel()
 }
 
 // abandonFlight removes a departing waiter from c and, when it was the
@@ -149,7 +199,7 @@ func (cs *CachingServer) abandonFlight(key cache.Key, c *flightCall) {
 		return
 	}
 	// Guard against racing a newer flight under the same key: only
-	// retire c itself. runFlight may already have detached it.
+	// retire c itself. Run may already have detached it.
 	if cs.flight[key] == c {
 		delete(cs.flight, key)
 	}

@@ -42,6 +42,21 @@ type Stats struct {
 	// NS entry had expired, by the clock when the refetch started: the
 	// sweep ran too late for renewal to keep the IRRs alive.
 	RenewalLate uint64
+	// RenewalLostCredit counts due renewals that found the zone's NS
+	// entry already gone from the cache while the zone still held a
+	// credit: the credit the zone earned bought nothing, and its IRRs
+	// must be learned again from the parent.
+	RenewalLostCredit uint64
+	// RenewalDelayUS sums, in µs, how long after its due instant each
+	// renewal refetch started; over RenewalQueries it is the mean delay.
+	RenewalDelayUS uint64
+	// RenewalDelayMaxUS is the upper bound of the log₂ bucket that holds
+	// the longest such delay over the server's life: read when the
+	// snapshot is taken, not a counter.
+	RenewalDelayMaxUS uint64
+	// RenewalQueue is the renewal queue's depth when the snapshot is
+	// taken: a gauge, not a counter.
+	RenewalQueue uint64
 
 	// The upstream-facing half is the resolve pipeline's own set; its
 	// counters (QueriesOut, Retries, …) read as fields of Stats and
@@ -54,5 +69,9 @@ type Stats struct {
 func (cs *CachingServer) Stats() Stats {
 	st := metrics.Snapshot(cs.stats)
 	st.Counters = cs.resolver.Counters()
+	st.RenewalDelayMaxUS = uint64(cs.renewDelay.Snapshot().Quantile(1).Microseconds())
+	cs.renewMu.Lock()
+	st.RenewalQueue = uint64(cs.renew.Len())
+	cs.renewMu.Unlock()
 	return st
 }

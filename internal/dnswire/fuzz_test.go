@@ -8,7 +8,10 @@ import (
 
 // FuzzUnpack exercises the wire decoder with arbitrary bytes: it must
 // never panic, and any message it accepts must re-pack and re-parse to an
-// equivalent wire form (decode/encode stability).
+// equivalent wire form (decode/encode stability), and must pack the same
+// after the buffer it was decoded from is overwritten: Unpack copies the
+// wire only when a record keeps bytes of it, and such a record must then
+// keep the copy's, never the caller's.
 func FuzzUnpack(f *testing.F) {
 	// Seeds: a real query, a real response, a truncated header, and junk.
 	q := NewQuery(7, MustName("www.example.com."), TypeA)
@@ -20,11 +23,18 @@ func FuzzUnpack(f *testing.F) {
 	rw, _ := r.Pack()
 	f.Add(rw)
 	f.Add(rw[:8])
+	e := q.Reply()
+	e.Additional = []RR{{Name: Root, Class: 4096, Data: OPT{Options: []byte{0, 10, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8}}}}
+	e.Answer = []RR{{Name: MustName("example.com."), Class: ClassIN, TTL: 300,
+		Data: DNSKEY{Flags: 257, Protocol: 3, Algorithm: 8, PublicKey: []byte{1, 2, 3, 4}}}}
+	ew, _ := e.Pack()
+	f.Add(ew)
 	f.Add([]byte{0xC0, 0x0C, 0xC0, 0x0C})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Unpack(data)
+		buf := append([]byte(nil), data...)
+		m, err := Unpack(buf)
 		if err != nil {
 			return
 		}
@@ -33,6 +43,12 @@ func FuzzUnpack(f *testing.F) {
 			// Some decoded messages cannot be re-encoded (e.g. a TXT
 			// that decoded to zero strings); they must error, not panic.
 			return
+		}
+		for i := range buf {
+			buf[i] = ^buf[i]
+		}
+		if again, err := m.Pack(); err != nil || !bytes.Equal(wire, again) {
+			t.Fatalf("the message changed with the buffer it was decoded from:\n%x\n%x (%v)", wire, again, err)
 		}
 		m2, err := Unpack(wire)
 		if err != nil {

@@ -77,16 +77,29 @@ func EchoesQuestion(query, resp *Message) bool {
 // Reply builds a skeleton response to q, echoing its ID and question and
 // setting the QR bit.
 func (m *Message) Reply() *Message {
-	r := &Message{
-		ID:     m.ID,
-		Opcode: m.Opcode,
-		Flags: Flags{
-			Response:         true,
-			RecursionDesired: m.Flags.RecursionDesired,
-		},
-	}
+	r := newMessage(len(m.Question))
+	r.ID, r.Opcode = m.ID, m.Opcode
+	r.Flags = Flags{Response: true, RecursionDesired: m.Flags.RecursionDesired}
 	r.Question = append(r.Question, m.Question...)
 	return r
+}
+
+// newMessage returns an empty message with room for n questions. A
+// message of one question, which is nearly every message, is one object
+// with its question.
+func newMessage(n int) *Message {
+	switch {
+	case n == 1:
+		mq := &struct {
+			m Message
+			q [1]Question
+		}{}
+		mq.m.Question = mq.q[:0:1]
+		return &mq.m
+	case n > 1:
+		return &Message{Question: make([]Question, 0, n)}
+	}
+	return &Message{}
 }
 
 // String renders the message in a dig-like textual form, for logs and
@@ -377,10 +390,12 @@ func (p *Packer) appendRR(rr RR) error {
 const nameCacheSize = 24
 
 // unpacker walks a wire-format message. It is used by value on the
-// stack; msg is the unpacker's private arena copy of the wire, from
-// which the decoded Message's byte-slice fields are sliced directly.
+// stack; msg is the wire as the caller passed it, read in place, and own
+// is the private copy of it that the decoded Message's byte-slice fields
+// are sliced from, made the first time a record keeps such bytes.
 type unpacker struct {
 	msg []byte
+	own []byte
 	off int
 
 	// nameBuf is the scratch the decoder lowercases labels into before
@@ -605,29 +620,27 @@ func sectionCap(count uint16, remaining, minBytes int) int {
 
 // Unpack decodes a wire-format DNS message.
 //
-// Ownership: the returned Message owns all of its data. Unpack makes
-// exactly one private copy of the wire; every byte-slice RData field
-// (OPT options, DNSSEC key/digest/signature material, Unknown raw
-// payloads) is sliced from that copy rather than copied again, and
-// every Name is a freshly built string. The caller may therefore reuse
-// or recycle b — including returning a pooled read buffer — the moment
-// Unpack returns, and the Message stays valid for as long as any of its
-// records are retained (each retained slice keeps the one backing copy
-// alive).
+// Ownership: the returned Message owns all of its data. Every Name is a
+// freshly built string and every address a value, so a message whose
+// records keep no bytes of the wire — the queries and the A, NS, SOA and
+// CNAME answers and referrals a resolver mostly sees — copies nothing of
+// it. The first record that keeps bytes (OPT options, DNSSEC
+// key/digest/signature material, Unknown raw payloads) makes one private
+// copy of the wire, and every such field is sliced from that copy rather
+// than copied again. The caller may therefore reuse or recycle b —
+// including returning a pooled read buffer — the moment Unpack returns,
+// and the Message stays valid for as long as any of its records are
+// retained (each retained slice keeps the one backing copy alive).
 func Unpack(b []byte) (*Message, error) {
-	u := unpacker{msg: append([]byte(nil), b...)}
-	m := &Message{}
-
-	var err error
-	if m.ID, err = u.uint16(); err != nil {
+	u := unpacker{msg: b}
+	id, err := u.uint16()
+	if err != nil {
 		return nil, err
 	}
 	flags, err := u.uint16()
 	if err != nil {
 		return nil, err
 	}
-	m.Flags, m.Opcode, m.RCode = decodeFlags(flags)
-
 	var counts [4]uint16
 	for i := range counts {
 		if counts[i], err = u.uint16(); err != nil {
@@ -635,10 +648,10 @@ func Unpack(b []byte) (*Message, error) {
 		}
 	}
 
-	if counts[0] > 0 {
-		// Smallest question: 1-byte root name + type + class.
-		m.Question = make([]Question, 0, sectionCap(counts[0], len(u.msg)-u.off, 5))
-	}
+	// Smallest question: 1-byte root name + type + class.
+	m := newMessage(sectionCap(counts[0], len(u.msg)-u.off, 5))
+	m.ID = id
+	m.Flags, m.Opcode, m.RCode = decodeFlags(flags)
 	for i := 0; i < int(counts[0]); i++ {
 		var q Question
 		if q.Name, err = u.name(); err != nil {
@@ -656,20 +669,28 @@ func Unpack(b []byte) (*Message, error) {
 		m.Question = append(m.Question, q)
 	}
 
+	// The three record sections share one backing array, each section a
+	// capacity-clamped slice of it, so appending to one never writes into
+	// the next. Smallest RR: 1-byte name + fixed 10-byte body, empty
+	// RDATA, which bounds what a forged count can preallocate.
+	var rrs []RR
+	if n := int(counts[1]) + int(counts[2]) + int(counts[3]); n > 0 {
+		rrs = make([]RR, 0, min(n, (len(u.msg)-u.off)/11))
+	}
 	sections := [3]*[]RR{&m.Answer, &m.Authority, &m.Additional}
 	for si, dst := range sections {
 		if counts[si+1] == 0 {
 			continue
 		}
-		// Smallest RR: 1-byte name + fixed 10-byte body, empty RDATA.
-		*dst = make([]RR, 0, sectionCap(counts[si+1], len(u.msg)-u.off, 11))
+		start := len(rrs)
 		for i := 0; i < int(counts[si+1]); i++ {
 			rr, err := u.rr()
 			if err != nil {
 				return nil, fmt.Errorf("section %d record %d: %w", si+1, i, err)
 			}
-			*dst = append(*dst, rr)
+			rrs = append(rrs, rr)
 		}
+		*dst = rrs[start:len(rrs):len(rrs)]
 	}
 	if u.off != len(u.msg) {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTrailingBytes, len(u.msg)-u.off)
@@ -717,15 +738,18 @@ func (u *unpacker) rr() (RR, error) {
 }
 
 // arena returns the RDATA bytes from the current offset to rdEnd as a
-// capacity-clamped slice of the unpacker's private wire copy — the
-// zero-copy half of the ownership contract documented on Unpack. An
-// empty range returns nil so round-tripped records compare equal to
-// their hand-built forms.
+// capacity-clamped slice of the unpacker's private wire copy, made on the
+// first call — the ownership contract documented on Unpack. An empty
+// range returns nil so round-tripped records compare equal to their
+// hand-built forms.
 func (u *unpacker) arena(rdEnd int) []byte {
 	if u.off == rdEnd {
 		return nil
 	}
-	return u.msg[u.off:rdEnd:rdEnd]
+	if u.own == nil {
+		u.own = append([]byte(nil), u.msg...)
+	}
+	return u.own[u.off:rdEnd:rdEnd]
 }
 
 func (u *unpacker) rdata(t Type, rdEnd int) (RData, error) {

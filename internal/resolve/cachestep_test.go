@@ -99,7 +99,9 @@ func (r *Resolver) refLookupCacheOnly(qname dnswire.Name, qtype dnswire.Type) (*
 }
 
 func (r *Resolver) refResolveChain(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
-	ctx = withBudget(ctx, glueKey, maxGlueFetches)
+	w := new(Work)
+	w.StartQuery(ctx, 0, time.Time{})
+	ctx = w
 	cr := walkChain(qname, qtype, maxCNAME, func(cur dnswire.Name) chainStep {
 		res, err := r.refResolveOne(ctx, cur, qtype, 0)
 		if err != nil {

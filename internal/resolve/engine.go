@@ -65,35 +65,49 @@ func (e *Engine) Fetch(ctx context.Context, tr *Trace, servers []transport.Addr,
 	if len(servers) == 0 {
 		return nil, transport.ErrServerUnreachable
 	}
-	// The query, its question, its OPT record and the context each
-	// attempt runs under in one allocation: NewQuery's message, with
-	// SetEDNS0 appending into opt.
-	fq := &struct {
-		msg      dnswire.Message
-		question [1]dnswire.Question
-		opt      [1]dnswire.RR
-		attempt  attemptCtx
-	}{}
+	fq := fetchQueries.Get().(*fetchQuery)
+	defer fetchQueries.Put(fq)
 	fq.question[0] = dnswire.Question{Name: qname, Type: qtype, Class: dnswire.ClassIN}
 	q := &fq.msg
-	q.ID, q.Question, q.Additional = e.nextQID(), fq.question[:], fq.opt[:0]
+	*q = dnswire.Message{ID: e.nextQID(), Question: fq.question[:], Additional: fq.opt[:0]}
 	q.SetEDNS0(dnswire.DefaultEDNS0PayloadSize)
-	return e.exchangeFailover(ctx, &fq.attempt, tr, servers, q)
+	return e.exchangeFailover(ctx, fq, tr, servers)
 }
+
+// fetchQuery is one fetch's query, its question, its OPT record, the
+// context each attempt runs under and the servers in the order they are
+// tried, in one object: NewQuery's message, with SetEDNS0 appending into
+// opt, and a zone's servers, which are few, ordered into ordered.
+// fetchQueries recycles them, because no
+// Transport keeps the query, or aliases any part of it, past Exchange's
+// return: UDP and TCP pack it and decode the reply from the socket's
+// bytes, Pipe hands it to a handler whose reply copies the question
+// (Message.Reply), and simnet packs it and hands the handler a decoded
+// copy. A mesh peer is asked with a request of its own, never the query.
+type fetchQuery struct {
+	msg      dnswire.Message
+	question [1]dnswire.Question
+	opt      [1]dnswire.RR
+	attempt  attemptCtx
+	ordered  [16]transport.Addr
+}
+
+var fetchQueries = sync.Pool{New: func() any { return new(fetchQuery) }}
 
 // exchangeFailover tries each of servers in the upstream layer's
 // preferred order (healthy by ascending SRTT, then quarantined) until one
 // returns a validated response. RTT estimates, quarantine state, and the
-// retry budget are shared across every fetch path. A cancelled client
+// work's attempts are shared across every fetch path. A cancelled client
 // must not keep burning upstream attempts, so the loop re-checks ctx and
-// the retry budget's end in time before every attempt.
-func (e *Engine) exchangeFailover(ctx context.Context, actx *attemptCtx, tr *Trace, servers []transport.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+// the Work's end in time before every attempt.
+func (e *Engine) exchangeFailover(ctx context.Context, fq *fetchQuery, tr *Trace, servers []transport.Addr) (*dnswire.Message, error) {
+	q, actx := &fq.msg, &fq.attempt
 	now := e.clock.Now()
-	ordered, skipped := e.upstream.order(servers, now)
+	ordered, skipped := e.upstream.order(fq.ordered[:0], servers, now)
 	if skipped > 0 {
 		metrics.Add(&e.counters.QuarantineSkips, uint64(skipped))
 	}
-	b := budgetOf(ctx, retryKey)
+	w := workOf(ctx)
 	var lastErr error
 	for i, addr := range ordered {
 		if i > 0 {
@@ -105,7 +119,7 @@ func (e *Engine) exchangeFailover(ctx context.Context, actx *attemptCtx, tr *Tra
 			}
 			return nil, lastErr
 		}
-		if !b.take() {
+		if !w.takeAttempt() {
 			metrics.Inc(&e.counters.BudgetExhausted)
 			if lastErr != nil {
 				return nil, fmt.Errorf("%w (last attempt: %v)", errBudgetExhausted, lastErr)
@@ -116,7 +130,7 @@ func (e *Engine) exchangeFailover(ctx context.Context, actx *attemptCtx, tr *Tra
 			metrics.Inc(&e.counters.Retries)
 		}
 		metrics.Inc(&e.counters.QueriesOut)
-		resp, err := e.exchange(ctx, actx, tr, addr, q, now, b.clip(now, e.upstream.attemptTimeout(addr)))
+		resp, err := e.exchange(ctx, actx, tr, addr, q, now, w.clip(now, e.upstream.attemptTimeout(addr)))
 		if err != nil {
 			metrics.Inc(&e.counters.QueriesOutFailed)
 			lastErr = err
@@ -129,7 +143,7 @@ func (e *Engine) exchangeFailover(ctx context.Context, actx *attemptCtx, tr *Tra
 
 // exchange performs one upstream attempt against addr, starting at start:
 // it applies the per-attempt deadline, timeout from then (the server's
-// RTT history cut to the retry budget's end in time), validates the
+// RTT history cut to the Work's end in time), validates the
 // response (ID and question echo), and folds the outcome back into the
 // server's selection state and the trace. The attempt runs under actx,
 // which keeps ctx's values but not its cancellation: work is cancelled

@@ -5,6 +5,14 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"resilientdns/internal/authserver"
+	"resilientdns/internal/dnswire"
+	"resilientdns/internal/race"
+	"resilientdns/internal/simclock"
+	"resilientdns/internal/simnet"
+	"resilientdns/internal/transport"
+	"resilientdns/internal/zone"
 )
 
 type attemptKey struct{}
@@ -48,5 +56,71 @@ func TestAttemptContext(t *testing.T) {
 	}
 	if !errors.Is(c.Err(), context.Canceled) {
 		t.Errorf("Err() = %v after end, want Canceled", c.Err())
+	}
+}
+
+// TestFetchQueryReuse: a fetch's query goes back to fetchQueries when
+// Fetch returns, and the next fetch reuses it; the first fetch's response
+// is unchanged by that, over every Transport the resolver runs on here:
+// Pipe, simnet and UDP.
+func TestFetchQueryReuse(t *testing.T) {
+	z := zone.New(dnswire.MustName("example."))
+	z.MustAdd(rrNS("example.", 300, "ns1.example."))
+	z.MustAdd(rrA("ns1.example.", 300, "10.0.0.1"))
+	z.MustAdd(rrA("a.example.", 300, "192.0.2.1"))
+	z.MustAdd(rrA("b.example.", 300, "192.0.2.2"))
+	auth := authserver.New(z)
+
+	udp := &transport.UDPServer{Handler: auth}
+	udpAddr, err := udp.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer udp.Close()
+	clock := simclock.NewVirtual(epoch)
+	network := simnet.New(clock, 1)
+	network.Register(&simnet.Host{Addr: "10.0.0.1", Zone: dnswire.MustName("example."), Handler: auth})
+	for _, tc := range []struct {
+		name   string
+		tr     transport.Transport
+		server transport.Addr
+	}{
+		{"Pipe", &transport.Pipe{Handlers: map[transport.Addr]transport.Handler{"10.0.0.1": auth}}, "10.0.0.1"},
+		{"simnet", network, "10.0.0.1"},
+		{"UDP", &transport.UDP{Timeout: 2 * time.Second}, transport.Addr(udpAddr)},
+	} {
+		var queries []*dnswire.Message
+		r := newTestResolver(t, Config{Clock: clock, Transport: transport.Exchanger(
+			func(ctx context.Context, server transport.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+				queries = append(queries, q)
+				return tc.tr.Exchange(ctx, server, q)
+			})})
+		fetch := func(name string) *dnswire.Message {
+			resp, err := r.engine.Fetch(context.Background(), nil, []transport.Addr{tc.server}, dnswire.MustName(name), dnswire.TypeA)
+			if err != nil || len(resp.Answer) != 1 {
+				t.Fatalf("%s: fetch %s: %v, %v", tc.name, name, resp, err)
+			}
+			return resp
+		}
+		// A collection between the two fetches empties the pool; try
+		// again until the second fetch reuses the first one's query.
+		for try := 0; ; try++ {
+			queries = queries[:0]
+			first := fetch("a.example.")
+			want := first.String()
+			fetch("b.example.")
+			if got := first.String(); got != want {
+				t.Fatalf("%s: the first response changed when its query was reused:\n%s\nwant\n%s", tc.name, got, want)
+			}
+			if queries[0] == queries[1] {
+				break
+			}
+			if try == 10 {
+				if !race.Enabled {
+					t.Errorf("%s: ten pairs of fetches never reused a query", tc.name)
+				}
+				break
+			}
+		}
 	}
 }

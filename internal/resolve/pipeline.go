@@ -146,13 +146,17 @@ func (r *Resolver) prefetchDue(e *cache.Entry, now time.Time) bool {
 
 // ResolveChain is the ChainWalk stage: it resolves qname/qtype fully,
 // chasing CNAMEs across zones, entering Iterate for every link the cache
-// cannot answer.
+// cannot answer. Every link of the chain and every nesting level draws
+// from the query's one Work: the one ctx carries (a flight's), or else a
+// fresh one with the query's glue cap and no other bound.
 func (r *Resolver) ResolveChain(ctx context.Context, tr *Trace, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
 	sp := tr.StartStage(StageChainWalk)
 	defer sp.End()
-	// One aggregate glue budget for the whole client query: every link
-	// of the chain and every nesting level draws from it.
-	ctx = withBudget(ctx, glueKey, maxGlueFetches)
+	if workOf(ctx) == nil {
+		w := new(Work)
+		w.StartQuery(ctx, 0, time.Time{})
+		ctx = w
+	}
 	cr := walkChain(qname, qtype, maxCNAME, func(cur dnswire.Name) chainStep {
 		res, err := r.resolveOne(ctx, tr, cur, qtype, 0)
 		if err != nil {
@@ -564,7 +568,7 @@ func (r *Resolver) resolveMissingGlue(ctx context.Context, tr *Trace, child dnsw
 		// not just nesting: a delegation naming dozens of unresolvable
 		// out-of-bailiwick servers (the NXNSAttack shape) stops
 		// multiplying upstream traffic once the query's budget is gone.
-		if !take(ctx, glueKey) {
+		if !workOf(ctx).takeGlue() {
 			metrics.Inc(&r.counters.GlueBudgetExhausted)
 			return
 		}

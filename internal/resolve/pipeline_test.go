@@ -206,14 +206,18 @@ func TestGlueBudgetBoundsFanout(t *testing.T) {
 		return n, r.Counters()
 	}
 
-	boundedAttempts, bounded := run(withBudget(context.Background(), glueKey, 4))
+	four := new(Work)
+	four.init(context.Background(), 0, 4, time.Time{})
+	boundedAttempts, bounded := run(four)
 	if bounded.GlueFetches != 4 {
 		t.Errorf("GlueFetches = %d, want exactly the budget of 4", bounded.GlueFetches)
 	}
 	if bounded.GlueBudgetExhausted == 0 {
 		t.Error("budget exhaustion never counted despite 24 candidate servers")
 	}
-	if _, query := run(withBudget(context.Background(), glueKey, maxGlueFetches)); query.GlueFetches != maxGlueFetches {
+	query := new(Work)
+	query.StartQuery(context.Background(), 0, time.Time{})
+	if _, query := run(query); query.GlueFetches != maxGlueFetches {
 		t.Errorf("GlueFetches = %d under a client query's budget, want %d", query.GlueFetches, maxGlueFetches)
 	}
 

@@ -147,7 +147,7 @@ func TestAGluePreferredOverAAAA(t *testing.T) {
 // callers can tell budget exhaustion from ordinary unreachability.
 func TestBudgetExhaustionError(t *testing.T) {
 	r := newTestResolver(t, Config{Transport: deadTransport})
-	ctx := WithRetryBudget(context.Background(), 1, time.Time{})
+	ctx := NewWork(context.Background(), 1)
 	_, err := r.engine.Fetch(ctx, nil, []transport.Addr{"10.0.0.1", "10.0.0.2"},
 		dnswire.MustName("x."), dnswire.TypeA)
 	if !errors.Is(err, errBudgetExhausted) {

@@ -128,15 +128,15 @@ func newUpstream(cfg UpstreamConfig) *upstream {
 	return &upstream{cfg: cfg, servers: make(map[transport.Addr]*ServerState)}
 }
 
-// order returns servers in the order they should be attempted at time
-// now: healthy servers first, ascending by estimated RTT (servers with no
+// order appends servers to dst in the order they should be attempted at
+// time now and returns the result: healthy servers first, ascending by estimated RTT (servers with no
 // history estimate at MaxTimeout, so proven-fast servers lead and unknown
 // ones are probed only after them), then quarantined servers ascending by
 // release time. skipped counts the quarantined servers that were
 // deprioritized behind at least one healthy server — when every server is
 // quarantined there is nothing healthier to prefer, so nothing counts as
 // skipped and the set is simply tried in release order.
-func (u *upstream) order(servers []transport.Addr, now time.Time) (ordered []transport.Addr, skipped int) {
+func (u *upstream) order(dst, servers []transport.Addr, now time.Time) (ordered []transport.Addr, skipped int) {
 	type candidate struct {
 		addr  transport.Addr
 		est   time.Duration
@@ -175,10 +175,10 @@ func (u *upstream) order(servers []transport.Addr, now time.Time) (ordered []tra
 		}
 		return cmp.Compare(a.est, b.est)
 	})
-	ordered = make([]transport.Addr, len(cands))
+	ordered = dst
 	healthy := 0
-	for i, c := range cands {
-		ordered[i] = c.addr
+	for _, c := range cands {
+		ordered = append(ordered, c.addr)
 		if !c.quar {
 			healthy++
 		}
@@ -307,122 +307,145 @@ func (u *upstream) quarantined(addr transport.Addr, now time.Time) bool {
 	return st != nil && st.QuarantineUntil.After(now)
 }
 
-// budget is a counter one piece of work carries through its context and
-// draws down with take. Two are in use, under two keys. retryKey: the
-// upstream attempts of one resolution (or one renewal refetch cycle) —
-// every attempt across the whole referral ladder, nested glue and DNSSEC
-// fetches included, draws from the same pool. glueKey: the aggregate
-// out-of-bailiwick glue fetches of one client query — unlike maxGlueDepth
-// (which only bounds nesting) it bounds total fanout: every sibling NS
-// name chased at every level draws from the same pool, which is what
-// stops an NXNSAttack-style delegation from multiplying upstream traffic.
+// Work is what one piece of work may still spend upstream, and the
+// context that work runs under. One is installed per coalesced flight
+// (core's flight embeds it and is the flight's context), per renewal
+// refetch cycle and per background prefetch, and everything the work does
+// draws from it:
+//   - attempts: upstream attempts across the whole referral ladder, nested
+//     glue and DNSSEC fetches included (-retry-budget);
+//   - glue: out-of-bailiwick name-server address fetches. Unlike
+//     maxGlueDepth, which bounds nesting, it bounds total fanout: every
+//     sibling NS name chased at every level draws from the same pool, which
+//     stops an NXNSAttack-style delegation from multiplying upstream
+//     traffic;
+//   - until: no attempt starts at or after it, and none is given a deadline
+//     past it (a flight's ceiling). Zero means no end in time.
 //
-// A retry budget may also end in time: no attempt starts at or after
-// until, and none is given a deadline past it (the flight ceiling).
-//
-// A budget is the context it is carried by: it wraps the context it was
-// installed into and answers for its own key, so installing one is one
-// allocation.
-type budget struct {
-	context.Context
-	key       budgetKey
-	remaining atomic.Int64
-	until     time.Time // zero: no end in time
+// A Work answers Value for its own key and takes everything else —
+// deadline, cancellation, other values — from the context it was
+// installed into; with none, it is a root context that is never done.
+// A stage called under a context that carries no Work (a test calling it
+// directly) runs unbounded.
+type Work struct {
+	parent   context.Context
+	until    time.Time
+	attempts atomic.Int64
+	glue     atomic.Int64
 }
 
-// Value implements context.Context: b under its key, the wrapped
-// context's values under every other.
-func (b *budget) Value(key any) any {
-	if k, ok := key.(budgetKey); ok && k == b.key {
-		return b
+type workKey struct{}
+
+// NewWork returns a renewal refetch cycle's or a background prefetch's
+// work under parent: attempts upstream attempts (<= 0: unbounded), no cap
+// on glue fetches and no end in time beyond parent's deadline.
+func NewWork(parent context.Context, attempts int) *Work {
+	w := new(Work)
+	w.init(parent, attempts, 0, time.Time{})
+	return w
+}
+
+// StartQuery readies w as one client query's work: attempts upstream
+// attempts (<= 0: unbounded) until until (zero: no end in time), and the
+// query's maxGlueFetches glue fetches. A coalesced flight starts its
+// embedded Work this way, with no parent: the flight is its own context.
+func (w *Work) StartQuery(parent context.Context, attempts int, until time.Time) {
+	w.init(parent, attempts, maxGlueFetches, until)
+}
+
+// init readies w; a count <= 0 is unbounded.
+func (w *Work) init(parent context.Context, attempts, glue int, until time.Time) {
+	unbounded := func(n int) int64 {
+		if n <= 0 {
+			return math.MaxInt64
+		}
+		return int64(n)
 	}
-	return b.Context.Value(key)
+	w.parent, w.until = parent, until
+	w.attempts.Store(unbounded(attempts))
+	w.glue.Store(unbounded(glue))
 }
 
-type budgetKey int
-
-const (
-	retryKey budgetKey = iota
-	glueKey
-)
-
-// errPastCeiling reports that work reached its retry budget's end in time.
-// It wraps context.DeadlineExceeded, what the same work reported when the
-// ceiling was a context deadline.
-var errPastCeiling = fmt.Errorf("resolve: retry budget's time is up: %w", context.DeadlineExceeded)
-
-// withBudget installs a fresh budget of n under key.
-func withBudget(ctx context.Context, key budgetKey, n int) context.Context {
-	return newBudget(ctx, key, int64(n), time.Time{})
+func (w *Work) Deadline() (time.Time, bool) {
+	if w.parent == nil {
+		return time.Time{}, false
+	}
+	return w.parent.Deadline()
 }
 
-// newBudget returns a budget of n under key, ending in time at until,
-// installed into ctx. The ctxdeadline analyzer reads the call as passing
-// ctx through, deadline or none, which a composite literal returned as a
-// context would hide from it.
-func newBudget(ctx context.Context, key budgetKey, n int64, until time.Time) *budget {
-	b := &budget{Context: ctx, key: key, until: until}
-	b.remaining.Store(n)
-	return b
+func (w *Work) Done() <-chan struct{} {
+	if w.parent == nil {
+		return nil
+	}
+	return w.parent.Done()
 }
 
-// budgetOf returns the context's budget under key, nil when it has none.
-func budgetOf(ctx context.Context, key budgetKey) *budget {
-	b, _ := ctx.Value(key).(*budget)
-	return b
+func (w *Work) Err() error {
+	if w.parent == nil {
+		return nil
+	}
+	return w.parent.Err()
 }
 
-// take consumes one unit from b, reporting false when it is exhausted. A
-// nil budget always allows the draw.
-func (b *budget) take() bool {
-	return b == nil || b.remaining.Add(-1) >= 0
+// Value implements context.Context: w under its key, the parent's values
+// under every other.
+func (w *Work) Value(key any) any {
+	if _, ok := key.(workKey); ok {
+		return w
+	}
+	if w.parent == nil {
+		return nil
+	}
+	return w.parent.Value(key)
 }
 
-// take consumes one unit from the context's budget under key.
-func take(ctx context.Context, key budgetKey) bool {
-	return budgetOf(ctx, key).take()
+// workOf returns the Work ctx runs under, nil when it has none.
+func workOf(ctx context.Context) *Work {
+	w, _ := ctx.Value(workKey{}).(*Work)
+	return w
 }
 
-// over reports whether b has ended in time at now.
-func (b *budget) over(now time.Time) bool {
-	return b != nil && !b.until.IsZero() && !now.Before(b.until)
+// takeAttempt consumes one upstream attempt from w, reporting false when
+// none is left. Work that is nil allows every draw; so do takeGlue, over
+// and clip.
+func (w *Work) takeAttempt() bool {
+	return w == nil || w.attempts.Add(-1) >= 0
 }
 
-// clip cuts d to what is left of b's time at now.
-func (b *budget) clip(now time.Time, d time.Duration) time.Duration {
-	if b == nil || b.until.IsZero() {
+// takeGlue consumes one glue fetch from w, reporting false when none is
+// left.
+func (w *Work) takeGlue() bool {
+	return w == nil || w.glue.Add(-1) >= 0
+}
+
+// over reports whether w has ended in time at now.
+func (w *Work) over(now time.Time) bool {
+	return w != nil && !w.until.IsZero() && !now.Before(w.until)
+}
+
+// clip cuts d to what is left of w's time at now.
+func (w *Work) clip(now time.Time, d time.Duration) time.Duration {
+	if w == nil || w.until.IsZero() {
 		return d
 	}
-	return min(d, b.until.Sub(now))
+	return min(d, w.until.Sub(now))
 }
 
+// errPastCeiling reports that work reached its end in time. It wraps
+// context.DeadlineExceeded, what the same work reported when the ceiling
+// was a context deadline.
+var errPastCeiling = fmt.Errorf("resolve: retry budget's time is up: %w", context.DeadlineExceeded)
+
 // halted reports why work under ctx must start nothing more at now: ctx's
-// own error, or the end in time of its retry budget. Flight cancellation
-// is observed here, at attempt and referral boundaries; an attempt under
-// way runs to its own deadline.
+// own error, or its Work's end in time. Flight cancellation is observed
+// here, at attempt and referral boundaries; an attempt under way runs to
+// its own deadline.
 func halted(ctx context.Context, now time.Time) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if budgetOf(ctx, retryKey).over(now) {
+	if workOf(ctx).over(now) {
 		return errPastCeiling
 	}
 	return nil
-}
-
-// WithRetryBudget installs a fresh budget of n attempts into ctx, ending in
-// time at until: no attempt starts at or after until, and none is given a
-// deadline past it. n <= 0 leaves the count unbounded and a zero until the
-// time; with both, ctx is returned as it is. The owning server installs
-// one budget per coalesced flight, which ends at the flight ceiling, and
-// one per renewal refetch cycle.
-func WithRetryBudget(ctx context.Context, n int, until time.Time) context.Context {
-	if n <= 0 && until.IsZero() {
-		return ctx
-	}
-	count := int64(math.MaxInt64)
-	if n > 0 {
-		count = int64(n)
-	}
-	return newBudget(ctx, retryKey, count, until)
 }

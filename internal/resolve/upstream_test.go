@@ -19,7 +19,7 @@ func TestUpstreamOrderPrefersFastServers(t *testing.T) {
 	u.observeSuccess("slow", 100*time.Millisecond)
 	u.observeSuccess("fast", 5*time.Millisecond)
 	// "unknown" has no history and must sort after measured servers.
-	ordered, skipped := u.order([]transport.Addr{"unknown", "slow", "fast"}, now)
+	ordered, skipped := u.order(nil, []transport.Addr{"unknown", "slow", "fast"}, now)
 	if skipped != 0 {
 		t.Errorf("skipped = %d, want 0", skipped)
 	}
@@ -35,7 +35,7 @@ func TestUpstreamOrderTiesKeepInputOrder(t *testing.T) {
 	// Determinism: servers with identical state must come out in input
 	// order (the simulator depends on this).
 	u := newUpstream(UpstreamConfig{})
-	ordered, _ := u.order([]transport.Addr{"a", "b", "c"}, epoch)
+	ordered, _ := u.order(nil, []transport.Addr{"a", "b", "c"}, epoch)
 	want := []transport.Addr{"a", "b", "c"}
 	for i, addr := range want {
 		if ordered[i] != addr {
@@ -51,7 +51,7 @@ func TestUpstreamQuarantineSkipAndRecover(t *testing.T) {
 	if !u.quarantined("bad", now) {
 		t.Fatal("server not quarantined after failure")
 	}
-	ordered, skipped := u.order([]transport.Addr{"bad", "good"}, now)
+	ordered, skipped := u.order(nil, []transport.Addr{"bad", "good"}, now)
 	if skipped != 1 {
 		t.Errorf("skipped = %d, want 1", skipped)
 	}
@@ -79,7 +79,7 @@ func TestUpstreamAllQuarantinedFallsBack(t *testing.T) {
 	now := epoch
 	u.observeFailure("a", now)
 	u.observeFailure("b", now.Add(time.Second))
-	ordered, skipped := u.order([]transport.Addr{"b", "a"}, now.Add(2*time.Second))
+	ordered, skipped := u.order(nil, []transport.Addr{"b", "a"}, now.Add(2*time.Second))
 	if skipped != 0 {
 		t.Errorf("skipped = %d, want 0 when no healthy server exists", skipped)
 	}
@@ -135,26 +135,30 @@ func TestAttemptTimeoutFromSRTT(t *testing.T) {
 
 func TestRetryBudgetContext(t *testing.T) {
 	ctx := context.Background()
-	if !take(ctx, retryKey) {
-		t.Fatal("budget-less context denied an attempt")
+	if !workOf(ctx).takeAttempt() {
+		t.Fatal("work-less context denied an attempt")
 	}
-	b := WithRetryBudget(ctx, 2, time.Time{})
-	if !take(b, retryKey) || !take(b, retryKey) {
+	b := NewWork(ctx, 2)
+	if workOf(b) != b || !workOf(b).takeAttempt() || !workOf(b).takeAttempt() {
 		t.Fatal("budget denied attempts within its allowance")
 	}
-	if take(b, retryKey) {
+	if workOf(b).takeAttempt() {
 		t.Fatal("budget allowed a third attempt out of 2")
 	}
-	if WithRetryBudget(ctx, 0, time.Time{}) != ctx {
-		t.Error("zero budget should leave the context unbounded")
+	unbounded := NewWork(ctx, 0)
+	for i := 0; i < 100; i++ {
+		if !unbounded.takeAttempt() || !unbounded.takeGlue() {
+			t.Fatalf("a zero budget denied draw %d", i+1)
+		}
 	}
 
 	// A budget that ends in time: unbounded in count, halted at its end,
 	// and every attempt timeout cut to what is left of it.
 	until := epoch.Add(30 * time.Second)
-	timed := WithRetryBudget(ctx, 0, until)
+	timed := new(Work)
+	timed.StartQuery(ctx, 0, until)
 	for i := 0; i < 100; i++ {
-		if !take(timed, retryKey) {
+		if !workOf(timed).takeAttempt() {
 			t.Fatalf("a budget with no count denied attempt %d", i+1)
 		}
 	}
@@ -164,7 +168,7 @@ func TestRetryBudgetContext(t *testing.T) {
 	if err := halted(timed, until); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("halted at the end = %v, want context.DeadlineExceeded", err)
 	}
-	bt := budgetOf(timed, retryKey)
+	bt := workOf(timed)
 	if got := bt.clip(until.Add(-time.Second), 3*time.Second); got != time.Second {
 		t.Errorf("a 3s attempt 1s before the end is given %v, want 1s", got)
 	}
@@ -242,7 +246,7 @@ func TestUpstreamConcurrentAccess(t *testing.T) {
 				case 1:
 					u.observeFailure(addr, now)
 				case 2:
-					if ordered, _ := u.order(servers, now); len(ordered) != len(servers) {
+					if ordered, _ := u.order(nil, servers, now); len(ordered) != len(servers) {
 						t.Errorf("order returned %d servers, want %d", len(ordered), len(servers))
 					}
 				case 3:

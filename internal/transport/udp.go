@@ -9,7 +9,6 @@ import (
 	"os"
 	"runtime"
 	"sync"
-	"syscall"
 	"time"
 
 	"resilientdns/internal/dnswire"
@@ -44,18 +43,14 @@ func (u *UDP) Exchange(ctx context.Context, server Addr, query *dnswire.Message)
 		deadline = d
 	}
 
-	sock, err := dialUDP(server)
+	// server is an IP:port literal (what the resolver's address mapper
+	// produces), so every exchange gets its own kernel-chosen source port
+	// (RFC 5452) and nothing resolves a name here.
+	ap, err := ParseAddr(string(server))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrServerUnreachable, err)
 	}
-	defer sock.Close()
-	if err := sock.SetDeadline(deadline); err != nil {
-		return nil, err
-	}
-	if err := writeQuery(sock, query); err != nil {
-		return nil, err
-	}
-	resp, err := readReply(sock, query, deadline)
+	resp, err := exchangeUDP(ap, query, deadline)
 	if err != nil {
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			return nil, fmt.Errorf("%w: %s", ErrTimeout, server)
@@ -63,13 +58,6 @@ func (u *UDP) Exchange(ctx context.Context, server Addr, query *dnswire.Message)
 		return nil, err
 	}
 	return resp, nil
-}
-
-// udpSocket is what an exchange uses of its fresh connected socket.
-type udpSocket interface {
-	io.ReadWriteCloser
-	SetDeadline(t time.Time) error
-	SyscallConn() (syscall.RawConn, error)
 }
 
 // writeQuery packs query into pooled scratch and sends it; the scratch
@@ -97,18 +85,6 @@ func answers(query *dnswire.Message, datagram []byte) (*dnswire.Message, bool) {
 		return nil, false
 	}
 	return m, true
-}
-
-// dialUDP opens a fresh connected socket to server, an IP:port literal
-// (what the resolver's address mapper produces), so every exchange gets
-// its own kernel-chosen source port (RFC 5452). Nothing resolves a name
-// here.
-func dialUDP(server Addr) (udpSocket, error) {
-	ap, err := ParseAddr(string(server))
-	if err != nil {
-		return nil, err
-	}
-	return openUDP(ap)
 }
 
 // DefaultMaxInflight bounds concurrently handled queries when a server's
@@ -262,15 +238,9 @@ func (s *UDPServer) serve(conn udpConn) {
 		select {
 		case sem <- struct{}{}:
 			s.wg.Add(1)
-			s.workers.Go(func() {
-				defer s.wg.Done()
-				defer func() { <-sem }()
-				if resp := s.Handler.HandleQuery(query); resp != nil {
-					bp := getBuf()
-					defer putBuf(bp)
-					writeResponse(conn, *bp, query, resp, from)
-				}
-			})
+			h := handlings.Get().(*handling)
+			*h = handling{s: s, conn: conn, query: query, from: from}
+			s.workers.Go(h)
 		default:
 			// Every inflight slot is busy. Blocking here would stall the
 			// read loop behind the slowest resolution; instead shed —
@@ -284,6 +254,33 @@ func (s *UDPServer) serve(conn udpConn) {
 				metrics.Inc(&s.Counters.Shed)
 			}
 		}
+	}
+}
+
+// handling is one query handed to a handler goroutine, with what its
+// reply needs; handlings recycles them, so handing a query over allocates
+// nothing.
+type handling struct {
+	s     *UDPServer
+	conn  udpConn
+	query *dnswire.Message
+	from  netip.AddrPort
+}
+
+var handlings = sync.Pool{New: func() any { return new(handling) }}
+
+// Run handles the query in one of the server's inflight slots, answers
+// it, and gives the slot back.
+func (h *handling) Run() {
+	s, conn, query, from := h.s, h.conn, h.query, h.from
+	*h = handling{}
+	handlings.Put(h)
+	defer s.wg.Done()
+	defer func() { <-s.sem }()
+	if resp := s.Handler.HandleQuery(query); resp != nil {
+		bp := getBuf()
+		defer putBuf(bp)
+		writeResponse(conn, *bp, query, resp, from)
 	}
 }
 

@@ -6,6 +6,11 @@ import (
 	"testing"
 )
 
+// taskFunc runs a closure as a Task.
+type taskFunc func()
+
+func (f taskFunc) Run() { f() }
+
 // TestWorkersReuseIdleGoroutine: sequential work runs on the one warm
 // goroutine the first Go started. On one P the goroutine that sent done
 // runs on until it waits for work again, so each Go finds it waiting; on
@@ -17,7 +22,7 @@ func TestWorkersReuseIdleGoroutine(t *testing.T) {
 	defer w.Close()
 	done := make(chan struct{})
 	for i := 0; i < 100; i++ {
-		w.Go(func() { done <- struct{}{} })
+		w.Go(taskFunc(func() { done <- struct{}{} }))
 		<-done
 		waitFor(t, "the goroutine to go idle", func() bool { return w.idle.Load() == 1 })
 	}
@@ -37,10 +42,10 @@ func TestWorkersIdleCap(t *testing.T) {
 	var ran sync.WaitGroup
 	ran.Add(n)
 	for i := 0; i < n; i++ {
-		w.Go(func() {
+		w.Go(taskFunc(func() {
 			defer ran.Done()
 			<-release
-		})
+		}))
 	}
 	if got := w.Started(); got != n {
 		t.Fatalf("%d concurrent functions started %d goroutines, want %d", n, got, n)
@@ -59,7 +64,7 @@ func TestWorkersIdleCap(t *testing.T) {
 	w.Close()
 	waitFor(t, "the idle goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
 	done := make(chan struct{})
-	w.Go(func() { close(done) })
+	w.Go(taskFunc(func() { close(done) }))
 	<-done
 	w.Close()
 }
