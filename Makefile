@@ -5,8 +5,11 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# vet covers cmd/dnscache's profile build (profile.go, -tags profile) as
+# well, which the default build leaves out.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags profile ./cmd/dnscache
 
 # lint runs the dnslint analyzer suite (internal/analysis/...) over the
 # repo via the vet -vettool protocol. Zero unannotated findings is the
@@ -27,8 +30,13 @@ lint:
 test:
 	$(GO) test ./...
 
+# race runs the suite under the race detector, then the allocation tests
+# twenty times more: they run their bodies under -race and assert their
+# counts only without it (internal/race), and the repeat keeps a count
+# that the race runtime perturbs from creeping back in.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run Allocs ./...
 
 # mesh-test runs the multi-process mesh integration test: real dnscache
 # binaries on real sockets, peer-fetching through an upstream outage.

@@ -4,16 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"time"
 
 	"resilientdns/internal/cache"
 	"resilientdns/internal/dnswire"
+	"resilientdns/internal/resolve"
 	"resilientdns/internal/transport"
 )
-
-// frontendTimeout bounds one stub query's resolution when served over a
-// real transport.
-const frontendTimeout = 5 * time.Second
 
 // HandleQuery implements transport.Handler, making the caching server
 // directly servable over UDP to stub resolvers: the full CS role from the
@@ -118,7 +114,7 @@ func (cs *CachingServer) handle(q *dnswire.Message, mode answerMode) (resp *dnsw
 			lookup = answerCacheOnly
 		}
 		var err error
-		res, done, err = cs.resolve(context.Background(), frontendTimeout, lookup, q.Question[0].Name, q.Question[0].Type, nil)
+		res, done, err = cs.resolve(context.Background(), resolve.FrontendTimeout, lookup, q.Question[0].Name, q.Question[0].Type, nil)
 		switch {
 		case !done:
 			return nil, nil, false

@@ -197,11 +197,14 @@ func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, due, 
 	tr := cs.resolver.NewTrace(resolve.KindRenewal, zone, dnswire.TypeNS)
 
 	// Refetch the zone's own NS RRset from its servers through the shared
-	// fetch engine, under one Work of retry budget, as one resolution
-	// gets. The response's answer carries the NS set and its glue, which
-	// ingest re-caches with answer credibility, resetting the TTL.
-	addrs := cs.resolver.ZoneAddrs(e.RRs)
-	resp, err := cs.resolver.Refetch(resolve.NewWork(ctx, cs.cfg.Upstream.RetryBudget), tr, zone, addrs)
+	// fetch engine, under a renewal's own Work, begun as the refetch
+	// starts: a slow zone earlier in the sweep delays this one, never
+	// spends its time. The response's answer carries the NS set and its
+	// glue, which ingest re-caches with answer credibility, resetting the
+	// TTL.
+	var w resolve.Work
+	cs.resolver.Begin(&w, ctx, resolve.KindRenewal)
+	resp, err := cs.resolver.Refetch(&w, tr, zone, cs.resolver.ZoneAddrs(e.RRs))
 	if err != nil {
 		metrics.Inc(&cs.stats.RenewalFailed)
 		cs.resolver.FinishTrace(tr, nil, err)
@@ -234,12 +237,6 @@ func (cs *CachingServer) extendIRRs(zone dnswire.Name, set []dnswire.RR) {
 	}
 }
 
-// renewalCycleTimeout bounds one live renewal sweep. A sweep refetches
-// every due zone sequentially, so it inherits the slowest upstream on
-// the list; 30s is enough for a handful of full referral walks and
-// small enough that a wedged sweep clears before renewals pile up.
-const renewalCycleTimeout = 30 * time.Second
-
 // RunRenewalLoop services renewals in real time until ctx is cancelled.
 // Use it with the wall clock when running as a live caching server; the
 // trace-driven simulator calls ProcessDueRenewals directly instead.
@@ -264,13 +261,8 @@ func (cs *CachingServer) RunRenewalLoop(ctx context.Context) {
 			return
 		case <-time.After(wait):
 		}
-		// Each sweep gets its own deadline: a renewal refetch against a
-		// black-holed authoritative must not hang the loop (and with it
-		// every later renewal) past the next polling rounds. The
-		// simulator path (ProcessDueRenewals called directly) stays
-		// unbounded — the virtual clock cannot hang.
-		cctx, cancel := context.WithTimeout(ctx, renewalCycleTimeout)
-		cs.ProcessDueRenewals(cctx, cs.cfg.Clock.Now())
-		cancel()
+		// Each refetch stops at its own Work's end in time, so a renewal
+		// against a black-holed authoritative cannot hang the loop.
+		cs.ProcessDueRenewals(ctx, cs.cfg.Clock.Now())
 	}
 }

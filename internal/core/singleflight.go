@@ -11,17 +11,6 @@ import (
 	"resilientdns/internal/resolve"
 )
 
-// flightTimeout is the hard ceiling on one detached flight. A flight
-// deliberately outlives any single caller (a cancelled leader hands off
-// to the remaining waiters), so no caller's deadline bounds it — without
-// its own ceiling a black-holed upstream chain would pin the flight
-// goroutine and its table slot indefinitely. Generous compared to the
-// frontend's per-query budget: the flight only needs to die eventually,
-// waiters give up on their own schedule. It is the flight's Work's end in
-// time, not a context deadline: no attempt starts at or after it, and
-// none is given a deadline past it.
-const flightTimeout = 30 * time.Second
-
 // flightCall is one in-flight resolution of a (name, type) pair shared by
 // every concurrent Resolve call asking the same question. It is also the
 // context the flight resolves under: its Work (the retry budget, the glue
@@ -67,10 +56,6 @@ func (c *flightCall) cancel() {
 	c.mu.Unlock()
 }
 
-// Deadline implements context.Context: a flight has none; its ceiling is
-// its Work's end in time.
-func (c *flightCall) Deadline() (time.Time, bool) { return time.Time{}, false }
-
 func (c *flightCall) Done() <-chan struct{} {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -109,11 +94,13 @@ func (cs *CachingServer) resolveCoalesced(ctx context.Context, timeout time.Dura
 		c = &flightCall{cs: cs, key: key, done: make(chan struct{})}
 		// The whole flight — every referral step, nested glue fetch, and
 		// failover attempt — draws from one Work, which also carries the
-		// flight's ceiling. Cancelling the flight (the last waiter left)
-		// stops it at its next attempt boundary; the attempt under way
-		// runs to its own deadline, so a server that was about to answer
-		// is neither blamed nor wasted.
-		c.StartQuery(nil, cs.cfg.Upstream.RetryBudget, cs.cfg.Clock.Now().Add(flightTimeout))
+		// flight's ceiling. A flight deliberately outlives any single
+		// caller (a cancelled leader hands off to the remaining waiters),
+		// so no caller's deadline bounds it: the ceiling does. Cancelling
+		// the flight (the last waiter left) stops it at its next attempt
+		// boundary; the attempt under way runs to its own deadline, so a
+		// server that was about to answer is neither blamed nor wasted.
+		cs.resolver.Begin(&c.Work, nil, resolve.KindResolve)
 		cs.flight[key] = c
 		cs.flights.Go(c)
 	}

@@ -100,7 +100,7 @@ func (r *Resolver) refLookupCacheOnly(qname dnswire.Name, qtype dnswire.Type) (*
 
 func (r *Resolver) refResolveChain(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
 	w := new(Work)
-	w.StartQuery(ctx, 0, time.Time{})
+	r.Begin(w, ctx, KindResolve)
 	ctx = w
 	cr := walkChain(qname, qtype, maxCNAME, func(cur dnswire.Name) chainStep {
 		res, err := r.refResolveOne(ctx, cur, qtype, 0)

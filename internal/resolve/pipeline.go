@@ -147,14 +147,14 @@ func (r *Resolver) prefetchDue(e *cache.Entry, now time.Time) bool {
 // ResolveChain is the ChainWalk stage: it resolves qname/qtype fully,
 // chasing CNAMEs across zones, entering Iterate for every link the cache
 // cannot answer. Every link of the chain and every nesting level draws
-// from the query's one Work: the one ctx carries (a flight's), or else a
-// fresh one with the query's glue cap and no other bound.
+// from the query's one Work: the one ctx carries (a flight's), or else
+// one begun here as a flight's is.
 func (r *Resolver) ResolveChain(ctx context.Context, tr *Trace, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
 	sp := tr.StartStage(StageChainWalk)
 	defer sp.End()
 	if workOf(ctx) == nil {
 		w := new(Work)
-		w.StartQuery(ctx, 0, time.Time{})
+		r.Begin(w, ctx, KindResolve)
 		ctx = w
 	}
 	cr := walkChain(qname, qtype, maxCNAME, func(cur dnswire.Name) chainStep {
@@ -228,21 +228,29 @@ func (r *Resolver) resolveOne(ctx context.Context, tr *Trace, qname dnswire.Name
 
 // prefetch refreshes a cache entry a client query hit in the last tenth
 // of its TTL (unbound-style prefetch). Async mode hands the key to the
-// background pool and returns immediately; inline mode refetches before
-// the caller returns the cached data, which stays valid even if the
-// refetch fails.
+// background pool and returns immediately; inline mode refetches under
+// the client query's own work before the caller returns the cached data,
+// which stays valid even if the refetch fails.
 func (r *Resolver) prefetch(ctx context.Context, tr *Trace, qname dnswire.Name, qtype dnswire.Type) {
 	if r.pf != nil {
 		r.pf.enqueue(cache.Key{Name: qname, Type: qtype})
 		return
 	}
+	r.refresh(ctx, tr, qname, qtype)
+}
+
+// refresh is one prefetch, inline or background: a full iteration at
+// depth 1 (no re-prefetch, no validation). A fresh fetch restarts the
+// entry's lifetime; failures are harmless (the cached copy is still
+// live). The explicit Extend covers the cache's conservative replacement
+// rules for identical data.
+func (r *Resolver) refresh(ctx context.Context, tr *Trace, qname dnswire.Name, qtype dnswire.Type) error {
 	metrics.Inc(&r.counters.PrefetchQueries)
-	// A fresh fetch restarts the entry's lifetime; failures are harmless
-	// (the cached copy is still live). The explicit Extend covers the
-	// cache's conservative replacement rules for identical data.
-	if _, _, err := r.iterate(ctx, tr, qname, qtype, 1, false, false); err == nil {
+	_, _, err := r.iterate(ctx, tr, qname, qtype, 1, false, false)
+	if err == nil {
 		r.cache.Extend(qname, qtype)
 	}
+	return err
 }
 
 // staleAnswer serves an expired cached answer after live resolution

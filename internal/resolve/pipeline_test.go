@@ -186,9 +186,8 @@ func TestGlueDepthBounded(t *testing.T) {
 func TestGlueBudgetBoundsFanout(t *testing.T) {
 	const nsCount = 24
 
-	// run resolves the delegation's glue under ctx: one with the query's
-	// budget, or one with none at all (what take allows for work that is
-	// no client query's).
+	// run resolves the delegation's glue under ctx: one with a budget, or
+	// one with no Work at all (a stage called directly).
 	run := func(ctx context.Context) (attempts int, c Counters) {
 		var n int
 		counting := transport.Exchanger(func(context.Context, transport.Addr, *dnswire.Message) (*dnswire.Message, error) {
@@ -206,8 +205,10 @@ func TestGlueBudgetBoundsFanout(t *testing.T) {
 		return n, r.Counters()
 	}
 
+	begin := newTestResolver(t, Config{}).Begin
 	four := new(Work)
-	four.init(context.Background(), 0, 4, time.Time{})
+	begin(four, context.Background(), KindResolve)
+	four.glue.Store(4)
 	boundedAttempts, bounded := run(four)
 	if bounded.GlueFetches != 4 {
 		t.Errorf("GlueFetches = %d, want exactly the budget of 4", bounded.GlueFetches)
@@ -216,7 +217,7 @@ func TestGlueBudgetBoundsFanout(t *testing.T) {
 		t.Error("budget exhaustion never counted despite 24 candidate servers")
 	}
 	query := new(Work)
-	query.StartQuery(context.Background(), 0, time.Time{})
+	begin(query, context.Background(), KindResolve)
 	if _, query := run(query); query.GlueFetches != maxGlueFetches {
 		t.Errorf("GlueFetches = %d under a client query's budget, want %d", query.GlueFetches, maxGlueFetches)
 	}
@@ -231,25 +232,25 @@ func TestGlueBudgetBoundsFanout(t *testing.T) {
 	}
 }
 
+// nxnsReferral serves the NXNS-shaped referral for every name under
+// victim.test. — a glueless delegation to more out-of-bailiwick servers
+// than one piece of work's glue budget; every other query times out.
+var nxnsReferral = transport.Exchanger(func(_ context.Context, _ transport.Addr, q *dnswire.Message) (*dnswire.Message, error) {
+	if !q.Question[0].Name.IsSubdomainOf(dnswire.MustName("victim.test.")) {
+		return nil, transport.ErrTimeout
+	}
+	resp := q.Reply()
+	for i := 0; i < maxGlueFetches+4; i++ {
+		resp.Authority = append(resp.Authority, rrNS("victim.test.", 3600, fmt.Sprintf("ns%d.elsewhere.", i)))
+	}
+	return resp, nil
+})
+
 // TestGlueBudgetInstalledPerQuery checks the budget rides the public
 // entry point's context: two sequential ResolveChain calls each get a
 // fresh pool rather than sharing one.
 func TestGlueBudgetInstalledPerQuery(t *testing.T) {
-	// The root serves the NXNS-shaped referral — glueless delegation to
-	// more out-of-bailiwick servers than one query's budget; every other
-	// query times out.
-	victim := dnswire.MustName("victim.test.")
-	referring := transport.Exchanger(func(_ context.Context, _ transport.Addr, q *dnswire.Message) (*dnswire.Message, error) {
-		if !q.Question[0].Name.IsSubdomainOf(victim) {
-			return nil, transport.ErrTimeout
-		}
-		resp := q.Reply()
-		for i := 0; i < maxGlueFetches+4; i++ {
-			resp.Authority = append(resp.Authority, rrNS("victim.test.", 3600, fmt.Sprintf("ns%d.elsewhere.", i)))
-		}
-		return resp, nil
-	})
-	r := newTestResolver(t, Config{Transport: referring})
+	r := newTestResolver(t, Config{Transport: nxnsReferral})
 
 	for call := 1; call <= 2; call++ {
 		_, _ = r.ResolveChain(context.Background(), nil, dnswire.MustName("www.victim.test."), dnswire.TypeA)

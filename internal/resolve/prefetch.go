@@ -1,12 +1,9 @@
 package resolve
 
 import (
-	"context"
 	"sync"
-	"time"
 
 	"resilientdns/internal/cache"
-	"resilientdns/internal/metrics"
 )
 
 const (
@@ -16,9 +13,6 @@ const (
 	// blocked on.
 	prefetchWorkers = 2
 	prefetchQueue   = 64
-	// prefetchTimeout bounds one background refresh; prefetches refresh
-	// still-live entries, so abandoning a slow one costs nothing.
-	prefetchTimeout = 10 * time.Second
 )
 
 // prefetcher is the bounded background worker pool that takes prefetch
@@ -80,20 +74,13 @@ func (pf *prefetcher) worker() {
 	}
 }
 
-// run performs one background refresh, mirroring the inline prefetch:
-// a full iteration at depth 1 (no re-prefetch, no validation) followed
-// by an Extend on success.
+// run performs one background refresh under a prefetch's own Work.
 func (pf *prefetcher) run(k cache.Key) {
 	r := pf.r
-	ctx, cancel := context.WithTimeout(context.Background(), prefetchTimeout)
-	defer cancel()
+	var w Work
+	r.Begin(&w, nil, KindPrefetch)
 	tr := r.NewTrace(KindPrefetch, k.Name, k.Type)
-	metrics.Inc(&r.counters.PrefetchQueries)
-	_, _, err := r.iterate(NewWork(ctx, r.cfg.Upstream.RetryBudget), tr, k.Name, k.Type, 1, false, false)
-	if err == nil {
-		r.cache.Extend(k.Name, k.Type)
-	}
-	r.FinishTrace(tr, nil, err)
+	r.FinishTrace(tr, nil, r.refresh(&w, tr, k.Name, k.Type))
 }
 
 // close stops the pool and waits for in-flight refreshes to finish.

@@ -128,3 +128,41 @@ func TestPrefetchCloseConcurrentWithEnqueue(t *testing.T) {
 	r.Close()
 	wg.Wait()
 }
+
+// TestPrefetchAttemptEndsWithWork: a background prefetch stops at its
+// Work's end in time, prefetchTimeout after it began on the server's
+// clock. The first root server takes all but 100 ms of that to fail, so
+// the second is asked with 100 ms left and must be given no more than
+// that, not -max-timeout's 3 s.
+func TestPrefetchAttemptEndsWithWork(t *testing.T) {
+	clk := simclock.NewVirtual(epoch)
+	var given []time.Duration
+	slow := transport.Exchanger(func(ctx context.Context, _ transport.Addr, _ *dnswire.Message) (*dnswire.Message, error) {
+		d, _ := ctx.Deadline()
+		given = append(given, time.Until(d))
+		clk.Advance(prefetchTimeout - 100*time.Millisecond)
+		return nil, transport.ErrTimeout
+	})
+	r := newTestResolver(t, Config{Clock: clk, Transport: slow, Prefetch: true, AsyncPrefetch: true,
+		RootAddrs: []transport.Addr{"10.0.0.1", "10.0.0.2"}})
+	defer r.Close()
+	r.pf.run(cache.Key{Name: dnswire.MustName("www.test."), Type: dnswire.TypeA})
+	if len(given) != 2 {
+		t.Fatalf("%d attempts, want one per root server", len(given))
+	}
+	if given[1] > 100*time.Millisecond {
+		t.Errorf("the attempt with 100 ms of the prefetch left was given %v", given[1].Round(time.Millisecond))
+	}
+}
+
+// TestPrefetchGlueBudget: a background prefetch into a glueless
+// delegation naming more servers than maxGlueFetches stops at that cap,
+// with no retry budget to stop it first.
+func TestPrefetchGlueBudget(t *testing.T) {
+	r := newTestResolver(t, Config{Transport: nxnsReferral, Prefetch: true, AsyncPrefetch: true})
+	defer r.Close()
+	r.pf.run(cache.Key{Name: dnswire.MustName("www.victim.test."), Type: dnswire.TypeA})
+	if got := r.Counters().GlueFetches; got != maxGlueFetches {
+		t.Errorf("GlueFetches = %d, want the cap of %d", got, maxGlueFetches)
+	}
+}

@@ -127,23 +127,40 @@ var ErrResolutionFailed = errors.New("resolve: resolution failed")
 // a short value so clients re-try soon).
 const StaleServeTTL = 30
 
-// maxGlueDepth bounds nested resolutions of out-of-bailiwick name-server
-// addresses.
-const maxGlueDepth = 4
+// What one piece of work may cost: every limit DESIGN §10 derives its
+// bounds from, declared here and nowhere else (TestDesignLimitsMatchCode
+// holds that section to these values).
+const (
+	// FrontendTimeout bounds how long a stub query served over a real
+	// transport waits for its answer.
+	FrontendTimeout = 5 * time.Second
+	// flightTimeout, renewalTimeout and prefetchTimeout are how long one
+	// coalesced flight, one renewal refetch and one background prefetch
+	// may run: their Work's end in time, from Begin (workTime).
+	flightTimeout   = 30 * time.Second
+	renewalTimeout  = 30 * time.Second
+	prefetchTimeout = 10 * time.Second
+	// maxGlueFetches caps the out-of-bailiwick name-server address
+	// resolutions one piece of work may trigger, across sibling NS names
+	// as well as nesting — the NXNSAttack bound (maxGlueDepth alone only
+	// limits nesting, so a delegation fanning out to dozens of
+	// unresolvable NS names could still multiply upstream traffic). It has
+	// no off switch.
+	maxGlueFetches = 16
+	// maxGlueDepth bounds nested resolutions of out-of-bailiwick
+	// name-server addresses.
+	maxGlueDepth = 4
+	// maxReferrals bounds one resolution's downward steps.
+	maxReferrals = 24
+	// maxCNAME bounds CNAME chain chasing: a chain is followed for at
+	// most this many hops.
+	maxCNAME = 8
+	// maxChainDepth bounds DS→DNSKEY chain walks.
+	maxChainDepth = 8
+)
 
-// maxReferrals bounds one resolution's downward steps.
-const maxReferrals = 24
-
-// maxCNAME bounds CNAME chain chasing: a chain is followed for at most
-// this many hops.
-const maxCNAME = 8
-
-// maxGlueFetches caps the total out-of-bailiwick name-server address
-// resolutions one client query may trigger, across sibling NS names as
-// well as nesting — the NXNSAttack bound (maxGlueDepth alone only limits
-// nesting, so a delegation fanning out to dozens of unresolvable NS names
-// could still multiply upstream traffic). It has no off switch.
-const maxGlueFetches = 16
+// workTime is each kind of work's time, from Begin to its end.
+var workTime = [numKinds]time.Duration{KindResolve: flightTimeout, KindRenewal: renewalTimeout, KindPrefetch: prefetchTimeout}
 
 // Resolver runs the resolution pipeline over a shared cache and one fetch
 // engine. It is safe for concurrent use: the cache is sharded internally,

@@ -146,8 +146,9 @@ func TestAGluePreferredOverAAAA(t *testing.T) {
 // TestBudgetExhaustionError: the fetch engine surfaces the sentinel so
 // callers can tell budget exhaustion from ordinary unreachability.
 func TestBudgetExhaustionError(t *testing.T) {
-	r := newTestResolver(t, Config{Transport: deadTransport})
-	ctx := NewWork(context.Background(), 1)
+	r := newTestResolver(t, Config{Transport: deadTransport, Upstream: UpstreamConfig{RetryBudget: 1}})
+	ctx := new(Work)
+	r.Begin(ctx, context.Background(), KindResolve)
 	_, err := r.engine.Fetch(ctx, nil, []transport.Addr{"10.0.0.1", "10.0.0.2"},
 		dnswire.MustName("x."), dnswire.TypeA)
 	if !errors.Is(err, errBudgetExhausted) {

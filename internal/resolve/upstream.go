@@ -36,9 +36,9 @@ type UpstreamConfig struct {
 	Quarantine time.Duration
 
 	// RetryBudget bounds the total upstream attempts one resolution (or
-	// one renewal refetch cycle) may spend across its whole referral
-	// ladder, so a blacked-out hierarchy cannot make a single query burn
-	// every failover path. 0 means unbounded — the library default, and
+	// one renewal refetch, or one prefetch) may spend across its whole
+	// referral ladder, so a blacked-out hierarchy cannot make a single
+	// query burn every failover path. 0 means unbounded — the library default, and
 	// what the trace-driven simulator uses so attack-window query counts
 	// stay comparable across schemes; cmd/dnscache sets a real bound.
 	RetryBudget int
@@ -308,25 +308,28 @@ func (u *upstream) quarantined(addr transport.Addr, now time.Time) bool {
 }
 
 // Work is what one piece of work may still spend upstream, and the
-// context that work runs under. One is installed per coalesced flight
-// (core's flight embeds it and is the flight's context), per renewal
-// refetch cycle and per background prefetch, and everything the work does
-// draws from it:
+// context that work runs under. Resolver.Begin starts every one: a
+// coalesced flight's (core's flight embeds it and is the flight's
+// context), a renewal refetch's and a background prefetch's. Everything
+// the work does draws from it:
 //   - attempts: upstream attempts across the whole referral ladder, nested
-//     glue and DNSSEC fetches included (-retry-budget);
-//   - glue: out-of-bailiwick name-server address fetches. Unlike
-//     maxGlueDepth, which bounds nesting, it bounds total fanout: every
-//     sibling NS name chased at every level draws from the same pool, which
-//     stops an NXNSAttack-style delegation from multiplying upstream
-//     traffic;
-//   - until: no attempt starts at or after it, and none is given a deadline
-//     past it (a flight's ceiling). Zero means no end in time.
+//     glue and DNSSEC fetches included (-retry-budget; unbounded at 0);
+//   - glue: maxGlueFetches out-of-bailiwick name-server address fetches.
+//     Unlike maxGlueDepth, which bounds nesting, it bounds total fanout:
+//     every sibling NS name chased at every level draws from the same
+//     pool, which stops an NXNSAttack-style delegation from multiplying
+//     upstream traffic;
+//   - until: the work's end in time, its kind's workTime after Begin on
+//     the server's clock. No attempt starts at or after it, and none is
+//     given a deadline past it; it is the only end in time work stops on.
 //
 // A Work answers Value for its own key and takes everything else —
 // deadline, cancellation, other values — from the context it was
-// installed into; with none, it is a root context that is never done.
-// A stage called under a context that carries no Work (a test calling it
-// directly) runs unbounded.
+// started under; with none, it is a root context that is never done.
+// until stays off Deadline: it is on the server's clock, virtual in the
+// simulator, and a deadline is wall-clock time. A stage called under a
+// context that carries no Work (a test calling it directly) runs
+// unbounded.
 type Work struct {
 	parent   context.Context
 	until    time.Time
@@ -336,34 +339,18 @@ type Work struct {
 
 type workKey struct{}
 
-// NewWork returns a renewal refetch cycle's or a background prefetch's
-// work under parent: attempts upstream attempts (<= 0: unbounded), no cap
-// on glue fetches and no end in time beyond parent's deadline.
-func NewWork(parent context.Context, attempts int) *Work {
-	w := new(Work)
-	w.init(parent, attempts, 0, time.Time{})
-	return w
-}
-
-// StartQuery readies w as one client query's work: attempts upstream
-// attempts (<= 0: unbounded) until until (zero: no end in time), and the
-// query's maxGlueFetches glue fetches. A coalesced flight starts its
-// embedded Work this way, with no parent: the flight is its own context.
-func (w *Work) StartQuery(parent context.Context, attempts int, until time.Time) {
-	w.init(parent, attempts, maxGlueFetches, until)
-}
-
-// init readies w; a count <= 0 is unbounded.
-func (w *Work) init(parent context.Context, attempts, glue int, until time.Time) {
-	unbounded := func(n int) int64 {
-		if n <= 0 {
-			return math.MaxInt64
-		}
-		return int64(n)
+// Begin starts w as one piece of kind's work — KindResolve, KindRenewal
+// or KindPrefetch — under parent (nil: w is its own root context): the
+// retry budget's attempts, maxGlueFetches glue fetches, and the kind's
+// workTime from now.
+func (r *Resolver) Begin(w *Work, parent context.Context, kind Kind) {
+	attempts := int64(r.cfg.Upstream.RetryBudget)
+	if attempts <= 0 {
+		attempts = math.MaxInt64
 	}
-	w.parent, w.until = parent, until
-	w.attempts.Store(unbounded(attempts))
-	w.glue.Store(unbounded(glue))
+	w.parent, w.until = parent, r.cfg.Clock.Now().Add(workTime[kind])
+	w.attempts.Store(attempts)
+	w.glue.Store(maxGlueFetches)
 }
 
 func (w *Work) Deadline() (time.Time, bool) {
@@ -420,12 +407,12 @@ func (w *Work) takeGlue() bool {
 
 // over reports whether w has ended in time at now.
 func (w *Work) over(now time.Time) bool {
-	return w != nil && !w.until.IsZero() && !now.Before(w.until)
+	return w != nil && !now.Before(w.until)
 }
 
 // clip cuts d to what is left of w's time at now.
 func (w *Work) clip(now time.Time, d time.Duration) time.Duration {
-	if w == nil || w.until.IsZero() {
+	if w == nil {
 		return d
 	}
 	return min(d, w.until.Sub(now))

@@ -138,30 +138,43 @@ func TestRetryBudgetContext(t *testing.T) {
 	if !workOf(ctx).takeAttempt() {
 		t.Fatal("work-less context denied an attempt")
 	}
-	b := NewWork(ctx, 2)
+	b := new(Work)
+	newTestResolver(t, Config{Upstream: UpstreamConfig{RetryBudget: 2}}).Begin(b, ctx, KindRenewal)
 	if workOf(b) != b || !workOf(b).takeAttempt() || !workOf(b).takeAttempt() {
 		t.Fatal("budget denied attempts within its allowance")
 	}
 	if workOf(b).takeAttempt() {
 		t.Fatal("budget allowed a third attempt out of 2")
 	}
-	unbounded := NewWork(ctx, 0)
-	for i := 0; i < 100; i++ {
-		if !unbounded.takeAttempt() || !unbounded.takeGlue() {
-			t.Fatalf("a zero budget denied draw %d", i+1)
+
+	// With no retry budget the count is unbounded, the glue cap is not,
+	// and each kind of work ends its own time after Begin.
+	r := newTestResolver(t, Config{})
+	for kind, want := range map[Kind]time.Duration{KindResolve: 30 * time.Second, KindRenewal: 30 * time.Second, KindPrefetch: 10 * time.Second} {
+		w := new(Work)
+		r.Begin(w, ctx, kind)
+		if got := w.until.Sub(epoch); got != want {
+			t.Errorf("%s work ends %v after Begin, want %v", kindNames[kind], got, want)
+		}
+		for i := 0; i < 100; i++ {
+			if !w.takeAttempt() {
+				t.Fatalf("a zero budget denied attempt %d", i+1)
+			}
+		}
+		glue := 0
+		for w.takeGlue() {
+			glue++
+		}
+		if glue != maxGlueFetches {
+			t.Errorf("%s work drew %d glue fetches, want %d", kindNames[kind], glue, maxGlueFetches)
 		}
 	}
 
-	// A budget that ends in time: unbounded in count, halted at its end,
-	// and every attempt timeout cut to what is left of it.
+	// A budget that ends in time: halted at its end, and every attempt
+	// timeout cut to what is left of it.
 	until := epoch.Add(30 * time.Second)
 	timed := new(Work)
-	timed.StartQuery(ctx, 0, until)
-	for i := 0; i < 100; i++ {
-		if !workOf(timed).takeAttempt() {
-			t.Fatalf("a budget with no count denied attempt %d", i+1)
-		}
-	}
+	r.Begin(timed, ctx, KindResolve)
 	if err := halted(timed, until.Add(-time.Nanosecond)); err != nil {
 		t.Errorf("halted just before the end: %v", err)
 	}

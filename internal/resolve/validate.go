@@ -8,9 +8,6 @@ import (
 	"resilientdns/internal/dnswire"
 )
 
-// maxChainDepth bounds DS→DNSKEY chain walks.
-const maxChainDepth = 8
-
 // ErrBogus reports a DNSSEC validation failure: the zone chain is signed
 // but the data does not verify.
 var ErrBogus = errors.New("resolve: DNSSEC validation failed (bogus)")
