@@ -252,7 +252,7 @@ func benchStack(b *testing.B, scheme func(*core.Config)) (*core.CachingServer, [
 		b.Fatal(err)
 	}
 	clk := simclock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	net := simnet.New(clk, 1)
+	net := simnet.New(clk)
 	net.RTT = 0
 	net.Timeout = 0
 	tree.Install(net)

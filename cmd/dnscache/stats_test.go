@@ -27,7 +27,7 @@ import (
 func TestStatsSectionsAreReadOnly(t *testing.T) {
 	clock := simclock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	cs, err := core.NewCachingServer(core.Config{
-		Transport: simnet.New(clock, 1),
+		Transport: simnet.New(clock),
 		Clock:     clock,
 		RootHints: []core.ServerRef{{Host: "a.root.", Addr: "198.41.0.4"}},
 	})

@@ -2,6 +2,9 @@
 // trace-driven simulation. Run with -exp all (default) or specific ids
 // such as -exp fig4,table2. The simulations behind the requested tables
 // run on all cores; the output does not depend on how many there are.
+// Every table's claims are checked against its runs: stderr gets each
+// claim that does not hold and a summary line (-v: every verdict), and a
+// failed claim the deviation list does not record makes the exit code 1.
 package main
 
 import (
@@ -20,14 +23,14 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its inputs and outputs as parameters; it returns the
 // exit code: 2 for a bad command line (an unknown -exp id included, before
-// anything is simulated), 1 for a failed run.
+// anything is simulated), 1 for a failed run or a failed claim.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dnssim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	exp := fs.String("exp", "all", "experiment id(s), comma-separated, or 'all'")
 	seed := fs.Int64("seed", 1, "master random seed")
 	quick := fs.Bool("quick", false, "use the small test scale instead of the full evaluation scale")
-	verbose := fs.Bool("v", false, "print when each table is done, then runs executed, memo hits and workers")
+	verbose := fs.Bool("v", false, "print when each table is done, runs executed, memo hits and workers, and every claim's verdict")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -73,5 +76,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "[%d runs executed, %d memo hits, %d workers, %v]\n",
 			st.Runs, st.MemoHits, st.Workers, time.Since(t0).Round(time.Millisecond))
 	}
-	return 0
+	return claims(st.Verdicts, *verbose, stderr)
+}
+
+// claims writes the verdicts to w: every claim that does not hold (all of
+// them with verbose), then one summary line. It returns the exit code: 1
+// when a claim fails that the deviation list does not record.
+func claims(vs []experiments.Verdict, verbose bool, w io.Writer) int {
+	var held, known int
+	for _, v := range vs {
+		status := "FAILS"
+		switch {
+		case v.Holds:
+			status, held = "holds", held+1
+		case v.Known:
+			status, known = "deviates (known)", known+1
+		}
+		if verbose || !v.Holds {
+			fmt.Fprintf(w, "claim %s %s: %s [%s]\n", v.ID, status, v.Claim, v.Measured)
+		}
+	}
+	failed := len(vs) - held - known
+	fmt.Fprintf(w, "[claims: %d hold, %d known deviations, %d fail]\n", held, known, failed)
+	return min(failed, 1)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"resilientdns/internal/experiments"
 )
 
 // An unknown id fails the whole command line before anything is simulated:
@@ -33,10 +35,27 @@ func TestVerboseReportsThePlan(t *testing.T) {
 		t.Errorf("tables missing or out of order:\n%s", stdout.String())
 	}
 	// 5 traces x 2 columns, then Table 1's six runs of which five are the
-	// ablation's no-negcache column.
-	for _, want := range []string{"[ablation-negcache done at ", "[table1 done at ", "[11 runs executed, 5 memo hits, "} {
+	// ablation's no-negcache column; the ablation makes no claim.
+	for _, want := range []string{"[ablation-negcache done at ", "[table1 done at ", "[11 runs executed, 5 memo hits, ",
+		"claim table1.1 holds: requests out < requests in (caching absorbs most queries) [6/6 rows, misses []]\n",
+		"[claims: 1 hold, 0 known deviations, 0 fail]\n"} {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("stderr %q does not contain %q", stderr.String(), want)
 		}
+	}
+}
+
+// Only a failed claim the deviation list does not record fails the run.
+func TestClaimsExitCode(t *testing.T) {
+	known := experiments.Verdict{ID: "fig11.1", Claim: "knee", Measured: "3/5 rows", Known: true}
+	var w bytes.Buffer
+	if code := claims([]experiments.Verdict{known}, false, &w); code != 0 {
+		t.Errorf("a known deviation: exit code %d, want 0", code)
+	}
+	if code := claims([]experiments.Verdict{known, {ID: "mesh.2", Claim: "below"}}, false, &w); code != 1 {
+		t.Errorf("an unrecorded failure: exit code %d, want 1", code)
+	}
+	if !strings.Contains(w.String(), "claim mesh.2 FAILS: below []\n[claims: 0 hold, 1 known deviations, 1 fail]\n") {
+		t.Errorf("report:\n%s", w.String())
 	}
 }

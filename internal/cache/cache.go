@@ -295,6 +295,11 @@ type Stats struct {
 	// Zones is the number of zones whose NS RRset is cached — the
 	// paper's "number of cached zones".
 	Zones int
+	// Zones3hLeft … Zones24hLeft count the zones whose NS RRset has at
+	// least 3, 6, 12 and 24 hours left: the delegations that would outlive
+	// a root+TLD blackout of that length (Fig. 4's) starting now, were
+	// none of them renewed.
+	Zones3hLeft, Zones6hLeft, Zones12hLeft, Zones24hLeft int
 	// InfraEntries is the number of live infrastructure RRset entries.
 	InfraEntries int
 	// StaleEntries counts retained expired entries (KeepStale only).
@@ -314,6 +319,10 @@ func (s Stats) Add(o Stats) Stats {
 	s.Entries += o.Entries
 	s.Records += o.Records
 	s.Zones += o.Zones
+	s.Zones3hLeft += o.Zones3hLeft
+	s.Zones6hLeft += o.Zones6hLeft
+	s.Zones12hLeft += o.Zones12hLeft
+	s.Zones24hLeft += o.Zones24hLeft
 	s.InfraEntries += o.InfraEntries
 	s.StaleEntries += o.StaleEntries
 	s.NegativeEntries += o.NegativeEntries
@@ -824,6 +833,19 @@ func (c *Cache) Stats() Stats {
 			}
 			if key.Type == dnswire.TypeNS {
 				s.Zones++
+				switch left := time.Duration(e.expires - now); {
+				case left >= 24*time.Hour:
+					s.Zones24hLeft++
+					fallthrough
+				case left >= 12*time.Hour:
+					s.Zones12hLeft++
+					fallthrough
+				case left >= 6*time.Hour:
+					s.Zones6hLeft++
+					fallthrough
+				case left >= 3*time.Hour:
+					s.Zones3hLeft++
+				}
 			}
 			s.ApproxBytes += wireBytes(e.RRs) + e.replyBytes()
 		}

@@ -483,6 +483,28 @@ func TestUnboundedByDefault(t *testing.T) {
 // TestStatsAddSumsEveryField fills every field of two Stats with distinct
 // values by reflection, so a field added to the type and forgotten in Add
 // fails here.
+// TestStatsCountsZonesByLifetimeLeft: the coverage counts are cumulative
+// (a zone with 30 h left is in all four) and read the cache's clock, so
+// they fall as it advances.
+func TestStatsCountsZonesByLifetimeLeft(t *testing.T) {
+	c, clk := newTestCache(t, Config{})
+	for i, hours := range []uint32{1, 4, 8, 13, 30} {
+		c.Put([]dnswire.RR{rrNS(fmt.Sprintf("z%d.edu.", i), hours*3600, "ns.edu.")}, CredReferral, true)
+	}
+	c.Put([]dnswire.RR{rrA("www.z4.edu.", 30*3600, "192.0.2.1")}, CredAnswer, false)
+	left := func() [4]int {
+		s := c.Stats()
+		return [4]int{s.Zones3hLeft, s.Zones6hLeft, s.Zones12hLeft, s.Zones24hLeft}
+	}
+	if got, want := left(), [4]int{4, 3, 2, 1}; got != want {
+		t.Errorf("at the start: zones with 3/6/12/24 h left = %v, want %v", got, want)
+	}
+	clk.Advance(2 * time.Hour) // 1h gone; 4h→2h, 8h→6h (at least 6 h counts), 13h→11h, 30h→28h
+	if got, want := left(), [4]int{3, 3, 1, 1}; got != want {
+		t.Errorf("two hours on: zones with 3/6/12/24 h left = %v, want %v", got, want)
+	}
+}
+
 func TestStatsAddSumsEveryField(t *testing.T) {
 	var a, b Stats
 	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()

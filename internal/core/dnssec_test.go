@@ -40,7 +40,7 @@ func newSignedFixture(t *testing.T, tamper func(f *signedFixture)) *signedFixtur
 	t.Helper()
 	f := &signedFixture{signers: make(map[string]*dnssec.Signer)}
 	f.clock = simclock.NewVirtual(epoch)
-	f.net = simnet.New(f.clock, 1)
+	f.net = simnet.New(f.clock)
 	f.net.RTT = 0
 	f.net.Timeout = 0
 

@@ -23,7 +23,7 @@ func Example() {
 		panic(err)
 	}
 	clock := simclock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	network := simnet.New(clock, 1)
+	network := simnet.New(clock)
 	tree.Install(network)
 
 	cs, err := core.NewCachingServer(core.Config{

@@ -74,7 +74,7 @@ func (f *fixture) reviveUclaHost(addr string) {
 func newFixture(t testing.TB, cfg Config) *fixture {
 	t.Helper()
 	clk := simclock.NewVirtual(epoch)
-	net := simnet.New(clk, 1)
+	net := simnet.New(clk)
 	net.RTT = 0
 	net.Timeout = 0
 

@@ -67,6 +67,10 @@ func QuickConfig() Config {
 	return c
 }
 
+// scale names c's size for the deviation list, whatever its seed: the
+// length of its weekly traces.
+func (c Config) scale() string { return fmt.Sprintf("%d queries", c.TraceQueries) }
+
 // attackDurations are the paper's attack lengths.
 var attackDurations = []time.Duration{3 * time.Hour, 6 * time.Hour, 12 * time.Hour, 24 * time.Hour}
 
@@ -153,7 +157,8 @@ type Table struct {
 	Title   string
 	Columns []string
 	Rows    [][]string
-	// Notes carries the paper-shape expectations checked in EXPERIMENTS.md.
+	// Notes are the texts of the table's printed claims, in declaration
+	// order; each is checked by its predicate (RunStats.Verdicts).
 	Notes []string
 }
 
@@ -170,13 +175,6 @@ func (t *Table) Fprint(w io.Writer) {
 		fmt.Fprintf(w, "note: %s\n", n)
 	}
 	fmt.Fprintln(w)
-}
-
-// String renders the table.
-func (t *Table) String() string {
-	var b strings.Builder
-	t.Fprint(&b)
-	return b.String()
 }
 
 // Experiment is one row of the suite's experiment table.

@@ -51,8 +51,14 @@ func meshFleet(s *Suite) plan {
 			counter("renewals deferred", func(st core.Stats) uint64 { return st.RenewalDeferred }),
 			counter("peer-fetch answered", func(st core.Stats) uint64 { return st.PeerFetchAnswered }),
 		},
-		"mesh fleet aggregate renewal traffic should be >=2x below the no-mesh fleet (one owner refetch per zone per TTL)",
-		"mesh fleet attack failure rate should drop below the no-mesh fleet's: gossip warms all caches, peer fetch recovers the rest")
+		note("mesh fleet aggregate renewal traffic should be >=2x below the no-mesh fleet (one owner refetch per zone per TTL)", func(rows [][]*outcome) (string, bool) {
+			noMesh, mesh := rows[1][0].ServerStats.RenewalQueries, rows[2][0].ServerStats.RenewalQueries
+			return fmt.Sprintf("renewal queries: mesh %d vs no mesh %d", mesh, noMesh), 2*mesh <= noMesh
+		}),
+		note("mesh fleet attack failure rate should drop below the no-mesh fleet's: gossip warms all caches, peer fetch recovers the rest", func(rows [][]*outcome) (string, bool) {
+			solo, noMesh, mesh := sr(rows[0][0]), sr(rows[1][0]), sr(rows[2][0])
+			return fmt.Sprintf("attack fail: mesh %s, no mesh %s, solo %s", pct(mesh), pct(noMesh), pct(solo)), mesh < noMesh && mesh <= solo
+		}))
 }
 
 // runMeshFleet replays sc against n caching servers (clients sharded by

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
-	"resilientdns/internal/core"
 	"resilientdns/internal/sim"
 )
 
@@ -21,16 +21,27 @@ func occupancyRows() []row {
 	}
 	combo := sim.RefreshRenew(alfu5)
 	combo.Name = "Combination(3d+A-LFU5)"
-	return []row{
-		on(0, sim.Vanilla()),
-		on(0, sim.Refresh()),
-		on(0, sim.RefreshRenew(core.LRU{C: 5})),
-		on(0, sim.RefreshRenew(core.LFU{C: 5, Max: core.DefaultLFUMax(5)})),
-		on(0, sim.RefreshRenew(core.ALRU{C: 5})),
-		on(0, sim.RefreshRenew(alfu5)),
-		on(7*24*time.Hour, sim.Scheme{Name: "Long-TTL(7d)+Refresh", RefreshTTL: true}),
-		on(3*24*time.Hour, combo),
+	rows := []row{on(0, sim.Vanilla()), on(0, sim.Refresh())}
+	for _, p := range credit5 {
+		rows = append(rows, on(0, sim.RefreshRenew(p)))
 	}
+	return append(rows, on(7*24*time.Hour, sim.Scheme{Name: "Long-TTL(7d)+Refresh", RefreshTTL: true}), on(3*24*time.Hour, combo))
+}
+
+// vsVanilla is a scheme's message change and cache-occupancy multipliers
+// against vanilla DNS's, each summed over the traces of its row.
+func vsVanilla(vanilla, row []*outcome) (dMsgs, zones, records float64) {
+	sum := func(os []*outcome) (msgs, zones, records float64) {
+		for _, o := range os {
+			msgs += float64(o.MessagesOut())
+			zones += o.ZoneSeries.MeanValue()
+			records += o.RecordSeries.MeanValue()
+		}
+		return msgs, zones, records
+	}
+	bm, bz, br := sum(vanilla)
+	m, z, r := sum(row)
+	return (m - bm) / bm, z / bz, r / br
 }
 
 // table2 reproduces Table 2: per-scheme message overhead versus vanilla
@@ -38,15 +49,24 @@ func occupancyRows() []row {
 // summed over the 7-day traces.
 func table2(s *Suite) plan {
 	rows := occupancyRows()
+	delta := func(rows [][]*outcome, i int) float64 { d, _, _ := vsVanilla(rows[0], rows[i]); return d }
 	p := plan{Table: Table{
 		ID:      "table2",
 		Title:   "Message overhead vs vanilla DNS, and memory (cache occupancy) multipliers",
 		Columns: []string{"Scheme", "ΔMessages", "Zones ×", "Records ×"},
-		Notes: []string{
-			"adaptive renewal policies cost the most messages (small-TTL zones refetch often)",
-			"refresh and long-TTL reduce message counts; the combination stays cheap",
-			"occupancy multipliers stay in the 1-3x range (tens of MBs in practice)",
-		},
+	}, width: weekTraces, claims: []claim{
+		note("adaptive renewal policies cost the most messages (small-TTL zones refetch often)", func(rows [][]*outcome) (string, bool) {
+			adaptive, other := min(delta(rows, 4), delta(rows, 5)), max(delta(rows, 1), delta(rows, 2), delta(rows, 3), delta(rows, 6), delta(rows, 7))
+			return fmt.Sprintf("adaptive ≥ %+.1f%%, the others ≤ %+.1f%%", 100*adaptive, 100*other), adaptive > other
+		}),
+		note("refresh and long-TTL reduce message counts; the combination stays cheap", func(rows [][]*outcome) (string, bool) {
+			ref, long, combo := delta(rows, 1), delta(rows, 6), delta(rows, 7)
+			return fmt.Sprintf("refresh %+.1f%%, long-TTL %+.1f%%, combination %+.1f%%", 100*ref, 100*long, 100*combo), ref < 0 && long < 0 && combo < 0
+		}),
+		note("occupancy multipliers stay in the 1-3x range (tens of MBs in practice)", func(rows [][]*outcome) (string, bool) {
+			lo, hi := multipliers(rows)
+			return fmt.Sprintf("%.2f–%.2f×", lo, hi), lo >= 1 && hi <= 3
+		}),
 	}}
 	for _, r := range rows {
 		for i := 0; i < weekTraces; i++ {
@@ -55,25 +75,9 @@ func table2(s *Suite) plan {
 		}
 	}
 	p.fill = func(t *Table, res []*outcome) {
-		type agg struct{ msgs, zones, records float64 }
-		var baseline agg
-		for i, r := range rows {
-			var cur agg
-			for _, o := range res[i*weekTraces : (i+1)*weekTraces] {
-				cur.msgs += float64(o.MessagesOut())
-				cur.zones += o.ZoneSeries.MeanValue()
-				cur.records += o.RecordSeries.MeanValue()
-			}
-			if i == 0 {
-				baseline = cur
-				continue
-			}
-			t.Rows = append(t.Rows, []string{
-				r.label,
-				fmt.Sprintf("%+.1f%%", 100*(cur.msgs-baseline.msgs)/baseline.msgs),
-				fmt.Sprintf("%.2f", cur.zones/baseline.zones),
-				fmt.Sprintf("%.2f", cur.records/baseline.records),
-			})
+		for i, r := range rows[1:] {
+			d, z, rec := vsVanilla(res[:weekTraces], res[(i+1)*weekTraces:(i+2)*weekTraces])
+			t.Rows = append(t.Rows, []string{r.label, fmt.Sprintf("%+.1f%%", 100*d), fmt.Sprintf("%.2f", z), fmt.Sprintf("%.2f", rec)})
 		}
 	}
 	return p
@@ -95,7 +99,18 @@ func fig12(s *Suite) plan {
 		series("Zones max", func(o *outcome) float64 { return o.ZoneSeries.MaxValue() }),
 		series("Records mean", func(o *outcome) float64 { return o.RecordSeries.MeanValue() }),
 		series("Records max", func(o *outcome) float64 { return o.RecordSeries.MaxValue() }),
-	}, "proposed schemes cache ~2-3x more objects than vanilla DNS")
+	}, note("proposed schemes cache ~2-3x more objects than vanilla DNS", func(rows [][]*outcome) (string, bool) {
+		lo, hi := multipliers(rows)
+		return fmt.Sprintf("%.2f–%.2f×", lo, hi), lo >= 1.2 && hi >= 2 && hi <= 3
+	}))
+}
+
+// multipliers is the range of the schemes' zone and record occupancy over
+// vanilla DNS's, the first row's.
+func multipliers(rows [][]*outcome) (lo, hi float64) {
+	zLo, zHi := extremes(rows[1:], func(r []*outcome) float64 { _, z, _ := vsVanilla(rows[0], r); return z })
+	rLo, rHi := extremes(rows[1:], func(r []*outcome) float64 { _, _, rec := vsVanilla(rows[0], r); return rec })
+	return min(zLo, rLo), max(zHi, rHi)
 }
 
 // ablationChildIRRs shows that TTL refresh depends on child answers
@@ -107,7 +122,8 @@ func ablationChildIRRs(s *Suite) plan {
 			{"Refresh SR", scheme(sim.Refresh()), srFail},
 			{"Refresh(no child IRRs) SR", func(sp *runSpec) { sp.scheme, sp.noChildIRRs = sim.Refresh(), true }, srFail},
 			{"DNS SR", nil, srFail},
-		}, "without child-carried IRRs, refresh loses most of its benefit")
+		}, note("without child-carried IRRs, refresh loses most of its benefit",
+			most(1, func(r []*outcome) bool { return sr(r[1]) > sr(r[0]) && sr(r[1]) >= (sr(r[0])+sr(r[2]))/2 })))
 }
 
 // ablationRenewalWithoutRefresh compares renewal alone against
@@ -122,8 +138,12 @@ func ablationRenewalWithoutRefresh(s *Suite) plan {
 			{"Messages Refresh+Renew", both, messages},
 			{"Messages Renew-only", renewOnly, messages},
 		},
-		"renewal alone already provides most of the resilience but refetches more",
-		"refresh piggybacks on demand traffic, renewal pays explicit queries")
+		note("renewal alone already provides most of the resilience but refetches more",
+			each(func(r []*outcome) bool {
+				return sr(r[1]) <= sr(r[0])+near && r[1].MessagesOut() > r[0].MessagesOut()
+			})),
+		note("refresh piggybacks on demand traffic, renewal pays explicit queries",
+			each(func(r []*outcome) bool { return r[1].ServerStats.RenewalQueries > r[0].ServerStats.RenewalQueries })))
 }
 
 // ablationNegativeCache measures the message saving from negative caching,
@@ -144,5 +164,6 @@ func maxDamage(s *Suite) plan {
 			{"Root+TLD SR", nil, srFail},
 			{"MaxDamage SR", func(sp *runSpec) { sp.maxDamage = true }, srFail},
 			{"Budget", nil, func(*outcome) string { return fmt.Sprintf("%d", s.damageBudget()) }},
-		}, "the root+TLD attack is close to the greedy maximum-damage attack (§6)")
+		}, note("the root+TLD attack is close to the greedy maximum-damage attack (§6)",
+			most(1, func(r []*outcome) bool { return math.Abs(sr(r[1])-sr(r[0])) <= 0.10 })))
 }

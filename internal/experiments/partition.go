@@ -28,6 +28,11 @@ func partition(s *Suite) plan {
 	}
 	return grid("partition", "Client population split across k caching servers (TRC1, 6h attack)", "Scheme",
 		rows, cols,
-		"splitting the client population dilutes each cache: upstream traffic grows with k",
-		"larger stub populations behind one cache amplify the resilience schemes (§5.1)")
+		note("splitting the client population dilutes each cache: upstream traffic grows with k", each(func(r []*outcome) bool {
+			return rising(float64(r[1].MessagesOut()), float64(r[3].MessagesOut()), float64(r[5].MessagesOut()), float64(r[7].MessagesOut()))
+		})),
+		note("larger stub populations behind one cache amplify the resilience schemes (§5.1)", func(rows [][]*outcome) (string, bool) {
+			gain := func(j int) float64 { return sr(rows[0][2*j]) - sr(rows[1][2*j]) }
+			return fmt.Sprintf("refresh's SR gain over DNS %.2f pt at k=1, %.2f pt at k=8", 100*gain(0), 100*gain(3)), rising(gain(3), gain(2), gain(1), gain(0))
+		}))
 }

@@ -42,14 +42,25 @@ func restart(s *Suite) plan {
 			variant("Refresh+A-LFU, warm restart (persist)", sim.RefreshRenew(alfu5), warmRestart),
 		},
 		[]column{
-			{"attack fail % before kill", nil, func(o *outcome) string { return pct(metrics.Ratio(o.preFail, o.preQueries)) }},
-			{"attack fail % after restart", nil, func(o *outcome) string {
-				return pct(metrics.Ratio(o.SRFailedAttack-o.preFail, o.SRQueriesAttack-o.preQueries))
-			}},
+			{"attack fail % before kill", nil, func(o *outcome) string { return pct(o.beforeKill()) }},
+			{"attack fail % after restart", nil, func(o *outcome) string { return pct(o.afterRestart()) }},
 			{"replayed entries", nil, func(o *outcome) string { return fmt.Sprintf("%d", o.replayed) }},
 		},
-		"warm restart should hold the defended (near-zero) failure rate after the kill",
-		"cold restart of the defended scheme should revert toward the vanilla rate")
+		note("warm restart should hold the defended (near-zero) failure rate after the kill", func(rows [][]*outcome) (string, bool) {
+			cold, warm := rows[1][0].afterRestart(), rows[2][0].afterRestart()
+			return fmt.Sprintf("after restart: warm %s vs cold %s", pct(warm), pct(cold)), warm < cold && warm <= 0.10
+		}),
+		note("cold restart of the defended scheme should revert toward the vanilla rate", func(rows [][]*outcome) (string, bool) {
+			cold, vanilla := rows[1][0].afterRestart(), rows[0][0].beforeKill()
+			return fmt.Sprintf("defended cold after restart %s vs vanilla before the kill %s", pct(cold), pct(vanilla)), cold >= vanilla
+		}))
+}
+
+// beforeKill and afterRestart are a crash run's attack-window stub-resolver
+// failure rates on either side of the kill.
+func (o *outcome) beforeKill() float64 { return metrics.Ratio(o.preFail, o.preQueries) }
+func (o *outcome) afterRestart() float64 {
+	return metrics.Ratio(o.SRFailedAttack-o.preFail, o.SRQueriesAttack-o.preQueries)
 }
 
 // killAfter is how far into the blackout the crash comes.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"resilientdns/internal/sim"
@@ -33,7 +34,10 @@ func serveStaleBaseline(s *Suite) plan {
 	}
 	return grid("servestale", "Paper's schemes vs the serve-stale baseline (§7), 6h root+TLD attack", "Trace",
 		s.weekRows(sixHours), cols,
-		"serve-stale rescues previously seen names but violates TTL semantics (§7)",
-		"prefetch keeps hot data records alive but does nothing for cold zones' IRRs",
-		"the IRR schemes reach comparable resilience within DNS semantics")
+		note("serve-stale rescues previously seen names but violates TTL semantics (§7)",
+			each(func(r []*outcome) bool { return sr(r[1]) <= sr(r[0])/2 })),
+		note("prefetch keeps hot data records alive but does nothing for cold zones' IRRs",
+			each(func(r []*outcome) bool { return math.Abs(sr(r[2])-sr(r[0])) <= near })),
+		note("the IRR schemes reach comparable resilience within DNS semantics",
+			most(1, func(r []*outcome) bool { return sr(r[4]) <= sr(r[1])+near })))
 }

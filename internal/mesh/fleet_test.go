@@ -92,7 +92,6 @@ func newFleet(t *testing.T, n int, withMesh bool) *fleet {
 	f.sim, err = sim.NewFleet(clk, sim.Scenario{
 		Tree:   tree,
 		Scheme: sim.RefreshRenew(core.ALFU{C: 5, MaxDays: core.DefaultLFUMax(5)}),
-		Seed:   7,
 	}, n, func(i int, cfg *core.Config) {
 		if withMesh {
 			cfg.Fleet = f.members[i].node

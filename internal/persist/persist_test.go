@@ -62,7 +62,7 @@ type fixture struct {
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	clk := simclock.NewVirtual(epoch)
-	net := simnet.New(clk, 1)
+	net := simnet.New(clk)
 	net.RTT = 0
 	net.Timeout = 0
 

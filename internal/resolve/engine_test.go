@@ -78,7 +78,7 @@ func TestFetchQueryReuse(t *testing.T) {
 	}
 	defer udp.Close()
 	clock := simclock.NewVirtual(epoch)
-	network := simnet.New(clock, 1)
+	network := simnet.New(clock)
 	network.Register(&simnet.Host{Addr: "10.0.0.1", Zone: dnswire.MustName("example."), Handler: auth})
 	for _, tc := range []struct {
 		name   string

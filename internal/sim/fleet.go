@@ -50,7 +50,7 @@ func NewFleet(clk *simclock.Virtual, s Scenario, n int, amend func(i int, cfg *c
 	if n < 1 {
 		return nil, fmt.Errorf("sim: parts must be >= 1, got %d", n)
 	}
-	net := simnet.New(clk, s.Seed)
+	net := simnet.New(clk)
 	// Virtual exchanges are free in time: the trace timestamps alone
 	// drive the clock, exactly as in the paper's simulator. (Timeout
 	// accounting is still exact: a blacked-out server yields an error.)

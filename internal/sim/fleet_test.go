@@ -18,7 +18,7 @@ import (
 // with no trace: the tests below step it by hand.
 func stepFleet(t *testing.T, scheme Scheme, n int, sched func(*topology.Tree) attack.Schedule, amend func(int, *core.Config)) (*Fleet, []topology.TargetName) {
 	t.Helper()
-	s := Scenario{Tree: quickTree(t), Scheme: scheme, Seed: 1}
+	s := Scenario{Tree: quickTree(t), Scheme: scheme}
 	if sched != nil {
 		s.Attack = sched(s.Tree)
 	}
@@ -212,7 +212,7 @@ func TestFleetAmendSeesSchemeConfig(t *testing.T) {
 	}
 	var seen []core.Config
 	changes := 0
-	f, err := NewFleet(simclock.NewVirtual(epoch), Scenario{Tree: tree, Scheme: scheme, Seed: 1}, 2, func(i int, cfg *core.Config) {
+	f, err := NewFleet(simclock.NewVirtual(epoch), Scenario{Tree: tree, Scheme: scheme}, 2, func(i int, cfg *core.Config) {
 		if i != len(seen) {
 			t.Errorf("amend called for server %d after %d calls", i, len(seen))
 		}

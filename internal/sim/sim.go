@@ -69,8 +69,6 @@ type Scenario struct {
 	// SampleEvery samples cache occupancy at this virtual-time interval
 	// (0 disables the series).
 	SampleEvery time.Duration
-	// Seed feeds the simulated network (loss decisions).
-	Seed int64
 	// NoChildIRRs disables the authoritative servers' attachment of their
 	// own IRRs to answers — the ablation that shows TTL refresh only
 	// works because child answers carry the IRRs.

@@ -34,7 +34,7 @@ func testScenario(t *testing.T, scheme Scheme, attackDur time.Duration) Scenario
 	if attackDur > 0 {
 		sched = attack.RootAndTLDs(epoch.Add(6*24*time.Hour), attackDur, tree.AllZoneNames())
 	}
-	return Scenario{Tree: tree, Trace: tr, Attack: sched, Scheme: scheme, Seed: 3}
+	return Scenario{Tree: tree, Trace: tr, Attack: sched, Scheme: scheme}
 }
 
 func TestRunVanillaNoAttack(t *testing.T) {

@@ -1,14 +1,12 @@
 // Package simnet provides a deterministic in-memory network for
 // trace-driven simulation. It implements transport.Transport against
 // in-process authoritative server handlers, charges virtual time for every
-// exchange, drops packets probabilistically, and times out queries to
-// servers whose zone is under attack.
+// exchange, and times out queries to servers whose zone is under attack.
 package simnet
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"resilientdns/internal/attack"
@@ -41,24 +39,20 @@ type Network struct {
 	RTT time.Duration
 	// Timeout is the virtual time charged for a failed exchange.
 	Timeout time.Duration
-	// LossRate drops this fraction of queries at random (seeded).
-	LossRate float64
 
 	clock  *simclock.Virtual
-	rng    *rand.Rand
 	hosts  map[transport.Addr]*Host
 	attack attack.Schedule
 	stats  Stats
 }
 
-// New returns a network using the given virtual clock and RNG seed.
-// Defaults: 40 ms RTT, 2 s timeout, no loss.
-func New(clock *simclock.Virtual, seed int64) *Network {
+// New returns a network using the given virtual clock.
+// Defaults: 40 ms RTT, 2 s timeout.
+func New(clock *simclock.Virtual) *Network {
 	return &Network{
 		RTT:     40 * time.Millisecond,
 		Timeout: 2 * time.Second,
 		clock:   clock,
-		rng:     rand.New(rand.NewSource(seed)),
 		hosts:   make(map[transport.Addr]*Host),
 	}
 }
@@ -96,11 +90,6 @@ func (n *Network) Exchange(_ context.Context, server transport.Addr, query *dnsw
 		n.stats.TimedOut++
 		n.clock.Advance(n.Timeout)
 		return nil, fmt.Errorf("%w: %s (zone %s under attack)", transport.ErrTimeout, server, h.Zone)
-	}
-	if n.LossRate > 0 && n.rng.Float64() < n.LossRate {
-		n.stats.TimedOut++
-		n.clock.Advance(n.Timeout)
-		return nil, fmt.Errorf("%w: %s (packet loss)", transport.ErrTimeout, server)
 	}
 
 	// Round-trip the message through the wire format so that simulation

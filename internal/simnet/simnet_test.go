@@ -29,7 +29,7 @@ func answering() transport.Handler {
 func newNet(t *testing.T) (*Network, *simclock.Virtual) {
 	t.Helper()
 	clk := simclock.NewVirtual(epoch)
-	n := New(clk, 1)
+	n := New(clk)
 	n.Register(&Host{Addr: "10.0.0.1", Zone: dnswire.MustName("edu."), Handler: answering()})
 	return n, clk
 }
@@ -92,34 +92,11 @@ func TestAttackOnOtherZoneDoesNotAffectHost(t *testing.T) {
 	}
 }
 
-func TestPacketLossIsDeterministic(t *testing.T) {
-	run := func() (lost int) {
-		clk := simclock.NewVirtual(epoch)
-		n := New(clk, 42)
-		n.Timeout = 0
-		n.LossRate = 0.5
-		n.Register(&Host{Addr: "10.0.0.1", Zone: dnswire.MustName("edu."), Handler: answering()})
-		for i := 0; i < 100; i++ {
-			if _, err := n.Exchange(context.Background(), "10.0.0.1", query()); err != nil {
-				lost++
-			}
-		}
-		return lost
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Errorf("loss not deterministic: %d vs %d", a, b)
-	}
-	if a < 20 || a > 80 {
-		t.Errorf("loss count %d implausible for rate 0.5", a)
-	}
-}
-
 func TestExchangeRoundTripsWireFormat(t *testing.T) {
 	// A handler returning an unpackable message must surface an error,
 	// proving the simulated network exercises real encoding.
 	clk := simclock.NewVirtual(epoch)
-	n := New(clk, 1)
+	n := New(clk)
 	n.Register(&Host{Addr: "10.0.0.1", Zone: dnswire.MustName("edu."), Handler: transport.HandlerFunc(
 		func(q *dnswire.Message) *dnswire.Message {
 			r := q.Reply()

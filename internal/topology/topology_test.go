@@ -156,7 +156,7 @@ func TestFullResolutionOverGeneratedTree(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	clk := simclock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	net := simnet.New(clk, 1)
+	net := simnet.New(clk)
 	net.RTT = 0
 	net.Timeout = 0
 	tree.Install(net)
@@ -211,7 +211,7 @@ func TestSignedTreeValidatesEndToEnd(t *testing.T) {
 		t.Fatal("signed tree has no trust anchors")
 	}
 	clk := simclock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	net := simnet.New(clk, 1)
+	net := simnet.New(clk)
 	net.RTT = 0
 	net.Timeout = 0
 	tree.Install(net)
@@ -272,7 +272,7 @@ func TestPropertyResolutionMatchesZoneData(t *testing.T) {
 			t.Fatalf("seed %d: Generate: %v", seed, err)
 		}
 		clk := simclock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-		net := simnet.New(clk, seed)
+		net := simnet.New(clk)
 		net.RTT = 0
 		net.Timeout = 0
 		tree.Install(net)
