@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race check bench-compile bench-smoke bench bench-paper fuzz mesh-test loc size sim-check claims
+.PHONY: build vet lint test race check bench-compile bench-smoke bench bench-paper fuzz mesh-test loc size sim-check claims claims-full
 
 build:
 	$(GO) build ./...
@@ -91,15 +91,27 @@ sim-check:
 # report, not a gate: a failing cell is a finding to list, never a reason
 # to move a threshold. About 2 minutes on a 2-vCPU box.
 claims:
-	@d=$$(mktemp -d) && trap 'rm -rf $$d' EXIT && $(GO) build -o $$d/dnssim ./cmd/dnssim && \
-		for s in 2 3 4 5 6 7 8 9 10 11; do \
-			$$d/dnssim -quick -exp all -v -seed $$s 2>&1 >/dev/null | sed -n "s/^claim /$$s /p"; \
-		done | awk '{ id = $$2; if (!(id in text)) { order[n++] = id; t = $$0; sub(/^[^:]*: /, "", t); sub(/ \[.*$$/, "", t); text[id] = t } \
-			cell[id, $$1] = ($$3 == "holds:" ? "+" : $$3 == "deviates" ? "~" : "x"); if ($$3 == "holds:") ok[id]++ } \
-			END { printf "%-20s 2 3 4 5 6 7 8 9 10 11  held  claim\n", "seed"; \
-				for (i = 0; i < n; i++) { id = order[i]; printf "%-20s", id; \
-					for (s = 2; s <= 11; s++) printf " %s", cell[id, s] (s == 10 ? " " : ""); \
-					printf "  %2d/10  %s\n", ok[id], text[id] } }'
+	@$(call claims_matrix,-quick,2 3 4 5 6 7 8 9 10 11)
+
+# claims-full prints the same matrix at full scale for seeds 1–10, seed 1
+# being the golden's own run. Also a report, not a gate; about 14 minutes
+# on a 2-vCPU box.
+claims-full:
+	@$(call claims_matrix,,1 2 3 4 5 6 7 8 9 10)
+
+# claims_matrix runs `dnssim -exp all -v $(1)` for each seed in $(2) and
+# folds the claim verdicts it prints on stderr into one row per claim.
+define claims_matrix
+d=$$(mktemp -d) && trap 'rm -rf $$d' EXIT && $(GO) build -o $$d/dnssim ./cmd/dnssim && \
+	for s in $(2); do \
+		$$d/dnssim $(1) -exp all -v -seed $$s 2>&1 >/dev/null | sed -n "s/^claim /$$s /p"; \
+	done | awk -v seeds="$(2)" '{ id = $$2; if (!(id in text)) { order[n++] = id; t = $$0; sub(/^[^:]*: /, "", t); sub(/ \[.*$$/, "", t); text[id] = t } \
+		cell[id, $$1] = ($$3 == "holds:" ? "+" : $$3 == "deviates" ? "~" : "x"); if ($$3 == "holds:") ok[id]++ } \
+		END { k = split(seeds, seed, " "); printf "%-20s", "seed"; for (j = 1; j <= k; j++) printf " %s", seed[j]; printf "  held  claim\n"; \
+			for (i = 0; i < n; i++) { id = order[i]; printf "%-20s", id; \
+				for (j = 1; j <= k; j++) { printf " %s", cell[id, seed[j]]; for (p = 1; j < k && p < length(seed[j]); p++) printf " " } \
+				printf "  %2d/%d  %s\n", ok[id], k, text[id] } }'
+endef
 
 # bench-smoke runs the meter for real, briefly: each workload once for six
 # seconds, untraced, against a dnscache built from this tree. It gates what
@@ -138,8 +150,8 @@ bench-paper:
 	$(GO) test -bench=. -benchtime=1x .
 
 # fuzz is the CI smoke pass over the wire-format, persist-format and
-# zone-file parsers, and over the plain-query probe the read loop trusts
-# in place of Unpack.
+# zone-file parsers, over the plain-query probe the read loop trusts in
+# place of Unpack, and over the cache shard's open-addressed table.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUnpack -fuzztime=30s ./internal/dnswire
 	$(GO) test -run='^$$' -fuzz=FuzzCanonicalName -fuzztime=30s ./internal/dnswire
@@ -147,3 +159,4 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseStore -fuzztime=30s ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzMeshFrame -fuzztime=30s ./internal/mesh
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=30s ./internal/zone
+	$(GO) test -run='^$$' -fuzz=FuzzShardTable -fuzztime=30s ./internal/cache

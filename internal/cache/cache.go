@@ -13,8 +13,9 @@
 //     SOA they arrived with, in the same shards and sweep as the RRsets.
 //
 // The cache is safe for concurrent use: entries are spread over a fixed
-// number of shards by key hash, each guarded by its own RWMutex, so
-// concurrent resolutions only contend when they touch the same shard.
+// number of shards by a seeded hash of their key, each guarded by its own
+// RWMutex, so concurrent resolutions only contend when they touch the same
+// shard. The same hash places an entry in its shard's table (see table).
 // Entries are immutable once published — every update (TTL refresh,
 // Extend, stale tombstoning) replaces the stored *Entry with a fresh one
 // — so callers may keep returned pointers without further locking. The
@@ -24,8 +25,9 @@
 //
 // A cached record pays for its data, not its bookkeeping: an Entry is the
 // set's slice header plus 24 bytes (a stamp — see stamp —, the replies'
-// pointer, and one word of credibility, flags and original TTL), and its
-// key is derived from the set's first record.
+// pointer, and one word of credibility, flags and original TTL), its key
+// is derived from the set's first record, and its shard keeps a pointer
+// to it and a tag byte.
 //
 // TTL renewal policies (LRU/LFU and their adaptive variants) are layered
 // on top by package core, which owns the renewal scheduler. Crash-safe
@@ -34,6 +36,7 @@
 package cache
 
 import (
+	"hash/maphash"
 	"math"
 	"sort"
 	"sync"
@@ -280,11 +283,14 @@ type Config struct {
 // DefaultMaxTTL is the clamp applied when Config.MaxTTL is zero.
 const DefaultMaxTTL = 7 * 24 * time.Hour
 
-// shardCount is the number of independently locked cache shards. 64 keeps
-// per-shard contention negligible at any plausible core count while the
-// fixed array stays small; it must be a power of two so the shard index is
-// a mask of the key hash.
-const shardCount = 64
+// shardBits is the log2 of shardCount, the number of independently locked
+// cache shards. 64 keeps per-shard contention negligible at any plausible
+// core count while the fixed array stays small; the shard index is the
+// key hash's low shardBits.
+const (
+	shardBits  = 6
+	shardCount = 1 << shardBits
+)
 
 // Stats describes cache occupancy at a point in time.
 type Stats struct {
@@ -334,6 +340,7 @@ func (s Stats) Add(o Stats) Stats {
 // comment for the sharding scheme).
 type Cache struct {
 	cfg    Config
+	seed   maphash.Seed
 	shards [shardCount]shard
 	// evictions counts Evict's removals.
 	evictions atomic.Uint64
@@ -342,7 +349,7 @@ type Cache struct {
 // shard is one independently locked slice of the key space.
 type shard struct {
 	mu      sync.RWMutex
-	entries map[Key]*Entry
+	entries table
 	// tombstones remember when an expired entry died, to measure gaps;
 	// empty unless Config.OnGap is set.
 	tombstones map[Key]tombstone
@@ -374,31 +381,19 @@ func New(cfg Config) *Cache {
 	if cfg.MaxTTL == 0 {
 		cfg.MaxTTL = DefaultMaxTTL
 	}
-	c := &Cache{cfg: cfg}
+	c := &Cache{cfg: cfg, seed: maphash.MakeSeed()}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[Key]*Entry)
+		c.shards[i].entries = newTable(c.seed)
 		c.shards[i].tombstones = make(map[Key]tombstone)
 		c.shards[i].negatives = make(map[Key]negative)
 	}
 	return c
 }
 
-// shardFor maps a key to its shard by FNV-1a hash of owner name and type.
-func (c *Cache) shardFor(key Key) *shard {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key.Name); i++ {
-		h ^= uint32(key.Name[i])
-		h *= prime32
-	}
-	h ^= uint32(key.Type) & 0xff
-	h *= prime32
-	h ^= uint32(key.Type) >> 8
-	h *= prime32
-	return &c.shards[h&(shardCount-1)]
+// locate returns the key's hash (hashKey) and its shard.
+func (c *Cache) locate(key Key) (uint64, *shard) {
+	h := hashKey(c.seed, key.Name, key.Type)
+	return h, &c.shards[h&(shardCount-1)]
 }
 
 // clampTTL applies the MaxTTL policy to a TTL, in the whole seconds an
@@ -519,10 +514,11 @@ func (c *Cache) PutOrigin(rrs []dnswire.RR, cred Credibility, infra bool, origin
 	now := stamp(c.cfg.Clock.Now())
 	key := Key{Name: rrs[0].Name, Type: rrs[0].Type()}
 	ttl := c.clampTTL(minTTL(rrs))
-	sh := c.shardFor(key)
+	h, sh := c.locate(key)
 
 	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
+	i, e := sh.entries.find(h, key.Name, key.Type)
+	if e != nil {
 		if e.expires > now {
 			same := rrsetEqual(e.RRs, rrs)
 			switch {
@@ -537,7 +533,7 @@ func (c *Cache) PutOrigin(rrs []dnswire.RR, cred Credibility, infra bool, origin
 				// timer is reset, per §4 "TTL Refresh". Entries are
 				// immutable, so the refresh installs a new one.
 				ne := e.reissue(now + int64(e.OrigTTL()))
-				sh.entries[key] = ne
+				sh.entries.set(i, h, ne)
 				c.noteChangeLocked(ChangeExtend, key, ne)
 				sh.mu.Unlock()
 				return ne
@@ -546,15 +542,15 @@ func (c *Cache) PutOrigin(rrs []dnswire.RR, cred Credibility, infra bool, origin
 				return e // vanilla: ignore the new copy
 			}
 		} else {
-			c.expireEntryLocked(sh, key, e, now)
+			c.expireLocked(sh, e, now) // the new entry takes its slot
 			c.noteTombstoneHitLocked(sh, key, now)
 		}
 	} else {
 		c.noteTombstoneHitLocked(sh, key, now)
 	}
 
-	e := newEntry(append([]dnswire.RR(nil), rrs...), cred, infra, origin, ttl, now+int64(ttl))
-	sh.entries[key] = e
+	e = newEntry(append([]dnswire.RR(nil), rrs...), cred, infra, origin, ttl, now+int64(ttl))
+	sh.entries.set(i, h, e)
 	delete(sh.tombstones, key)
 	c.noteChangeLocked(ChangePut, key, e)
 	sh.mu.Unlock()
@@ -584,25 +580,26 @@ func (c *Cache) NegativeTTL() time.Duration { return c.cfg.NegativeTTL }
 // stale service under KeepStale) and reported as a miss.
 func (c *Cache) Get(name dnswire.Name, t dnswire.Type) *Entry {
 	key := Key{Name: name, Type: t}
-	sh := c.shardFor(key)
+	h, sh := c.locate(key)
 	now := stamp(c.cfg.Clock.Now())
 
 	sh.mu.RLock()
-	e, ok := sh.entries[key]
+	_, e := sh.entries.find(h, name, t)
 	sh.mu.RUnlock()
-	live := ok && e.expires > now
+	live := e != nil && e.expires > now
 
 	// Expired, or absent with a gap observer that may hold a tombstone
 	// for the key: take the write lock to retire the entry and note the
 	// tombstone, re-checking under the lock (a concurrent Put may have
 	// revived the key). An absent key with no gap observer has nothing
 	// to retire and no tombstone to find, and stays off the write lock.
-	if !live && (ok || c.cfg.OnGap != nil) {
+	if !live && (e != nil || c.cfg.OnGap != nil) {
 		sh.mu.Lock()
-		e, ok = sh.entries[key]
-		if live = ok && e.expires > now; !live {
-			if ok {
-				c.expireEntryLocked(sh, key, e, now)
+		var i int
+		i, e = sh.entries.find(h, name, t)
+		if live = e != nil && e.expires > now; !live {
+			if e != nil {
+				sh.entries.set(i, h, c.expireLocked(sh, e, now))
 			}
 			c.noteTombstoneHitLocked(sh, key, now)
 		}
@@ -621,9 +618,9 @@ func (c *Cache) Get(name dnswire.Name, t dnswire.Type) *Entry {
 // and a caller that misses asks Get.
 func (c *Cache) Probe(name []byte, t dnswire.Type) *Entry {
 	key := Key{Name: dnswire.Name(unsafe.String(unsafe.SliceData(name), len(name))), Type: t}
-	sh := c.shardFor(key)
+	h, sh := c.locate(key)
 	sh.mu.RLock()
-	e := sh.entries[key]
+	_, e := sh.entries.find(h, key.Name, t)
 	sh.mu.RUnlock()
 	if e == nil || e.expires <= stamp(c.cfg.Clock.Now()) {
 		return nil
@@ -638,21 +635,20 @@ func (c *Cache) GetStale(name dnswire.Name, t dnswire.Type) *Entry {
 	if c.cfg.KeepStale <= 0 {
 		return nil
 	}
-	key := Key{Name: name, Type: t}
-	sh := c.shardFor(key)
+	h, sh := c.locate(Key{Name: name, Type: t})
 	now := stamp(c.cfg.Clock.Now())
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.entries[key]
-	if !ok {
+	i, e := sh.entries.find(h, name, t)
+	if e == nil {
 		return nil
 	}
 	if e.expires > now {
 		return e
 	}
 	if now-e.expires > int64(c.cfg.KeepStale) {
-		c.expireEntryLocked(sh, key, e, now)
+		sh.entries.set(i, h, c.expireLocked(sh, e, now))
 		return nil
 	}
 	return e
@@ -660,10 +656,9 @@ func (c *Cache) GetStale(name dnswire.Name, t dnswire.Type) *Entry {
 
 // Peek returns the entry without expiry processing; nil if absent.
 func (c *Cache) Peek(name dnswire.Name, t dnswire.Type) *Entry {
-	key := Key{Name: name, Type: t}
-	sh := c.shardFor(key)
+	h, sh := c.locate(Key{Name: name, Type: t})
 	sh.mu.RLock()
-	e := sh.entries[key]
+	_, e := sh.entries.find(h, name, t)
 	sh.mu.RUnlock()
 	return e
 }
@@ -673,15 +668,15 @@ func (c *Cache) Peek(name dnswire.Name, t dnswire.Type) *Entry {
 // refetch succeeds.
 func (c *Cache) Extend(name dnswire.Name, t dnswire.Type) bool {
 	key := Key{Name: name, Type: t}
-	sh := c.shardFor(key)
+	h, sh := c.locate(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.entries[key]
-	if !ok {
+	i, e := sh.entries.find(h, name, t)
+	if e == nil {
 		return false
 	}
 	ne := e.reissue(stamp(c.cfg.Clock.Now()) + int64(e.OrigTTL()))
-	sh.entries[key] = ne
+	sh.entries.set(i, h, ne)
 	c.noteChangeLocked(ChangeExtend, key, ne)
 	return true
 }
@@ -690,10 +685,10 @@ func (c *Cache) Extend(name dnswire.Name, t dnswire.Type) bool {
 // servers all stop responding and its stale IRRs must be discarded).
 func (c *Cache) Evict(name dnswire.Name, t dnswire.Type) {
 	key := Key{Name: name, Type: t}
-	sh := c.shardFor(key)
+	h, sh := c.locate(key)
 	sh.mu.Lock()
-	if _, ok := sh.entries[key]; ok {
-		delete(sh.entries, key)
+	if i, e := sh.entries.find(h, name, t); e != nil {
+		sh.entries.delete(i)
 		c.noteChangeLocked(ChangeEvict, key, nil)
 		c.evictions.Add(1)
 	}
@@ -708,7 +703,7 @@ func (c *Cache) PutNegative(name dnswire.Name, t dnswire.Type, rcode dnswire.RCo
 		return
 	}
 	key := Key{Name: name, Type: t}
-	sh := c.shardFor(key)
+	_, sh := c.locate(key)
 	expires := stamp(c.cfg.Clock.Now()) + int64(c.cfg.NegativeTTL)
 	sh.mu.Lock()
 	sh.negatives[key] = negative{soa: soa, expires: expires, rcode: rcode}
@@ -725,7 +720,7 @@ func (c *Cache) GetNegative(name dnswire.Name, t dnswire.Type) (dnswire.RCode, [
 		return 0, nil, false
 	}
 	key := Key{Name: name, Type: t}
-	sh := c.shardFor(key)
+	_, sh := c.locate(key)
 	now := stamp(c.cfg.Clock.Now())
 
 	sh.mu.RLock()
@@ -751,23 +746,22 @@ func (c *Cache) GetNegative(name dnswire.Name, t dnswire.Type) (dnswire.RCode, [
 	return n.rcode, soa, true
 }
 
-// expireEntryLocked retires a dead entry: with a gap observer it leaves a
-// tombstone (once; without one nothing would ever read it, and a
-// tombstone lives until its own key is looked up again — forever, for a
-// never-repeated name), and it either deletes the entry or, with
-// KeepStale, retains it for stale service until the window passes. The
-// shard lock must be held.
-func (c *Cache) expireEntryLocked(sh *shard, key Key, e *Entry, now int64) {
+// expireLocked retires a dead entry and returns what stays in its slot:
+// with a gap observer it leaves a tombstone (once; without one nothing
+// would ever read it, and a tombstone lives until its own key is looked
+// up again — forever, for a never-repeated name), and it returns nil, or,
+// with KeepStale, the entry (marked tombstoned) to retain for stale
+// service until the window passes. The shard lock must be held.
+func (c *Cache) expireLocked(sh *shard, e *Entry, now int64) *Entry {
 	if c.cfg.OnGap != nil && e.flags&flagTombstoned == 0 {
-		sh.tombstones[key] = tombstone{expiredAt: e.expires, origTTL: e.OrigTTL()}
-		ne := e.reissue(e.expires)
-		ne.flags |= flagTombstoned
-		sh.entries[key] = ne
+		sh.tombstones[e.Key()] = tombstone{expiredAt: e.expires, origTTL: e.OrigTTL()}
+		e = e.reissue(e.expires)
+		e.flags |= flagTombstoned
 	}
 	if c.cfg.KeepStale > 0 && now-e.expires <= int64(c.cfg.KeepStale) {
-		return // retained as stale
+		return e // retained as stale
 	}
-	delete(sh.entries, key)
+	return nil
 }
 
 // noteTombstoneHitLocked reports the gap between an entry's expiry and
@@ -785,21 +779,23 @@ func (c *Cache) noteTombstoneHitLocked(sh *shard, key Key, now int64) {
 }
 
 // SweepExpired removes every entry and negative answer whose TTL has
-// passed, leaving tombstones when a gap observer is set. The cache expires
-// lazily, on the next lookup of the same key, so a key never asked again
-// (a random-subdomain flood's names) is reclaimed only here; call it
-// before reading occupancy stats so that Fig. 12-style series reflect
-// live entries only.
+// passed, leaving tombstones when a gap observer is set, and shrinks each
+// shard's table to what is left. The cache expires lazily, on the next
+// lookup of the same key, so a key never asked again (a random-subdomain
+// flood's names) is reclaimed only here; call it before reading occupancy
+// stats so that Fig. 12-style series reflect live entries only.
 func (c *Cache) SweepExpired() {
 	now := stamp(c.cfg.Clock.Now())
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		for key, e := range sh.entries {
+		sh.entries.visit(func(slot int, e *Entry) bool {
 			if e.expires <= now {
-				c.expireEntryLocked(sh, key, e, now)
+				sh.entries.set(slot, 0, c.expireLocked(sh, e, now)) // a full slot needs no hash
 			}
-		}
+			return true
+		})
+		sh.entries.shrink()
 		for key, n := range sh.negatives {
 			if n.expires <= now {
 				delete(sh.negatives, key)
@@ -821,17 +817,17 @@ func (c *Cache) Stats() Stats {
 		for key, n := range sh.negatives {
 			s.ApproxBytes += len(key.Name) + wireBytes(n.soa)
 		}
-		for key, e := range sh.entries {
+		sh.entries.visit(func(_ int, e *Entry) bool {
 			if e.expires <= now {
 				s.StaleEntries++
-				continue
+				return true
 			}
 			s.Entries++
 			s.Records += len(e.RRs)
 			if e.Infra() {
 				s.InfraEntries++
 			}
-			if key.Type == dnswire.TypeNS {
+			if e.RRs[0].Type() == dnswire.TypeNS {
 				s.Zones++
 				switch left := time.Duration(e.expires - now); {
 				case left >= 24*time.Hour:
@@ -848,7 +844,8 @@ func (c *Cache) Stats() Stats {
 				}
 			}
 			s.ApproxBytes += wireBytes(e.RRs) + e.replyBytes()
-		}
+			return true
+		})
 		sh.mu.RUnlock()
 	}
 	return s
@@ -865,13 +862,15 @@ func wireBytes(rrs []dnswire.RR) int {
 	return n
 }
 
-// Len returns the number of live entries (without sweeping).
+// Len returns the number of cached entries without sweeping: live ones,
+// stale ones retained under KeepStale, and expired ones no lookup or sweep
+// has retired yet.
 func (c *Cache) Len() int {
 	n := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.RLock()
-		n += len(sh.entries)
+		n += sh.entries.n
 		sh.mu.RUnlock()
 	}
 	return n
@@ -886,11 +885,12 @@ func (c *Cache) InfraExpiries() []ExpiryInfo {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.RLock()
-		for key, e := range sh.entries {
-			if key.Type == dnswire.TypeNS && e.Infra() {
-				out = append(out, ExpiryInfo{Zone: key.Name, Expires: e.Expires(), OrigTTL: e.OrigTTL()})
+		sh.entries.visit(func(_ int, e *Entry) bool {
+			if e.Infra() && e.RRs[0].Type() == dnswire.TypeNS {
+				out = append(out, ExpiryInfo{Zone: e.RRs[0].Name, Expires: e.Expires(), OrigTTL: e.OrigTTL()})
 			}
-		}
+			return true
+		})
 		sh.mu.RUnlock()
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -919,13 +919,11 @@ func (c *Cache) Range(fn func(e *Entry) bool) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.RLock()
-		for _, e := range sh.entries {
-			if !fn(e) {
-				sh.mu.RUnlock()
-				return
-			}
-		}
+		more := sh.entries.visit(func(_ int, e *Entry) bool { return fn(e) })
 		sh.mu.RUnlock()
+		if !more {
+			return
+		}
 	}
 }
 
@@ -974,9 +972,10 @@ func (c *Cache) Restore(re RestoreEntry) bool {
 		}
 	}
 	e := newEntry(append([]dnswire.RR(nil), re.RRs...), re.Cred, re.Infra, re.Origin, ttl, expires)
-	sh := c.shardFor(key)
+	h, sh := c.locate(key)
 	sh.mu.Lock()
-	sh.entries[key] = e
+	i, _ := sh.entries.find(h, key.Name, key.Type)
+	sh.entries.set(i, h, e)
 	sh.mu.Unlock()
 	return true
 }

@@ -304,11 +304,12 @@ func TestProbeKeepsNoKey(t *testing.T) {
 	copy(buf, "xxx.xxxx.xxx.")
 	for i := range c.shards {
 		sh := &c.shards[i]
-		for key := range sh.entries {
-			if key.Name != name {
-				t.Errorf("an entry is keyed %q", key.Name)
+		sh.entries.visit(func(_ int, e *Entry) bool {
+			if e.Key().Name != name {
+				t.Errorf("an entry is keyed %q", e.Key().Name)
 			}
-		}
+			return true
+		})
 		for key := range sh.tombstones {
 			t.Errorf("a tombstone is keyed %q before any Get", key.Name)
 		}

@@ -42,10 +42,11 @@ func heapPerRecord(t *testing.T, n int, cfg Config, fill func(c *Cache, i int)) 
 }
 
 // TestRecordHeapBytes pins what one cached record holds live: a single-A
-// RRset (owner name, record array, boxed address, entry, map slot) and a
-// random-subdomain negative of one zone (owner name, map slot, and the SOA
-// set with its two names, a fresh copy per answer as the resolver hands it
-// over).
+// RRset (owner name, record array, boxed address, entry, table slot), the
+// IRRs the paper keeps for one zone (its two-record NS set and the two
+// glue A sets, per zone), and a random-subdomain negative of one zone
+// (owner name, map slot, and the SOA set with its two names, a fresh copy
+// per answer as the resolver hands it over).
 func TestRecordHeapBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap measurement")
@@ -57,13 +58,25 @@ func TestRecordHeapBytes(t *testing.T) {
 		cfg  Config
 		fill func(c *Cache, i int)
 	}{
-		{"single-A positive", 210, Config{}, func(c *Cache, i int) {
+		{"single-A positive", 170, Config{}, func(c *Cache, i int) {
 			c.Put([]dnswire.RR{{
 				Name:  dnswire.MustName(fmt.Sprintf("h%d.zipf.test.", i)),
 				Class: dnswire.ClassIN,
 				TTL:   3600,
 				Data:  dnswire.A{Addr: netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})},
 			}}, CredAnswer, false)
+		}},
+		{"zone IRRs (2 NS + 2 glue A)", 606, Config{}, func(c *Cache, i int) {
+			zone := fmt.Sprintf("z%d.irr.test.", i)
+			c.Put([]dnswire.RR{rrNS(zone, 86400, "ns1."+zone), rrNS(zone, 86400, "ns2."+zone)}, CredReferral, true)
+			for j := byte(1); j <= 2; j++ {
+				c.Put([]dnswire.RR{{
+					Name:  dnswire.MustName(fmt.Sprintf("ns%d.%s", j, zone)),
+					Class: dnswire.ClassIN,
+					TTL:   86400,
+					Data:  dnswire.A{Addr: netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), j})},
+				}}, CredReferral, true)
+			}
 		}},
 		{"random-subdomain negative", 320, Config{NegativeTTL: time.Hour}, func(c *Cache, i int) {
 			c.PutNegative(dnswire.MustName(fmt.Sprintf("r%d.victim.test.", i)), dnswire.TypeA,
