@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race check bench-compile bench-smoke bench bench-paper fuzz mesh-test loc size sim-check claims claims-full
+.PHONY: build vet lint test race check bench-compile bench-smoke bench bench-paper fuzz mesh-test loc size sim-check claims claims-full profile
 
 build:
 	$(GO) build ./...
@@ -143,6 +143,21 @@ check: build vet lint race mesh-test bench-compile bench-smoke
 # right and gates none of its numbers.
 bench:
 	bash benchmark/run.sh
+
+# profile runs one workload of the meter, W (default miss), untraced,
+# against the profile build of dnscache (cmd/dnscache/profile.go), then
+# prints the top of the saturation instance's CPU profile, the largest of
+# the run's three, and that instance's allocation line. It calls the meter
+# through `go run -C benchmark .`, which passes GOFLAGS on to the build of
+# dnscache; benchmark/run.sh sets GOFLAGS itself, so through it the tag
+# would be silently dropped. The profiles stay in the directory it prints.
+W ?= miss
+profile:
+	@d=$$(mktemp -d) && \
+		GOFLAGS=-tags=profile DNSCACHE_PROFILE=$$d $(GO) run -C benchmark . -workload $(W) -trace 0 && \
+		p=$$(ls -S $$d/*.cpu.pprof | head -n 1) && \
+		$(GO) tool pprof -top -nodecount=40 benchmark/out/bin/dnscache $$p && \
+		cat $${p%.cpu.pprof}.memstats && echo "profiles in $$d"
 
 # bench-paper regenerates every table/figure benchmark in the root suite
 # (the paper-reproduction harness, one iteration each).

@@ -10,7 +10,11 @@
 //	GOFLAGS=-tags=profile DNSCACHE_PROFILE=$PWD/prof go run -C benchmark . -workload miss -trace 0
 //
 // profiles every instance of a run; the largest CPU profile is the
-// saturation phase's. The default build does not contain this file.
+// saturation phase's. `make profile W=miss` runs that and prints it.
+// `bash benchmark/run.sh` does not work here: it exports
+// GOFLAGS=-buildvcs=false, which replaces the tag, so its dnscache is the
+// default build and writes no profile. The default build does not contain
+// this file.
 package main
 
 import (

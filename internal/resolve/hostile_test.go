@@ -2,6 +2,8 @@ package resolve
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,16 +19,17 @@ import (
 const designRetryBudget = 16
 
 // costMeter is a transport.Pipe that charges every upstream message to
-// the query that sent it: messages, messages per server address and the
-// bytes the query packs to. Every server is as slow as it may be: its
-// answer arrives at the attempt's deadline, which the meter spends on the
-// virtual clock.
+// the query that sent it: messages, messages per server address and per
+// name asked, and the bytes the query packs to. Every server is as slow as
+// it may be: its answer arrives at the attempt's deadline, which the meter
+// spends on the virtual clock.
 type costMeter struct {
 	pipe      transport.Pipe
 	clk       *simclock.Virtual
 	msgs      int
 	bytes     int
 	perServer map[transport.Addr]int
+	perName   map[dnswire.Name]int
 }
 
 func (m *costMeter) Exchange(ctx context.Context, server transport.Addr, q *dnswire.Message) (*dnswire.Message, error) {
@@ -37,6 +40,7 @@ func (m *costMeter) Exchange(ctx context.Context, server transport.Addr, q *dnsw
 	m.msgs++
 	m.bytes += len(wire)
 	m.perServer[server]++
+	m.perName[q.Question[0].Name]++
 	if deadline, ok := ctx.Deadline(); ok {
 		m.clk.Advance(time.Until(deadline))
 	}
@@ -60,10 +64,12 @@ func hostileRoot(a, b []dnswire.RR) *zone.Zone {
 // handlers on a Pipe, and holds what it sent upstream to DESIGN §10's
 // "One client query" row: at most 2R messages, to one zone's servers too,
 // at most R × (282 + 284) bytes, and nothing started after flightTimeout.
-func resolveHostile(t *testing.T, qname string, handlers map[transport.Addr]transport.Handler) *Resolver {
+// It returns the resolver, the meter and the resolution's error.
+func resolveHostile(t *testing.T, qname string, handlers map[transport.Addr]transport.Handler) (*Resolver, *costMeter, error) {
 	t.Helper()
 	clk := simclock.NewVirtual(epoch)
-	meter := &costMeter{pipe: transport.Pipe{Handlers: handlers}, clk: clk, perServer: map[transport.Addr]int{}}
+	meter := &costMeter{pipe: transport.Pipe{Handlers: handlers}, clk: clk,
+		perServer: map[transport.Addr]int{}, perName: map[dnswire.Name]int{}}
 	r := newTestResolver(t, Config{Clock: clk, Transport: meter, Upstream: UpstreamConfig{RetryBudget: designRetryBudget}})
 	flight := new(Work)
 	r.Begin(flight, context.Background(), KindResolve)
@@ -86,13 +92,15 @@ func resolveHostile(t *testing.T, qname string, handlers map[transport.Addr]tran
 	if took > flightTimeout {
 		t.Errorf("the flight ran %v on the virtual clock, past flightTimeout %v", took, flightTimeout)
 	}
-	return r
+	return r, meter, err
 }
 
 // TestReferralLoopCost: the servers of two zones refer a name to each
 // other — a.test.'s delegate loop.a.test. to ns.b.test., whose server
 // delegates www.loop.a.test. back to ns.a.test., which refers it to
-// ns.b.test. again. The query stays within one client query's bounds.
+// ns.b.test. again. The query stays within one client query's bounds and
+// fails (SERVFAIL): a referral back up is a lame server, not an empty
+// NOERROR answer.
 func TestReferralLoopCost(t *testing.T) {
 	root := hostileRoot(
 		[]dnswire.RR{rrNS("a.test.", 3600, "ns.a.test."), rrA("ns.a.test.", 3600, "10.0.1.1")},
@@ -108,11 +116,45 @@ func TestReferralLoopCost(t *testing.T) {
 	loop.MustAdd(rrNS("loop.a.test.", 3600, "ns.b.test."))
 	loop.MustAdd(rrNS("www.loop.a.test.", 3600, "ns.a.test."))
 
-	resolveHostile(t, "host.www.loop.a.test.", map[transport.Addr]transport.Handler{
+	_, _, err := resolveHostile(t, "host.www.loop.a.test.", map[transport.Addr]transport.Handler{
 		"10.0.0.1": authserver.New(root),
 		"10.0.1.1": authserver.New(a),
 		"10.0.2.1": authserver.New(b, loop),
 	})
+	if !errors.Is(err, ErrResolutionFailed) {
+		t.Errorf("err = %v, want ErrResolutionFailed (SERVFAIL), not an empty NOERROR", err)
+	}
+}
+
+// TestCNAMELoopCost: www.a.test. is a CNAME for www.b.test., served by
+// another zone's server, which is a CNAME back. The walk stops at its hop
+// bound and fails (SERVFAIL), each name is fetched once, the rest of the
+// hops come from the cache, and the query stays within one client
+// query's bounds.
+func TestCNAMELoopCost(t *testing.T) {
+	root := hostileRoot(
+		[]dnswire.RR{rrNS("a.test.", 3600, "ns.a.test."), rrA("ns.a.test.", 3600, "10.0.1.1")},
+		[]dnswire.RR{rrNS("b.test.", 3600, "ns.b.test."), rrA("ns.b.test.", 3600, "10.0.2.1")})
+	a := zone.New(dnswire.MustName("a.test."))
+	a.MustAdd(rrNS("a.test.", 3600, "ns.a.test."))
+	a.MustAdd(rrA("ns.a.test.", 3600, "10.0.1.1"))
+	a.MustAdd(rrCNAME("www.a.test.", "www.b.test."))
+	b := zone.New(dnswire.MustName("b.test."))
+	b.MustAdd(rrNS("b.test.", 3600, "ns.b.test."))
+	b.MustAdd(rrA("ns.b.test.", 3600, "10.0.2.1"))
+	b.MustAdd(rrCNAME("www.b.test.", "www.a.test."))
+
+	_, meter, err := resolveHostile(t, "www.a.test.", map[transport.Addr]transport.Handler{
+		"10.0.0.1": authserver.New(root),
+		"10.0.1.1": authserver.New(a),
+		"10.0.2.1": authserver.New(b),
+	})
+	if !errors.Is(err, ErrResolutionFailed) || !strings.Contains(err.Error(), "CNAME chain too long") {
+		t.Errorf("err = %v, want the CNAME chain's hop bound (SERVFAIL)", err)
+	}
+	if hops := meter.perName["www.a.test."] + meter.perName["www.b.test."]; hops > maxCNAME {
+		t.Errorf("the loop's names were fetched %d times, more than maxCNAME %d hops", hops, maxCNAME)
+	}
 }
 
 // TestGluelessCycleCost: a.test.'s only server is ns.b.test. and b.test.'s
@@ -123,7 +165,7 @@ func TestGluelessCycleCost(t *testing.T) {
 	root := hostileRoot(
 		[]dnswire.RR{rrNS("a.test.", 3600, "ns.b.test.")},
 		[]dnswire.RR{rrNS("b.test.", 3600, "ns.a.test.")})
-	r := resolveHostile(t, "www.a.test.", map[transport.Addr]transport.Handler{
+	r, _, _ := resolveHostile(t, "www.a.test.", map[transport.Addr]transport.Handler{
 		"10.0.0.1": authserver.New(root),
 	})
 	if n := r.Counters().GlueFetches; n > maxGlueFetches {

@@ -320,13 +320,7 @@ func (r *Resolver) iterate(ctx context.Context, tr *Trace, qname dnswire.Name, q
 			return &Result{RCode: dnswire.RCodeNXDomain, Authority: soa}, resp, nil
 
 		case resp.RCode != dnswire.RCodeNoError:
-			// Lame or broken server; treat the zone as unusable.
-			lastErr = fmt.Errorf("resolve: %s from %s", resp.RCode, zname)
-			if zname.IsRoot() {
-				return nil, nil, fmt.Errorf("%w: %v", ErrResolutionFailed, lastErr)
-			}
-			r.cache.Evict(zname, dnswire.TypeNS)
-			continue
+			// A lame or broken server, below.
 
 		case answersQuestion(resp, qname, qtype):
 			if validate && r.validator != nil {
@@ -344,12 +338,21 @@ func (r *Resolver) iterate(ctx context.Context, tr *Trace, qname dnswire.Name, q
 			r.resolveMissingGlue(ctx, tr, referralChild(resp, zname), depth)
 			continue // deepestKnownZone now finds the child's IRRs
 
-		default:
-			// Authoritative empty answer: NODATA.
+		case resp.Flags.Authoritative || len(resp.Answer) > 0 || hasSOA(resp):
+			// Records that do not answer the question, or none, said
+			// authoritatively or with an SOA: NODATA.
 			soa := r.negativeSOA(resp)
 			r.cache.PutNegative(qname, qtype, dnswire.RCodeNoError, soa)
 			return &Result{RCode: dnswire.RCodeNoError, Authority: soa}, resp, nil
 		}
+		// Lame or broken server: an error rcode, or an empty
+		// non-authoritative NOERROR with no SOA that does not refer down
+		// (a referral up or sideways). Treat the zone as unusable.
+		lastErr = fmt.Errorf("resolve: lame %s from %s", resp.RCode, zname)
+		if zname.IsRoot() {
+			return nil, nil, fmt.Errorf("%w: %v", ErrResolutionFailed, lastErr)
+		}
+		r.cache.Evict(zname, dnswire.TypeNS)
 	}
 	if lastErr == nil {
 		lastErr = errors.New("referral limit exceeded")
@@ -495,6 +498,16 @@ func (r *Resolver) nsAddrs(set []dnswire.RR, lookup func(dnswire.Name, dnswire.T
 func answersQuestion(resp *dnswire.Message, qname dnswire.Name, qtype dnswire.Type) bool {
 	for _, rr := range resp.Answer {
 		if rr.Name == qname && (rr.Type() == qtype || rr.Type() == dnswire.TypeCNAME) {
+			return true
+		}
+	}
+	return false
+}
+
+// hasSOA reports whether resp's authority section carries an SOA record.
+func hasSOA(resp *dnswire.Message) bool {
+	for _, rr := range resp.Authority {
+		if rr.Type() == dnswire.TypeSOA {
 			return true
 		}
 	}

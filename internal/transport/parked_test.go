@@ -132,9 +132,9 @@ func TestUDPClosedPortFailsFast(t *testing.T) {
 	}
 }
 
-// TestUDPFreshSourcePortPerExchange: every exchange opens its own socket,
-// so the server sees a new kernel-chosen source port each time (RFC
-// 5452). Ports are drawn at random, so one repeat in eight is allowed; a
+// TestUDPFreshSourcePortPerExchange: every exchange connects its socket
+// afresh, so the server sees a new kernel-chosen source port each time
+// (RFC 5452). Ports are drawn at random, so one repeat in eight is allowed; a
 // shared socket would show one port eight times.
 func TestUDPFreshSourcePortPerExchange(t *testing.T) {
 	var mu sync.Mutex

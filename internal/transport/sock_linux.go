@@ -3,8 +3,8 @@
 package transport
 
 // The sockets dnscache binds and dials, opened with syscall and handed to
-// the runtime poller as files (os.NewFile), the way openUDP opens an
-// exchange's socket. Nothing here imports net, so a binary built on it
+// the runtime poller as files (os.NewFile), as an exchange's pooled socket
+// is (udp_linux.go). Nothing here imports net, so a binary built on it
 // links neither net's resolver nor, through it, runtime/cgo and libc.
 // Every option net would set on the same socket is set here too, and no
 // other: IPV6_V6ONLY off on an AF_INET6 socket, SO_BROADCAST on a
@@ -81,6 +81,18 @@ func (sa *sockaddr) addrPort() netip.AddrPort {
 		ip = ip.WithZone(strconv.FormatUint(uint64(sa.raw.Scope_id), 10))
 	}
 	return netip.AddrPortFrom(ip, binary.BigEndian.Uint16(port(&sa.raw.Port)[:]))
+}
+
+// samePeer reports whether src, a datagram's source as recvfrom leaves it,
+// is the address in sa: the same family, address and port.
+func (sa *sockaddr) samePeer(src *sockaddr) bool {
+	if sa.raw.Family != src.raw.Family {
+		return false
+	}
+	if sa.raw.Family == syscall.AF_INET {
+		return sa.in4().Port == src.in4().Port && sa.in4().Addr == src.in4().Addr
+	}
+	return sa.raw.Port == src.raw.Port && sa.raw.Addr == src.raw.Addr
 }
 
 // port views a sockaddr's port field, which holds network byte order.

@@ -23,16 +23,19 @@ type UDP struct {
 	Timeout time.Duration
 }
 
-// Exchange implements Transport: it sends the query over a fresh UDP
-// socket and waits for a response with a matching ID that echoes the
-// question. Datagrams that fail either check are discarded and the read
-// continues until the deadline — an off-path spoofer must land both the
-// 16-bit ID and the exact question before the genuine reply arrives.
+// Exchange implements Transport: it sends the query from a fresh
+// kernel-chosen source port (RFC 5452) and waits for a response with a
+// matching ID that echoes the question. Datagrams that fail either check
+// are discarded and the read continues until the deadline — an off-path
+// spoofer must land both the 16-bit ID and the exact question before the
+// genuine reply arrives.
 //
-// While it waits, an exchange holds its socket and its deadline and, on
-// Linux, no buffer: the query's scratch goes back once the write returns,
-// and a read buffer is leased only while the socket has datagrams queued
-// (readReply).
+// On Linux the port is a pooled socket's, connected for this exchange
+// alone and given back when it ends, and a reply must also come from the
+// server (exchangeUDP); elsewhere it is a fresh socket's. While it waits,
+// an exchange holds its socket and its deadline and, on Linux, no buffer:
+// the query's scratch goes back once the write returns, and a read buffer
+// is leased only while the socket has datagrams queued (readReply).
 func (u *UDP) Exchange(ctx context.Context, server Addr, query *dnswire.Message) (*dnswire.Message, error) {
 	timeout := u.Timeout
 	if timeout == 0 {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
-	"sync"
 	"syscall"
 	"time"
 	"unsafe"
@@ -14,13 +13,28 @@ import (
 	"resilientdns/internal/dnswire"
 )
 
-// exchangeOp is one UDP exchange's state beside its socket: the peer's
-// raw address, the query and deadline the read waits on, the reply or
-// error it leaves, and the read callback, bound once when the op is made,
-// as udpOp's are for a listener. exchangeOps recycles them, so the read
-// state of an exchange costs nothing per exchange.
-type exchangeOp struct {
+// maxIdleSockets caps each family's free list of exchange sockets: what a
+// burst opens beyond it is closed when its exchange ends.
+const maxIdleSockets = 64
+
+// idleSockets are the exchange sockets between exchanges, per family
+// (AF_INET, AF_INET6): nonblocking, in the runtime poller, unconnected
+// and holding no port.
+var idleSockets = [2]chan *exchangeSock{make(chan *exchangeSock, maxIdleSockets), make(chan *exchangeSock, maxIdleSockets)}
+
+// exchangeSock is an upstream exchange's socket and the exchange's state
+// beside it: the server's raw address, the query and deadline the read
+// waits on, the reply or error it leaves, and the read callback, bound
+// once when the socket is opened. It serves one exchange at a time: an
+// exchange takes it off its free list and puts it back when it ends.
+type exchangeSock struct {
+	f        *os.File
+	rc       syscall.RawConn
+	fd       uintptr
+	family   int
+	idle     chan *exchangeSock
 	sa       sockaddr
+	r        udpOp // the datagram being read, and its source
 	query    *dnswire.Message
 	deadline time.Time
 	resp     *dnswire.Message
@@ -28,104 +42,148 @@ type exchangeOp struct {
 	read     func(fd uintptr) bool
 }
 
-var exchangeOps = sync.Pool{New: func() any {
-	op := new(exchangeOp)
-	op.read = op.readReply
-	return op
-}}
+// unspec is the AF_UNSPEC address whose connect dissolves a datagram
+// socket's association and unbinds its auto-bound port.
+var unspec syscall.RawSockaddr
 
-// exchangeUDP sends query to ap from a fresh connected socket and returns
-// the first datagram that answers it, waiting no later than deadline.
+// exchangeUDP sends query to ap from a pooled socket, connected for this
+// exchange, and returns the first datagram from ap that answers it,
+// waiting no later than deadline.
 //
-// While it waits, an exchange holds its socket and its deadline and no
-// buffer: the query's scratch goes back once the write returns, and a read
-// buffer is leased only while the socket has datagrams queued
-// (readReply).
+// The connect auto-binds a fresh random port (RFC 5452), and release
+// gives it back: the descriptor, its poller registration and its os.File
+// outlive the exchange, its port does not. While it waits, an exchange
+// holds its socket and its deadline and no buffer: the query's scratch
+// goes back once the write returns, and a read buffer is leased only while
+// the socket has datagrams queued (readReply).
 func exchangeUDP(ap netip.AddrPort, query *dnswire.Message, deadline time.Time) (*dnswire.Message, error) {
-	op := exchangeOps.Get().(*exchangeOp)
-	defer op.release()
-	f, err := op.open(ap)
+	s, err := takeSock(ap)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrServerUnreachable, err)
 	}
-	defer f.Close()
-	if err := f.SetDeadline(deadline); err != nil {
+	defer s.release()
+	if err := s.connect(ap); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrServerUnreachable, err)
+	}
+	if err := s.f.SetDeadline(deadline); err != nil {
 		return nil, err
 	}
-	if err := writeQuery(f, query); err != nil {
+	if err := writeQuery(s.f, query); err != nil {
 		return nil, err
 	}
-	rc, err := f.SyscallConn()
-	if err != nil {
+	s.query, s.deadline = query, deadline
+	if err := s.rc.Read(s.read); err != nil {
 		return nil, err
 	}
-	op.query, op.deadline = query, deadline
-	if err := rc.Read(op.read); err != nil {
-		return nil, err
-	}
-	return op.resp, op.err
+	return s.resp, s.err
 }
 
-// release drops what the exchange left on op and returns it to
-// exchangeOps.
-func (op *exchangeOp) release() {
-	op.query, op.resp, op.err = nil, nil, nil
-	exchangeOps.Put(op)
-}
-
-// open opens the fresh connected socket itself, nonblocking from the
-// start, connects it through op's raw sockaddr, and hands it to the
-// runtime poller as a file: net.DialUDP's SO_BROADCAST, getsockname and
-// getpeername calls and its address objects are not needed for one
-// exchange. ap has no zone (ParseAddr).
-func (op *exchangeOp) open(ap netip.AddrPort) (*os.File, error) {
-	family := syscall.AF_INET6
+// takeSock takes an idle socket of ap's family off its free list, or
+// opens one, nonblocking from the start, and hands it to the runtime
+// poller.
+func takeSock(ap netip.AddrPort) (*exchangeSock, error) {
+	family, idle := syscall.AF_INET6, idleSockets[1]
 	if ap.Addr().Unmap().Is4() {
-		family = syscall.AF_INET
+		family, idle = syscall.AF_INET, idleSockets[0]
 	}
-	if err := op.sa.set(ap, family); err != nil {
-		return nil, err
+	select {
+	case s := <-idle:
+		return s, nil
+	default:
 	}
 	fd, err := syscall.Socket(family, syscall.SOCK_DGRAM|syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC, 0)
 	if err != nil {
 		return nil, os.NewSyscallError("socket", err)
 	}
-	if _, _, e := syscall.Syscall(syscall.SYS_CONNECT, uintptr(fd), uintptr(unsafe.Pointer(&op.sa.raw)), uintptr(op.sa.len)); e != 0 {
-		syscall.Close(fd)
-		return nil, os.NewSyscallError("connect", e)
+	f, rc, err := pollable(fd)
+	if err != nil {
+		return nil, err
 	}
-	return os.NewFile(uintptr(fd), "udp"), nil
+	s := &exchangeSock{f: f, rc: rc, fd: uintptr(fd), family: family, idle: idle}
+	s.read = s.readReply
+	return s, nil
 }
 
-// readReply is the poller's readable callback: it leaves on op the first
-// datagram that answers op.query. The read buffer is leased only inside
-// it, and it drains every queued datagram until one answers or the socket
-// would block; the buffer goes back before the exchange parks again, so a
-// parked exchange holds no buffer. Unpack keeps no byte of the buffer, so
-// the reply never aliases it. Datagrams that keep arriving and never
-// answer still end the wait at the deadline.
-func (op *exchangeOp) readReply(fd uintptr) bool {
+// connect connects the socket to ap, which has no zone (ParseAddr); the
+// kernel binds it a fresh random port, as it does a new socket's.
+func (s *exchangeSock) connect(ap netip.AddrPort) error {
+	if err := s.sa.set(ap, s.family); err != nil {
+		return err
+	}
+	if _, _, e := syscall.Syscall(syscall.SYS_CONNECT, s.fd, uintptr(unsafe.Pointer(&s.sa.raw)), uintptr(s.sa.len)); e != 0 {
+		return os.NewSyscallError("connect", e)
+	}
+	return nil
+}
+
+// release ends the exchange on s. It disconnects the socket, which gives
+// its port back, so a late reply meets a closed port as it would after
+// close, and drains it: a datagram queued after the answer, or an ICMP
+// error the kernel keeps pending on the socket, must not reach the next
+// exchange, where the error would fail an innocent server. The socket
+// then goes back on its free list; one that fails either step, or finds
+// the list full, is closed.
+func (s *exchangeSock) release() {
+	s.query, s.resp, s.err = nil, nil, nil
+	if s.disconnect() {
+		select {
+		case s.idle <- s:
+			return
+		default:
+		}
+	}
+	s.f.Close()
+}
+
+// disconnect connects the socket to AF_UNSPEC, which unbinds its port,
+// and then reads it empty: every queued datagram, and the pending error,
+// which a read returns once and clears. It reports whether the socket was
+// left disconnected and empty.
+func (s *exchangeSock) disconnect() bool {
+	if _, _, e := syscall.Syscall(syscall.SYS_CONNECT, s.fd, uintptr(unsafe.Pointer(&unspec)), unsafe.Sizeof(unspec)); e != 0 {
+		return false
+	}
+	for pending := true; ; {
+		_, _, e := syscall.Syscall6(syscall.SYS_RECVFROM, s.fd, 0, 0, syscall.MSG_DONTWAIT|syscall.MSG_TRUNC, 0, 0)
+		switch e {
+		case 0, syscall.EINTR:
+		case syscall.EAGAIN:
+			return true
+		default:
+			if !pending {
+				return false
+			}
+			pending = false
+		}
+	}
+}
+
+// readReply is the poller's readable callback: it leaves on s the first
+// datagram from s's server that answers s.query. The read buffer is leased
+// only inside it, and it drains every queued datagram until one answers or
+// the socket would block; the buffer goes back before the exchange parks
+// again, so a parked exchange holds no buffer. Unpack keeps no byte of the
+// buffer, so the reply never aliases it. Datagrams that keep arriving and
+// never answer still end the wait at the deadline.
+func (s *exchangeSock) readReply(fd uintptr) bool {
 	bp := getBuf()
-	defer putBuf(bp)
-	buf := (*bp)[:readBufSize]
-	for {
-		n, err := syscall.Read(int(fd), buf)
-		switch {
-		case err == syscall.EINTR:
-			continue
-		case err == syscall.EAGAIN:
-			return false // drained: park again, holding no buffer
-		case err != nil:
-			op.err = os.NewSyscallError("read", err)
+	s.r.buf = (*bp)[:readBufSize]
+	defer func() { s.r.buf = nil; putBuf(bp) }()
+	for s.r.recvfrom(fd) {
+		if s.r.err != 0 {
+			s.err = os.NewSyscallError("recvfrom", s.r.err)
 			return true
 		}
-		if resp, ok := answers(op.query, buf[:n]); ok {
-			op.resp = resp
-			return true
+		if s.r.sa.samePeer(&s.sa) {
+			if resp, ok := answers(s.query, s.r.buf[:s.r.n]); ok {
+				s.resp = resp
+				return true
+			}
 		}
-		if !time.Now().Before(op.deadline) {
-			op.err = os.ErrDeadlineExceeded
+		if !time.Now().Before(s.deadline) {
+			s.err = os.ErrDeadlineExceeded
 			return true
 		}
 	}
+	return false // drained: park again, holding no buffer
 }
