@@ -146,17 +146,21 @@ bench:
 
 # profile runs one workload of the meter, W (default miss), untraced,
 # against the profile build of dnscache (cmd/dnscache/profile.go), then
-# prints the top of the saturation instance's CPU profile, the largest of
-# the run's three, and that instance's allocation line. It calls the meter
-# through `go run -C benchmark .`, which passes GOFLAGS on to the build of
-# dnscache; benchmark/run.sh sets GOFLAGS itself, so through it the tag
-# would be silently dropped. The profiles stay in the directory it prints.
+# prints, for the saturation instance (the largest CPU profile of the
+# run's three): the top of its CPU profile, the top of its allocations by
+# object count, who calls time.Now and how often, and its allocation
+# line. It calls the meter through `go run -C benchmark .`, which passes
+# GOFLAGS on to the build of dnscache; benchmark/run.sh sets GOFLAGS
+# itself, so through it the tag would be silently dropped. The profiles
+# stay in the directory it prints.
 W ?= miss
 profile:
 	@d=$$(mktemp -d) && \
 		GOFLAGS=-tags=profile DNSCACHE_PROFILE=$$d $(GO) run -C benchmark . -workload $(W) -trace 0 && \
 		p=$$(ls -S $$d/*.cpu.pprof | head -n 1) && \
 		$(GO) tool pprof -top -nodecount=40 benchmark/out/bin/dnscache $$p && \
+		$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=15 benchmark/out/bin/dnscache $${p%.cpu.pprof}.allocs.pprof && \
+		$(GO) tool pprof -peek 'time.Now$$' benchmark/out/bin/dnscache $$p && \
 		cat $${p%.cpu.pprof}.memstats && echo "profiles in $$d"
 
 # bench-paper regenerates every table/figure benchmark in the root suite

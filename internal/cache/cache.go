@@ -252,7 +252,11 @@ type ChangeFunc func(op ChangeOp, key Key, e *Entry)
 
 // Config parameterises a Cache.
 type Config struct {
-	// Clock supplies time; defaults to the wall clock.
+	// Clock supplies time to the operations that are not handed it (Get,
+	// Put, Extend, the sweep, Stats and Restore); defaults to the wall
+	// clock. The serving path reads its clock once per step and passes
+	// that now to GetAt, Probe, PutOrigin and the negative and stale
+	// lookups.
 	Clock simclock.Clock
 	// MaxTTL clamps all TTLs; caching servers do not accept arbitrarily
 	// large TTL values (§6). Defaults to 7 days. Negative disables.
@@ -490,8 +494,17 @@ func minTTL(rrs []dnswire.RR) time.Duration {
 	return time.Duration(min) * time.Second
 }
 
-// Put inserts or updates the RRset for its (name, type). All records must
-// share one owner and type. Returns the resulting entry.
+// Put is PutOrigin of upstream data at the cache's own clock. It and Get
+// are the two clock-reading forms kept for the benchmark meter's layer
+// replay, which calls them until it moves to the request seam (ROADMAP
+// item 1(a)); nothing on a serving path calls either.
+func (c *Cache) Put(rrs []dnswire.RR, cred Credibility, infra bool) *Entry {
+	return c.PutOrigin(rrs, cred, infra, OriginUpstream, c.cfg.Clock.Now())
+}
+
+// PutOrigin inserts or updates the RRset for its (name, type), learned
+// from origin, at the instant at (the caller's now). All records must share one owner and type. Returns the
+// resulting entry.
 //
 // Replacement rules:
 //   - an expired or absent entry is always replaced;
@@ -500,18 +513,14 @@ func minTTL(rrs []dnswire.RR) time.Duration {
 //     refreshes the entry's TTL when RefreshInfraTTL is on;
 //   - otherwise the arriving copy is ignored (vanilla DNS behaviour: the
 //     cached TTL keeps counting down).
-func (c *Cache) Put(rrs []dnswire.RR, cred Credibility, infra bool) *Entry {
-	return c.PutOrigin(rrs, cred, infra, OriginUpstream)
-}
-
-// PutOrigin is Put with an explicit data origin. A TTL refresh keeps
-// the existing entry's origin (only the timer changes, not the data);
-// a replacement installs the new copy's origin.
-func (c *Cache) PutOrigin(rrs []dnswire.RR, cred Credibility, infra bool, origin Origin) *Entry {
+//
+// A TTL refresh keeps the existing entry's origin (only the timer changes,
+// not the data); a replacement installs the new copy's origin.
+func (c *Cache) PutOrigin(rrs []dnswire.RR, cred Credibility, infra bool, origin Origin, at time.Time) *Entry {
 	if len(rrs) == 0 {
 		return nil
 	}
-	now := stamp(c.cfg.Clock.Now())
+	now := stamp(at)
 	key := Key{Name: rrs[0].Name, Type: rrs[0].Type()}
 	ttl := c.clampTTL(minTTL(rrs))
 	h, sh := c.locate(key)
@@ -575,13 +584,18 @@ func (c *Cache) KeepStale() time.Duration { return c.cfg.KeepStale }
 // NegativeTTL is how long negative answers are kept (Config.NegativeTTL).
 func (c *Cache) NegativeTTL() time.Duration { return c.cfg.NegativeTTL }
 
-// Get returns the live entry for (name, type), or nil. An expired entry is
-// retired (leaving a tombstone when a gap observer is set; retained for
-// stale service under KeepStale) and reported as a miss.
+// Get is GetAt at the cache's own clock (see Put).
 func (c *Cache) Get(name dnswire.Name, t dnswire.Type) *Entry {
+	return c.GetAt(name, t, c.cfg.Clock.Now())
+}
+
+// GetAt returns the entry for (name, type) live at the instant at, or nil. An
+// expired entry is retired (leaving a tombstone when a gap observer is
+// set; retained for stale service under KeepStale) and reported as a miss.
+func (c *Cache) GetAt(name dnswire.Name, t dnswire.Type, at time.Time) *Entry {
 	key := Key{Name: name, Type: t}
 	h, sh := c.locate(key)
-	now := stamp(c.cfg.Clock.Now())
+	now := stamp(at)
 
 	sh.mu.RLock()
 	_, e := sh.entries.find(h, name, t)
@@ -611,32 +625,33 @@ func (c *Cache) Get(name dnswire.Name, t dnswire.Type) *Entry {
 	return e
 }
 
-// Probe returns the live entry for the name whose presentation form is
-// name and type t, or nil: the read loop's lookup by the bytes of
+// Probe returns the entry live at now for the name whose presentation
+// form is name and type t, or nil: the read loop's lookup by the bytes of
 // dnswire.QueryKey's key, which allocates nothing. The key views name in
 // place, so Probe only reads: it retires, tombstones and keeps nothing,
-// and a caller that misses asks Get.
-func (c *Cache) Probe(name []byte, t dnswire.Type) *Entry {
+// and a caller that misses asks GetAt.
+func (c *Cache) Probe(name []byte, t dnswire.Type, now time.Time) *Entry {
 	key := Key{Name: dnswire.Name(unsafe.String(unsafe.SliceData(name), len(name))), Type: t}
 	h, sh := c.locate(key)
 	sh.mu.RLock()
 	_, e := sh.entries.find(h, key.Name, t)
 	sh.mu.RUnlock()
-	if e == nil || e.expires <= stamp(c.cfg.Clock.Now()) {
+	if e == nil || e.expires <= stamp(now) {
 		return nil
 	}
 	return e
 }
 
 // GetStale returns the expired-but-retained entry for (name, type) when
-// stale retention is on and the entry died within the KeepStale window.
-// Live entries are returned as well (callers prefer Get first).
-func (c *Cache) GetStale(name dnswire.Name, t dnswire.Type) *Entry {
+// stale retention is on and the entry died within the KeepStale window
+// before at. Live entries are returned as well (callers prefer GetAt
+// first).
+func (c *Cache) GetStale(name dnswire.Name, t dnswire.Type, at time.Time) *Entry {
 	if c.cfg.KeepStale <= 0 {
 		return nil
 	}
 	h, sh := c.locate(Key{Name: name, Type: t})
-	now := stamp(c.cfg.Clock.Now())
+	now := stamp(at)
 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -696,32 +711,32 @@ func (c *Cache) Evict(name dnswire.Name, t dnswire.Type) {
 }
 
 // PutNegative remembers that (name, t) does not exist (rcode NXDOMAIN) or
-// has no data of that type (NOERROR), for NegativeTTL. An outcome without
-// an SOA is not stored: RFC 2308 §5 says it SHOULD NOT be cached.
-func (c *Cache) PutNegative(name dnswire.Name, t dnswire.Type, rcode dnswire.RCode, soa []dnswire.RR) {
+// has no data of that type (NOERROR), for NegativeTTL from now. An outcome
+// without an SOA is not stored: RFC 2308 §5 says it SHOULD NOT be cached.
+func (c *Cache) PutNegative(name dnswire.Name, t dnswire.Type, rcode dnswire.RCode, soa []dnswire.RR, now time.Time) {
 	if c.cfg.NegativeTTL <= 0 || len(soa) == 0 {
 		return
 	}
 	key := Key{Name: name, Type: t}
 	_, sh := c.locate(key)
-	expires := stamp(c.cfg.Clock.Now()) + int64(c.cfg.NegativeTTL)
+	expires := stamp(now) + int64(c.cfg.NegativeTTL)
 	sh.mu.Lock()
 	sh.negatives[key] = negative{soa: soa, expires: expires, rcode: rcode}
 	sh.mu.Unlock()
 }
 
-// GetNegative returns the live negative outcome for (name, t) and its SOA,
-// whose TTL is clamped to the outcome's remaining lifetime (RemainingTTL's
-// rule) so a downstream negative cache expires no later than this one. An
-// expired outcome is retired and reported absent. With negative caching
-// off it returns at once, hashing and locking nothing.
-func (c *Cache) GetNegative(name dnswire.Name, t dnswire.Type) (dnswire.RCode, []dnswire.RR, bool) {
+// GetNegative returns the negative outcome for (name, t) live at at and
+// its SOA, whose TTL is clamped to the outcome's remaining lifetime
+// (RemainingTTL's rule) so a downstream negative cache expires no later
+// than this one. An expired outcome is retired and reported absent. With
+// negative caching off it returns at once, hashing and locking nothing.
+func (c *Cache) GetNegative(name dnswire.Name, t dnswire.Type, at time.Time) (dnswire.RCode, []dnswire.RR, bool) {
 	if c.cfg.NegativeTTL <= 0 {
 		return 0, nil, false
 	}
 	key := Key{Name: name, Type: t}
 	_, sh := c.locate(key)
-	now := stamp(c.cfg.Clock.Now())
+	now := stamp(at)
 
 	sh.mu.RLock()
 	n, ok := sh.negatives[key]

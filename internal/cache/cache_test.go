@@ -294,11 +294,11 @@ func TestProbeKeepsNoKey(t *testing.T) {
 	name := dnswire.MustName("www.ucla.edu.")
 	c.Put([]dnswire.RR{rrA("www.ucla.edu.", 60, "192.0.2.1")}, CredAnswer, false)
 	buf := []byte(name)
-	if c.Probe(buf, dnswire.TypeA) == nil {
+	if c.Probe(buf, dnswire.TypeA, clk.Now()) == nil {
 		t.Fatal("Probe misses a live entry")
 	}
 	clk.Advance(2 * time.Minute)
-	if c.Probe(buf, dnswire.TypeA) != nil {
+	if c.Probe(buf, dnswire.TypeA, clk.Now()) != nil {
 		t.Fatal("Probe returns an expired entry")
 	}
 	copy(buf, "xxx.xxxx.xxx.")
@@ -321,7 +321,7 @@ func TestProbeKeepsNoKey(t *testing.T) {
 	if len(gaps) != 1 || gaps[0] != time.Minute {
 		t.Errorf("gaps = %v, want [1m0s]", gaps)
 	}
-	if e := c.GetStale(name, dnswire.TypeA); e == nil || e.Key().Name != name {
+	if e := c.GetStale(name, dnswire.TypeA, clk.Now()); e == nil || e.Key().Name != name {
 		t.Errorf("the retired entry is not retained as stale under its name: %v", e)
 	}
 }

@@ -56,7 +56,7 @@ func TestConcurrentMixedOperations(t *testing.T) {
 						c.SweepExpired()
 					case 3:
 						// A reply stored beside Stats summing reply bytes.
-						if e := c.Probe([]byte(name), dnswire.TypeA); e != nil {
+						if e := c.Probe([]byte(name), dnswire.TypeA, simclock.Real{}.Now()); e != nil {
 							e.SetReply(byte(i), &Reply{Wire: make([]byte, i%7)})
 						}
 					}

@@ -18,20 +18,20 @@ func soaRR(zone string, ttl uint32) []dnswire.RR {
 func TestNegativeLookupClampsAndRetires(t *testing.T) {
 	c, clk := newTestCache(t, Config{NegativeTTL: time.Minute})
 	name := dnswire.MustName("gone.victim.test.")
-	c.PutNegative(name, dnswire.TypeA, dnswire.RCodeNXDomain, soaRR("victim.test.", 300))
+	c.PutNegative(name, dnswire.TypeA, dnswire.RCodeNXDomain, soaRR("victim.test.", 300), clk.Now())
 	clk.Advance(45*time.Second + 500*time.Millisecond)
-	rcode, soa, ok := c.GetNegative(name, dnswire.TypeA)
+	rcode, soa, ok := c.GetNegative(name, dnswire.TypeA, clk.Now())
 	if !ok || rcode != dnswire.RCodeNXDomain {
 		t.Fatalf("GetNegative = %v, %v; want a live NXDOMAIN", rcode, ok)
 	}
 	if len(soa) != 1 || soa[0].TTL != 14 {
 		t.Errorf("SOA = %v, want one record with TTL 14 (the entry's remaining lifetime)", soa)
 	}
-	if _, _, ok := c.GetNegative(name, dnswire.TypeAAAA); ok {
+	if _, _, ok := c.GetNegative(name, dnswire.TypeAAAA, clk.Now()); ok {
 		t.Error("a negative for A answered AAAA")
 	}
 	clk.Advance(15 * time.Second)
-	if _, _, ok := c.GetNegative(name, dnswire.TypeA); ok {
+	if _, _, ok := c.GetNegative(name, dnswire.TypeA, clk.Now()); ok {
 		t.Error("an expired negative was served")
 	}
 	if n := c.Stats().NegativeEntries; n != 0 {
@@ -48,7 +48,7 @@ func TestSweepExpiredReclaimsNegativeCache(t *testing.T) {
 	soa := soaRR("victim.test.", 300)
 	const flood = 10000
 	for i := 0; i < flood; i++ {
-		c.PutNegative(dnswire.MustName(fmt.Sprintf("r%d.victim.test.", i)), dnswire.TypeA, dnswire.RCodeNXDomain, soa)
+		c.PutNegative(dnswire.MustName(fmt.Sprintf("r%d.victim.test.", i)), dnswire.TypeA, dnswire.RCodeNXDomain, soa, clk.Now())
 	}
 	c.Put([]dnswire.RR{rrA("short.victim.test.", 30, "192.0.2.1")}, CredAnswer, false)
 	if n := c.Stats().NegativeEntries; n != flood {
@@ -57,7 +57,7 @@ func TestSweepExpiredReclaimsNegativeCache(t *testing.T) {
 
 	clk.Advance(time.Minute + time.Second)
 	fresh := dnswire.MustName("fresh.victim.test.")
-	c.PutNegative(fresh, dnswire.TypeA, dnswire.RCodeNXDomain, soa)
+	c.PutNegative(fresh, dnswire.TypeA, dnswire.RCodeNXDomain, soa, clk.Now())
 	c.Put([]dnswire.RR{rrA("long.victim.test.", 3600, "192.0.2.2")}, CredAnswer, false)
 	if n := c.Stats().NegativeEntries; n != flood+1 {
 		t.Fatalf("lazy expiry reclaimed never-repeated keys: %d entries, want %d", n, flood+1)
@@ -66,7 +66,7 @@ func TestSweepExpiredReclaimsNegativeCache(t *testing.T) {
 	if s := c.Stats(); s.NegativeEntries != 1 || s.Entries != 1 || s.StaleEntries != 0 {
 		t.Errorf("after the sweep: %+v; want only the live negative and the live RRset", s)
 	}
-	if _, _, ok := c.GetNegative(fresh, dnswire.TypeA); !ok {
+	if _, _, ok := c.GetNegative(fresh, dnswire.TypeA, clk.Now()); !ok {
 		t.Error("the sweep dropped a live negative entry")
 	}
 }
@@ -80,7 +80,7 @@ func TestSweepExpiredYieldsToQueries(t *testing.T) {
 	soa := soaRR("victim.test.", 300)
 	const old = 8192
 	for i := 0; i < old; i++ {
-		c.PutNegative(dnswire.MustName(fmt.Sprintf("old%d.victim.test.", i)), dnswire.TypeA, dnswire.RCodeNXDomain, soa)
+		c.PutNegative(dnswire.MustName(fmt.Sprintf("old%d.victim.test.", i)), dnswire.TypeA, dnswire.RCodeNXDomain, soa, clk.Now())
 	}
 	clk.Advance(time.Minute + time.Second)
 
@@ -91,8 +91,8 @@ func TestSweepExpiredYieldsToQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				name := dnswire.MustName(fmt.Sprintf("new%d-%d.victim.test.", g, i))
-				c.PutNegative(name, dnswire.TypeA, dnswire.RCodeNXDomain, soa)
-				if _, _, ok := c.GetNegative(name, dnswire.TypeA); !ok {
+				c.PutNegative(name, dnswire.TypeA, dnswire.RCodeNXDomain, soa, clk.Now())
+				if _, _, ok := c.GetNegative(name, dnswire.TypeA, clk.Now()); !ok {
 					t.Errorf("%s: live entry lost while the sweep ran", name)
 					return
 				}
@@ -122,7 +122,7 @@ func TestEvictCountsEvictions(t *testing.T) {
 // TestStatsCountsNegativeBytes: ApproxBytes counts each negative answer as
 // its owner name plus its SOA set's wire size, beside the RRsets' bytes.
 func TestStatsCountsNegativeBytes(t *testing.T) {
-	c, _ := newTestCache(t, Config{NegativeTTL: time.Minute})
+	c, clk := newTestCache(t, Config{NegativeTTL: time.Minute})
 	c.Put([]dnswire.RR{rrA("www.victim.test.", 300, "192.0.2.1")}, CredAnswer, false)
 	positive := c.Stats().ApproxBytes
 	if positive == 0 {
@@ -132,7 +132,7 @@ func TestStatsCountsNegativeBytes(t *testing.T) {
 	for _, n := range []string{"a.victim.test.", "bb.victim.test.", "ccc.other.test."} {
 		name := dnswire.MustName(n)
 		soa := soaRR(name.Parent().String(), 300)
-		c.PutNegative(name, dnswire.TypeA, dnswire.RCodeNXDomain, soa)
+		c.PutNegative(name, dnswire.TypeA, dnswire.RCodeNXDomain, soa, clk.Now())
 		want += len(name) + len(soa[0].Name) + 10 + dnswire.RDataLen(soa[0].Data)
 	}
 	if s := c.Stats(); s.NegativeEntries != 3 || s.ApproxBytes != want {

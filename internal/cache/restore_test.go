@@ -102,7 +102,7 @@ func TestRestoreKeepsStaleWithinWindow(t *testing.T) {
 	if c.Get(name, dnswire.TypeA) != nil {
 		t.Error("stale entry served as live")
 	}
-	if c.GetStale(name, dnswire.TypeA) == nil {
+	if c.GetStale(name, dnswire.TypeA, clk.Now()) == nil {
 		t.Error("restored stale entry not servable via GetStale")
 	}
 
@@ -228,7 +228,7 @@ func TestExtendStaleTombstoneAcrossRestore(t *testing.T) {
 	if dst.Get(dieName, dnswire.TypeA) != nil {
 		t.Error("expired entry served as live after restore")
 	}
-	if dst.GetStale(dieName, dnswire.TypeA) == nil {
+	if dst.GetStale(dieName, dnswire.TypeA, clk.Now()) == nil {
 		t.Error("expired entry not servable as stale after restore")
 	}
 	// ...and the Get miss above retired it with a tombstone, so the next

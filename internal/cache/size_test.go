@@ -80,7 +80,7 @@ func TestRecordHeapBytes(t *testing.T) {
 		}},
 		{"random-subdomain negative", 320, Config{NegativeTTL: time.Hour}, func(c *Cache, i int) {
 			c.PutNegative(dnswire.MustName(fmt.Sprintf("r%d.victim.test.", i)), dnswire.TypeA,
-				dnswire.RCodeNXDomain, soaRR("victim.test.", 300))
+				dnswire.RCodeNXDomain, soaRR("victim.test.", 300), epoch)
 		}},
 	}
 	for _, tc := range cases {

@@ -168,7 +168,7 @@ func TestTableConcurrentGrowShrink(t *testing.T) {
 				n := name(i)
 				e := c.Get(n, dnswire.TypeA)
 				if i%2 == 0 {
-					e = c.Probe([]byte(n), dnswire.TypeA)
+					e = c.Probe([]byte(n), dnswire.TypeA, clk.Now())
 				}
 				if e != nil && e.Key() != (Key{Name: n, Type: dnswire.TypeA}) {
 					t.Errorf("lookup of %s returns %v", n, e.Key())

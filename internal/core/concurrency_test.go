@@ -46,7 +46,9 @@ func newPipeHierarchy(t testing.TB, cfg Config, irrTTL uint32, hosts int) *Cachi
 			"10.0.5.1": authserver.New(ex),
 		}}
 	}
-	cfg.Clock = simclock.Real{}
+	if cfg.Clock == nil {
+		cfg.Clock = simclock.Real{}
+	}
 	cfg.RootHints = []ServerRef{{Host: dnswire.MustName("a.root-servers.net."), Addr: "10.0.0.1"}}
 	cs, err := NewCachingServer(cfg)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"time"
 
 	"resilientdns/internal/cache"
 	"resilientdns/internal/dnswire"
@@ -17,7 +18,7 @@ import (
 // from cached data only — a stub probing the cache must not trigger
 // upstream fetches — and answered REFUSED when nothing cached applies.
 func (cs *CachingServer) HandleQuery(q *dnswire.Message) *dnswire.Message {
-	resp, _, _ := cs.handle(q, answerFully)
+	resp, _, _ := cs.handle(q, answerFully, cs.cfg.Clock.Now())
 	return resp
 }
 
@@ -32,19 +33,20 @@ func (cs *CachingServer) HandleQuery(q *dnswire.Message) *dnswire.Message {
 // answer comes from handle, and one that is exactly one live RRset is
 // packed into buf and kept on that entry for the next such query. It
 // touches no lock but the cache shard read locks (or a cache shard's
-// write lock, to retire an expired entry).
+// write lock, to retire an expired entry), and reads the clock once.
 func (cs *CachingServer) HandleInline(q *transport.Query, buf []byte) ([]byte, *dnswire.Message, bool) {
-	if e, r := cs.storedReply(q.Key); r != nil {
+	now := cs.cfg.Clock.Now()
+	if e, r := cs.storedReply(q.Key, now); r != nil {
 		key := e.Key()
-		if _, done, _ := cs.resolve(context.Background(), 0, answerLive, key.Name, key.Type, e); done {
-			return patchReply(buf, r, q.ID, e.RemainingTTL(cs.cfg.Clock.Now())), nil, true
+		if _, done, _ := cs.resolve(context.Background(), 0, answerLive, key.Name, key.Type, e, now); done {
+			return patchReply(buf, r, q.ID, e.RemainingTTL(now)), nil, true
 		}
 	}
 	m, err := q.Message()
 	if err != nil {
 		return nil, nil, true // unreachable: a keyed query always unpacks
 	}
-	resp, src, done := cs.handle(m, answerLive)
+	resp, src, done := cs.handle(m, answerLive, now)
 	if src == nil || q.Key == nil {
 		return nil, resp, done
 	}
@@ -58,16 +60,16 @@ func (cs *CachingServer) HandleInline(q *transport.Query, buf []byte) ([]byte, *
 	return wire, nil, true
 }
 
-// storedReply is the live entry a plain query's key names and the reply
-// kept on it for the key's variant, r nil when there is none. The key is
-// the question name in presentation form, the type, the class and the
-// variant byte (dnswire.QueryKey); only class IN is ever cached.
-func (cs *CachingServer) storedReply(key []byte) (e *cache.Entry, r *cache.Reply) {
+// storedReply is the entry live at now that a plain query's key names and
+// the reply kept on it for the key's variant, r nil when there is none.
+// The key is the question name in presentation form, the type, the class
+// and the variant byte (dnswire.QueryKey); only class IN is ever cached.
+func (cs *CachingServer) storedReply(key []byte, now time.Time) (e *cache.Entry, r *cache.Reply) {
 	n := len(key) - 5
 	if n < 0 || dnswire.Class(binary.BigEndian.Uint16(key[n+2:])) != dnswire.ClassIN {
 		return nil, nil
 	}
-	if e = cs.cache.Probe(key[:n], dnswire.Type(binary.BigEndian.Uint16(key[n:]))); e == nil {
+	if e = cs.cache.Probe(key[:n], dnswire.Type(binary.BigEndian.Uint16(key[n:])), now); e == nil {
 		return nil, nil
 	}
 	return e, e.Reply(key[n+4])
@@ -80,7 +82,7 @@ func (cs *CachingServer) storedReply(key []byte) (e *cache.Entry, r *cache.Reply
 // A query nothing cached can answer gets SERVFAIL (transient — the client
 // should retry), unlike an RD=0 miss's REFUSED (deliberate policy).
 func (cs *CachingServer) HandleQueryCacheOnly(q *dnswire.Message) *dnswire.Message {
-	resp, _, _ := cs.handle(q, answerCacheOnly)
+	resp, _, _ := cs.handle(q, answerCacheOnly, cs.cfg.Clock.Now())
 	return resp
 }
 
@@ -94,13 +96,14 @@ const (
 	answerCacheOnly                   // live, negative, then stale; a miss is SERVFAIL
 )
 
-// handle is the shared frontend: protocol validation, the
-// recursive/cache-only routing decision, and reply assembly. Only
+// handle is the shared frontend, for a query that arrived at now:
+// protocol validation, the recursive/cache-only routing decision, and
+// reply assembly. Only
 // answerLive ever declines (nil, nil, false), and a declined query has
 // no reply built for it. src is the cache entry the reply's answer is,
 // when it is exactly that (resolve.Result.Entry): the reply may then be
 // kept on it.
-func (cs *CachingServer) handle(q *dnswire.Message, mode answerMode) (resp *dnswire.Message, src *cache.Entry, done bool) {
+func (cs *CachingServer) handle(q *dnswire.Message, mode answerMode, now time.Time) (resp *dnswire.Message, src *cache.Entry, done bool) {
 	var res *Result
 	var rcode dnswire.RCode
 	switch {
@@ -114,7 +117,7 @@ func (cs *CachingServer) handle(q *dnswire.Message, mode answerMode) (resp *dnsw
 			lookup = answerCacheOnly
 		}
 		var err error
-		res, done, err = cs.resolve(context.Background(), resolve.FrontendTimeout, lookup, q.Question[0].Name, q.Question[0].Type, nil)
+		res, done, err = cs.resolve(context.Background(), resolve.FrontendTimeout, lookup, q.Question[0].Name, q.Question[0].Type, nil, now)
 		switch {
 		case !done:
 			return nil, nil, false

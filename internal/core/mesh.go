@@ -36,7 +36,7 @@ func (cs *CachingServer) peerFetch(ctx context.Context, qname dnswire.Name, qtyp
 // in this cache (nothing worth pushing).
 func (cs *CachingServer) ZoneIRRMessage(zone dnswire.Name) *dnswire.Message {
 	now := cs.cfg.Clock.Now()
-	e := cs.cache.Get(zone, dnswire.TypeNS)
+	e := cs.cache.GetAt(zone, dnswire.TypeNS, now)
 	if e == nil || !e.Infra() {
 		return nil
 	}
@@ -49,7 +49,7 @@ func (cs *CachingServer) ZoneIRRMessage(zone dnswire.Name) *dnswire.Message {
 	for _, rr := range e.RRs {
 		host := rr.Data.(dnswire.NS).Host
 		for _, t := range []dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA} {
-			if ge := cs.cache.Get(host, t); ge != nil {
+			if ge := cs.cache.GetAt(host, t, now); ge != nil {
 				msg.Additional = append(msg.Additional, ge.RRsWithRemainingTTL(now)...)
 			}
 		}
@@ -75,7 +75,7 @@ func (cs *CachingServer) IngestPeerIRRs(zone dnswire.Name, msg *dnswire.Message)
 			return false
 		}
 	}
-	cs.resolver.IngestFrom(msg, zone, zone, cache.OriginPeer)
+	cs.resolver.IngestFrom(msg, zone, zone, cache.OriginPeer, cs.cfg.Clock.Now())
 	cs.extendIRRs(zone, msg.Answer)
 	return true
 }

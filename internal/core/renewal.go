@@ -211,6 +211,7 @@ func (cs *CachingServer) renewZone(ctx context.Context, zone dnswire.Name, due, 
 		return true
 	}
 	cs.resolver.Ingest(resp, zone, zone)
+	dnswire.Release(resp)
 	// Guarantee the renewal outcome even if credibility rules would have
 	// ignored the copies.
 	cs.extendIRRs(zone, e.RRs)

@@ -156,15 +156,15 @@ func (cs *CachingServer) Resolver() *resolve.Resolver { return cs.resolver }
 // no frontend deadline. Concurrent calls for the same (name, type) share a
 // single upstream resolution.
 func (cs *CachingServer) Resolve(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
-	res, _, err := cs.resolve(ctx, 0, answerFully, qname, qtype, nil)
+	res, _, err := cs.resolve(ctx, 0, answerFully, qname, qtype, nil, cs.cfg.Clock.Now())
 	return res, err
 }
 
-// resolve is every stub query's one count, one trace and one finish. The
-// cache is asked first — LookupCacheOnly (live, negative, then stale) in
-// answerCacheOnly, the live cache otherwise, and for a reply kept on an
-// entry (packed, that entry) LookupPacked alone — and only a
-// miss goes on: answerLive declines it (done=false) with nothing counted
+// resolve is every stub query's one count, one trace and one finish, for
+// a query that arrived at now. The cache is asked first —
+// LookupCacheOnly (live, negative, then stale) in answerCacheOnly, the
+// live cache otherwise, and for a reply kept on an entry (packed, that
+// entry) LookupPacked alone — and only a miss goes on: answerLive declines it (done=false) with nothing counted
 // and the trace unfinished, so HandleQuery can take it from the top as if
 // it had just arrived; answerFully resolves upstream and waits for
 // timeout at most (when positive), so a hit never pays for a timer it
@@ -174,17 +174,17 @@ func (cs *CachingServer) Resolve(ctx context.Context, qname dnswire.Name, qtype 
 // serves many queries, so its timings belong to no single caller). A nil
 // result with done and no error means nothing cached could answer; a
 // kept reply's hit has no records, the caller holds them packed.
-func (cs *CachingServer) resolve(ctx context.Context, timeout time.Duration, mode answerMode, qname dnswire.Name, qtype dnswire.Type, packed *cache.Entry) (res *Result, done bool, err error) {
+func (cs *CachingServer) resolve(ctx context.Context, timeout time.Duration, mode answerMode, qname dnswire.Name, qtype dnswire.Type, packed *cache.Entry, now time.Time) (res *Result, done bool, err error) {
 	tr := cs.resolver.NewTrace(resolve.KindQuery, qname, qtype)
 	switch {
 	case packed != nil:
-		if cs.resolver.LookupPacked(tr, packed) {
+		if cs.resolver.LookupPacked(tr, packed, now) {
 			res = &packedHit
 		}
 	case mode == answerCacheOnly:
-		res, err = cs.resolver.LookupCacheOnly(tr, qname, qtype)
+		res, err = cs.resolver.LookupCacheOnly(tr, qname, qtype, now)
 	default:
-		res, err = cs.resolver.Lookup(tr, qname, qtype)
+		res, err = cs.resolver.LookupAt(tr, qname, qtype, now)
 	}
 	miss := err == nil && res == nil && mode != answerCacheOnly
 	if miss && mode == answerLive {

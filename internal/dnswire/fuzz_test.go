@@ -2,12 +2,16 @@ package dnswire
 
 import (
 	"bytes"
+	"math"
 	"net/netip"
+	"reflect"
 	"testing"
 )
 
 // FuzzUnpack exercises the wire decoder with arbitrary bytes: it must
-// never panic, and any message it accepts must re-pack and re-parse to an
+// never panic, must decode every name as a decode without the name cache
+// does (and UnpackReply as Unpack does), and any message it accepts must
+// re-pack and re-parse to an
 // equivalent wire form (decode/encode stability), and must pack the same
 // after the buffer it was decoded from is overwritten: Unpack copies the
 // wire only when a record keeps bytes of it, and such a record must then
@@ -38,6 +42,34 @@ func FuzzUnpack(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// Differential: the name cache (exact offsets and the tails of
+		// names decoded before) and UnpackReply's hint only ever hand back
+		// the name a decode with neither gives.
+		ref := unpacker{msg: data, nNames: nameCacheSize}
+		for i := range ref.names {
+			ref.names[i].off = math.MaxInt32 // matches no offset, is below none
+		}
+		plain, err := ref.message(nil)
+		if err != nil {
+			t.Fatalf("decodes with the name cache, not without it: %v", err)
+		}
+		if !reflect.DeepEqual(m, plain) {
+			t.Fatalf("the name cache changed the message:\n%v\nwithout it:\n%v", m, plain)
+		}
+		hint := MustName("www.example.com.")
+		if len(plain.Question) > 0 {
+			hint = plain.Question[0].Name
+		}
+		hinted, err := UnpackReply(data, NewQuery(0, hint, TypeA))
+		if err != nil {
+			t.Fatalf("UnpackReply fails where Unpack does not: %v", err)
+		}
+		h := *hinted
+		h.pooled = nil
+		if !reflect.DeepEqual(&h, plain) {
+			t.Fatalf("UnpackReply changed the message:\n%v\nUnpack:\n%v", &h, plain)
+		}
+		Release(hinted)
 		wire, err := m.Pack()
 		if err != nil {
 			// Some decoded messages cannot be re-encoded (e.g. a TXT

@@ -19,6 +19,10 @@ type Message struct {
 	Answer     []RR
 	Authority  []RR
 	Additional []RR
+
+	// pooled is the storage UnpackReply decoded the message into, which
+	// Release gives back; nil for every other message.
+	pooled *pooledMessage
 }
 
 // Flags holds the single-bit header flags of a DNS message.
@@ -398,6 +402,10 @@ type unpacker struct {
 	own []byte
 	off int
 
+	// hint is the asked question's name when the message is its reply
+	// (UnpackReply): a name that decodes to it is it, not a copy.
+	hint Name
+
 	// nameBuf is the scratch the decoder lowercases labels into before
 	// the single string conversion that builds each Name; it lives in
 	// the (stack-allocated) unpacker so decoding allocates nothing
@@ -437,14 +445,33 @@ func (u *unpacker) uint32() (uint32, error) {
 	return v, nil
 }
 
-// cachedAt returns the already-decoded name whose encoding starts at off.
+// cachedAt returns the already-decoded name whose encoding starts at off:
+// one decoded there (k = 0), or the tail of one whose labels run through
+// off (the zone inside a question's name, say). A label takes as many
+// bytes on the wire as in presentation form, its length byte standing
+// where its dot goes, so that tail starts as far into the name (k) as off
+// is into its encoding.
 func (u *unpacker) cachedAt(off int) (Name, bool) {
 	for i := 0; i < u.nNames; i++ {
-		if u.names[i].off == int32(off) {
-			return u.names[i].name, true
+		c := &u.names[i]
+		k, p := off-int(c.off), int(c.off)
+		for k >= 0 && k < len(c.name) && p < off && u.msg[p] != 0 && u.msg[p]&0xC0 == 0 {
+			p += 1 + int(u.msg[p])
+		}
+		if k >= 0 && k < len(c.name) && p == off {
+			return c.name[k:], true
 		}
 	}
 	return "", false
+}
+
+// newName is buf as a Name: the hint when buf spells it, a new string
+// otherwise.
+func (u *unpacker) newName(buf []byte) Name {
+	if string(buf) == string(u.hint) {
+		return u.hint
+	}
+	return Name(buf)
 }
 
 func (u *unpacker) cacheName(off, end int, n Name) {
@@ -504,7 +531,7 @@ func (u *unpacker) decodeNameAt(start int) (Name, int, error) {
 			if len(buf) == 0 {
 				return Root, end, nil
 			}
-			return Name(buf), end, nil
+			return u.newName(buf), end, nil
 		case b&0xC0 == 0xC0:
 			if off+2 > len(msg) {
 				return "", 0, ErrTruncatedMessage
@@ -530,7 +557,7 @@ func (u *unpacker) decodeNameAt(start int) (Name, int, error) {
 				if !tail.IsRoot() {
 					buf = append(buf, tail...)
 				}
-				return Name(buf), end, nil
+				return u.newName(buf), end, nil
 			}
 			ptrBudget--
 			if ptrBudget <= 0 {
@@ -633,6 +660,54 @@ func sectionCap(count uint16, remaining, minBytes int) int {
 // retained (each retained slice keeps the one backing copy alive).
 func Unpack(b []byte) (*Message, error) {
 	u := unpacker{msg: b}
+	return u.message(nil)
+}
+
+// UnpackReply is Unpack for b, a reply to query, decoded into pooled
+// storage that Release gives back: the message and its question, and the
+// array behind its three sections. Its names and records are Unpack's,
+// except that a name spelling query's question name is that very string.
+// A message not released, or b's storage when b does not decode, is left
+// to the collector.
+func UnpackReply(b []byte, query *Message) (*Message, error) {
+	u := unpacker{msg: b}
+	if len(query.Question) > 0 {
+		u.hint = query.Question[0].Name
+	}
+	p := replies.Get().(*pooledMessage)
+	p.m.pooled = p
+	return u.message(p)
+}
+
+// pooledMessage is the storage of a message UnpackReply decodes: the
+// message, room for its one question, and the records of its sections.
+type pooledMessage struct {
+	m   Message
+	q   [1]Question
+	rrs []RR
+}
+
+var replies = sync.Pool{New: func() any { return new(pooledMessage) }}
+
+// Release gives m's storage back for another UnpackReply when UnpackReply
+// made m, and does nothing for any other message. Neither m nor any slice
+// of its sections may be used afterwards; its names, and the records
+// copied out of it, stay valid.
+func Release(m *Message) {
+	if m == nil || m.pooled == nil {
+		return
+	}
+	// No pooled record keeps a name or a value alive, and a second
+	// Release finds m unmarked.
+	p := m.pooled
+	clear(p.rrs)
+	p.rrs, p.m, p.q = p.rrs[:0], Message{}, [1]Question{}
+	replies.Put(p)
+}
+
+// message decodes u's wire into p's storage, or into new storage when p
+// is nil.
+func (u *unpacker) message(p *pooledMessage) (*Message, error) {
 	id, err := u.uint16()
 	if err != nil {
 		return nil, err
@@ -649,7 +724,12 @@ func Unpack(b []byte) (*Message, error) {
 	}
 
 	// Smallest question: 1-byte root name + type + class.
-	m := newMessage(sectionCap(counts[0], len(u.msg)-u.off, 5))
+	var m *Message
+	if p == nil {
+		m = newMessage(sectionCap(counts[0], len(u.msg)-u.off, 5))
+	} else if m = &p.m; counts[0] > 0 {
+		m.Question = p.q[:0]
+	}
 	m.ID = id
 	m.Flags, m.Opcode, m.RCode = decodeFlags(flags)
 	for i := 0; i < int(counts[0]); i++ {
@@ -674,7 +754,11 @@ func Unpack(b []byte) (*Message, error) {
 	// the next. Smallest RR: 1-byte name + fixed 10-byte body, empty
 	// RDATA, which bounds what a forged count can preallocate.
 	var rrs []RR
-	if n := int(counts[1]) + int(counts[2]) + int(counts[3]); n > 0 {
+	if p != nil {
+		rrs = p.rrs[:0]
+		defer func() { p.rrs = rrs }() // to be cleared by Release
+	}
+	if n := int(counts[1]) + int(counts[2]) + int(counts[3]); n > cap(rrs) {
 		rrs = make([]RR, 0, min(n, (len(u.msg)-u.off)/11))
 	}
 	sections := [3]*[]RR{&m.Answer, &m.Authority, &m.Additional}

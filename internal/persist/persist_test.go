@@ -426,7 +426,7 @@ func TestEntriesExpiringBetweenSnapshotAndReload(t *testing.T) {
 	if cs3.Cache().Get(name, dnswire.TypeA) != nil {
 		t.Error("expired entry served as live")
 	}
-	if cs3.Cache().GetStale(name, dnswire.TypeA) == nil {
+	if cs3.Cache().GetStale(name, dnswire.TypeA, f.clk.Now()) == nil {
 		t.Error("expired-within-window entry not servable as stale after restore")
 	}
 	st3.Close()
@@ -583,7 +583,7 @@ func TestPeerOriginSurvivesRecovery(t *testing.T) {
 	zone := dnswire.MustName("gossiped.example.")
 	cs.Cache().PutOrigin(
 		[]dnswire.RR{rrNS("gossiped.example.", 3600, "ns1.gossiped.example.")},
-		cache.CredAnswer, true, cache.OriginPeer)
+		cache.CredAnswer, true, cache.OriginPeer, f.clk.Now())
 	if err := st.Checkpoint(cs); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}

@@ -37,7 +37,7 @@ func (r *Resolver) refLookup(qname dnswire.Name, qtype dnswire.Type) (*Result, e
 				return chainStep{rrs: e.RRsWithRemainingTTL(now), outcome: chainFollow, fromCache: true}
 			}
 		}
-		if rcode, soa, ok := r.cache.GetNegative(cur, qtype); ok {
+		if rcode, soa, ok := r.cache.GetNegative(cur, qtype, now); ok {
 			return chainStep{rcode: rcode, authority: soa, outcome: chainDone, fromCache: true}
 		}
 		return chainStep{outcome: chainMiss}
@@ -67,13 +67,13 @@ func (r *Resolver) refLookupCacheOnly(qname dnswire.Name, qtype dnswire.Type) (*
 				return chainStep{rrs: e.RRsWithRemainingTTL(now), outcome: chainFollow, fromCache: true}
 			}
 		}
-		if rcode, soa, ok := r.cache.GetNegative(cur, qtype); ok {
+		if rcode, soa, ok := r.cache.GetNegative(cur, qtype, now); ok {
 			return chainStep{rcode: rcode, authority: soa, outcome: chainDone, fromCache: true}
 		}
 		if r.cache.KeepStale() > 0 {
-			e := r.cache.GetStale(cur, qtype)
+			e := r.cache.GetStale(cur, qtype, now)
 			if e == nil && qtype != dnswire.TypeCNAME {
-				e = r.cache.GetStale(cur, dnswire.TypeCNAME)
+				e = r.cache.GetStale(cur, dnswire.TypeCNAME, now)
 			}
 			if e != nil {
 				metrics.Inc(&r.counters.StaleAnswers)
@@ -133,7 +133,7 @@ func (r *Resolver) refResolveOne(ctx context.Context, qname dnswire.Name, qtype 
 			return &Result{RCode: dnswire.RCodeNoError, Answer: e.RRsWithRemainingTTL(now), FromCache: true}, nil
 		}
 	}
-	if rcode, soa, ok := r.cache.GetNegative(qname, qtype); ok {
+	if rcode, soa, ok := r.cache.GetNegative(qname, qtype, now); ok {
 		return &Result{RCode: rcode, Authority: soa, FromCache: true}, nil
 	}
 	res, _, err := r.iterate(ctx, nil, qname, qtype, depth, false, false)
@@ -166,10 +166,11 @@ func (r *Resolver) refMaybePrefetch(ctx context.Context, e *cache.Entry, qname d
 }
 
 func (r *Resolver) refStaleAnswer(qname dnswire.Name, qtype dnswire.Type) *Result {
+	now := r.cfg.Clock.Now()
 	cr := walkChain(qname, qtype, maxCNAME, func(cur dnswire.Name) chainStep {
-		e := r.cache.GetStale(cur, qtype)
+		e := r.cache.GetStale(cur, qtype, now)
 		if e == nil && qtype != dnswire.TypeCNAME {
-			e = r.cache.GetStale(cur, dnswire.TypeCNAME)
+			e = r.cache.GetStale(cur, dnswire.TypeCNAME, now)
 		}
 		if e == nil {
 			return chainStep{outcome: chainMiss}
@@ -233,12 +234,12 @@ func TestCacheStepMatchesOldSequences(t *testing.T) {
 			}
 		}},
 		{name: "negative-hit", cc: cache.Config{NegativeTTL: time.Minute}, setup: func(r *Resolver, clk *simclock.Virtual) {
-			r.cache.PutNegative(www, dnswire.TypeA, dnswire.RCodeNXDomain, []dnswire.RR{soa})
+			r.cache.PutNegative(www, dnswire.TypeA, dnswire.RCodeNXDomain, []dnswire.RR{soa}, r.cfg.Clock.Now())
 			clk.Advance(20 * time.Second)
 		}},
 		{name: "negative-behind-cname", cc: cache.Config{NegativeTTL: time.Minute}, setup: func(r *Resolver, _ *simclock.Virtual) {
 			put(r, cname("www.test.", "gone.test.", 300))
-			r.cache.PutNegative(dnswire.MustName("gone.test."), dnswire.TypeA, dnswire.RCodeNoError, []dnswire.RR{soa})
+			r.cache.PutNegative(dnswire.MustName("gone.test."), dnswire.TypeA, dnswire.RCodeNoError, []dnswire.RR{soa}, r.cfg.Clock.Now())
 		}},
 		{name: "prefetch-window-inline", cfg: Config{Prefetch: true}, setup: func(r *Resolver, clk *simclock.Virtual) {
 			put(r, rrA("www.test.", 300, "10.1.1.1"))
@@ -274,7 +275,9 @@ func TestCacheStepMatchesOldSequences(t *testing.T) {
 			func(r *Resolver) (*Result, error) { return r.Lookup(nil, www, dnswire.TypeA) },
 			func(r *Resolver) (*Result, error) { return r.refLookup(www, dnswire.TypeA) }},
 		{"LookupCacheOnly",
-			func(r *Resolver) (*Result, error) { return r.LookupCacheOnly(nil, www, dnswire.TypeA) },
+			func(r *Resolver) (*Result, error) {
+				return r.LookupCacheOnly(nil, www, dnswire.TypeA, r.cfg.Clock.Now())
+			},
 			func(r *Resolver) (*Result, error) { return r.refLookupCacheOnly(www, dnswire.TypeA) }},
 		{"ResolveChain", // resolveOne's head, then staleAnswer once iterate fails
 			func(r *Resolver) (*Result, error) {

@@ -1,6 +1,8 @@
 package resolve
 
 import (
+	"slices"
+
 	"resilientdns/internal/cache"
 	"resilientdns/internal/dnswire"
 )
@@ -65,7 +67,8 @@ type chainResult struct {
 // walkChain chases a CNAME chain from qname, calling step for each name
 // up to maxHops+1 times. The step's records are appended to the answer
 // before its outcome is applied, and FromCache holds only if every step
-// was cache-served.
+// was cache-served. A step hands over its records: the walk may keep
+// them as they are.
 func walkChain(qname dnswire.Name, qtype dnswire.Type, maxHops int, step func(cur dnswire.Name) chainStep) chainResult {
 	res := chainResult{fromCache: true}
 	cur := qname
@@ -75,7 +78,12 @@ func walkChain(qname dnswire.Name, qtype dnswire.Type, maxHops int, step func(cu
 			res.err = st.err
 			return res
 		}
-		res.answer = append(res.answer, st.rrs...)
+		// The step's records are its own: the first hop's are the answer
+		// as they are, clipped, so the next hop's append copies them.
+		if res.answer != nil {
+			st.rrs = append(res.answer, st.rrs...)
+		}
+		res.answer = slices.Clip(st.rrs)
 		res.fromCache = res.fromCache && st.fromCache
 		res.stale = res.stale || st.stale
 		switch st.outcome {

@@ -64,7 +64,7 @@ func TestCNAMELoopStaleAnswer(t *testing.T) {
 	putLoop(c)
 	clk.Advance(10 * time.Minute) // both CNAMEs (TTL 300) are now stale
 
-	res := r.staleAnswer(nil, dnswire.MustName("a.test."), dnswire.TypeA)
+	res := r.staleAnswer(nil, dnswire.MustName("a.test."), dnswire.TypeA, r.cfg.Clock.Now())
 	if res == nil {
 		t.Fatal("staleAnswer returned nothing for a stale chain")
 	}

@@ -102,16 +102,16 @@ var fetchQueries = sync.Pool{New: func() any { return new(fetchQuery) }}
 // the Work's end in time before every attempt.
 func (e *Engine) exchangeFailover(ctx context.Context, fq *fetchQuery, tr *Trace, servers []transport.Addr) (*dnswire.Message, error) {
 	q, actx := &fq.msg, &fq.attempt
-	now := e.clock.Now()
+	w := workOf(ctx)
+	now := w.now(e.clock)
 	ordered, skipped := e.upstream.order(fq.ordered[:0], servers, now)
 	if skipped > 0 {
 		metrics.Add(&e.counters.QuarantineSkips, uint64(skipped))
 	}
-	w := workOf(ctx)
 	var lastErr error
 	for i, addr := range ordered {
 		if i > 0 {
-			now = e.clock.Now()
+			now = w.now(e.clock) // the last attempt's end
 		}
 		if err := halted(ctx, now); err != nil {
 			if lastErr == nil {
@@ -130,7 +130,7 @@ func (e *Engine) exchangeFailover(ctx context.Context, fq *fetchQuery, tr *Trace
 			metrics.Inc(&e.counters.Retries)
 		}
 		metrics.Inc(&e.counters.QueriesOut)
-		resp, err := e.exchange(ctx, actx, tr, addr, q, now, w.clip(now, e.upstream.attemptTimeout(addr)))
+		resp, err := e.exchange(ctx, w, actx, tr, addr, q, now, w.clip(now, e.upstream.attemptTimeout(addr)))
 		if err != nil {
 			metrics.Inc(&e.counters.QueriesOutFailed)
 			lastErr = err
@@ -145,12 +145,13 @@ func (e *Engine) exchangeFailover(ctx context.Context, fq *fetchQuery, tr *Trace
 // it applies the per-attempt deadline, timeout from then (the server's
 // RTT history cut to the Work's end in time), validates the
 // response (ID and question echo), and folds the outcome back into the
-// server's selection state and the trace. The attempt runs under actx,
+// server's selection state, the trace and w's now: the clock's one
+// reading per attempt. The attempt runs under actx,
 // which keeps ctx's values but not its cancellation: work is cancelled
 // between attempts (halted), never mid-exchange, so a flight its last
 // waiter abandons neither blames the server it was asking nor throws away
 // an answer on its way. No child context is registered with ctx either.
-func (e *Engine) exchange(ctx context.Context, actx *attemptCtx, tr *Trace, addr transport.Addr, q *dnswire.Message, start time.Time, timeout time.Duration) (*dnswire.Message, error) {
+func (e *Engine) exchange(ctx context.Context, w *Work, actx *attemptCtx, tr *Trace, addr transport.Addr, q *dnswire.Message, start time.Time, timeout time.Duration) (*dnswire.Message, error) {
 	actx.begin(ctx, time.Now().Add(timeout))
 	defer actx.end()
 	resp, err := e.transport.Exchange(actx, addr, q) //dnslint:ignore onepath the fetch engine is the one sanctioned exchange path
@@ -161,6 +162,7 @@ func (e *Engine) exchange(ctx context.Context, actx *attemptCtx, tr *Trace, addr
 		err = fmt.Errorf("resolve: response from %s does not echo the question", addr)
 	}
 	end := e.clock.Now()
+	w.step(end)
 	tr.RecordAttempt(addr, end.Sub(start), err)
 	if err != nil {
 		e.upstream.observeFailure(addr, end)

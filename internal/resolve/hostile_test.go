@@ -3,6 +3,7 @@ package resolve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -98,9 +99,10 @@ func resolveHostile(t *testing.T, qname string, handlers map[transport.Addr]tran
 // TestReferralLoopCost: the servers of two zones refer a name to each
 // other — a.test.'s delegate loop.a.test. to ns.b.test., whose server
 // delegates www.loop.a.test. back to ns.a.test., which refers it to
-// ns.b.test. again. The query stays within one client query's bounds and
-// fails (SERVFAIL): a referral back up is a lame server, not an empty
-// NOERROR answer.
+// ns.b.test. again. The query fails (SERVFAIL) at the first referral back
+// up, to a zone the walk already asked: the sixth message, and each one
+// answered at its 3 s deadline. Going round again cost the whole retry
+// budget (16 messages and the flight's 30 s).
 func TestReferralLoopCost(t *testing.T) {
 	root := hostileRoot(
 		[]dnswire.RR{rrNS("a.test.", 3600, "ns.a.test."), rrA("ns.a.test.", 3600, "10.0.1.1")},
@@ -116,13 +118,90 @@ func TestReferralLoopCost(t *testing.T) {
 	loop.MustAdd(rrNS("loop.a.test.", 3600, "ns.b.test."))
 	loop.MustAdd(rrNS("www.loop.a.test.", 3600, "ns.a.test."))
 
-	_, _, err := resolveHostile(t, "host.www.loop.a.test.", map[transport.Addr]transport.Handler{
+	_, meter, err := resolveHostile(t, "host.www.loop.a.test.", map[transport.Addr]transport.Handler{
 		"10.0.0.1": authserver.New(root),
 		"10.0.1.1": authserver.New(a),
 		"10.0.2.1": authserver.New(b, loop),
 	})
-	if !errors.Is(err, ErrResolutionFailed) {
-		t.Errorf("err = %v, want ErrResolutionFailed (SERVFAIL), not an empty NOERROR", err)
+	if !errors.Is(err, ErrResolutionFailed) || !strings.Contains(err.Error(), "referral loop") {
+		t.Errorf("err = %v, want the referral loop (SERVFAIL)", err)
+	}
+	if meter.msgs > 6 {
+		t.Errorf("%d upstream messages, want at most 6: the loop closes at the sixth", meter.msgs)
+	}
+	if took := meter.clk.Now().Sub(epoch); took > 6*defaultMaxTimeout {
+		t.Errorf("the walk ran %v on the virtual clock, want at most six attempts' %v", took, 6*defaultMaxTimeout)
+	}
+}
+
+// TestLameZoneNotDescendedAgain: test.'s server refers every name to
+// elsewhere., a zone neither above nor below it, which the walk never
+// asked. test. is lame; the walk climbs to the root, which refers it down
+// to test. again, and that second referral fails the query at once: three
+// messages, where going round cost the whole retry budget.
+func TestLameZoneNotDescendedAgain(t *testing.T) {
+	root := hostileRoot([]dnswire.RR{rrNS("test.", 3600, "ns.test."), rrA("ns.test.", 3600, "10.0.1.1")}, nil)
+	sideways := transport.HandlerFunc(func(q *dnswire.Message) *dnswire.Message {
+		resp := q.Reply()
+		resp.Authority = []dnswire.RR{rrNS("elsewhere.", 3600, "ns.elsewhere.")}
+		return resp
+	})
+	_, meter, err := resolveHostile(t, "www.test.", map[transport.Addr]transport.Handler{
+		"10.0.0.1": authserver.New(root),
+		"10.0.1.1": sideways,
+	})
+	if !errors.Is(err, ErrResolutionFailed) || !strings.Contains(err.Error(), "referral loop") {
+		t.Errorf("err = %v, want the referral loop (SERVFAIL)", err)
+	}
+	if meter.msgs > 3 {
+		t.Errorf("%d upstream messages, want at most 3: root, test., root", meter.msgs)
+	}
+}
+
+// TestGluelessFanoutCost: the NXNS shape. attacker.test.'s server
+// delegates www.attacker.test. to twenty names in victim.test., none with
+// glue, and victim.test.'s server answers each with NXDOMAIN, or answers
+// nothing. The query stays within one client query's row of DESIGN §10:
+// at most 2R messages in all and to the victim, R × 566 bytes,
+// flightTimeout of virtual time, and maxGlueFetches glue fetches, however
+// many names the referral carries. An answered glue fetch, NXDOMAIN
+// included, ends the fanout; a silent victim is asked until the flight's
+// time is up.
+func TestGluelessFanoutCost(t *testing.T) {
+	root := hostileRoot(
+		[]dnswire.RR{rrNS("attacker.test.", 3600, "ns.attacker.test."), rrA("ns.attacker.test.", 3600, "10.0.1.1")},
+		[]dnswire.RR{rrNS("victim.test.", 3600, "ns.victim.test."), rrA("ns.victim.test.", 3600, "10.0.2.1")})
+	attacker := zone.New(dnswire.MustName("attacker.test."))
+	attacker.MustAdd(rrNS("attacker.test.", 3600, "ns.attacker.test."))
+	attacker.MustAdd(rrA("ns.attacker.test.", 3600, "10.0.1.1"))
+	for i := 0; i < maxGlueFetches+4; i++ {
+		attacker.MustAdd(rrNS("www.attacker.test.", 3600, fmt.Sprintf("ns%d.victim.test.", i)))
+	}
+	victim := zone.New(dnswire.MustName("victim.test."))
+	victim.MustAdd(dnswire.RR{Name: dnswire.MustName("victim.test."), Class: dnswire.ClassIN, TTL: 3600,
+		Data: dnswire.SOA{MName: dnswire.MustName("ns.victim.test."), RName: dnswire.MustName("admin.victim.test."), Minimum: 300}})
+	victim.MustAdd(rrNS("victim.test.", 3600, "ns.victim.test."))
+	victim.MustAdd(rrA("ns.victim.test.", 3600, "10.0.2.1"))
+
+	silent := transport.HandlerFunc(func(*dnswire.Message) *dnswire.Message { return nil })
+	for _, v := range []struct {
+		name    string
+		handler transport.Handler
+	}{{"NXDOMAIN", authserver.New(victim)}, {"silent", silent}} {
+		r, meter, err := resolveHostile(t, "host.www.attacker.test.", map[transport.Addr]transport.Handler{
+			"10.0.0.1": authserver.New(root),
+			"10.0.1.1": authserver.New(attacker),
+			"10.0.2.1": v.handler,
+		})
+		if !errors.Is(err, ErrResolutionFailed) {
+			t.Errorf("%s victim: err = %v, want SERVFAIL: no delegated server has an address", v.name, err)
+		}
+		if n := r.Counters().GlueFetches; n > maxGlueFetches {
+			t.Errorf("%s victim: %d glue fetches, maxGlueFetches allows %d", v.name, n, maxGlueFetches)
+		}
+		if n := meter.perServer["10.0.2.1"]; n > designRetryBudget {
+			t.Errorf("%s victim: %d messages to its server, one client query may send R = %d", v.name, n, designRetryBudget)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package resolve
 
 import (
+	"time"
+
 	"resilientdns/internal/cache"
 	"resilientdns/internal/dnswire"
 )
@@ -12,15 +14,16 @@ import (
 // they may extend. Exported so the renewal scheduler (internal/core) can
 // ingest refetch responses through the same rules.
 func (r *Resolver) Ingest(resp *dnswire.Message, fromZone dnswire.Name, qname dnswire.Name) {
-	r.IngestFrom(resp, fromZone, qname, cache.OriginUpstream)
+	r.IngestFrom(resp, fromZone, qname, cache.OriginUpstream, r.cfg.Clock.Now())
 }
 
-// IngestFrom is Ingest with an explicit data origin: the mesh ingests
-// peer-gossiped IRR sets through exactly the same credibility,
-// bailiwick, and TTL-clamping rules, tagged cache.OriginPeer so the
-// cache (and a post-restart recovery) can tell peer-learned data from
-// upstream-confirmed data.
-func (r *Resolver) IngestFrom(resp *dnswire.Message, fromZone dnswire.Name, qname dnswire.Name, origin cache.Origin) {
+// IngestFrom is Ingest with an explicit data origin, at now (the
+// caller's clock reading): the mesh ingests peer-gossiped IRR sets
+// through exactly the same credibility, bailiwick, and TTL-clamping
+// rules, tagged cache.OriginPeer so the cache (and a post-restart
+// recovery) can tell peer-learned data from upstream-confirmed data, and
+// iterate ingests each step's response at its work's now.
+func (r *Resolver) IngestFrom(resp *dnswire.Message, fromZone dnswire.Name, qname dnswire.Name, origin cache.Origin, now time.Time) {
 	aa := resp.Flags.Authoritative
 
 	// Collect the name-server host names mentioned by NS records anywhere
@@ -47,7 +50,7 @@ func (r *Resolver) IngestFrom(resp *dnswire.Message, fromZone dnswire.Name, qnam
 		}
 		t := set[0].Type()
 		infra := t == dnswire.TypeNS || t == dnswire.TypeDNSKEY || t == dnswire.TypeDS
-		r.putInfraAware(set, cache.CredAnswer, infra, origin)
+		r.putInfraAware(set, cache.CredAnswer, infra, origin, now)
 	}
 
 	// Authority section: the child's own copy of its IRRs when the answer
@@ -59,24 +62,24 @@ func (r *Resolver) IngestFrom(resp *dnswire.Message, fromZone dnswire.Name, qnam
 	for _, set := range groupRRSets(scratch[:0], resp.Authority) {
 		switch set[0].Type() {
 		case dnswire.TypeNS:
-			r.putInfraAware(set, cred, true, origin)
+			r.putInfraAware(set, cred, true, origin, now)
 			if cred == cache.CredReferral && r.cfg.ParentRecheckInterval > 0 {
 				// A referral is the parent vouching for the delegation.
 				// Only the recheck reads the record: without it, keeping
 				// one would grow the map by every delegation ever seen.
 				r.parentMu.Lock()
-				r.parentSeen[set[0].Name] = r.cfg.Clock.Now()
+				r.parentSeen[set[0].Name] = now
 				r.parentMu.Unlock()
 			}
 		case dnswire.TypeDS:
 			// Parent-side DS is infrastructure, like NS and glue.
-			r.putInfraAware(set, cred, true, origin)
+			r.putInfraAware(set, cred, true, origin, now)
 		case dnswire.TypeSOA, dnswire.TypeRRSIG:
 			// SOA in negative answers is not cached as data; the
 			// negative-cache layer handles the outcome itself. RRSIGs
 			// are consumed in-line, not cached.
 		default:
-			r.cache.PutOrigin(set, cred, false, origin)
+			r.cache.PutOrigin(set, cred, false, origin, now)
 		}
 	}
 
@@ -90,14 +93,14 @@ func (r *Resolver) IngestFrom(resp *dnswire.Message, fromZone dnswire.Name, qnam
 		if !nsHosts[set[0].Name] {
 			continue
 		}
-		r.putInfraAware(set, cred, true, origin)
+		r.putInfraAware(set, cred, true, origin, now)
 	}
 }
 
 // putInfraAware stores a set and, for infrastructure NS sets, fires the
 // InfraCached hook so the renewal scheduler stays in sync.
-func (r *Resolver) putInfraAware(set []dnswire.RR, cred cache.Credibility, infra bool, origin cache.Origin) {
-	e := r.cache.PutOrigin(set, cred, infra, origin)
+func (r *Resolver) putInfraAware(set []dnswire.RR, cred cache.Credibility, infra bool, origin cache.Origin, now time.Time) {
+	e := r.cache.PutOrigin(set, cred, infra, origin, now)
 	if e != nil && infra && set[0].Type() == dnswire.TypeNS {
 		if h := r.cfg.Hooks.InfraCached; h != nil {
 			h(set[0].Name, e.Expires())

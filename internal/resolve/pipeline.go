@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"resilientdns/internal/cache"
@@ -34,7 +35,7 @@ const (
 // inside the prefetch window; what that means is the caller's decision.
 func (r *Resolver) cacheStep(cur dnswire.Name, qtype dnswire.Type, now time.Time, mode cacheMode) (st chainStep, due bool) {
 	if mode != cacheStaleOnly {
-		if e := r.cache.Get(cur, qtype); e != nil {
+		if e := r.cache.GetAt(cur, qtype, now); e != nil {
 			st := chainStep{rrs: e.RRsWithRemainingTTL(now), outcome: chainDone, fromCache: true}
 			due := r.prefetchDue(e, now)
 			if !due {
@@ -43,18 +44,18 @@ func (r *Resolver) cacheStep(cur dnswire.Name, qtype dnswire.Type, now time.Time
 			return st, due
 		}
 		if qtype != dnswire.TypeCNAME {
-			if e := r.cache.Get(cur, dnswire.TypeCNAME); e != nil {
+			if e := r.cache.GetAt(cur, dnswire.TypeCNAME, now); e != nil {
 				return chainStep{rrs: e.RRsWithRemainingTTL(now), outcome: chainFollow, fromCache: true}, false
 			}
 		}
-		if rcode, soa, ok := r.cache.GetNegative(cur, qtype); ok {
+		if rcode, soa, ok := r.cache.GetNegative(cur, qtype, now); ok {
 			return chainStep{rcode: rcode, authority: soa, outcome: chainDone, fromCache: true}, false
 		}
 	}
 	if mode != cacheLive && r.cache.KeepStale() > 0 {
-		e := r.cache.GetStale(cur, qtype)
+		e := r.cache.GetStale(cur, qtype, now)
 		if e == nil && qtype != dnswire.TypeCNAME {
-			e = r.cache.GetStale(cur, dnswire.TypeCNAME)
+			e = r.cache.GetStale(cur, dnswire.TypeCNAME, now)
 		}
 		if e != nil {
 			metrics.Inc(&r.counters.StaleAnswers)
@@ -69,12 +70,19 @@ func (r *Resolver) cacheStep(cur dnswire.Name, qtype dnswire.Type, now time.Time
 	return chainStep{outcome: chainMiss}, false
 }
 
-// Lookup is the CacheLookup stage: it attempts to answer qname/qtype
-// purely from live cached data — the lock-free hot path, which never
+// Lookup is LookupAt at the resolver's own clock: the form the benchmark
+// meter's layer replay calls until it moves to the request seam (ROADMAP
+// item 1(a)). The serving path calls LookupAt with the now it read.
+func (r *Resolver) Lookup(tr *Trace, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
+	return r.LookupAt(tr, qname, qtype, r.cfg.Clock.Now())
+}
+
+// LookupAt is the CacheLookup stage: it attempts to answer qname/qtype
+// purely from data live at now — the lock-free hot path, which never
 // enters the slow path's coalescing or upstream machinery. It returns
 // (nil, nil) when upstream work is (or may be) needed.
-func (r *Resolver) Lookup(tr *Trace, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
-	return r.lookupCached(tr, qname, qtype, cacheLive)
+func (r *Resolver) LookupAt(tr *Trace, qname dnswire.Name, qtype dnswire.Type, now time.Time) (*Result, error) {
+	return r.lookupCached(tr, qname, qtype, cacheLive, now)
 }
 
 // LookupCacheOnly answers qname/qtype without any upstream work: live
@@ -84,16 +92,15 @@ func (r *Resolver) Lookup(tr *Trace, qname dnswire.Name, qtype dnswire.Type) (*R
 // probe, SERVFAIL in overload degraded mode). Unlike Lookup, a hit in
 // the prefetch window is always served (never deferred to the slow
 // path): the whole point of this mode is to never drop a cache hit.
-func (r *Resolver) LookupCacheOnly(tr *Trace, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
+func (r *Resolver) LookupCacheOnly(tr *Trace, qname dnswire.Name, qtype dnswire.Type, now time.Time) (*Result, error) {
 	tr.MarkCacheOnly()
-	return r.lookupCached(tr, qname, qtype, cacheLiveThenStale)
+	return r.lookupCached(tr, qname, qtype, cacheLiveThenStale, now)
 }
 
-// lookupCached walks qname's CNAME chain through cacheStep in mode.
-func (r *Resolver) lookupCached(tr *Trace, qname dnswire.Name, qtype dnswire.Type, mode cacheMode) (*Result, error) {
+// lookupCached walks qname's CNAME chain through cacheStep in mode, at now.
+func (r *Resolver) lookupCached(tr *Trace, qname dnswire.Name, qtype dnswire.Type, mode cacheMode, now time.Time) (*Result, error) {
 	sp := tr.StartStage(StageCacheLookup)
 	defer sp.End()
-	now := r.cfg.Clock.Now()
 	cr := walkChain(qname, qtype, maxCNAME, func(cur dnswire.Name) chainStep {
 		st, due := r.cacheStep(cur, qtype, now, mode)
 		if due && r.pf != nil {
@@ -125,13 +132,14 @@ func (r *Resolver) lookupCached(tr *Trace, qname dnswire.Name, qtype dnswire.Typ
 }
 
 // LookupPacked is the CacheLookup stage for a reply kept on e, the
-// cache's live entry for the question (cache.Cache.Probe): it hits outside
-// the prefetch window — where Lookup would answer exactly what was packed
-// — and misses inside it. The reply dies with e, so it is never stale.
-func (r *Resolver) LookupPacked(tr *Trace, e *cache.Entry) bool {
+// cache's entry for the question live at now (cache.Cache.Probe): it hits
+// outside the prefetch window — where LookupAt would answer exactly what
+// was packed — and misses inside it. The reply dies with e, so it is
+// never stale.
+func (r *Resolver) LookupPacked(tr *Trace, e *cache.Entry, now time.Time) bool {
 	sp := tr.StartStage(StageCacheLookup)
 	defer sp.End()
-	if r.prefetchDue(e, r.cfg.Clock.Now()) {
+	if r.prefetchDue(e, now) {
 		return false
 	}
 	tr.MarkCacheHit()
@@ -181,26 +189,28 @@ func (r *Resolver) ResolveChain(ctx context.Context, tr *Trace, qname dnswire.Na
 // calls: a cached or received CNAME is returned for the caller to chase.
 // depth counts nested glue resolutions.
 func (r *Resolver) resolveOne(ctx context.Context, tr *Trace, qname dnswire.Name, qtype dnswire.Type, depth int) (*Result, error) {
-	if st, due := r.cacheStep(qname, qtype, r.cfg.Clock.Now(), cacheLive); st.outcome != chainMiss {
+	if st, due := r.cacheStep(qname, qtype, workOf(ctx).now(r.cfg.Clock), cacheLive); st.outcome != chainMiss {
 		if due && depth == 0 {
 			r.prefetch(ctx, tr, qname, qtype)
 		}
 		return &Result{RCode: st.rcode, Answer: st.rrs, Authority: st.authority, FromCache: true}, nil
 	}
 	validate := r.cfg.ValidateDNSSEC && depth == 0
-	res, _, err := r.iterate(ctx, tr, qname, qtype, depth, validate, false)
+	res, resp, err := r.iterate(ctx, tr, qname, qtype, depth, validate, false)
+	dnswire.Release(resp)
 	if err != nil && r.cache.KeepStale() > 0 {
 		// StaleFallback stage. Retry using stale IRRs first: expired
 		// NS/glue still point at child servers that may be alive even
 		// though the upper hierarchy is not (the serve-stale baseline's
 		// main power in this attack).
 		sp := tr.StartStage(StageStaleFallback)
-		res2, _, err2 := r.iterate(ctx, tr, qname, qtype, depth, validate, true)
+		res2, resp2, err2 := r.iterate(ctx, tr, qname, qtype, depth, validate, true)
+		dnswire.Release(resp2)
 		if err2 == nil {
 			sp.End()
 			return res2, nil
 		}
-		stale := r.staleAnswer(tr, qname, qtype)
+		stale := r.staleAnswer(tr, qname, qtype, workOf(ctx).now(r.cfg.Clock))
 		sp.End()
 		if stale != nil {
 			return stale, nil
@@ -216,6 +226,8 @@ func (r *Resolver) resolveOne(ctx context.Context, tr *Trace, qname dnswire.Name
 			metrics.Inc(&r.counters.PeerFetches)
 			pres := hook(ctx, qname, qtype)
 			psp.End()
+			// A peer fetch is an exchange: the work's time moved.
+			workOf(ctx).step(r.cfg.Clock.Now())
 			if pres != nil {
 				metrics.Inc(&r.counters.PeerFetchAnswered)
 				tr.MarkPeerFetch()
@@ -246,7 +258,8 @@ func (r *Resolver) prefetch(ctx context.Context, tr *Trace, qname dnswire.Name, 
 // rules for identical data.
 func (r *Resolver) refresh(ctx context.Context, tr *Trace, qname dnswire.Name, qtype dnswire.Type) error {
 	metrics.Inc(&r.counters.PrefetchQueries)
-	_, _, err := r.iterate(ctx, tr, qname, qtype, 1, false, false)
+	_, resp, err := r.iterate(ctx, tr, qname, qtype, 1, false, false)
+	dnswire.Release(resp)
 	if err == nil {
 		r.cache.Extend(qname, qtype)
 	}
@@ -260,8 +273,7 @@ func (r *Resolver) refresh(ctx context.Context, tr *Trace, qname dnswire.Name, q
 // held. When only a prefix of the chain is cached the partial chain is
 // returned (ending in a CNAME) and ResolveChain chases the tail, trying
 // live resolution first for each remaining hop.
-func (r *Resolver) staleAnswer(tr *Trace, qname dnswire.Name, qtype dnswire.Type) *Result {
-	now := r.cfg.Clock.Now()
+func (r *Resolver) staleAnswer(tr *Trace, qname dnswire.Name, qtype dnswire.Type, now time.Time) *Result {
 	cr := walkChain(qname, qtype, maxCNAME, func(cur dnswire.Name) chainStep {
 		st, _ := r.cacheStep(cur, qtype, now, cacheStaleOnly)
 		return st
@@ -277,16 +289,30 @@ func (r *Resolver) staleAnswer(tr *Trace, qname dnswire.Name, qtype dnswire.Type
 
 // iterate is the Iterate stage: it walks the DNS hierarchy from the
 // deepest zone with cached IRRs down to the zone authoritative for qname.
+// Each step's response lives until the step is done with it: it is
+// ingested (which copies what the cache keeps), the Result copies what it
+// keeps, and a referral's or a lame server's response is released there.
+// The last one is returned beside the Result for the caller to read, and
+// the caller releases it (dnswire.Release).
 func (r *Resolver) iterate(ctx context.Context, tr *Trace, qname dnswire.Name, qtype dnswire.Type, depth int, validate, stale bool) (*Result, *dnswire.Message, error) {
 	sp := tr.StartStage(StageIterate)
 	defer sp.End()
 	var lastErr error
 	prevZone := dnswire.Name("")
+	var addrs [4]transport.Addr // a zone's usual few servers, off the heap
+	// A walk round a referral loop fails as the loop closes rather than
+	// spending its retry budget going round: asked holds the last zones it
+	// asked, lame the last whose servers referred it up or sideways. A
+	// referral up or sideways to a zone asked, or down into a lame one,
+	// closes the loop.
+	var asked, lame [8]dnswire.Name
+	nAsked, nLame := 0, 0
 	for step := 0; step < maxReferrals; step++ {
-		if err := halted(ctx, r.cfg.Clock.Now()); err != nil {
+		now := workOf(ctx).now(r.cfg.Clock)
+		if err := halted(ctx, now); err != nil {
 			return nil, nil, fmt.Errorf("%w: %s %s: %v", ErrResolutionFailed, qname, qtype, err)
 		}
-		zname, servers := r.deepestKnownZone(qname, qtype, stale)
+		zname, servers := r.deepestKnownZone(addrs[:0], qname, qtype, stale, now)
 		if zname == prevZone {
 			// A referral that does not descend (e.g. the child's servers
 			// have no resolvable addresses) would loop forever.
@@ -309,14 +335,17 @@ func (r *Resolver) iterate(ctx context.Context, tr *Trace, qname dnswire.Name, q
 			continue
 		}
 
+		asked[nAsked%len(asked)] = zname
+		nAsked++
+		now = workOf(ctx).now(r.cfg.Clock)
 		isp := tr.StartStage(StageValidateIngest)
-		r.Ingest(resp, zname, qname)
+		r.IngestFrom(resp, zname, qname, cache.OriginUpstream, now)
 		isp.End()
 
 		switch {
 		case resp.RCode == dnswire.RCodeNXDomain:
 			soa := r.negativeSOA(resp)
-			r.cache.PutNegative(qname, qtype, dnswire.RCodeNXDomain, soa)
+			r.cache.PutNegative(qname, qtype, dnswire.RCodeNXDomain, soa, now)
 			return &Result{RCode: dnswire.RCodeNXDomain, Authority: soa}, resp, nil
 
 		case resp.RCode != dnswire.RCodeNoError:
@@ -335,20 +364,35 @@ func (r *Resolver) iterate(ctx context.Context, tr *Trace, qname dnswire.Name, q
 
 		case isReferral(resp, zname):
 			metrics.Inc(&r.counters.Referrals)
-			r.resolveMissingGlue(ctx, tr, referralChild(resp, zname), depth)
+			child := referralChild(resp, zname)
+			dnswire.Release(resp)
+			if slices.Contains(lame[:], child) {
+				return nil, nil, fmt.Errorf("%w: %s %s: referral loop: %s referred down to %s, which referred away", ErrResolutionFailed, qname, qtype, zname, child)
+			}
+			r.resolveMissingGlue(ctx, tr, child, depth)
 			continue // deepestKnownZone now finds the child's IRRs
 
 		case resp.Flags.Authoritative || len(resp.Answer) > 0 || hasSOA(resp):
 			// Records that do not answer the question, or none, said
 			// authoritatively or with an SOA: NODATA.
 			soa := r.negativeSOA(resp)
-			r.cache.PutNegative(qname, qtype, dnswire.RCodeNoError, soa)
+			r.cache.PutNegative(qname, qtype, dnswire.RCodeNoError, soa, now)
 			return &Result{RCode: dnswire.RCodeNoError, Authority: soa}, resp, nil
 		}
 		// Lame or broken server: an error rcode, or an empty
 		// non-authoritative NOERROR with no SOA that does not refer down
 		// (a referral up or sideways). Treat the zone as unusable.
 		lastErr = fmt.Errorf("resolve: lame %s from %s", resp.RCode, zname)
+		if resp.RCode == dnswire.RCodeNoError {
+			for _, rr := range resp.Authority {
+				if rr.Type() == dnswire.TypeNS && slices.Contains(asked[:], rr.Name) {
+					return nil, nil, fmt.Errorf("%w: %s %s: referral loop: %s referred back to %s", ErrResolutionFailed, qname, qtype, zname, rr.Name)
+				}
+			}
+			lame[nLame%len(lame)] = zname
+			nLame++
+		}
+		dnswire.Release(resp)
 		if zname.IsRoot() {
 			return nil, nil, fmt.Errorf("%w: %v", ErrResolutionFailed, lastErr)
 		}
@@ -385,15 +429,15 @@ func (r *Resolver) negativeSOA(resp *dnswire.Message) []dnswire.RR {
 }
 
 // deepestKnownZone returns the deepest ancestor zone of qname whose IRRs
-// (NS plus at least one server address) are cached, falling back to the
-// root hints.
-func (r *Resolver) deepestKnownZone(qname dnswire.Name, qtype dnswire.Type, stale bool) (dnswire.Name, []transport.Addr) {
+// (NS plus at least one server address) are cached at now, with its
+// servers appended to dst, falling back to the root hints.
+func (r *Resolver) deepestKnownZone(dst []transport.Addr, qname dnswire.Name, qtype dnswire.Type, stale bool, now time.Time) (dnswire.Name, []transport.Addr) {
 	get := func(name dnswire.Name, t dnswire.Type) *cache.Entry {
-		if e := r.cache.Get(name, t); e != nil {
+		if e := r.cache.GetAt(name, t, now); e != nil {
 			return e
 		}
 		if stale {
-			return r.cache.GetStale(name, t)
+			return r.cache.GetStale(name, t, now)
 		}
 		return nil
 	}
@@ -408,13 +452,13 @@ func (r *Resolver) deepestKnownZone(qname dnswire.Name, qtype dnswire.Type, stal
 			continue
 		}
 		if iv := r.cfg.ParentRecheckInterval; iv > 0 && !stale {
-			if seen, ok := r.parentLastSeen(anc); !ok || r.cfg.Clock.Now().Sub(seen) > iv {
+			if seen, ok := r.parentLastSeen(anc); !ok || now.Sub(seen) > iv {
 				// The delegation is overdue for confirmation: pretend the
 				// IRRs are unknown so resolution re-visits the parent.
 				continue
 			}
 		}
-		if addrs := r.nsAddrs(e.RRs, get); len(addrs) > 0 {
+		if addrs := r.nsAddrs(dst, e.RRs, get); len(addrs) > 0 {
 			return anc, addrs
 		}
 	}
@@ -465,14 +509,15 @@ func (r *Resolver) Refetch(ctx context.Context, tr *Trace, zone dnswire.Name, ad
 // without expiry processing (the renewal scheduler calls it about
 // records on the point of expiring).
 func (r *Resolver) ZoneAddrs(set []dnswire.RR) []transport.Addr {
-	return r.nsAddrs(set, r.cache.Peek)
+	return r.nsAddrs(nil, set, r.cache.Peek)
 }
 
-// nsAddrs maps the NS hosts in set to transport addresses through
-// lookup. A host with no A record falls back to AAAA glue: renewal
-// extends both families, so either may be the one still held.
-func (r *Resolver) nsAddrs(set []dnswire.RR, lookup func(dnswire.Name, dnswire.Type) *cache.Entry) []transport.Addr {
-	var addrs []transport.Addr
+// nsAddrs appends to dst the transport addresses of the NS hosts in set,
+// found through lookup and mapped once per server (upstream.mapAddr). A
+// host with no A record falls back to AAAA glue: renewal extends both
+// families, so either may be the one still held.
+func (r *Resolver) nsAddrs(dst []transport.Addr, set []dnswire.RR, lookup func(dnswire.Name, dnswire.Type) *cache.Entry) []transport.Addr {
+	u := r.engine.upstream
 	for _, rr := range set {
 		ns, ok := rr.Data.(dnswire.NS)
 		if !ok {
@@ -480,17 +525,17 @@ func (r *Resolver) nsAddrs(set []dnswire.RR, lookup func(dnswire.Name, dnswire.T
 		}
 		if ae := lookup(ns.Host, dnswire.TypeA); ae != nil {
 			for _, arr := range ae.RRs {
-				addrs = append(addrs, r.cfg.AddrMapper(arr.Data.(dnswire.A).Addr))
+				dst = append(dst, u.mapAddr(arr.Data.(dnswire.A).Addr, r.cfg.AddrMapper))
 			}
 			continue
 		}
 		if ae := lookup(ns.Host, dnswire.TypeAAAA); ae != nil {
 			for _, arr := range ae.RRs {
-				addrs = append(addrs, r.cfg.AddrMapper(arr.Data.(dnswire.AAAA).Addr))
+				dst = append(dst, u.mapAddr(arr.Data.(dnswire.AAAA).Addr, r.cfg.AddrMapper))
 			}
 		}
 	}
-	return addrs
+	return dst
 }
 
 // answersQuestion reports whether resp's answer section covers (qname,
@@ -573,9 +618,10 @@ func (r *Resolver) resolveMissingGlue(ctx context.Context, tr *Trace, child dnsw
 	}
 	// Any live cached address, of either family, already makes the zone
 	// usable — the test deepestKnownZone applies when it routes to it.
-	// Get (not Peek) so that an expired glue record does not masquerade
+	// GetAt (not Peek) so that an expired glue record does not masquerade
 	// as usable.
-	if len(r.nsAddrs(e.RRs, r.cache.Get)) > 0 {
+	now := workOf(ctx).now(r.cfg.Clock)
+	if len(r.nsAddrs(nil, e.RRs, func(n dnswire.Name, t dnswire.Type) *cache.Entry { return r.cache.GetAt(n, t, now) })) > 0 {
 		return
 	}
 	for _, rr := range e.RRs {

@@ -52,7 +52,7 @@ func TestStageBoundaries(t *testing.T) {
 			setup: func(r *Resolver, clk *simclock.Virtual) {
 				soa := dnswire.RR{Name: dnswire.MustName("test."), Class: dnswire.ClassIN, TTL: 60,
 					Data: dnswire.SOA{MName: dnswire.MustName("ns.test."), RName: dnswire.MustName("admin.test."), Minimum: 60}}
-				r.cache.PutNegative(www, dnswire.TypeA, dnswire.RCodeNXDomain, []dnswire.RR{soa})
+				r.cache.PutNegative(www, dnswire.TypeA, dnswire.RCodeNXDomain, []dnswire.RR{soa}, r.cfg.Clock.Now())
 			},
 			wantHot: true,
 			check: func(t *testing.T, r *Resolver, res *Result, err error) {

@@ -88,7 +88,7 @@ func TestAAAAGlueFallback(t *testing.T) {
 	r.cache.Put(nsSet, cache.CredAuthority, true)
 	r.cache.Put([]dnswire.RR{rrAAAA("ns1.v6.test.", 3600, "2001:db8::53")}, cache.CredAuthority, true)
 
-	zname, addrs := r.deepestKnownZone(dnswire.MustName("www.v6.test."), dnswire.TypeA, false)
+	zname, addrs := r.deepestKnownZone(nil, dnswire.MustName("www.v6.test."), dnswire.TypeA, false, r.cfg.Clock.Now())
 	if zname != dnswire.MustName("v6.test.") {
 		t.Fatalf("deepestKnownZone = %s, want v6.test.", zname)
 	}
@@ -118,7 +118,7 @@ func TestAAAAOnlyGlueIsUsable(t *testing.T) {
 	}, cache.CredAuthority, true)
 	r.cache.Put([]dnswire.RR{rrAAAA("ns1.other.", 3600, "2001:db8::53")}, cache.CredAuthority, true)
 
-	if _, addrs := r.deepestKnownZone(dnswire.MustName("www.child.test."), dnswire.TypeA, false); len(addrs) != 1 || addrs[0] != "2001:db8::53" {
+	if _, addrs := r.deepestKnownZone(nil, dnswire.MustName("www.child.test."), dnswire.TypeA, false, r.cfg.Clock.Now()); len(addrs) != 1 || addrs[0] != "2001:db8::53" {
 		t.Fatalf("deepestKnownZone addrs = %v, want the AAAA glue address", addrs)
 	}
 	r.resolveMissingGlue(context.Background(), nil, dnswire.MustName("child.test."), 0)
@@ -137,7 +137,7 @@ func TestAGluePreferredOverAAAA(t *testing.T) {
 	r.cache.Put([]dnswire.RR{rrA("ns1.v6.test.", 3600, "10.6.6.6")}, cache.CredAuthority, true)
 	r.cache.Put([]dnswire.RR{rrAAAA("ns1.v6.test.", 3600, "2001:db8::53")}, cache.CredAuthority, true)
 
-	_, addrs := r.deepestKnownZone(dnswire.MustName("www.v6.test."), dnswire.TypeA, false)
+	_, addrs := r.deepestKnownZone(nil, dnswire.MustName("www.v6.test."), dnswire.TypeA, false, r.cfg.Clock.Now())
 	if len(addrs) != 1 || addrs[0] != transport.Addr("10.6.6.6") {
 		t.Errorf("addrs = %v, want only the A glue", addrs)
 	}

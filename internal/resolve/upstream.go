@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/netip"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"resilientdns/internal/simclock"
 	"resilientdns/internal/transport"
 )
 
@@ -105,7 +107,17 @@ type upstream struct {
 	cfg UpstreamConfig
 
 	mu      sync.Mutex
-	servers map[transport.Addr]*ServerState
+	servers map[serverKey]*ServerState
+}
+
+// serverKey keys the servers table: a server's record under its transport
+// address, and under each address record (ip) that mapped to it a record
+// of that address alone, so that mapping finds the address made once
+// instead of making it again. Export and every selection lookup read the
+// transport-address keys alone.
+type serverKey struct {
+	addr transport.Addr
+	ip   netip.Addr
 }
 
 // newUpstream applies defaults and builds the selection state.
@@ -125,7 +137,20 @@ func newUpstream(cfg UpstreamConfig) *upstream {
 	case cfg.Quarantine < 0:
 		cfg.Quarantine = 0 // disabled
 	}
-	return &upstream{cfg: cfg, servers: make(map[transport.Addr]*ServerState)}
+	return &upstream{cfg: cfg, servers: make(map[serverKey]*ServerState)}
+}
+
+// mapAddr is ip's transport address: the one kept under ip, or, the
+// first time ip is seen, mapper's, which is kept for the next time.
+func (u *upstream) mapAddr(ip netip.Addr, mapper func(netip.Addr) transport.Addr) transport.Addr {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	st := u.servers[serverKey{ip: ip}]
+	if st == nil {
+		st = &ServerState{Addr: mapper(ip)}
+		u.servers[serverKey{ip: ip}] = st
+	}
+	return st.Addr
 }
 
 // order appends servers to dst in the order they should be attempted at
@@ -149,7 +174,7 @@ func (u *upstream) order(dst, servers []transport.Addr, now time.Time) (ordered 
 	u.mu.Lock()
 	for _, addr := range servers {
 		c := candidate{addr: addr, est: u.cfg.MaxTimeout}
-		if st := u.servers[addr]; st != nil {
+		if st := u.servers[serverKey{addr: addr}]; st != nil {
 			if st.Samples > 0 {
 				c.est = st.SRTT
 			}
@@ -197,7 +222,7 @@ func (u *upstream) order(dst, servers []transport.Addr, now time.Time) (ordered 
 func (u *upstream) attemptTimeout(addr transport.Addr) time.Duration {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	st := u.servers[addr]
+	st := u.servers[serverKey{addr: addr}]
 	if st == nil || st.Samples == 0 {
 		return u.cfg.MaxTimeout
 	}
@@ -252,10 +277,10 @@ func (u *upstream) observeFailure(addr transport.Addr, now time.Time) {
 // state returns addr's record, creating it on first contact. The caller
 // holds u.mu.
 func (u *upstream) state(addr transport.Addr) *ServerState {
-	st := u.servers[addr]
+	st := u.servers[serverKey{addr: addr}]
 	if st == nil {
 		st = &ServerState{Addr: addr}
-		u.servers[addr] = st
+		u.servers[serverKey{addr: addr}] = st
 	}
 	return st
 }
@@ -265,8 +290,10 @@ func (u *upstream) state(addr transport.Addr) *ServerState {
 func (u *upstream) export() []ServerState {
 	u.mu.Lock()
 	out := make([]ServerState, 0, len(u.servers))
-	for _, st := range u.servers {
-		out = append(out, *st)
+	for k, st := range u.servers {
+		if k.addr != "" {
+			out = append(out, *st)
+		}
 	}
 	u.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
@@ -294,7 +321,7 @@ func (u *upstream) restore(states []ServerState) {
 		if s.Samples == 0 || s.RTTVar < 0 {
 			s.RTTVar = 0
 		}
-		u.servers[s.Addr] = &s
+		u.servers[serverKey{addr: s.Addr}] = &s
 	}
 }
 
@@ -303,7 +330,7 @@ func (u *upstream) restore(states []ServerState) {
 func (u *upstream) quarantined(addr transport.Addr, now time.Time) bool {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	st := u.servers[addr]
+	st := u.servers[serverKey{addr: addr}]
 	return st != nil && st.QuarantineUntil.After(now)
 }
 
@@ -323,6 +350,12 @@ func (u *upstream) quarantined(addr transport.Addr, now time.Time) bool {
 //     the server's clock. No attempt starts at or after it, and none is
 //     given a deadline past it; it is the only end in time work stops on.
 //
+// left is what is left of until at the work's last clock reading, which
+// is taken at Begin and once after each exchange (step): the work's now,
+// until − left, is the time every cache operation, deadline and check
+// between two exchanges takes. Kept as a duration, it costs a word where
+// a time.Time takes three. Work runs on one goroutine.
+//
 // A Work answers Value for its own key and takes everything else —
 // deadline, cancellation, other values — from the context it was
 // started under; with none, it is a root context that is never done.
@@ -333,6 +366,7 @@ func (u *upstream) quarantined(addr transport.Addr, now time.Time) bool {
 type Work struct {
 	parent   context.Context
 	until    time.Time
+	left     time.Duration
 	attempts atomic.Int64
 	glue     atomic.Int64
 }
@@ -348,7 +382,7 @@ func (r *Resolver) Begin(w *Work, parent context.Context, kind Kind) {
 	if attempts <= 0 {
 		attempts = math.MaxInt64
 	}
-	w.parent, w.until = parent, r.cfg.Clock.Now().Add(workTime[kind])
+	w.parent, w.until, w.left = parent, r.cfg.Clock.Now().Add(workTime[kind]), workTime[kind]
 	w.attempts.Store(attempts)
 	w.glue.Store(maxGlueFetches)
 }
@@ -390,6 +424,24 @@ func (w *Work) Value(key any) any {
 func workOf(ctx context.Context) *Work {
 	w, _ := ctx.Value(workKey{}).(*Work)
 	return w
+}
+
+// now is w's time; for work that is nil (a stage called under no Work),
+// it reads clk. until − left gives back the reading exactly: a virtual
+// time's wall clock, a real one's monotonic clock, which is what the
+// cache's stamps and every comparison read.
+func (w *Work) now(clk simclock.Clock) time.Time {
+	if w == nil {
+		return clk.Now()
+	}
+	return w.until.Add(-w.left)
+}
+
+// step moves w's now to now, the clock's reading after an exchange.
+func (w *Work) step(now time.Time) {
+	if w != nil {
+		w.left = w.until.Sub(now)
+	}
 }
 
 // takeAttempt consumes one upstream attempt from w, reporting false when

@@ -94,7 +94,7 @@ func (r *Resolver) ensureTrusted(ctx context.Context, tr *Trace, zname dnswire.N
 	if len(keySet) == 0 {
 		return false, fmt.Errorf("%w: signed delegation %s publishes no DNSKEY", ErrBogus, zname)
 	}
-	now := r.cfg.Clock.Now()
+	now := workOf(ctx).now(r.cfg.Clock)
 	r.secMu.Lock()
 	err = r.validator.ValidateDelegation(sig.SignerName, zname, dsSet, dsSig, keySet, keySig, now)
 	r.secMu.Unlock()
@@ -109,6 +109,7 @@ func (r *Resolver) ensureTrusted(ctx context.Context, tr *Trace, zname dnswire.N
 // authoritative negative answer returns an empty set and no error.
 func (r *Resolver) fetchRRSetWithSig(ctx context.Context, tr *Trace, qname dnswire.Name, qtype dnswire.Type, depth int) ([]dnswire.RR, dnswire.RR, error) {
 	res, raw, err := r.iterate(ctx, tr, qname, qtype, depth+1, false, false)
+	defer dnswire.Release(raw) // set and sig are copies
 	if err != nil {
 		return nil, dnswire.RR{}, err
 	}
@@ -142,7 +143,7 @@ func (r *Resolver) validateAnswer(ctx context.Context, tr *Trace, zname dnswire.
 	if !secure {
 		return nil
 	}
-	now := r.cfg.Clock.Now()
+	now := workOf(ctx).now(r.cfg.Clock)
 	for _, set := range groupRRSets(nil, resp.Answer) {
 		if set[0].Type() == dnswire.TypeRRSIG {
 			continue

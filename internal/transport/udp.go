@@ -81,10 +81,13 @@ func writeQuery(sock io.Writer, query *dnswire.Message) error {
 // answers reports whether a datagram is query's reply: it parses, carries
 // query's ID and echoes its question. Anything else — a garbled datagram,
 // a stale reply to an earlier query, an ID collision or an off-path spoof
-// — is discarded and the wait goes on.
+// — is discarded and the wait goes on. The reply is decoded into pooled
+// storage (dnswire.UnpackReply), which the caller may dnswire.Release
+// once it is done with it.
 func answers(query *dnswire.Message, datagram []byte) (*dnswire.Message, bool) {
-	m, err := dnswire.Unpack(datagram)
+	m, err := dnswire.UnpackReply(datagram, query)
 	if err != nil || m.ID != query.ID || !dnswire.EchoesQuestion(query, m) {
+		dnswire.Release(m)
 		return nil, false
 	}
 	return m, true
