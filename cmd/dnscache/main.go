@@ -166,112 +166,157 @@ func upstreamAddr(port uint16) func(netip.Addr) transport.Addr {
 var atExit = func(queriesIn uint64) {}
 
 func main() {
-	if err := run(); err != nil {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err == nil {
+		err = run(o)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "dnscache:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	listen := flag.String("listen", "127.0.0.1:5301", "IP:port to serve stub resolvers on, over UDP and TCP (:port = every address)")
-	roots := flag.String("root", "", "comma-separated root server IP:port literals, required")
-	refresh := flag.Bool("refresh", false, "enable TTL refresh of infrastructure records")
-	renewal := flag.String("renewal", "", "TTL renewal policy: lru, lfu, a-lru, a-lfu (empty = off)")
-	credit := flag.Float64("credit", 3, "renewal credit c")
-	maxTTL := flag.Duration("max-ttl", 7*24*time.Hour, "cache TTL clamp")
-	negTTL := flag.Duration("negative-ttl", 0, "negative-answer cache TTL (0 = off)")
-	serveStale := flag.Duration("serve-stale", 0, "serve expired records for this long when servers are unreachable (0 = off)")
-	prefetch := flag.Bool("prefetch", false, "refresh hot answers in the last 10% of their TTL, on a background worker pool")
-	debugAddr := flag.String("debug-addr", "", "IP:port serving HTTP /debug/stats, /debug/queries, /debug/peers (with -mesh-listen) and /debug/pprof/ (empty = off; enables per-query tracing)")
-	queryLog := flag.String("query-log", "", "append one JSON line per finished query trace to this file (empty = off; enables per-query tracing)")
-	port := flag.Int("upstream-port", 53, "port appended to learned name-server addresses")
-	maxInflight := flag.Int("max-inflight", transport.DefaultMaxInflight, "max queries handled concurrently per listener")
-	statsEvery := flag.Duration("stats", time.Minute, "stats reporting interval (0 = off)")
-	minTimeout := flag.Duration("min-timeout", 200*time.Millisecond, "lower clamp on the adaptive per-attempt upstream timeout")
-	maxTimeout := flag.Duration("max-timeout", 3*time.Second, "upper clamp on the adaptive per-attempt upstream timeout")
-	quarantine := flag.Duration("quarantine", 5*time.Second, "base quarantine after an upstream failure, doubling per consecutive failure (negative = off)")
-	retryBudget := flag.Int("retry-budget", 16, "max upstream attempts one resolution may spend across all failovers (0 = unlimited)")
-	persistDir := flag.String("persist-dir", "", "directory for crash-safe cache persistence: snapshot + journal, replayed on startup (empty = off)")
-	snapshotEvery := flag.Duration("snapshot-every", 5*time.Minute, "interval between full cache snapshots when -persist-dir is set (0 = journal only)")
-	sweep := flag.Duration("sweep", time.Minute, "interval between background sweeps of expired cache and negative-cache entries (0 = lazy expiry only)")
-	clientRPS := flag.Float64("client-rps", 0, "per-client-address UDP query rate limit in queries/s (0 = off)")
-	slip := flag.Int("slip", 2, "answer every Nth rate-limited UDP query with a minimal TC=1 reply instead of dropping it (0 = never; needs -client-rps)")
-	maxClients := flag.Int("max-clients", 65536, "rate-limiter client-slot bound; least recently seen clients are evicted past it")
-	overloadCacheOnly := flag.Bool("overload-cache-only", false, "answer queries arriving while all -max-inflight slots are busy from cache/stale data only, instead of dropping them")
-	meshListen := flag.String("mesh-listen", "", "UDP address for the cooperative resolver mesh (empty = mesh off)")
-	meshPeers := flag.String("mesh-peers", "", "comma-separated mesh peer addresses (IP:port), the fleet's membership, with -mesh-listen")
-	meshKey := flag.String("mesh-key", "", "shared fleet HMAC key authenticating mesh frames (required with -mesh-listen)")
-	flag.Parse()
-	start := time.Now()
+// options is what dnscache's command line sets. Each flag writes the
+// field it sets: the caching server's, the guard's and the store's
+// settings in their own structs, the process's own here. A flag whose
+// value names something (an address, a policy) keeps its text here, and
+// parseFlags derives from it what the settings hold.
+type options struct {
+	cfg     core.Config
+	guard   guard.Config
+	persist persist.Options
 
-	if *roots == "" {
-		return fmt.Errorf("-root is required (e.g. -root 198.41.0.4:53)")
+	listen, roots, debugAddr, queryLog string
+	renewal                            string
+	credit                             float64
+	port, maxInflight                  int
+	statsEvery, snapshotEvery, sweep   time.Duration
+	meshListen, meshPeers, meshKey     string
+
+	// What parseFlags derives from the text above.
+	listenAddr, debugAP netip.AddrPort
+	peers               []string
+}
+
+// parseFlags parses dnscache's command line args into fs and checks it:
+// every start-up error that a flag's value alone decides is returned
+// here, before anything is opened or bound.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:5301", "IP:port to serve stub resolvers on, over UDP and TCP (:port = every address)")
+	fs.StringVar(&o.roots, "root", "", "comma-separated root server IP:port literals, required")
+	fs.BoolVar(&o.cfg.RefreshTTL, "refresh", false, "enable TTL refresh of infrastructure records")
+	fs.StringVar(&o.renewal, "renewal", "", "TTL renewal policy: lru, lfu, a-lru, a-lfu (empty = off)")
+	fs.Float64Var(&o.credit, "credit", 3, "renewal credit c")
+	fs.DurationVar(&o.cfg.MaxTTL, "max-ttl", 7*24*time.Hour, "cache TTL clamp")
+	fs.DurationVar(&o.cfg.NegativeTTL, "negative-ttl", 0, "negative-answer cache TTL (0 = off)")
+	fs.DurationVar(&o.cfg.ServeStale, "serve-stale", 0, "serve expired records for this long when servers are unreachable (0 = off)")
+	fs.BoolVar(&o.cfg.Prefetch, "prefetch", false, "refresh hot answers in the last 10% of their TTL, on a background worker pool")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "IP:port serving HTTP /debug/stats, /debug/queries, /debug/peers (with -mesh-listen) and /debug/pprof/ (empty = off; enables per-query tracing)")
+	fs.StringVar(&o.queryLog, "query-log", "", "append one JSON line per finished query trace to this file (empty = off; enables per-query tracing)")
+	fs.IntVar(&o.port, "upstream-port", 53, "port appended to learned name-server addresses")
+	fs.IntVar(&o.maxInflight, "max-inflight", transport.DefaultMaxInflight, "max queries handled concurrently per listener")
+	fs.DurationVar(&o.statsEvery, "stats", time.Minute, "stats reporting interval (0 = off)")
+	fs.DurationVar(&o.cfg.Upstream.MinTimeout, "min-timeout", 200*time.Millisecond, "lower clamp on the adaptive per-attempt upstream timeout")
+	fs.DurationVar(&o.cfg.Upstream.MaxTimeout, "max-timeout", 3*time.Second, "upper clamp on the adaptive per-attempt upstream timeout")
+	fs.DurationVar(&o.cfg.Upstream.Quarantine, "quarantine", 5*time.Second, "base quarantine after an upstream failure, doubling per consecutive failure (negative = off)")
+	fs.IntVar(&o.cfg.Upstream.RetryBudget, "retry-budget", 16, "max upstream attempts one resolution may spend across all failovers (0 = unlimited)")
+	fs.StringVar(&o.persist.Dir, "persist-dir", "", "directory for crash-safe cache persistence: snapshot + journal, replayed on startup (empty = off)")
+	fs.DurationVar(&o.snapshotEvery, "snapshot-every", 5*time.Minute, "interval between full cache snapshots when -persist-dir is set (0 = journal only)")
+	fs.DurationVar(&o.sweep, "sweep", time.Minute, "interval between background sweeps of expired cache and negative-cache entries (0 = lazy expiry only)")
+	fs.Float64Var(&o.guard.ClientRPS, "client-rps", 0, "per-client-address UDP query rate limit in queries/s (0 = off)")
+	fs.IntVar(&o.guard.Slip, "slip", 2, "answer every Nth rate-limited UDP query with a minimal TC=1 reply instead of dropping it (0 = never; needs -client-rps)")
+	fs.IntVar(&o.guard.MaxClients, "max-clients", 65536, "rate-limiter client-slot bound; least recently seen clients are evicted past it")
+	fs.BoolVar(&o.guard.CacheOnlyOnOverload, "overload-cache-only", false, "answer queries arriving while all -max-inflight slots are busy from cache/stale data only, instead of dropping them")
+	fs.StringVar(&o.meshListen, "mesh-listen", "", "UDP address for the cooperative resolver mesh (empty = mesh off)")
+	fs.StringVar(&o.meshPeers, "mesh-peers", "", "comma-separated mesh peer addresses (IP:port), the fleet's membership, with -mesh-listen")
+	fs.StringVar(&o.meshKey, "mesh-key", "", "shared fleet HMAC key authenticating mesh frames (required with -mesh-listen)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	if *port < 1 || *port > 65535 {
-		return fmt.Errorf("-upstream-port %d: want a port in 1–65535", *port)
+
+	if o.roots == "" {
+		return nil, fmt.Errorf("-root is required (e.g. -root 198.41.0.4:53)")
+	}
+	if o.port < 1 || o.port > 65535 {
+		return nil, fmt.Errorf("-upstream-port %d: want a port in 1–65535", o.port)
 	}
 	// Every address dnscache binds or dials is an IP literal, parsed here:
 	// nothing resolves a name, so a -root name is never looked up through
 	// a system resolver that may be this very dnscache.
-	listenAddr, err := transport.ParseAddr(*listen)
-	if err != nil {
-		return fmt.Errorf("-listen: %w", err)
+	var err error
+	if o.listenAddr, err = transport.ParseAddr(o.listen); err != nil {
+		return nil, fmt.Errorf("-listen: %w", err)
 	}
-	var debugAP netip.AddrPort
-	if *debugAddr != "" {
-		if debugAP, err = transport.ParseAddr(*debugAddr); err != nil {
-			return fmt.Errorf("-debug-addr: %w", err)
+	if o.debugAddr != "" {
+		if o.debugAP, err = transport.ParseAddr(o.debugAddr); err != nil {
+			return nil, fmt.Errorf("-debug-addr: %w", err)
 		}
 	}
-	var hints []core.ServerRef
-	for i, addr := range strings.Split(*roots, ",") {
+	for i, addr := range strings.Split(o.roots, ",") {
 		ap, err := transport.ParseAddr(strings.TrimSpace(addr))
 		if err != nil {
-			return fmt.Errorf("-root: %w", err)
+			return nil, fmt.Errorf("-root: %w", err)
 		}
-		hints = append(hints, core.ServerRef{
+		o.cfg.RootHints = append(o.cfg.RootHints, core.ServerRef{
 			Host: dnswire.MustName(fmt.Sprintf("root%d.hint.", i)),
 			Addr: transport.Addr(ap.String()),
 		})
 	}
-	policy, err := core.ParsePolicy(*renewal, *credit)
-	if err != nil {
-		return err
+	if o.cfg.Renewal, err = core.ParsePolicy(o.renewal, o.credit); err != nil {
+		return nil, err
 	}
-	meshOn := *meshListen != ""
-	if meshOn && *meshKey == "" {
-		return fmt.Errorf("-mesh-listen requires -mesh-key (the fleet's shared frame-authentication key)")
+	if o.meshListen != "" && o.meshKey == "" {
+		return nil, fmt.Errorf("-mesh-listen requires -mesh-key (the fleet's shared frame-authentication key)")
 	}
-	if !meshOn && *meshPeers != "" {
-		return fmt.Errorf("-mesh-peers needs -mesh-listen")
+	if o.meshListen == "" && o.meshPeers != "" {
+		return nil, fmt.Errorf("-mesh-peers needs -mesh-listen")
 	}
-	var peers []string
-	if meshOn {
-		if _, err := mesh.ParseAddr(*meshListen); err != nil {
-			return fmt.Errorf("-mesh-listen: %w", err)
+	if o.meshListen != "" {
+		if _, err := mesh.ParseAddr(o.meshListen); err != nil {
+			return nil, fmt.Errorf("-mesh-listen: %w", err)
 		}
-		for _, p := range strings.Split(*meshPeers, ",") {
+		for _, p := range strings.Split(o.meshPeers, ",") {
 			if p = strings.TrimSpace(p); p == "" {
 				continue
 			}
 			if _, err := mesh.ParseAddr(p); err != nil {
-				return fmt.Errorf("-mesh-peers: %w", err)
+				return nil, fmt.Errorf("-mesh-peers: %w", err)
 			}
-			peers = append(peers, p)
+			o.peers = append(o.peers, p)
 		}
 	}
+	if o.maxInflight <= 0 {
+		o.maxInflight = transport.DefaultMaxInflight
+	}
+	// The transport timeout matches -max-timeout so the upstream layer's
+	// per-attempt deadline (passed via context) is what actually bounds
+	// each exchange.
+	o.cfg.Transport = &transport.UDPWithTCPFallback{
+		UDP: transport.UDP{Timeout: o.cfg.Upstream.MaxTimeout},
+		TCP: transport.TCP{Timeout: 2 * o.cfg.Upstream.MaxTimeout},
+	}
+	o.cfg.AsyncPrefetch = o.cfg.Prefetch
+	o.cfg.AddrMapper = upstreamAddr(uint16(o.port))
+	return o, nil
+}
+
+// run serves the caching server that o describes until SIGINT or
+// SIGTERM, then drains it.
+func run(o *options) error {
+	start := time.Now()
+	meshOn := o.meshListen != ""
+	var err error
 
 	// Open the persistence store before building the server so its change
 	// hook observes every cache mutation from the first query on. Deltas
 	// only buffer in memory until Recover writes the first checkpoint.
 	var store *persist.Store
-	var onChange cache.ChangeFunc
-	if *persistDir != "" {
-		store, err = persist.Open(persist.Options{Dir: *persistDir})
-		if err != nil {
+	if o.persist.Dir != "" {
+		if store, err = persist.Open(o.persist); err != nil {
 			return err
 		}
-		onChange = store.Observe
+		o.cfg.OnCacheChange = store.Observe
 	}
 
 	// Tracing is enabled only when something consumes it: the debug
@@ -281,8 +326,8 @@ func run() error {
 	var sinks []resolve.Sink
 	var ring *resolve.Ring
 	var debugLn *transport.TCPListener
-	if *debugAddr != "" {
-		if debugLn, err = transport.ListenTCP(debugAP); err != nil {
+	if o.debugAddr != "" {
+		if debugLn, err = transport.ListenTCP(o.debugAP); err != nil {
 			return err
 		}
 		defer debugLn.Close()
@@ -290,40 +335,14 @@ func run() error {
 		sinks = append(sinks, ring)
 	}
 	var qlog *jsonLogSink
-	if *queryLog != "" {
-		qlog, err = newJSONLogSink(*queryLog)
-		if err != nil {
+	if o.queryLog != "" {
+		if qlog, err = newJSONLogSink(o.queryLog); err != nil {
 			return err
 		}
 		sinks = append(sinks, qlog)
 	}
+	o.cfg.TraceSink = resolve.MultiSink(sinks...)
 
-	coreCfg := core.Config{
-		// The transport timeout matches -max-timeout so the upstream
-		// layer's per-attempt deadline (passed via context) is what
-		// actually bounds each exchange.
-		Transport: &transport.UDPWithTCPFallback{
-			UDP: transport.UDP{Timeout: *maxTimeout},
-			TCP: transport.TCP{Timeout: 2 * *maxTimeout},
-		},
-		RootHints:     hints,
-		RefreshTTL:    *refresh,
-		Renewal:       policy,
-		MaxTTL:        *maxTTL,
-		NegativeTTL:   *negTTL,
-		ServeStale:    *serveStale,
-		Prefetch:      *prefetch,
-		AsyncPrefetch: *prefetch,
-		TraceSink:     resolve.MultiSink(sinks...),
-		AddrMapper:    upstreamAddr(uint16(*port)),
-		Upstream: core.UpstreamConfig{
-			MinTimeout:  *minTimeout,
-			MaxTimeout:  *maxTimeout,
-			Quarantine:  *quarantine,
-			RetryBudget: *retryBudget,
-		},
-		OnCacheChange: onChange,
-	}
 	// The caching server's Fleet is the mesh node and the node's backend
 	// is the caching server: the node comes first, without a backend, and
 	// is bound to the server before the listeners and the renewal loop
@@ -331,14 +350,13 @@ func run() error {
 	var node *mesh.Node
 	var meshConn *mesh.Conn
 	if meshOn {
-		meshConn, err = mesh.ListenUDP(*meshListen)
-		if err != nil {
+		if meshConn, err = mesh.ListenUDP(o.meshListen); err != nil {
 			return err
 		}
 		node, err = mesh.NewNode(mesh.Config{
 			Self:      meshConn.LocalAddr(),
-			Key:       []byte(*meshKey),
-			Peers:     peers,
+			Key:       []byte(o.meshKey),
+			Peers:     o.peers,
 			Transport: meshConn,
 			Clock:     simclock.Real{},
 		})
@@ -346,9 +364,9 @@ func run() error {
 			meshConn.Close()
 			return err
 		}
-		coreCfg.Fleet = node
+		o.cfg.Fleet = node
 	}
-	cs, err := core.NewCachingServer(coreCfg)
+	cs, err := core.NewCachingServer(o.cfg)
 	if err != nil {
 		return err
 	}
@@ -364,7 +382,7 @@ func run() error {
 			}
 		}()
 		go every(ctx, mesh.DefaultProbeInterval, node.Tick)
-		fmt.Printf("mesh on %s (peers=%d)\n", meshConn.LocalAddr(), len(peers))
+		fmt.Printf("mesh on %s (peers=%d)\n", meshConn.LocalAddr(), len(o.peers))
 	}
 
 	if store != nil {
@@ -373,24 +391,24 @@ func run() error {
 			return err
 		}
 		fmt.Println(rep)
-		go store.Run(ctx, cs, *snapshotEvery, func(err error) {
+		go store.Run(ctx, cs, o.snapshotEvery, func(err error) {
 			fmt.Fprintln(os.Stderr, "dnscache:", err)
 		})
 	}
 
-	if policy != nil {
+	if o.cfg.Renewal != nil {
 		go cs.RunRenewalLoop(ctx)
 	}
 	if qlog != nil {
 		go every(ctx, time.Second, func(time.Time) { qlog.Flush() })
 	}
 
-	if *sweep > 0 {
+	if o.sweep > 0 {
 		// Background sweep: lazy expiry only reclaims entries that get
 		// looked up again, so an attack-inflated cache — and a negative
 		// cache fed never-repeated names — would otherwise hold dead
 		// records (and their journal weight) indefinitely.
-		go every(ctx, *sweep, func(time.Time) { cs.Cache().SweepExpired() })
+		go every(ctx, o.sweep, func(time.Time) { cs.Cache().SweepExpired() })
 	}
 
 	// The guard wraps the frontend only when a guard feature is on, so
@@ -398,40 +416,30 @@ func run() error {
 	// Counters always exist: the UDP server still counts sheds and
 	// FORMERRs with the guard off.
 	guardCounters := metrics.NewSet[metrics.GuardCounters]()
-	guardOn := *clientRPS > 0 || *overloadCacheOnly
-	if *maxInflight <= 0 {
-		*maxInflight = transport.DefaultMaxInflight
-	}
+	guardOn := o.guard.ClientRPS > 0 || o.guard.CacheOnlyOnOverload
 	var udpHandler transport.Handler = cs
-	udp := &transport.UDPServer{MaxInflight: *maxInflight, Counters: guardCounters}
+	udp := &transport.UDPServer{MaxInflight: o.maxInflight, Counters: guardCounters}
 	if guardOn {
+		o.guard.Counters = guardCounters
 		// Handshake-confirmed mesh peers bypass the per-client bucket: a
 		// cooperating fleet member must never be rate-limited mid-attack.
-		var peerExempt func(netip.Addr) bool
 		if meshOn {
-			peerExempt = node.IsPeerIP
+			o.guard.PeerExempt = node.IsPeerIP
 		}
-		g := guard.New(cs, guard.Config{
-			ClientRPS:           *clientRPS,
-			Slip:                *slip,
-			MaxClients:          *maxClients,
-			CacheOnlyOnOverload: *overloadCacheOnly,
-			Counters:            guardCounters,
-			PeerExempt:          peerExempt,
-		})
+		g := guard.New(cs, o.guard)
 		udpHandler = g
 		udp.Overload = g.HandleOverload
 	}
 	udp.Handler = udpHandler
 	// TCP is deliberately unguarded: slip pushes clients there, the
 	// connection itself provides backpressure, and sources are real.
-	tcp := &transport.TCPServer{Handler: cs, MaxInflight: *maxInflight}
-	addr, err := transport.ListenPair(udp, tcp, listenAddr)
+	tcp := &transport.TCPServer{Handler: cs, MaxInflight: o.maxInflight}
+	addr, err := transport.ListenPair(udp, tcp, o.listenAddr)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("caching server on %s (udp+tcp, refresh=%v renewal=%s max-inflight=%d guard=%v)\n",
-		addr, *refresh, *renewal, *maxInflight, guardOn)
+		addr, o.cfg.RefreshTTL, o.renewal, o.maxInflight, guardOn)
 
 	// Every counter set the process keeps, in display order. /debug/stats,
 	// the -stats line and the shutdown dump all render from this list, so
@@ -465,8 +473,8 @@ func run() error {
 		fmt.Printf("debug endpoint on http://%s/debug/stats\n", debugLn.Addr())
 	}
 
-	if *statsEvery > 0 {
-		go every(ctx, *statsEvery, func(time.Time) {
+	if o.statsEvery > 0 {
+		go every(ctx, o.statsEvery, func(time.Time) {
 			fmt.Println(counterReport("stats", cs.Cache().Stats(), counterSets, " "))
 		})
 	}

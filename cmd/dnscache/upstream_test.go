@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"net/netip"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -31,22 +30,18 @@ func TestUpstreamAddr(t *testing.T) {
 	}
 }
 
+// parseArgs runs parseFlags over args on a fresh flag set.
+func parseArgs(args ...string) (*options, error) {
+	return parseFlags(flag.NewFlagSet("dnscache", flag.ContinueOnError), args)
+}
+
 // TestRunRejectsUpstreamPort: a port no name server can listen on fails
 // start-up instead of failing every fetch.
 func TestRunRejectsUpstreamPort(t *testing.T) {
-	defer func(args []string, fs *flag.FlagSet) { os.Args, flag.CommandLine = args, fs }(os.Args, flag.CommandLine)
 	for _, port := range []string{"0", "70000", "-1"} {
-		flag.CommandLine = flag.NewFlagSet("dnscache", flag.ContinueOnError)
-		os.Args = []string{"dnscache", "-listen", "127.0.0.1:0", "-root", "127.0.0.1:53", "-upstream-port", port}
-		errc := make(chan error, 1)
-		go func() { errc <- run() }()
-		select {
-		case err := <-errc:
-			if err == nil || !strings.Contains(err.Error(), "-upstream-port") {
-				t.Errorf("-upstream-port %s: run() = %v, want an -upstream-port error", port, err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("-upstream-port %s: run() started serving", port)
+		_, err := parseArgs("-listen", "127.0.0.1:0", "-root", "127.0.0.1:53", "-upstream-port", port)
+		if err == nil || !strings.Contains(err.Error(), "-upstream-port") {
+			t.Errorf("-upstream-port %s: parseFlags = %v, want an -upstream-port error", port, err)
 		}
 	}
 }
@@ -56,7 +51,6 @@ func TestRunRejectsUpstreamPort(t *testing.T) {
 // ownership under an address no peer uses, so it fails start-up as a
 // flag error, before any socket is bound; so does a host-name peer.
 func TestRunRejectsMeshAddrs(t *testing.T) {
-	defer func(args []string, fs *flag.FlagSet) { os.Args, flag.CommandLine = args, fs }(os.Args, flag.CommandLine)
 	for _, tc := range []struct{ flag, listen, peers string }{
 		{"-mesh-listen", ":0", ""},
 		{"-mesh-listen", "0.0.0.0:0", ""},
@@ -64,18 +58,10 @@ func TestRunRejectsMeshAddrs(t *testing.T) {
 		{"-mesh-listen", "[fe80::1%lo]:7946", ""},
 		{"-mesh-peers", "127.0.0.1:0", "127.0.0.1:7947,localhost:7948"},
 	} {
-		flag.CommandLine = flag.NewFlagSet("dnscache", flag.ContinueOnError)
-		os.Args = []string{"dnscache", "-listen", "127.0.0.1:0", "-root", "127.0.0.1:53",
-			"-mesh-key", "k", "-mesh-listen", tc.listen, "-mesh-peers", tc.peers}
-		errc := make(chan error, 1)
-		go func() { errc <- run() }()
-		select {
-		case err := <-errc:
-			if err == nil || !strings.HasPrefix(err.Error(), tc.flag) {
-				t.Errorf("-mesh-listen %q -mesh-peers %q: run() = %v, want a %s error", tc.listen, tc.peers, err, tc.flag)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("-mesh-listen %q -mesh-peers %q: run() started serving", tc.listen, tc.peers)
+		_, err := parseArgs("-listen", "127.0.0.1:0", "-root", "127.0.0.1:53",
+			"-mesh-key", "k", "-mesh-listen", tc.listen, "-mesh-peers", tc.peers)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag) {
+			t.Errorf("-mesh-listen %q -mesh-peers %q: parseFlags = %v, want a %s error", tc.listen, tc.peers, err, tc.flag)
 		}
 	}
 }
@@ -85,7 +71,6 @@ func TestRunRejectsMeshAddrs(t *testing.T) {
 // host name or a zoned IPv6 address fails start-up as a flag error,
 // before any socket is bound.
 func TestRunRejectsHostAddrs(t *testing.T) {
-	defer func(args []string, fs *flag.FlagSet) { os.Args, flag.CommandLine = args, fs }(os.Args, flag.CommandLine)
 	for _, tc := range []struct{ flag, listen, root, debug string }{
 		{"-listen", "localhost:0", "127.0.0.1:53", ""},
 		{"-listen", "[fe80::1%lo]:0", "127.0.0.1:53", ""},
@@ -93,17 +78,9 @@ func TestRunRejectsHostAddrs(t *testing.T) {
 		{"-root", "127.0.0.1:0", "[fe80::1%lo]:53", ""},
 		{"-debug-addr", "127.0.0.1:0", "127.0.0.1:53", "localhost:0"},
 	} {
-		flag.CommandLine = flag.NewFlagSet("dnscache", flag.ContinueOnError)
-		os.Args = []string{"dnscache", "-listen", tc.listen, "-root", tc.root, "-debug-addr", tc.debug}
-		errc := make(chan error, 1)
-		go func() { errc <- run() }()
-		select {
-		case err := <-errc:
-			if err == nil || !strings.HasPrefix(err.Error(), tc.flag) {
-				t.Errorf("-listen %q -root %q -debug-addr %q: run() = %v, want a %s error", tc.listen, tc.root, tc.debug, err, tc.flag)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("-listen %q -root %q -debug-addr %q: run() started serving", tc.listen, tc.root, tc.debug)
+		_, err := parseArgs("-listen", tc.listen, "-root", tc.root, "-debug-addr", tc.debug)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag) {
+			t.Errorf("-listen %q -root %q -debug-addr %q: parseFlags = %v, want a %s error", tc.listen, tc.root, tc.debug, err, tc.flag)
 		}
 	}
 }

@@ -173,10 +173,11 @@ func (c configStruct) String() string { return path.Base(c.pkg) + "." + c.name }
 
 // outerConfigs are the settings structs a caller outside the declaring
 // package fills; innerConfigs are the ones core.NewCachingServer fills
-// from core.Config.
+// from core.Config (an alias: the one settings struct is declared in
+// internal/resolve).
 var (
 	outerConfigs = []configStruct{
-		{"resilientdns/internal/core", "Config", "internal/core", "Config"},
+		{"resilientdns/internal/core", "Config", "internal/resolve", "Config"},
 		{"resilientdns/internal/core", "UpstreamConfig", "internal/resolve", "UpstreamConfig"},
 		{"resilientdns/internal/guard", "Config", "internal/guard", "Config"},
 		{"resilientdns/internal/transport", "UDPServer", "internal/transport", "UDPServer"},
@@ -185,7 +186,6 @@ var (
 		{"resilientdns/internal/persist", "Options", "internal/persist", "Options"},
 	}
 	innerConfigs = []configStruct{
-		{"resilientdns/internal/resolve", "Config", "internal/resolve", "Config"},
 		{"resilientdns/internal/cache", "Config", "internal/cache", "Config"},
 	}
 )
@@ -289,10 +289,13 @@ func fileImports(f *ast.File) map[string]string {
 }
 
 // setFields collects, per "importpath.T", the fields node sets: the keys
-// of every keyed pkg.T literal, and every x.F = … where x is known, within
-// node, to hold a pkg.T or *pkg.T — declared by a literal, a var
-// declaration, a function parameter, or a copy of such a variable.
-// imports are the enclosing file's.
+// of every keyed pkg.T literal, every x.F = … and every flag bound to &x.F
+// (a flag package or *flag.FlagSet …Var call; a flag.Func sets its field
+// by an assignment in its function) where x is known, within node, to
+// hold a pkg.T or *pkg.T — declared by a literal, a var declaration, a
+// function parameter, a copy of such a variable, or a struct field
+// declared before its use (o.cfg, where o's struct declares cfg
+// core.Config). imports are the enclosing file's.
 func setFields(imports map[string]string, node ast.Node, into map[string]map[string]bool) {
 	vars := map[string]string{}
 	mark := func(key, field string) {
@@ -301,8 +304,32 @@ func setFields(imports map[string]string, node ast.Node, into map[string]map[str
 		}
 		into[key][field] = true
 	}
+	holder := func(x ast.Expr) string {
+		switch x := x.(type) {
+		case *ast.Ident:
+			return vars[x.Name]
+		case *ast.SelectorExpr:
+			return vars[x.Sel.Name]
+		}
+		return ""
+	}
 	ast.Inspect(node, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.CallExpr:
+			fn, ok := n.Fun.(*ast.SelectorExpr)
+			if !ok || len(n.Args) == 0 || !strings.HasSuffix(fn.Sel.Name, "Var") {
+				break
+			}
+			if recv, ok := fn.X.(*ast.Ident); !ok || imports[recv.Name] != "flag" && vars[recv.Name] != "flag.FlagSet" {
+				break
+			}
+			if addr, ok := n.Args[0].(*ast.UnaryExpr); ok && addr.Op == token.AND {
+				if sel, ok := addr.X.(*ast.SelectorExpr); ok {
+					if key := holder(sel.X); key != "" {
+						mark(key, sel.Sel.Name)
+					}
+				}
+			}
 		case *ast.CompositeLit:
 			if key := typeKey(imports, n.Type); key != "" {
 				for _, elt := range n.Elts {
@@ -328,8 +355,8 @@ func setFields(imports map[string]string, node ast.Node, into map[string]map[str
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
 				if sel, ok := lhs.(*ast.SelectorExpr); ok {
-					if x, ok := sel.X.(*ast.Ident); ok && vars[x.Name] != "" {
-						mark(vars[x.Name], sel.Sel.Name)
+					if key := holder(sel.X); key != "" {
+						mark(key, sel.Sel.Name)
 					}
 				}
 				id, ok := lhs.(*ast.Ident)
@@ -351,9 +378,9 @@ func setFields(imports map[string]string, node ast.Node, into map[string]map[str
 // one value, and that value belongs in a constant. Every exported field of
 // the outer settings structs is set — a keyed-literal entry or an
 // assignment — by a non-test file under cmd/, internal/ or benchmark/
-// outside the declaring package (only there is it spelled pkg.T), and
-// every field of the inner ones is a key of core.NewCachingServer's
-// literal. The exemptions are one table, each with its reason, and every
+// outside the declaring package (only there is it spelled pkg.T; a flag
+// bound to the field counts), and every field of the inner ones is a key
+// of core.NewCachingServer's literal. The exemptions are one table, each with its reason, and every
 // row names a field one of these structs declares.
 func TestConfigFieldsHaveSetters(t *testing.T) {
 	root := filepath.Join("..", "..")

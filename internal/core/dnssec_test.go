@@ -131,12 +131,11 @@ func newSignedFixture(t *testing.T, tamper func(f *signedFixture)) *signedFixtur
 	reg("10.0.4.1", "plain.com.", plain)
 
 	cs, err := NewCachingServer(Config{
-		Transport:      f.net,
-		Clock:          f.clock,
-		RootHints:      []ServerRef{{Host: dnswire.MustName("a.root-servers.net."), Addr: "10.0.0.1"}},
-		RefreshTTL:     true,
-		ValidateDNSSEC: true,
-		TrustAnchors:   f.anchors,
+		Transport:    f.net,
+		Clock:        f.clock,
+		RootHints:    []ServerRef{{Host: dnswire.MustName("a.root-servers.net."), Addr: "10.0.0.1"}},
+		RefreshTTL:   true,
+		TrustAnchors: f.anchors,
 	})
 	if err != nil {
 		t.Fatalf("NewCachingServer: %v", err)
@@ -236,16 +235,5 @@ func TestDNSSECInfraRecordsMarked(t *testing.T) {
 	key := f.cs.Cache().Peek(dnswire.MustName("ucla.edu."), dnswire.TypeDNSKEY)
 	if key == nil || !key.Infra() {
 		t.Errorf("DNSKEY entry = %+v, want cached infrastructure", key)
-	}
-}
-
-func TestDNSSECValidationRequiresAnchors(t *testing.T) {
-	_, err := NewCachingServer(Config{
-		Transport:      &transport.Pipe{},
-		RootHints:      []ServerRef{{Host: "a.", Addr: "x"}},
-		ValidateDNSSEC: true,
-	})
-	if err == nil {
-		t.Error("ValidateDNSSEC without anchors accepted")
 	}
 }

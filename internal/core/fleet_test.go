@@ -69,9 +69,9 @@ func TestFleetSeam(t *testing.T) {
 	}
 }
 
-// TestNoFleetNoPeerFetch: without a Fleet the pipeline's peer-fetch hook
-// stays nil, so a failed resolution neither counts an attempt nor opens
-// the stage, and renewals keep the solo lead.
+// TestNoFleetNoPeerFetch: without a Fleet the pipeline has no peer to
+// ask, so a failed resolution neither counts an attempt nor opens the
+// stage, and renewals keep the solo lead.
 func TestNoFleetNoPeerFetch(t *testing.T) {
 	f := newFixture(t, Config{RefreshTTL: true, Renewal: LRU{C: 3}})
 	f.resolveA(t, "www.com.")

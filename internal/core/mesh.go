@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"resilientdns/internal/cache"
 	"resilientdns/internal/dnswire"
 )
@@ -17,17 +15,9 @@ import (
 //     cached data only — never recursing, so relayed fetches can never
 //     cascade into further upstream or peer traffic.
 //
-// The other direction, what the server asks of the mesh, is Config.Fleet.
-
-// peerFetch is the pipeline's PeerFetch hook when the server has a Fleet:
-// the peer's message becomes a cache-sourced Result.
-func (cs *CachingServer) peerFetch(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) *Result {
-	msg := cs.cfg.Fleet.PeerFetch(ctx, qname, qtype)
-	if msg == nil {
-		return nil
-	}
-	return &Result{RCode: msg.RCode, Answer: msg.Answer, Authority: msg.Authority, FromCache: true}
-}
+// The other direction, what the server asks of the mesh, is Config.Fleet:
+// the renewal scheduler asks it who owns a zone, and the pipeline asks it
+// for a peer's answer once every other path has failed.
 
 // ZoneIRRMessage packages the zone's cached infrastructure records — the
 // NS set plus the cached address records of the servers it names — as an

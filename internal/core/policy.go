@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 )
@@ -14,18 +15,6 @@ import (
 // day is the normalisation constant of the adaptive policies (§4: "864_00
 // is the equivalent of one day in seconds").
 const day = 24 * time.Hour
-
-// RenewalPolicy assigns per-zone renewal credit. Each time a zone's
-// authoritative servers are queried during normal resolution, Update
-// recomputes the zone's credit; every time the zone's cached IRRs are
-// about to expire, one unit of credit buys one refetch-and-renew cycle.
-type RenewalPolicy interface {
-	// Name returns the policy's display name (e.g. "A-LFU(5)").
-	Name() string
-	// Update returns the zone's new credit after a query to the zone,
-	// given its current credit and the zone's IRR TTL.
-	Update(current float64, irrTTL time.Duration) float64
-}
 
 // creditPerTTL converts a credit multiplier into the adaptive policies'
 // TTL-normalised credit: c·86400/TTL, so that the extra cache residency is
@@ -110,9 +99,16 @@ func DefaultLFUMax(c float64) float64 { return 10 * c }
 
 // ParsePolicy builds a renewal policy from its configuration name ("lru",
 // "lfu", "a-lru", "a-lfu", case-insensitive; empty disables renewal) and
-// a credit value, applying the default caps for the LFU variants.
+// a credit value, applying the default caps for the LFU variants. A named
+// policy needs a finite, positive credit: a NaN or infinite one would
+// never run out (credit < 1 is never true), renewing every zone queried
+// once forever, and persist drops such credit as corrupt.
 func ParsePolicy(name string, credit float64) (RenewalPolicy, error) {
-	switch strings.ToLower(name) {
+	name = strings.ToLower(name)
+	if name != "" && (math.IsNaN(credit) || math.IsInf(credit, 0) || credit <= 0) {
+		return nil, fmt.Errorf("core: renewal credit %g: want a finite number above 0", credit)
+	}
+	switch name {
 	case "":
 		return nil, nil
 	case "lru":

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -102,12 +103,13 @@ func TestDefaultLFUMax(t *testing.T) {
 }
 
 func TestParsePolicy(t *testing.T) {
-	tests := []struct {
+	type parseCase struct {
 		in     string
 		credit float64
 		want   string
 		err    bool
-	}{
+	}
+	tests := []parseCase{
 		{"", 3, "", false},
 		{"lru", 3, "LRU(3)", false},
 		{"LFU", 5, "LFU(5)", false},
@@ -115,11 +117,20 @@ func TestParsePolicy(t *testing.T) {
 		{"alfu", 5, "A-LFU(5)", false},
 		{"bogus", 3, "", true},
 	}
+	// A named policy with a credit that is not a finite number above 0 is
+	// refused (NaN or +Inf credit never runs out and renews forever); no
+	// policy name means no renewal, whatever the credit.
+	for _, credit := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		for _, name := range []string{"lru", "lfu", "a-lru", "a-lfu"} {
+			tests = append(tests, parseCase{name, credit, "", true})
+		}
+		tests = append(tests, parseCase{"", credit, "", false})
+	}
 	for _, tt := range tests {
 		p, err := ParsePolicy(tt.in, tt.credit)
 		if tt.err {
 			if err == nil {
-				t.Errorf("ParsePolicy(%q) succeeded", tt.in)
+				t.Errorf("ParsePolicy(%q, %v) succeeded", tt.in, tt.credit)
 			}
 			continue
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
@@ -65,17 +64,9 @@ type CachingServer struct {
 // before they are ready to expire", §4).
 const renewLead = time.Second
 
-// NewCachingServer builds a caching server from cfg.
+// NewCachingServer builds a caching server from cfg: the cache from its
+// policy settings, the pipeline from the whole of it.
 func NewCachingServer(cfg Config) (*CachingServer, error) {
-	if cfg.Transport == nil {
-		return nil, errors.New("core: Config.Transport is required")
-	}
-	if len(cfg.RootHints) == 0 {
-		return nil, errors.New("core: Config.RootHints is required")
-	}
-	if cfg.ValidateDNSSEC && len(cfg.TrustAnchors) == 0 {
-		return nil, errors.New("core: ValidateDNSSEC requires TrustAnchors")
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
 	}
@@ -95,32 +86,11 @@ func NewCachingServer(cfg Config) (*CachingServer, error) {
 		flight:    make(map[cache.Key]*flightCall),
 		stats:     metrics.NewSet[Stats](),
 	}
-	rootAddrs := make([]transport.Addr, 0, len(cfg.RootHints))
-	for _, h := range cfg.RootHints {
-		rootAddrs = append(rootAddrs, h.Addr)
-	}
 	hooks := resolve.Hooks{ZoneQueried: cs.updateCredit}
 	if cfg.Renewal != nil {
 		hooks.InfraCached = cs.scheduleRenewal
 	}
-	if cfg.Fleet != nil {
-		hooks.PeerFetch = cs.peerFetch
-	}
-	r, err := resolve.New(resolve.Config{
-		Transport:             cfg.Transport,
-		Clock:                 cfg.Clock,
-		Cache:                 cs.cache,
-		RootAddrs:             rootAddrs,
-		Prefetch:              cfg.Prefetch,
-		AsyncPrefetch:         cfg.AsyncPrefetch,
-		ValidateDNSSEC:        cfg.ValidateDNSSEC,
-		TrustAnchors:          cfg.TrustAnchors,
-		ParentRecheckInterval: cfg.ParentRecheckInterval,
-		AddrMapper:            cfg.AddrMapper,
-		Upstream:              cfg.Upstream,
-		Hooks:                 hooks,
-		TraceSink:             cfg.TraceSink,
-	})
+	r, err := resolve.New(cfg, cs.cache, hooks)
 	if err != nil {
 		return nil, err
 	}

@@ -315,8 +315,7 @@ func TestCacheStepMatchesOldSequences(t *testing.T) {
 						gaps = append(gaps, fmt.Sprintf("%s/%s gap=%v ttl=%v", k.Name, k.Type, gap, ttl))
 						mu.Unlock()
 					}
-					cfg.Cache = cache.New(cc)
-					r := newTestResolver(t, cfg)
+					r := newTestResolverOn(t, cfg, cache.New(cc))
 					sc.setup(r, clk)
 					res, err := f(r)
 					r.Close() // async mode: the queued refresh has run on both sides

@@ -102,7 +102,7 @@ func (r *Resolver) IngestFrom(resp *dnswire.Message, fromZone dnswire.Name, qnam
 func (r *Resolver) putInfraAware(set []dnswire.RR, cred cache.Credibility, infra bool, origin cache.Origin, now time.Time) {
 	e := r.cache.PutOrigin(set, cred, infra, origin, now)
 	if e != nil && infra && set[0].Type() == dnswire.TypeNS {
-		if h := r.cfg.Hooks.InfraCached; h != nil {
+		if h := r.hooks.InfraCached; h != nil {
 			h(set[0].Name, e.Expires())
 		}
 	}

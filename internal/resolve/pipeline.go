@@ -195,7 +195,7 @@ func (r *Resolver) resolveOne(ctx context.Context, tr *Trace, qname dnswire.Name
 		}
 		return &Result{RCode: st.rcode, Answer: st.rrs, Authority: st.authority, FromCache: true}, nil
 	}
-	validate := r.cfg.ValidateDNSSEC && depth == 0
+	validate := r.validator != nil && depth == 0
 	res, resp, err := r.iterate(ctx, tr, qname, qtype, depth, validate, false)
 	dnswire.Release(resp)
 	if err != nil && r.cache.KeepStale() > 0 {
@@ -221,17 +221,17 @@ func (r *Resolver) resolveOne(ctx context.Context, tr *Trace, qname dnswire.Name
 		// and stale path is exhausted, so ask the zone owner peer's
 		// cache (single hop, never recursive — the serving peer answers
 		// strictly from its own cached/stale data).
-		if hook := r.cfg.Hooks.PeerFetch; hook != nil {
+		if fleet := r.cfg.Fleet; fleet != nil {
 			psp := tr.StartStage(StagePeerFetch)
 			metrics.Inc(&r.counters.PeerFetches)
-			pres := hook(ctx, qname, qtype)
+			msg := fleet.PeerFetch(ctx, qname, qtype)
 			psp.End()
 			// A peer fetch is an exchange: the work's time moved.
 			workOf(ctx).step(r.cfg.Clock.Now())
-			if pres != nil {
+			if msg != nil {
 				metrics.Inc(&r.counters.PeerFetchAnswered)
 				tr.MarkPeerFetch()
-				return pres, nil
+				return &Result{RCode: msg.RCode, Answer: msg.Answer, Authority: msg.Authority, FromCache: true}, nil
 			}
 		}
 	}
@@ -352,7 +352,7 @@ func (r *Resolver) iterate(ctx context.Context, tr *Trace, qname dnswire.Name, q
 			// A lame or broken server, below.
 
 		case answersQuestion(resp, qname, qtype):
-			if validate && r.validator != nil {
+			if validate {
 				vsp := tr.StartStage(StageValidateIngest)
 				verr := r.validateAnswer(ctx, tr, zname, resp, depth)
 				vsp.End()
@@ -462,7 +462,7 @@ func (r *Resolver) deepestKnownZone(dst []transport.Addr, qname dnswire.Name, qt
 			return anc, addrs
 		}
 	}
-	return dnswire.Root, r.cfg.RootAddrs
+	return dnswire.Root, r.roots
 }
 
 // parentLastSeen returns when zone's delegation was last confirmed by its
@@ -487,7 +487,7 @@ func (r *Resolver) queryZone(ctx context.Context, tr *Trace, zname dnswire.Name,
 	if err != nil {
 		return nil, err
 	}
-	if h := r.cfg.Hooks.ZoneQueried; h != nil {
+	if h := r.hooks.ZoneQueried; h != nil {
 		h(zname)
 	}
 	return resp, nil

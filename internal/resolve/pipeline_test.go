@@ -133,8 +133,7 @@ func TestStageBoundaries(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := simclock.NewVirtual(epoch)
 			tc.cfg.Clock, tc.cc.Clock = clk, clk
-			tc.cfg.Cache = cache.New(tc.cc)
-			r := newTestResolver(t, tc.cfg)
+			r := newTestResolverOn(t, tc.cfg, cache.New(tc.cc))
 			defer r.Close()
 			tc.setup(r, clk)
 
@@ -279,8 +278,8 @@ func TestSOALessNegativeNotCached(t *testing.T) {
 			return resp, nil
 		})
 		clk := simclock.NewVirtual(epoch)
-		r := newTestResolver(t, Config{Clock: clk, Transport: nxdomain,
-			Cache: cache.New(cache.Config{Clock: clk, NegativeTTL: time.Minute})})
+		r := newTestResolverOn(t, Config{Clock: clk, Transport: nxdomain},
+			cache.New(cache.Config{Clock: clk, NegativeTTL: time.Minute}))
 		for i := 0; i < 2; i++ {
 			res, err := r.ResolveChain(context.Background(), nil, dnswire.MustName("gone.test."), dnswire.TypeA)
 			if err != nil || res.RCode != dnswire.RCodeNXDomain {

@@ -19,7 +19,6 @@ func prefetchFixture(t *testing.T, cfg Config) *Resolver {
 	t.Helper()
 	clk := simclock.NewVirtual(epoch)
 	cfg.Clock = clk
-	cfg.Cache = cache.New(cache.Config{Clock: clk})
 	cfg.Prefetch = true
 	cfg.AsyncPrefetch = true
 	r := newTestResolver(t, cfg)
@@ -144,7 +143,7 @@ func TestPrefetchAttemptEndsWithWork(t *testing.T) {
 		return nil, transport.ErrTimeout
 	})
 	r := newTestResolver(t, Config{Clock: clk, Transport: slow, Prefetch: true, AsyncPrefetch: true,
-		RootAddrs: []transport.Addr{"10.0.0.1", "10.0.0.2"}})
+		RootHints: []ServerRef{{Host: "a.root.", Addr: "10.0.0.1"}, {Host: "b.root.", Addr: "10.0.0.2"}}})
 	defer r.Close()
 	r.pf.run(cache.Key{Name: dnswire.MustName("www.test."), Type: dnswire.TypeA})
 	if len(given) != 2 {

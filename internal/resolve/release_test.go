@@ -98,8 +98,8 @@ func TestReleasedResponsesKeepNothing(t *testing.T) {
 	names := []string{"www.test.", "alias.test.", "missing.test."}
 	resolveAll := func(tr transport.Transport) (*Resolver, []*Result) {
 		clk := simclock.NewVirtual(epoch)
-		r := newTestResolver(t, Config{Clock: clk, Transport: tr,
-			Cache: cache.New(cache.Config{Clock: clk, NegativeTTL: time.Minute})})
+		r := newTestResolverOn(t, Config{Clock: clk, Transport: tr},
+			cache.New(cache.Config{Clock: clk, NegativeTTL: time.Minute}))
 		var results []*Result
 		for _, n := range names {
 			res, err := r.ResolveChain(context.Background(), nil, dnswire.MustName(n), dnswire.TypeA)

@@ -10,8 +10,10 @@
 // the retry budget, and response validation. The `onepath` dnslint
 // analyzer enforces that no other call site reaches Transport.Exchange.
 //
-// The package is deliberately policy-free: renewal credit, the renewal
-// scheduler, and request coalescing stay in internal/core, which wires
+// The package is deliberately policy-free: it declares the caching
+// server's one Config, policy settings included, but reads none of the
+// policy settings. Renewal credit, the renewal scheduler, and request
+// coalescing stay in internal/core, which builds the cache and wires
 // itself in through Hooks. Per-query observability flows through an
 // optional Trace threaded down the pipeline; a nil trace (the simulator,
 // or tracing disabled) costs nothing on the hot path.
@@ -45,29 +47,84 @@ type Hooks struct {
 	// InfraCached fires when ingest commits an infrastructure NS RRset,
 	// so the renewal scheduler can arm a pre-expiry check.
 	InfraCached func(zone dnswire.Name, expires time.Time)
-	// PeerFetch is the mesh fallback: consulted only after a top-level
-	// resolution has failed every live, quarantined, and stale path, it
-	// may return an answer from a fleet peer's cache. Nil (the default,
-	// and always in the simulator) leaves resolution behaviour
-	// untouched. A nil result means no peer could help.
-	PeerFetch func(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) *Result
 }
 
-// Config parameterises a Resolver.
+// ServerRef names one authoritative server endpoint.
+type ServerRef struct {
+	// Host is the server's DNS name (e.g. "a.root-servers.net.").
+	Host dnswire.Name
+	// Addr is where to reach it.
+	Addr transport.Addr
+}
+
+// RenewalPolicy assigns per-zone renewal credit. Each time a zone's
+// authoritative servers are queried during normal resolution, Update
+// recomputes the zone's credit; every time the zone's cached IRRs are
+// about to expire, one unit of credit buys one refetch-and-renew cycle.
+// The policies themselves live in internal/core.
+type RenewalPolicy interface {
+	// Name returns the policy's display name (e.g. "A-LFU(5)").
+	Name() string
+	// Update returns the zone's new credit after a query to the zone,
+	// given its current credit and the zone's IRR TTL.
+	Update(current float64, irrTTL time.Duration) float64
+}
+
+// Fleet is what a caching server asks of the mesh it is a member of;
+// *mesh.Node satisfies it as it stands, so neither core nor resolve
+// imports mesh. The node in turn needs the server as its Backend: build
+// the node first without one, put it in Config.Fleet, and hand the
+// finished server to Node.SetBackend before either serves traffic.
+type Fleet interface {
+	// OwnsRenewal is consulted before the renewal scheduler spends a
+	// credit on a zone: false defers the refetch, because another fleet
+	// member owns the zone's renewal duty and its gossip will keep this
+	// cache warm.
+	OwnsRenewal(zone dnswire.Name) bool
+	// GossipZone is called after a successful renewal refetch has been
+	// ingested and extended, from the renewal loop's goroutine, so one
+	// owner refetch warms the whole fleet.
+	GossipZone(zone dnswire.Name)
+	// PeerFetch is the last-resort fallback, consulted only after a
+	// top-level resolution has failed every live, quarantined and stale
+	// path: a peer's cached answer, or nil.
+	PeerFetch(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) *dnswire.Message
+}
+
+// Config is the caching server's settings, declared once. The pipeline
+// reads the mechanism's; the policy settings (RefreshTTL, Renewal,
+// MaxTTL, NegativeTTL, ServeStale, OnGap, OnCacheChange) are read by the
+// owning server in internal/core, which builds the cache from them.
 type Config struct {
 	// Transport carries queries to authoritative servers. Required.
 	Transport transport.Transport
 	// Clock supplies time; defaults to the wall clock.
 	Clock simclock.Clock
-	// Cache is the shared cache, owned by the caller. Required. Its
-	// KeepStale turns on serve-stale and its NegativeTTL negative
-	// caching.
-	Cache *cache.Cache
-	// RootAddrs are the hard-coded root server addresses. Required.
-	RootAddrs []transport.Addr
+	// RootHints are the hard-coded root servers every caching server
+	// knows (§2). Required.
+	RootHints []ServerRef
 
-	// Prefetch re-fetches a cached answer hit in the last tenth of its
-	// TTL (unbound-style).
+	// RefreshTTL enables the paper's TTL-refresh scheme.
+	RefreshTTL bool
+	// Renewal enables credit-based TTL renewal with the given policy;
+	// nil disables renewal.
+	Renewal RenewalPolicy
+	// MaxTTL clamps cached TTLs; defaults to 7 days (§6: caching servers
+	// do not accept arbitrarily large TTL values, which also bounds how
+	// long a reclaimed delegation can linger).
+	MaxTTL time.Duration
+	// NegativeTTL caches NXDOMAIN/NODATA outcomes for this long; zero
+	// disables negative caching (the paper's simulations ignore it).
+	NegativeTTL time.Duration
+	// ServeStale retains expired records for this long and serves them as
+	// a last resort when resolution fails — the Ballani & Francis
+	// HotNets'06 baseline from the paper's related work (§7), ancestor of
+	// RFC 8767. Zero disables it.
+	ServeStale time.Duration
+	// Prefetch re-fetches a cached answer when a query hits it within
+	// the last tenth of its TTL — unbound's prefetch behaviour, the other
+	// modern cousin of the paper's renewal scheme (data records instead
+	// of IRRs).
 	Prefetch bool
 	// AsyncPrefetch moves prefetch refetches off the client's critical
 	// path onto a bounded background worker pool — what a live server
@@ -75,30 +132,48 @@ type Config struct {
 	// simulator requires.
 	AsyncPrefetch bool
 
-	// ValidateDNSSEC verifies answers from signed zones against the
-	// DS→DNSKEY chain rooted at TrustAnchors.
-	ValidateDNSSEC bool
+	// OnGap observes IRR expiry-to-reuse gaps (Fig. 3).
+	OnGap cache.GapFunc
+	// OnCacheChange observes committed cache mutations (see
+	// cache.Config.OnChange); the persistence journal hangs off it. Nil in
+	// the simulator, which never persists.
+	OnCacheChange cache.ChangeFunc
+
 	// TrustAnchors are trusted DNSKEY RRs (normally the root zone's).
+	// When there are any, answers from signed zones are verified against
+	// the DS→DNSKEY chain rooted at them (§6: DNSSEC's DS and DNSKEY sets
+	// are infrastructure records and flow through the same cache); none
+	// leaves validation off.
 	TrustAnchors []dnswire.RR
 
 	// ParentRecheckInterval forces a query to a zone's parent when the
-	// cached delegation has gone unconfirmed for this long.
+	// cached delegation has not been confirmed by the parent for this
+	// long, so reclaimed delegations surface even under indefinite
+	// refresh/renewal (§6 "Deployment Issues"; the paper suggests 7
+	// days). Zero disables the recheck.
 	ParentRecheckInterval time.Duration
 
-	// AddrMapper converts a name server's address record into a
-	// transport address. Defaults to the bare IP string.
+	// AddrMapper converts a name server's address record into a transport
+	// address. The default uses the bare IP string (the simulator's
+	// convention); live deployments typically append ":53".
 	AddrMapper func(addr netip.Addr) transport.Addr
 
-	// Upstream tunes server selection, per-attempt timeouts, quarantine,
-	// and the retry budget shared by every fetch path.
+	// Upstream tunes the robustness layer shared by the query, renewal,
+	// and prefetch paths (RTT-aware server selection, adaptive per-attempt
+	// timeouts, failure quarantine, retry budget). The zero value enables
+	// it with defaults.
 	Upstream UpstreamConfig
 
-	// Hooks connect pipeline events to the owning server's policy.
-	Hooks Hooks
-	// TraceSink receives a summary of every finished trace. Nil disables
-	// tracing entirely: NewTrace returns nil and the pipeline does no
-	// per-query timing work.
+	// TraceSink receives a summary of every finished per-query trace.
+	// Nil disables tracing entirely: NewTrace returns nil and the pipeline
+	// does no per-query timing work; the simulator never sets it, keeping
+	// its runs deterministic and overhead-free.
 	TraceSink Sink
+
+	// Fleet joins the server to a cooperative resolver mesh. Nil, the
+	// default and always so in the simulator's solo runs, renews
+	// everything locally and never asks a peer.
+	Fleet Fleet
 }
 
 // Result is a completed resolution.
@@ -169,7 +244,11 @@ var workTime = [numKinds]time.Duration{KindResolve: flightTimeout, KindRenewal: 
 type Resolver struct {
 	cfg    Config
 	cache  *cache.Cache
+	hooks  Hooks
 	engine *Engine
+	// roots are RootHints' addresses, where every iteration without a
+	// cached delegation starts.
+	roots []transport.Addr
 
 	// parentMu guards parentSeen, which records when each zone's
 	// delegation was last confirmed by a referral from the parent. It is
@@ -196,16 +275,15 @@ type Resolver struct {
 	pf *prefetcher
 }
 
-// New builds a Resolver from cfg.
-func New(cfg Config) (*Resolver, error) {
+// New builds a Resolver from cfg over c, the cache the caller owns and
+// built from cfg's policy settings (its KeepStale turns on serve-stale,
+// its NegativeTTL negative caching), reporting pipeline events to hooks.
+func New(cfg Config, c *cache.Cache, hooks Hooks) (*Resolver, error) {
 	if cfg.Transport == nil {
 		return nil, errors.New("resolve: Config.Transport is required")
 	}
-	if cfg.Cache == nil {
-		return nil, errors.New("resolve: Config.Cache is required")
-	}
-	if len(cfg.RootAddrs) == 0 {
-		return nil, errors.New("resolve: Config.RootAddrs is required")
+	if len(cfg.RootHints) == 0 {
+		return nil, errors.New("resolve: Config.RootHints is required")
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
@@ -215,19 +293,20 @@ func New(cfg Config) (*Resolver, error) {
 	}
 	r := &Resolver{
 		cfg:        cfg,
-		cache:      cfg.Cache,
+		cache:      c,
+		hooks:      hooks,
 		parentSeen: make(map[dnswire.Name]time.Time),
 		counters:   metrics.NewSet[Counters](),
+	}
+	for _, h := range cfg.RootHints {
+		r.roots = append(r.roots, h.Addr)
 	}
 	eng, err := newEngine(cfg, r.counters)
 	if err != nil {
 		return nil, err
 	}
 	r.engine = eng
-	if cfg.ValidateDNSSEC {
-		if len(cfg.TrustAnchors) == 0 {
-			return nil, errors.New("resolve: ValidateDNSSEC requires TrustAnchors")
-		}
+	if len(cfg.TrustAnchors) > 0 {
 		r.validator = dnssec.NewValidator(cfg.TrustAnchors...)
 		r.insecure = make(map[dnswire.Name]bool)
 	}

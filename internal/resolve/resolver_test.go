@@ -60,19 +60,26 @@ var deadTransport = transport.Exchanger(func(context.Context, transport.Addr, *d
 // clock, filling only the required fields the test left unset.
 func newTestResolver(t testing.TB, cfg Config) *Resolver {
 	t.Helper()
+	return newTestResolverOn(t, cfg, nil)
+}
+
+// newTestResolverOn is newTestResolver over the cache c (nil for a fresh
+// one on cfg's clock).
+func newTestResolverOn(t testing.TB, cfg Config, c *cache.Cache) *Resolver {
+	t.Helper()
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.NewVirtual(epoch)
 	}
-	if cfg.Cache == nil {
-		cfg.Cache = cache.New(cache.Config{Clock: cfg.Clock})
+	if c == nil {
+		c = cache.New(cache.Config{Clock: cfg.Clock})
 	}
 	if cfg.Transport == nil {
 		cfg.Transport = deadTransport
 	}
-	if len(cfg.RootAddrs) == 0 {
-		cfg.RootAddrs = []transport.Addr{"10.0.0.1"}
+	if len(cfg.RootHints) == 0 {
+		cfg.RootHints = []ServerRef{{Host: "a.root.", Addr: "10.0.0.1"}}
 	}
-	r, err := New(cfg)
+	r, err := New(cfg, c, Hooks{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"resilientdns/internal/cache"
 	"resilientdns/internal/dnswire"
 	"resilientdns/internal/simclock"
 	"resilientdns/internal/transport"
@@ -42,8 +41,7 @@ func TestNilTraceIsInert(t *testing.T) {
 func TestTraceStageTimingAndSummary(t *testing.T) {
 	clk := simclock.NewVirtual(epoch)
 	ring := NewRing(4)
-	r := newTestResolver(t, Config{Clock: clk, TraceSink: ring,
-		Cache: cache.New(cache.Config{Clock: clk})})
+	r := newTestResolver(t, Config{Clock: clk, TraceSink: ring})
 
 	tr := r.NewTrace(KindResolve, dnswire.MustName("www.test."), dnswire.TypeA)
 	if tr == nil {
@@ -151,8 +149,7 @@ func TestMultiSink(t *testing.T) {
 func TestTraceSummaryJSONGolden(t *testing.T) {
 	clk := simclock.NewVirtual(epoch)
 	ring := NewRing(4)
-	r := newTestResolver(t, Config{Clock: clk, TraceSink: ring,
-		Cache: cache.New(cache.Config{Clock: clk})})
+	r := newTestResolver(t, Config{Clock: clk, TraceSink: ring})
 
 	tr := r.NewTrace(KindResolve, dnswire.MustName("www.test."), dnswire.TypeA)
 	tr.MarkCoalesced()

@@ -63,16 +63,14 @@ func NewFleet(clk *simclock.Virtual, s Scenario, n int, amend func(i int, cfg *c
 	f := &Fleet{Clock: clk, Net: net, Servers: make([]*core.CachingServer, n), Res: res, attack: s.Attack}
 	f.config = func(i int) core.Config {
 		cfg := core.Config{
-			Transport:      net,
-			Clock:          clk,
-			RootHints:      s.Tree.RootHints,
-			RefreshTTL:     s.Scheme.RefreshTTL,
-			Renewal:        s.Scheme.Renewal,
-			MaxTTL:         s.Scheme.MaxTTL,
-			NegativeTTL:    s.Scheme.NegativeTTL,
-			ValidateDNSSEC: s.Scheme.ValidateDNSSEC,
-			TrustAnchors:   s.Tree.TrustAnchors,
-			ServeStale:     s.Scheme.ServeStale,
+			Transport:   net,
+			Clock:       clk,
+			RootHints:   s.Tree.RootHints,
+			RefreshTTL:  s.Scheme.RefreshTTL,
+			Renewal:     s.Scheme.Renewal,
+			MaxTTL:      s.Scheme.MaxTTL,
+			NegativeTTL: s.Scheme.NegativeTTL,
+			ServeStale:  s.Scheme.ServeStale,
 			OnGap: func(key cache.Key, gap, origTTL time.Duration) {
 				if key.Type != dnswire.TypeNS {
 					return
@@ -82,6 +80,9 @@ func NewFleet(clk *simclock.Virtual, s Scenario, n int, amend func(i int, cfg *c
 					res.GapFrac.Add(float64(gap) / float64(origTTL))
 				}
 			},
+		}
+		if s.Scheme.ValidateDNSSEC {
+			cfg.TrustAnchors = s.Tree.TrustAnchors
 		}
 		if amend != nil {
 			amend(i, &cfg)

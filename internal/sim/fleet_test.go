@@ -9,6 +9,7 @@ import (
 	"resilientdns/internal/cache"
 	"resilientdns/internal/core"
 	"resilientdns/internal/dnswire"
+	"resilientdns/internal/metrics"
 	"resilientdns/internal/simclock"
 	"resilientdns/internal/topology"
 	"resilientdns/internal/workload"
@@ -122,6 +123,55 @@ func TestFleetChargesRenewalsAtTheirOwnInstant(t *testing.T) {
 	}
 }
 
+// TestRenewToChargesEarlierRenewals: renewals due at one instant run one
+// after another, and each is judged by the clock as it starts, so it pays
+// for the time the ones before it took. At a 2 s round trip, longer than
+// renewLead, the second of two zones due together starts 2 s late and
+// after its NS entry expired: on one member, whose sweep runs both, and
+// on two, where the second member's turn at the instant comes after the
+// first member's refetch.
+func TestRenewToChargesEarlierRenewals(t *testing.T) {
+	p := topology.DefaultParams(1)
+	p.NumTLDs, p.SLDsPerTLD = 1, 4
+	p.SubZoneFrac, p.SubSubZoneFrac, p.OutOfBailiwickFrac = 0, 0, 0
+	// Every SLD's IRRs live an hour; the TLD's keep their 2 days.
+	p.IRRTTLs = []topology.TTLChoice{{TTL: time.Hour, Weight: 1}}
+	tree, err := topology.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hosts []dnswire.Name
+	seen := map[dnswire.Name]bool{}
+	for _, tn := range tree.QueryableNames() {
+		if tree.Zones[tn.Zone].Depth == 2 && !seen[tn.Zone] && len(hosts) < 2 {
+			seen[tn.Zone] = true
+			hosts = append(hosts, tn.Name)
+		}
+	}
+	if len(hosts) != 2 {
+		t.Fatalf("the tree has %d SLDs with a host, want 2", len(hosts))
+	}
+	for _, members := range []int{1, 2} {
+		f, err := NewFleet(simclock.NewVirtual(epoch), Scenario{Tree: tree, Scheme: RefreshRenew(core.LRU{C: 3})}, members, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, h := range hosts {
+			ask(t, f, k%members, epoch, h)
+		}
+		f.Net.RTT = 2 * time.Second
+		f.RenewTo(epoch.Add(time.Hour))
+		var st core.Stats
+		for _, cs := range f.Servers {
+			st = metrics.Sum(st, cs.Stats())
+		}
+		if st.RenewalQueries != 2 || st.RenewalDelayUS < uint64((2*time.Second).Microseconds()) || st.RenewalLate != 1 {
+			t.Errorf("%d members: %d renewal refetches, %d µs of delay, %d late; want 2, at least 2 s, 1",
+				members, st.RenewalQueries, st.RenewalDelayUS, st.RenewalLate)
+		}
+	}
+}
+
 func TestFleetAdvanceToPastMovesNothing(t *testing.T) {
 	ticks := 0
 	f, names := stepFleet(t, RefreshRenew(core.LRU{C: 3}), 2, nil, nil)
@@ -198,7 +248,7 @@ func TestFleetRestart(t *testing.T) {
 // TestFleetAmendSeesSchemeConfig: the one Scheme → core.Config mapping
 // hands amend the finished config, so a caller adding to it cannot drop
 // what the scheme asked for (the restart experiment's own copy dropped
-// ValidateDNSSEC and TrustAnchors).
+// DNSSEC validation and its trust anchors).
 func TestFleetAmendSeesSchemeConfig(t *testing.T) {
 	p := topology.DefaultParams(1)
 	p.NumTLDs, p.SLDsPerTLD, p.Signed = 2, 3, true
@@ -230,8 +280,8 @@ func TestFleetAmendSeesSchemeConfig(t *testing.T) {
 			cfg.NegativeTTL != scheme.NegativeTTL || cfg.ServeStale != scheme.ServeStale {
 			t.Errorf("server %d: scheme fields lost on the way to core.Config: %+v", i, cfg)
 		}
-		if !cfg.ValidateDNSSEC || len(cfg.TrustAnchors) == 0 {
-			t.Errorf("server %d: ValidateDNSSEC=%v with %d trust anchors", i, cfg.ValidateDNSSEC, len(cfg.TrustAnchors))
+		if len(cfg.TrustAnchors) == 0 {
+			t.Errorf("server %d: a validating scheme reached core.Config without trust anchors", i)
 		}
 		if cfg.Clock != f.Clock || cfg.Transport == nil || cfg.OnGap == nil || len(cfg.RootHints) == 0 {
 			t.Errorf("server %d: shared clock, network, hints or gap observer missing", i)
@@ -245,6 +295,17 @@ func TestFleetAmendSeesSchemeConfig(t *testing.T) {
 	ask(t, f, 1, epoch, tree.QueryableNames()[0].Name)
 	if changes == 0 {
 		t.Error("what amend added (OnCacheChange) did not reach the server")
+	}
+
+	// Trust anchors are what turns validation on: a scheme that does not
+	// validate gets none, even over a signed tree.
+	scheme.ValidateDNSSEC = false
+	if _, err := NewFleet(simclock.NewVirtual(epoch), Scenario{Tree: tree, Scheme: scheme}, 1, func(_ int, cfg *core.Config) {
+		if len(cfg.TrustAnchors) != 0 {
+			t.Errorf("a non-validating scheme reached core.Config with %d trust anchors", len(cfg.TrustAnchors))
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -49,17 +49,15 @@ func referenceRunPartitioned(s Scenario, parts int) (*Results, error) {
 
 	servers := make([]*core.CachingServer, parts)
 	for i := range servers {
-		cs, err := core.NewCachingServer(core.Config{
-			Transport:      net,
-			Clock:          clk,
-			RootHints:      s.Tree.RootHints,
-			RefreshTTL:     s.Scheme.RefreshTTL,
-			Renewal:        s.Scheme.Renewal,
-			MaxTTL:         s.Scheme.MaxTTL,
-			NegativeTTL:    s.Scheme.NegativeTTL,
-			ValidateDNSSEC: s.Scheme.ValidateDNSSEC,
-			TrustAnchors:   s.Tree.TrustAnchors,
-			ServeStale:     s.Scheme.ServeStale,
+		cfg := core.Config{
+			Transport:   net,
+			Clock:       clk,
+			RootHints:   s.Tree.RootHints,
+			RefreshTTL:  s.Scheme.RefreshTTL,
+			Renewal:     s.Scheme.Renewal,
+			MaxTTL:      s.Scheme.MaxTTL,
+			NegativeTTL: s.Scheme.NegativeTTL,
+			ServeStale:  s.Scheme.ServeStale,
 			OnGap: func(key cache.Key, gap, origTTL time.Duration) {
 				if key.Type != dnswire.TypeNS {
 					return
@@ -69,7 +67,11 @@ func referenceRunPartitioned(s Scenario, parts int) (*Results, error) {
 					res.GapFrac.Add(float64(gap) / float64(origTTL))
 				}
 			},
-		})
+		}
+		if s.Scheme.ValidateDNSSEC {
+			cfg.TrustAnchors = s.Tree.TrustAnchors
+		}
+		cs, err := core.NewCachingServer(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}

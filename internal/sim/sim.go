@@ -34,8 +34,9 @@ type Scheme struct {
 	MaxTTL time.Duration
 	// NegativeTTL enables negative caching (0 = off, as in the paper).
 	NegativeTTL time.Duration
-	// ValidateDNSSEC turns on chain validation; the scenario's tree must
-	// be generated with topology.Params.Signed and provide TrustAnchors.
+	// ValidateDNSSEC turns on chain validation: NewFleet hands the tree's
+	// TrustAnchors to core.Config, which validates exactly when it has
+	// some. The tree must be generated with topology.Params.Signed.
 	ValidateDNSSEC bool
 	// ServeStale enables the Ballani & Francis stale-record baseline with
 	// the given retention window (0 = off).

@@ -217,11 +217,10 @@ func TestSignedTreeValidatesEndToEnd(t *testing.T) {
 	tree.Install(net)
 
 	cs, err := core.NewCachingServer(core.Config{
-		Transport:      net,
-		Clock:          clk,
-		RootHints:      tree.RootHints,
-		ValidateDNSSEC: true,
-		TrustAnchors:   tree.TrustAnchors,
+		Transport:    net,
+		Clock:        clk,
+		RootHints:    tree.RootHints,
+		TrustAnchors: tree.TrustAnchors,
 	})
 	if err != nil {
 		t.Fatalf("NewCachingServer: %v", err)
